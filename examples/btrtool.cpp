@@ -13,7 +13,8 @@
 //   --metrics-json=<path>   write the metrics registry as JSON on exit
 //   --trace-json=<path>     record spans and write a Chrome/Perfetto trace
 //   --scan-threads=<n>      decode threads for `scan` (0 = hardware)
-//   --prefetch-depth=<n>    bounded-queue capacity for `scan`
+//   --prefetch-depth=<n>    `scan`: block parts in flight beyond one
+//                           bundle per decode thread
 //   --fault-seed=<n>        `scan`: inject a seeded chaos fault schedule
 //                           into the object store (docs/ROBUSTNESS.md)
 //   --fault-rate=<f>        per-GET fault probability for --fault-seed

@@ -136,9 +136,15 @@ struct CompressionConfig {
   }
 };
 
-// How btr::Scanner pipelines a scan (see the configuration story above).
-// Defaults favor a laptop-class box: enough fetch concurrency to hide
-// object-store latency, a queue deep enough to keep decoders busy.
+// How btr::Scanner runs a scan (see the configuration story above).
+// Every scan runs on a service::ScanService (docs/SCAN_PIPELINE.md). The
+// thread, block-cache and breaker knobs size a standalone Scanner's
+// private service — built at its first Scan() and rebuilt only when a
+// later scan asks for different values, so its cache and breaker live as
+// long as the Scanner — and are ignored by a serviced Scanner, which uses
+// the shared service's. Defaults favor a laptop-class box: enough fetch
+// concurrency to hide object-store latency, a window deep enough to keep
+// decoders busy.
 //
 // The robustness knobs mirror exec::RetryPolicy (the scanner builds one
 // from them; this header stays free of exec dependencies). Transient GET
@@ -146,9 +152,11 @@ struct CompressionConfig {
 // backoff and deterministic jitter; permanent ones either fail the scan
 // or — in degraded mode — skip the affected row block and report it.
 struct ScanConfig {
-  u32 scan_threads = 0;    // decode workers; 0 = hardware concurrency
-  u32 fetch_threads = 4;   // concurrent ranged GETs the prefetcher issues
-  u32 prefetch_depth = 8;  // blocks buffered between fetch and decode
+  u32 scan_threads = 0;    // decode executors; 0 = hardware concurrency
+  u32 fetch_threads = 4;   // fetch executors: concurrent ranged GETs
+  // Block parts in flight beyond one row-block bundle per decode thread:
+  // the window is prefetch_depth + needed columns x decode threads.
+  u32 prefetch_depth = 8;
 
   // --- predicate pushdown (btr/predicate.h, docs/PREDICATES.md) ------------
   // When true (default), the scan prunes row blocks against zone maps and
@@ -181,7 +189,7 @@ struct ScanConfig {
   // are admitted only when their bytes hash to the column header's CRC32C.
   // Serviced scanners (service/scan_service.h) ignore these knobs and the
   // breaker ones below: the service's shared cache and per-backend
-  // breakers are always used instead (docs/SCAN_SERVICE.md).
+  // breakers are used instead (docs/SCAN_SERVICE.md).
   bool enable_block_cache = false;
   u64 block_cache_bytes = 64ull << 20;  // total cache capacity
   u32 block_cache_shards = 8;           // independent LRU partitions
@@ -203,6 +211,7 @@ struct ScanConfig {
   // window of `breaker_window` outcomes the breaker trips: GETs fail fast
   // as Status::Unavailable (no retry budget burned) until a cooldown
   // elapses, then a few half-open probes decide whether to close again.
+  // One breaker per standalone Scanner, shared by its scans.
   bool enable_circuit_breaker = false;
   u32 breaker_window = 32;
   u32 breaker_min_samples = 8;

@@ -4,17 +4,15 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <exception>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <tuple>
 #include <unordered_map>
 
 #include "btr/datablock.h"
 #include "exec/block_cache.h"
-#include "exec/pipeline.h"
 #include "exec/retry.h"
-#include "exec/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "service/scan_service.h"
@@ -91,6 +89,41 @@ exec::CircuitBreakerPolicy MakeBreakerPolicy(const ScanConfig& config) {
   return policy;
 }
 
+// Tenant id of a standalone Scanner inside its private service.
+const char* const kStandaloneTenant = "standalone";
+
+// The private single-tenant service a standalone Scanner runs on:
+// fetch_threads GET executors, scan_threads decode executors, and the
+// ScanConfig's block cache and circuit breaker (each off unless enabled).
+service::ScanServiceConfig PrivateServiceConfig(const ScanConfig& config) {
+  service::ScanServiceConfig service;
+  service.fetch_threads = config.fetch_threads;
+  service.decode_threads = config.scan_threads;
+  service.cache.capacity_bytes = 0;
+  if (config.enable_block_cache) {
+    service.cache.capacity_bytes = config.block_cache_bytes;
+    service.cache.shards = config.block_cache_shards;
+  }
+  service.enable_breaker = config.enable_circuit_breaker;
+  if (config.enable_circuit_breaker) {
+    service.breaker = MakeBreakerPolicy(config);
+  }
+  return service;
+}
+
+// Whether two PrivateServiceConfig results build the same executors,
+// cache and breaker.
+bool SameResources(const service::ScanServiceConfig& a,
+                   const service::ScanServiceConfig& b) {
+  auto fields = [](const service::ScanServiceConfig& c) {
+    return std::tie(c.fetch_threads, c.decode_threads, c.cache.capacity_bytes,
+                    c.cache.shards, c.enable_breaker, c.breaker.window,
+                    c.breaker.min_samples, c.breaker.failure_threshold,
+                    c.breaker.cooldown_ns, c.breaker.half_open_probes);
+  };
+  return fields(a) == fields(b);
+}
+
 }  // namespace
 
 Status UploadCompressedRelation(const CompressedRelation& relation,
@@ -123,15 +156,21 @@ Scanner::Scanner(service::ScanService& service, const std::string& tenant_id,
   tenant_slot_ = service.EnsureTenant(tenant_id);
 }
 
-// Out-of-line so scanner.h can hold the cache behind a forward declaration.
+// Out-of-line so scanner.h can hold the private service behind a forward
+// declaration.
 Scanner::~Scanner() = default;
 
-exec::ThreadPool& Scanner::EnsureDecodePool(u32 threads) {
-  if (decode_pool_ == nullptr || decode_pool_threads_ != threads) {
-    decode_pool_ = std::make_unique<exec::ThreadPool>(threads);
-    decode_pool_threads_ = threads;
+service::ScanService& Scanner::ServiceFor(const ScanConfig& config) {
+  if (service_ != nullptr && service_ != own_service_.get()) return *service_;
+  service::ScanServiceConfig wanted = PrivateServiceConfig(config);
+  if (own_service_ == nullptr ||
+      !SameResources(own_service_->config(), wanted)) {
+    own_service_.reset();  // joins the old executors first
+    own_service_ = std::make_unique<service::ScanService>(wanted);
+    tenant_slot_ = own_service_->EnsureTenant(kStandaloneTenant);
+    service_ = own_service_.get();
   }
-  return *decode_pool_;
+  return *service_;
 }
 
 Status Scanner::Open(const ScanConfig& config) {
@@ -356,9 +395,10 @@ Status Scanner::ResolveSpec(const ScanSpec& spec, ResolvedSpec* out) const {
   return Status::Ok();
 }
 
+
 namespace {
 
-// Everything one row block produced, moved from the decode worker to the
+// Everything one row block produced, moved from the decode item to the
 // emitting thread through the reorder buffer.
 struct BlockResult {
   BlockOutcome outcome = BlockOutcome::kDecoded;
@@ -381,802 +421,694 @@ struct Bundle {
 
 }  // namespace
 
-Status Scanner::Scan(const ScanSpec& spec, const ChunkCallback& emit,
-                     ScanStats* stats_out) {
-  BTR_TRACE_SPAN("scan.pipeline");
-  Timer timer;
-  ResolvedSpec resolved;
-  BTR_RETURN_IF_ERROR(ResolveSpec(spec, &resolved));
-
-  // Serviced scans pass admission control before any other work: a
-  // saturated service or an over-quota tenant surfaces here as typed
-  // Status::Throttled (transient — callers may wrap Scan in
-  // exec::RunWithRetries and back off).
-  service::ScanService::Ticket ticket;
-  u64 admission_wait_ns = 0;
-  if (service_ != nullptr) {
-    BTR_RETURN_IF_ERROR(
-        service_->Admit(tenant_slot_, &ticket, &admission_wait_ns));
-  }
-  // Every return below must give the admission slot back.
-  struct TicketGuard {
-    service::ScanService* service;
-    service::ScanService::Ticket* ticket;
-    ~TicketGuard() {
-      if (service != nullptr) service->Release(ticket);
+// One Scan() call, run on a ScanService in four stages: Plan (calling
+// thread) prunes row blocks and builds the fetch plan; Fetch items run on
+// the service's fetch executors and Decode items on its decode executors,
+// both behind the tenant's fair-queue lanes; Emit hands chunks to the
+// caller in block order. Every submitted item captures `this`, so the Job
+// must Finish() — quiesce — before it leaves scope.
+class Scanner::Job {
+ public:
+  Job(const Scanner& scanner, service::ScanService& service,
+      const ScanConfig& config, const ResolvedSpec& resolved,
+      obs::ScanProfileCollector* profile)
+      : scanner_(scanner),
+        service_(service),
+        tenant_(scanner.tenant_slot_),
+        config_(config),
+        resolved_(resolved),
+        profile_(profile),
+        needed_count_(static_cast<u32>(resolved.needed.size())),
+        has_filter_(!resolved.filter.Empty()),
+        cache_(service.cache()),
+        breaker_(service.BreakerFor(scanner.store_)),
+        retry_(MakeRetryPolicy(config)),
+        hedge_(MakeHedgePolicy(config)),
+        pruned_(resolved.row_blocks, 0),
+        leaf_zone_prunes_(resolved.leaf_count, 0),
+        // One bundle in flight per decode thread keeps every decoder busy;
+        // prefetch_depth parts on top hide fetch latency. Never below one
+        // bundle, so the first incomplete bundle can always complete.
+        window_tokens_(config.prefetch_depth +
+                       static_cast<u64>(needed_count_) *
+                           service.decode_threads()),
+        leaf_fast_(resolved.leaf_count),
+        leaf_materialized_(resolved.leaf_count) {
+    // A breaker can be shared with other scans, so ScanStats reports the
+    // deltas across this scan.
+    if (breaker_ != nullptr) {
+      base_breaker_trips_ = breaker_->trips();
+      base_breaker_fast_ = breaker_->fast_failures();
     }
-  } ticket_guard{service_, &ticket};
-  (void)ticket_guard;
-
-  // Per-scan profile. Null when disabled: every instrumentation site
-  // below tests this pointer and records nothing — no locks, no
-  // allocation, no clock reads on the disabled path.
-  std::unique_ptr<obs::ScanProfileCollector> collector;
-  if (spec.config.collect_profile) {
-    collector = std::make_unique<obs::ScanProfileCollector>(
-        spec.config.profile_slow_ops);
-    collector->SetOpenNanos(open_ns_);
   }
-  obs::ScanProfileCollector* profile = collector.get();
-  obs::StageTimer stage_timer;  // calling-thread stages; starts in kPlan
 
-  ScanStats stats;
-  stats.row_blocks = resolved.row_blocks;
-  const u64 base_requests = store_->total_requests();
-  const u64 base_bytes = store_->total_bytes_fetched();
-  ScanMetrics& metrics = ScanMetrics::Get();
-  metrics.row_blocks.Add(resolved.row_blocks);
+  void Plan();
+  void Pump();
+  void Emit(const ChunkCallback& emit, obs::StageTimer* stage_timer,
+            ScanStats* stats);
+  Status Finish(ScanStats* stats);
 
-  // --- stage 0: zone-map pruning -------------------------------------------
+ private:
+  void Submit(bool decode, u64 cost_bytes, std::function<void()> run);
+  void Fetch(size_t i);
+  void Decode(u32 b, Bundle& bundle);
+  Status DecodeBundle(u32 b, Bundle& bundle, BlockResult* result);
+  void EmitBlock(const ChunkCallback& emit, u32 b, BlockResult* result);
+  void CacheInsert(const std::string& key, u64 offset, const u8* data,
+                   size_t size, u32 expected_crc);
+  void Fail(Status status);
+  bool Failed();
+  bool Sleep(u64 backoff_ns);
+  void ItemDone();
+
+  const Scanner& scanner_;
+  service::ScanService& service_;
+  const u32 tenant_;
+  const ScanConfig& config_;
+  const ResolvedSpec& resolved_;
+  obs::ScanProfileCollector* const profile_;  // null = profiling off
+  const u32 needed_count_;
+  const bool has_filter_;
+  exec::BlockCache* const cache_;       // null = no cache
+  exec::CircuitBreaker* const breaker_;  // null = no breaker
+  exec::RetryState retry_;
+  exec::HedgeState hedge_;
+  exec::StragglerSink stragglers_;  // hedge losers, reaped in Finish
+  u64 base_breaker_trips_ = 0;
+  u64 base_breaker_fast_ = 0;
+
+  // Plan output, read-only once Pump starts.
+  std::vector<u8> pruned_;
+  std::vector<u64> leaf_zone_prunes_;
+  std::vector<exec::FetchRequest> requests_;
+
+  // Guarded by mutex_. cv_ wakes the emitter (a block is ready or the scan
+  // failed), backoff sleepers (failed) and Finish (outstanding_ == 0).
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  u64 window_tokens_;        // parts that may still be submitted
+  size_t next_request_ = 0;  // next index into requests_
+  u64 outstanding_ = 0;      // submitted items not yet finished
+  std::unordered_map<u32, Bundle> assembling_;  // incomplete bundles
+  std::map<u32, BlockResult> ready_;            // reorder buffer
+  bool failed_ = false;
+  Status first_error_;
+
+  // This job's own traffic and outcomes (items run on shared executors,
+  // so nothing is derived from store-wide counters).
+  std::atomic<u64> gets_{0};
+  std::atomic<u64> bytes_fetched_{0};
+  std::atomic<u64> cache_hits_{0};
+  std::atomic<u64> cache_misses_{0};
+  std::atomic<u64> crc_refetches_{0};
+  std::atomic<u64> crc_rescues_{0};
+  std::atomic<u64> bytes_decoded_{0};
+  // Per-leaf fast-path/materialized tallies (ScanStats::predicate_leaves).
+  std::vector<std::atomic<u64>> leaf_fast_;
+  std::vector<std::atomic<u64>> leaf_materialized_;
+};
+
+// --- plan: zone-map pruning, then the fetch plan ---------------------------------
+
+void Scanner::Job::Plan() {
   // A row block is pruned when the whole filter expression proves it
   // empty: AND prunes when any conjunct does, OR only when all disjuncts
   // do (ZoneMayMatch walks the tree). Disabled together with pushdown so
   // the decode-then-filter baseline really fetches and decodes everything.
-  const bool has_filter = !resolved.filter.Empty();
-  const bool pushdown = spec.config.enable_predicate_pushdown;
   Timer prune_timer;
-  std::vector<u8> pruned(resolved.row_blocks, 0);
-  std::vector<u64> leaf_zone_prunes(resolved.leaf_count, 0);
-  if (has_zones_ && has_filter && pushdown) {
-    for (u32 b = 0; b < resolved.row_blocks; b++) {
+  if (scanner_.has_zones_ && has_filter_ &&
+      config_.enable_predicate_pushdown) {
+    for (u32 b = 0; b < resolved_.row_blocks; b++) {
       auto zone_of = [&](const std::string& name) -> const BlockZone* {
-        auto it = resolved.filter_pos.find(name);
-        if (it == resolved.filter_pos.end()) return nullptr;
-        const ColumnZoneMap& zones = zones_.columns[resolved.needed[it->second]];
+        auto it = resolved_.filter_pos.find(name);
+        if (it == resolved_.filter_pos.end()) return nullptr;
+        const ColumnZoneMap& zones =
+            scanner_.zones_.columns[resolved_.needed[it->second]];
         return b < zones.zones.size() ? &zones.zones[b] : nullptr;
       };
-      if (!ZoneMayMatch(resolved.filter, zone_of)) {
-        pruned[b] = 1;
+      if (!ZoneMayMatch(resolved_.filter, zone_of)) {
+        pruned_[b] = 1;
         // Attribute the prune to every leaf that alone proves the block
         // empty (ScanStats::predicate_leaves).
         u32 leaf = 0;
-        resolved.filter.ForEachLeaf([&](const PredicateExpr& l) {
+        resolved_.filter.ForEachLeaf([&](const PredicateExpr& l) {
           const BlockZone* zone = zone_of(l.column);
           if (zone != nullptr && !ZoneMayMatchLeaf(*zone, l)) {
-            leaf_zone_prunes[leaf]++;
+            leaf_zone_prunes_[leaf]++;
           }
           leaf++;
         });
       }
     }
   }
-  if (profile != nullptr) {
-    profile->SetZonePruneNanos(static_cast<u64>(prune_timer.ElapsedNanos()));
+  if (profile_ != nullptr) {
+    profile_->SetZonePruneNanos(static_cast<u64>(prune_timer.ElapsedNanos()));
   }
 
-  // --- stage 1: fetch plan ---------------------------------------------------
   // Block-major so one row block's column parts are fetched adjacently and
   // bundles complete close to their emission order.
-  const u32 needed_count = static_cast<u32>(resolved.needed.size());
-  std::vector<exec::FetchRequest> requests;
-  for (u32 b = 0; b < resolved.row_blocks; b++) {
-    if (pruned[b]) continue;
-    for (u32 pos = 0; pos < needed_count; pos++) {
-      u32 column = resolved.needed[pos];
+  for (u32 b = 0; b < resolved_.row_blocks; b++) {
+    if (pruned_[b]) continue;
+    for (u32 pos = 0; pos < needed_count_; pos++) {
+      const u32 column = resolved_.needed[pos];
+      const std::vector<u64>& offsets = scanner_.block_offsets_[column];
       exec::FetchRequest request;
-      request.key = ColumnFileKey(prefix_, resolved_name_, column);
-      request.offset = block_offsets_[column][b];
-      request.length = block_offsets_[column][b + 1] - block_offsets_[column][b];
-      request.tag = static_cast<u64>(b) * needed_count + pos;
-      // Arms the block cache for this request: a hit skips the GET, a
-      // fetched payload is admitted only when it matches this checksum.
-      request.expected_crc = block_crcs_[column][b];
-      request.verify_crc = true;
-      requests.push_back(std::move(request));
+      request.key = ColumnFileKey(scanner_.prefix_, scanner_.resolved_name_,
+                                  column);
+      request.offset = offsets[b];
+      request.length = offsets[b + 1] - offsets[b];
+      request.tag = static_cast<u64>(b) * needed_count_ + pos;
+      request.expected_crc = scanner_.block_crcs_[column][b];
+      requests_.push_back(std::move(request));
     }
   }
+}
 
-  // --- shared pipeline state -------------------------------------------------
-  std::mutex mutex;
-  std::condition_variable ready_cv;
-  std::map<u32, BlockResult> ready;              // reorder buffer
-  std::unordered_map<u32, Bundle> assembling;    // incomplete bundles
-  Status first_error;
-  bool failed = false;
+// --- fetch: window-limited items on the service's fetch executors ----------------
 
-  const bool degraded = spec.config.skip_unreadable_blocks;
-  const bool serviced = service_ != nullptr;
-
-  // Resilience attachments. Standalone: the cache is Scanner-owned
-  // (created on the first cache-enabled scan) so warm repeat scans hit
-  // it, and the breaker is per-scan — backend health verdicts should not
-  // leak across scans with possibly different tolerance for failure.
-  // Serviced: both are the service's shared instances — one CRC-verified
-  // cache for every tenant and one breaker per backend, so a dead store
-  // fails fast for everyone (the per-scan ScanConfig cache/breaker knobs
-  // are owned by the service in this mode).
-  exec::BlockCache* active_cache = nullptr;
-  if (serviced) {
-    active_cache = service_->cache();
-  } else if (spec.config.enable_block_cache) {
-    if (block_cache_ == nullptr) {
-      exec::BlockCacheConfig cache_config;
-      cache_config.capacity_bytes = spec.config.block_cache_bytes;
-      cache_config.shards = spec.config.block_cache_shards;
-      block_cache_ = std::make_unique<exec::BlockCache>(cache_config);
+// Backpressure is window tokens, not a bounded queue: at most
+// window_tokens_ parts are in flight (submitted but not yet decoded); a
+// bundle's decode returns its parts' tokens and pumps the next
+// submissions. Tokens are consumed only before submitting, never while
+// holding an executor thread, so executors never block on another scan's
+// progress (no cross-tenant head-of-line blocking).
+void Scanner::Job::Pump() {
+  std::vector<size_t> to_submit;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    while (!failed_ && window_tokens_ > 0 &&
+           next_request_ < requests_.size()) {
+      window_tokens_--;
+      outstanding_++;
+      to_submit.push_back(next_request_++);
     }
-    active_cache = block_cache_.get();
   }
-  std::unique_ptr<exec::CircuitBreaker> own_breaker;
-  exec::CircuitBreaker* breaker = nullptr;
-  if (serviced) {
-    breaker = service_->BreakerFor(store_);
-  } else if (spec.config.enable_circuit_breaker) {
-    own_breaker = std::make_unique<exec::CircuitBreaker>(
-        MakeBreakerPolicy(spec.config));
-    breaker = own_breaker.get();
+  for (size_t i : to_submit) {
+    Submit(/*decode=*/false, requests_[i].length, [this, i] { Fetch(i); });
   }
-  // A shared breaker's lifetime counters move under concurrent scans, so
-  // per-scan stats report deltas (exact standalone, approximate serviced).
-  const u64 base_breaker_trips = breaker != nullptr ? breaker->trips() : 0;
-  const u64 base_breaker_fast =
-      breaker != nullptr ? breaker->fast_failures() : 0;
+}
 
-  // Cache inserts go through the tenant's cache-byte quota when serviced.
-  auto cache_insert = [&](const std::string& key, u64 offset, u64 length,
-                          const u8* data, size_t size, u32 expected_crc) {
-    if (active_cache == nullptr) return;
-    if (serviced) {
-      service_->TryCacheInsert(tenant_slot_, key, offset, length, data, size,
-                               expected_crc);
-    } else {
-      active_cache->Insert(key, offset, length, data, size, expected_crc);
-    }
-  };
-
-  // Mode-specific unwind hook invoked by fail(): standalone stops the
-  // prefetcher and aborts the bounded queue; serviced wakes backoff
-  // sleepers so in-flight items bail fast.
-  std::function<void()> on_fail_unwind;
-  auto fail = [&](Status status) {
-    bool first = false;
-    {
-      std::lock_guard<std::mutex> lock(mutex);
-      if (!failed) {
-        failed = true;
-        first = true;
-        first_error = std::move(status);
-      }
-    }
-    // Mark the failure point in the trace so an aborted scan's spans are
-    // diagnosable — the RAII spans themselves flush normally on unwind.
-    if (first) BTR_TRACE_INSTANT("scan.error");
-    if (on_fail_unwind) on_fail_unwind();
-    ready_cv.notify_all();
-  };
-
-  // CRC-refetch accounting (ScanStats::crc_refetches / crc_rescues);
-  // atomics because process_bundle runs on the decode workers.
-  std::atomic<u64> crc_refetch_count{0};
-  std::atomic<u64> crc_rescue_count{0};
-  std::atomic<u64> bytes_decoded_count{0};
-  // Serviced scans share the store with other tenants, so per-scan
-  // request/byte totals cannot come from store deltas — this scan's items
-  // count their own traffic instead (ignored in standalone mode, which
-  // keeps the exact store-delta accounting).
-  std::atomic<u64> job_requests{0};
-  std::atomic<u64> job_bytes_fetched{0};
-  // Per-leaf fast-path/materialized tallies, merged from the decode
-  // workers' per-block LeafEvalStats (ScanStats::predicate_leaves).
-  std::vector<std::atomic<u64>> leaf_fast_count(resolved.leaf_count);
-  std::vector<std::atomic<u64>> leaf_materialized_count(resolved.leaf_count);
-
-  // Decodes one complete bundle into a BlockResult. Runs on a worker.
-  auto process_bundle = [&](u32 b, Bundle& bundle,
-                            BlockResult* result) -> Status {
-    u32 expected_rows = resolved.block_rows[b];
-    Timer validate_timer;
-    for (u32 pos = 0; pos < needed_count; pos++) {
-      if (bundle.parts[pos] == nullptr) {
-        return Status::Internal("block " + std::to_string(b) +
-                                " arrived without part " + std::to_string(pos));
-      }
-      const ByteBuffer* part = bundle.parts[pos].get();
-      u32 column = resolved.needed[pos];
-      // Integrity first: the payload must be exactly the bytes the column
-      // header promised. Catches truncated ranges (size) and flipped bits
-      // (CRC32C) before any parsing logic sees the data.
-      u64 expected_size =
-          block_offsets_[column][b + 1] - block_offsets_[column][b];
-      if (part->size() != expected_size ||
-          Crc32c(part->data(), part->size()) != block_crcs_[column][b]) {
-        metrics.crc_failures.Add();
-        // The mismatch may be transient wire corruption rather than
-        // at-rest damage: re-fetch the range once, straight from the store
-        // (a direct GET cannot be served by the cache), and re-verify
-        // before giving up on the block.
-        bool rescued = false;
-        if (spec.config.refetch_on_crc_failure) {
-          metrics.crc_refetches.Add();
-          crc_refetch_count.fetch_add(1, std::memory_order_relaxed);
-          const std::string key = ColumnFileKey(prefix_, resolved_name_, column);
-          std::vector<u8> fresh;
-          Status refetch = store_->GetChunk(key, block_offsets_[column][b],
-                                            expected_size, &fresh);
-          job_requests.fetch_add(1, std::memory_order_relaxed);
-          if (refetch.ok() && fresh.size() == expected_size &&
-              Crc32c(fresh.data(), fresh.size()) == block_crcs_[column][b]) {
-            job_bytes_fetched.fetch_add(fresh.size(),
-                                        std::memory_order_relaxed);
-            auto repaired = std::make_shared<ByteBuffer>();
-            repaired->Append(fresh.data(), fresh.size());
-            bundle.parts[pos] = std::move(repaired);
-            part = bundle.parts[pos].get();
-            // The verified bytes are exactly what the cache wants; the
-            // corrupt ones were already refused at admission.
-            cache_insert(key, block_offsets_[column][b], expected_size,
-                         fresh.data(), fresh.size(), block_crcs_[column][b]);
-            metrics.crc_rescues.Add();
-            crc_rescue_count.fetch_add(1, std::memory_order_relaxed);
-            rescued = true;
-          }
-          if (profile != nullptr) profile->AddCrcRefetch(rescued);
-        }
-        if (!rescued) {
-          return Status::Corruption(
-              "block " + std::to_string(b) + " of column " +
-              meta_.columns[column].name + " failed CRC verification");
-        }
-      }
-      ColumnType type = meta_.columns[column].type;
-      BTR_RETURN_IF_ERROR(
-          ValidateBlock(part->data(), part->size(), type, expected_rows));
-    }
-    if (profile != nullptr) {
-      profile->AddActivity(obs::ScanActivity::kValidate,
-                           static_cast<u64>(validate_timer.ElapsedNanos()),
-                           needed_count);
-    }
-
-    if (has_filter) {
-      BTR_TRACE_SPAN("scan.predicate");
-      Timer predicate_timer;
-      if (pushdown) {
-        // Evaluate on the compressed form; only surviving blocks reach
-        // DecompressBlock below (decode-only-survivors).
-        std::vector<LeafEvalStats> leaf_stats(resolved.leaf_count);
-        auto block_of = [&](const std::string& name) -> const u8* {
-          auto it = resolved.filter_pos.find(name);
-          return it == resolved.filter_pos.end()
-                     ? nullptr
-                     : bundle.parts[it->second]->data();
-        };
-        EvalResult evaluated = EvaluateExpr(resolved.filter, expected_rows,
-                                            block_of, config_, &leaf_stats);
-        result->selection = std::move(evaluated.pass);
-        for (u32 leaf = 0; leaf < resolved.leaf_count; leaf++) {
-          leaf_fast_count[leaf].fetch_add(leaf_stats[leaf].fast_path,
-                                          std::memory_order_relaxed);
-          leaf_materialized_count[leaf].fetch_add(
-              leaf_stats[leaf].materialized, std::memory_order_relaxed);
-        }
-      } else {
-        // Decode-then-filter baseline: materialize every filter column,
-        // then run the reference row-at-a-time evaluation.
-        std::unordered_map<std::string, DecodedBlock> decoded_filter;
-        for (const auto& [name, pos] : resolved.filter_pos) {
-          DecompressBlock(bundle.parts[pos]->data(), &decoded_filter[name],
-                          config_);
-        }
-        EvalResult evaluated = EvaluateExprDecoded(
-            resolved.filter, expected_rows,
-            [&](const std::string& name) -> const DecodedBlock* {
-              auto it = decoded_filter.find(name);
-              return it == decoded_filter.end() ? nullptr : &it->second;
-            });
-        result->selection = std::move(evaluated.pass);
-        for (u32 leaf = 0; leaf < resolved.leaf_count; leaf++) {
-          leaf_materialized_count[leaf].fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-      if (profile != nullptr) {
-        profile->AddActivity(obs::ScanActivity::kPredicate,
-                             static_cast<u64>(predicate_timer.ElapsedNanos()),
-                             resolved.leaf_count);
-      }
-      if (result->selection.Empty()) {
-        result->outcome = BlockOutcome::kSkipped;
-        return Status::Ok();
-      }
-    }
-
-    BTR_TRACE_SPAN("scan.decode");
-    result->decoded.resize(resolved.projection.size());
-    for (size_t p = 0; p < resolved.projection.size(); p++) {
-      const ByteBuffer& part = *bundle.parts[resolved.projection_pos[p]];
-      u32 column = resolved.projection[p];
-      if (profile != nullptr) {
-        Timer decode_timer;
-        DecompressBlock(part.data(), &result->decoded[p], config_);
-        obs::DecodeRecord record;
-        record.column = &meta_.columns[column].name;
-        record.offset = block_offsets_[column][b];
-        record.length = part.size();
-        record.duration_ns = static_cast<u64>(decode_timer.ElapsedNanos());
-        record.bytes_decoded = result->decoded[p].ValueBytes();
-        record.block = b;
-        record.scheme = PeekBlockScheme(part.data());
-        record.type = static_cast<u8>(meta_.columns[column].type);
-        profile->RecordDecode(record);
-      } else {
-        DecompressBlock(part.data(), &result->decoded[p], config_);
-      }
-      bytes_decoded_count.fetch_add(result->decoded[p].ValueBytes(),
-                                    std::memory_order_relaxed);
-    }
-    return Status::Ok();
-  };
-  // Every non-pruned block goes through the reorder buffer exactly once:
-  // kDecoded, kSkipped, and — in degraded mode — kUnreadable, so the
-  // emitter always sees block b eventually and never waits forever.
-  auto process_and_publish = [&](u32 b, Bundle&& bundle) {
-    BlockResult result;
-    Status status = bundle.error.ok() ? process_bundle(b, bundle, &result)
-                                      : bundle.error;
-    if (!status.ok()) {
-      if (!degraded) {
-        fail(std::move(status));
-        return;
-      }
-      result = BlockResult();
-      result.outcome = BlockOutcome::kUnreadable;
-      result.error = std::move(status);
-    }
-    {
-      std::lock_guard<std::mutex> lock(mutex);
-      ready.emplace(b, std::move(result));
-    }
-    ready_cv.notify_all();
-  };
-
-  u32 scan_threads = spec.config.scan_threads;
-  if (scan_threads == 0) {
-    scan_threads = std::max(1u, std::thread::hardware_concurrency());
-  }
-
-  // --- stage 3: in-order emission on the calling thread ---------------------
-  Status emit_status;
-  auto emit_loop = [&] {
-    for (u32 b = 0; b < resolved.row_blocks; b++) {
-      if (pruned[b]) {
-        if (profile != nullptr) stage_timer.Enter(obs::ScanStage::kEmit);
-        stats.blocks_pruned++;
-        metrics.blocks_pruned.Add();
-        for (size_t p = 0; p < resolved.projection.size(); p++) {
-          ColumnChunk chunk;
-          chunk.column = static_cast<u32>(p);
-          chunk.block = b;
-          chunk.row_begin = BlockRowBegin(b);
-          chunk.row_count = resolved.block_rows[b];
-          chunk.outcome = BlockOutcome::kPruned;
-          emit(std::move(chunk));
-        }
-        continue;
-      }
-      BlockResult result;
-      {
-        if (profile != nullptr) stage_timer.Enter(obs::ScanStage::kEmitWait);
-        std::unique_lock<std::mutex> lock(mutex);
-        ready_cv.wait(lock, [&] { return failed || ready.count(b) != 0; });
-        if (failed) break;
-        result = std::move(ready[b]);
-        ready.erase(b);
-      }
-      if (profile != nullptr) stage_timer.Enter(obs::ScanStage::kEmit);
-      u64 block_matches = has_filter ? result.selection.Cardinality()
-                                     : resolved.block_rows[b];
-      if (result.outcome == BlockOutcome::kSkipped) {
-        stats.blocks_skipped++;
-        metrics.blocks_skipped.Add();
-      } else if (result.outcome == BlockOutcome::kUnreadable) {
-        stats.blocks_unreadable++;
-        metrics.blocks_unreadable.Add();
-        stats.unreadable_blocks.push_back(b);
-        stats.unreadable_reasons.push_back(result.error);
-      } else {
-        stats.blocks_decoded++;
-        metrics.blocks_decoded.Add();
-        stats.rows_matched += block_matches;
-        metrics.rows_matched.Add(block_matches);
-      }
-      for (size_t p = 0; p < resolved.projection.size(); p++) {
-        ColumnChunk chunk;
-        chunk.column = static_cast<u32>(p);
-        chunk.block = b;
-        chunk.row_begin = BlockRowBegin(b);
-        chunk.row_count = resolved.block_rows[b];
-        chunk.outcome = result.outcome;
-        if (result.outcome == BlockOutcome::kDecoded) {
-          chunk.values = std::move(result.decoded[p]);
-          chunk.selection = result.selection;
-        }
-        emit(std::move(chunk));
-      }
-    }
-  };
-
-  if (!serviced) {
-    // ---- standalone: private prefetcher feeding a persistent decode pool --
-    exec::FetchOptions fetch_options;
-    fetch_options.cache = active_cache;
-    fetch_options.hedge = MakeHedgePolicy(spec.config);
-    fetch_options.breaker = breaker;
-    fetch_options.profile = profile;
-
-    exec::BoundedQueue<exec::FetchedBlock> queue(
-        std::max<u32>(1, spec.config.prefetch_depth));
-    exec::Prefetcher prefetcher(store_, std::move(requests), &queue,
-                                spec.config.fetch_threads,
-                                MakeRetryPolicy(spec.config), fetch_options);
-    on_fail_unwind = [&] {
-      prefetcher.RequestStop();
-      queue.Abort();
+void Scanner::Job::Submit(bool decode, u64 cost_bytes,
+                          std::function<void()> run) {
+  if (profile_ != nullptr) {
+    // ScanActivity::kPrefetchWait: the item's wait in the fair queue.
+    run = [this, queued = Timer(), run = std::move(run)] {
+      profile_->AddActivity(obs::ScanActivity::kPrefetchWait,
+                            static_cast<u64>(queued.ElapsedNanos()));
+      run();
     };
+  }
+  if (decode) {
+    service_.SubmitDecode(tenant_, cost_bytes, std::move(run));
+  } else {
+    service_.SubmitFetch(tenant_, cost_bytes, std::move(run));
+  }
+}
 
-    exec::ThreadPool& pool = EnsureDecodePool(scan_threads);
-    for (u32 t = 0; t < scan_threads; t++) {
-      pool.Submit([&] {
-        try {
-          exec::FetchedBlock fetched;
-          for (;;) {
-            bool popped;
-            if (profile != nullptr) {
-              // Time spent blocked on the queue = decode capacity wasted
-              // waiting for the prefetcher (ScanProfile "prefetch_wait").
-              Timer pop_timer;
-              popped = queue.Pop(&fetched);
-              profile->AddActivity(obs::ScanActivity::kPrefetchWait,
-                                   static_cast<u64>(pop_timer.ElapsedNanos()));
-            } else {
-              popped = queue.Pop(&fetched);
-            }
-            if (!popped) break;
-            u32 b = static_cast<u32>(fetched.tag / needed_count);
-            u32 pos = static_cast<u32>(fetched.tag % needed_count);
-            Bundle complete;
-            bool is_complete = false;
-            {
-              std::lock_guard<std::mutex> lock(mutex);
-              Bundle& bundle = assembling[b];
-              if (bundle.parts.empty()) bundle.parts.resize(needed_count);
-              if (!fetched.status.ok() && bundle.error.ok()) {
-                bundle.error = fetched.status;
-              }
-              bundle.parts[pos] =
-                  std::make_shared<ByteBuffer>(std::move(fetched.data));
-              if (++bundle.filled == needed_count) {
-                complete = std::move(bundle);
-                assembling.erase(b);
-                is_complete = true;
-              }
-            }
-            if (is_complete) process_and_publish(b, std::move(complete));
-          }
-        } catch (...) {
-          // Unblock the emitter before handing the exception to the pool
-          // (ThreadPool::Wait() rethrows it; Scan() maps it to a Status).
-          fail(Status::Internal("scan worker threw"));
-          throw;
-        }
-      });
+// One block part: the cache, else HedgedGet under RunWithRetries (with
+// the breaker and interruptible backoff). The part that completes its row
+// block's bundle submits the decode item.
+void Scanner::Job::Fetch(size_t i) {
+  if (Failed()) return ItemDone();
+  const exec::FetchRequest& request = requests_[i];
+  obs::FetchRecord record;
+  record.key = &request.key;
+  record.offset = request.offset;
+  record.length = request.length;
+  record.cacheable = cache_ != nullptr;
+  exec::BlockCache::Payload payload;
+  if (cache_ != nullptr) {
+    payload = cache_->LookupShared(request.key, request.offset,
+                                   request.length);
+  }
+  Status status;
+  if (payload != nullptr) {
+    // Cache hit: the bundle shares the cached buffer — no copy, no GET.
+    record.cache_hit = true;
+    cache_hits_.fetch_add(1, std::memory_order_relaxed);
+    service_.RecordFetchOutcome(tenant_, /*cache_hit=*/true, /*bytes=*/0,
+                                /*gets=*/0, /*hedged=*/false);
+  } else {
+    if (cache_ != nullptr) {
+      cache_misses_.fetch_add(1, std::memory_order_relaxed);
     }
-    prefetcher.Start();
-    emit_loop();
-
-    // --- unwind -------------------------------------------------------------
-    // On failure Abort() unblocks producers and consumers; on success the
-    // prefetcher has closed the queue and workers drain to end-of-stream.
-    if (profile != nullptr) stage_timer.Enter(obs::ScanStage::kTeardown);
+    std::vector<u8> chunk;
+    u64 gets = 0;  // GETs that reached the store (a breaker rejection is none)
+    exec::RetryOutcome outcome;
+    Timer get_timer;
     {
-      std::lock_guard<std::mutex> lock(mutex);
-      if (failed) emit_status = first_error;
+      BTR_TRACE_SPAN("scan.fetch");
+      status = exec::RunWithRetries(
+          &retry_,
+          [&] {
+            bool duplicate = false;
+            Status attempt = exec::HedgedGet(
+                scanner_.store_, request.key, request.offset, request.length,
+                &hedge_, &stragglers_, &chunk, &duplicate, &record.hedge_won,
+                [this] { return service_.TryAcquireTenantHedge(tenant_); });
+            gets += duplicate ? 2 : 1;
+            record.hedged = record.hedged || duplicate;
+            return attempt;
+          },
+          [this](u64 backoff_ns) { return Sleep(backoff_ns); }, breaker_,
+          &outcome);
     }
-    if (!emit_status.ok()) {
-      prefetcher.RequestStop();
-      queue.Abort();
+    record.duration_ns = static_cast<u64>(get_timer.ElapsedNanos());
+    record.attempts = outcome.attempts;
+    record.retries = outcome.retries;
+    record.breaker_rejected = outcome.breaker_rejected;
+    record.ok = status.ok();
+    gets_.fetch_add(gets, std::memory_order_relaxed);
+    const u64 bytes = status.ok() ? chunk.size() : 0;
+    bytes_fetched_.fetch_add(bytes, std::memory_order_relaxed);
+    service_.RecordFetchOutcome(tenant_, /*cache_hit=*/false, bytes, gets,
+                                record.hedged);
+    if (status.ok()) {
+      CacheInsert(request.key, request.offset, chunk.data(), chunk.size(),
+                  request.expected_crc);
+      auto buffer = std::make_shared<ByteBuffer>();
+      buffer->Append(chunk.data(), chunk.size());
+      payload = std::move(buffer);
     }
+  }
+  if (profile_ != nullptr) profile_->RecordFetch(record);
+
+  const u32 b = static_cast<u32>(request.tag / needed_count_);
+  const u32 pos = static_cast<u32>(request.tag % needed_count_);
+  Bundle complete;
+  bool is_complete = false;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (!failed_) {
+      Bundle& bundle = assembling_[b];
+      if (bundle.parts.empty()) bundle.parts.resize(needed_count_);
+      if (!status.ok() && bundle.error.ok()) bundle.error = status;
+      bundle.parts[pos] = std::move(payload);
+      if (++bundle.filled == needed_count_) {
+        complete = std::move(bundle);
+        assembling_.erase(b);
+        is_complete = true;
+        outstanding_++;  // the decode item submitted below
+      }
+    }
+  }
+  if (is_complete) {
+    u64 cost = 0;
+    for (const exec::BlockCache::Payload& part : complete.parts) {
+      if (part != nullptr) cost += part->size();
+    }
+    Submit(/*decode=*/true, cost,
+           [this, b, bundle = std::move(complete)]() mutable {
+             Decode(b, bundle);
+           });
+  }
+  ItemDone();
+}
+
+// Verified admission into the cache, under the tenant's cache-byte quota.
+void Scanner::Job::CacheInsert(const std::string& key, u64 offset,
+                               const u8* data, size_t size, u32 expected_crc) {
+  if (cache_ == nullptr) return;
+  service_.TryCacheInsert(tenant_, key, offset, size, data, size,
+                          expected_crc);
+}
+
+// --- decode: one complete row block on the service's decode executors ------------
+
+// Every non-pruned block reaches the reorder buffer exactly once:
+// kDecoded, kSkipped, and — in degraded mode — kUnreadable, so the
+// emitter always sees block b eventually and never waits forever.
+void Scanner::Job::Decode(u32 b, Bundle& bundle) {
+  if (!Failed()) {
     try {
-      // Worker exceptions (including ones thrown past process_and_publish)
-      // surface here once — map them into the Status-carrying API instead of
-      // letting them escape Scan().
-      pool.Wait();
-    } catch (const std::exception& e) {
-      if (emit_status.ok()) {
-        emit_status =
-            Status::Internal(std::string("scan worker threw: ") + e.what());
+      BlockResult result;
+      Status status = bundle.error.ok() ? DecodeBundle(b, bundle, &result)
+                                        : bundle.error;
+      if (!status.ok() && !config_.skip_unreadable_blocks) {
+        Fail(std::move(status));
+      } else {
+        if (!status.ok()) {
+          result = BlockResult();
+          result.outcome = BlockOutcome::kUnreadable;
+          result.error = std::move(status);
+        }
+        {
+          std::lock_guard<std::mutex> lock(mutex_);
+          ready_.emplace(b, std::move(result));
+        }
+        cv_.notify_all();
       }
     } catch (...) {
-      if (emit_status.ok()) {
-        emit_status = Status::Internal("scan worker threw a non-std exception");
-      }
+      // A service executor thread must survive a throwing decode; map the
+      // exception into the scan's Status instead of rethrowing.
+      Fail(Status::Internal("scan worker threw"));
     }
-    prefetcher.Join();
-    // The queue and prefetcher leave scope here; drop the unwind hook that
-    // captured them (nothing can fail() past this point anyway).
-    on_fail_unwind = nullptr;
-
-    stats.retries = prefetcher.retries();
-    stats.cache_hits = prefetcher.cache_hits();
-    stats.cache_misses = prefetcher.cache_misses();
-    stats.hedges = prefetcher.hedges();
-    stats.hedge_wins = prefetcher.hedge_wins();
-    stats.bytes_fetched = store_->total_bytes_fetched() - base_bytes;
-    stats.requests = store_->total_requests() - base_requests;
-  } else {
-    // ---- serviced: fetch/decode items on the service's shared executors ---
-    // Backpressure here is window tokens, not a bounded queue: this scan
-    // may have at most `window_tokens` parts in flight (submitted but not
-    // yet decoded); a bundle's decode returns its parts' tokens and pumps
-    // the next submissions. Tokens are only consumed before submitting,
-    // never while holding an executor thread, so service threads never
-    // block on another scan's progress (no cross-tenant head-of-line
-    // blocking). The window is clamped up to needed_count so a bundle can
-    // always assemble completely and release.
-    exec::RetryState job_retry(MakeRetryPolicy(spec.config));
-    exec::HedgeState job_hedge(MakeHedgePolicy(spec.config));
-    exec::StragglerSink job_stragglers;
-    std::condition_variable job_cv;  // backoff sleeps + quiesce (uses `mutex`)
-    u64 window_tokens = std::max<u64>(
-        std::max<u32>(1, spec.config.prefetch_depth), needed_count);
-    size_t next_request = 0;  // next index into `requests`; guarded by mutex
-    u64 outstanding = 0;      // submitted items not yet finished; guarded
-    std::atomic<u64> job_cache_hits{0};
-    std::atomic<u64> job_cache_misses{0};
-
-    on_fail_unwind = [&] { job_cv.notify_all(); };
-
-    // Interruptible retry backoff: sleeping on job_cv keeps the executor
-    // thread wakeable the moment the scan fails.
-    auto job_sleep = [&](u64 backoff_ns) {
-      std::unique_lock<std::mutex> lock(mutex);
-      job_cv.wait_for(lock, std::chrono::nanoseconds(backoff_ns),
-                      [&] { return failed; });
-      return !failed;
-    };
-    auto item_done = [&] {
-      std::lock_guard<std::mutex> lock(mutex);
-      if (--outstanding == 0) job_cv.notify_all();
-    };
-
-    std::function<void()> pump;
-    std::function<void(u32, std::shared_ptr<Bundle>)> run_decode_item;
-    std::function<void(size_t)> run_fetch_item;
-
-    run_decode_item = [&](u32 b, std::shared_ptr<Bundle> bundle) {
-      bool bail;
-      {
-        std::lock_guard<std::mutex> lock(mutex);
-        bail = failed;
-      }
-      if (!bail) {
-        try {
-          process_and_publish(b, std::move(*bundle));
-        } catch (...) {
-          // A service executor thread must survive a throwing decode; map
-          // the exception into the scan's Status instead of rethrowing.
-          fail(Status::Internal("scan worker threw"));
-        }
-        {
-          std::lock_guard<std::mutex> lock(mutex);
-          window_tokens += needed_count;
-        }
-        pump();
-      }
-      item_done();
-    };
-
-    run_fetch_item = [&](size_t i) {
-      {
-        std::lock_guard<std::mutex> lock(mutex);
-        if (failed) {
-          if (--outstanding == 0) job_cv.notify_all();
-          return;
-        }
-      }
-      const exec::FetchRequest& request = requests[i];
-      exec::BlockCache::Payload payload;
-      Status status;
-      const bool cacheable = active_cache != nullptr && request.verify_crc;
-      if (cacheable) {
-        payload = active_cache->LookupShared(request.key, request.offset,
-                                             request.length);
-      }
-      if (payload != nullptr) {
-        // Shared-cache hit: the bundle references the cached buffer
-        // directly — zero copies, zero GETs.
-        job_cache_hits.fetch_add(1, std::memory_order_relaxed);
-        service_->RecordFetchOutcome(tenant_slot_, /*cache_hit=*/true,
-                                     /*bytes=*/0, /*gets=*/0,
-                                     /*hedged=*/false);
-        if (profile != nullptr) {
-          obs::FetchRecord record;
-          record.key = &request.key;
-          record.offset = request.offset;
-          record.length = request.length;
-          record.cacheable = true;
-          record.cache_hit = true;
-          profile->RecordFetch(record);
-        }
-      } else {
-        if (cacheable) {
-          job_cache_misses.fetch_add(1, std::memory_order_relaxed);
-        }
-        std::vector<u8> chunk;
-        bool hedged = false;
-        bool hedge_won = false;
-        exec::RetryOutcome outcome;
-        Timer get_timer;
-        {
-          BTR_TRACE_SPAN("scan.fetch");
-          // Same retry/hedge discipline as the standalone prefetcher, with
-          // one extra gate: a hedge must also fit the tenant's budget.
-          status = exec::RunWithRetries(
-              &job_retry,
-              [&] {
-                return exec::HedgedGet(
-                    store_, request.key, request.offset, request.length,
-                    &job_hedge, &job_stragglers, &chunk, &hedged, &hedge_won,
-                    [&] {
-                      return service_->TryAcquireTenantHedge(tenant_slot_);
-                    });
-              },
-              job_sleep, breaker, &outcome);
-        }
-        u64 attempts = outcome.attempts == 0 ? 1 : outcome.attempts;
-        u64 gets = attempts + (hedged ? 1 : 0);
-        job_requests.fetch_add(gets, std::memory_order_relaxed);
-        if (profile != nullptr) {
-          obs::FetchRecord record;
-          record.key = &request.key;
-          record.offset = request.offset;
-          record.length = request.length;
-          record.duration_ns = static_cast<u64>(get_timer.ElapsedNanos());
-          record.attempts = attempts;
-          record.retries = outcome.retries;
-          record.cacheable = cacheable;
-          record.hedged = hedged;
-          record.hedge_won = hedge_won;
-          record.breaker_rejected = outcome.breaker_rejected;
-          record.ok = status.ok();
-          profile->RecordFetch(record);
-        }
-        if (status.ok()) {
-          job_bytes_fetched.fetch_add(chunk.size(), std::memory_order_relaxed);
-          service_->RecordFetchOutcome(tenant_slot_, /*cache_hit=*/false,
-                                       chunk.size(), gets, hedged);
-          auto buffer = std::make_shared<ByteBuffer>();
-          buffer->Append(chunk.data(), chunk.size());
-          payload = std::move(buffer);
-          if (cacheable) {
-            // Verified admission under the tenant's cache-byte quota.
-            cache_insert(request.key, request.offset, request.length,
-                         chunk.data(), chunk.size(), request.expected_crc);
-          }
-        }
-      }
-      // Assemble the bundle (mirrors the standalone decode worker), then
-      // hand a completed one to the decode lane.
-      u32 b = static_cast<u32>(request.tag / needed_count);
-      u32 pos = static_cast<u32>(request.tag % needed_count);
-      std::shared_ptr<Bundle> complete;
-      {
-        std::lock_guard<std::mutex> lock(mutex);
-        if (failed) {
-          if (--outstanding == 0) job_cv.notify_all();
-          return;
-        }
-        Bundle& bundle = assembling[b];
-        if (bundle.parts.empty()) bundle.parts.resize(needed_count);
-        if (!status.ok() && bundle.error.ok()) bundle.error = status;
-        bundle.parts[pos] = std::move(payload);
-        if (++bundle.filled == needed_count) {
-          complete = std::make_shared<Bundle>(std::move(bundle));
-          assembling.erase(b);
-          outstanding++;  // the decode item submitted just below
-        }
-      }
-      if (complete != nullptr) {
-        u64 cost = 0;
-        for (const exec::BlockCache::Payload& part : complete->parts) {
-          if (part != nullptr) cost += part->size();
-        }
-        service_->SubmitDecode(tenant_slot_, cost, [&, b, complete] {
-          run_decode_item(b, complete);
-        });
-      }
-      item_done();
-    };
-
-    pump = [&] {
-      std::vector<size_t> to_submit;
-      {
-        std::lock_guard<std::mutex> lock(mutex);
-        while (!failed && window_tokens > 0 &&
-               next_request < requests.size()) {
-          window_tokens--;
-          outstanding++;
-          to_submit.push_back(next_request++);
-        }
-      }
-      for (size_t i : to_submit) {
-        service_->SubmitFetch(tenant_slot_, requests[i].length,
-                              [&, i] { run_fetch_item(i); });
-      }
-    };
-
-    pump();
-    emit_loop();
-
-    // --- unwind -------------------------------------------------------------
-    if (profile != nullptr) stage_timer.Enter(obs::ScanStage::kTeardown);
     {
-      std::lock_guard<std::mutex> lock(mutex);
-      if (failed) emit_status = first_error;
+      std::lock_guard<std::mutex> lock(mutex_);
+      window_tokens_ += needed_count_;
     }
-    job_cv.notify_all();
-    {
-      // Quiesce before returning: every submitted closure captures this
-      // stack frame, so Scan() must not return (or give back its admission
-      // slot) while one is still queued or running.
-      std::unique_lock<std::mutex> lock(mutex);
-      job_cv.wait(lock, [&] { return outstanding == 0; });
-    }
-    job_stragglers.Reap();
-    on_fail_unwind = nullptr;
+    Pump();
+  }
+  ItemDone();
+}
 
-    stats.retries = job_retry.retries_granted();
-    stats.cache_hits = job_cache_hits.load(std::memory_order_relaxed);
-    stats.cache_misses = job_cache_misses.load(std::memory_order_relaxed);
-    stats.hedges = job_hedge.hedges_issued();
-    stats.hedge_wins = job_hedge.hedge_wins();
-    stats.bytes_fetched = job_bytes_fetched.load(std::memory_order_relaxed);
-    stats.requests = job_requests.load(std::memory_order_relaxed);
+// Integrity, then the filter on the compressed form, then decompression
+// of the projected columns of row block `b`.
+Status Scanner::Job::DecodeBundle(u32 b, Bundle& bundle, BlockResult* result) {
+  ScanMetrics& metrics = ScanMetrics::Get();
+  const u32 expected_rows = resolved_.block_rows[b];
+  Timer validate_timer;
+  for (u32 pos = 0; pos < needed_count_; pos++) {
+    if (bundle.parts[pos] == nullptr) {
+      return Status::Internal("block " + std::to_string(b) +
+                              " arrived without part " + std::to_string(pos));
+    }
+    const ByteBuffer* part = bundle.parts[pos].get();
+    const u32 column = resolved_.needed[pos];
+    const std::vector<u64>& offsets = scanner_.block_offsets_[column];
+    const u32 expected_crc = scanner_.block_crcs_[column][b];
+    // Integrity first: the payload must be exactly the bytes the column
+    // header promised. Catches truncated ranges (size) and flipped bits
+    // (CRC32C) before any parsing logic sees the data.
+    const u64 expected_size = offsets[b + 1] - offsets[b];
+    if (part->size() != expected_size ||
+        Crc32c(part->data(), part->size()) != expected_crc) {
+      metrics.crc_failures.Add();
+      // The mismatch may be transient wire corruption rather than
+      // at-rest damage: re-fetch the range once, straight from the store
+      // (a direct GET cannot be served by the cache), and re-verify
+      // before giving up on the block.
+      bool rescued = false;
+      if (config_.refetch_on_crc_failure) {
+        metrics.crc_refetches.Add();
+        crc_refetches_.fetch_add(1, std::memory_order_relaxed);
+        const std::string key = ColumnFileKey(
+            scanner_.prefix_, scanner_.resolved_name_, column);
+        std::vector<u8> fresh;
+        Status refetch =
+            scanner_.store_->GetChunk(key, offsets[b], expected_size, &fresh);
+        gets_.fetch_add(1, std::memory_order_relaxed);
+        if (refetch.ok() && fresh.size() == expected_size &&
+            Crc32c(fresh.data(), fresh.size()) == expected_crc) {
+          bytes_fetched_.fetch_add(fresh.size(), std::memory_order_relaxed);
+          auto repaired = std::make_shared<ByteBuffer>();
+          repaired->Append(fresh.data(), fresh.size());
+          bundle.parts[pos] = std::move(repaired);
+          part = bundle.parts[pos].get();
+          // The verified bytes are exactly what the cache wants; the
+          // corrupt ones were already refused at admission.
+          CacheInsert(key, offsets[b], fresh.data(), fresh.size(),
+                      expected_crc);
+          metrics.crc_rescues.Add();
+          crc_rescues_.fetch_add(1, std::memory_order_relaxed);
+          rescued = true;
+        }
+        if (profile_ != nullptr) profile_->AddCrcRefetch(rescued);
+      }
+      if (!rescued) {
+        return Status::Corruption(
+            "block " + std::to_string(b) + " of column " +
+            scanner_.meta_.columns[column].name + " failed CRC verification");
+      }
+    }
+    BTR_RETURN_IF_ERROR(ValidateBlock(part->data(), part->size(),
+                                      scanner_.meta_.columns[column].type,
+                                      expected_rows));
+  }
+  if (profile_ != nullptr) {
+    profile_->AddActivity(obs::ScanActivity::kValidate,
+                          static_cast<u64>(validate_timer.ElapsedNanos()),
+                          needed_count_);
   }
 
-  if (breaker != nullptr) {
-    // Deltas, because a service-shared breaker's counters also move under
-    // other tenants' scans (exact standalone, approximate serviced).
-    stats.breaker_trips = breaker->trips() - base_breaker_trips;
-    stats.breaker_fast_failures =
-        breaker->fast_failures() - base_breaker_fast;
+  if (has_filter_) {
+    BTR_TRACE_SPAN("scan.predicate");
+    Timer predicate_timer;
+    if (config_.enable_predicate_pushdown) {
+      // Evaluate on the compressed form; only surviving blocks reach
+      // DecompressBlock below (decode-only-survivors).
+      std::vector<LeafEvalStats> leaf_stats(resolved_.leaf_count);
+      auto block_of = [&](const std::string& name) -> const u8* {
+        auto it = resolved_.filter_pos.find(name);
+        return it == resolved_.filter_pos.end()
+                   ? nullptr
+                   : bundle.parts[it->second]->data();
+      };
+      EvalResult evaluated = EvaluateExpr(resolved_.filter, expected_rows,
+                                          block_of, scanner_.config_,
+                                          &leaf_stats);
+      result->selection = std::move(evaluated.pass);
+      for (u32 leaf = 0; leaf < resolved_.leaf_count; leaf++) {
+        leaf_fast_[leaf].fetch_add(leaf_stats[leaf].fast_path,
+                                   std::memory_order_relaxed);
+        leaf_materialized_[leaf].fetch_add(leaf_stats[leaf].materialized,
+                                           std::memory_order_relaxed);
+      }
+    } else {
+      // Decode-then-filter baseline: materialize every filter column,
+      // then run the reference row-at-a-time evaluation.
+      std::unordered_map<std::string, DecodedBlock> decoded_filter;
+      for (const auto& [name, pos] : resolved_.filter_pos) {
+        DecompressBlock(bundle.parts[pos]->data(), &decoded_filter[name],
+                        scanner_.config_);
+      }
+      EvalResult evaluated = EvaluateExprDecoded(
+          resolved_.filter, expected_rows,
+          [&](const std::string& name) -> const DecodedBlock* {
+            auto it = decoded_filter.find(name);
+            return it == decoded_filter.end() ? nullptr : &it->second;
+          });
+      result->selection = std::move(evaluated.pass);
+      for (u32 leaf = 0; leaf < resolved_.leaf_count; leaf++) {
+        leaf_materialized_[leaf].fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+    if (profile_ != nullptr) {
+      profile_->AddActivity(obs::ScanActivity::kPredicate,
+                            static_cast<u64>(predicate_timer.ElapsedNanos()),
+                            resolved_.leaf_count);
+    }
+    if (result->selection.Empty()) {
+      result->outcome = BlockOutcome::kSkipped;
+      return Status::Ok();
+    }
   }
-  stats.admission_wait_ns = admission_wait_ns;
-  stats.predicate_leaves.resize(resolved.leaf_count);
-  for (u32 leaf = 0; leaf < resolved.leaf_count; leaf++) {
-    PredicateLeafStats& leaf_stats = stats.predicate_leaves[leaf];
-    leaf_stats.description = resolved.leaf_names[leaf];
-    leaf_stats.blocks_pruned = leaf_zone_prunes[leaf];
-    leaf_stats.fast_path = leaf_fast_count[leaf].load(std::memory_order_relaxed);
+
+  BTR_TRACE_SPAN("scan.decode");
+  result->decoded.resize(resolved_.projection.size());
+  for (size_t p = 0; p < resolved_.projection.size(); p++) {
+    const ByteBuffer& part = *bundle.parts[resolved_.projection_pos[p]];
+    const u32 column = resolved_.projection[p];
+    if (profile_ != nullptr) {
+      Timer decode_timer;
+      DecompressBlock(part.data(), &result->decoded[p], scanner_.config_);
+      obs::DecodeRecord record;
+      record.column = &scanner_.meta_.columns[column].name;
+      record.offset = scanner_.block_offsets_[column][b];
+      record.length = part.size();
+      record.duration_ns = static_cast<u64>(decode_timer.ElapsedNanos());
+      record.bytes_decoded = result->decoded[p].ValueBytes();
+      record.block = b;
+      record.scheme = PeekBlockScheme(part.data());
+      record.type = static_cast<u8>(scanner_.meta_.columns[column].type);
+      profile_->RecordDecode(record);
+    } else {
+      DecompressBlock(part.data(), &result->decoded[p], scanner_.config_);
+    }
+    bytes_decoded_.fetch_add(result->decoded[p].ValueBytes(),
+                             std::memory_order_relaxed);
+  }
+  return Status::Ok();
+}
+
+// --- emit: in-order chunks on the calling thread -----------------------------------
+
+void Scanner::Job::Emit(const ChunkCallback& emit,
+                        obs::StageTimer* stage_timer, ScanStats* stats) {
+  ScanMetrics& metrics = ScanMetrics::Get();
+  for (u32 b = 0; b < resolved_.row_blocks; b++) {
+    if (pruned_[b]) {
+      if (profile_ != nullptr) stage_timer->Enter(obs::ScanStage::kEmit);
+      stats->blocks_pruned++;
+      metrics.blocks_pruned.Add();
+      EmitBlock(emit, b, nullptr);
+      continue;
+    }
+    BlockResult result;
+    {
+      if (profile_ != nullptr) stage_timer->Enter(obs::ScanStage::kEmitWait);
+      std::unique_lock<std::mutex> lock(mutex_);
+      cv_.wait(lock, [&] { return failed_ || ready_.count(b) != 0; });
+      if (failed_) return;
+      auto it = ready_.find(b);
+      result = std::move(it->second);
+      ready_.erase(it);
+    }
+    if (profile_ != nullptr) stage_timer->Enter(obs::ScanStage::kEmit);
+    if (result.outcome == BlockOutcome::kSkipped) {
+      stats->blocks_skipped++;
+      metrics.blocks_skipped.Add();
+    } else if (result.outcome == BlockOutcome::kUnreadable) {
+      stats->blocks_unreadable++;
+      metrics.blocks_unreadable.Add();
+      stats->unreadable_blocks.push_back(b);
+      stats->unreadable_reasons.push_back(result.error);
+    } else {
+      const u64 matches = has_filter_ ? result.selection.Cardinality()
+                                      : resolved_.block_rows[b];
+      stats->blocks_decoded++;
+      metrics.blocks_decoded.Add();
+      stats->rows_matched += matches;
+      metrics.rows_matched.Add(matches);
+    }
+    EmitBlock(emit, b, &result);
+  }
+}
+
+// One chunk per projected column of row block `b`; a null `result` means
+// the block was pruned.
+void Scanner::Job::EmitBlock(const ChunkCallback& emit, u32 b,
+                             BlockResult* result) {
+  for (size_t p = 0; p < resolved_.projection.size(); p++) {
+    ColumnChunk chunk;
+    chunk.column = static_cast<u32>(p);
+    chunk.block = b;
+    chunk.row_begin = BlockRowBegin(b);
+    chunk.row_count = resolved_.block_rows[b];
+    chunk.outcome = result != nullptr ? result->outcome : BlockOutcome::kPruned;
+    if (chunk.outcome == BlockOutcome::kDecoded) {
+      chunk.values = std::move(result->decoded[p]);
+      chunk.selection = result->selection;
+    }
+    emit(std::move(chunk));
+  }
+}
+
+// Quiesces the job — every submitted item captures `this`, so none may be
+// queued or running when Scan() returns — and fills this scan's fetch and
+// decode counters into `stats`. Returns the scan's first failure.
+Status Scanner::Job::Finish(ScanStats* stats) {
+  Status status;
+  {
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (failed_) status = first_error_;
+    cv_.wait(lock, [&] { return outstanding_ == 0; });
+  }
+  stragglers_.Reap();
+
+  stats->requests = gets_.load(std::memory_order_relaxed);
+  stats->bytes_fetched = bytes_fetched_.load(std::memory_order_relaxed);
+  stats->retries = retry_.retries_granted();
+  stats->cache_hits = cache_hits_.load(std::memory_order_relaxed);
+  stats->cache_misses = cache_misses_.load(std::memory_order_relaxed);
+  stats->hedges = hedge_.hedges_issued();
+  stats->hedge_wins = hedge_.hedge_wins();
+  if (breaker_ != nullptr) {
+    stats->breaker_trips = breaker_->trips() - base_breaker_trips_;
+    stats->breaker_fast_failures =
+        breaker_->fast_failures() - base_breaker_fast_;
+  }
+  stats->crc_refetches = crc_refetches_.load(std::memory_order_relaxed);
+  stats->crc_rescues = crc_rescues_.load(std::memory_order_relaxed);
+  stats->bytes_decoded = bytes_decoded_.load(std::memory_order_relaxed);
+  stats->predicate_leaves.resize(resolved_.leaf_count);
+  for (u32 leaf = 0; leaf < resolved_.leaf_count; leaf++) {
+    PredicateLeafStats& leaf_stats = stats->predicate_leaves[leaf];
+    leaf_stats.description = resolved_.leaf_names[leaf];
+    leaf_stats.blocks_pruned = leaf_zone_prunes_[leaf];
+    leaf_stats.fast_path = leaf_fast_[leaf].load(std::memory_order_relaxed);
     leaf_stats.materialized =
-        leaf_materialized_count[leaf].load(std::memory_order_relaxed);
+        leaf_materialized_[leaf].load(std::memory_order_relaxed);
   }
-  stats.crc_refetches = crc_refetch_count.load(std::memory_order_relaxed);
-  stats.crc_rescues = crc_rescue_count.load(std::memory_order_relaxed);
-  stats.bytes_decoded = bytes_decoded_count.load(std::memory_order_relaxed);
+  return status;
+}
+
+void Scanner::Job::Fail(Status status) {
+  bool first = false;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (!failed_) {
+      failed_ = true;
+      first = true;
+      first_error_ = std::move(status);
+    }
+  }
+  // Mark the failure point in the trace so an aborted scan's spans are
+  // diagnosable — the RAII spans themselves flush normally on unwind.
+  if (first) BTR_TRACE_INSTANT("scan.error");
+  cv_.notify_all();
+}
+
+bool Scanner::Job::Failed() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return failed_;
+}
+
+// Interruptible retry backoff: a failing scan wakes its sleepers, so the
+// executor thread is released at once.
+bool Scanner::Job::Sleep(u64 backoff_ns) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  cv_.wait_for(lock, std::chrono::nanoseconds(backoff_ns),
+               [this] { return failed_; });
+  return !failed_;
+}
+
+void Scanner::Job::ItemDone() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (--outstanding_ == 0) cv_.notify_all();
+}
+
+Status Scanner::Scan(const ScanSpec& spec, const ChunkCallback& emit,
+                     ScanStats* stats_out) {
+  BTR_TRACE_SPAN("scan.pipeline");
+  Timer timer;
+  obs::StageTimer stage_timer;  // calling-thread stages; starts in kPlan
+  ResolvedSpec resolved;
+  BTR_RETURN_IF_ERROR(ResolveSpec(spec, &resolved));
+  service::ScanService& service = ServiceFor(spec.config);
+
+  // Admission control before any other work: a saturated service or an
+  // over-quota tenant surfaces here as typed Status::Throttled (transient
+  // — callers may wrap Scan in exec::RunWithRetries and back off). A
+  // private service admits its one tenant at once.
+  service::ScanService::Ticket ticket;
+  u64 admission_wait_ns = 0;
+  BTR_RETURN_IF_ERROR(service.Admit(tenant_slot_, &ticket, &admission_wait_ns));
+  // Every return below must give the admission slot back.
+  struct TicketGuard {
+    service::ScanService* service;
+    service::ScanService::Ticket* ticket;
+    ~TicketGuard() { service->Release(ticket); }
+  } ticket_guard{&service, &ticket};
+  (void)ticket_guard;
+
+  // Per-scan profile. Null when disabled: every instrumentation site
+  // tests this pointer and records nothing — no locks, no allocation, no
+  // clock reads on the disabled path.
+  std::unique_ptr<obs::ScanProfileCollector> collector;
+  if (spec.config.collect_profile) {
+    collector = std::make_unique<obs::ScanProfileCollector>(
+        spec.config.profile_slow_ops);
+    collector->SetOpenNanos(open_ns_);
+  }
+
+  ScanStats stats;
+  stats.row_blocks = resolved.row_blocks;
+  ScanMetrics& metrics = ScanMetrics::Get();
+  metrics.row_blocks.Add(resolved.row_blocks);
+
+  Job job(*this, service, spec.config, resolved, collector.get());
+  job.Plan();
+  job.Pump();
+  job.Emit(emit, &stage_timer, &stats);
+  if (collector != nullptr) stage_timer.Enter(obs::ScanStage::kTeardown);
+  Status status = job.Finish(&stats);
+
+  stats.admission_wait_ns = admission_wait_ns;
   stats.seconds = timer.ElapsedSeconds();
   metrics.bytes_fetched.Add(stats.bytes_fetched);
   metrics.bytes_decoded.Add(stats.bytes_decoded);
-  if (profile != nullptr) {
+  if (collector != nullptr) {
     collector->AddBlockTallies(stats.blocks_pruned, stats.blocks_skipped,
                                stats.blocks_decoded, stats.blocks_unreadable);
     collector->SetBytesFetched(stats.bytes_fetched);
@@ -1186,7 +1118,7 @@ Status Scanner::Scan(const ScanSpec& spec, const ChunkCallback& emit,
         std::make_shared<const obs::ScanProfile>(collector->Snapshot());
   }
   if (stats_out != nullptr) *stats_out = stats;
-  return emit_status;
+  return status;
 }
 
 Status Scanner::Scan(const ScanSpec& spec, ScanOutput* out) {

@@ -3,19 +3,24 @@
 // deployment, Sections 2.1 and 6.7).
 //
 // The engine is a real pipeline, not the analytic core-count model of
-// s3sim::SimulateScan:
+// s3sim::SimulateScan. Every scan runs on a service::ScanService — a
+// standalone Scanner's private one or a shared multi-tenant one — in four
+// stages:
 //
-//   zone maps ──► prune row blocks that cannot match (never fetched)
-//   prefetcher ─► fetch_threads issue ranged GETs ahead of consumption
-//                 into a bounded queue (backpressure at prefetch_depth)
-//   decoders ───► scan_threads pop blocks, evaluate predicates on the
-//                 *compressed* form (SelectMatches → selection vectors),
-//                 decompress only blocks whose selection is non-empty
-//   emitter ────► chunks surface on the calling thread in block order
+//   plan ────► zone maps prune row blocks that cannot match (never
+//              fetched); the rest become a block-major fetch plan
+//   fetch ───► items on the service's fetch executors: block cache, else
+//              one exec::HedgedGet under exec::RunWithRetries; at most
+//              prefetch_depth + one bundle per decode thread in flight
+//   decode ──► items on the service's decode executors: CRC + structural
+//              validation, predicates on the *compressed* form (selection
+//              vectors), decompression only where the selection is
+//              non-empty
+//   emit ────► chunks surface on the calling thread in block order
 //
 // API contract (this is the Status-carrying redesign):
-//   - Scan() never throws; worker-thread failures — including exceptions
-//     propagated through exec::ThreadPool::Wait() — surface as a Status.
+//   - Scan() never throws; failures on executor threads, including
+//     exceptions thrown while decoding, surface as a Status.
 //   - Transient object-store failures (Status::Throttled/Unavailable) are
 //     retried per the ScanConfig retry knobs with interruptible backoff;
 //     a permanently unreadable block either fails the scan with a typed
@@ -46,11 +51,6 @@
 #include "obs/profile.h"
 #include "s3sim/object_store.h"
 #include "util/status.h"
-
-namespace btr::exec {
-class BlockCache;  // exec/block_cache.h
-class ThreadPool;  // exec/thread_pool.h
-}  // namespace btr::exec
 
 namespace btr::service {
 class ScanService;  // service/scan_service.h
@@ -185,19 +185,24 @@ Status UploadCompressedRelation(const CompressedRelation& relation,
 
 class Scanner {
  public:
-  // Standalone scanner: private pipeline, private cache/breaker.
-  // `prefix` is the object key prefix the table was uploaded under.
+  // Standalone scanner: runs on a private single-tenant ScanService built
+  // from the first Scan()'s ScanConfig — fetch_threads GET executors,
+  // scan_threads decode executors, and the config's block cache and
+  // circuit breaker — and rebuilt only when a later scan asks for other
+  // values. The cache and the breaker therefore live as long as the
+  // Scanner (or until a rebuild), not per scan. `prefix` is the object
+  // key prefix the table was uploaded under.
   Scanner(s3sim::ObjectStore* store, std::string table_name,
           std::string prefix = "",
           const CompressionConfig& config = CompressionConfig());
-  // Serviced scanner: fetch/decode work runs on `service`'s shared
-  // executors under `tenant_id`'s fair-queue lane and quotas, the block
-  // cache and per-backend circuit breaker are the service's shared ones,
-  // and Scan() passes admission control first — a saturated service or an
-  // over-quota tenant surfaces as typed Status::Throttled (transient, so
-  // callers can wrap Scan in exec::RunWithRetries). The per-scan
-  // ScanConfig cache/breaker knobs are ignored in this mode; retry and
-  // hedging policy stay per-scan. `service` must outlive the Scanner.
+  // Serviced scanner: the same stages run on `service`'s shared executors
+  // under `tenant_id`'s fair-queue lane and quotas, the block cache and
+  // per-backend circuit breaker are the service's shared ones, and
+  // admission control can reject — a saturated service or an over-quota
+  // tenant surfaces as typed Status::Throttled (transient, so callers can
+  // wrap Scan in exec::RunWithRetries). The ScanConfig thread, cache and
+  // breaker knobs are ignored in this mode; retry and hedging policy stay
+  // per-scan. `service` must outlive the Scanner.
   Scanner(service::ScanService& service, const std::string& tenant_id,
           s3sim::ObjectStore* store, std::string table_name,
           std::string prefix = "",
@@ -221,7 +226,8 @@ class Scanner {
 
   // Streams chunks to `emit` on the calling thread, in ascending
   // (block, column) order. On error, emission stops early and the first
-  // failure is returned; chunks already emitted remain valid.
+  // failure is returned; chunks already emitted remain valid. Scan()
+  // calls on one Scanner must not overlap.
   using ChunkCallback = std::function<void(ColumnChunk&&)>;
   Status Scan(const ScanSpec& spec, const ChunkCallback& emit,
               ScanStats* stats = nullptr);
@@ -231,11 +237,12 @@ class Scanner {
 
  private:
   struct ResolvedSpec;
+  class Job;  // one Scan() call's plan/fetch/decode/emit stages
 
   Status ResolveSpec(const ScanSpec& spec, ResolvedSpec* resolved) const;
-  // Standalone decode pool, created on first use and reused across Scan()
-  // calls (recreated only when the requested thread count changes).
-  exec::ThreadPool& EnsureDecodePool(u32 threads);
+  // The service this scan runs on: the shared one, or the private one
+  // (re)built for `config`.
+  service::ScanService& ServiceFor(const ScanConfig& config);
 
   s3sim::ObjectStore* store_;
   std::string table_name_;
@@ -256,17 +263,10 @@ class Scanner {
   // Wall nanoseconds the last successful Open() spent fetching/parsing
   // metadata — stamped into ScanProfile::open_ns when profiling.
   u64 open_ns_ = 0;
-  // Checksum-verified block cache, created lazily on the first Scan with
-  // ScanConfig::enable_block_cache. Scanner-owned so repeat scans through
-  // the same Scanner hit it; entries are keyed by exact GET identity and
-  // admitted only after CRC verification (exec/block_cache.h).
-  std::unique_ptr<exec::BlockCache> block_cache_;
-  // Standalone decode workers, persistent across Scan() calls so repeated
-  // scans stop paying thread create/join churn per call.
-  std::unique_ptr<exec::ThreadPool> decode_pool_;
-  u32 decode_pool_threads_ = 0;
-  // Serviced mode (null/unused for standalone scanners).
+  // The service scans run on: the shared one a serviced Scanner was built
+  // with, or own_service_ (null until a standalone Scanner's first Scan).
   service::ScanService* service_ = nullptr;
+  std::unique_ptr<service::ScanService> own_service_;
   u32 tenant_slot_ = 0;
 };
 

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
+#include <memory>
 #include <thread>
 
 #include "obs/metrics.h"
+#include "s3sim/object_store.h"
 #include "util/timer.h"
 
 namespace btr::exec {
@@ -36,6 +39,20 @@ struct BreakerMetrics {
       return new BreakerMetrics{r.GetCounter("scan.breaker.trips"),
                                 r.GetCounter("scan.breaker.fast_failures"),
                                 r.GetGauge("scan.breaker.state")};
+    }();
+    return *m;
+  }
+};
+
+struct HedgeMetrics {
+  obs::Counter& hedges;
+  obs::Counter& hedge_wins;
+
+  static HedgeMetrics& Get() {
+    static HedgeMetrics* m = [] {
+      obs::Registry& r = obs::Registry::Get();
+      return new HedgeMetrics{r.GetCounter("scan.hedges"),
+                              r.GetCounter("scan.hedge_wins")};
     }();
     return *m;
   }
@@ -275,6 +292,109 @@ Status RunWithRetries(RetryState* state, const std::function<Status()>& op,
     state->CommitRetry(backoff_ns);
     retries++;
   }
+}
+
+Status HedgedGet(s3sim::ObjectStore* store, const std::string& key,
+                 u64 offset, u64 length, HedgeState* hedge,
+                 StragglerSink* stragglers, std::vector<u8>* out, bool* hedged,
+                 bool* hedge_won, const std::function<bool()>& hedge_gate) {
+  out->clear();
+  const u64 threshold_ns = hedge->ThresholdNs();
+  if (threshold_ns == 0) {
+    // Hedging not armed (disabled, warming up, or budget spent): plain GET
+    // on this thread. Successful latencies still feed the quantile so the
+    // threshold can arm.
+    Timer timer;
+    Status status = store->GetChunk(key, offset, length, out);
+    if (hedge->policy().enabled && status.ok()) {
+      hedge->RecordLatency(static_cast<u64>(timer.ElapsedNanos()));
+    }
+    return status;
+  }
+
+  // Hedged path: primary GET on its own thread; if it outlives the
+  // threshold, issue one duplicate on this thread and take the first
+  // response. The loser's bytes are discarded — both responses verify
+  // against the same header CRC downstream, so either is acceptable.
+  struct HedgedCall {
+    std::mutex mutex;
+    std::condition_variable cv;
+    bool done = false;
+    Status status;
+    std::vector<u8> data;
+    u64 latency_ns = 0;
+  };
+  auto call = std::make_shared<HedgedCall>();
+  // Owned copies: the primary thread may outlive this call's scope when
+  // it loses the race and gets parked as a straggler.
+  const std::string owned_key = key;
+  std::thread primary([store, owned_key, offset, length, call] {
+    std::vector<u8> data;
+    Timer timer;
+    Status status = store->GetChunk(owned_key, offset, length, &data);
+    u64 latency_ns = static_cast<u64>(timer.ElapsedNanos());
+    {
+      std::lock_guard<std::mutex> lock(call->mutex);
+      call->done = true;
+      call->status = std::move(status);
+      call->data = std::move(data);
+      call->latency_ns = latency_ns;
+    }
+    call->cv.notify_all();
+  });
+
+  bool primary_done;
+  {
+    std::unique_lock<std::mutex> lock(call->mutex);
+    primary_done = call->cv.wait_for(
+        lock, std::chrono::nanoseconds(threshold_ns),
+        [&] { return call->done; });
+  }
+  if (!primary_done && (hedge_gate == nullptr || hedge_gate()) &&
+      hedge->TryAcquireHedge()) {
+    HedgeMetrics::Get().hedges.Add();
+    *hedged = true;
+    std::vector<u8> hedge_data;
+    Timer hedge_timer;
+    Status hedge_status = store->GetChunk(key, offset, length, &hedge_data);
+    u64 hedge_latency_ns = static_cast<u64>(hedge_timer.ElapsedNanos());
+    bool primary_finished;
+    {
+      std::lock_guard<std::mutex> lock(call->mutex);
+      primary_finished = call->done;
+    }
+    if (hedge_status.ok() && !primary_finished) {
+      // The duplicate beat the straggling primary: park the primary's
+      // thread for the caller to reap and return the hedge's bytes.
+      stragglers->Park(std::move(primary));
+      hedge->RecordHedgeOutcome(true);
+      hedge->RecordLatency(hedge_latency_ns);
+      HedgeMetrics::Get().hedge_wins.Add();
+      *hedge_won = true;
+      *out = std::move(hedge_data);
+      return hedge_status;
+    }
+    primary.join();
+    if (!call->status.ok() && hedge_status.ok()) {
+      // Primary finished first but failed; the duplicate rescued it.
+      hedge->RecordHedgeOutcome(true);
+      hedge->RecordLatency(hedge_latency_ns);
+      HedgeMetrics::Get().hedge_wins.Add();
+      *hedge_won = true;
+      *out = std::move(hedge_data);
+      return hedge_status;
+    }
+    hedge->RecordHedgeOutcome(false);
+    if (call->status.ok()) hedge->RecordLatency(call->latency_ns);
+    *out = std::move(call->data);
+    return call->status;
+  }
+
+  // Primary answered in time, or the hedge budget is spent: wait it out.
+  primary.join();
+  if (call->status.ok()) hedge->RecordLatency(call->latency_ns);
+  *out = std::move(call->data);
+  return call->status;
 }
 
 }  // namespace btr::exec

@@ -1,6 +1,7 @@
 // Resilience policies for the object-store read path: retry/backoff for
 // transient failures, hedged requests against tail latency, and a circuit
-// breaker against a dying backend.
+// breaker against a dying backend — plus HedgedGet, the one primitive that
+// issues a scan's block GETs (run under RunWithRetries).
 //
 // --- retry (RetryPolicy / RetryState) ---------------------------------------
 // Transient failures (Status::Throttled / Status::Unavailable) retry with
@@ -12,8 +13,8 @@
 // Scanner::Open's metadata GETs): the budget is scan-wide and the jitter
 // stream is seeded, so a given schedule of failures backs off the same
 // way every run. Backoff sleeps go through a caller-supplied SleepFn so
-// the prefetcher can make them interruptible — an aborting pipeline must
-// not wait out a pending backoff (exec/pipeline.h).
+// the scanner can make them interruptible — an aborting scan must not
+// wait out a pending backoff.
 //
 // Accounting discipline: a retry only *counts* once its backoff sleep
 // completed and the next attempt is actually going to happen. NextBackoff
@@ -28,7 +29,7 @@
 // quantile of its peers, issue one duplicate GET and take whichever
 // response arrives first. HedgeState tracks recent `s3.get` latencies in a
 // ring, arms once min_samples are in, and caps total hedges per scan with
-// hedge_budget. The prefetcher owns the mechanics (exec/pipeline.h).
+// hedge_budget. HedgedGet below owns the mechanics.
 //
 // --- circuit breaker (CircuitBreakerPolicy / CircuitBreaker) ----------------
 // Past an error-rate threshold over a sliding outcome window the breaker
@@ -42,11 +43,17 @@
 #include <chrono>
 #include <functional>
 #include <mutex>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "util/random.h"
 #include "util/status.h"
 #include "util/types.h"
+
+namespace btr::s3sim {
+class ObjectStore;  // s3sim/object_store.h
+}  // namespace btr::s3sim
 
 namespace btr::exec {
 
@@ -220,6 +227,72 @@ Status RunWithRetries(RetryState* state, const std::function<Status()>& op,
                       const SleepFn& sleep = SleepUninterruptible,
                       CircuitBreaker* breaker = nullptr,
                       RetryOutcome* outcome = nullptr);
+
+// --- the block GET ----------------------------------------------------------
+
+// One ranged GET a scan issues, tagged with the scan's (block, column)
+// sequence number. `expected_crc` is the payload's CRC32C from the column
+// header: it arms the block cache (a fetched payload is admitted only when
+// it verifies) and the scanner's integrity check.
+struct FetchRequest {
+  std::string key;
+  u64 offset = 0;
+  u64 length = 0;
+  u64 tag = 0;
+  u32 expected_crc = 0;
+};
+
+// Holds hedge-loser threads whose GET result was discarded until someone
+// reaps them. A hedged GET that wins the race abandons the straggling
+// primary's thread; it must still be joined before the object store goes
+// away. Thread-safe; the destructor reaps anything left.
+class StragglerSink {
+ public:
+  StragglerSink() = default;
+  ~StragglerSink() { Reap(); }
+
+  StragglerSink(const StragglerSink&) = delete;
+  StragglerSink& operator=(const StragglerSink&) = delete;
+
+  void Park(std::thread t) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    threads_.push_back(std::move(t));
+  }
+
+  // Joins every parked thread. Safe to call repeatedly and concurrently
+  // with Park (threads parked during a Reap are caught by the next one).
+  void Reap() {
+    std::vector<std::thread> taken;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      taken.swap(threads_);
+    }
+    for (std::thread& t : taken) {
+      if (t.joinable()) t.join();
+    }
+  }
+
+ private:
+  std::mutex mutex_;
+  std::vector<std::thread> threads_;
+};
+
+// One GET, hedged when `hedge`'s latency tracker says the primary is
+// overdue: the primary runs on its own thread, and if it outlives the
+// quantile threshold one duplicate is issued on the calling thread; the
+// first response wins. A losing primary's thread is parked in
+// `stragglers` (the caller reaps it after the scan quiesces). `hedged` /
+// `hedge_won` are OR-accumulated so retry wrappers can reuse the flags
+// across attempts. `hedge_gate`, when set, is consulted before the
+// duplicate is issued (after the overdue check, before the hedge budget
+// is consumed) — ScanService uses it for per-tenant hedge quotas; a
+// denial silently degrades to waiting out the primary. Metrics:
+// `scan.hedges`, `scan.hedge_wins`.
+Status HedgedGet(s3sim::ObjectStore* store, const std::string& key,
+                 u64 offset, u64 length, HedgeState* hedge,
+                 StragglerSink* stragglers, std::vector<u8>* out, bool* hedged,
+                 bool* hedge_won,
+                 const std::function<bool()>& hedge_gate = nullptr);
 
 }  // namespace btr::exec
 

@@ -71,7 +71,7 @@ void ScanProfileCollector::RecordFetch(const FetchRecord& record) {
     latency_sum_ += ns;
     latency_min_ = std::min(latency_min_, ns);
     latency_max_ = std::max(latency_max_, ns);
-    // Mirrors Prefetcher accounting: only cacheable requests count as
+    // Mirrors the scanner's accounting: only cacheable requests count as
     // misses, so profile tallies agree with ScanStats exactly.
     if (record.cacheable) cache_misses_++;
   }

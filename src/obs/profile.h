@@ -8,7 +8,7 @@
 //   - the calling thread's stage breakdown (plan, emit-wait, emit,
 //     teardown) — contiguous wall-clock stages that sum to the scan's
 //     wall time by construction, each with its thread-CPU time;
-//   - parallel worker activities (prefetch-queue wait, CRC/structural
+//   - parallel worker activities (fair-queue wait, CRC/structural
 //     validation, predicate evaluation, decode) — these overlap each
 //     other and the stages, so they are reported as aggregate
 //     nanoseconds with sample counts, not as a partition of wall time;
@@ -60,7 +60,8 @@ const char* ScanStageName(ScanStage stage);
 // with each other and with the calling thread's stages.
 enum class ScanActivity : u32 {
   kGet = 0,           // ranged GETs (retries and hedges included)
-  kPrefetchWait = 1,  // decode workers blocked on the bounded queue
+  kPrefetchWait = 1,  // fetch/decode items queued in the service's fair
+                      // queues between submit and run
   kValidate = 2,      // size + CRC32C + structural validation
   kPredicate = 3,     // compressed-form predicate evaluation
   kDecode = 4,        // block decompression

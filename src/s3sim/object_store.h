@@ -17,7 +17,7 @@
 // makes GETs return transient errors (Status::Throttled/Unavailable), add
 // latency spikes, truncate ranges, or flip payload bytes — deterministic
 // per (seed, request sequence), so chaos schedules replay exactly. The
-// read path (exec::Prefetcher + btr::Scanner) is expected to retry the
+// read path (btr::Scanner, via exec::HedgedGet) is expected to retry the
 // transient kinds and *detect* the corrupting ones via block CRCs. PUT
 // rules do the same to the write path — failed, torn, corrupted or
 // crash-interrupted writes — which the streaming writer must retry,
@@ -50,8 +50,8 @@ struct S3Config {
 
   // --- wall-clock simulation (pipelined scan engine) -----------------------
   // When true, GetChunk additionally *sleeps* for a per-request first-byte
-  // latency plus the per-connection transfer time, so the bounded-queue
-  // pipeline (exec/pipeline.h, btr::Scanner) has real network time to hide:
+  // latency plus the per-connection transfer time, so the scan engine
+  // (btr::Scanner) has real network time to hide:
   // concurrent fetch threads overlap their latencies with each other and
   // with decompression, exactly what the analytic SimulateScan model cannot
   // capture. Accounting (requests/bytes/network_seconds) is unaffected.

@@ -1,11 +1,8 @@
-// btr::service::ScanService — process-wide resources for concurrent scans.
+// btr::service::ScanService — the executor every btr::Scanner runs on.
 //
-// Every standalone btr::Scanner is an island: a private block cache, a
-// private circuit breaker, fresh decode threads per Scan(). Correct for
-// one client, wrong for many — the paper's premise (§2.1/§6.7) is that
-// GETs and CPU scheduling *are* the scan cost, so a multi-tenant
-// deployment wins by sharing exactly those. One ScanService per process
-// owns (docs/SCAN_SERVICE.md):
+// The paper's premise (§2.1/§6.7) is that GETs and CPU scheduling *are*
+// the scan cost, so a multi-tenant deployment wins by sharing exactly
+// those. One ScanService per process owns (docs/SCAN_SERVICE.md):
 //
 //   - one sharded, CRC-verified exec::BlockCache shared by all scanners
 //     (admission verifies CRC32C, so cross-tenant sharing is safe by
@@ -24,8 +21,10 @@
 //     budget, cache bytes) and per-tenant obs counters:
 //       service.tenant.<id>.gets / .hits / .queued_ns / .rejected
 //
-// Scanners attach via Scanner(service, tenant_id, ...); the standalone
-// Scanner constructor keeps its private per-scan pipeline, unchanged.
+// Scanners attach via Scanner(service, tenant_id, ...). A standalone
+// Scanner(store, ...) runs on a private single-tenant ScanService of its
+// own (tenant "standalone"), built from its ScanConfig — one execution
+// path for both (docs/SCAN_PIPELINE.md).
 //
 // Threading: all methods are thread-safe. Destroy the service only after
 // every serviced Scan() call has returned (checked).
@@ -104,8 +103,10 @@ struct ScanServiceConfig {
   u32 max_queued_scans = 64;
   u64 admission_timeout_ns = 500ull * 1000 * 1000;  // 500 ms
 
-  // The one shared cache. Serviced scans always use it (the per-scan
-  // ScanConfig cache knobs are owned by the service in serviced mode).
+  // The one shared cache; every scan on the service uses it (the per-scan
+  // ScanConfig cache knobs only size a standalone Scanner's private
+  // service). capacity_bytes == 0 disables it: cache() is null and scans
+  // neither look up nor count misses.
   exec::BlockCacheConfig cache;
 
   // Shared per-backend breakers (one per ObjectStore seen).
@@ -153,12 +154,15 @@ class ScanService {
   void Release(Ticket* ticket);
 
   // --- shared resources -----------------------------------------------------
-  exec::BlockCache* cache() { return &cache_; }
+  // The shared cache; nullptr when config().cache.capacity_bytes == 0.
+  exec::BlockCache* cache() {
+    return config_.cache.capacity_bytes == 0 ? nullptr : &cache_;
+  }
   // The shared breaker for `store`, created on first sight; nullptr when
   // breakers are disabled in the service config.
   exec::CircuitBreaker* BreakerFor(const s3sim::ObjectStore* store);
 
-  // --- work submission (called by serviced Scanners) ------------------------
+  // --- work submission (called by Scanners) ---------------------------------
   // Enqueues a work item on the tenant's fetch/decode lane. `cost_bytes`
   // is the DRR charge. The closure runs on a service executor thread; it
   // must not block on other service work (window-token backpressure in
@@ -181,6 +185,10 @@ class ScanService {
                           u64 gets, bool hedged);
 
   const ScanServiceConfig& config() const { return config_; }
+  // Decode executor threads (config().decode_threads, 0 resolved).
+  u32 decode_threads() const {
+    return static_cast<u32>(decode_threads_.size());
+  }
   // Scans currently admitted (running), and waiting for admission.
   u32 running_scans() const;
   u32 queued_scans() const;

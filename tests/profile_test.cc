@@ -172,6 +172,24 @@ TEST(ProfileTest, FaultFreeTalliesMatchScanStats) {
   EXPECT_EQ(profile.activities[decode_idx].count, 6u);
 }
 
+// prefetch_wait is the time this scan's work items waited in the
+// service's fair queues between submit and run: one sample per item, here
+// 6 fetch items (2 row blocks x 3 columns) plus 2 decode items.
+TEST(ProfileTest, PrefetchWaitRecordsEveryQueuedItem) {
+  Fixture f;
+  Scanner scanner(&f.store, "profile_table", "lake/");
+  ASSERT_TRUE(scanner.Open().ok());
+
+  ScanOutput output;
+  ASSERT_TRUE(scanner.Scan(ProfileSpec(), &output).ok());
+  ASSERT_NE(output.stats.profile, nullptr);
+  const obs::ActivityTime& wait =
+      output.stats.profile->activities[static_cast<u32>(
+          obs::ScanActivity::kPrefetchWait)];
+  EXPECT_GT(wait.count, 0u);
+  EXPECT_EQ(wait.count, 8u);
+}
+
 // Throttle/unavailable-only chaos: every injected fault is one failed GET
 // and every failed GET costs exactly one granted retry, so the profile's
 // retry tallies must equal both ScanStats and the store's injected-fault

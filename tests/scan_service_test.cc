@@ -301,6 +301,42 @@ TEST(ScanServiceTest, SharedCacheIsWarmAcrossTenants) {
   }
 }
 
+// A fetch the breaker rejects before its first attempt never reaches the
+// store, so it must not count as a GET: against a fully-down backend the
+// scan's request count and the tenant's GETs equal the store's own count.
+TEST(ScanServiceTest, BreakerRejectedFetchesCountNoGets) {
+  Fixture f;
+  service::ScanServiceConfig config = SmallServiceConfig();
+  config.fetch_threads = 1;  // sequential GETs: the trip precedes later ones
+  config.breaker.window = 4;
+  config.breaker.min_samples = 2;
+  config.breaker.cooldown_ns = 10ull * 1000 * 1000 * 1000;  // outlives the scan
+  service::ScanService service(config);
+  Scanner scanner(service, "down", &f.store, "svc_table", "lake/");
+  ASSERT_TRUE(scanner.Open().ok());
+
+  s3sim::FaultPlan down;
+  down.seed = 11;
+  s3sim::FaultRule unavailable;
+  unavailable.kind = s3sim::FaultKind::kUnavailable;
+  unavailable.probability = 1.0;  // every GET fails
+  down.rules.push_back(unavailable);
+  f.store.InstallFaultPlan(down);
+
+  ScanSpec spec = FastSpec();
+  spec.config.skip_unreadable_blocks = true;
+  const u64 before = f.store.total_requests();
+  ScanOutput output;
+  Status status = scanner.Scan(spec, &output);
+  const u64 issued = f.store.total_requests() - before;
+  f.store.ClearFaultPlan();
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(output.stats.blocks_unreadable, output.stats.row_blocks);
+  EXPECT_GE(output.stats.breaker_fast_failures, 1u);
+  EXPECT_EQ(output.stats.requests, issued);
+  EXPECT_EQ(service.GetTenantStats("down").gets, issued);
+}
+
 // --- admission control ------------------------------------------------------
 
 TEST(ScanServiceTest, TenantConcurrencyQuotaRejectsTyped) {

@@ -4,8 +4,10 @@
 // block, and surface poisoned blocks as a Status instead of crashing.
 #include "btr/scanner.h"
 
+#include <atomic>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -346,6 +348,52 @@ TEST(ScannerTest, EmittedRowBeginMatchesBlockTimesCapacity) {
       nullptr);
   ASSERT_TRUE(status.ok()) << status.ToString();
   EXPECT_EQ(chunks, 3u * 3u);  // 3 blocks x 3 columns
+}
+
+// Per-scan GET and byte counts are the scan's own, not deltas of the
+// shared store's counters: four standalone Scanners scanning one store
+// at once must each report exactly their own fetch plan.
+TEST(ScannerTest, ConcurrentScannersCountOnlyTheirOwnTraffic) {
+  Fixture f;
+  u64 plan_requests = 0;
+  u64 plan_bytes = 0;
+  for (const CompressedColumn& column : f.compressed.columns) {
+    for (const ByteBuffer& block : column.blocks) {
+      plan_requests++;
+      plan_bytes += block.size();
+    }
+  }
+  constexpr int kScanners = 4;
+  constexpr int kRounds = 20;
+  std::atomic<int> failures{0};
+  std::atomic<int> miscounts{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kScanners; t++) {
+    threads.emplace_back([&] {
+      Scanner scanner(&f.store, "scan_table", "lake/");
+      if (!scanner.Open().ok()) {
+        failures.fetch_add(1);
+        return;
+      }
+      for (int round = 0; round < kRounds; round++) {
+        ScanStats stats;
+        Status status = scanner.Scan(
+            PipelinedSpec(), [](ColumnChunk&&) {}, &stats);
+        if (!status.ok()) {
+          failures.fetch_add(1);
+          return;
+        }
+        if (stats.requests != plan_requests ||
+            stats.bytes_fetched != plan_bytes) {
+          miscounts.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(miscounts.load(), 0)
+      << "scans counted GETs or bytes of their neighbours";
 }
 
 }  // namespace
