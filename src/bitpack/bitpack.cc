@@ -155,7 +155,7 @@ void Unpack128(const u8* in, u32 bits, u32* out) {
 }
 
 // --- BP128 codec --------------------------------------------------------------
-// Stream layout:
+// Stream layout (read by Bp128Reader):
 //   full blocks: [u32 min][u8 bits][16*bits bytes packed]
 //   tail (count % 128 != 0): [u32 min][u8 bits][PackedBytes(tail, bits)]
 namespace {
@@ -219,32 +219,39 @@ size_t Bp128CompressedSize(const i32* in, u32 count) {
   return total;
 }
 
+bool Bp128Reader::Next(Bp128Frame* frame) {
+  if (next_ >= count_) return false;
+  frame->first = next_;
+  frame->count = std::min(kBlockSize, count_ - next_);
+  std::memcpy(&frame->reference, cursor_, sizeof(u32));
+  frame->bits = cursor_[4];
+  frame->packed = cursor_ + 5;
+  cursor_ = frame->packed + (frame->count == kBlockSize
+                                 ? Packed128Bytes(frame->bits)
+                                 : PackedBytes(frame->count, frame->bits));
+  next_ += frame->count;
+  return true;
+}
+
+void UnpackFrame(const Bp128Frame& frame, u32* out) {
+  if (frame.count == kBlockSize) {
+    Unpack128(frame.packed, frame.bits, out);
+  } else {
+    UnpackScalar(frame.packed, frame.count, frame.bits, out);
+  }
+}
+
 size_t Bp128Decompress(const u8* in, u32 count, i32* out) {
-  const u8* cursor = in;
-  u32 scratch[kBlockSize];
-  u32 i = 0;
-  for (; i + kBlockSize <= count; i += kBlockSize) {
-    u32 min;
-    std::memcpy(&min, cursor, sizeof(u32));
-    u32 bits = cursor[4];
-    cursor += 5;
-    Unpack128(cursor, bits, scratch);
-    cursor += Packed128Bytes(bits);
-    for (u32 j = 0; j < kBlockSize; j++) {
-      out[i + j] = static_cast<i32>(scratch[j] + min);
+  Bp128Reader reader(in, count);
+  u32 deltas[kBlockSize];
+  for (Bp128Frame frame; reader.Next(&frame);) {
+    UnpackFrame(frame, deltas);
+    i32* dst = out + frame.first;
+    for (u32 j = 0; j < frame.count; j++) {
+      dst[j] = static_cast<i32>(deltas[j] + frame.reference);
     }
   }
-  if (i < count) {
-    u32 tail = count - i;
-    u32 min;
-    std::memcpy(&min, cursor, sizeof(u32));
-    u32 bits = cursor[4];
-    cursor += 5;
-    UnpackScalar(cursor, tail, bits, scratch);
-    cursor += PackedBytes(tail, bits);
-    for (u32 j = 0; j < tail; j++) out[i + j] = static_cast<i32>(scratch[j] + min);
-  }
-  return static_cast<size_t>(cursor - in);
+  return reader.consumed();
 }
 
 // --- PFOR codec ----------------------------------------------------------------

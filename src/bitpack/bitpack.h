@@ -62,6 +62,39 @@ size_t Bp128Decompress(const u8* in, u32 count, i32* out);
 // Compressed size without materializing the output.
 size_t Bp128CompressedSize(const i32* in, u32 count);
 
+// One frame of a Bp128 stream: a vertical 128-value block, or the
+// contiguously packed tail when count % 128 != 0.
+//   [u32 reference][u8 bits][packed deltas]
+struct Bp128Frame {
+  u32 first;      // index of the frame's first value in the stream
+  u32 count;      // kBlockSize, or the tail length
+  u32 reference;  // frame of reference: the frame's i32 minimum, bit-cast
+  u32 bits;       // width of (value - reference)
+  const u8* packed;
+};
+
+// The one reader of the Bp128 stream layout: walks the frames of a stream
+// holding `count` values (Bp128Decompress, simd::SelectBp128Range).
+class Bp128Reader {
+ public:
+  Bp128Reader(const u8* stream, u32 count)
+      : start_(stream), cursor_(stream), count_(count) {}
+
+  // Reads the next frame; false past the last one.
+  bool Next(Bp128Frame* frame);
+  // Stream bytes consumed by the frames read so far.
+  size_t consumed() const { return static_cast<size_t>(cursor_ - start_); }
+
+ private:
+  const u8* start_;
+  const u8* cursor_;
+  u32 count_;
+  u32 next_ = 0;
+};
+
+// Unpacks a frame's frame.count deltas (value - reference) into `out`.
+void UnpackFrame(const Bp128Frame& frame, u32* out);
+
 // --- FastPFOR-style codec ----------------------------------------------------
 size_t PforCompress(const i32* in, u32 count, ByteBuffer* out);
 size_t PforDecompress(const u8* in, u32 count, i32* out);

@@ -1,10 +1,9 @@
 #include "btr/datablock.h"
 
-#include <cstring>
-
 #include <atomic>
 
 #include "bitmap/roaring.h"
+#include "btr/layout.h"
 #include "btr/scheme_picker.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -32,24 +31,6 @@ void AppendHeader(ColumnType type, u32 count, const u8* null_flags,
     out->AppendValue<u32>(static_cast<u32>(nulls.SerializedSizeBytes()));
     nulls.SerializeTo(out);
   }
-}
-
-struct Header {
-  ColumnType type;
-  u32 count;
-  u32 null_bytes;
-  const u8* null_blob;
-  const u8* body;
-};
-
-Header ParseHeader(const u8* data) {
-  Header h;
-  h.type = static_cast<ColumnType>(data[0]);
-  std::memcpy(&h.count, data + 1, sizeof(u32));
-  std::memcpy(&h.null_bytes, data + 5, sizeof(u32));
-  h.null_blob = data + 9;
-  h.body = h.null_blob + h.null_bytes;
-  return h;
 }
 
 void RecordTelemetry(const CompressionConfig& config, ColumnType type,
@@ -223,61 +204,60 @@ void DecompressBlock(const u8* data, DecodedBlock* out,
                      const CompressionConfig& config) {
   BTR_TRACE_SPAN("btr.decompress.block");
   Timer timer;
-  Header h = ParseHeader(data);
+  layout::Block b = layout::ReadBlock(data);
   out->Clear();
-  out->type = h.type;
-  out->count = h.count;
-  if (h.null_bytes > 0) {
-    RoaringBitmap nulls = RoaringBitmap::Deserialize(h.null_blob, nullptr);
-    out->null_flags.assign(h.count, 0);
-    nulls.ForEach([&](u32 i) { out->null_flags[i] = 1; });
+  out->type = b.type;
+  out->count = b.count;
+  if (b.null_bytes > 0) {
+    out->null_flags.assign(b.count, 0);
+    b.NullRows().ForEach([&](u32 i) { out->null_flags[i] = 1; });
   }
-  switch (h.type) {
+  switch (b.type) {
     case ColumnType::kInteger:
-      out->ints.resize(h.count + kDecodeSlack);
-      DecompressInts(h.body, h.count, out->ints.data());
-      out->ints.resize(h.count);
+      out->ints.resize(b.count + kDecodeSlack);
+      DecompressInts(b.vector, b.count, out->ints.data());
+      out->ints.resize(b.count);
       break;
     case ColumnType::kDouble:
-      out->doubles.resize(h.count + kDecodeSlack);
-      DecompressDoubles(h.body, h.count, out->doubles.data());
-      out->doubles.resize(h.count);
+      out->doubles.resize(b.count + kDecodeSlack);
+      DecompressDoubles(b.vector, b.count, out->doubles.data());
+      out->doubles.resize(b.count);
       break;
     case ColumnType::kString:
-      DecompressStrings(h.body, h.count, &out->strings, config);
+      DecompressStrings(b.vector, b.count, &out->strings, config);
       break;
   }
   static obs::Counter& blocks =
       obs::Registry::Get().GetCounter("btr.decompress.blocks");
   blocks.Add();
-  DecodeHistogram(h.type, h.body[0])
+  DecodeHistogram(b.type, b.scheme())
       .Record(static_cast<u64>(timer.ElapsedNanos()));
 }
 
 u8 PeekBlockScheme(const u8* data) {
-  Header h = ParseHeader(data);
-  return h.body[0];
+  return layout::ReadBlock(data).scheme();
 }
 
 Status ValidateBlock(const u8* data, size_t size, ColumnType expected_type,
                      u32 expected_count) {
-  // Header is [u8 type][u32 count][u32 null_bytes], then the null bitmap,
-  // then at least one scheme-code byte.
-  if (size < 10) return Status::Corruption("block truncated: no header");
+  // The header, then the null bitmap, then at least one scheme-code byte.
+  if (size < layout::kBlockHeaderBytes + 1) {
+    return Status::Corruption("block truncated: no header");
+  }
   if (data[0] > 2) return Status::Corruption("block has invalid type byte");
-  Header h = ParseHeader(data);
-  if (h.type != expected_type) {
+  layout::Block b = layout::ReadBlock(data);
+  if (b.type != expected_type) {
     return Status::Corruption("block type does not match column type");
   }
-  if (h.count != expected_count || h.count > kBlockCapacity) {
+  if (b.count != expected_count || b.count > kBlockCapacity) {
     return Status::Corruption("block value count does not match metadata");
   }
-  if (9ull + h.null_bytes + 1 > size) {
+  if (layout::kBlockHeaderBytes + u64{b.null_bytes} + 1 > size) {
     return Status::Corruption("block null bitmap exceeds block size");
   }
-  u8 scheme = h.body[0];
+  u8 scheme = b.scheme();
   bool scheme_ok = false;
-  switch (h.type) {
+  switch (b.type) {
     case ColumnType::kInteger: scheme_ok = scheme < kIntSchemeCount; break;
     case ColumnType::kDouble: scheme_ok = scheme < kDoubleSchemeCount; break;
     case ColumnType::kString: scheme_ok = scheme < kStringSchemeCount; break;

@@ -4,7 +4,7 @@
 // file metadata — BtrBlocks deliberately decouples statistics/indices from
 // the data blocks (paper Section 2.1).
 //
-// Block layout:
+// Block layout (read through btr/layout.h):
 //   [u8 column_type][u32 value_count][u32 null_bitmap_bytes]
 //   [roaring null bitmap][scheme vector: u8 code + payload]
 #ifndef BTR_BTR_DATABLOCK_H_

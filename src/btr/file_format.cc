@@ -169,9 +169,26 @@ void SerializeColumnFile(const CompressedColumn& column, ByteBuffer* out) {
   }
 }
 
+bool ColumnFileHeader::Intact(size_t b, const u8* payload,
+                              size_t size) const {
+  return size == block_size(b) && Crc32c(payload, size) == block_crcs[b];
+}
+
+Status ColumnFileHeader::Locate(const u8* object, size_t object_size,
+                                size_t b, const u8** payload) const {
+  if (block_offsets[b + 1] > object_size) {
+    return Status::Corruption("column file truncated");
+  }
+  *payload = object + block_offsets[b];
+  if (!Intact(b, *payload, block_size(b))) {
+    return Status::Corruption("block " + std::to_string(b) +
+                              " payload CRC mismatch");
+  }
+  return Status::Ok();
+}
+
 Status ParseColumnFileHeader(const u8* data, size_t size,
-                             std::vector<u32>* block_sizes,
-                             std::vector<u32>* block_crcs) {
+                             ColumnFileHeader* out) {
   Reader r{data, size};
   char magic[4];
   if (!r.Read(magic, 4) || std::memcmp(magic, kColumnMagic, 4) != 0) {
@@ -181,14 +198,12 @@ Status ParseColumnFileHeader(const u8* data, size_t size,
   if (!r.Read(&block_count, 4)) {
     return Status::Corruption("truncated column header");
   }
-  block_sizes->resize(block_count);
-  if (!r.Read(block_sizes->data(), block_count * sizeof(u32))) {
+  std::vector<u32> sizes(block_count);
+  if (!r.Read(sizes.data(), block_count * sizeof(u32))) {
     return Status::Corruption("truncated column block sizes");
   }
-  std::vector<u32> local_crcs;
-  std::vector<u32>& crcs = block_crcs != nullptr ? *block_crcs : local_crcs;
-  crcs.resize(block_count);
-  if (!r.Read(crcs.data(), block_count * sizeof(u32))) {
+  out->block_crcs.resize(block_count);
+  if (!r.Read(out->block_crcs.data(), block_count * sizeof(u32))) {
     return Status::Corruption("truncated column block CRCs");
   }
   u32 stored_crc;
@@ -198,6 +213,11 @@ Status ParseColumnFileHeader(const u8* data, size_t size,
   u64 covered = ColumnFileHeaderBytes(block_count) - 4;
   if (Crc32c(data, covered) != stored_crc) {
     return Status::Corruption("column header CRC mismatch");
+  }
+  out->block_offsets.resize(block_count + 1);
+  out->block_offsets[0] = ColumnFileHeaderBytes(block_count);
+  for (u32 b = 0; b < block_count; b++) {
+    out->block_offsets[b + 1] = out->block_offsets[b] + sizes[b];
   }
   return Status::Ok();
 }
@@ -240,28 +260,19 @@ Status ReadCompressedColumn(const std::string& directory,
   ByteBuffer file;
   BTR_RETURN_IF_ERROR(
       ReadFileToBuffer(ColumnPath(directory, table_name, column_index), &file));
-  std::vector<u32> sizes;
-  std::vector<u32> crcs;
-  BTR_RETURN_IF_ERROR(
-      ParseColumnFileHeader(file.data(), file.size(), &sizes, &crcs));
-  if (sizes.size() != cm.block_value_counts.size()) {
+  ColumnFileHeader header;
+  BTR_RETURN_IF_ERROR(ParseColumnFileHeader(file.data(), file.size(), &header));
+  if (header.block_count() != cm.block_value_counts.size()) {
     return Status::Corruption("metadata/column block count mismatch");
   }
-  u64 offset = ColumnFileHeaderBytes(sizes.size());
   out->blocks.clear();
-  out->blocks.reserve(sizes.size());
-  out->block_root_schemes.resize(sizes.size());
-  for (size_t b = 0; b < sizes.size(); b++) {
-    if (offset + sizes[b] > file.size()) {
-      return Status::Corruption("column file truncated");
-    }
-    if (Crc32c(file.data() + offset, sizes[b]) != crcs[b]) {
-      return Status::Corruption("block " + std::to_string(b) +
-                                " payload CRC mismatch");
-    }
+  out->blocks.reserve(header.block_count());
+  out->block_root_schemes.resize(header.block_count());
+  for (size_t b = 0; b < header.block_count(); b++) {
+    const u8* payload;
+    BTR_RETURN_IF_ERROR(header.Locate(file.data(), file.size(), b, &payload));
     ByteBuffer block;  // copy keeps SIMD read padding per block
-    block.Append(file.data() + offset, sizes[b]);
-    offset += sizes[b];
+    block.Append(payload, header.block_size(b));
     out->block_root_schemes[b] = PeekBlockScheme(block.data());
     out->blocks.push_back(std::move(block));
   }

@@ -78,18 +78,38 @@ void SerializeColumnFile(const CompressedColumn& column, ByteBuffer* out);
 void SerializeColumnFileHeader(const std::vector<u32>& block_sizes,
                                const std::vector<u32>& block_crcs,
                                ByteBuffer* out);
-// Parses a column file's "BTRC" header prefix — per-block byte sizes and
-// payload CRC32Cs — and verifies the header's own CRC. `size` is the
-// bytes available; the header prefix suffices. `block_crcs` may be null
-// when the caller does not verify payloads itself.
-Status ParseColumnFileHeader(const u8* data, size_t size,
-                             std::vector<u32>* block_sizes,
-                             std::vector<u32>* block_crcs = nullptr);
 // Bytes before the first block payload in a column file: magic + count,
 // the size and CRC arrays, and the header CRC.
 inline u64 ColumnFileHeaderBytes(u64 block_count) {
   return 8 + 8 * block_count + 4;
 }
+
+// A parsed "BTRC" header: where each block payload sits in the column
+// object and the CRC32C it must match. The one reader of the framing —
+// file reads, Scanner's ranged GETs and Fsck all locate and verify blocks
+// through it.
+struct ColumnFileHeader {
+  // block_count + 1 entries: payload b spans [offsets[b], offsets[b + 1]).
+  std::vector<u64> block_offsets;
+  std::vector<u32> block_crcs;
+
+  size_t block_count() const { return block_crcs.size(); }
+  u64 block_size(size_t b) const {
+    return block_offsets[b + 1] - block_offsets[b];
+  }
+  // True when `payload` is exactly block b: the size and CRC32C the
+  // header promised.
+  bool Intact(size_t b, const u8* payload, size_t size) const;
+  // Block b of a whole column object of `object_size` bytes, checked for
+  // truncation and with Intact.
+  Status Locate(const u8* object, size_t object_size, size_t b,
+                const u8** payload) const;
+};
+
+// Parses a column file's "BTRC" header prefix and verifies the header's
+// own CRC. `size` is the bytes available; the header prefix suffices.
+Status ParseColumnFileHeader(const u8* data, size_t size,
+                             ColumnFileHeader* out);
 
 // Object keys btr::Scanner and UploadCompressedRelation agree on. The
 // prefix is any object-store path prefix, e.g. "lake/".

@@ -14,7 +14,11 @@
 //               time, survivors are compared 32 lanes per instruction
 //   otherwise   decode the value vector into scratch (no DecodedBlock /
 //               null materialization) and run the SIMD compare kernels;
-//               strings without a dictionary materialize fully
+//               strings without a dictionary compare row by row
+//
+// Payloads are read through the layout readers the decoders use
+// (btr/layout.h), and one root-scheme switch (ShapeOf) decides both the
+// evaluation and HasFastPath.
 //
 // NULL semantics: rows under the block's null bitmap store default values
 // inside the encodings, so every leaf result is corrected with one
@@ -22,7 +26,9 @@
 // become the leaf's UNKNOWN set for Kleene AND/OR/NOT combination.
 #include <algorithm>
 #include <cstring>
+#include <type_traits>
 
+#include "btr/layout.h"
 #include "btr/predicate.h"
 #include "btr/scheme_picker.h"
 #include "btr/simd_scan.h"
@@ -32,28 +38,6 @@
 namespace btr {
 
 namespace {
-
-struct BlockHeader {
-  ColumnType type;
-  u32 count;
-  u32 null_bytes;
-  const u8* null_blob;
-  const u8* body;     // [u8 scheme][payload]
-  const u8* payload;  // body + 1
-  u8 scheme;
-};
-
-BlockHeader ParseHeader(const u8* block) {
-  BlockHeader h;
-  h.type = static_cast<ColumnType>(block[0]);
-  std::memcpy(&h.count, block + 1, sizeof(u32));
-  std::memcpy(&h.null_bytes, block + 5, sizeof(u32));
-  h.null_blob = block + 9;
-  h.body = h.null_blob + h.null_bytes;
-  h.scheme = h.body[0];
-  h.payload = h.body + 1;
-  return h;
-}
 
 RoaringBitmap AllRows(u32 count) {
   RoaringBitmap out;
@@ -66,6 +50,48 @@ u64 BitsOf(double d) {
   u64 b;
   std::memcpy(&b, &d, sizeof(u64));
   return b;
+}
+
+// --- root-scheme shapes ------------------------------------------------------
+
+// The root-scheme shapes evaluated on the compressed form; every other
+// scheme is decoded into scratch first.
+enum class Shape { kOneValue, kRle, kDict, kFrequency, kBp128, kDecode };
+
+Shape ShapeOf(ColumnType type, u8 scheme) {
+  switch (type) {
+    case ColumnType::kInteger:
+      switch (static_cast<IntSchemeCode>(scheme)) {
+        case IntSchemeCode::kOneValue: return Shape::kOneValue;
+        case IntSchemeCode::kRle: return Shape::kRle;
+        case IntSchemeCode::kDict: return Shape::kDict;
+        case IntSchemeCode::kFrequency: return Shape::kFrequency;
+        case IntSchemeCode::kBp128: return Shape::kBp128;
+        default: return Shape::kDecode;
+      }
+    case ColumnType::kDouble:
+      switch (static_cast<DoubleSchemeCode>(scheme)) {
+        case DoubleSchemeCode::kOneValue: return Shape::kOneValue;
+        case DoubleSchemeCode::kRle: return Shape::kRle;
+        case DoubleSchemeCode::kDict: return Shape::kDict;
+        case DoubleSchemeCode::kFrequency: return Shape::kFrequency;
+        default: return Shape::kDecode;
+      }
+    case ColumnType::kString:
+      switch (static_cast<StringSchemeCode>(scheme)) {
+        case StringSchemeCode::kOneValue: return Shape::kOneValue;
+        case StringSchemeCode::kDict: return Shape::kDict;
+        default: return Shape::kDecode;
+      }
+  }
+  return Shape::kDecode;
+}
+
+// The (scheme x op) fast-path matrix of docs/PREDICATES.md. Range ops ride
+// the FastBP128 miniblock envelopes; IN over bit-packed data does not.
+bool IsFastPath(Shape shape, CompareOp op) {
+  if (shape == Shape::kBp128) return op != CompareOp::kIn;
+  return shape != Shape::kDecode;
 }
 
 // --- derived leaf comparison contexts ---------------------------------------
@@ -166,6 +192,14 @@ struct IntLeafCtx {
     if (is_set) return std::binary_search(set->begin(), set->end(), v);
     return !range.empty && v >= range.lo && v <= range.hi;
   }
+
+  void SelectDecoded(const i32* values, u32 count, RoaringBitmap* out) const {
+    if (is_set) {
+      simd::SelectI32Set(values, count, 0, *set, out);
+    } else if (!range.empty) {
+      simd::SelectI32Range(values, count, 0, range.lo, range.hi, out);
+    }
+  }
 };
 
 struct DoubleLeafCtx {
@@ -192,6 +226,16 @@ struct DoubleLeafCtx {
     }
     return F64RangeMatch(v, range);
   }
+
+  void SelectDecoded(const double* values, u32 count,
+                     RoaringBitmap* out) const {
+    if (is_bits) {
+      simd::SelectF64BitsSet(values, count, 0, bits, out);
+    } else {
+      simd::SelectF64Range(values, count, 0, range.lo, range.hi,
+                           range.lo_strict, range.hi_strict, out);
+    }
+  }
 };
 
 bool MatchString(std::string_view v, const PredicateExpr& leaf) {
@@ -215,7 +259,29 @@ bool MatchString(std::string_view v, const PredicateExpr& leaf) {
   return false;
 }
 
-// --- code-vector selection ---------------------------------------------------
+// --- compressed-form selection ----------------------------------------------
+
+// Rows of the runs whose value satisfies `match`, as whole ranges.
+template <typename T, typename MatchFn>
+void SelectRuns(const layout::Runs<T>& runs, const MatchFn& match,
+                RoaringBitmap* out) {
+  u32 position = 0;
+  for (u32 r = 0; r < runs.count; r++) {
+    u32 length = static_cast<u32>(runs.lengths[r]);
+    if (match(runs.values[r])) out->AddRange(position, position + length);
+    position += length;
+  }
+}
+
+// Codes of the dictionary entries that satisfy `matches(code)`, ascending.
+template <typename MatchFn>
+std::vector<i32> MatchingCodes(size_t dict_count, const MatchFn& matches) {
+  std::vector<i32> codes;
+  for (u32 d = 0; d < dict_count; d++) {
+    if (matches(d)) codes.push_back(static_cast<i32>(d));
+  }
+  return codes;
+}
 
 // Rows whose dictionary code is in `codes` (sorted ascending): run
 // arithmetic when the code vector is RLE-compressed, SIMD IN-scan of the
@@ -224,22 +290,11 @@ void SelectCodesIn(const u8* codes_vec, u32 count,
                    const std::vector<i32>& codes, RoaringBitmap* out) {
   if (codes.empty()) return;
   if (PeekIntScheme(codes_vec) == IntSchemeCode::kRle) {
-    const u8* payload = codes_vec + 1;
-    u32 run_count, values_bytes;
-    std::memcpy(&run_count, payload, sizeof(u32));
-    std::memcpy(&values_bytes, payload + 4, sizeof(u32));
-    std::vector<i32> run_values(run_count + kDecodeSlack);
-    std::vector<i32> run_lengths(run_count + kDecodeSlack);
-    DecompressInts(payload + 8, run_count, run_values.data());
-    DecompressInts(payload + 8 + values_bytes, run_count, run_lengths.data());
-    u32 position = 0;
-    for (u32 r = 0; r < run_count; r++) {
-      u32 length = static_cast<u32>(run_lengths[r]);
-      if (std::binary_search(codes.begin(), codes.end(), run_values[r])) {
-        out->AddRange(position, position + length);
-      }
-      position += length;
-    }
+    SelectRuns(layout::DecodeRuns<i32>(layout::ReadRle(codes_vec + 1)),
+               [&](i32 code) {
+                 return std::binary_search(codes.begin(), codes.end(), code);
+               },
+               out);
     return;
   }
   std::vector<i32> scratch(count + kDecodeSlack);
@@ -248,232 +303,89 @@ void SelectCodesIn(const u8* codes_vec, u32 count,
 }
 
 // --- per-type leaf kernels ---------------------------------------------------
-// All return raw matches over stored values; null correction happens once
-// in the caller. `fast` reports whether a compressed-form path ran.
+// Both return raw matches over stored values; null correction happens once
+// in the caller.
 
-RoaringBitmap SelectIntLeafRaw(const u8* block, const BlockHeader& h,
-                               const PredicateExpr& leaf,
-                               const CompressionConfig& config, bool* fast) {
-  IntLeafCtx ctx(leaf);
+// T is i32 (Ctx = IntLeafCtx) or double (Ctx = DoubleLeafCtx).
+template <typename T, typename Ctx>
+RoaringBitmap SelectNumericLeafRaw(const layout::Block& b, Shape shape,
+                                   const Ctx& ctx) {
+  auto match = [&](T v) { return ctx.Match(v); };
+  const u8* payload = b.payload();
   RoaringBitmap out;
-  *fast = true;
-  switch (static_cast<IntSchemeCode>(h.scheme)) {
-    case IntSchemeCode::kOneValue: {
-      i32 stored;
-      std::memcpy(&stored, h.payload, sizeof(i32));
-      return ctx.Match(stored) ? AllRows(h.count) : RoaringBitmap();
-    }
-    case IntSchemeCode::kRle: {
-      u32 run_count, values_bytes;
-      std::memcpy(&run_count, h.payload, sizeof(u32));
-      std::memcpy(&values_bytes, h.payload + 4, sizeof(u32));
-      std::vector<i32> run_values(run_count + kDecodeSlack);
-      std::vector<i32> run_lengths(run_count + kDecodeSlack);
-      DecompressInts(h.payload + 8, run_count, run_values.data());
-      DecompressInts(h.payload + 8 + values_bytes, run_count,
-                     run_lengths.data());
-      u32 position = 0;
-      for (u32 r = 0; r < run_count; r++) {
-        u32 length = static_cast<u32>(run_lengths[r]);
-        if (ctx.Match(run_values[r])) out.AddRange(position, position + length);
-        position += length;
-      }
+  switch (shape) {
+    case Shape::kOneValue:
+      if (match(layout::ReadOneValue<T>(payload))) out = AllRows(b.count);
+      return out;
+    case Shape::kRle:
+      SelectRuns(layout::DecodeRuns<T>(layout::ReadRle(payload)), match, &out);
+      return out;
+    case Shape::kDict: {
+      layout::Dict<T> dict = layout::ReadDict<T>(payload);
+      auto entry_matches = [&](u32 d) { return match(dict.entries[d]); };
+      SelectCodesIn(dict.codes, b.count,
+                    MatchingCodes(dict.entries.size(), entry_matches), &out);
       return out;
     }
-    case IntSchemeCode::kDict: {
-      u32 dict_count, codes_bytes;
-      std::memcpy(&dict_count, h.payload, sizeof(u32));
-      std::memcpy(&codes_bytes, h.payload + 4, sizeof(u32));
-      const u8* codes_vec = h.payload + 8;
-      const u8* dict_bytes = codes_vec + codes_bytes;
-      std::vector<i32> matching_codes;
-      for (u32 d = 0; d < dict_count; d++) {
-        i32 entry;
-        std::memcpy(&entry, dict_bytes + d * sizeof(i32), sizeof(i32));
-        if (ctx.Match(entry)) matching_codes.push_back(static_cast<i32>(d));
+    case Shape::kFrequency: {
+      layout::Frequency<T> f = layout::DecodeFrequency<T>(payload);
+      if (match(f.top)) {
+        out = RoaringBitmap::AndNot(AllRows(b.count), f.positions);
       }
-      SelectCodesIn(codes_vec, h.count, matching_codes, &out);
+      u32 e = 0;
+      f.positions.ForEach([&](u32 position) {
+        if (match(f.exceptions[e++])) out.Add(position);
+      });
       return out;
     }
-    case IntSchemeCode::kFrequency: {
-      i32 top;
-      u32 exception_count, bitmap_bytes;
-      std::memcpy(&top, h.payload, sizeof(i32));
-      std::memcpy(&exception_count, h.payload + 4, sizeof(u32));
-      std::memcpy(&bitmap_bytes, h.payload + 8, sizeof(u32));
-      RoaringBitmap exceptions =
-          RoaringBitmap::Deserialize(h.payload + 12, nullptr);
-      if (ctx.Match(top)) {
-        out = RoaringBitmap::AndNot(AllRows(h.count), exceptions);
-      }
-      if (exception_count > 0) {
-        std::vector<i32> exception_values(exception_count + kDecodeSlack);
-        DecompressInts(h.payload + 12 + bitmap_bytes, exception_count,
-                       exception_values.data());
-        u32 e = 0;
-        exceptions.ForEach([&](u32 position) {
-          if (ctx.Match(exception_values[e++])) out.Add(position);
-        });
-      }
-      return out;
-    }
-    case IntSchemeCode::kBp128: {
-      if (!ctx.is_set) {
-        if (!ctx.range.empty) {
-          simd::SelectBp128Range(h.payload, h.count, 0, ctx.range.lo,
-                                 ctx.range.hi, &out);
-        }
-        return out;
-      }
-      [[fallthrough]];  // IN over bit-packed data: scratch decode
-    }
-    default: {
-      *fast = false;
-      std::vector<i32> scratch(h.count + kDecodeSlack);
-      DecompressInts(h.body, h.count, scratch.data());
-      if (ctx.is_set) {
-        simd::SelectI32Set(scratch.data(), h.count, 0, *ctx.set, &out);
-      } else if (!ctx.range.empty) {
-        simd::SelectI32Range(scratch.data(), h.count, 0, ctx.range.lo,
-                             ctx.range.hi, &out);
-      }
-      (void)config;
-      return out;
-    }
-  }
-}
-
-RoaringBitmap SelectDoubleLeafRaw(const u8* block, const BlockHeader& h,
-                                  const PredicateExpr& leaf,
-                                  const CompressionConfig& config,
-                                  bool* fast) {
-  DoubleLeafCtx ctx(leaf);
-  RoaringBitmap out;
-  *fast = true;
-  switch (static_cast<DoubleSchemeCode>(h.scheme)) {
-    case DoubleSchemeCode::kOneValue: {
-      double stored;
-      std::memcpy(&stored, h.payload, sizeof(double));
-      return ctx.Match(stored) ? AllRows(h.count) : RoaringBitmap();
-    }
-    case DoubleSchemeCode::kRle: {
-      u32 run_count, values_bytes;
-      std::memcpy(&run_count, h.payload, sizeof(u32));
-      std::memcpy(&values_bytes, h.payload + 4, sizeof(u32));
-      std::vector<double> run_values(run_count + kDecodeSlack);
-      std::vector<i32> run_lengths(run_count + kDecodeSlack);
-      DecompressDoubles(h.payload + 8, run_count, run_values.data());
-      DecompressInts(h.payload + 8 + values_bytes, run_count,
-                     run_lengths.data());
-      u32 position = 0;
-      for (u32 r = 0; r < run_count; r++) {
-        u32 length = static_cast<u32>(run_lengths[r]);
-        if (ctx.Match(run_values[r])) out.AddRange(position, position + length);
-        position += length;
-      }
-      return out;
-    }
-    case DoubleSchemeCode::kDict: {
-      u32 dict_count, codes_bytes;
-      std::memcpy(&dict_count, h.payload, sizeof(u32));
-      std::memcpy(&codes_bytes, h.payload + 4, sizeof(u32));
-      const u8* codes_vec = h.payload + 8;
-      const u8* dict_bytes = codes_vec + codes_bytes;
-      std::vector<i32> matching_codes;
-      for (u32 d = 0; d < dict_count; d++) {
-        double entry;
-        std::memcpy(&entry, dict_bytes + d * sizeof(double), sizeof(double));
-        if (ctx.Match(entry)) matching_codes.push_back(static_cast<i32>(d));
-      }
-      SelectCodesIn(codes_vec, h.count, matching_codes, &out);
-      return out;
-    }
-    case DoubleSchemeCode::kFrequency: {
-      double top;
-      u32 exception_count, bitmap_bytes;
-      std::memcpy(&top, h.payload, sizeof(double));
-      std::memcpy(&exception_count, h.payload + 8, sizeof(u32));
-      std::memcpy(&bitmap_bytes, h.payload + 12, sizeof(u32));
-      RoaringBitmap exceptions =
-          RoaringBitmap::Deserialize(h.payload + 16, nullptr);
-      if (ctx.Match(top)) {
-        out = RoaringBitmap::AndNot(AllRows(h.count), exceptions);
-      }
-      if (exception_count > 0) {
-        std::vector<double> exception_values(exception_count + kDecodeSlack);
-        DecompressDoubles(h.payload + 16 + bitmap_bytes, exception_count,
-                          exception_values.data());
-        u32 e = 0;
-        exceptions.ForEach([&](u32 position) {
-          if (ctx.Match(exception_values[e++])) out.Add(position);
-        });
-      }
-      return out;
-    }
-    default: {
-      *fast = false;
-      std::vector<double> scratch(h.count + kDecodeSlack);
-      DecompressDoubles(h.body, h.count, scratch.data());
-      if (ctx.is_bits) {
-        simd::SelectF64BitsSet(scratch.data(), h.count, 0, ctx.bits, &out);
-      } else {
-        simd::SelectF64Range(scratch.data(), h.count, 0, ctx.range.lo,
-                             ctx.range.hi, ctx.range.lo_strict,
-                             ctx.range.hi_strict, &out);
-      }
-      (void)config;
-      return out;
-    }
-  }
-}
-
-RoaringBitmap SelectStringLeafRaw(const u8* block, const BlockHeader& h,
-                                  const PredicateExpr& leaf,
-                                  const CompressionConfig& config,
-                                  bool* fast) {
-  RoaringBitmap out;
-  *fast = true;
-  switch (static_cast<StringSchemeCode>(h.scheme)) {
-    case StringSchemeCode::kOneValue: {
-      u32 length;
-      std::memcpy(&length, h.payload, sizeof(u32));
-      std::string_view stored(reinterpret_cast<const char*>(h.payload + 4),
-                              length);
-      return MatchString(stored, leaf) ? AllRows(h.count) : RoaringBitmap();
-    }
-    case StringSchemeCode::kDict: {
-      u32 dict_count, pool_bytes, codes_bytes;
-      std::memcpy(&dict_count, h.payload, sizeof(u32));
-      std::memcpy(&pool_bytes, h.payload + 4, sizeof(u32));
-      std::memcpy(&codes_bytes, h.payload + 8, sizeof(u32));
-      (void)pool_bytes;
-      const u8* codes_vec = h.payload + 12;
-      const u8* tuple_bytes = codes_vec + codes_bytes;
-      const char* pool = reinterpret_cast<const char*>(
-          tuple_bytes + dict_count * sizeof(StringSlot));
-      std::vector<i32> matching_codes;
-      for (u32 d = 0; d < dict_count; d++) {
-        StringSlot tuple;
-        std::memcpy(&tuple, tuple_bytes + d * sizeof(StringSlot),
-                    sizeof(StringSlot));
-        if (MatchString(std::string_view(pool + tuple.offset, tuple.length),
-                        leaf)) {
-          matching_codes.push_back(static_cast<i32>(d));
+    case Shape::kBp128:
+      if constexpr (std::is_same_v<T, i32>) {
+        if (!ctx.is_set) {
+          if (!ctx.range.empty) {
+            simd::SelectBp128Range(payload, b.count, 0, ctx.range.lo,
+                                   ctx.range.hi, &out);
+          }
+          return out;
         }
       }
-      SelectCodesIn(codes_vec, h.count, matching_codes, &out);
-      return out;
-    }
-    default: {
-      *fast = false;
-      DecodedBlock decoded;
-      DecompressBlock(block, &decoded, config);
-      for (u32 i = 0; i < decoded.count; i++) {
-        if (MatchString(decoded.strings.Get(i), leaf)) out.Add(i);
+      break;  // IN over bit-packed data: scratch decode
+    case Shape::kDecode:
+      break;
+  }
+  std::vector<T> scratch(b.count + kDecodeSlack);
+  DecompressValues(b.vector, b.count, scratch.data());
+  ctx.SelectDecoded(scratch.data(), b.count, &out);
+  return out;
+}
+
+RoaringBitmap SelectStringLeafRaw(const layout::Block& b, Shape shape,
+                                  const PredicateExpr& leaf,
+                                  const CompressionConfig& config) {
+  RoaringBitmap out;
+  switch (shape) {
+    case Shape::kOneValue:
+      if (MatchString(layout::ReadOneString(b.payload()), leaf)) {
+        out = AllRows(b.count);
       }
       return out;
+    case Shape::kDict: {
+      layout::StringDict dict = layout::ReadStringDict(b.payload());
+      auto entry_matches = [&](u32 d) {
+        return MatchString(dict.Entry(d), leaf);
+      };
+      SelectCodesIn(dict.codes, b.count,
+                    MatchingCodes(dict.entries.size(), entry_matches), &out);
+      return out;
     }
+    default:
+      break;
   }
+  DecodedStrings strings;
+  DecompressStrings(b.vector, b.count, &strings, config);
+  for (u32 i = 0; i < b.count; i++) {
+    if (MatchString(strings.Get(i), leaf)) out.Add(i);
+  }
+  return out;
 }
 
 // --- Kleene recursion --------------------------------------------------------
@@ -568,32 +480,33 @@ EvalResult EvaluateExpr(
   auto eval_leaf = [&](const PredicateExpr& leaf, u32 index) {
     const u8* block = block_of(leaf.column);
     BTR_CHECK(block != nullptr);
-    BlockHeader h = ParseHeader(block);
-    BTR_CHECK(h.type == leaf.type);
-    bool fast = false;
+    layout::Block b = layout::ReadBlock(block);
+    BTR_CHECK(b.type == leaf.type);
+    Shape shape = ShapeOf(b.type, b.scheme());
     RoaringBitmap raw;
     switch (leaf.type) {
       case ColumnType::kInteger:
-        raw = SelectIntLeafRaw(block, h, leaf, config, &fast);
+        raw = SelectNumericLeafRaw<i32>(b, shape, IntLeafCtx(leaf));
         break;
       case ColumnType::kDouble:
-        raw = SelectDoubleLeafRaw(block, h, leaf, config, &fast);
+        raw = SelectNumericLeafRaw<double>(b, shape, DoubleLeafCtx(leaf));
         break;
       case ColumnType::kString:
-        raw = SelectStringLeafRaw(block, h, leaf, config, &fast);
+        raw = SelectStringLeafRaw(b, shape, leaf, config);
         break;
     }
     raw.RunOptimize();
+    bool fast = IsFastPath(shape, leaf.op);
     CountLeafMetric(fast);
     if (leaf_stats != nullptr && index < leaf_stats->size()) {
       ((*leaf_stats)[index].*(fast ? &LeafEvalStats::fast_path
                                    : &LeafEvalStats::materialized))++;
     }
     EvalResult out;
-    if (h.null_bytes > 0) {
+    if (b.null_bytes > 0) {
       // NULL rows store default values inside the encodings; pull them
       // back out of the raw matches and report them as UNKNOWN.
-      RoaringBitmap nulls = RoaringBitmap::Deserialize(h.null_blob, nullptr);
+      RoaringBitmap nulls = b.NullRows();
       out.pass = RoaringBitmap::AndNot(raw, nulls);
       out.unknown = std::move(nulls);
     } else {
@@ -651,9 +564,8 @@ EvalResult EvaluateExprDecoded(
 
 RoaringBitmap SelectMatches(const u8* block, const PredicateExpr& expr,
                             const CompressionConfig& config) {
-  BlockHeader h = ParseHeader(block);
   EvalResult r = EvaluateExpr(
-      expr, h.count,
+      expr, layout::ReadBlock(block).count,
       [block](const std::string&) { return block; }, config, nullptr);
   return std::move(r.pass);
 }
@@ -664,42 +576,9 @@ u32 CountMatches(const u8* block, const PredicateExpr& expr,
 }
 
 bool HasFastPath(const u8* block, const PredicateExpr& leaf) {
-  BlockHeader h = ParseHeader(block);
-  if (!leaf.IsLeaf() || h.type != leaf.type) return false;
-  switch (h.type) {
-    case ColumnType::kInteger:
-      switch (static_cast<IntSchemeCode>(h.scheme)) {
-        case IntSchemeCode::kOneValue:
-        case IntSchemeCode::kRle:
-        case IntSchemeCode::kDict:
-        case IntSchemeCode::kFrequency:
-          return true;
-        case IntSchemeCode::kBp128:
-          // Range ops ride the miniblock-pruning kernel; IN does not.
-          return leaf.op != CompareOp::kIn;
-        default:
-          return false;
-      }
-    case ColumnType::kDouble:
-      switch (static_cast<DoubleSchemeCode>(h.scheme)) {
-        case DoubleSchemeCode::kOneValue:
-        case DoubleSchemeCode::kRle:
-        case DoubleSchemeCode::kDict:
-        case DoubleSchemeCode::kFrequency:
-          return true;
-        default:
-          return false;
-      }
-    case ColumnType::kString:
-      switch (static_cast<StringSchemeCode>(h.scheme)) {
-        case StringSchemeCode::kOneValue:
-        case StringSchemeCode::kDict:
-          return true;
-        default:
-          return false;
-      }
-  }
-  return false;
+  layout::Block b = layout::ReadBlock(block);
+  return leaf.IsLeaf() && b.type == leaf.type &&
+         IsFastPath(ShapeOf(b.type, b.scheme()), leaf.op);
 }
 
 }  // namespace btr

@@ -16,7 +16,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "service/scan_service.h"
-#include "util/crc32c.h"
 #include "util/timer.h"
 #include "write/manifest.h"
 #include "write/streaming_writer.h"
@@ -231,27 +230,18 @@ Status Scanner::Open(const ScanConfig& config) {
   // sizes and payload CRCs, turned into payload offsets for the
   // block-granular GETs Scan() issues later and the integrity checks run
   // on what they return.
-  block_offsets_.assign(meta_.columns.size(), {});
-  block_crcs_.assign(meta_.columns.size(), {});
+  column_files_.assign(meta_.columns.size(), {});
   for (size_t c = 0; c < meta_.columns.size(); c++) {
     const std::string key = ColumnFileKey(prefix_, resolved_name_, c);
     if (!store_->Contains(key)) {
       return Status::NotFound("column object missing: " + key);
     }
     u64 block_count = meta_.columns[c].block_value_counts.size();
-    u64 header_bytes = ColumnFileHeaderBytes(block_count);
-    BTR_RETURN_IF_ERROR(fetch(key, header_bytes, &blob));
-    std::vector<u32> sizes;
-    BTR_RETURN_IF_ERROR(ParseColumnFileHeader(blob.data(), blob.size(), &sizes,
-                                              &block_crcs_[c]));
-    if (sizes.size() != block_count) {
+    BTR_RETURN_IF_ERROR(fetch(key, ColumnFileHeaderBytes(block_count), &blob));
+    BTR_RETURN_IF_ERROR(
+        ParseColumnFileHeader(blob.data(), blob.size(), &column_files_[c]));
+    if (column_files_[c].block_count() != block_count) {
       return Status::Corruption("metadata/column block count mismatch: " + key);
-    }
-    std::vector<u64>& offsets = block_offsets_[c];
-    offsets.resize(block_count + 1);
-    offsets[0] = header_bytes;
-    for (u64 b = 0; b < block_count; b++) {
-      offsets[b + 1] = offsets[b] + sizes[b];
     }
   }
   opened_ = true;
@@ -571,14 +561,14 @@ void Scanner::Job::Plan() {
     if (pruned_[b]) continue;
     for (u32 pos = 0; pos < needed_count_; pos++) {
       const u32 column = resolved_.needed[pos];
-      const std::vector<u64>& offsets = scanner_.block_offsets_[column];
+      const ColumnFileHeader& file = scanner_.column_files_[column];
       exec::FetchRequest request;
       request.key = ColumnFileKey(scanner_.prefix_, scanner_.resolved_name_,
                                   column);
-      request.offset = offsets[b];
-      request.length = offsets[b + 1] - offsets[b];
+      request.offset = file.block_offsets[b];
+      request.length = file.block_size(b);
       request.tag = static_cast<u64>(b) * needed_count_ + pos;
-      request.expected_crc = scanner_.block_crcs_[column][b];
+      request.expected_crc = file.block_crcs[b];
       requests_.push_back(std::move(request));
     }
   }
@@ -785,14 +775,11 @@ Status Scanner::Job::DecodeBundle(u32 b, Bundle& bundle, BlockResult* result) {
     }
     const ByteBuffer* part = bundle.parts[pos].get();
     const u32 column = resolved_.needed[pos];
-    const std::vector<u64>& offsets = scanner_.block_offsets_[column];
-    const u32 expected_crc = scanner_.block_crcs_[column][b];
+    const ColumnFileHeader& file = scanner_.column_files_[column];
     // Integrity first: the payload must be exactly the bytes the column
     // header promised. Catches truncated ranges (size) and flipped bits
     // (CRC32C) before any parsing logic sees the data.
-    const u64 expected_size = offsets[b + 1] - offsets[b];
-    if (part->size() != expected_size ||
-        Crc32c(part->data(), part->size()) != expected_crc) {
+    if (!file.Intact(b, part->data(), part->size())) {
       metrics.crc_failures.Add();
       // The mismatch may be transient wire corruption rather than
       // at-rest damage: re-fetch the range once, straight from the store
@@ -805,11 +792,10 @@ Status Scanner::Job::DecodeBundle(u32 b, Bundle& bundle, BlockResult* result) {
         const std::string key = ColumnFileKey(
             scanner_.prefix_, scanner_.resolved_name_, column);
         std::vector<u8> fresh;
-        Status refetch =
-            scanner_.store_->GetChunk(key, offsets[b], expected_size, &fresh);
+        Status refetch = scanner_.store_->GetChunk(
+            key, file.block_offsets[b], file.block_size(b), &fresh);
         gets_.fetch_add(1, std::memory_order_relaxed);
-        if (refetch.ok() && fresh.size() == expected_size &&
-            Crc32c(fresh.data(), fresh.size()) == expected_crc) {
+        if (refetch.ok() && file.Intact(b, fresh.data(), fresh.size())) {
           bytes_fetched_.fetch_add(fresh.size(), std::memory_order_relaxed);
           auto repaired = std::make_shared<ByteBuffer>();
           repaired->Append(fresh.data(), fresh.size());
@@ -817,8 +803,8 @@ Status Scanner::Job::DecodeBundle(u32 b, Bundle& bundle, BlockResult* result) {
           part = bundle.parts[pos].get();
           // The verified bytes are exactly what the cache wants; the
           // corrupt ones were already refused at admission.
-          CacheInsert(key, offsets[b], fresh.data(), fresh.size(),
-                      expected_crc);
+          CacheInsert(key, file.block_offsets[b], fresh.data(), fresh.size(),
+                      file.block_crcs[b]);
           metrics.crc_rescues.Add();
           crc_rescues_.fetch_add(1, std::memory_order_relaxed);
           rescued = true;
@@ -904,7 +890,7 @@ Status Scanner::Job::DecodeBundle(u32 b, Bundle& bundle, BlockResult* result) {
       DecompressBlock(part.data(), &result->decoded[p], scanner_.config_);
       obs::DecodeRecord record;
       record.column = &scanner_.meta_.columns[column].name;
-      record.offset = scanner_.block_offsets_[column][b];
+      record.offset = scanner_.column_files_[column].block_offsets[b];
       record.length = part.size();
       record.duration_ns = static_cast<u64>(decode_timer.ElapsedNanos());
       record.bytes_decoded = result->decoded[p].ValueBytes();

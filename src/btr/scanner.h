@@ -255,11 +255,9 @@ class Scanner {
   TableMeta meta_;
   bool has_zones_ = false;
   TableZoneMap zones_;
-  // Per column: byte offset of each block payload inside the column
-  // object, plus one past-the-end entry.
-  std::vector<std::vector<u64>> block_offsets_;
-  // Per column: CRC32C of each block payload, from the column header.
-  std::vector<std::vector<u32>> block_crcs_;
+  // Per column: the column object's header (block payload offsets and
+  // CRC32Cs).
+  std::vector<ColumnFileHeader> column_files_;
   // Wall nanoseconds the last successful Open() spent fetching/parsing
   // metadata — stamped into ScanProfile::open_ns when profiling.
   u64 open_ns_ = 0;

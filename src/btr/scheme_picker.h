@@ -31,15 +31,18 @@ void DecompressDoubles(const u8* in, u32 count, double* out);
 void DecompressStrings(const u8* in, u32 count, DecodedStrings* out,
                        const CompressionConfig& config);
 
-// Scheme byte inspection (tests, fused decompression, Table 4 reporting).
+// Type-generic spelling of DecompressInts / DecompressDoubles.
+inline void DecompressValues(const u8* in, u32 count, i32* out) {
+  DecompressInts(in, count, out);
+}
+inline void DecompressValues(const u8* in, u32 count, double* out) {
+  DecompressDoubles(in, count, out);
+}
+
+// Scheme byte of a compressed int vector (fused RLE+Dict decoding and
+// code-vector run arithmetic in the predicate engine).
 inline IntSchemeCode PeekIntScheme(const u8* in) {
   return static_cast<IntSchemeCode>(in[0]);
-}
-inline DoubleSchemeCode PeekDoubleScheme(const u8* in) {
-  return static_cast<DoubleSchemeCode>(in[0]);
-}
-inline StringSchemeCode PeekStringScheme(const u8* in) {
-  return static_cast<StringSchemeCode>(in[0]);
 }
 
 // Scheme selection without compressing (Figures 5/6): returns the scheme

@@ -7,6 +7,7 @@
 
 #include "bitmap/roaring.h"
 #include "btr/scheme_picker.h"
+#include "btr/schemes/decode_util.h"
 #include "btr/schemes/double_schemes.h"
 #include "btr/schemes/estimate_util.h"
 
@@ -58,19 +59,7 @@ size_t DoubleOneValue::Compress(const double* in, u32 count, ByteBuffer* out,
 }
 
 void DoubleOneValue::Decompress(const u8* in, u32 count, double* out) const {
-  double value;
-  std::memcpy(&value, in, sizeof(double));
-#if BTR_HAS_AVX2
-  if (SimdPolicy::Enabled()) {
-    const __m256d v = _mm256_set1_pd(value);
-    double* end = out + count;
-    for (double* p = out; p < end; p += 4) {
-      _mm256_storeu_pd(p, v);
-    }
-    return;
-  }
-#endif
-  for (u32 i = 0; i < count; i++) out[i] = value;
+  FillValue(layout::ReadOneValue<double>(in), count, out);
 }
 
 // --- RLE -------------------------------------------------------------------------
@@ -108,39 +97,11 @@ size_t DoubleRle::Compress(const double* in, u32 count, ByteBuffer* out,
 }
 
 void DoubleRle::Decompress(const u8* in, u32 count, double* out) const {
-  u32 run_count, values_bytes;
-  std::memcpy(&run_count, in, sizeof(u32));
-  std::memcpy(&values_bytes, in + 4, sizeof(u32));
-  const u8* values_blob = in + 8;
-  const u8* lengths_blob = values_blob + values_bytes;
-
-  std::vector<double> values(run_count + kDecodeSlack);
-  std::vector<i32> lengths(run_count + kDecodeSlack);
-  DecompressDoubles(values_blob, run_count, values.data());
-  DecompressInts(lengths_blob, run_count, lengths.data());
-
-#if BTR_HAS_AVX2
-  if (SimdPolicy::Enabled()) {
-    double* dst = out;
-    for (u32 run = 0; run < run_count; run++) {
-      double* target = dst + lengths[run];
-      const __m256d v = _mm256_set1_pd(values[run]);
-      for (; dst < target; dst += 4) {
-        _mm256_storeu_pd(dst, v);
-      }
-      dst = target;
-    }
-    BTR_DCHECK(dst == out + count);
-    (void)count;
-    return;
-  }
-#endif
-  double* dst = out;
-  for (u32 run = 0; run < run_count; run++) {
-    double value = values[run];
-    for (i32 j = 0; j < lengths[run]; j++) *dst++ = value;
-  }
-  BTR_DCHECK(dst == out + count);
+  layout::Runs<double> runs = layout::DecodeRuns<double>(layout::ReadRle(in));
+  double* end = ExpandRuns([&](u32 r) { return runs.values[r]; },
+                           runs.lengths.data(), runs.count, out);
+  BTR_DCHECK(end == out + count);
+  (void)end;
   (void)count;
 }
 
@@ -178,75 +139,8 @@ size_t DoubleDict::Compress(const double* in, u32 count, ByteBuffer* out,
 }
 
 void DoubleDict::Decompress(const u8* in, u32 count, double* out) const {
-  u32 dict_count, codes_bytes;
-  std::memcpy(&dict_count, in, sizeof(u32));
-  std::memcpy(&codes_bytes, in + 4, sizeof(u32));
-  const u8* codes_blob = in + 8;
-  std::vector<double> dict_values(dict_count);
-  std::memcpy(dict_values.data(), codes_blob + codes_bytes,
-              dict_count * sizeof(double));
-  const double* dict = dict_values.data();
-
-  // Fused RLE+Dict, as for integers (paper Section 5).
-  if (PeekIntScheme(codes_blob) == IntSchemeCode::kRle) {
-    const u8* rle = codes_blob + 1;
-    u32 run_count, values_bytes;
-    std::memcpy(&run_count, rle, sizeof(u32));
-    std::memcpy(&values_bytes, rle + 4, sizeof(u32));
-    if (run_count * 3 <= count) {
-      std::vector<i32> run_codes(run_count + kDecodeSlack);
-      std::vector<i32> run_lengths(run_count + kDecodeSlack);
-      DecompressInts(rle + 8, run_count, run_codes.data());
-      DecompressInts(rle + 8 + values_bytes, run_count, run_lengths.data());
-      double* dst = out;
-#if BTR_HAS_AVX2
-      if (SimdPolicy::Enabled()) {
-        for (u32 r = 0; r < run_count; r++) {
-          const __m256d v = _mm256_set1_pd(dict[run_codes[r]]);
-          double* target = dst + run_lengths[r];
-          for (; dst < target; dst += 4) {
-            _mm256_storeu_pd(dst, v);
-          }
-          dst = target;
-        }
-        BTR_DCHECK(dst == out + count);
-        return;
-      }
-#endif
-      for (u32 r = 0; r < run_count; r++) {
-        double value = dict[run_codes[r]];
-        for (i32 j = 0; j < run_lengths[r]; j++) *dst++ = value;
-      }
-      BTR_DCHECK(dst == out + count);
-      return;
-    }
-  }
-
-  std::vector<i32> codes(count + kDecodeSlack);
-  DecompressInts(codes_blob, count, codes.data());
-
-#if BTR_HAS_AVX2
-  if (SimdPolicy::Enabled() && count >= 4) {
-    u32 i = 0;
-    for (; i + 16 <= count; i += 16) {
-      for (u32 u = 0; u < 4; u++) {
-        __m128i c = _mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(codes.data() + i + u * 4));
-        __m256d v = _mm256_i32gather_pd(dict, c, 8);
-        _mm256_storeu_pd(out + i + u * 4, v);
-      }
-    }
-    for (; i + 4 <= count; i += 4) {
-      __m128i c =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(codes.data() + i));
-      __m256d v = _mm256_i32gather_pd(dict, c, 8);
-      _mm256_storeu_pd(out + i, v);
-    }
-    for (; i < count; i++) out[i] = dict[codes[i]];
-    return;
-  }
-#endif
-  for (u32 i = 0; i < count; i++) out[i] = dict[codes[i]];
+  layout::Dict<double> dict = layout::ReadDict<double>(in);
+  DecodeDictionary(dict.codes, count, dict.entries.data(), /*fuse=*/true, out);
 }
 
 // --- Frequency ----------------------------------------------------------------------
@@ -297,23 +191,10 @@ size_t DoubleFrequency::Compress(const double* in, u32 count, ByteBuffer* out,
 }
 
 void DoubleFrequency::Decompress(const u8* in, u32 count, double* out) const {
-  double top;
-  u32 exception_count, bitmap_bytes;
-  std::memcpy(&top, in, sizeof(double));
-  std::memcpy(&exception_count, in + 8, sizeof(u32));
-  std::memcpy(&bitmap_bytes, in + 12, sizeof(u32));
-  const u8* bitmap_blob = in + 16;
-  RoaringBitmap bitmap = RoaringBitmap::Deserialize(bitmap_blob, nullptr);
-
-  for (u32 i = 0; i < count; i++) out[i] = top;
-  if (exception_count > 0) {
-    std::vector<double> exceptions(exception_count + kDecodeSlack);
-    DecompressDoubles(bitmap_blob + bitmap_bytes, exception_count,
-                      exceptions.data());
-    u32 e = 0;
-    bitmap.ForEach([&](u32 position) { out[position] = exceptions[e++]; });
-    BTR_DCHECK(e == exception_count);
-  }
+  layout::Frequency<double> f = layout::DecodeFrequency<double>(in);
+  FillValue(f.top, count, out);
+  u32 e = 0;
+  f.positions.ForEach([&](u32 position) { out[position] = f.exceptions[e++]; });
 }
 
 }  // namespace btr

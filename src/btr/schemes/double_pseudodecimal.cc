@@ -18,6 +18,7 @@
 #include "btr/scheme_picker.h"
 #include "btr/schemes/double_schemes.h"
 #include "btr/schemes/estimate_util.h"
+#include "util/simd.h"
 
 namespace btr {
 
@@ -170,7 +171,10 @@ void DoublePseudodecimal::Decompress(const u8* in, u32 count,
       __m128i exp =
           _mm_loadu_si128(reinterpret_cast<const __m128i*>(exps.data() + i));
       __m256d values = _mm256_cvtepi32_pd(dig);
-      __m256d multipliers = _mm256_i32gather_pd(kFrac10, exp, 8);
+      // Gathered as 64-bit integers: GCC's _mm256_i32gather_pd starts from
+      // an undefined vector and trips -Wmaybe-uninitialized.
+      __m256d multipliers = _mm256_castsi256_pd(_mm256_i32gather_epi64(
+          reinterpret_cast<const long long*>(kFrac10), exp, 8));
       _mm256_storeu_pd(out + i, _mm256_mul_pd(values, multipliers));
     }
   }

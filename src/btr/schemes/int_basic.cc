@@ -2,6 +2,7 @@
 #include <cstring>
 
 #include "bitpack/bitpack.h"
+#include "btr/schemes/decode_util.h"
 #include "btr/schemes/estimate_util.h"
 #include "btr/schemes/int_schemes.h"
 
@@ -40,19 +41,7 @@ size_t IntOneValue::Compress(const i32* in, u32 count, ByteBuffer* out,
 }
 
 void IntOneValue::Decompress(const u8* in, u32 count, i32* out) const {
-  i32 value;
-  std::memcpy(&value, in, sizeof(i32));
-#if BTR_HAS_AVX2
-  if (SimdPolicy::Enabled()) {
-    const __m256i v = _mm256_set1_epi32(value);
-    i32* end = out + count;
-    for (i32* p = out; p < end; p += 8) {
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
-    }
-    return;
-  }
-#endif
-  for (u32 i = 0; i < count; i++) out[i] = value;
+  FillValue(layout::ReadOneValue<i32>(in), count, out);
 }
 
 // --- FastBP128 ----------------------------------------------------------------------

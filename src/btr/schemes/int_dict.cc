@@ -1,6 +1,6 @@
 // Dictionary encoding for integers: distinct values get dense codes in
 // first-appearance order; the code vector cascades (paper Figure 3).
-// Decompression uses an AVX2 gather (paper Listing 3, bottom).
+// Decompression gathers through the dictionary (DecodeDictionary).
 //
 // Payload: [u32 dict_count][u32 codes_bytes][codes vector][raw dict i32s]
 #include <cstring>
@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "btr/scheme_picker.h"
+#include "btr/schemes/decode_util.h"
 #include "btr/schemes/estimate_util.h"
 #include "btr/schemes/int_schemes.h"
 
@@ -42,80 +43,8 @@ size_t IntDict::Compress(const i32* in, u32 count, ByteBuffer* out,
 }
 
 void IntDict::Decompress(const u8* in, u32 count, i32* out) const {
-  u32 dict_count, codes_bytes;
-  std::memcpy(&dict_count, in, sizeof(u32));
-  std::memcpy(&codes_bytes, in + 4, sizeof(u32));
-  const u8* codes_blob = in + 8;
-  // The dictionary sits at an arbitrary byte offset; copy to aligned
-  // scratch (it is small) so scalar loads and gathers stay well-defined.
-  std::vector<i32> dict_values(dict_count);
-  std::memcpy(dict_values.data(), codes_blob + codes_bytes,
-              dict_count * sizeof(i32));
-  const i32* dict = dict_values.data();
-
-  // Fused RLE+Dict (paper Section 5): when the code vector is
-  // RLE-compressed with long runs, skip the intermediate code array and
-  // broadcast looked-up values run by run.
-  if (PeekIntScheme(codes_blob) == IntSchemeCode::kRle) {
-    const u8* rle = codes_blob + 1;
-    u32 run_count, values_bytes;
-    std::memcpy(&run_count, rle, sizeof(u32));
-    std::memcpy(&values_bytes, rle + 4, sizeof(u32));
-    if (run_count * 3 <= count) {  // fusing hurts below avg run length 3
-      std::vector<i32> run_codes(run_count + kDecodeSlack);
-      std::vector<i32> run_lengths(run_count + kDecodeSlack);
-      DecompressInts(rle + 8, run_count, run_codes.data());
-      DecompressInts(rle + 8 + values_bytes, run_count, run_lengths.data());
-      i32* dst = out;
-#if BTR_HAS_AVX2
-      if (SimdPolicy::Enabled()) {
-        for (u32 r = 0; r < run_count; r++) {
-          const __m256i v = _mm256_set1_epi32(dict[run_codes[r]]);
-          i32* target = dst + run_lengths[r];
-          for (; dst < target; dst += 8) {
-            _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst), v);
-          }
-          dst = target;
-        }
-        BTR_DCHECK(dst == out + count);
-        return;
-      }
-#endif
-      for (u32 r = 0; r < run_count; r++) {
-        i32 value = dict[run_codes[r]];
-        for (i32 j = 0; j < run_lengths[r]; j++) *dst++ = value;
-      }
-      BTR_DCHECK(dst == out + count);
-      return;
-    }
-  }
-
-  std::vector<i32> codes(count + kDecodeSlack);
-  DecompressInts(codes_blob, count, codes.data());
-
-#if BTR_HAS_AVX2
-  if (SimdPolicy::Enabled() && count >= 8) {
-    u32 i = 0;
-    // 4x unrolled gather loop (paper Section 5).
-    for (; i + 32 <= count; i += 32) {
-      for (u32 u = 0; u < 4; u++) {
-        __m256i c = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(codes.data() + i + u * 8));
-        __m256i v = _mm256_i32gather_epi32(dict, c, 4);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i + u * 8), v);
-      }
-    }
-    for (; i + 8 <= count; i += 8) {
-      __m256i c = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(codes.data() + i));
-      __m256i v = _mm256_i32gather_epi32(dict, c, 4);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), v);
-    }
-    for (; i < count; i++) out[i] = dict[codes[i]];
-    return;
-  }
-#endif
-  for (u32 i = 0; i < count; i++) out[i] = dict[codes[i]];
+  layout::Dict<i32> dict = layout::ReadDict<i32>(in);
+  DecodeDictionary(dict.codes, count, dict.entries.data(), /*fuse=*/true, out);
 }
 
 }  // namespace btr

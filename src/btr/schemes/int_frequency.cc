@@ -4,12 +4,12 @@
 //
 // Payload: [i32 top][u32 exception_count][u32 bitmap_bytes][roaring bitmap]
 //          [exceptions vector]
-#include <cstring>
 #include <unordered_map>
 #include <vector>
 
 #include "bitmap/roaring.h"
 #include "btr/scheme_picker.h"
+#include "btr/schemes/decode_util.h"
 #include "btr/schemes/estimate_util.h"
 #include "btr/schemes/int_schemes.h"
 
@@ -61,37 +61,11 @@ size_t IntFrequency::Compress(const i32* in, u32 count, ByteBuffer* out,
 }
 
 void IntFrequency::Decompress(const u8* in, u32 count, i32* out) const {
-  i32 top;
-  u32 exception_count, bitmap_bytes;
-  std::memcpy(&top, in, sizeof(i32));
-  std::memcpy(&exception_count, in + 4, sizeof(u32));
-  std::memcpy(&bitmap_bytes, in + 8, sizeof(u32));
-  const u8* bitmap_blob = in + 12;
-  RoaringBitmap bitmap = RoaringBitmap::Deserialize(bitmap_blob, nullptr);
-
-  // Fill with the top value (same vectorized loop as OneValue)...
-#if BTR_HAS_AVX2
-  if (SimdPolicy::Enabled()) {
-    const __m256i v = _mm256_set1_epi32(top);
-    i32* end = out + count;
-    for (i32* p = out; p < end; p += 8) {
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
-    }
-  } else {
-    for (u32 i = 0; i < count; i++) out[i] = top;
-  }
-#else
-  for (u32 i = 0; i < count; i++) out[i] = top;
-#endif
-
-  // ...then patch the exceptions.
-  if (exception_count > 0) {
-    std::vector<i32> exceptions(exception_count + kDecodeSlack);
-    DecompressInts(bitmap_blob + bitmap_bytes, exception_count, exceptions.data());
-    u32 e = 0;
-    bitmap.ForEach([&](u32 position) { out[position] = exceptions[e++]; });
-    BTR_DCHECK(e == exception_count);
-  }
+  // Fill with the top value, then patch the exceptions.
+  layout::Frequency<i32> f = layout::DecodeFrequency<i32>(in);
+  FillValue(f.top, count, out);
+  u32 e = 0;
+  f.positions.ForEach([&](u32 position) { out[position] = f.exceptions[e++]; });
 }
 
 }  // namespace btr

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "btr/scheme_picker.h"
+#include "btr/schemes/decode_util.h"
 #include "btr/schemes/estimate_util.h"
 #include "btr/schemes/int_schemes.h"
 
@@ -44,39 +45,11 @@ size_t IntRle::Compress(const i32* in, u32 count, ByteBuffer* out,
 }
 
 void IntRle::Decompress(const u8* in, u32 count, i32* out) const {
-  u32 run_count, values_bytes;
-  std::memcpy(&run_count, in, sizeof(u32));
-  std::memcpy(&values_bytes, in + 4, sizeof(u32));
-  const u8* values_blob = in + 8;
-  const u8* lengths_blob = values_blob + values_bytes;
-
-  std::vector<i32> values(run_count + kDecodeSlack);
-  std::vector<i32> lengths(run_count + kDecodeSlack);
-  DecompressInts(values_blob, run_count, values.data());
-  DecompressInts(lengths_blob, run_count, lengths.data());
-
-#if BTR_HAS_AVX2
-  if (SimdPolicy::Enabled()) {
-    i32* dst = out;
-    for (u32 run = 0; run < run_count; run++) {
-      i32* target = dst + lengths[run];
-      const __m256i v = _mm256_set1_epi32(values[run]);
-      for (; dst < target; dst += 8) {
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst), v);
-      }
-      dst = target;  // correct the overshoot (paper Listing 3)
-    }
-    BTR_DCHECK(dst == out + count);
-    (void)count;
-    return;
-  }
-#endif
-  i32* dst = out;
-  for (u32 run = 0; run < run_count; run++) {
-    i32 value = values[run];
-    for (i32 j = 0; j < lengths[run]; j++) *dst++ = value;
-  }
-  BTR_DCHECK(dst == out + count);
+  layout::Runs<i32> runs = layout::DecodeRuns<i32>(layout::ReadRle(in));
+  i32* end = ExpandRuns([&](u32 r) { return runs.values[r]; },
+                        runs.lengths.data(), runs.count, out);
+  BTR_DCHECK(end == out + count);
+  (void)end;
   (void)count;
 }
 

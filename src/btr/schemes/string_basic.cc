@@ -6,6 +6,7 @@
 #include <cstring>
 #include <vector>
 
+#include "btr/layout.h"
 #include "btr/scheme_picker.h"
 #include "btr/schemes/estimate_util.h"
 #include "btr/schemes/string_schemes.h"
@@ -79,13 +80,12 @@ size_t StringOneValue::Compress(const StringsView& in, ByteBuffer* out,
 
 void StringOneValue::Decompress(const u8* in, u32 count, DecodedStrings* out,
                                 const CompressionConfig&) const {
-  u32 length;
-  std::memcpy(&length, in, sizeof(u32));
+  std::string_view value = layout::ReadOneString(in);
   u32 base = static_cast<u32>(out->pool.size());
-  out->pool.Append(in + 4, length);
+  out->pool.Append(value.data(), value.size());
   size_t slot_base = out->slots.size();
   out->slots.resize(slot_base + count);
-  const StringSlot slot{base, length};
+  const StringSlot slot{base, static_cast<u32>(value.size())};
   for (u32 i = 0; i < count; i++) out->slots[slot_base + i] = slot;
 }
 

@@ -16,6 +16,7 @@
 
 #include "fsst/fsst.h"
 #include "btr/scheme_picker.h"
+#include "btr/schemes/decode_util.h"
 #include "btr/schemes/estimate_util.h"
 #include "btr/schemes/string_schemes.h"
 
@@ -42,109 +43,26 @@ DictBuild BuildDictionary(const StringsView& in) {
   return build;
 }
 
-namespace {
-
-// Reads the RLE payload the integer cascade produced for the codes.
-// Returns false when the blob is not RLE or fusion does not pay off.
-bool TryFusedRleDecode(const u8* codes_blob, u32 count, const StringSlot* tuples,
-                       u32 base, const CompressionConfig& config,
-                       StringSlot* out) {
-  if (!config.fused_rle_dict) return false;
-  if (PeekIntScheme(codes_blob) != IntSchemeCode::kRle) return false;
-  const u8* payload = codes_blob + 1;
-  u32 run_count, values_bytes;
-  std::memcpy(&run_count, payload, sizeof(u32));
-  std::memcpy(&values_bytes, payload + 4, sizeof(u32));
-  // Paper Section 5: fusing hurts below an average run length of 3.
-  if (run_count * 3 > count) return false;
-
-  std::vector<i32> run_codes(run_count + kDecodeSlack);
-  std::vector<i32> run_lengths(run_count + kDecodeSlack);
-  DecompressInts(payload + 8, run_count, run_codes.data());
-  DecompressInts(payload + 8 + values_bytes, run_count, run_lengths.data());
-
-#if BTR_HAS_AVX2
-  if (SimdPolicy::Enabled()) {
-    StringSlot* dst = out;
-    for (u32 run = 0; run < run_count; run++) {
-      StringSlot slot = tuples[run_codes[run]];
-      slot.offset += base;
-      u64 slot_bits;
-      std::memcpy(&slot_bits, &slot, sizeof(u64));
-      const __m256i v = _mm256_set1_epi64x(static_cast<long long>(slot_bits));
-      StringSlot* target = dst + run_lengths[run];
-      for (; dst < target; dst += 4) {
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst), v);
-      }
-      dst = target;
-    }
-    BTR_DCHECK(dst == out + count);
-    return true;
-  }
-#endif
-  StringSlot* dst = out;
-  for (u32 run = 0; run < run_count; run++) {
-    StringSlot slot = tuples[run_codes[run]];
-    slot.offset += base;
-    for (i32 j = 0; j < run_lengths[run]; j++) *dst++ = slot;
-  }
-  BTR_DCHECK(dst == out + count);
-  return true;
-}
-
-}  // namespace
-
-void DecodeCodesToSlots(const u8* codes_blob, u32 count,
-                        const StringSlot* tuples, u32 base,
-                        const CompressionConfig& config, StringSlot* out) {
-  if (TryFusedRleDecode(codes_blob, count, tuples, base, config, out)) return;
-
-  std::vector<i32> codes(count + kDecodeSlack);
-  DecompressInts(codes_blob, count, codes.data());
-
-#if BTR_HAS_AVX2
-  if (SimdPolicy::Enabled() && count >= 4) {
-    // Slots are 64-bit tuples: gather 4 per step, then add the pool base
-    // to the offset halves (no carry: offsets stay below 2^32).
-    const __m256i base_v = _mm256_set1_epi64x(static_cast<long long>(base));
-    const long long* tuple_base = reinterpret_cast<const long long*>(tuples);
-    u32 i = 0;
-    for (; i + 16 <= count; i += 16) {
-      for (u32 u = 0; u < 4; u++) {
-        __m128i c = _mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(codes.data() + i + u * 4));
-        __m256i v = _mm256_i32gather_epi64(tuple_base, c, 8);
-        v = _mm256_add_epi64(v, base_v);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i + u * 4), v);
-      }
-    }
-    for (; i + 4 <= count; i += 4) {
-      __m128i c =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(codes.data() + i));
-      __m256i v = _mm256_i32gather_epi64(tuple_base, c, 8);
-      v = _mm256_add_epi64(v, base_v);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), v);
-    }
-    for (; i < count; i++) {
-      StringSlot slot = tuples[codes[i]];
-      slot.offset += base;
-      out[i] = slot;
-    }
-    return;
-  }
-#endif
-  for (u32 i = 0; i < count; i++) {
-    StringSlot slot = tuples[codes[i]];
-    slot.offset += base;
-    out[i] = slot;
-  }
-}
-
 }  // namespace string_detail
 
 using string_detail::BuildDictionary;
-using string_detail::DecodeCodesToSlots;
 using string_detail::DictBuild;
+
+namespace {
+
+// Appends one slot per row: the row's entry of `entries`, whose offsets
+// already point into out->pool.
+void AppendSlots(const u8* codes, u32 count,
+                 const std::vector<StringSlot>& entries,
+                 const CompressionConfig& config, DecodedStrings* out) {
+  size_t slot_base = out->slots.size();
+  out->slots.resize(slot_base + count + kDecodeSlack);
+  DecodeDictionary(codes, count, entries.data(), config.fused_rle_dict,
+                   out->slots.data() + slot_base);
+  out->slots.resize(slot_base + count);
+}
+
+}  // namespace
 
 // --- Dict ------------------------------------------------------------------------
 
@@ -177,25 +95,11 @@ size_t StringDict::Compress(const StringsView& in, ByteBuffer* out,
 
 void StringDict::Decompress(const u8* in, u32 count, DecodedStrings* out,
                             const CompressionConfig& config) const {
-  u32 dict_count, pool_bytes, codes_bytes;
-  std::memcpy(&dict_count, in, sizeof(u32));
-  std::memcpy(&pool_bytes, in + 4, sizeof(u32));
-  std::memcpy(&codes_bytes, in + 8, sizeof(u32));
-  const u8* codes_blob = in + 12;
-  const u8* tuple_bytes = codes_blob + codes_bytes;
-  const u8* pool = tuple_bytes + dict_count * sizeof(StringSlot);
-
-  // Tuples may be unaligned in the payload; copy to an aligned scratch.
-  std::vector<StringSlot> tuples(dict_count);
-  std::memcpy(tuples.data(), tuple_bytes, dict_count * sizeof(StringSlot));
-
+  layout::StringDict dict = layout::ReadStringDict(in);
   u32 base = static_cast<u32>(out->pool.size());
-  out->pool.Append(pool, pool_bytes);
-  size_t slot_base = out->slots.size();
-  out->slots.resize(slot_base + count + kDecodeSlack);
-  DecodeCodesToSlots(codes_blob, count, tuples.data(), base, config,
-                     out->slots.data() + slot_base);
-  out->slots.resize(slot_base + count);
+  out->pool.Append(dict.pool, dict.pool_bytes);
+  for (StringSlot& entry : dict.entries) entry.offset += base;
+  AppendSlots(dict.codes, count, dict.entries, config, out);
 }
 
 // --- DictFsst ----------------------------------------------------------------------
@@ -248,21 +152,16 @@ size_t StringDictFsst::Compress(const StringsView& in, ByteBuffer* out,
 
 void StringDictFsst::Decompress(const u8* in, u32 count, DecodedStrings* out,
                                 const CompressionConfig& config) const {
-  u32 dict_count, pool_bytes, codes_bytes;
-  std::memcpy(&dict_count, in, sizeof(u32));
-  std::memcpy(&pool_bytes, in + 4, sizeof(u32));
-  std::memcpy(&codes_bytes, in + 8, sizeof(u32));
+  u32 dict_count = layout::Load<u32>(in);
+  u32 pool_bytes = layout::Load<u32>(in + 4);
   const u8* codes_blob = in + 12;
-  const u8* cursor = codes_blob + codes_bytes;
-  u32 lens_bytes;
-  std::memcpy(&lens_bytes, cursor, sizeof(u32));
+  const u8* cursor = codes_blob + layout::Load<u32>(in + 8);
   const u8* lens_blob = cursor + 4;
-  cursor = lens_blob + lens_bytes;
+  cursor = lens_blob + layout::Load<u32>(cursor);
   size_t table_bytes;
   fsst::SymbolTable table = fsst::SymbolTable::Deserialize(cursor, &table_bytes);
   cursor += table_bytes;
-  u32 compressed_bytes;
-  std::memcpy(&compressed_bytes, cursor, sizeof(u32));
+  u32 compressed_bytes = layout::Load<u32>(cursor);
   const u8* compressed_pool = cursor + 4;
 
   // Decompress the dictionary pool once (paper Section 5: one block-wise
@@ -275,18 +174,13 @@ void StringDictFsst::Decompress(const u8* in, u32 count, DecodedStrings* out,
 
   std::vector<i32> lengths(dict_count + kDecodeSlack);
   DecompressInts(lens_blob, dict_count, lengths.data());
-  std::vector<StringSlot> tuples(dict_count);
-  u32 offset = 0;
+  std::vector<StringSlot> entries(dict_count);
+  u32 offset = base;
   for (u32 d = 0; d < dict_count; d++) {
-    tuples[d] = StringSlot{offset, static_cast<u32>(lengths[d])};
+    entries[d] = StringSlot{offset, static_cast<u32>(lengths[d])};
     offset += static_cast<u32>(lengths[d]);
   }
-
-  size_t slot_base = out->slots.size();
-  out->slots.resize(slot_base + count + kDecodeSlack);
-  DecodeCodesToSlots(codes_blob, count, tuples.data(), base, config,
-                     out->slots.data() + slot_base);
-  out->slots.resize(slot_base + count);
+  AppendSlots(codes_blob, count, entries, config, out);
 }
 
 }  // namespace btr

@@ -83,15 +83,6 @@ struct DictBuild {
 };
 DictBuild BuildDictionary(const StringsView& in);
 
-// Translates a compressed code vector into (offset, length) slots against
-// `tuples` (dictionary entry slots relative to the dict pool), adding
-// `base` to every offset. Uses the fused RLE+Dict path (paper Section 5)
-// when the code vector is RLE-compressed, the fusion is enabled, and the
-// average run length exceeds 3.
-void DecodeCodesToSlots(const u8* codes_blob, u32 count,
-                        const StringSlot* tuples, u32 base,
-                        const CompressionConfig& config, StringSlot* out);
-
 }  // namespace string_detail
 
 }  // namespace btr

@@ -241,22 +241,27 @@ void CompareDeltas128(const u32* deltas, u32 base, u32 dlo, u32 dhi, u32 bits,
 void SelectBp128Range(const u8* stream, u32 count, u32 base, i32 lo, i32 hi,
                       RoaringBitmap* out, Bp128ScanStats* stats) {
   if (lo > hi) return;
-  const u8* p = stream;
   alignas(32) u32 deltas[bitpack::kBlockSize];
-  u32 i = 0;
-  for (; i + bitpack::kBlockSize <= count; i += bitpack::kBlockSize) {
-    u32 min_word;
-    std::memcpy(&min_word, p, sizeof(u32));
-    u32 bits = p[4];
-    p += 5;
-    const u8* payload = p;
-    p += bitpack::Packed128Bytes(bits);
+  bitpack::Bp128Reader reader(stream, count);
+  for (bitpack::Bp128Frame frame; reader.Next(&frame);) {
+    u32 first = base + frame.first;
+    i64 bmin = static_cast<i32>(frame.reference);
+    if (frame.count < bitpack::kBlockSize) {
+      // Contiguously packed tail: always scalar (both policies take the
+      // same path, trivially preserving SIMD/scalar parity on the last
+      // values).
+      bitpack::UnpackFrame(frame, deltas);
+      for (u32 j = 0; j < frame.count; j++) {
+        i64 v = bmin + deltas[j];
+        if (v >= lo && v <= hi) out->Add(first + j);
+      }
+      continue;
+    }
     if (stats != nullptr) stats->miniblocks++;
 
     // Frame-of-reference envelope: every value lies in [bmin, bmin+mask].
     // i64 math sidesteps overflow at the i32 extremes.
-    i64 bmin = static_cast<i32>(min_word);
-    u64 mask = bits == 32 ? 0xFFFFFFFFull : ((u64{1} << bits) - 1);
+    u64 mask = frame.bits == 32 ? 0xFFFFFFFFull : ((u64{1} << frame.bits) - 1);
     i64 bmax = bmin + static_cast<i64>(mask);
     if (bmin > hi || bmax < lo) {  // byte-prune: skip the packed payload
       if (stats != nullptr) stats->pruned++;
@@ -264,31 +269,15 @@ void SelectBp128Range(const u8* stream, u32 count, u32 base, i32 lo, i32 hi,
     }
     if (bmin >= lo && bmax <= hi) {  // whole-accept without unpacking
       if (stats != nullptr) stats->accepted++;
-      out->AddRange(base + i, base + i + bitpack::kBlockSize);
+      out->AddRange(first, first + bitpack::kBlockSize);
       continue;
     }
     if (stats != nullptr) stats->scanned++;
-    bitpack::Unpack128(payload, bits, deltas);
+    bitpack::UnpackFrame(frame, deltas);
     u32 dlo = static_cast<u32>(std::max<i64>(0, static_cast<i64>(lo) - bmin));
     u32 dhi = static_cast<u32>(
         std::min<i64>(static_cast<i64>(mask), static_cast<i64>(hi) - bmin));
-    CompareDeltas128(deltas, base + i, dlo, dhi, bits, out);
-  }
-  if (i < count) {
-    // Contiguously packed tail: always scalar (both policies take the same
-    // path, trivially preserving SIMD/scalar parity on the last values).
-    u32 tail = count - i;
-    u32 min_word;
-    std::memcpy(&min_word, p, sizeof(u32));
-    u32 bits = p[4];
-    p += 5;
-    i64 bmin = static_cast<i32>(min_word);
-    std::vector<u32> tail_deltas(tail + 2);  // +slack: UnpackScalar windows
-    bitpack::UnpackScalar(p, tail, bits, tail_deltas.data());
-    for (u32 j = 0; j < tail; j++) {
-      i64 v = bmin + tail_deltas[j];
-      if (v >= lo && v <= hi) out->Add(base + i + j);
-    }
+    CompareDeltas128(deltas, first, dlo, dhi, frame.bits, out);
   }
 }
 

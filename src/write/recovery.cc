@@ -194,9 +194,9 @@ Status VerifyCommitted(FsckContext& ctx, u64 committed) {
   }
   for (size_t c = 0; c < meta.columns.size(); c++) {
     status = ctx.Get(ColumnFileKey(ctx.prefix, name, c), &blob);
-    std::vector<u32> sizes, crcs;
+    ColumnFileHeader header;
     if (status.ok()) {
-      status = ParseColumnFileHeader(blob.data(), blob.size(), &sizes, &crcs);
+      status = ParseColumnFileHeader(blob.data(), blob.size(), &header);
     }
     if (!status.ok()) {
       ctx.report->verify_failures++;
@@ -205,16 +205,14 @@ Status VerifyCommitted(FsckContext& ctx, u64 committed) {
                " unreadable: " + status.ToString());
       continue;
     }
-    size_t offset = ColumnFileHeaderBytes(sizes.size());
-    for (size_t b = 0; b < sizes.size(); b++) {
-      if (offset + sizes[b] > blob.size() ||
-          Crc32c(blob.data() + offset, sizes[b]) != crcs[b]) {
+    for (size_t b = 0; b < header.block_count(); b++) {
+      const u8* payload;
+      if (!header.Locate(blob.data(), blob.size(), b, &payload).ok()) {
         ctx.report->verify_failures++;
         ctx.report->clean = false;
         ctx.Note("committed column " + std::to_string(c) + " block " +
                  std::to_string(b) + " CRC mismatch");
       }
-      offset += sizes[b];
     }
   }
   return Status::Ok();

@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "btr/kernels/scan_kernels.h"
 #include "btr/predicate.h"
 #include "btr/relation.h"
 #include "btr/scheme_picker.h"
@@ -18,29 +17,20 @@ namespace {
 
 CompressionConfig DefaultConfig() { return CompressionConfig{}; }
 
-// Equality counting through the public PredicateExpr API, cross-checked
-// against the retained internal kernels (btr/kernels/scan_kernels.h) so
-// both surfaces stay bit-identical.
+// Equality counting through the PredicateExpr engine.
 u32 CountEqInt(const u8* block, i32 value, const CompressionConfig& config) {
-  u32 via_expr = CountMatches(block, Predicate::EqualsInt("c", value), config);
-  EXPECT_EQ(via_expr, kernels::CountEqualsInt(block, value, config));
-  return via_expr;
+  return CountMatches(block, Predicate::EqualsInt("c", value), config);
 }
 
 u32 CountEqDouble(const u8* block, double value,
                   const CompressionConfig& config) {
-  u32 via_expr =
-      CountMatches(block, Predicate::EqualsDouble("c", value), config);
-  EXPECT_EQ(via_expr, kernels::CountEqualsDouble(block, value, config));
-  return via_expr;
+  return CountMatches(block, Predicate::EqualsDouble("c", value), config);
 }
 
 u32 CountEqString(const u8* block, std::string_view value,
                   const CompressionConfig& config) {
-  u32 via_expr = CountMatches(
-      block, Predicate::EqualsString("c", std::string(value)), config);
-  EXPECT_EQ(via_expr, kernels::CountEqualsString(block, value, config));
-  return via_expr;
+  return CountMatches(block, Predicate::EqualsString("c", std::string(value)),
+                      config);
 }
 
 // Reference count via full materialization.
@@ -175,8 +165,8 @@ TEST(CompressedScanTest, OneValueFastPath) {
   std::vector<i32> data(64000, 42);
   ByteBuffer block;
   CompressIntBlock(data.data(), nullptr, 64000, &block, config);
-  EXPECT_TRUE(kernels::HasFastEqualsPath(block.data()));
   EXPECT_TRUE(HasFastPath(block.data(), Predicate::EqualsInt("c", 42)));
+  EXPECT_TRUE(HasFastPath(block.data(), Predicate::InInt("c", {41, 42})));
   EXPECT_EQ(CountEqInt(block.data(), 42, config), 64000u);
   EXPECT_EQ(CountEqInt(block.data(), 43, config), 0u);
 }
@@ -188,10 +178,11 @@ TEST(CompressedScanTest, FastPathDetection) {
   for (i32 i = 0; i < 64000; i++) seq[i] = i;
   ByteBuffer bp_block;
   CompressIntBlock(seq.data(), nullptr, 64000, &bp_block, config);
-  EXPECT_FALSE(kernels::HasFastEqualsPath(bp_block.data()));
-  // The expression engine *does* have a Bp128 range fast path for
-  // equality (miniblock envelopes), unlike the legacy equality kernels.
+  ASSERT_EQ(PeekBlockScheme(bp_block.data()),
+            static_cast<u8>(IntSchemeCode::kBp128));
+  // Equality rides the Bp128 miniblock envelopes; IN decodes into scratch.
   EXPECT_TRUE(HasFastPath(bp_block.data(), Predicate::EqualsInt("c", 5)));
+  EXPECT_FALSE(HasFastPath(bp_block.data(), Predicate::InInt("c", {5, 6})));
   // ...but the count is still exact via the fallback.
   EXPECT_EQ(CountEqInt(bp_block.data(), 12345, config), 1u);
   EXPECT_EQ(CountEqInt(bp_block.data(), -1, config), 0u);
