@@ -50,7 +50,7 @@ void Run() {
     std::vector<i32> data =
         datagen::MakeInts(datagen::IntArchetype::kSkewedCategory, kRows, 1);
     ByteBuffer block;
-    CompressIntBlock(data.data(), nullptr, kRows, &block, config);
+    CompressBlock(data.data(), nullptr, kRows, &block, config);
     DecodedBlock scratch;
     Measure("int skewed (= dominant)", "int_skewed", block,
             Predicate::EqualsInt("c", 1), config,
@@ -65,7 +65,7 @@ void Run() {
     std::vector<i32> data =
         datagen::MakeInts(datagen::IntArchetype::kForeignKeyRuns, kRows, 2);
     ByteBuffer block;
-    CompressIntBlock(data.data(), nullptr, kRows, &block, config);
+    CompressBlock(data.data(), nullptr, kRows, &block, config);
     DecodedBlock scratch;
     i32 probe = data[kRows / 2];
     Measure("int fk runs (= key)", "int_fk_runs", block,
@@ -86,7 +86,7 @@ void Run() {
     std::vector<u32> offsets;
     StringsView view = c.StringBlock(0, kRows, &offsets);
     ByteBuffer block;
-    CompressStringBlock(view, nullptr, &block, config);
+    CompressBlock(view, nullptr, &block, config);
     DecodedBlock scratch;
     Measure("string cities (= PHOENIX)", "string_cities", block,
             Predicate::EqualsString("c", "PHOENIX"), config,
@@ -103,7 +103,7 @@ void Run() {
     std::vector<double> data =
         datagen::MakeDoubles(datagen::DoubleArchetype::kZeroDominant, kRows, 4);
     ByteBuffer block;
-    CompressDoubleBlock(data.data(), nullptr, kRows, &block, config);
+    CompressBlock(data.data(), nullptr, kRows, &block, config);
     DecodedBlock scratch;
     Measure("double zero-dom (= 0.0)", "double_zero_dom", block,
             Predicate::EqualsDouble("c", 0.0), config,
@@ -122,7 +122,7 @@ void Run() {
     std::vector<i32> data =
         datagen::MakeInts(datagen::IntArchetype::kSequential, kRows, 5);
     ByteBuffer block;
-    CompressIntBlock(data.data(), nullptr, kRows, &block, config);
+    CompressBlock(data.data(), nullptr, kRows, &block, config);
     DecodedBlock scratch;
     Measure("int sequential (bp128)", "int_sequential", block,
             Predicate::EqualsInt("c", 777), config,

@@ -30,7 +30,7 @@ void BM_RleDecodeInts(benchmark::State& state) {
                        (1u << static_cast<u32>(IntSchemeCode::kBp128));
   CompressionContext ctx{&config, config.max_cascade_depth};
   ByteBuffer compressed;
-  CompressInts(data.data(), kRows, &compressed, ctx);
+  CompressValues(data.data(), kRows, &compressed, ctx);
   std::vector<i32> out(kRows + kDecodeSlack);
   ScopedSimd simd(state.range(0) != 0);
   for (auto _ : state) {
@@ -50,7 +50,7 @@ void BM_DictGatherInts(benchmark::State& state) {
                        (1u << static_cast<u32>(IntSchemeCode::kBp128));
   CompressionContext ctx{&config, config.max_cascade_depth};
   ByteBuffer compressed;
-  CompressInts(data.data(), kRows, &compressed, ctx);
+  CompressValues(data.data(), kRows, &compressed, ctx);
   std::vector<i32> out(kRows + kDecodeSlack);
   ScopedSimd simd(state.range(0) != 0);
   for (auto _ : state) {
@@ -91,7 +91,7 @@ void BM_PseudodecimalDecode(benchmark::State& state) {
       datagen::MakeDoubles(datagen::DoubleArchetype::kPrice2Decimals, kRows, 3);
   CompressionConfig config;
   CompressionContext ctx{&config, config.max_cascade_depth};
-  const DoubleScheme& pde = GetDoubleScheme(DoubleSchemeCode::kPseudodecimal);
+  const DoubleScheme& pde = GetScheme(DoubleSchemeCode::kPseudodecimal);
   ByteBuffer compressed;
   pde.Compress(data.data(), kRows, &compressed, ctx);
   std::vector<double> out(kRows + kDecodeSlack);
@@ -135,7 +135,7 @@ void BM_FusedRleDictStrings(benchmark::State& state) {
   StringsView view = c.StringBlock(0, kRows, &scratch);
   CompressionContext ctx{&config, config.max_cascade_depth};
   ByteBuffer compressed;
-  CompressStrings(view, &compressed, ctx);
+  CompressValues(view, &compressed, ctx);
   for (auto _ : state) {
     DecodedStrings decoded;
     DecompressStrings(compressed.data(), kRows, &decoded, config);

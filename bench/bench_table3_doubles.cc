@@ -76,7 +76,7 @@ u64 SchemeFixedCascadeBytes(DoubleSchemeCode code,
   config.int_schemes = (1u << static_cast<u32>(IntSchemeCode::kUncompressed)) |
                        (1u << static_cast<u32>(IntSchemeCode::kBp128));
   CompressionContext ctx{&config, config.max_cascade_depth};
-  const DoubleScheme& scheme = GetDoubleScheme(code);
+  const DoubleScheme& scheme = GetScheme(code);
   ByteBuffer out;
   return scheme.Compress(values.data(), static_cast<u32>(values.size()), &out,
                          ctx);

@@ -13,18 +13,6 @@ namespace {
 
 constexpr u32 kRows = 128000;
 
-const char* RootSchemeName(ColumnType type, u8 code) {
-  switch (type) {
-    case ColumnType::kInteger:
-      return IntSchemeName(static_cast<IntSchemeCode>(code));
-    case ColumnType::kDouble:
-      return DoubleSchemeName(static_cast<DoubleSchemeCode>(code));
-    case ColumnType::kString:
-      return StringSchemeName(static_cast<StringSchemeCode>(code));
-  }
-  return "?";
-}
-
 // Aggregated across every column for the sidecar headline metrics.
 u64 g_btr_uncompressed = 0;
 u64 g_btr_compressed = 0;
@@ -46,7 +34,7 @@ void RunColumn(const char* paper_name, const Relation& single) {
   std::printf("%-34s %-7s %8.1f %8.1f %9.1f %9.1f  %s\n", paper_name,
               ColumnTypeName(column.type()), btr.DecompressGBps(),
               zstd.DecompressGBps(), btr.Ratio(), zstd.Ratio(),
-              RootSchemeName(column.type(), compressed.block_root_schemes[0]));
+              SchemeNameFor(column.type(), compressed.block_root_schemes[0]));
 }
 
 Relation OneString(const char* name, datagen::StringArchetype a, u64 seed) {

@@ -60,10 +60,10 @@ inline BlockOracle ComputeOracle(const OracleBlock& block,
   switch (block.type) {
     case ColumnType::kInteger: {
       const i32* data = block.column->ints().data();
-      IntStats stats = ComputeIntStats(data, block.count);
-      IntSample sample = BuildIntSample(data, block.count, config);
+      IntStats stats = ComputeStats(data, block.count);
+      IntSample sample = BuildSample(data, block.count, config);
       for (u32 c = 0; c < kIntSchemeCount; c++) {
-        const IntScheme& scheme = GetIntScheme(static_cast<IntSchemeCode>(c));
+        const IntScheme& scheme = GetScheme(static_cast<IntSchemeCode>(c));
         if (scheme.EstimateRatio(stats, sample, ctx) == 0.0) continue;
         ByteBuffer out;
         consider(static_cast<u8>(c),
@@ -73,11 +73,11 @@ inline BlockOracle ComputeOracle(const OracleBlock& block,
     }
     case ColumnType::kDouble: {
       const double* data = block.column->doubles().data();
-      DoubleStats stats = ComputeDoubleStats(data, block.count);
-      DoubleSample sample = BuildDoubleSample(data, block.count, config);
+      DoubleStats stats = ComputeStats(data, block.count);
+      DoubleSample sample = BuildSample(data, block.count, config);
       for (u32 c = 0; c < kDoubleSchemeCount; c++) {
         const DoubleScheme& scheme =
-            GetDoubleScheme(static_cast<DoubleSchemeCode>(c));
+            GetScheme(static_cast<DoubleSchemeCode>(c));
         if (scheme.EstimateRatio(stats, sample, ctx) == 0.0) continue;
         ByteBuffer out;
         consider(static_cast<u8>(c),
@@ -88,11 +88,11 @@ inline BlockOracle ComputeOracle(const OracleBlock& block,
     case ColumnType::kString: {
       std::vector<u32> scratch;
       StringsView view = block.column->StringBlock(0, block.count, &scratch);
-      StringStats stats = ComputeStringStats(view);
-      StringSample sample = BuildStringSample(view, config);
+      StringStats stats = ComputeStats(view);
+      StringSample sample = BuildSample(view, config);
       for (u32 c = 0; c < kStringSchemeCount; c++) {
         const StringScheme& scheme =
-            GetStringScheme(static_cast<StringSchemeCode>(c));
+            GetScheme(static_cast<StringSchemeCode>(c));
         if (scheme.EstimateRatio(stats, sample, ctx) == 0.0) continue;
         ByteBuffer out;
         consider(static_cast<u8>(c), 1 + scheme.Compress(view, &out, ctx));
@@ -113,14 +113,14 @@ inline u8 StrategyPick(const OracleBlock& block, u32 runs, u32 run_length,
   switch (block.type) {
     case ColumnType::kInteger:
       return static_cast<u8>(
-          PickIntScheme(block.column->ints().data(), block.count, config));
+          PickScheme(block.column->ints().data(), block.count, config));
     case ColumnType::kDouble:
       return static_cast<u8>(
-          PickDoubleScheme(block.column->doubles().data(), block.count, config));
+          PickScheme(block.column->doubles().data(), block.count, config));
     case ColumnType::kString: {
       std::vector<u32> scratch;
       StringsView view = block.column->StringBlock(0, block.count, &scratch);
-      return static_cast<u8>(PickStringScheme(view, config));
+      return static_cast<u8>(PickScheme(view, config));
     }
   }
   return 0;

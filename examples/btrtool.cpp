@@ -4,7 +4,7 @@
 //   btrtool decompress <dir> <table-name> <out.csv>        .btr -> CSV
 //   btrtool stats     <dir> <table-name>                   per-column report
 //   btrtool inspect   <table.csv>                          cascade decision report
-//   btrtool scan      <table.csv> [col=value ...]          pipelined scan demo
+//   btrtool scan      <table.csv>                          pipelined scan demo
 //   btrtool ingest    <table.csv> [table-name]             crash-safe streaming
 //                                                          write demo (below)
 //   btrtool demo                                           self-contained demo
@@ -22,9 +22,7 @@
 //   --where=<expr>          `scan`: SQL-ish filter expression, e.g.
 //                           --where="id >= 5 AND city IN ('a', 'b')"
 //                           (=, <, <=, >, >=, BETWEEN, IN, AND/OR/NOT;
-//                           see docs/PREDICATES.md). The positional
-//                           col=value filters are deprecated aliases for
-//                           --where equality conjuncts.
+//                           see docs/PREDICATES.md)
 //   --no-pushdown           `scan`: decode every block, then filter
 //                           (disables zone pruning + compressed-form
 //                           evaluation; the baseline the pushdown engine
@@ -84,18 +82,6 @@ namespace {
 
 using namespace btr;
 
-const char* RootSchemeName(ColumnType type, u8 code) {
-  switch (type) {
-    case ColumnType::kInteger:
-      return IntSchemeName(static_cast<IntSchemeCode>(code));
-    case ColumnType::kDouble:
-      return DoubleSchemeName(static_cast<DoubleSchemeCode>(code));
-    case ColumnType::kString:
-      return StringSchemeName(static_cast<StringSchemeCode>(code));
-  }
-  return "?";
-}
-
 int Fail(const Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
   return 1;
@@ -150,7 +136,7 @@ int CmdStats(const std::string& dir, const std::string& name) {
     std::printf("%-24s %-8s %10zu %10.1f K %7.1fx  %s\n", column.name.c_str(),
                 ColumnTypeName(column.type), column.blocks.size(),
                 column.CompressedBytes() / 1024.0, ratio,
-                RootSchemeName(column.type, column.block_root_schemes[0]));
+                SchemeNameFor(column.type, column.block_root_schemes[0]));
   }
   return 0;
 }
@@ -239,8 +225,8 @@ int CmdInspect(const std::string& csv_path) {
         if (n == 0) continue;
         std::printf("  %llux %s/%s", static_cast<unsigned long long>(n),
                     kTypeTags[t],
-                    RootSchemeName(static_cast<ColumnType>(t),
-                                   static_cast<u8>(s)));
+                    SchemeNameFor(static_cast<ColumnType>(t),
+                                  static_cast<u8>(s)));
       }
     }
     std::printf("\n");
@@ -250,15 +236,14 @@ int CmdInspect(const std::string& csv_path) {
 
 // Compresses a CSV, uploads it into an in-memory object store (one object
 // per column + metadata + zone maps) and runs a pipelined Scanner scan
-// with optional `col=value` equality predicates, reporting what the zone
-// maps pruned, what predicate pushdown skipped, and the pipeline timing.
+// with an optional --where filter, reporting what the zone maps pruned,
+// what predicate pushdown skipped, and the pipeline timing.
 // With --tenant, scans run through one shared ScanService instead of a
 // standalone Scanner: `concurrent` scans (default: one per tenant) are
 // round-robined across the tenant ids and the per-tenant service stats
 // are reported at the end (docs/SCAN_SERVICE.md).
-int CmdScan(const std::string& csv_path,
-            const std::vector<std::string>& filters,
-            const std::string& where_clause, const ScanConfig& scan_config,
+int CmdScan(const std::string& csv_path, const std::string& where_clause,
+            const ScanConfig& scan_config,
             u64 fault_seed, double fault_rate,
             const std::string& profile_json_path,
             const std::vector<std::string>& tenants, u32 concurrent) {
@@ -295,39 +280,6 @@ int CmdScan(const std::string& csv_path,
     status = ParsePredicate(where_clause, &spec.filter);
     if (!status.ok()) return Fail(status);
     std::printf("where: %s\n", spec.filter.ToString().c_str());
-  }
-  if (!filters.empty()) {
-    std::fprintf(stderr,
-                 "note: col=value filters are deprecated; prefer "
-                 "--where=\"col = value AND ...\"\n");
-  }
-  for (const std::string& filter : filters) {
-    size_t eq = filter.find('=');
-    if (eq == std::string::npos) {
-      return Fail(Status::InvalidArgument("filter must be col=value: " + filter));
-    }
-    std::string column_name = filter.substr(0, eq);
-    std::string value = filter.substr(eq + 1);
-    const Column* column = nullptr;
-    for (const Column& candidate : relation.columns()) {
-      if (candidate.name() == column_name) column = &candidate;
-    }
-    if (column == nullptr) {
-      return Fail(Status::NotFound("no such column: " + column_name));
-    }
-    switch (column->type()) {
-      case ColumnType::kInteger:
-        spec.predicates.push_back(
-            Predicate::EqualsInt(column_name, std::atoi(value.c_str())));
-        break;
-      case ColumnType::kDouble:
-        spec.predicates.push_back(
-            Predicate::EqualsDouble(column_name, std::atof(value.c_str())));
-        break;
-      case ColumnType::kString:
-        spec.predicates.push_back(Predicate::EqualsString(column_name, value));
-        break;
-    }
   }
 
   if (!tenants.empty()) {
@@ -395,7 +347,7 @@ int CmdScan(const std::string& csv_path,
   }
 
   Scanner scanner(&store, name);
-  status = scanner.Open();
+  status = scanner.Open(spec.config);
   if (!status.ok()) return Fail(status);
   ScanStats stats;
   u64 rows_emitted = 0;
@@ -833,11 +785,9 @@ int main(int argc, char** argv) {
   if (command == "inspect" && args.size() == 2) {
     return finish(CmdInspect(args[1]));
   }
-  if (command == "scan" && args.size() >= 2) {
-    std::vector<std::string> filters(args.begin() + 2, args.end());
-    return finish(CmdScan(args[1], filters, where_clause, scan_config,
-                          fault_seed, fault_rate,
-                          profile_json_path, tenants, concurrent));
+  if (command == "scan" && args.size() == 2) {
+    return finish(CmdScan(args[1], where_clause, scan_config, fault_seed,
+                          fault_rate, profile_json_path, tenants, concurrent));
   }
   if (command == "ingest" && (args.size() == 2 || args.size() == 3)) {
     return finish(CmdIngest(args[1], args.size() == 3 ? args[2] : "",
@@ -853,11 +803,13 @@ int main(int argc, char** argv) {
                "  btrtool decompress <dir> <table-name> <out.csv>\n"
                "  btrtool stats      <dir> <table-name>\n"
                "  btrtool inspect    <table.csv>\n"
-               "  btrtool scan       <table.csv> [col=value ...]\n"
+               "  btrtool scan       <table.csv>\n"
                "  btrtool ingest     <table.csv> [table-name]\n"
                "  btrtool demo\n"
                "flags: --metrics-json=<path>  --trace-json=<path>\n"
                "       --scan-threads=<n>  --prefetch-depth=<n>  (scan)\n"
+               "       --where=<expr>  --no-pushdown  (scan filter, e.g.\n"
+               "          --where=\"id >= 5 AND city = 'a'\"; docs/PREDICATES.md)\n"
                "       --fault-seed=<n>  --fault-rate=<f>  --max-retries=<n>\n"
                "       --skip-corrupt  (scan robustness, docs/ROBUSTNESS.md)\n"
                "       --block-cache=<MiB>  --hedge  --breaker  --crc-refetch\n"

@@ -42,7 +42,7 @@ int main() {
     floatcomp::Chimp128Compress(data.data(), count, &chimp128);
     CompressionConfig config;
     CompressionContext ctx{&config, config.max_cascade_depth};
-    GetDoubleScheme(DoubleSchemeCode::kPseudodecimal)
+    GetScheme(DoubleSchemeCode::kPseudodecimal)
         .Compress(data.data(), count, &pde, ctx);
     std::printf("%-22s  FPC %.2fx  Gorilla %.2fx  Chimp %.2fx  "
                 "Chimp128 %.2fx  PDE(cascaded) %.2fx\n",

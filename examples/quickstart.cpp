@@ -40,21 +40,9 @@ int main(int argc, char** argv) {
 
   // 3. What did the sampling-based picker choose per column?
   for (const CompressedColumn& column : compressed.columns) {
-    const char* scheme = "?";
-    u8 code = column.block_root_schemes[0];
-    switch (column.type) {
-      case ColumnType::kInteger:
-        scheme = IntSchemeName(static_cast<IntSchemeCode>(code));
-        break;
-      case ColumnType::kDouble:
-        scheme = DoubleSchemeName(static_cast<DoubleSchemeCode>(code));
-        break;
-      case ColumnType::kString:
-        scheme = StringSchemeName(static_cast<StringSchemeCode>(code));
-        break;
-    }
     std::printf("column %-8s -> %-6s values, root scheme: %s\n",
-                column.name.c_str(), ColumnTypeName(column.type), scheme);
+                column.name.c_str(), ColumnTypeName(column.type),
+                SchemeNameFor(column.type, column.block_root_schemes[0]));
   }
 
   // 4. Persist (one file per column + a metadata file) and load back.

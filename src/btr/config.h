@@ -11,9 +11,9 @@
 //                                      depth, sampling, enabled schemes,
 //                                      instrumentation sinks.
 //   ScanConfig        (this header)    how btr::Scanner executes a scan:
-//                                      decode threads, fetch threads, and
-//                                      the prefetch depth of the bounded
-//                                      queue between the stages.
+//                                      decode and fetch threads, the
+//                                      window of block parts in flight,
+//                                      retries, cache, hedging, breaker.
 //   s3sim::S3Config   (s3sim/object_store.h)
 //                                      the modeled cloud: NIC bandwidth,
 //                                      GET billing, chunk size, and the
@@ -21,7 +21,7 @@
 //                                      pipelined engine measures against.
 //
 // btr::ScanSpec (btr/scanner.h) describes *what* to scan — projection
-// columns and typed predicates (btr/predicate.h) — and embeds a ScanConfig
+// columns and a filter expression (btr/predicate.h) — and embeds a ScanConfig
 // for the *how*. btrtool exposes the ScanConfig knobs as --scan-threads
 // and --prefetch-depth; defaults live here so every entry point agrees.
 #ifndef BTR_BTR_CONFIG_H_
@@ -34,6 +34,8 @@ struct CascadeNode;  // obs/cascade_trace.h
 }  // namespace btr::obs
 
 namespace btr {
+
+enum class ColumnType : u8;  // btr/column.h
 
 // Persisted in compressed payloads: values must never change meaning.
 enum class IntSchemeCode : u8 {
@@ -69,6 +71,8 @@ inline constexpr u32 kStringSchemeCount = 5;
 const char* IntSchemeName(IntSchemeCode code);
 const char* DoubleSchemeName(DoubleSchemeCode code);
 const char* StringSchemeName(StringSchemeCode code);
+// Name of scheme `code` in the pool of column type `type`.
+const char* SchemeNameFor(ColumnType type, u8 code);
 
 // Depth slots tracked by Telemetry::scheme_uses_by_depth. Cascade depth is
 // bounded by max_cascade_depth (default 3, so depths 0..3 including forced
@@ -82,10 +86,9 @@ struct Telemetry {
   u64 stats_ns = 0;          // statistics collection (min/max/unique/runs)
   u64 estimate_ns = 0;       // sampling + per-scheme ratio estimation
   u64 compress_ns = 0;       // total compression time (includes the above)
-  u64 scheme_uses[3][16] = {{0}};  // [type][scheme code] at cascade root
-  // [depth][type][scheme code] at *every* cascade level, so nested choices
-  // (e.g. the Bp128 compressing RLE run lengths) are visible. Depth 0 rows
-  // aggregate to scheme_uses.
+  // [depth][type][scheme code] at every cascade level: depth 0 counts the
+  // block roots, deeper rows the nested choices (e.g. the Bp128
+  // compressing RLE run lengths).
   u64 scheme_uses_by_depth[kTelemetryDepthSlots][3][16] = {{{0}}};
 
   void Reset() { *this = Telemetry(); }
@@ -123,15 +126,13 @@ struct CompressionConfig {
   // CompressedColumn::block_traces. See obs/cascade_trace.h.
   bool collect_cascade_trace = false;
 
-  u64 sampling_seed = 42;
-
-  bool IntSchemeEnabled(IntSchemeCode c) const {
+  bool SchemeEnabled(IntSchemeCode c) const {
     return (int_schemes >> static_cast<u32>(c)) & 1;
   }
-  bool DoubleSchemeEnabled(DoubleSchemeCode c) const {
+  bool SchemeEnabled(DoubleSchemeCode c) const {
     return (double_schemes >> static_cast<u32>(c)) & 1;
   }
-  bool StringSchemeEnabled(StringSchemeCode c) const {
+  bool SchemeEnabled(StringSchemeCode c) const {
     return (string_schemes >> static_cast<u32>(c)) & 1;
   }
 };

@@ -1,7 +1,5 @@
 #include "btr/datablock.h"
 
-#include <atomic>
-
 #include "bitmap/roaring.h"
 #include "btr/layout.h"
 #include "btr/scheme_picker.h"
@@ -33,13 +31,6 @@ void AppendHeader(ColumnType type, u32 count, const u8* null_flags,
   }
 }
 
-void RecordTelemetry(const CompressionConfig& config, ColumnType type,
-                     u8 root_scheme, double elapsed_ns) {
-  if (config.telemetry == nullptr) return;
-  config.telemetry->compress_ns += static_cast<u64>(elapsed_ns);
-  config.telemetry->scheme_uses[static_cast<u8>(type)][root_scheme]++;
-}
-
 // Block-granular compression metrics (one histogram sample per block).
 void RecordCompressMetrics(u64 input_bytes, u64 output_bytes, u64 elapsed_ns) {
   obs::Registry& registry = obs::Registry::Get();
@@ -56,123 +47,63 @@ void RecordCompressMetrics(u64 input_bytes, u64 output_bytes, u64 elapsed_ns) {
   block_ns.Record(elapsed_ns);
 }
 
-// Per-(type, root scheme) decode timing histograms, cached after the first
-// registry lookup. The fill race is benign (same registry-owned pointer).
-obs::Histogram& DecodeHistogram(ColumnType type, u8 scheme) {
-  static auto* slots = new std::atomic<obs::Histogram*>[3][16]();
-  std::atomic<obs::Histogram*>& slot = slots[static_cast<u8>(type)][scheme];
-  obs::Histogram* h = slot.load(std::memory_order_acquire);
-  if (h == nullptr) {
-    const char* type_tag = type == ColumnType::kInteger  ? "int"
-                           : type == ColumnType::kDouble ? "double"
-                                                         : "string";
-    const char* scheme_tag = "?";
-    switch (type) {
-      case ColumnType::kInteger:
-        scheme_tag = IntSchemeName(static_cast<IntSchemeCode>(scheme));
-        break;
-      case ColumnType::kDouble:
-        scheme_tag = DoubleSchemeName(static_cast<DoubleSchemeCode>(scheme));
-        break;
-      case ColumnType::kString:
-        scheme_tag = StringSchemeName(static_cast<StringSchemeCode>(scheme));
-        break;
-    }
-    h = &obs::Registry::Get().GetHistogram(std::string("btr.decompress.") +
-                                           type_tag + "." + scheme_tag + ".ns");
-    slot.store(h, std::memory_order_release);
-  }
-  return *h;
-}
+constexpr const char* kBlockSpans[] = {"btr.compress.block.int",
+                                       "btr.compress.block.double",
+                                       "btr.compress.block.string"};
 
-// Runs the block compression body with an optional cascade trace attached,
-// moving the resulting tree into `info`.
-template <typename BodyFn>
-void WithCascadeTrace(const CompressionConfig& config,
-                      BlockCompressionInfo* info, const BodyFn& body) {
+// The block compressor of every column type: header, root vector (with an
+// optional cascade trace moved into `info`), telemetry and metrics.
+// `in...` is (values, count) for numbers and a StringsView for strings.
+template <typename T, typename... In>
+size_t CompressBlockOf(const u8* null_flags, ByteBuffer* out,
+                       const CompressionConfig& config,
+                       BlockCompressionInfo* info, const In&... in) {
+  BTR_TRACE_SPAN(kBlockSpans[static_cast<u8>(SchemeTraits<T>::kType)]);
+  Timer timer;
+  size_t start = out->size();
+  AppendHeader(SchemeTraits<T>::kType, ValueCount(in...), null_flags, out);
+  typename SchemeTraits<T>::Code chosen{};
   if (info == nullptr || !config.collect_cascade_trace) {
-    CompressionContext ctx{&config, config.max_cascade_depth};
-    body(ctx);
-    return;
+    CompressValues(in..., out, {&config, config.max_cascade_depth}, &chosen);
+  } else {
+    obs::CascadeNode holder;  // the real root is holder.children[0]
+    CompressValues(in..., out,
+                   {&config, config.max_cascade_depth, false, &holder},
+                   &chosen);
+    if (!holder.children.empty()) {
+      info->trace = std::move(holder.children.front());
+    }
   }
-  obs::CascadeNode holder;  // the real root is holder.children[0]
-  CompressionContext ctx{&config, config.max_cascade_depth, false, &holder};
-  body(ctx);
-  if (!holder.children.empty()) {
-    info->trace = std::move(holder.children.front());
+  if (config.telemetry != nullptr) {
+    config.telemetry->compress_ns += static_cast<u64>(timer.ElapsedNanos());
   }
+  RecordCompressMetrics(InputBytes(in...), out->size() - start,
+                        static_cast<u64>(timer.ElapsedNanos()));
+  if (info != nullptr) {
+    info->root_scheme = static_cast<u8>(chosen);
+    info->compressed_bytes = out->size() - start;
+  }
+  return out->size() - start;
 }
 
 }  // namespace
 
-size_t CompressIntBlock(const i32* values, const u8* null_flags, u32 count,
-                        ByteBuffer* out, const CompressionConfig& config,
-                        BlockCompressionInfo* info) {
-  BTR_TRACE_SPAN("btr.compress.block.int");
-  Timer timer;
-  size_t start = out->size();
-  AppendHeader(ColumnType::kInteger, count, null_flags, out);
-  IntSchemeCode chosen;
-  WithCascadeTrace(config, info, [&](const CompressionContext& ctx) {
-    CompressInts(values, count, out, ctx, &chosen);
-  });
-  RecordTelemetry(config, ColumnType::kInteger, static_cast<u8>(chosen),
-                  timer.ElapsedNanos());
-  RecordCompressMetrics(static_cast<u64>(count) * sizeof(i32),
-                        out->size() - start,
-                        static_cast<u64>(timer.ElapsedNanos()));
-  if (info != nullptr) {
-    info->root_scheme = static_cast<u8>(chosen);
-    info->compressed_bytes = out->size() - start;
-  }
-  return out->size() - start;
+template <typename T>
+size_t CompressBlock(const T* values, const u8* null_flags, u32 count,
+                     ByteBuffer* out, const CompressionConfig& config,
+                     BlockCompressionInfo* info) {
+  return CompressBlockOf<T>(null_flags, out, config, info, values, count);
 }
+template size_t CompressBlock(const i32*, const u8*, u32, ByteBuffer*,
+                              const CompressionConfig&, BlockCompressionInfo*);
+template size_t CompressBlock(const double*, const u8*, u32, ByteBuffer*,
+                              const CompressionConfig&, BlockCompressionInfo*);
 
-size_t CompressDoubleBlock(const double* values, const u8* null_flags, u32 count,
-                           ByteBuffer* out, const CompressionConfig& config,
-                           BlockCompressionInfo* info) {
-  BTR_TRACE_SPAN("btr.compress.block.double");
-  Timer timer;
-  size_t start = out->size();
-  AppendHeader(ColumnType::kDouble, count, null_flags, out);
-  DoubleSchemeCode chosen;
-  WithCascadeTrace(config, info, [&](const CompressionContext& ctx) {
-    CompressDoubles(values, count, out, ctx, &chosen);
-  });
-  RecordTelemetry(config, ColumnType::kDouble, static_cast<u8>(chosen),
-                  timer.ElapsedNanos());
-  RecordCompressMetrics(static_cast<u64>(count) * sizeof(double),
-                        out->size() - start,
-                        static_cast<u64>(timer.ElapsedNanos()));
-  if (info != nullptr) {
-    info->root_scheme = static_cast<u8>(chosen);
-    info->compressed_bytes = out->size() - start;
-  }
-  return out->size() - start;
-}
-
-size_t CompressStringBlock(const StringsView& values, const u8* null_flags,
-                           ByteBuffer* out, const CompressionConfig& config,
-                           BlockCompressionInfo* info) {
-  BTR_TRACE_SPAN("btr.compress.block.string");
-  Timer timer;
-  size_t start = out->size();
-  AppendHeader(ColumnType::kString, values.count, null_flags, out);
-  StringSchemeCode chosen;
-  WithCascadeTrace(config, info, [&](const CompressionContext& ctx) {
-    CompressStrings(values, out, ctx, &chosen);
-  });
-  RecordTelemetry(config, ColumnType::kString, static_cast<u8>(chosen),
-                  timer.ElapsedNanos());
-  RecordCompressMetrics(static_cast<u64>(values.TotalBytes()) +
-                            static_cast<u64>(values.count) * sizeof(u32),
-                        out->size() - start,
-                        static_cast<u64>(timer.ElapsedNanos()));
-  if (info != nullptr) {
-    info->root_scheme = static_cast<u8>(chosen);
-    info->compressed_bytes = out->size() - start;
-  }
-  return out->size() - start;
+size_t CompressBlock(const StringsView& values, const u8* null_flags,
+                     ByteBuffer* out, const CompressionConfig& config,
+                     BlockCompressionInfo* info) {
+  return CompressBlockOf<std::string_view>(null_flags, out, config, info,
+                                           values);
 }
 
 u64 DecodedBlock::ValueBytes() const {
@@ -230,7 +161,7 @@ void DecompressBlock(const u8* data, DecodedBlock* out,
   static obs::Counter& blocks =
       obs::Registry::Get().GetCounter("btr.decompress.blocks");
   blocks.Add();
-  DecodeHistogram(b.type, b.scheme())
+  SchemeHistogram(SchemePhase::kDecompress, b.type, b.scheme())
       .Record(static_cast<u64>(timer.ElapsedNanos()));
 }
 

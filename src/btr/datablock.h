@@ -30,16 +30,16 @@ struct BlockCompressionInfo {
   obs::CascadeNode trace;
 };
 
-// null_flags may be nullptr (no NULLs). Returns bytes appended to out.
-size_t CompressIntBlock(const i32* values, const u8* null_flags, u32 count,
-                        ByteBuffer* out, const CompressionConfig& config,
-                        BlockCompressionInfo* info = nullptr);
-size_t CompressDoubleBlock(const double* values, const u8* null_flags, u32 count,
-                           ByteBuffer* out, const CompressionConfig& config,
-                           BlockCompressionInfo* info = nullptr);
-size_t CompressStringBlock(const StringsView& values, const u8* null_flags,
-                           ByteBuffer* out, const CompressionConfig& config,
-                           BlockCompressionInfo* info = nullptr);
+// Compresses one block of `count` values (T = i32 or double) or of a
+// string view. null_flags may be nullptr (no NULLs). Returns bytes
+// appended to out.
+template <typename T>
+size_t CompressBlock(const T* values, const u8* null_flags, u32 count,
+                     ByteBuffer* out, const CompressionConfig& config,
+                     BlockCompressionInfo* info = nullptr);
+size_t CompressBlock(const StringsView& values, const u8* null_flags,
+                     ByteBuffer* out, const CompressionConfig& config,
+                     BlockCompressionInfo* info = nullptr);
 
 // Decompressed block contents. Exactly one of the value containers is
 // populated, matching `type`.

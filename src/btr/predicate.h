@@ -132,9 +132,9 @@ struct PredicateExpr {
   std::string ToString() const;
 };
 
-// Legacy name: the old struct Predicate was a single equality leaf. All
-// existing call sites (Predicate::EqualsInt, ScanSpec::predicates, ...)
-// keep working against the leaf subset of PredicateExpr.
+// Legacy name: the old struct Predicate was a single equality leaf. The
+// existing call sites (Predicate::EqualsInt, ...) keep working against the
+// leaf subset of PredicateExpr.
 using Predicate = PredicateExpr;
 
 // --- zone-map pruning --------------------------------------------------------

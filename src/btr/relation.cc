@@ -26,16 +26,16 @@ CompressedColumn CompressColumn(const Column& column,
     const u8* null_arg = has_nulls ? nulls : nullptr;
     switch (column.type()) {
       case ColumnType::kInteger:
-        CompressIntBlock(column.ints().data() + begin, null_arg, count, &block,
-                         config, &info);
+        CompressBlock(column.ints().data() + begin, null_arg, count, &block,
+                      config, &info);
         break;
       case ColumnType::kDouble:
-        CompressDoubleBlock(column.doubles().data() + begin, null_arg, count,
-                            &block, config, &info);
+        CompressBlock(column.doubles().data() + begin, null_arg, count, &block,
+                      config, &info);
         break;
       case ColumnType::kString: {
         StringsView view = column.StringBlock(begin, count, &scratch_offsets);
-        CompressStringBlock(view, null_arg, &block, config, &info);
+        CompressBlock(view, null_arg, &block, config, &info);
         break;
       }
     }

@@ -30,32 +30,29 @@ std::vector<std::pair<u32, u32>> SampleRanges(u32 count, u32 runs,
 }
 
 namespace {
+// Seed of every block's sample: scheme choices are reproducible.
+constexpr u64 kSamplingSeed = 42;
+
 std::vector<std::pair<u32, u32>> RangesFor(u32 count, const CompressionConfig& c) {
   if (c.exhaustive_estimation) return {{0, count}};
-  return SampleRanges(count, c.sample_runs, c.sample_run_length, c.sampling_seed);
+  return SampleRanges(count, c.sample_runs, c.sample_run_length, kSamplingSeed);
 }
 }  // namespace
 
-IntSample BuildIntSample(const i32* data, u32 count,
+template <typename T>
+NumericSample<T> BuildSample(const T* data, u32 count,
+                             const CompressionConfig& config) {
+  NumericSample<T> sample;
+  for (auto [begin, end] : RangesFor(count, config)) {
+    sample.values.insert(sample.values.end(), data + begin, data + end);
+  }
+  return sample;
+}
+template IntSample BuildSample(const i32*, u32, const CompressionConfig&);
+template DoubleSample BuildSample(const double*, u32, const CompressionConfig&);
+
+StringSample BuildSample(const StringsView& view,
                          const CompressionConfig& config) {
-  IntSample sample;
-  for (auto [begin, end] : RangesFor(count, config)) {
-    sample.values.insert(sample.values.end(), data + begin, data + end);
-  }
-  return sample;
-}
-
-DoubleSample BuildDoubleSample(const double* data, u32 count,
-                               const CompressionConfig& config) {
-  DoubleSample sample;
-  for (auto [begin, end] : RangesFor(count, config)) {
-    sample.values.insert(sample.values.end(), data + begin, data + end);
-  }
-  return sample;
-}
-
-StringSample BuildStringSample(const StringsView& view,
-                               const CompressionConfig& config) {
   StringSample sample;
   sample.offsets.push_back(0);
   for (auto [begin, end] : RangesFor(view.count, config)) {

@@ -21,12 +21,13 @@ namespace btr {
 std::vector<std::pair<u32, u32>> SampleRanges(u32 count, u32 runs,
                                               u32 run_length, u64 seed);
 
-struct IntSample {
-  std::vector<i32> values;
+template <typename T>
+struct NumericSample {
+  std::vector<T> values;
 };
-struct DoubleSample {
-  std::vector<double> values;
-};
+using IntSample = NumericSample<i32>;
+using DoubleSample = NumericSample<double>;
+
 struct StringSample {
   std::vector<u32> offsets;  // count+1
   std::vector<u8> data;
@@ -36,11 +37,12 @@ struct StringSample {
   }
 };
 
-IntSample BuildIntSample(const i32* data, u32 count, const CompressionConfig& config);
-DoubleSample BuildDoubleSample(const double* data, u32 count,
-                               const CompressionConfig& config);
-StringSample BuildStringSample(const StringsView& view,
-                               const CompressionConfig& config);
+// Defined for T = i32 and double.
+template <typename T>
+NumericSample<T> BuildSample(const T* data, u32 count,
+                             const CompressionConfig& config);
+StringSample BuildSample(const StringsView& view,
+                         const CompressionConfig& config);
 
 }  // namespace btr
 

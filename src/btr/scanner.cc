@@ -254,8 +254,8 @@ struct Scanner::ResolvedSpec {
   std::vector<u32> needed;      // union of projection + filter columns
   // Position of each projection entry inside `needed`.
   std::vector<u32> projection_pos;
-  // Resolved filter: spec.filter ANDed with the legacy spec.predicates,
-  // with integer leaves on double columns coerced. Empty() = no filtering.
+  // Resolved filter: spec.filter with integer leaves on double columns
+  // coerced. Empty() = no filtering.
   PredicateExpr filter;
   // Filter column name -> position inside `needed`.
   std::unordered_map<std::string, u32> filter_pos;
@@ -327,12 +327,7 @@ Status Scanner::ResolveSpec(const ScanSpec& spec, ResolvedSpec* out) const {
     out->projection_pos.push_back(needed_pos(index));
   }
 
-  // One filter expression: the composable spec.filter ANDed with each
-  // legacy single predicate.
   out->filter = spec.filter;
-  for (const Predicate& predicate : spec.predicates) {
-    out->filter = PredicateExpr::And(std::move(out->filter), predicate);
-  }
 
   // Resolve every leaf: the column must exist, its type must match (or be
   // coercible int -> double), and its block bytes must be fetched.
@@ -1121,12 +1116,12 @@ Status Scanner::Scan(const ScanSpec& spec, ScanOutput* out) {
   out->block_outcomes.assign(resolved.row_blocks, BlockOutcome::kDecoded);
   out->block_selections.assign(resolved.row_blocks, RoaringBitmap());
 
-  bool has_predicates = !spec.predicates.empty() || !spec.filter.Empty();
+  bool has_filter = !spec.filter.Empty();
   Status status = Scan(
       spec,
-      [out, has_predicates](ColumnChunk&& chunk) {
+      [out, has_filter](ColumnChunk&& chunk) {
         out->block_outcomes[chunk.block] = chunk.outcome;
-        if (chunk.column == 0 && has_predicates &&
+        if (chunk.column == 0 && has_filter &&
             chunk.outcome == BlockOutcome::kDecoded) {
           out->block_selections[chunk.block] = std::move(chunk.selection);
         }

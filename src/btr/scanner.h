@@ -75,9 +75,6 @@ struct ScanSpec {
   // into the output. Integer literals against double columns are coerced.
   // Empty = no filtering.
   PredicateExpr filter;
-  // Deprecated: single predicates, ANDed with `filter`. Kept so existing
-  // call sites (and btrtool's --eq-int style flags) keep compiling.
-  std::vector<Predicate> predicates;
   ScanConfig config;
 };
 

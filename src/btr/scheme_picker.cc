@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <string>
 
 #include "bitpack/bitpack.h"
 #include "obs/cascade_trace.h"
@@ -12,8 +13,6 @@
 
 namespace btr {
 
-namespace {
-
 // --- quick picks for estimation mode -------------------------------------
 // While compressing a *sample* to estimate a root scheme's ratio, cascade
 // children are selected with cheap statistics-based size models instead of
@@ -21,16 +20,17 @@ namespace {
 // selection near the paper's ~1.2% of total compression time while still
 // letting the sample compression measure realistic cascade gains.
 
-IntSchemeCode QuickPickInt(const i32* in, u32 count, const IntStats& stats,
-                           const CompressionConfig& config) {
+IntSchemeCode SchemeTraits<i32>::QuickPick(const i32* in, u32 count,
+                                           const IntStats& stats,
+                                           const CompressionConfig& config) {
   if (stats.unique_count == 1 &&
-      config.IntSchemeEnabled(IntSchemeCode::kOneValue)) {
+      config.SchemeEnabled(IntSchemeCode::kOneValue)) {
     return IntSchemeCode::kOneValue;
   }
   double best_size = static_cast<double>(count) * sizeof(i32);
   IntSchemeCode best = IntSchemeCode::kUncompressed;
   auto consider = [&](IntSchemeCode code, double size) {
-    if (config.IntSchemeEnabled(code) && size < best_size) {
+    if (config.SchemeEnabled(code) && size < best_size) {
       best_size = size;
       best = code;
     }
@@ -58,16 +58,17 @@ IntSchemeCode QuickPickInt(const i32* in, u32 count, const IntStats& stats,
   return best;
 }
 
-DoubleSchemeCode QuickPickDouble(const DoubleStats& stats,
-                                 const CompressionConfig& config) {
+DoubleSchemeCode SchemeTraits<double>::QuickPick(
+    const double*, u32, const DoubleStats& stats,
+    const CompressionConfig& config) {
   if (stats.unique_count == 1 &&
-      config.DoubleSchemeEnabled(DoubleSchemeCode::kOneValue)) {
+      config.SchemeEnabled(DoubleSchemeCode::kOneValue)) {
     return DoubleSchemeCode::kOneValue;
   }
   double best_size = static_cast<double>(stats.count) * sizeof(double);
   DoubleSchemeCode best = DoubleSchemeCode::kUncompressed;
   auto consider = [&](DoubleSchemeCode code, double size) {
-    if (config.DoubleSchemeEnabled(code) && size < best_size) {
+    if (config.SchemeEnabled(code) && size < best_size) {
       best_size = size;
       best = code;
     }
@@ -83,10 +84,11 @@ DoubleSchemeCode QuickPickDouble(const DoubleStats& stats,
   return best;
 }
 
-StringSchemeCode QuickPickString(const StringStats& stats,
-                                 const CompressionConfig& config) {
+StringSchemeCode SchemeTraits<std::string_view>::QuickPick(
+    const StringsView&, const StringStats& stats,
+    const CompressionConfig& config) {
   if (stats.unique_count == 1 &&
-      config.StringSchemeEnabled(StringSchemeCode::kOneValue)) {
+      config.SchemeEnabled(StringSchemeCode::kOneValue)) {
     return StringSchemeCode::kOneValue;
   }
   double input_bytes =
@@ -94,7 +96,7 @@ StringSchemeCode QuickPickString(const StringStats& stats,
   double best_size = input_bytes;
   StringSchemeCode best = StringSchemeCode::kUncompressed;
   auto consider = [&](StringSchemeCode code, double size) {
-    if (config.StringSchemeEnabled(code) && size < best_size) {
+    if (config.SchemeEnabled(code) && size < best_size) {
       best_size = size;
       best = code;
     }
@@ -115,60 +117,35 @@ StringSchemeCode QuickPickString(const StringStats& stats,
   return best;
 }
 
-// --- observability helpers -------------------------------------------------
+// --- observability ---------------------------------------------------------
 
-const char* TypeTag(ColumnType type) {
-  switch (type) {
-    case ColumnType::kInteger: return "int";
-    case ColumnType::kDouble: return "double";
-    case ColumnType::kString: return "string";
+obs::Histogram& SchemeHistogram(SchemePhase phase, ColumnType type, u8 code) {
+  static constexpr const char* kPhases[] = {"estimate", "compress",
+                                            "decompress"};
+  static constexpr const char* kTypeTags[] = {"int", "double", "string"};
+  // Filled on first use; the race is benign: every thread resolves the
+  // same registry-owned pointer.
+  static auto* slots = new std::atomic<obs::Histogram*>[3][3][16]();
+  std::atomic<obs::Histogram*>& slot =
+      slots[static_cast<u8>(phase)][static_cast<u8>(type)][code];
+  obs::Histogram* h = slot.load(std::memory_order_acquire);
+  if (h == nullptr) {
+    std::string name = std::string("btr.") + kPhases[static_cast<u8>(phase)] +
+                       "." + kTypeTags[static_cast<u8>(type)] + "." +
+                       SchemeNameFor(type, code) + ".ns";
+    h = &obs::Registry::Get().GetHistogram(name);
+    slot.store(h, std::memory_order_release);
   }
-  return "?";
+  return *h;
 }
 
-const char* SchemeTag(ColumnType type, u8 code) {
-  switch (type) {
-    case ColumnType::kInteger:
-      return IntSchemeName(static_cast<IntSchemeCode>(code));
-    case ColumnType::kDouble:
-      return DoubleSchemeName(static_cast<DoubleSchemeCode>(code));
-    case ColumnType::kString:
-      return StringSchemeName(static_cast<StringSchemeCode>(code));
-  }
-  return "?";
-}
+namespace {
 
-// Per-(phase, type, scheme) timing histograms, resolved through the
-// registry once and cached. The fill race is benign: every thread
-// resolves the same registry-owned pointer.
-struct SchemeHistTable {
-  std::atomic<obs::Histogram*> slots[3][16] = {};
+constexpr const char* kPickSpans[] = {"btr.pick.int", "btr.pick.double",
+                                      "btr.pick.string"};
 
-  obs::Histogram& For(const char* phase, ColumnType type, u8 code) {
-    std::atomic<obs::Histogram*>& slot = slots[static_cast<u8>(type)][code];
-    obs::Histogram* h = slot.load(std::memory_order_acquire);
-    if (h == nullptr) {
-      std::string name = std::string("btr.") + phase + "." + TypeTag(type) +
-                         "." + SchemeTag(type, code) + ".ns";
-      h = &obs::Registry::Get().GetHistogram(name);
-      slot.store(h, std::memory_order_release);
-    }
-    return *h;
-  }
-};
-
-obs::Histogram& EstimateHistogram(ColumnType type, u8 code) {
-  static SchemeHistTable* table = new SchemeHistTable();
-  return table->For("estimate", type, code);
-}
-
-obs::Histogram& CompressHistogram(ColumnType type, u8 code) {
-  static SchemeHistTable* table = new SchemeHistTable();
-  return table->For("compress", type, code);
-}
-
-// Depth-indexed scheme accounting (visible for nested cascade choices,
-// unlike the root-only Telemetry::scheme_uses aggregate).
+// Depth-indexed scheme accounting: the root choice of every block and
+// every nested cascade choice.
 void RecordSchemeUse(const CompressionContext& ctx, ColumnType type, u8 code) {
   if (ctx.config->telemetry == nullptr || ctx.estimating) return;
   u32 depth = std::min<u32>(ctx.Depth(), kTelemetryDepthSlots - 1);
@@ -177,7 +154,7 @@ void RecordSchemeUse(const CompressionContext& ctx, ColumnType type, u8 code) {
 }
 
 // Opens a cascade trace child under ctx.trace (when tracing this call) and
-// rewires `inner` so nested CompressInts/Doubles/Strings attach below it.
+// rewires `inner` so nested compress steps attach below it.
 obs::CascadeNode* OpenTraceNode(CompressionContext* inner, ColumnType type,
                                 u32 value_count, u64 input_bytes) {
   if (inner->trace == nullptr || inner->estimating) return nullptr;
@@ -204,90 +181,71 @@ void CloseTraceNode(obs::CascadeNode* node, u8 scheme, u64 output_bytes,
   }
 }
 
-// Shared selection loop. SchemeT is one of the three scheme interfaces;
-// EstimateFn evaluates one scheme against the precomputed stats/sample.
-template <typename CodeT, typename EstimateFn, typename EnabledFn>
-CodeT SelectScheme(u32 scheme_count, const EstimateFn& estimate,
-                   const EnabledFn& enabled, CodeT fallback) {
-  CodeT best = fallback;
+// The pick step of every column type: statistics, sample, each enabled
+// scheme's estimate, best ratio. `in...` is (values, count) for numbers
+// and a StringsView for strings.
+template <typename T, typename... In>
+typename SchemeTraits<T>::Code PickStep(const CompressionContext& ctx,
+                                        obs::CascadeNode* node,
+                                        const In&... in) {
+  using Code = typename SchemeTraits<T>::Code;
+  constexpr ColumnType kType = SchemeTraits<T>::kType;
+  if (ctx.remaining_cascades == 0 || ValueCount(in...) == 0) {
+    return Code::kUncompressed;
+  }
+  if (ctx.estimating) {
+    return SchemeTraits<T>::QuickPick(in..., ComputeStats(in...), *ctx.config);
+  }
+  BTR_TRACE_SPAN(kPickSpans[static_cast<u8>(kType)]);
+  Telemetry* telemetry = ctx.config->telemetry;
+  Timer stats_timer;
+  auto stats = ComputeStats(in...);
+  u64 stats_ns = static_cast<u64>(stats_timer.ElapsedNanos());
+  if (telemetry != nullptr) telemetry->stats_ns += stats_ns;
+  if (node != nullptr) node->stats_ns = stats_ns;
+  Timer timer;
+  auto sample = BuildSample(in..., *ctx.config);
+  Code best = Code::kUncompressed;
   double best_ratio = -1.0;
-  for (u32 c = 0; c < scheme_count; c++) {
-    CodeT code = static_cast<CodeT>(c);
-    if (!enabled(code)) continue;
-    double ratio = estimate(code);
+  for (u8 c = 0; c < SchemeTraits<T>::kSchemeCount; c++) {
+    Code code{c};
+    if (!ctx.config->SchemeEnabled(code)) continue;
+    Timer estimate_timer;
+    double ratio = GetScheme(code).EstimateRatio(stats, sample, ctx);
+    SchemeHistogram(SchemePhase::kEstimate, kType, c)
+        .Record(static_cast<u64>(estimate_timer.ElapsedNanos()));
+    if (node != nullptr) node->candidates.push_back({c, ratio});
     if (ratio != 0.0 && ratio > best_ratio) {
       best_ratio = ratio;
       best = code;
     }
   }
+  u64 estimate_ns = static_cast<u64>(timer.ElapsedNanos());
+  if (telemetry != nullptr) telemetry->estimate_ns += estimate_ns;
+  if (node != nullptr) node->estimate_ns = estimate_ns;
   return best;
 }
 
-}  // namespace
-
-// --- Integers ------------------------------------------------------------------
-
-namespace {
-IntSchemeCode PickIntSchemeImpl(const i32* in, u32 count,
-                                const CompressionContext& ctx,
-                                obs::CascadeNode* node) {
-  if (ctx.remaining_cascades == 0 || count == 0) {
-    return IntSchemeCode::kUncompressed;
-  }
-  if (ctx.estimating) {
-    return QuickPickInt(in, count, ComputeIntStats(in, count), *ctx.config);
-  }
-  BTR_TRACE_SPAN("btr.pick.int");
-  Timer stats_timer;
-  IntStats stats = ComputeIntStats(in, count);
-  u64 stats_ns = static_cast<u64>(stats_timer.ElapsedNanos());
-  if (ctx.config->telemetry != nullptr) {
-    ctx.config->telemetry->stats_ns += stats_ns;
-  }
-  if (node != nullptr) node->stats_ns = stats_ns;
-  Timer timer;
-  IntSample sample = BuildIntSample(in, count, *ctx.config);
-  IntSchemeCode code = SelectScheme<IntSchemeCode>(
-      kIntSchemeCount,
-      [&](IntSchemeCode c) {
-        Timer estimate_timer;
-        double ratio = GetIntScheme(c).EstimateRatio(stats, sample, ctx);
-        EstimateHistogram(ColumnType::kInteger, static_cast<u8>(c))
-            .Record(static_cast<u64>(estimate_timer.ElapsedNanos()));
-        if (node != nullptr) {
-          node->candidates.push_back({static_cast<u8>(c), ratio});
-        }
-        return ratio;
-      },
-      [&](IntSchemeCode c) { return ctx.config->IntSchemeEnabled(c); },
-      IntSchemeCode::kUncompressed);
-  u64 estimate_ns = static_cast<u64>(timer.ElapsedNanos());
-  if (ctx.config->telemetry != nullptr) {
-    ctx.config->telemetry->estimate_ns += estimate_ns;
-  }
-  if (node != nullptr) node->estimate_ns = estimate_ns;
-  return code;
-}
-}  // namespace
-
-size_t CompressInts(const i32* in, u32 count, ByteBuffer* out,
-                    const CompressionContext& ctx, IntSchemeCode* chosen) {
+// The compress step of every column type: pick, scheme byte, payload.
+template <typename T, typename... In>
+size_t CompressStep(ByteBuffer* out, const CompressionContext& ctx,
+                    typename SchemeTraits<T>::Code* chosen, const In&... in) {
+  constexpr ColumnType kType = SchemeTraits<T>::kType;
   CompressionContext inner = ctx;
   obs::CascadeNode* node =
-      OpenTraceNode(&inner, ColumnType::kInteger, count,
-                    static_cast<u64>(count) * sizeof(i32));
-  IntSchemeCode code = PickIntSchemeImpl(in, count, inner, node);
+      OpenTraceNode(&inner, kType, ValueCount(in...), InputBytes(in...));
+  typename SchemeTraits<T>::Code code = PickStep<T>(inner, node, in...);
   if (chosen != nullptr) *chosen = code;
-  RecordSchemeUse(ctx, ColumnType::kInteger, static_cast<u8>(code));
+  RecordSchemeUse(ctx, kType, static_cast<u8>(code));
   size_t start = out->size();
   out->AppendValue<u8>(static_cast<u8>(code));
   if (ctx.estimating) {
-    GetIntScheme(code).Compress(in, count, out, inner);
+    GetScheme(code).Compress(in..., out, inner);
   } else {
     Timer compress_timer;
-    GetIntScheme(code).Compress(in, count, out, inner);
+    GetScheme(code).Compress(in..., out, inner);
     u64 compress_ns = static_cast<u64>(compress_timer.ElapsedNanos());
-    CompressHistogram(ColumnType::kInteger, static_cast<u8>(code))
+    SchemeHistogram(SchemePhase::kCompress, kType, static_cast<u8>(code))
         .Record(compress_ns);
     if (node != nullptr) {
       CloseTraceNode(node, static_cast<u8>(code), out->size() - start,
@@ -295,184 +253,57 @@ size_t CompressInts(const i32* in, u32 count, ByteBuffer* out,
     }
   }
   return out->size() - start;
+}
+
+}  // namespace
+
+// --- entry points ------------------------------------------------------------
+
+template <typename T>
+size_t CompressValues(const T* in, u32 count, ByteBuffer* out,
+                      const CompressionContext& ctx,
+                      typename SchemeTraits<T>::Code* chosen) {
+  return CompressStep<T>(out, ctx, chosen, in, count);
+}
+template size_t CompressValues(const i32*, u32, ByteBuffer*,
+                               const CompressionContext&, IntSchemeCode*);
+template size_t CompressValues(const double*, u32, ByteBuffer*,
+                               const CompressionContext&, DoubleSchemeCode*);
+
+size_t CompressValues(const StringsView& in, ByteBuffer* out,
+                      const CompressionContext& ctx, StringSchemeCode* chosen) {
+  return CompressStep<std::string_view>(out, ctx, chosen, in);
+}
+
+template <typename T>
+typename SchemeTraits<T>::Code PickScheme(const T* in, u32 count,
+                                          const CompressionConfig& config) {
+  CompressionContext ctx{&config, config.max_cascade_depth};
+  return PickStep<T>(ctx, nullptr, in, count);
+}
+template IntSchemeCode PickScheme(const i32*, u32, const CompressionConfig&);
+template DoubleSchemeCode PickScheme(const double*, u32,
+                                     const CompressionConfig&);
+
+StringSchemeCode PickScheme(const StringsView& in,
+                            const CompressionConfig& config) {
+  CompressionContext ctx{&config, config.max_cascade_depth};
+  return PickStep<std::string_view>(ctx, nullptr, in);
 }
 
 void DecompressInts(const u8* in, u32 count, i32* out) {
-  GetIntScheme(static_cast<IntSchemeCode>(in[0])).Decompress(in + 1, count, out);
-}
-
-IntSchemeCode PickIntScheme(const i32* in, u32 count,
-                            const CompressionConfig& config) {
-  CompressionContext ctx{&config, config.max_cascade_depth};
-  return PickIntSchemeImpl(in, count, ctx, nullptr);
-}
-
-// --- Doubles --------------------------------------------------------------------
-
-namespace {
-DoubleSchemeCode PickDoubleSchemeImpl(const double* in, u32 count,
-                                      const CompressionContext& ctx,
-                                      obs::CascadeNode* node) {
-  if (ctx.remaining_cascades == 0 || count == 0) {
-    return DoubleSchemeCode::kUncompressed;
-  }
-  if (ctx.estimating) {
-    return QuickPickDouble(ComputeDoubleStats(in, count), *ctx.config);
-  }
-  BTR_TRACE_SPAN("btr.pick.double");
-  Timer stats_timer;
-  DoubleStats stats = ComputeDoubleStats(in, count);
-  u64 stats_ns = static_cast<u64>(stats_timer.ElapsedNanos());
-  if (ctx.config->telemetry != nullptr) {
-    ctx.config->telemetry->stats_ns += stats_ns;
-  }
-  if (node != nullptr) node->stats_ns = stats_ns;
-  Timer timer;
-  DoubleSample sample = BuildDoubleSample(in, count, *ctx.config);
-  DoubleSchemeCode code = SelectScheme<DoubleSchemeCode>(
-      kDoubleSchemeCount,
-      [&](DoubleSchemeCode c) {
-        Timer estimate_timer;
-        double ratio = GetDoubleScheme(c).EstimateRatio(stats, sample, ctx);
-        EstimateHistogram(ColumnType::kDouble, static_cast<u8>(c))
-            .Record(static_cast<u64>(estimate_timer.ElapsedNanos()));
-        if (node != nullptr) {
-          node->candidates.push_back({static_cast<u8>(c), ratio});
-        }
-        return ratio;
-      },
-      [&](DoubleSchemeCode c) { return ctx.config->DoubleSchemeEnabled(c); },
-      DoubleSchemeCode::kUncompressed);
-  u64 estimate_ns = static_cast<u64>(timer.ElapsedNanos());
-  if (ctx.config->telemetry != nullptr) {
-    ctx.config->telemetry->estimate_ns += estimate_ns;
-  }
-  if (node != nullptr) node->estimate_ns = estimate_ns;
-  return code;
-}
-}  // namespace
-
-size_t CompressDoubles(const double* in, u32 count, ByteBuffer* out,
-                       const CompressionContext& ctx, DoubleSchemeCode* chosen) {
-  CompressionContext inner = ctx;
-  obs::CascadeNode* node =
-      OpenTraceNode(&inner, ColumnType::kDouble, count,
-                    static_cast<u64>(count) * sizeof(double));
-  DoubleSchemeCode code = PickDoubleSchemeImpl(in, count, inner, node);
-  if (chosen != nullptr) *chosen = code;
-  RecordSchemeUse(ctx, ColumnType::kDouble, static_cast<u8>(code));
-  size_t start = out->size();
-  out->AppendValue<u8>(static_cast<u8>(code));
-  if (ctx.estimating) {
-    GetDoubleScheme(code).Compress(in, count, out, inner);
-  } else {
-    Timer compress_timer;
-    GetDoubleScheme(code).Compress(in, count, out, inner);
-    u64 compress_ns = static_cast<u64>(compress_timer.ElapsedNanos());
-    CompressHistogram(ColumnType::kDouble, static_cast<u8>(code))
-        .Record(compress_ns);
-    if (node != nullptr) {
-      CloseTraceNode(node, static_cast<u8>(code), out->size() - start,
-                     compress_ns);
-    }
-  }
-  return out->size() - start;
+  GetScheme(static_cast<IntSchemeCode>(in[0])).Decompress(in + 1, count, out);
 }
 
 void DecompressDoubles(const u8* in, u32 count, double* out) {
-  GetDoubleScheme(static_cast<DoubleSchemeCode>(in[0]))
+  GetScheme(static_cast<DoubleSchemeCode>(in[0]))
       .Decompress(in + 1, count, out);
-}
-
-DoubleSchemeCode PickDoubleScheme(const double* in, u32 count,
-                                  const CompressionConfig& config) {
-  CompressionContext ctx{&config, config.max_cascade_depth};
-  return PickDoubleSchemeImpl(in, count, ctx, nullptr);
-}
-
-// --- Strings --------------------------------------------------------------------
-
-namespace {
-StringSchemeCode PickStringSchemeImpl(const StringsView& in,
-                                      const CompressionContext& ctx,
-                                      obs::CascadeNode* node) {
-  if (ctx.remaining_cascades == 0 || in.count == 0) {
-    return StringSchemeCode::kUncompressed;
-  }
-  if (ctx.estimating) {
-    return QuickPickString(ComputeStringStats(in), *ctx.config);
-  }
-  BTR_TRACE_SPAN("btr.pick.string");
-  Timer stats_timer;
-  StringStats stats = ComputeStringStats(in);
-  u64 stats_ns = static_cast<u64>(stats_timer.ElapsedNanos());
-  if (ctx.config->telemetry != nullptr) {
-    ctx.config->telemetry->stats_ns += stats_ns;
-  }
-  if (node != nullptr) node->stats_ns = stats_ns;
-  Timer timer;
-  StringSample sample = BuildStringSample(in, *ctx.config);
-  StringSchemeCode code = SelectScheme<StringSchemeCode>(
-      kStringSchemeCount,
-      [&](StringSchemeCode c) {
-        Timer estimate_timer;
-        double ratio = GetStringScheme(c).EstimateRatio(stats, sample, ctx);
-        EstimateHistogram(ColumnType::kString, static_cast<u8>(c))
-            .Record(static_cast<u64>(estimate_timer.ElapsedNanos()));
-        if (node != nullptr) {
-          node->candidates.push_back({static_cast<u8>(c), ratio});
-        }
-        return ratio;
-      },
-      [&](StringSchemeCode c) { return ctx.config->StringSchemeEnabled(c); },
-      StringSchemeCode::kUncompressed);
-  u64 estimate_ns = static_cast<u64>(timer.ElapsedNanos());
-  if (ctx.config->telemetry != nullptr) {
-    ctx.config->telemetry->estimate_ns += estimate_ns;
-  }
-  if (node != nullptr) node->estimate_ns = estimate_ns;
-  return code;
-}
-}  // namespace
-
-size_t CompressStrings(const StringsView& in, ByteBuffer* out,
-                       const CompressionContext& ctx, StringSchemeCode* chosen) {
-  CompressionContext inner = ctx;
-  obs::CascadeNode* node = OpenTraceNode(
-      &inner, ColumnType::kString, in.count,
-      static_cast<u64>(in.TotalBytes()) +
-          static_cast<u64>(in.count) * sizeof(u32));
-  StringSchemeCode code = PickStringSchemeImpl(in, inner, node);
-  if (chosen != nullptr) *chosen = code;
-  RecordSchemeUse(ctx, ColumnType::kString, static_cast<u8>(code));
-  size_t start = out->size();
-  out->AppendValue<u8>(static_cast<u8>(code));
-  if (ctx.estimating) {
-    GetStringScheme(code).Compress(in, out, inner);
-  } else {
-    Timer compress_timer;
-    GetStringScheme(code).Compress(in, out, inner);
-    u64 compress_ns = static_cast<u64>(compress_timer.ElapsedNanos());
-    CompressHistogram(ColumnType::kString, static_cast<u8>(code))
-        .Record(compress_ns);
-    if (node != nullptr) {
-      CloseTraceNode(node, static_cast<u8>(code), out->size() - start,
-                     compress_ns);
-    }
-  }
-  return out->size() - start;
 }
 
 void DecompressStrings(const u8* in, u32 count, DecodedStrings* out,
                        const CompressionConfig& config) {
-  GetStringScheme(static_cast<StringSchemeCode>(in[0]))
+  GetScheme(static_cast<StringSchemeCode>(in[0]))
       .Decompress(in + 1, count, out, config);
-}
-
-StringSchemeCode PickStringScheme(const StringsView& in,
-                                  const CompressionConfig& config) {
-  CompressionContext ctx{&config, config.max_cascade_depth};
-  return PickStringSchemeImpl(in, ctx, nullptr);
 }
 
 }  // namespace btr

@@ -4,7 +4,8 @@
 //   5. recurse on compressible outputs until the cascade budget runs out.
 //
 // These free functions are both the top-level entry points for one block
-// and the recursion points schemes call from inside their payloads.
+// and the recursion points schemes call from inside their payloads. One
+// pick step and one compress step serve all three column types.
 #ifndef BTR_BTR_SCHEME_PICKER_H_
 #define BTR_BTR_SCHEME_PICKER_H_
 
@@ -12,17 +13,20 @@
 
 namespace btr {
 
-// Compresses in[0..count) as [u8 scheme][payload]; returns bytes appended.
-// `chosen` (optional) reports the selected scheme.
-size_t CompressInts(const i32* in, u32 count, ByteBuffer* out,
-                    const CompressionContext& ctx,
-                    IntSchemeCode* chosen = nullptr);
-size_t CompressDoubles(const double* in, u32 count, ByteBuffer* out,
-                       const CompressionContext& ctx,
-                       DoubleSchemeCode* chosen = nullptr);
-size_t CompressStrings(const StringsView& in, ByteBuffer* out,
-                       const CompressionContext& ctx,
-                       StringSchemeCode* chosen = nullptr);
+namespace obs {
+class Histogram;  // obs/metrics.h
+}  // namespace obs
+
+// Compresses in[0..count) (T = i32 or double) or a string view as
+// [u8 scheme][payload]; returns bytes appended. `chosen` (optional)
+// reports the selected scheme.
+template <typename T>
+size_t CompressValues(const T* in, u32 count, ByteBuffer* out,
+                      const CompressionContext& ctx,
+                      typename SchemeTraits<T>::Code* chosen = nullptr);
+size_t CompressValues(const StringsView& in, ByteBuffer* out,
+                      const CompressionContext& ctx,
+                      StringSchemeCode* chosen = nullptr);
 
 // Decompress a [scheme][payload] vector produced by the functions above.
 // Output buffers need kDecodeSlack elements of slack.
@@ -47,12 +51,17 @@ inline IntSchemeCode PeekIntScheme(const u8* in) {
 
 // Scheme selection without compressing (Figures 5/6): returns the scheme
 // the picker would choose for this block under `config`.
-IntSchemeCode PickIntScheme(const i32* in, u32 count,
+template <typename T>
+typename SchemeTraits<T>::Code PickScheme(const T* in, u32 count,
+                                          const CompressionConfig& config);
+StringSchemeCode PickScheme(const StringsView& in,
                             const CompressionConfig& config);
-DoubleSchemeCode PickDoubleScheme(const double* in, u32 count,
-                                  const CompressionConfig& config);
-StringSchemeCode PickStringScheme(const StringsView& in,
-                                  const CompressionConfig& config);
+
+// Per-scheme timing histogram "btr.<phase>.<type>.<scheme>.ns", with
+// phase "estimate", "compress" or "decompress" and type int, double or
+// string; resolved through the metrics registry once and cached.
+enum class SchemePhase : u8 { kEstimate, kCompress, kDecompress };
+obs::Histogram& SchemeHistogram(SchemePhase phase, ColumnType type, u8 code);
 
 }  // namespace btr
 

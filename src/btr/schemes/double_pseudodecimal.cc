@@ -74,7 +74,7 @@ double DoublePseudodecimal::EstimateRatio(const DoubleStats& stats,
     if (EncodeSingle(v).exp == kExponentException) patches++;
   }
   if (patches * 2 > sample.values.size()) return 0.0;
-  return EstimateDoubleBySample(*this, sample, ctx);
+  return EstimateBySample(*this, sample, ctx);
 }
 
 size_t DoublePseudodecimal::Compress(const double* in, u32 count,
@@ -99,13 +99,13 @@ size_t DoublePseudodecimal::Compress(const double* in, u32 count,
   out->AppendValue<u32>(static_cast<u32>(patches.size()));
   size_t digits_slot = out->size();
   out->AppendValue<u32>(0);
-  u32 digits_bytes =
-      static_cast<u32>(CompressInts(digits.data(), count, out, ctx.Descend()));
+  u32 digits_bytes = static_cast<u32>(
+      CompressValues(digits.data(), count, out, ctx.Descend()));
   std::memcpy(out->data() + digits_slot, &digits_bytes, sizeof(u32));
   size_t exps_slot = out->size();
   out->AppendValue<u32>(0);
   u32 exps_bytes =
-      static_cast<u32>(CompressInts(exps.data(), count, out, ctx.Descend()));
+      static_cast<u32>(CompressValues(exps.data(), count, out, ctx.Descend()));
   std::memcpy(out->data() + exps_slot, &exps_bytes, sizeof(u32));
   out->AppendValue<u32>(static_cast<u32>(patch_bitmap.SerializedSizeBytes()));
   patch_bitmap.SerializeTo(out);

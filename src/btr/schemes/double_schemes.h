@@ -1,67 +1,13 @@
 // The double scheme pool (paper Figure 3, middle): Uncompressed, OneValue,
-// RLE, Dictionary, Frequency and the novel Pseudodecimal Encoding
-// (paper Section 4).
+// RLE, Dictionary and Frequency (shared with integers,
+// numeric_schemes.h), then the novel Pseudodecimal Encoding (paper
+// Section 4) declared here.
 #ifndef BTR_BTR_SCHEMES_DOUBLE_SCHEMES_H_
 #define BTR_BTR_SCHEMES_DOUBLE_SCHEMES_H_
 
 #include "btr/scheme.h"
 
 namespace btr {
-
-class DoubleUncompressed final : public DoubleScheme {
- public:
-  DoubleSchemeCode code() const override { return DoubleSchemeCode::kUncompressed; }
-  const char* name() const override { return "uncompressed"; }
-  double EstimateRatio(const DoubleStats&, const DoubleSample&,
-                       const CompressionContext&) const override;
-  size_t Compress(const double* in, u32 count, ByteBuffer* out,
-                  const CompressionContext& ctx) const override;
-  void Decompress(const u8* in, u32 count, double* out) const override;
-};
-
-class DoubleOneValue final : public DoubleScheme {
- public:
-  DoubleSchemeCode code() const override { return DoubleSchemeCode::kOneValue; }
-  const char* name() const override { return "one_value"; }
-  double EstimateRatio(const DoubleStats&, const DoubleSample&,
-                       const CompressionContext&) const override;
-  size_t Compress(const double* in, u32 count, ByteBuffer* out,
-                  const CompressionContext& ctx) const override;
-  void Decompress(const u8* in, u32 count, double* out) const override;
-};
-
-class DoubleRle final : public DoubleScheme {
- public:
-  DoubleSchemeCode code() const override { return DoubleSchemeCode::kRle; }
-  const char* name() const override { return "rle"; }
-  double EstimateRatio(const DoubleStats&, const DoubleSample&,
-                       const CompressionContext&) const override;
-  size_t Compress(const double* in, u32 count, ByteBuffer* out,
-                  const CompressionContext& ctx) const override;
-  void Decompress(const u8* in, u32 count, double* out) const override;
-};
-
-class DoubleDict final : public DoubleScheme {
- public:
-  DoubleSchemeCode code() const override { return DoubleSchemeCode::kDict; }
-  const char* name() const override { return "dict"; }
-  double EstimateRatio(const DoubleStats&, const DoubleSample&,
-                       const CompressionContext&) const override;
-  size_t Compress(const double* in, u32 count, ByteBuffer* out,
-                  const CompressionContext& ctx) const override;
-  void Decompress(const u8* in, u32 count, double* out) const override;
-};
-
-class DoubleFrequency final : public DoubleScheme {
- public:
-  DoubleSchemeCode code() const override { return DoubleSchemeCode::kFrequency; }
-  const char* name() const override { return "frequency"; }
-  double EstimateRatio(const DoubleStats&, const DoubleSample&,
-                       const CompressionContext&) const override;
-  size_t Compress(const double* in, u32 count, ByteBuffer* out,
-                  const CompressionContext& ctx) const override;
-  void Decompress(const u8* in, u32 count, double* out) const override;
-};
 
 class DoublePseudodecimal final : public DoubleScheme {
  public:

@@ -14,44 +14,30 @@ inline double RatioOf(size_t input_bytes, size_t output_bytes) {
   return static_cast<double>(input_bytes) / static_cast<double>(output_bytes);
 }
 
-inline double EstimateIntBySample(const IntScheme& scheme,
-                                  const IntSample& sample,
-                                  const CompressionContext& ctx) {
+template <typename T>
+double EstimateBySample(const NumericScheme<T>& scheme,
+                        const NumericSample<T>& sample,
+                        const CompressionContext& ctx) {
   if (sample.values.empty()) return 0.0;
   ByteBuffer scratch;
   CompressionContext estimate_ctx = ctx;
   estimate_ctx.estimating = true;
-  size_t out_bytes = scheme.Compress(sample.values.data(),
-                                     static_cast<u32>(sample.values.size()),
-                                     &scratch, estimate_ctx);
-  return RatioOf(sample.values.size() * sizeof(i32), out_bytes);
+  u32 count = static_cast<u32>(sample.values.size());
+  size_t out_bytes =
+      scheme.Compress(sample.values.data(), count, &scratch, estimate_ctx);
+  return RatioOf(InputBytes(sample.values.data(), count), out_bytes);
 }
 
-inline double EstimateDoubleBySample(const DoubleScheme& scheme,
-                                     const DoubleSample& sample,
-                                     const CompressionContext& ctx) {
-  if (sample.values.empty()) return 0.0;
-  ByteBuffer scratch;
-  CompressionContext estimate_ctx = ctx;
-  estimate_ctx.estimating = true;
-  size_t out_bytes = scheme.Compress(sample.values.data(),
-                                     static_cast<u32>(sample.values.size()),
-                                     &scratch, estimate_ctx);
-  return RatioOf(sample.values.size() * sizeof(double), out_bytes);
-}
-
-inline double EstimateStringBySample(const StringScheme& scheme,
-                                     const StringSample& sample,
-                                     const CompressionContext& ctx) {
+inline double EstimateBySample(const StringScheme& scheme,
+                               const StringSample& sample,
+                               const CompressionContext& ctx) {
   StringsView view = sample.View();
   if (view.count == 0) return 0.0;
   ByteBuffer scratch;
   CompressionContext estimate_ctx = ctx;
   estimate_ctx.estimating = true;
   size_t out_bytes = scheme.Compress(view, &scratch, estimate_ctx);
-  // Input footprint counts bytes plus one 4-byte offset per string,
-  // consistent with Column::UncompressedBytes().
-  return RatioOf(view.TotalBytes() + view.count * sizeof(u32), out_bytes);
+  return RatioOf(InputBytes(view), out_bytes);
 }
 
 }  // namespace btr

@@ -1,48 +1,9 @@
-// Uncompressed, OneValue, FastBP128 and FastPFOR integer schemes.
-#include <cstring>
-
+// FastBP128 and FastPFOR, the integer-only schemes (bitpack/bitpack.h).
 #include "bitpack/bitpack.h"
-#include "btr/schemes/decode_util.h"
 #include "btr/schemes/estimate_util.h"
 #include "btr/schemes/int_schemes.h"
 
 namespace btr {
-
-// --- Uncompressed ---------------------------------------------------------------
-
-double IntUncompressed::EstimateRatio(const IntStats&, const IntSample&,
-                                      const CompressionContext&) const {
-  return 1.0;
-}
-
-size_t IntUncompressed::Compress(const i32* in, u32 count, ByteBuffer* out,
-                                 const CompressionContext&) const {
-  out->Append(in, count * sizeof(i32));
-  return count * sizeof(i32);
-}
-
-void IntUncompressed::Decompress(const u8* in, u32 count, i32* out) const {
-  std::memcpy(out, in, count * sizeof(i32));
-}
-
-// --- OneValue ---------------------------------------------------------------------
-
-double IntOneValue::EstimateRatio(const IntStats& stats, const IntSample&,
-                                  const CompressionContext&) const {
-  if (stats.unique_count != 1) return 0.0;
-  return RatioOf(stats.count * sizeof(i32), sizeof(i32));
-}
-
-size_t IntOneValue::Compress(const i32* in, u32 count, ByteBuffer* out,
-                             const CompressionContext&) const {
-  BTR_CHECK(count > 0);
-  out->AppendValue<i32>(in[0]);
-  return sizeof(i32);
-}
-
-void IntOneValue::Decompress(const u8* in, u32 count, i32* out) const {
-  FillValue(layout::ReadOneValue<i32>(in), count, out);
-}
 
 // --- FastBP128 ----------------------------------------------------------------------
 

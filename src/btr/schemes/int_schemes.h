@@ -1,67 +1,13 @@
-// The integer scheme pool (paper Figure 3, left-to-right):
-// Uncompressed, OneValue, RLE, Dictionary, Frequency, SIMD-FastBP128,
-// SIMD-FastPFOR. One class per scheme; registry in registry.cc.
+// The integer scheme pool (paper Figure 3, left-to-right): Uncompressed,
+// OneValue, RLE, Dictionary and Frequency (shared with doubles,
+// numeric_schemes.h), then the integer-only SIMD-FastBP128 and
+// SIMD-FastPFOR declared here. Registry in registry.cc.
 #ifndef BTR_BTR_SCHEMES_INT_SCHEMES_H_
 #define BTR_BTR_SCHEMES_INT_SCHEMES_H_
 
 #include "btr/scheme.h"
 
 namespace btr {
-
-class IntUncompressed final : public IntScheme {
- public:
-  IntSchemeCode code() const override { return IntSchemeCode::kUncompressed; }
-  const char* name() const override { return "uncompressed"; }
-  double EstimateRatio(const IntStats&, const IntSample&,
-                       const CompressionContext&) const override;
-  size_t Compress(const i32* in, u32 count, ByteBuffer* out,
-                  const CompressionContext& ctx) const override;
-  void Decompress(const u8* in, u32 count, i32* out) const override;
-};
-
-class IntOneValue final : public IntScheme {
- public:
-  IntSchemeCode code() const override { return IntSchemeCode::kOneValue; }
-  const char* name() const override { return "one_value"; }
-  double EstimateRatio(const IntStats&, const IntSample&,
-                       const CompressionContext&) const override;
-  size_t Compress(const i32* in, u32 count, ByteBuffer* out,
-                  const CompressionContext& ctx) const override;
-  void Decompress(const u8* in, u32 count, i32* out) const override;
-};
-
-class IntRle final : public IntScheme {
- public:
-  IntSchemeCode code() const override { return IntSchemeCode::kRle; }
-  const char* name() const override { return "rle"; }
-  double EstimateRatio(const IntStats&, const IntSample&,
-                       const CompressionContext&) const override;
-  size_t Compress(const i32* in, u32 count, ByteBuffer* out,
-                  const CompressionContext& ctx) const override;
-  void Decompress(const u8* in, u32 count, i32* out) const override;
-};
-
-class IntDict final : public IntScheme {
- public:
-  IntSchemeCode code() const override { return IntSchemeCode::kDict; }
-  const char* name() const override { return "dict"; }
-  double EstimateRatio(const IntStats&, const IntSample&,
-                       const CompressionContext&) const override;
-  size_t Compress(const i32* in, u32 count, ByteBuffer* out,
-                  const CompressionContext& ctx) const override;
-  void Decompress(const u8* in, u32 count, i32* out) const override;
-};
-
-class IntFrequency final : public IntScheme {
- public:
-  IntSchemeCode code() const override { return IntSchemeCode::kFrequency; }
-  const char* name() const override { return "frequency"; }
-  double EstimateRatio(const IntStats&, const IntSample&,
-                       const CompressionContext&) const override;
-  size_t Compress(const i32* in, u32 count, ByteBuffer* out,
-                  const CompressionContext& ctx) const override;
-  void Decompress(const u8* in, u32 count, i32* out) const override;
-};
 
 class IntBp128 final : public IntScheme {
  public:

@@ -1,76 +1,65 @@
-// Scheme registries and name tables.
+// Scheme registries and name tables. Each pool lists its schemes in code
+// order.
+#include <iterator>
+
+#include "btr/column.h"
 #include "btr/scheme.h"
 #include "btr/schemes/double_schemes.h"
 #include "btr/schemes/int_schemes.h"
+#include "btr/schemes/numeric_schemes.h"
 #include "btr/schemes/string_schemes.h"
 
 namespace btr {
 
-const IntScheme& GetIntScheme(IntSchemeCode code) {
-  static const IntUncompressed* uncompressed = new IntUncompressed();
-  static const IntOneValue* one_value = new IntOneValue();
-  static const IntRle* rle = new IntRle();
-  static const IntDict* dict = new IntDict();
-  static const IntFrequency* frequency = new IntFrequency();
-  static const IntBp128* bp128 = new IntBp128();
-  static const IntPfor* pfor = new IntPfor();
-  switch (code) {
-    case IntSchemeCode::kUncompressed: return *uncompressed;
-    case IntSchemeCode::kOneValue: return *one_value;
-    case IntSchemeCode::kRle: return *rle;
-    case IntSchemeCode::kDict: return *dict;
-    case IntSchemeCode::kFrequency: return *frequency;
-    case IntSchemeCode::kBp128: return *bp128;
-    case IntSchemeCode::kPfor: return *pfor;
-  }
-  BTR_CHECK_MSG(false, "invalid int scheme code");
-  return *uncompressed;
+namespace {
+template <typename Scheme, typename Code, size_t N>
+const Scheme& SchemeAt(const Scheme* const (&pool)[N], Code code) {
+  BTR_CHECK_MSG(static_cast<size_t>(code) < N, "invalid scheme code");
+  return *pool[static_cast<size_t>(code)];
+}
+}  // namespace
+
+const IntScheme& GetScheme(IntSchemeCode code) {
+  static const IntScheme* const kPool[] = {
+      new Uncompressed<i32>(), new OneValue<i32>(), new Rle<i32>(),
+      new Dict<i32>(),         new Frequency<i32>(), new IntBp128(),
+      new IntPfor()};
+  static_assert(std::size(kPool) == kIntSchemeCount);
+  return SchemeAt(kPool, code);
 }
 
-const DoubleScheme& GetDoubleScheme(DoubleSchemeCode code) {
-  static const DoubleUncompressed* uncompressed = new DoubleUncompressed();
-  static const DoubleOneValue* one_value = new DoubleOneValue();
-  static const DoubleRle* rle = new DoubleRle();
-  static const DoubleDict* dict = new DoubleDict();
-  static const DoubleFrequency* frequency = new DoubleFrequency();
-  static const DoublePseudodecimal* pseudodecimal = new DoublePseudodecimal();
-  switch (code) {
-    case DoubleSchemeCode::kUncompressed: return *uncompressed;
-    case DoubleSchemeCode::kOneValue: return *one_value;
-    case DoubleSchemeCode::kRle: return *rle;
-    case DoubleSchemeCode::kDict: return *dict;
-    case DoubleSchemeCode::kFrequency: return *frequency;
-    case DoubleSchemeCode::kPseudodecimal: return *pseudodecimal;
-  }
-  BTR_CHECK_MSG(false, "invalid double scheme code");
-  return *uncompressed;
+const DoubleScheme& GetScheme(DoubleSchemeCode code) {
+  static const DoubleScheme* const kPool[] = {
+      new Uncompressed<double>(), new OneValue<double>(),
+      new Rle<double>(),          new Dict<double>(),
+      new Frequency<double>(),    new DoublePseudodecimal()};
+  static_assert(std::size(kPool) == kDoubleSchemeCount);
+  return SchemeAt(kPool, code);
 }
 
-const StringScheme& GetStringScheme(StringSchemeCode code) {
-  static const StringUncompressed* uncompressed = new StringUncompressed();
-  static const StringOneValue* one_value = new StringOneValue();
-  static const StringDict* dict = new StringDict();
-  static const StringFsst* fsst_scheme = new StringFsst();
-  static const StringDictFsst* dict_fsst = new StringDictFsst();
-  switch (code) {
-    case StringSchemeCode::kUncompressed: return *uncompressed;
-    case StringSchemeCode::kOneValue: return *one_value;
-    case StringSchemeCode::kDict: return *dict;
-    case StringSchemeCode::kFsst: return *fsst_scheme;
-    case StringSchemeCode::kDictFsst: return *dict_fsst;
-  }
-  BTR_CHECK_MSG(false, "invalid string scheme code");
-  return *uncompressed;
+const StringScheme& GetScheme(StringSchemeCode code) {
+  static const StringScheme* const kPool[] = {
+      new StringUncompressed(), new StringOneValue(), new StringDict(),
+      new StringFsst(), new StringDictFsst()};
+  static_assert(std::size(kPool) == kStringSchemeCount);
+  return SchemeAt(kPool, code);
 }
 
-const char* IntSchemeName(IntSchemeCode code) {
-  return GetIntScheme(code).name();
-}
+const char* IntSchemeName(IntSchemeCode code) { return GetScheme(code).name(); }
 const char* DoubleSchemeName(DoubleSchemeCode code) {
-  return GetDoubleScheme(code).name();
+  return GetScheme(code).name();
 }
 const char* StringSchemeName(StringSchemeCode code) {
-  return GetStringScheme(code).name();
+  return GetScheme(code).name();
+}
+
+const char* SchemeNameFor(ColumnType type, u8 code) {
+  switch (type) {
+    case ColumnType::kInteger: return IntSchemeName(IntSchemeCode{code});
+    case ColumnType::kDouble: return DoubleSchemeName(DoubleSchemeCode{code});
+    case ColumnType::kString: return StringSchemeName(StringSchemeCode{code});
+  }
+  return "?";
 }
 
 }  // namespace btr

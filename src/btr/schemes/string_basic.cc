@@ -29,7 +29,7 @@ size_t StringUncompressed::Compress(const StringsView& in, ByteBuffer* out,
   size_t size_slot = out->size();
   out->AppendValue<u32>(0);
   u32 lengths_bytes = static_cast<u32>(
-      CompressInts(lengths.data(), in.count, out, ctx.Descend()));
+      CompressValues(lengths.data(), in.count, out, ctx.Descend()));
   std::memcpy(out->data() + size_slot, &lengths_bytes, sizeof(u32));
   out->Append(in.data + in.offsets[0], in.TotalBytes());
   return out->size() - start;

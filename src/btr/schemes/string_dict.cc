@@ -70,7 +70,7 @@ double StringDict::EstimateRatio(const StringStats& stats,
                                  const StringSample& sample,
                                  const CompressionContext& ctx) const {
   if (stats.unique_count == stats.count) return 0.0;
-  return EstimateStringBySample(*this, sample, ctx);
+  return EstimateBySample(*this, sample, ctx);
 }
 
 size_t StringDict::Compress(const StringsView& in, ByteBuffer* out,
@@ -82,7 +82,7 @@ size_t StringDict::Compress(const StringsView& in, ByteBuffer* out,
   size_t size_slot = out->size();
   out->AppendValue<u32>(0);
   u32 codes_bytes = static_cast<u32>(
-      CompressInts(dict.codes.data(), in.count, out, ctx.Descend()));
+      CompressValues(dict.codes.data(), in.count, out, ctx.Descend()));
   std::memcpy(out->data() + size_slot, &codes_bytes, sizeof(u32));
   for (u32 d = 0; d < dict.dict_count(); d++) {
     StringSlot tuple{dict.entry_offsets[d],
@@ -110,7 +110,7 @@ double StringDictFsst::EstimateRatio(const StringStats& stats,
   if (stats.unique_count == stats.count) return 0.0;
   // FSST needs material to learn from; tiny dictionaries go to plain Dict.
   if (stats.unique_bytes < 256) return 0.0;
-  return EstimateStringBySample(*this, sample, ctx);
+  return EstimateBySample(*this, sample, ctx);
 }
 
 size_t StringDictFsst::Compress(const StringsView& in, ByteBuffer* out,
@@ -122,7 +122,7 @@ size_t StringDictFsst::Compress(const StringsView& in, ByteBuffer* out,
   size_t size_slot = out->size();
   out->AppendValue<u32>(0);
   u32 codes_bytes = static_cast<u32>(
-      CompressInts(dict.codes.data(), in.count, out, ctx.Descend()));
+      CompressValues(dict.codes.data(), in.count, out, ctx.Descend()));
   std::memcpy(out->data() + size_slot, &codes_bytes, sizeof(u32));
 
   std::vector<i32> lengths(dict.dict_count());
@@ -132,7 +132,7 @@ size_t StringDictFsst::Compress(const StringsView& in, ByteBuffer* out,
   }
   size_t lens_slot = out->size();
   out->AppendValue<u32>(0);
-  u32 lens_bytes = static_cast<u32>(CompressInts(
+  u32 lens_bytes = static_cast<u32>(CompressValues(
       lengths.data(), dict.dict_count(), out, ctx.Descend()));
   std::memcpy(out->data() + lens_slot, &lens_bytes, sizeof(u32));
 

@@ -20,7 +20,7 @@ double StringFsst::EstimateRatio(const StringStats& stats,
                                  const StringSample& sample,
                                  const CompressionContext& ctx) const {
   if (stats.total_bytes < 256) return 0.0;  // nothing to learn from
-  return EstimateStringBySample(*this, sample, ctx);
+  return EstimateBySample(*this, sample, ctx);
 }
 
 size_t StringFsst::Compress(const StringsView& in, ByteBuffer* out,
@@ -35,7 +35,7 @@ size_t StringFsst::Compress(const StringsView& in, ByteBuffer* out,
   size_t lens_slot = out->size();
   out->AppendValue<u32>(0);
   u32 lengths_bytes = static_cast<u32>(
-      CompressInts(lengths.data(), in.count, out, ctx.Descend()));
+      CompressValues(lengths.data(), in.count, out, ctx.Descend()));
   std::memcpy(out->data() + lens_slot, &lengths_bytes, sizeof(u32));
 
   // During ratio estimation a smaller training sample is plenty; keeps

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cstring>
+#include <type_traits>
 #include <vector>
 
-#include "util/bits.h"
+#include "btr/scheme.h"
 
 namespace btr {
 
@@ -51,68 +52,44 @@ class DistinctCounter {
 
 }  // namespace
 
-IntStats ComputeIntStats(const i32* data, u32 count) {
-  IntStats stats;
+template <typename T>
+NumericStats<T> ComputeStats(const T* data, u32 count) {
+  using Key = typename SchemeTraits<T>::Key;
+  NumericStats<T> stats;
   stats.count = count;
   if (count == 0) return stats;
   stats.min = data[0];
   stats.max = data[0];
   stats.run_count = 1;
+  // Uniqueness and runs over the equality key: for doubles the bit
+  // pattern, so +0.0 / -0.0 and NaN payloads are distinct values.
   DistinctCounter distinct(count);
   bool saw_zero = false;
   u32 unique = 0;
+  Key prev = SchemeTraits<T>::KeyOf(data[0]);
   for (u32 i = 0; i < count; i++) {
-    i32 v = data[i];
+    T v = data[i];
     if (v < stats.min) stats.min = v;
     if (v > stats.max) stats.max = v;
-    if (i > 0 && v != data[i - 1]) stats.run_count++;
-    if (v == 0) {
+    Key key = SchemeTraits<T>::KeyOf(v);
+    if (key != prev) stats.run_count++;
+    prev = key;
+    if (key == 0) {
       if (!saw_zero) {
         saw_zero = true;
         unique++;
       }
-    } else if (distinct.Insert(static_cast<u32>(v))) {
+    } else if (distinct.Insert(static_cast<std::make_unsigned_t<Key>>(key))) {
       unique++;
     }
   }
   stats.unique_count = unique;
   return stats;
 }
+template IntStats ComputeStats(const i32*, u32);
+template DoubleStats ComputeStats(const double*, u32);
 
-DoubleStats ComputeDoubleStats(const double* data, u32 count) {
-  DoubleStats stats;
-  stats.count = count;
-  if (count == 0) return stats;
-  stats.min = data[0];
-  stats.max = data[0];
-  stats.run_count = 1;
-  // Uniqueness over bit patterns: compression is bitwise-lossless, so
-  // +0.0 / -0.0 and NaN payloads are distinct values.
-  DistinctCounter distinct(count);
-  bool saw_zero = false;
-  u32 unique = 0;
-  u64 prev_bits = 0;
-  for (u32 i = 0; i < count; i++) {
-    if (data[i] < stats.min) stats.min = data[i];
-    if (data[i] > stats.max) stats.max = data[i];
-    u64 bits;
-    std::memcpy(&bits, &data[i], 8);
-    if (i > 0 && bits != prev_bits) stats.run_count++;
-    prev_bits = bits;
-    if (bits == 0) {
-      if (!saw_zero) {
-        saw_zero = true;
-        unique++;
-      }
-    } else if (distinct.Insert(bits)) {
-      unique++;
-    }
-  }
-  stats.unique_count = unique;
-  return stats;
-}
-
-StringStats ComputeStringStats(const StringsView& view) {
+StringStats ComputeStats(const StringsView& view) {
   StringStats stats;
   stats.count = view.count;
   if (view.count == 0) return stats;

@@ -9,27 +9,21 @@
 
 namespace btr {
 
-struct IntStats {
+// Statistics of an i32 or double block. Doubles are compared on bit
+// patterns for uniqueness and runs (the format is bitwise-lossless).
+template <typename T>
+struct NumericStats {
   u32 count = 0;
-  i32 min = 0;
-  i32 max = 0;
+  T min = 0;
+  T max = 0;
   u32 unique_count = 0;
   u32 run_count = 0;
   double AverageRunLength() const {
     return run_count == 0 ? 0.0 : static_cast<double>(count) / run_count;
   }
 };
-
-struct DoubleStats {
-  u32 count = 0;
-  double min = 0;
-  double max = 0;
-  u32 unique_count = 0;
-  u32 run_count = 0;
-  double AverageRunLength() const {
-    return run_count == 0 ? 0.0 : static_cast<double>(count) / run_count;
-  }
-};
+using IntStats = NumericStats<i32>;
+using DoubleStats = NumericStats<double>;
 
 struct StringStats {
   u32 count = 0;
@@ -43,9 +37,10 @@ struct StringStats {
   }
 };
 
-IntStats ComputeIntStats(const i32* data, u32 count);
-DoubleStats ComputeDoubleStats(const double* data, u32 count);
-StringStats ComputeStringStats(const StringsView& view);
+// Defined for T = i32 and double.
+template <typename T>
+NumericStats<T> ComputeStats(const T* data, u32 count);
+StringStats ComputeStats(const StringsView& view);
 
 }  // namespace btr
 

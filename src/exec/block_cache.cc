@@ -60,15 +60,6 @@ BlockCache::Shard& BlockCache::ShardFor(const std::string& composite_key) {
   return shards_[h % shards_.size()];
 }
 
-bool BlockCache::Lookup(const std::string& key, u64 offset, u64 length,
-                        ByteBuffer* out) {
-  Payload payload = LookupShared(key, offset, length);
-  if (payload == nullptr) return false;
-  out->Clear();
-  out->Append(payload->data(), payload->size());
-  return true;
-}
-
 BlockCache::Payload BlockCache::LookupShared(const std::string& key,
                                              u64 offset, u64 length) {
   CacheMetrics& metrics = CacheMetrics::Get();
@@ -130,27 +121,6 @@ bool BlockCache::Insert(const std::string& key, u64 offset, u64 length,
   }
   NotifyDropped(dropped);
   return true;
-}
-
-void BlockCache::Erase(const std::string& key, u64 offset, u64 length) {
-  CacheMetrics& metrics = CacheMetrics::Get();
-  std::string composite = CompositeKey(key, offset, length);
-  Shard& shard = ShardFor(composite);
-  std::vector<Dropped> dropped;
-  {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto it = shard.index.find(composite);
-    if (it == shard.index.end()) return;
-    u64 old_size = it->second->payload->size();
-    shard.bytes -= old_size;
-    metrics.bytes.Add(-static_cast<i64>(old_size));
-    if (it->second->owner != 0) {
-      dropped.push_back(Dropped{it->second->owner, old_size});
-    }
-    shard.lru.erase(it->second);
-    shard.index.erase(it);
-  }
-  NotifyDropped(dropped);
 }
 
 void BlockCache::EvictLocked(Shard* shard, std::vector<Dropped>* dropped) {

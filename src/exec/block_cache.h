@@ -12,8 +12,7 @@
 // *rejected at insert* — the cache can serve stale-but-verified bytes,
 // never corrupt ones. Entries are immutable refcounted payloads:
 // `LookupShared` hands out a `std::shared_ptr<const ByteBuffer>` without
-// copying, and the copying `Lookup` performs its copy *after* releasing
-// the shard mutex, so the lock covers only LRU bookkeeping.
+// copying, so the shard mutex covers only LRU bookkeeping.
 //
 // Concurrency: the cache is sharded by key hash. Each shard owns a mutex,
 // an LRU list and a byte budget (capacity_bytes / shards), so concurrent
@@ -25,9 +24,9 @@
 //   cache.block.bytes_evicted                  payload bytes LRU-evicted
 //
 // Ownership attribution: `Insert` takes an optional 32-bit `owner` tag
-// (0 = unowned). When an owned entry leaves the cache — LRU eviction,
-// replacement, or Erase — the eviction callback fires with the owner and
-// the payload size, outside the shard mutex. btr::service::ScanService
+// (0 = unowned). When an owned entry leaves the cache — LRU eviction or
+// replacement — the eviction callback fires with the owner and the
+// payload size, outside the shard mutex. btr::service::ScanService
 // uses this to keep per-tenant cached-byte counts honest.
 #ifndef BTR_EXEC_BLOCK_CACHE_H_
 #define BTR_EXEC_BLOCK_CACHE_H_
@@ -70,15 +69,9 @@ class BlockCache {
     eviction_callback_ = std::move(callback);
   }
 
-  // Copies the cached payload for this exact (key, offset, length) GET
-  // into `out` and returns true; false on miss (out untouched). The copy
-  // happens after the shard mutex is released.
-  bool Lookup(const std::string& key, u64 offset, u64 length,
-              ByteBuffer* out);
-
-  // Zero-copy variant: returns the refcounted immutable payload, or
-  // nullptr on miss. The payload stays valid for as long as the caller
-  // holds the pointer, even across eviction.
+  // Returns the refcounted immutable payload cached for this exact (key,
+  // offset, length) GET, or nullptr on miss. The payload stays valid for
+  // as long as the caller holds the pointer, even across eviction.
   Payload LookupShared(const std::string& key, u64 offset, u64 length);
 
   // Admits the payload after verifying Crc32c(data, size) == expected_crc.
@@ -88,9 +81,6 @@ class BlockCache {
   // tags the entry for eviction accounting (0 = unowned).
   bool Insert(const std::string& key, u64 offset, u64 length, const u8* data,
               size_t size, u32 expected_crc, u32 owner = 0);
-
-  // Drops the entry if present (e.g. after an at-rest corruption verdict).
-  void Erase(const std::string& key, u64 offset, u64 length);
 
   struct Stats {
     u64 hits = 0;

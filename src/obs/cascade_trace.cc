@@ -10,18 +10,6 @@ namespace btr::obs {
 
 namespace {
 
-const char* SchemeName(u8 type, u8 scheme) {
-  switch (static_cast<ColumnType>(type)) {
-    case ColumnType::kInteger:
-      return IntSchemeName(static_cast<IntSchemeCode>(scheme));
-    case ColumnType::kDouble:
-      return DoubleSchemeName(static_cast<DoubleSchemeCode>(scheme));
-    case ColumnType::kString:
-      return StringSchemeName(static_cast<StringSchemeCode>(scheme));
-  }
-  return "?";
-}
-
 void AppendBytes(u64 bytes, std::string* out) {
   char buf[32];
   if (bytes >= 1024 * 1024) {
@@ -39,7 +27,7 @@ void AppendNode(const CascadeNode& node, int indent, std::string* out) {
   out->append(static_cast<size_t>(indent) * 2, ' ');
   if (node.depth > 0) *out += "└─ ";
   std::snprintf(buf, sizeof(buf), "%s[%s] %u values  ",
-                SchemeName(node.type, node.scheme),
+                SchemeNameFor(static_cast<ColumnType>(node.type), node.scheme),
                 ColumnTypeName(static_cast<ColumnType>(node.type)),
                 node.value_count);
   *out += buf;
@@ -73,7 +61,7 @@ void AppendCascadeJson(const CascadeNode& node, std::string* out) {
                 "{\"scheme\":\"%s\",\"type\":\"%s\",\"depth\":%u,"
                 "\"values\":%u,\"input_bytes\":%" PRIu64
                 ",\"output_bytes\":%" PRIu64,
-                SchemeName(node.type, node.scheme),
+                SchemeNameFor(static_cast<ColumnType>(node.type), node.scheme),
                 ColumnTypeName(static_cast<ColumnType>(node.type)), node.depth,
                 node.value_count, node.input_bytes, node.output_bytes);
   *out += buf;
@@ -88,7 +76,8 @@ void AppendCascadeJson(const CascadeNode& node, std::string* out) {
   for (size_t i = 0; i < node.candidates.size(); i++) {
     if (i > 0) *out += ",";
     std::snprintf(buf, sizeof(buf), "{\"scheme\":\"%s\",\"estimated\":%.4f}",
-                  SchemeName(node.type, node.candidates[i].scheme),
+                  SchemeNameFor(static_cast<ColumnType>(node.type),
+                                node.candidates[i].scheme),
                   node.candidates[i].estimated_ratio);
     *out += buf;
   }

@@ -131,7 +131,7 @@ struct ScanProfile {
   HistogramSnapshot get_latency;  // per-GET nanoseconds, log2 buckets
 
   // Per-request outcome tallies (one GET request = one unit).
-  u64 requests = 0;        // GETs the prefetcher resolved (cache hits incl.)
+  u64 requests = 0;        // block-part fetches resolved (cache hits incl.)
   u64 cache_hits = 0;
   u64 cache_misses = 0;
   u64 retried_requests = 0;  // requests that needed more than one attempt
@@ -161,7 +161,7 @@ struct ScanProfile {
   std::string ToJson() const;
 };
 
-// What the prefetcher reports for one resolved fetch request.
+// What a fetch worker reports for one resolved block-part request.
 struct FetchRecord {
   const std::string* key = nullptr;  // not owned; copied if it makes the ring
   u64 offset = 0;

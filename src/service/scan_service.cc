@@ -58,7 +58,7 @@ ScanService::ScanService(const ScanServiceConfig& config)
       fetch_queue_(FairQueueConfig{config.fair_quantum_bytes}),
       decode_queue_(FairQueueConfig{config.fair_quantum_bytes}) {
   // Owned cache entries credit their tenant's byte count back on any exit
-  // from the cache (eviction, replacement, erase). Owner 0 = unowned.
+  // from the cache (eviction or replacement). Owner 0 = unowned.
   cache_.SetEvictionCallback([this](u32 owner, u64 bytes) {
     std::lock_guard<std::mutex> lock(tenants_mutex_);
     if (owner == 0 || owner > tenants_.size()) return;

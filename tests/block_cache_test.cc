@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include "exec/block_cache.h"
-#include "util/buffer.h"
 #include "util/crc32c.h"
 
 namespace btr::exec {
@@ -30,13 +29,14 @@ TEST(BlockCacheTest, RoundTripReturnsTheExactBytes) {
   std::vector<u8> payload = MakePayload(4096, 7);
   u32 crc = Crc32c(payload.data(), payload.size());
 
-  ByteBuffer out;
-  EXPECT_FALSE(cache.Lookup("lake/t.0.btr", 128, payload.size(), &out));
+  EXPECT_EQ(cache.LookupShared("lake/t.0.btr", 128, payload.size()), nullptr);
   ASSERT_TRUE(cache.Insert("lake/t.0.btr", 128, payload.size(), payload.data(),
                            payload.size(), crc));
-  ASSERT_TRUE(cache.Lookup("lake/t.0.btr", 128, payload.size(), &out));
-  ASSERT_EQ(out.size(), payload.size());
-  EXPECT_EQ(0, std::memcmp(out.data(), payload.data(), payload.size()));
+  BlockCache::Payload out =
+      cache.LookupShared("lake/t.0.btr", 128, payload.size());
+  ASSERT_NE(out, nullptr);
+  ASSERT_EQ(out->size(), payload.size());
+  EXPECT_EQ(0, std::memcmp(out->data(), payload.data(), payload.size()));
 
   BlockCache::Stats stats = cache.GetStats();
   EXPECT_EQ(stats.entries, 1u);
@@ -51,8 +51,7 @@ TEST(BlockCacheTest, CorruptPayloadIsRefusedAtAdmission) {
 
   EXPECT_FALSE(cache.Insert("k", 0, payload.size(), payload.data(),
                             payload.size(), crc));
-  ByteBuffer out;
-  EXPECT_FALSE(cache.Lookup("k", 0, payload.size(), &out))
+  EXPECT_EQ(cache.LookupShared("k", 0, payload.size()), nullptr)
       << "a corrupt payload must never become a hit";
   EXPECT_EQ(cache.GetStats().entries, 0u);
 }
@@ -66,14 +65,15 @@ TEST(BlockCacheTest, KeyIdentityIncludesOffsetAndLength) {
   ASSERT_TRUE(cache.Insert("k", 256, b.size(), b.data(), b.size(),
                            Crc32c(b.data(), b.size())));
 
-  ByteBuffer out;
-  EXPECT_FALSE(cache.Lookup("k", 0, 512, &out)) << "different length";
-  EXPECT_FALSE(cache.Lookup("k", 128, 256, &out)) << "different offset";
-  EXPECT_FALSE(cache.Lookup("other", 0, 256, &out)) << "different key";
-  ASSERT_TRUE(cache.Lookup("k", 0, 256, &out));
-  EXPECT_EQ(0, std::memcmp(out.data(), a.data(), a.size()));
-  ASSERT_TRUE(cache.Lookup("k", 256, 512, &out));
-  EXPECT_EQ(0, std::memcmp(out.data(), b.data(), b.size()));
+  EXPECT_EQ(cache.LookupShared("k", 0, 512), nullptr) << "different length";
+  EXPECT_EQ(cache.LookupShared("k", 128, 256), nullptr) << "different offset";
+  EXPECT_EQ(cache.LookupShared("other", 0, 256), nullptr) << "different key";
+  BlockCache::Payload out = cache.LookupShared("k", 0, 256);
+  ASSERT_NE(out, nullptr);
+  EXPECT_EQ(0, std::memcmp(out->data(), a.data(), a.size()));
+  out = cache.LookupShared("k", 256, 512);
+  ASSERT_NE(out, nullptr);
+  EXPECT_EQ(0, std::memcmp(out->data(), b.data(), b.size()));
 }
 
 TEST(BlockCacheTest, ReinsertReplacesInsteadOfDoubleCounting) {
@@ -106,14 +106,14 @@ TEST(BlockCacheTest, EvictsLeastRecentlyUsedUnderTheShardBudget) {
                            Crc32c(p1.data(), p1.size())));
 
   // Touch k0 so k1 becomes the LRU victim.
-  ByteBuffer out;
-  ASSERT_TRUE(cache.Lookup("k0", 0, 1024, &out));
+  ASSERT_NE(cache.LookupShared("k0", 0, 1024), nullptr);
   ASSERT_TRUE(cache.Insert("k2", 0, 1024, p2.data(), p2.size(),
                            Crc32c(p2.data(), p2.size())));
 
-  EXPECT_TRUE(cache.Lookup("k0", 0, 1024, &out)) << "recently used survives";
-  EXPECT_FALSE(cache.Lookup("k1", 0, 1024, &out)) << "LRU entry evicted";
-  EXPECT_TRUE(cache.Lookup("k2", 0, 1024, &out));
+  EXPECT_NE(cache.LookupShared("k0", 0, 1024), nullptr)
+      << "recently used survives";
+  EXPECT_EQ(cache.LookupShared("k1", 0, 1024), nullptr) << "LRU entry evicted";
+  EXPECT_NE(cache.LookupShared("k2", 0, 1024), nullptr);
   EXPECT_LE(cache.GetStats().bytes, config.capacity_bytes);
 }
 
@@ -130,19 +130,7 @@ TEST(BlockCacheTest, OversizedAndEmptyPayloadsAreRejected) {
   EXPECT_EQ(cache.GetStats().entries, 0u);
 }
 
-TEST(BlockCacheTest, EraseDropsTheEntry) {
-  BlockCache cache;
-  std::vector<u8> payload = MakePayload(512, 4);
-  ASSERT_TRUE(cache.Insert("k", 64, 512, payload.data(), payload.size(),
-                           Crc32c(payload.data(), payload.size())));
-  cache.Erase("k", 64, 512);
-  ByteBuffer out;
-  EXPECT_FALSE(cache.Lookup("k", 64, 512, &out));
-  EXPECT_EQ(cache.GetStats().bytes, 0u);
-  cache.Erase("k", 64, 512);  // double erase is a no-op
-}
-
-// Concurrency hammer: many threads inserting, looking up and erasing
+// Concurrency hammer: many threads inserting, looking up and replacing
 // overlapping keys on a small cache (constant eviction). Run under TSan in
 // CI; correctness here is "no data race, no crash, every hit verifies".
 TEST(BlockCacheTest, ConcurrentHammerStaysConsistent) {
@@ -165,26 +153,18 @@ TEST(BlockCacheTest, ConcurrentHammerStaysConsistent) {
   std::vector<std::thread> threads;
   for (u32 t = 0; t < kThreads; t++) {
     threads.emplace_back([&, t] {
-      ByteBuffer out;
       for (u32 i = 0; i < kOpsPerThread; i++) {
         u32 k = (i * 7 + t) % kKeys;
         const std::vector<u8>& payload = payloads[k];
         std::string key = "obj" + std::to_string(k);
-        switch (i % 3) {
-          case 0:
-            cache.Insert(key, k, payload.size(), payload.data(),
-                         payload.size(), crcs[k]);
-            break;
-          case 1:
-            if (cache.Lookup(key, k, payload.size(), &out)) {
-              ASSERT_EQ(out.size(), payload.size());
-              EXPECT_EQ(Crc32c(out.data(), out.size()), crcs[k])
-                  << "a hit must always return verified bytes";
-            }
-            break;
-          case 2:
-            if (i % 30 == 2) cache.Erase(key, k, payload.size());
-            break;
+        if (i % 2 == 0) {
+          cache.Insert(key, k, payload.size(), payload.data(), payload.size(),
+                       crcs[k]);
+        } else if (BlockCache::Payload out =
+                       cache.LookupShared(key, k, payload.size())) {
+          ASSERT_EQ(out->size(), payload.size());
+          EXPECT_EQ(Crc32c(out->data(), out->size()), crcs[k])
+              << "a hit must always return verified bytes";
         }
       }
     });
@@ -193,10 +173,10 @@ TEST(BlockCacheTest, ConcurrentHammerStaysConsistent) {
 
   BlockCache::Stats stats = cache.GetStats();
   EXPECT_LE(stats.bytes, config.capacity_bytes);
-  ByteBuffer out;
   for (u32 k = 0; k < kKeys; k++) {
-    if (cache.Lookup("obj" + std::to_string(k), k, payloads[k].size(), &out)) {
-      EXPECT_EQ(Crc32c(out.data(), out.size()), crcs[k]);
+    if (BlockCache::Payload out = cache.LookupShared(
+            "obj" + std::to_string(k), k, payloads[k].size())) {
+      EXPECT_EQ(Crc32c(out->data(), out->size()), crcs[k]);
     }
   }
 }

@@ -70,7 +70,7 @@ TEST(BlockTest, IntBlockWithNulls) {
   CompressionConfig config;
   ByteBuffer block;
   BlockCompressionInfo info;
-  CompressIntBlock(values.data(), nulls.data(), 10000, &block, config, &info);
+  CompressBlock(values.data(), nulls.data(), 10000, &block, config, &info);
   EXPECT_EQ(static_cast<IntSchemeCode>(info.root_scheme), IntSchemeCode::kOneValue);
 
   DecodedBlock decoded;
@@ -87,7 +87,7 @@ TEST(BlockTest, NoNullsMeansNoNullFlags) {
   std::vector<double> values(100, 1.5);
   CompressionConfig config;
   ByteBuffer block;
-  CompressDoubleBlock(values.data(), nullptr, 100, &block, config);
+  CompressBlock(values.data(), nullptr, 100, &block, config);
   DecodedBlock decoded;
   DecompressBlock(block.data(), &decoded, config);
   EXPECT_TRUE(decoded.null_flags.empty());
@@ -171,7 +171,7 @@ TEST(TelemetryTest, EstimationShareIsSmall) {
   EXPECT_GT(telemetry.estimate_ns, 0u);
   EXPECT_LT(telemetry.estimate_ns, telemetry.compress_ns);
   u64 total_uses = 0;
-  for (auto& per_type : telemetry.scheme_uses) {
+  for (auto& per_type : telemetry.scheme_uses_by_depth[0]) {
     for (u64 uses : per_type) total_uses += uses;
   }
   // 3 columns x 2 blocks each.
@@ -183,7 +183,7 @@ TEST(BlockTest, PeekBlockScheme) {
   CompressionConfig config;
   ByteBuffer block;
   BlockCompressionInfo info;
-  CompressIntBlock(values.data(), nullptr, 1000, &block, config, &info);
+  CompressBlock(values.data(), nullptr, 1000, &block, config, &info);
   EXPECT_EQ(PeekBlockScheme(block.data()), info.root_scheme);
 }
 

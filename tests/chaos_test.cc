@@ -229,7 +229,7 @@ TEST(ChaosTest, PredicateScansSurviveTransientChaos) {
 
   ScanSpec spec = ChaosSpec();
   spec.columns = {"id", "city"};
-  spec.predicates.push_back(Predicate::EqualsString("city", "bonn"));
+  spec.filter = Predicate::EqualsString("city", "bonn");
   ScanOutput expected;
   ASSERT_TRUE(scanner.Scan(spec, &expected).ok());
 

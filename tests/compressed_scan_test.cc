@@ -52,7 +52,7 @@ TEST(CompressedScanTest, IntAllSchemes) {
   for (IntArchetype archetype : datagen::kAllIntArchetypes) {
     std::vector<i32> data = datagen::MakeInts(archetype, 64000, 3);
     ByteBuffer block;
-    CompressIntBlock(data.data(), nullptr, 64000, &block, config);
+    CompressBlock(data.data(), nullptr, 64000, &block, config);
     // Probe existing values and absent ones.
     std::vector<i32> probes = {data[0], data[100], data[63999], 0, -1,
                                2147483647};
@@ -83,7 +83,7 @@ TEST(CompressedScanTest, ForcedSchemesMatchReference) {
                          (1u << static_cast<u32>(IntSchemeCode::kBp128));
     ByteBuffer block;
     BlockCompressionInfo info;
-    CompressIntBlock(data.data(), nullptr, 50000, &block, forced, &info);
+    CompressBlock(data.data(), nullptr, 50000, &block, forced, &info);
     for (i32 probe : {0, 7, 14, 63, 350, -5}) {
       EXPECT_EQ(CountEqInt(block.data(), probe, forced),
                 ReferenceCountInt(block, probe, forced))
@@ -102,7 +102,7 @@ TEST(CompressedScanTest, NullsNeverMatch) {
     nulls[i] = 1;
   }
   ByteBuffer block;
-  CompressIntBlock(data.data(), nulls.data(), 10000, &block, config);
+  CompressBlock(data.data(), nulls.data(), 10000, &block, config);
   // Probing 0 must not count the NULL rows.
   EXPECT_EQ(CountEqInt(block.data(), 0, config), 0u);
   EXPECT_EQ(CountEqInt(block.data(), 5, config),
@@ -118,7 +118,7 @@ TEST(CompressedScanTest, DoubleSchemes) {
         DoubleArchetype::kCoordinates}) {
     std::vector<double> data = datagen::MakeDoubles(archetype, 50000, 9);
     ByteBuffer block;
-    CompressDoubleBlock(data.data(), nullptr, 50000, &block, config);
+    CompressBlock(data.data(), nullptr, 50000, &block, config);
     DecodedBlock decoded;
     DecompressBlock(block.data(), &decoded, config);
     for (double probe : {data[0], data[777], 0.0, -12345.678}) {
@@ -144,7 +144,7 @@ TEST(CompressedScanTest, StringSchemes) {
   std::vector<u32> scratch;
   StringsView view = c.StringBlock(0, 64000, &scratch);
   ByteBuffer block;
-  CompressStringBlock(view, nullptr, &block, config);
+  CompressBlock(view, nullptr, &block, config);
 
   DecodedBlock decoded;
   DecompressBlock(block.data(), &decoded, config);
@@ -164,7 +164,7 @@ TEST(CompressedScanTest, OneValueFastPath) {
   CompressionConfig config = DefaultConfig();
   std::vector<i32> data(64000, 42);
   ByteBuffer block;
-  CompressIntBlock(data.data(), nullptr, 64000, &block, config);
+  CompressBlock(data.data(), nullptr, 64000, &block, config);
   EXPECT_TRUE(HasFastPath(block.data(), Predicate::EqualsInt("c", 42)));
   EXPECT_TRUE(HasFastPath(block.data(), Predicate::InInt("c", {41, 42})));
   EXPECT_EQ(CountEqInt(block.data(), 42, config), 64000u);
@@ -177,7 +177,7 @@ TEST(CompressedScanTest, FastPathDetection) {
   std::vector<i32> seq(64000);
   for (i32 i = 0; i < 64000; i++) seq[i] = i;
   ByteBuffer bp_block;
-  CompressIntBlock(seq.data(), nullptr, 64000, &bp_block, config);
+  CompressBlock(seq.data(), nullptr, 64000, &bp_block, config);
   ASSERT_EQ(PeekBlockScheme(bp_block.data()),
             static_cast<u8>(IntSchemeCode::kBp128));
   // Equality rides the Bp128 miniblock envelopes; IN decodes into scratch.
@@ -210,8 +210,8 @@ TEST_P(CompressedScanPropertyTest, RandomBlocksAgreeWithReference) {
     }
   }
   ByteBuffer block;
-  CompressIntBlock(data.data(), with_nulls ? nulls.data() : nullptr, count,
-                   &block, config);
+  CompressBlock(data.data(), with_nulls ? nulls.data() : nullptr, count,
+                &block, config);
   for (int p = 0; p < 10; p++) {
     i32 probe = static_cast<i32>(rng.NextBounded(cardinality + 20)) - 60;
     EXPECT_EQ(CountEqInt(block.data(), probe, config),

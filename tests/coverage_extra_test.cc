@@ -22,12 +22,12 @@ TEST(SchemeMaskTest, DoubleMaskRestrictsChoices) {
   config.double_schemes =
       (1u << static_cast<u32>(DoubleSchemeCode::kUncompressed)) |
       (1u << static_cast<u32>(DoubleSchemeCode::kRle));
-  DoubleSchemeCode chosen = PickDoubleScheme(data.data(), 64000, config);
+  DoubleSchemeCode chosen = PickScheme(data.data(), 64000, config);
   EXPECT_TRUE(chosen == DoubleSchemeCode::kUncompressed ||
               chosen == DoubleSchemeCode::kRle);
   // With the full pool on low-cardinality data, Dict must win instead.
   CompressionConfig full;
-  EXPECT_EQ(PickDoubleScheme(data.data(), 64000, full), DoubleSchemeCode::kDict);
+  EXPECT_EQ(PickScheme(data.data(), 64000, full), DoubleSchemeCode::kDict);
 }
 
 TEST(SchemeMaskTest, StringMaskRestrictsChoices) {
@@ -41,9 +41,9 @@ TEST(SchemeMaskTest, StringMaskRestrictsChoices) {
   CompressionConfig config;
   config.string_schemes =
       (1u << static_cast<u32>(StringSchemeCode::kUncompressed));
-  EXPECT_EQ(PickStringScheme(view, config), StringSchemeCode::kUncompressed);
+  EXPECT_EQ(PickScheme(view, config), StringSchemeCode::kUncompressed);
   CompressionConfig full;
-  EXPECT_EQ(PickStringScheme(view, full), StringSchemeCode::kDict);
+  EXPECT_EQ(PickScheme(view, full), StringSchemeCode::kDict);
 }
 
 TEST(MultiBlockTest, PartialTailBlock) {
@@ -102,8 +102,8 @@ TEST(DecodeSlackTest, BlockEdgeValuesSurviveOvershoot) {
     }
     data.resize(1000 + tail);
     ByteBuffer block;
-    CompressIntBlock(data.data(), nullptr, static_cast<u32>(data.size()),
-                     &block, config);
+    CompressBlock(data.data(), nullptr, static_cast<u32>(data.size()),
+                  &block, config);
     DecodedBlock decoded;
     DecompressBlock(block.data(), &decoded, config);
     for (size_t i = data.size() - 10; i < data.size(); i++) {
@@ -140,21 +140,21 @@ TEST(FusedDictTest, IntAndDoubleRleCodesDecodeFused) {
 
   CompressionContext ctx{&config, config.max_cascade_depth};
   ByteBuffer int_vec;
-  GetIntScheme(IntSchemeCode::kDict).Compress(ints.data(), 64000, &int_vec, ctx);
+  GetScheme(IntSchemeCode::kDict).Compress(ints.data(), 64000, &int_vec, ctx);
   ByteBuffer dbl_vec;
-  GetDoubleScheme(DoubleSchemeCode::kDict)
-      .Compress(doubles.data(), 64000, &dbl_vec, ctx);
+  GetScheme(DoubleSchemeCode::kDict).Compress(doubles.data(), 64000, &dbl_vec,
+                                              ctx);
 
   for (bool simd : {true, false}) {
     ScopedSimd scoped(simd);
     std::vector<i32> int_out(64000 + kDecodeSlack);
-    GetIntScheme(IntSchemeCode::kDict)
+    GetScheme(IntSchemeCode::kDict)
         .Decompress(int_vec.data(), 64000, int_out.data());
     int_out.resize(64000);
     EXPECT_EQ(int_out, ints) << "simd=" << simd;
 
     std::vector<double> dbl_out(64000 + kDecodeSlack);
-    GetDoubleScheme(DoubleSchemeCode::kDict)
+    GetScheme(DoubleSchemeCode::kDict)
         .Decompress(dbl_vec.data(), 64000, dbl_out.data());
     dbl_out.resize(64000);
     EXPECT_EQ(std::memcmp(dbl_out.data(), doubles.data(), 64000 * 8), 0)
@@ -168,10 +168,10 @@ TEST(TelemetryTest, SchemeUseHistogram) {
   config.telemetry = &telemetry;
   std::vector<i32> constant(64000, 1);
   ByteBuffer block;
-  CompressIntBlock(constant.data(), nullptr, 64000, &block, config);
-  EXPECT_EQ(telemetry.scheme_uses[static_cast<u8>(ColumnType::kInteger)]
-                                 [static_cast<u8>(IntSchemeCode::kOneValue)],
-            1u);
+  CompressBlock(constant.data(), nullptr, 64000, &block, config);
+  const u8 kInt = static_cast<u8>(ColumnType::kInteger);
+  const u8 kOneValue = static_cast<u8>(IntSchemeCode::kOneValue);
+  EXPECT_EQ(telemetry.scheme_uses_by_depth[0][kInt][kOneValue], 1u);
   telemetry.Reset();
   EXPECT_EQ(telemetry.compress_ns, 0u);
 }

@@ -27,8 +27,8 @@ std::vector<double> RoundTripPicked(const std::vector<double>& in,
                                     DoubleSchemeCode* chosen = nullptr) {
   CompressionContext ctx{&config, config.max_cascade_depth};
   ByteBuffer compressed;
-  CompressDoubles(in.data(), static_cast<u32>(in.size()), &compressed, ctx,
-                  chosen);
+  CompressValues(in.data(), static_cast<u32>(in.size()), &compressed, ctx,
+                 chosen);
   std::vector<double> out(in.size() + kDecodeSlack);
   DecompressDoubles(compressed.data(), static_cast<u32>(in.size()), out.data());
   out.resize(in.size());
@@ -39,7 +39,7 @@ std::vector<double> RoundTripWithScheme(DoubleSchemeCode code,
                                         const std::vector<double>& in) {
   CompressionConfig config = DefaultConfig();
   CompressionContext ctx{&config, config.max_cascade_depth};
-  const DoubleScheme& scheme = GetDoubleScheme(code);
+  const DoubleScheme& scheme = GetScheme(code);
   ByteBuffer compressed;
   scheme.Compress(in.data(), static_cast<u32>(in.size()), &compressed, ctx);
   std::vector<double> out(in.size() + kDecodeSlack);
@@ -144,7 +144,7 @@ TEST(PseudodecimalTest, ScalarSimdEquivalence) {
   }
   CompressionConfig config = DefaultConfig();
   CompressionContext ctx{&config, config.max_cascade_depth};
-  const DoubleScheme& pde = GetDoubleScheme(DoubleSchemeCode::kPseudodecimal);
+  const DoubleScheme& pde = GetScheme(DoubleSchemeCode::kPseudodecimal);
   ByteBuffer compressed;
   pde.Compress(in.data(), static_cast<u32>(in.size()), &compressed, ctx);
   std::vector<double> simd(in.size() + kDecodeSlack),
@@ -165,14 +165,14 @@ TEST(PseudodecimalTest, ScalarSimdEquivalence) {
 
 TEST(PseudodecimalTest, ViabilityFilters) {
   CompressionConfig config = DefaultConfig();
-  const DoubleScheme& pde = GetDoubleScheme(DoubleSchemeCode::kPseudodecimal);
+  const DoubleScheme& pde = GetScheme(DoubleSchemeCode::kPseudodecimal);
   CompressionContext ctx{&config, config.max_cascade_depth};
   // < 10% unique: excluded (paper Section 4.2).
   {
     std::vector<double> in(64000);
     for (size_t i = 0; i < in.size(); i++) in[i] = static_cast<double>(i % 10);
-    DoubleStats stats = ComputeDoubleStats(in.data(), 64000);
-    DoubleSample sample = BuildDoubleSample(in.data(), 64000, config);
+    DoubleStats stats = ComputeStats(in.data(), 64000);
+    DoubleSample sample = BuildSample(in.data(), 64000, config);
     EXPECT_EQ(pde.EstimateRatio(stats, sample, ctx), 0.0);
   }
   // > 50% exceptions: excluded.
@@ -180,8 +180,8 @@ TEST(PseudodecimalTest, ViabilityFilters) {
     Random rng(4);
     std::vector<double> in(64000);
     for (double& v : in) v = rng.NextDouble() * 1e-250;
-    DoubleStats stats = ComputeDoubleStats(in.data(), 64000);
-    DoubleSample sample = BuildDoubleSample(in.data(), 64000, config);
+    DoubleStats stats = ComputeStats(in.data(), 64000);
+    DoubleSample sample = BuildSample(in.data(), 64000, config);
     EXPECT_EQ(pde.EstimateRatio(stats, sample, ctx), 0.0);
   }
 }

@@ -31,7 +31,8 @@ std::vector<i32> RoundTripPicked(const std::vector<i32>& in,
                                  IntSchemeCode* chosen = nullptr) {
   CompressionContext ctx{&config, config.max_cascade_depth};
   ByteBuffer compressed;
-  CompressInts(in.data(), static_cast<u32>(in.size()), &compressed, ctx, chosen);
+  CompressValues(in.data(), static_cast<u32>(in.size()), &compressed, ctx,
+                 chosen);
   std::vector<i32> out(in.size() + kDecodeSlack);
   DecompressInts(compressed.data(), static_cast<u32>(in.size()), out.data());
   out.resize(in.size());
@@ -51,7 +52,7 @@ std::vector<i32> MakeRuns(u64 seed, u32 count, u32 max_run, u32 cardinality) {
 
 TEST(IntSchemeTest, OneValueRoundTrip) {
   std::vector<i32> in(64000, -1234);
-  auto out = RoundTripWithScheme(GetIntScheme(IntSchemeCode::kOneValue), in,
+  auto out = RoundTripWithScheme(GetScheme(IntSchemeCode::kOneValue), in,
                                  DefaultConfig());
   EXPECT_EQ(out, in);
 }
@@ -60,7 +61,7 @@ TEST(IntSchemeTest, RleRoundTripAndCompression) {
   std::vector<i32> in = MakeRuns(1, 64000, 50, 100);
   CompressionConfig config = DefaultConfig();
   CompressionContext ctx{&config, config.max_cascade_depth};
-  const IntScheme& rle = GetIntScheme(IntSchemeCode::kRle);
+  const IntScheme& rle = GetScheme(IntSchemeCode::kRle);
   ByteBuffer compressed;
   size_t bytes = rle.Compress(in.data(), 64000, &compressed, ctx);
   EXPECT_LT(bytes, 64000 * 4 / 4);  // long runs must compress well
@@ -73,12 +74,12 @@ TEST(IntSchemeTest, RleRoundTripAndCompression) {
 TEST(IntSchemeTest, RleSingleRunAndAlternating) {
   // Degenerate runs: one giant run, and run length 1 everywhere.
   std::vector<i32> giant(10000, 7);
-  EXPECT_EQ(RoundTripWithScheme(GetIntScheme(IntSchemeCode::kRle), giant,
+  EXPECT_EQ(RoundTripWithScheme(GetScheme(IntSchemeCode::kRle), giant,
                                 DefaultConfig()),
             giant);
   std::vector<i32> alternating;
   for (int i = 0; i < 999; i++) alternating.push_back(i % 2);
-  EXPECT_EQ(RoundTripWithScheme(GetIntScheme(IntSchemeCode::kRle), alternating,
+  EXPECT_EQ(RoundTripWithScheme(GetScheme(IntSchemeCode::kRle), alternating,
                                 DefaultConfig()),
             alternating);
 }
@@ -87,7 +88,7 @@ TEST(IntSchemeTest, DictRoundTrip) {
   Random rng(2);
   std::vector<i32> in(64000);
   for (i32& v : in) v = static_cast<i32>(rng.NextBounded(250)) * 1000 - 5000;
-  auto out = RoundTripWithScheme(GetIntScheme(IntSchemeCode::kDict), in,
+  auto out = RoundTripWithScheme(GetScheme(IntSchemeCode::kDict), in,
                                  DefaultConfig());
   EXPECT_EQ(out, in);
 }
@@ -98,7 +99,7 @@ TEST(IntSchemeTest, FrequencyRoundTrip) {
   for (int i = 0; i < 640; i++) {
     in[rng.NextBounded(64000)] = static_cast<i32>(rng.Next());
   }
-  const IntScheme& freq = GetIntScheme(IntSchemeCode::kFrequency);
+  const IntScheme& freq = GetScheme(IntSchemeCode::kFrequency);
   CompressionConfig config = DefaultConfig();
   CompressionContext ctx{&config, config.max_cascade_depth};
   ByteBuffer compressed;
@@ -112,7 +113,7 @@ TEST(IntSchemeTest, FrequencyRoundTrip) {
 
 TEST(IntSchemeTest, FrequencyAllSameValue) {
   std::vector<i32> in(1000, 5);
-  EXPECT_EQ(RoundTripWithScheme(GetIntScheme(IntSchemeCode::kFrequency), in,
+  EXPECT_EQ(RoundTripWithScheme(GetScheme(IntSchemeCode::kFrequency), in,
                                 DefaultConfig()),
             in);
 }
@@ -196,8 +197,8 @@ TEST(IntPickerTest, DeeperCascadesNeverHurt) {
   ByteBuffer shallow_out, deep_out;
   CompressionContext sctx{&shallow, shallow.max_cascade_depth};
   CompressionContext dctx{&deep, deep.max_cascade_depth};
-  CompressInts(in.data(), 64000, &shallow_out, sctx);
-  CompressInts(in.data(), 64000, &deep_out, dctx);
+  CompressValues(in.data(), 64000, &shallow_out, sctx);
+  CompressValues(in.data(), 64000, &deep_out, dctx);
   EXPECT_LE(deep_out.size(), shallow_out.size());
   EXPECT_LT(deep_out.size(), 64000 * 4 / 10);
 }
@@ -208,7 +209,7 @@ TEST(IntSchemeTest, ScalarAndSimdDecompressIdentically) {
   CompressionConfig config = DefaultConfig();
   CompressionContext ctx{&config, config.max_cascade_depth};
   ByteBuffer compressed;
-  CompressInts(in.data(), 64000, &compressed, ctx);
+  CompressValues(in.data(), 64000, &compressed, ctx);
   std::vector<i32> simd(in.size() + kDecodeSlack), scalar(in.size() + kDecodeSlack);
   {
     ScopedSimd on(true);

@@ -27,16 +27,16 @@ const CompressionContext kCtx{&kConfig, kConfig.max_cascade_depth};
 
 ByteBuffer IntPayload(IntSchemeCode scheme, const std::vector<i32>& values) {
   ByteBuffer out;
-  GetIntScheme(scheme).Compress(values.data(),
-                                static_cast<u32>(values.size()), &out, kCtx);
+  GetScheme(scheme).Compress(values.data(), static_cast<u32>(values.size()),
+                             &out, kCtx);
   return out;
 }
 
 ByteBuffer DoublePayload(DoubleSchemeCode scheme,
                          const std::vector<double>& values) {
   ByteBuffer out;
-  GetDoubleScheme(scheme).Compress(values.data(),
-                                   static_cast<u32>(values.size()), &out, kCtx);
+  GetScheme(scheme).Compress(values.data(), static_cast<u32>(values.size()),
+                             &out, kCtx);
   return out;
 }
 
@@ -44,7 +44,7 @@ ByteBuffer StringPayload(StringSchemeCode scheme, const Column& column) {
   std::vector<u32> offsets;
   StringsView view = column.StringBlock(0, column.size(), &offsets);
   ByteBuffer out;
-  GetStringScheme(scheme).Compress(view, &out, kCtx);
+  GetScheme(scheme).Compress(view, &out, kCtx);
   return out;
 }
 
@@ -57,8 +57,8 @@ TEST(LayoutTest, ReadBlockReturnsTheWrittenHeader) {
   }
   ByteBuffer block;
   BlockCompressionInfo info;
-  CompressIntBlock(values.data(), nulls.data(), 3000, &block,
-                   CompressionConfig{}, &info);
+  CompressBlock(values.data(), nulls.data(), 3000, &block,
+                CompressionConfig{}, &info);
 
   layout::Block b = layout::ReadBlock(block.data());
   EXPECT_EQ(b.type, ColumnType::kInteger);
@@ -71,7 +71,7 @@ TEST(LayoutTest, ReadBlockReturnsTheWrittenHeader) {
   for (u32 row : null_rows) EXPECT_EQ(row % 11, 0u);
 
   ByteBuffer dense;
-  CompressIntBlock(values.data(), nullptr, 3000, &dense, CompressionConfig{});
+  CompressBlock(values.data(), nullptr, 3000, &dense, CompressionConfig{});
   layout::Block d = layout::ReadBlock(dense.data());
   EXPECT_EQ(d.null_bytes, 0u);
   EXPECT_TRUE(d.NullRows().Empty());
@@ -214,7 +214,7 @@ TEST(LayoutTest, EverySchemeDecodesIdenticallyWithAndWithoutSimd) {
     for (bool simd : {true, false}) {
       ScopedSimd scoped(simd);
       std::vector<i32> out(values.size() + kDecodeSlack);
-      GetIntScheme(scheme).Decompress(payload.data(), 5003, out.data());
+      GetScheme(scheme).Decompress(payload.data(), 5003, out.data());
       out.resize(values.size());
       EXPECT_EQ(out, values) << IntSchemeName(scheme) << " simd=" << simd;
     }
@@ -234,7 +234,7 @@ TEST(LayoutTest, EverySchemeDecodesIdenticallyWithAndWithoutSimd) {
     for (bool simd : {true, false}) {
       ScopedSimd scoped(simd);
       std::vector<double> out(values.size() + kDecodeSlack);
-      GetDoubleScheme(scheme).Decompress(payload.data(), 4001, out.data());
+      GetScheme(scheme).Decompress(payload.data(), 4001, out.data());
       EXPECT_EQ(std::memcmp(out.data(), values.data(), values.size() * 8), 0)
           << DoubleSchemeName(scheme) << " simd=" << simd;
     }
@@ -259,7 +259,7 @@ TEST(LayoutTest, EverySchemeDecodesIdenticallyWithAndWithoutSimd) {
         config.fused_rle_dict = fused;
         DecodedStrings out;
         out.pool.Append("prefix", 6);  // decoders append behind a base
-        GetStringScheme(scheme).Decompress(payload.data(), 3001, &out, config);
+        GetScheme(scheme).Decompress(payload.data(), 3001, &out, config);
         ASSERT_EQ(out.slots.size(), 3001u);
         for (u32 i = 0; i < 3001; i++) {
           ASSERT_EQ(out.Get(i), column.GetString(i))

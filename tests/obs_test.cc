@@ -328,8 +328,8 @@ TEST(CascadeTraceTest, RleDictColumnMatchesExpectedTree) {
   config.collect_cascade_trace = true;
   BlockCompressionInfo info;
   ByteBuffer out;
-  CompressIntBlock(values.data(), nullptr, static_cast<u32>(values.size()),
-                   &out, config, &info);
+  CompressBlock(values.data(), nullptr, static_cast<u32>(values.size()),
+                &out, config, &info);
 
   const CascadeNode& root = info.trace;
   EXPECT_EQ(root.scheme, static_cast<u8>(IntSchemeCode::kRle));
@@ -379,8 +379,8 @@ TEST(CascadeTraceTest, DisabledLeavesTraceEmpty) {
   CompressionConfig config;  // collect_cascade_trace defaults to false
   BlockCompressionInfo info;
   ByteBuffer out;
-  CompressIntBlock(values.data(), nullptr, static_cast<u32>(values.size()),
-                   &out, config, &info);
+  CompressBlock(values.data(), nullptr, static_cast<u32>(values.size()),
+                &out, config, &info);
   EXPECT_EQ(info.trace.value_count, 0u);
   EXPECT_TRUE(info.trace.children.empty());
 }
@@ -396,13 +396,12 @@ TEST(TelemetryTest, SchemeUsesByDepthAggregatesToRoot) {
   CompressionConfig config;
   config.telemetry = &telemetry;
   ByteBuffer out;
-  CompressIntBlock(values.data(), nullptr, static_cast<u32>(values.size()),
-                   &out, config, nullptr);
+  CompressBlock(values.data(), nullptr, static_cast<u32>(values.size()),
+                &out, config, nullptr);
 
   constexpr u32 kInt = 0;
   constexpr u32 kRle = static_cast<u32>(IntSchemeCode::kRle);
-  // Depth 0 rows mirror the legacy root aggregate.
-  EXPECT_EQ(telemetry.scheme_uses[kInt][kRle], 1u);
+  // Depth 0 counts the block's root choice.
   EXPECT_EQ(telemetry.scheme_uses_by_depth[0][kInt][kRle], 1u);
   // The cascade recorded children at depth 1.
   u64 depth1_total = 0;

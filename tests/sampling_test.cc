@@ -50,7 +50,7 @@ TEST(SamplingTest, BuildIntSamplePreservesRuns) {
   std::vector<i32> data(64000);
   for (size_t i = 0; i < data.size(); i++) data[i] = static_cast<i32>(i / 100);
   CompressionConfig config;
-  IntSample sample = BuildIntSample(data.data(), 64000, config);
+  IntSample sample = BuildSample(data.data(), 64000, config);
   ASSERT_EQ(sample.values.size(), 640u);
   u32 run_count = 1;
   for (size_t i = 1; i < sample.values.size(); i++) {
@@ -65,7 +65,7 @@ TEST(SamplingTest, ExhaustiveModeUsesWholeBlock) {
   std::vector<i32> data(10000, 1);
   CompressionConfig config;
   config.exhaustive_estimation = true;
-  IntSample sample = BuildIntSample(data.data(), 10000, config);
+  IntSample sample = BuildSample(data.data(), 10000, config);
   EXPECT_EQ(sample.values.size(), 10000u);
 }
 
@@ -80,7 +80,7 @@ TEST(SamplingTest, StringSampleMatchesRanges) {
   }
   StringsView view{offsets.data(), bytes.data(), 64000};
   CompressionConfig config;
-  StringSample sample = BuildStringSample(view, config);
+  StringSample sample = BuildSample(view, config);
   EXPECT_EQ(sample.View().count, 640u);
   // Spot check: sampled strings are valid values from the input domain.
   for (u32 i = 0; i < sample.View().count; i++) {
@@ -97,13 +97,13 @@ TEST(SamplingTest, PickerAgreesWithOracleOnEasyShapes) {
   oracle.exhaustive_estimation = true;
 
   std::vector<i32> constant(64000, 5);
-  EXPECT_EQ(PickIntScheme(constant.data(), 64000, sampled),
-            PickIntScheme(constant.data(), 64000, oracle));
+  EXPECT_EQ(PickScheme(constant.data(), 64000, sampled),
+            PickScheme(constant.data(), 64000, oracle));
 
   std::vector<i32> sequential(64000);
   for (i32 i = 0; i < 64000; i++) sequential[i] = i;
-  EXPECT_EQ(PickIntScheme(sequential.data(), 64000, sampled),
-            PickIntScheme(sequential.data(), 64000, oracle));
+  EXPECT_EQ(PickScheme(sequential.data(), 64000, sampled),
+            PickScheme(sequential.data(), 64000, oracle));
 }
 
 }  // namespace

@@ -145,7 +145,7 @@ TEST(ScannerTest, PredicateScanPrunesAndMatchesSequentialFilter) {
   const i32 probe = 1500;
   ScanSpec spec = PipelinedSpec();
   spec.columns = {"id", "price"};
-  spec.predicates.push_back(Predicate::EqualsInt("id", probe));
+  spec.filter = Predicate::EqualsInt("id", probe);
 
   ScanOutput output;
   Status status = scanner.Scan(spec, &output);
@@ -184,7 +184,7 @@ TEST(ScannerTest, PredicateOnNonProjectedColumnFiltersProjection) {
 
   ScanSpec spec = PipelinedSpec();
   spec.columns = {"price"};  // predicate column not projected
-  spec.predicates.push_back(Predicate::EqualsString("city", "bonn"));
+  spec.filter = Predicate::EqualsString("city", "bonn");
 
   ScanOutput output;
   Status status = scanner.Scan(spec, &output);
@@ -220,7 +220,7 @@ TEST(ScannerTest, EmptySelectionSkipsDecompression) {
   // within [0, 1023.75] but i%4096*0.25 only produces multiples of 0.25.
   ScanSpec spec = PipelinedSpec();
   spec.columns = {"id"};
-  spec.predicates.push_back(Predicate::EqualsDouble("price", 0.125));
+  spec.filter = Predicate::EqualsDouble("price", 0.125);
 
   ScanOutput output;
   Status status = scanner.Scan(spec, &output);
@@ -271,11 +271,11 @@ TEST(ScannerTest, SpecErrorsAreStatuses) {
 
   // Integer literals against double columns are coerced, not rejected.
   ScanSpec coerced = PipelinedSpec();
-  coerced.predicates.push_back(Predicate::EqualsInt("price", 3));
+  coerced.filter = Predicate::EqualsInt("price", 3);
   EXPECT_TRUE(scanner.Scan(coerced, &output).ok());
 
   ScanSpec mismatch = PipelinedSpec();
-  mismatch.predicates.push_back(Predicate::EqualsString("id", "nope"));
+  mismatch.filter = Predicate::EqualsString("id", "nope");
   EXPECT_EQ(scanner.Scan(mismatch, &output).code(),
             Status::Code::kInvalidArgument);
 

@@ -70,7 +70,7 @@ TEST(SelectEqualsTest, IntSchemesMatchReference) {
   for (auto archetype : datagen::kAllIntArchetypes) {
     std::vector<i32> data = datagen::MakeInts(archetype, 50000, 7);
     ByteBuffer block;
-    CompressIntBlock(data.data(), nullptr, 50000, &block, config);
+    CompressBlock(data.data(), nullptr, 50000, &block, config);
     for (i32 probe : {data[0], data[25000], 0, -99}) {
       RoaringBitmap got =
           SelectMatches(block.data(), Predicate::EqualsInt("c", probe), config);
@@ -97,7 +97,7 @@ TEST(SelectEqualsTest, FrequencyComplementPath) {
                        (1u << static_cast<u32>(IntSchemeCode::kBp128));
   ByteBuffer block;
   BlockCompressionInfo info;
-  CompressIntBlock(data.data(), nullptr, 64000, &block, config, &info);
+  CompressBlock(data.data(), nullptr, 64000, &block, config, &info);
   ASSERT_EQ(static_cast<IntSchemeCode>(info.root_scheme),
             IntSchemeCode::kFrequency);
   RoaringBitmap got =
@@ -155,7 +155,7 @@ TEST(SelectEqualsTest, NullsExcluded) {
   }
   CompressionConfig config;
   ByteBuffer block;
-  CompressIntBlock(data.data(), nulls.data(), 5000, &block, config);
+  CompressBlock(data.data(), nulls.data(), 5000, &block, config);
   EXPECT_EQ(
       SelectMatches(block.data(), Predicate::EqualsInt("c", 0), config)
           .Cardinality(),

@@ -49,7 +49,7 @@ std::vector<std::string> RoundTripPicked(const StringBlock& block,
   CompressionContext ctx{&config, config.max_cascade_depth};
   ByteBuffer compressed;
   StringsView view = block.View();
-  CompressStrings(view, &compressed, ctx, chosen);
+  CompressValues(view, &compressed, ctx, chosen);
   DecodedStrings decoded;
   DecompressStrings(compressed.data(), view.count, &decoded, config);
   return Materialize(decoded);
@@ -61,9 +61,9 @@ std::vector<std::string> RoundTripWithScheme(StringSchemeCode code,
   CompressionContext ctx{&config, config.max_cascade_depth};
   ByteBuffer compressed;
   StringsView view = block.View();
-  GetStringScheme(code).Compress(view, &compressed, ctx);
+  GetScheme(code).Compress(view, &compressed, ctx);
   DecodedStrings decoded;
-  GetStringScheme(code).Decompress(compressed.data(), view.count, &decoded,
+  GetScheme(code).Decompress(compressed.data(), view.count, &decoded,
                                    config);
   return Materialize(decoded);
 }
@@ -105,8 +105,8 @@ TEST(StringSchemeTest, DictRoundTripAndCompression) {
   CompressionConfig config;
   CompressionContext ctx{&config, config.max_cascade_depth};
   ByteBuffer compressed;
-  size_t bytes =
-      GetStringScheme(StringSchemeCode::kDict).Compress(block.View(), &compressed, ctx);
+  size_t bytes = GetScheme(StringSchemeCode::kDict)
+                     .Compress(block.View(), &compressed, ctx);
   EXPECT_LT(bytes, block.data.size() / 4);
   EXPECT_EQ(RoundTripWithScheme(StringSchemeCode::kDict, block, config),
             Expected(block));
@@ -151,7 +151,7 @@ TEST(StringSchemeTest, FsstRoundTripOnUrls) {
   CompressionConfig config;
   CompressionContext ctx{&config, config.max_cascade_depth};
   ByteBuffer compressed;
-  size_t bytes = GetStringScheme(StringSchemeCode::kFsst)
+  size_t bytes = GetScheme(StringSchemeCode::kFsst)
                      .Compress(block.View(), &compressed, ctx);
   // Structured URLs: FSST must get at least 2x on the byte payload.
   EXPECT_LT(bytes, block.data.size() / 2);
@@ -170,9 +170,9 @@ TEST(StringSchemeTest, DictFsstBeatsDictOnStructuredDictionary) {
   CompressionConfig config;
   CompressionContext ctx{&config, config.max_cascade_depth};
   ByteBuffer dict_out, dict_fsst_out;
-  size_t dict_bytes = GetStringScheme(StringSchemeCode::kDict)
+  size_t dict_bytes = GetScheme(StringSchemeCode::kDict)
                           .Compress(block.View(), &dict_out, ctx);
-  size_t dict_fsst_bytes = GetStringScheme(StringSchemeCode::kDictFsst)
+  size_t dict_fsst_bytes = GetScheme(StringSchemeCode::kDictFsst)
                                .Compress(block.View(), &dict_fsst_out, ctx);
   EXPECT_LT(dict_fsst_bytes, dict_bytes);
   EXPECT_EQ(RoundTripWithScheme(StringSchemeCode::kDictFsst, block, config),
@@ -184,7 +184,7 @@ TEST(StringSchemeTest, ScalarSimdEquivalence) {
   CompressionConfig config;
   CompressionContext ctx{&config, config.max_cascade_depth};
   ByteBuffer compressed;
-  CompressStrings(block.View(), &compressed, ctx);
+  CompressValues(block.View(), &compressed, ctx);
   std::vector<std::string> simd, scalar;
   {
     ScopedSimd on(true);
