@@ -80,8 +80,9 @@ const char* SchemeNameFor(ColumnType type, u8 code);
 inline constexpr u32 kTelemetryDepthSlots = 8;
 
 // Aggregated over one compression request when attached to the config.
-// Not synchronized: attach one Telemetry per thread when compressing in
-// parallel, or accept approximate counts.
+// Not synchronized: one Telemetry must not be shared by concurrent
+// compressions. CompressRelation with a pool gives each column task its
+// own and adds them into the attached one afterwards.
 struct Telemetry {
   u64 stats_ns = 0;          // statistics collection (min/max/unique/runs)
   u64 estimate_ns = 0;       // sampling + per-scheme ratio estimation
@@ -92,6 +93,19 @@ struct Telemetry {
   u64 scheme_uses_by_depth[kTelemetryDepthSlots][3][16] = {{{0}}};
 
   void Reset() { *this = Telemetry(); }
+
+  void Add(const Telemetry& other) {
+    stats_ns += other.stats_ns;
+    estimate_ns += other.estimate_ns;
+    compress_ns += other.compress_ns;
+    for (u32 d = 0; d < kTelemetryDepthSlots; d++) {
+      for (u32 t = 0; t < 3; t++) {
+        for (u32 s = 0; s < 16; s++) {
+          scheme_uses_by_depth[d][t][s] += other.scheme_uses_by_depth[d][t][s];
+        }
+      }
+    }
+  }
 };
 
 struct CompressionConfig {
@@ -140,10 +154,10 @@ struct CompressionConfig {
 // How btr::Scanner runs a scan (see the configuration story above).
 // Every scan runs on a service::ScanService (docs/SCAN_PIPELINE.md). The
 // thread, block-cache and breaker knobs size a standalone Scanner's
-// private service — built at its first Scan() and rebuilt only when a
-// later scan asks for different values, so its cache and breaker live as
-// long as the Scanner — and are ignored by a serviced Scanner, which uses
-// the shared service's. Defaults favor a laptop-class box: enough fetch
+// private service — built at Open() and rebuilt only when a later scan
+// asks for different values, so its cache and breaker live as long as
+// the Scanner — and are ignored by a serviced Scanner, which uses the
+// shared service's. Defaults favor a laptop-class box: enough fetch
 // concurrency to hide object-store latency, a window deep enough to keep
 // decoders busy.
 //
@@ -156,7 +170,9 @@ struct ScanConfig {
   u32 scan_threads = 0;    // decode executors; 0 = hardware concurrency
   u32 fetch_threads = 4;   // fetch executors: concurrent ranged GETs
   // Block parts in flight beyond one row-block bundle per decode thread:
-  // the window is prefetch_depth + needed columns x decode threads.
+  // the window is prefetch_depth + needed columns x decode threads, and a
+  // part counts until its row block is emitted. The window and the fetch
+  // executors also set how many adjacent blocks one GET reads.
   u32 prefetch_depth = 8;
 
   // --- predicate pushdown (btr/predicate.h, docs/PREDICATES.md) ------------

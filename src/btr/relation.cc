@@ -55,10 +55,17 @@ CompressedRelation CompressRelation(const Relation& relation,
   CompressedRelation result;
   result.name = relation.name();
   result.row_count = relation.row_count();
-  result.columns.resize(relation.columns().size());
-  exec::ParallelFor(pool, 0, relation.columns().size(), [&](u64 i) {
-    result.columns[i] = CompressColumn(relation.columns()[i], config);
+  const size_t columns = relation.columns().size();
+  result.columns.resize(columns);
+  // Column tasks may run in parallel, so each records into its own
+  // Telemetry; the caller's sums them once every task is done.
+  std::vector<Telemetry> telemetry(config.telemetry != nullptr ? columns : 0);
+  exec::ParallelFor(pool, 0, columns, [&](u64 i) {
+    CompressionConfig column_config = config;
+    if (config.telemetry != nullptr) column_config.telemetry = &telemetry[i];
+    result.columns[i] = CompressColumn(relation.columns()[i], column_config);
   });
+  for (const Telemetry& column : telemetry) config.telemetry->Add(column);
   return result;
 }
 

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -123,6 +124,139 @@ bool SameResources(const service::ScanServiceConfig& a,
   return fields(a) == fields(b);
 }
 
+// What one Open() or one Scan() runs its work through: the tenant's fetch
+// and decode lanes on the scanner's service, and the one GET primitive,
+// exec::HedgedGet under exec::RunWithRetries with the service's breaker
+// for the store and the tenant's hedge quota. Every GET is booked in the
+// lane's own counters and in the tenant's.
+class ServiceLane {
+ public:
+  // One GET issued as its own fetch item by GetAll.
+  struct Request {
+    std::string key;
+    u64 offset = 0;
+    u64 length = 0;
+    Status status;          // filled by GetAll
+    std::vector<u8> bytes;  // filled by GetAll
+  };
+
+  ServiceLane(service::ScanService& service, u32 tenant,
+              s3sim::ObjectStore* store, const ScanConfig& config,
+              obs::ScanProfileCollector* profile, exec::SleepFn sleep)
+      : service_(service),
+        tenant_(tenant),
+        store_(store),
+        profile_(profile),
+        sleep_(std::move(sleep)),
+        breaker_(service.BreakerFor(store)),
+        retry_(MakeRetryPolicy(config)),
+        hedge_(MakeHedgePolicy(config)) {}
+
+  // Queues `run` on the tenant's fetch or decode lane; `cost_bytes` is its
+  // fair-queue charge. With a profile, the item's wait in the queue is
+  // recorded as ScanActivity::kPrefetchWait.
+  void Submit(bool decode, u64 cost_bytes, std::function<void()> run) {
+    if (profile_ != nullptr) {
+      run = [this, queued = Timer(), run = std::move(run)] {
+        profile_->AddActivity(obs::ScanActivity::kPrefetchWait,
+                              static_cast<u64>(queued.ElapsedNanos()));
+        run();
+      };
+    }
+    if (decode) {
+      service_.SubmitDecode(tenant_, cost_bytes, std::move(run));
+    } else {
+      service_.SubmitFetch(tenant_, cost_bytes, std::move(run));
+    }
+  }
+
+  // One GET on the calling executor thread. `blocks` counts the block
+  // payloads it carries, each already looked up in the cache (0 for
+  // metadata and column headers).
+  Status Get(const std::string& key, u64 offset, u64 length, u32 blocks,
+             std::vector<u8>* out) {
+    obs::FetchRecord record;
+    record.key = &key;
+    record.offset = offset;
+    record.length = length;
+    record.blocks = blocks;
+    record.cacheable = blocks > 0 && service_.cache() != nullptr;
+    u64 gets = 0;  // GETs that reached the store (a breaker rejection is none)
+    exec::RetryOutcome outcome;
+    Timer get_timer;
+    Status status;
+    {
+      BTR_TRACE_SPAN("scan.fetch");
+      status = exec::RunWithRetries(
+          &retry_,
+          [&] {
+            bool duplicate = false;
+            Status attempt = exec::HedgedGet(
+                store_, key, offset, length, &hedge_, &stragglers_, out,
+                &duplicate, &record.hedge_won,
+                [this] { return service_.TryAcquireTenantHedge(tenant_); });
+            gets += duplicate ? 2 : 1;
+            record.hedged = record.hedged || duplicate;
+            return attempt;
+          },
+          sleep_, breaker_, &outcome);
+    }
+    record.duration_ns = static_cast<u64>(get_timer.ElapsedNanos());
+    record.attempts = outcome.attempts;
+    record.retries = outcome.retries;
+    record.breaker_rejected = outcome.breaker_rejected;
+    record.ok = status.ok();
+    Account(gets, status.ok() ? out->size() : 0, record.hedged);
+    if (profile_ != nullptr) profile_->RecordFetch(record);
+    return status;
+  }
+
+  // One fetch item per request; returns once every one has finished.
+  void GetAll(std::vector<Request>* requests) {
+    std::mutex mutex;
+    std::condition_variable done;
+    size_t left = requests->size();
+    for (Request& request : *requests) {
+      Submit(/*decode=*/false, request.length, [&, r = &request] {
+        r->status = Get(r->key, r->offset, r->length, /*blocks=*/0, &r->bytes);
+        std::lock_guard<std::mutex> lock(mutex);
+        if (--left == 0) done.notify_all();
+      });
+    }
+    std::unique_lock<std::mutex> lock(mutex);
+    done.wait(lock, [&] { return left == 0; });
+  }
+
+  // Books `gets` GETs that moved `bytes` (also those issued outside Get).
+  void Account(u64 gets, u64 bytes, bool hedged) {
+    gets_.fetch_add(gets, std::memory_order_relaxed);
+    bytes_.fetch_add(bytes, std::memory_order_relaxed);
+    service_.RecordGets(tenant_, gets, bytes, hedged);
+  }
+
+  // Joins hedge stragglers; call once no item can issue a GET any more.
+  void Reap() { stragglers_.Reap(); }
+
+  exec::CircuitBreaker* breaker() const { return breaker_; }
+  const exec::RetryState& retry() const { return retry_; }
+  const exec::HedgeState& hedge() const { return hedge_; }
+  u64 gets() const { return gets_.load(std::memory_order_relaxed); }
+  u64 bytes() const { return bytes_.load(std::memory_order_relaxed); }
+
+ private:
+  service::ScanService& service_;
+  const u32 tenant_;
+  s3sim::ObjectStore* const store_;
+  obs::ScanProfileCollector* const profile_;  // null = profiling off
+  const exec::SleepFn sleep_;
+  exec::CircuitBreaker* const breaker_;  // null = no breaker
+  exec::RetryState retry_;
+  exec::HedgeState hedge_;
+  exec::StragglerSink stragglers_;  // hedge losers
+  std::atomic<u64> gets_{0};
+  std::atomic<u64> bytes_{0};
+};
+
 }  // namespace
 
 Status UploadCompressedRelation(const CompressedRelation& relation,
@@ -176,12 +310,16 @@ Status Scanner::Open(const ScanConfig& config) {
   if (store_ == nullptr) return Status::InvalidArgument("null object store");
   // Metadata-fetch time surfaces as ScanProfile::open_ns on later scans.
   Timer open_timer;
-  // Metadata GETs ride the same retry discipline as block fetches: a
-  // transiently failing store must not fail Open.
-  exec::RetryState retry(MakeRetryPolicy(config));
-  auto fetch = [&](const std::string& key, u64 length, std::vector<u8>* out) {
-    return exec::RunWithRetries(
-        &retry, [&] { return store_->GetChunk(key, 0, length, out); });
+  // Open's GETs take the block GETs' path: fetch items on the scanner's
+  // service (a standalone Scanner builds its private one here), retried,
+  // hedged and breaker-guarded, booked in the tenant's counters.
+  service::ScanService& service = ServiceFor(config);
+  ServiceLane lane(service, tenant_slot_, store_, config, /*profile=*/nullptr,
+                   exec::SleepUninterruptible);
+  auto whole_object = [this](const std::string& key,
+                             ServiceLane::Request* request) {
+    request->key = key;
+    return store_->ObjectSize(key, &request->length);
   };
 
   // Resolve which physical table version to read. A table written through
@@ -191,59 +329,58 @@ Status Scanner::Open(const ScanConfig& config) {
   // while this scanner keeps reading the old one — either-old-or-new,
   // never a mix. Tables uploaded before the manifest existed fall back to
   // the bare table name.
-  if (store_->Contains(write::ManifestKey(prefix_, table_name_))) {
-    write::Manifest manifest;
-    BTR_RETURN_IF_ERROR(exec::RunWithRetries(&retry, [&] {
-      return write::ReadManifest(store_, prefix_, table_name_, &manifest);
-    }));
-    if (manifest.committed_version == 0) {
+  const std::string manifest_key = write::ManifestKey(prefix_, table_name_);
+  if (store_->Contains(manifest_key)) {
+    std::vector<ServiceLane::Request> manifest(1);
+    BTR_RETURN_IF_ERROR(whole_object(manifest_key, &manifest[0]));
+    lane.GetAll(&manifest);
+    BTR_RETURN_IF_ERROR(manifest[0].status);
+    write::Manifest parsed;
+    BTR_RETURN_IF_ERROR(write::ParseManifest(
+        manifest[0].bytes.data(), manifest[0].bytes.size(), &parsed));
+    if (parsed.committed_version == 0) {
       return Status::NotFound("table has a manifest but no committed version: " +
                               table_name_);
     }
-    resolved_name_ = write::VersionedName(table_name_, manifest.committed_version);
+    resolved_name_ = write::VersionedName(table_name_, parsed.committed_version);
   } else {
     resolved_name_ = table_name_;
   }
 
+  // The metadata and the zone-map sidecar, read concurrently.
   const std::string meta_key = TableMetaKey(prefix_, resolved_name_);
   if (!store_->Contains(meta_key)) {
     return Status::NotFound("table metadata object missing: " + meta_key);
   }
-  u64 object_size = 0;
-  BTR_RETURN_IF_ERROR(store_->ObjectSize(meta_key, &object_size));
-  std::vector<u8> blob;
-  BTR_RETURN_IF_ERROR(fetch(meta_key, object_size, &blob));
-  BTR_RETURN_IF_ERROR(ParseTableMeta(blob.data(), blob.size(), &meta_));
-
   const std::string zone_key = ZoneMapKey(prefix_, resolved_name_);
   has_zones_ = store_->Contains(zone_key);
+  std::vector<ServiceLane::Request> objects(has_zones_ ? 2 : 1);
+  BTR_RETURN_IF_ERROR(whole_object(meta_key, &objects[0]));
+  if (has_zones_) BTR_RETURN_IF_ERROR(whole_object(zone_key, &objects[1]));
+  lane.GetAll(&objects);
+  for (const ServiceLane::Request& object : objects) {
+    BTR_RETURN_IF_ERROR(object.status);
+  }
+  BTR_RETURN_IF_ERROR(
+      ParseTableMeta(objects[0].bytes.data(), objects[0].bytes.size(), &meta_));
   if (has_zones_) {
-    BTR_RETURN_IF_ERROR(store_->ObjectSize(zone_key, &object_size));
-    BTR_RETURN_IF_ERROR(fetch(zone_key, object_size, &blob));
-    BTR_RETURN_IF_ERROR(ParseTableZoneMap(blob.data(), blob.size(), &zones_));
+    BTR_RETURN_IF_ERROR(ParseTableZoneMap(objects[1].bytes.data(),
+                                          objects[1].bytes.size(), &zones_));
     if (zones_.columns.size() != meta_.columns.size()) {
       return Status::Corruption("zone map column count mismatch");
     }
   }
 
-  // One small ranged GET per column: the "BTRC" header with per-block byte
-  // sizes and payload CRCs, turned into payload offsets for the
-  // block-granular GETs Scan() issues later and the integrity checks run
-  // on what they return.
-  column_files_.assign(meta_.columns.size(), {});
+  // Column headers are read by the first Scan() that needs the column;
+  // only the objects' presence is checked here.
   for (size_t c = 0; c < meta_.columns.size(); c++) {
     const std::string key = ColumnFileKey(prefix_, resolved_name_, c);
     if (!store_->Contains(key)) {
       return Status::NotFound("column object missing: " + key);
     }
-    u64 block_count = meta_.columns[c].block_value_counts.size();
-    BTR_RETURN_IF_ERROR(fetch(key, ColumnFileHeaderBytes(block_count), &blob));
-    BTR_RETURN_IF_ERROR(
-        ParseColumnFileHeader(blob.data(), blob.size(), &column_files_[c]));
-    if (column_files_[c].block_count() != block_count) {
-      return Status::Corruption("metadata/column block count mismatch: " + key);
-    }
   }
+  column_files_.assign(meta_.columns.size(), {});
+  has_header_.assign(meta_.columns.size(), 0);
   opened_ = true;
   open_ns_ = static_cast<u64>(open_timer.ElapsedNanos());
   return Status::Ok();
@@ -392,14 +529,29 @@ struct BlockResult {
   Status error;  // why the block is kUnreadable (degraded mode only)
 };
 
+// One block payload as the decode stage reads it: a slice of a run's GET
+// buffer, a cached payload, or a CRC re-fetch. `owner` keeps the bytes
+// alive, and kSimdPadding readable bytes follow data + size.
+struct BlockPart {
+  std::shared_ptr<const void> owner;  // null = the part did not arrive
+  const u8* data = nullptr;
+  size_t size = 0;
+};
+
+// Fetched bytes as the owner of block parts: kSimdPadding zero bytes
+// follow the response, because decoders over-read compressed input
+// (docs/FORMAT.md). The GET reserved that slack, so this does not copy.
+std::shared_ptr<const std::vector<u8>> Padded(std::vector<u8>&& bytes) {
+  bytes.resize(bytes.size() + kSimdPadding);
+  return std::make_shared<const std::vector<u8>>(std::move(bytes));
+}
+
 // Fetched column blocks of one row block, awaiting completion. A part
 // whose fetch failed permanently still counts toward `filled` (its status
 // lands in `error`) so the bundle always completes and the emitter never
-// waits on a block that cannot arrive. Parts are the block cache's
-// refcounted payloads: a cache hit shares the cached buffer instead of
-// copying it, and a fetched buffer is wrapped without a copy.
+// waits on a block that cannot arrive.
 struct Bundle {
-  std::vector<exec::BlockCache::Payload> parts;  // by needed-column position
+  std::vector<BlockPart> parts;  // by needed-column position
   u32 filled = 0;
   Status error;  // first fetch failure of this row block
 };
@@ -407,14 +559,15 @@ struct Bundle {
 }  // namespace
 
 // One Scan() call, run on a ScanService in four stages: Plan (calling
-// thread) prunes row blocks and builds the fetch plan; Fetch items run on
-// the service's fetch executors and Decode items on its decode executors,
-// both behind the tenant's fair-queue lanes; Emit hands chunks to the
-// caller in block order. Every submitted item captures `this`, so the Job
-// must Finish() — quiesce — before it leaves scope.
+// thread) prunes row blocks, reads missing column headers and groups the
+// rest; Fetch items run on the service's fetch executors and Decode items
+// on its decode executors, both behind the tenant's fair-queue lanes;
+// Emit hands chunks to the caller in block order and pumps the next
+// fetches. Every submitted item captures `this`, so the Job must Finish()
+// — quiesce — before it leaves scope.
 class Scanner::Job {
  public:
-  Job(const Scanner& scanner, service::ScanService& service,
+  Job(Scanner& scanner, service::ScanService& service,
       const ScanConfig& config, const ResolvedSpec& resolved,
       obs::ScanProfileCollector* profile)
       : scanner_(scanner),
@@ -426,9 +579,8 @@ class Scanner::Job {
         needed_count_(static_cast<u32>(resolved.needed.size())),
         has_filter_(!resolved.filter.Empty()),
         cache_(service.cache()),
-        breaker_(service.BreakerFor(scanner.store_)),
-        retry_(MakeRetryPolicy(config)),
-        hedge_(MakeHedgePolicy(config)),
+        lane_(service, scanner.tenant_slot_, scanner.store_, config, profile,
+              [this](u64 backoff_ns) { return Sleep(backoff_ns); }),
         pruned_(resolved.row_blocks, 0),
         leaf_zone_prunes_(resolved.leaf_count, 0),
         // One bundle in flight per decode thread keeps every decoder busy;
@@ -439,11 +591,15 @@ class Scanner::Job {
                            service.decode_threads()),
         leaf_fast_(resolved.leaf_count),
         leaf_materialized_(resolved.leaf_count) {
+    for (u32 column : resolved.needed) {
+      keys_.push_back(
+          ColumnFileKey(scanner.prefix_, scanner.resolved_name_, column));
+    }
     // A breaker can be shared with other scans, so ScanStats reports the
     // deltas across this scan.
-    if (breaker_ != nullptr) {
-      base_breaker_trips_ = breaker_->trips();
-      base_breaker_fast_ = breaker_->fast_failures();
+    if (lane_.breaker() != nullptr) {
+      base_breaker_trips_ = lane_.breaker()->trips();
+      base_breaker_fast_ = lane_.breaker()->fast_failures();
     }
   }
 
@@ -454,19 +610,38 @@ class Scanner::Job {
   Status Finish(ScanStats* stats);
 
  private:
-  void Submit(bool decode, u64 cost_bytes, std::function<void()> run);
-  void Fetch(size_t i);
+  // Adjacent surviving row blocks [first, first + blocks), expanded into
+  // fetch items when the window reaches them.
+  struct Group {
+    u32 first = 0;
+    u32 blocks = 0;
+  };
+  // Adjacent blocks [first, first + blocks) of needed column `pos`: one
+  // GET, or — with `hit` set — one block the cache already holds.
+  struct Item {
+    u32 pos = 0;
+    u32 first = 0;
+    u32 blocks = 0;
+    BlockPart hit;
+  };
+
+  const ColumnFileHeader& File(u32 pos) const {
+    return scanner_.column_files_[resolved_.needed[pos]];
+  }
+  Status ReadHeaders();
+  void Expand(const Group& group);
+  void FetchRun(const Item& run);
+  void Deliver(u32 b, u32 pos, BlockPart part, const Status& status);
   void Decode(u32 b, Bundle& bundle);
   Status DecodeBundle(u32 b, Bundle& bundle, BlockResult* result);
   void EmitBlock(const ChunkCallback& emit, u32 b, BlockResult* result);
-  void CacheInsert(const std::string& key, u64 offset, const u8* data,
-                   size_t size, u32 expected_crc);
+  void CacheInsert(u32 pos, u32 b, const u8* data, size_t size);
   void Fail(Status status);
   bool Failed();
   bool Sleep(u64 backoff_ns);
   void ItemDone();
 
-  const Scanner& scanner_;
+  Scanner& scanner_;
   service::ScanService& service_;
   const u32 tenant_;
   const ScanConfig& config_;
@@ -474,37 +649,35 @@ class Scanner::Job {
   obs::ScanProfileCollector* const profile_;  // null = profiling off
   const u32 needed_count_;
   const bool has_filter_;
-  exec::BlockCache* const cache_;       // null = no cache
-  exec::CircuitBreaker* const breaker_;  // null = no breaker
-  exec::RetryState retry_;
-  exec::HedgeState hedge_;
-  exec::StragglerSink stragglers_;  // hedge losers, reaped in Finish
+  exec::BlockCache* const cache_;  // null = no cache
+  ServiceLane lane_;
+  std::vector<std::string> keys_;  // column object key per needed position
   u64 base_breaker_trips_ = 0;
   u64 base_breaker_fast_ = 0;
 
-  // Plan output, read-only once Pump starts.
+  // Plan output, then the pump's state. Calling thread only.
   std::vector<u8> pruned_;
   std::vector<u64> leaf_zone_prunes_;
-  std::vector<exec::FetchRequest> requests_;
+  std::vector<Group> groups_;
+  u32 first_fetched_ = ~0u;  // row blocks before it never entered the window
+  size_t next_group_ = 0;
+  std::deque<Item> items_;  // the expanded groups' items not yet submitted
+  u64 window_tokens_;       // block parts that may still be submitted
+  u64 cache_hits_ = 0;
+  u64 cache_misses_ = 0;
 
   // Guarded by mutex_. cv_ wakes the emitter (a block is ready or the scan
   // failed), backoff sleepers (failed) and Finish (outstanding_ == 0).
   std::mutex mutex_;
   std::condition_variable cv_;
-  u64 window_tokens_;        // parts that may still be submitted
-  size_t next_request_ = 0;  // next index into requests_
-  u64 outstanding_ = 0;      // submitted items not yet finished
+  u64 outstanding_ = 0;  // submitted items not yet finished
   std::unordered_map<u32, Bundle> assembling_;  // incomplete bundles
   std::map<u32, BlockResult> ready_;            // reorder buffer
   bool failed_ = false;
   Status first_error_;
 
-  // This job's own traffic and outcomes (items run on shared executors,
-  // so nothing is derived from store-wide counters).
-  std::atomic<u64> gets_{0};
-  std::atomic<u64> bytes_fetched_{0};
-  std::atomic<u64> cache_hits_{0};
-  std::atomic<u64> cache_misses_{0};
+  // This job's own outcomes (items run on shared executors, so nothing is
+  // derived from store-wide counters; the lane counts GETs and bytes).
   std::atomic<u64> crc_refetches_{0};
   std::atomic<u64> crc_rescues_{0};
   std::atomic<u64> bytes_decoded_{0};
@@ -513,7 +686,7 @@ class Scanner::Job {
   std::vector<std::atomic<u64>> leaf_materialized_;
 };
 
-// --- plan: zone-map pruning, then the fetch plan ---------------------------------
+// --- plan: zone-map pruning, column headers, then groups --------------------
 
 void Scanner::Job::Plan() {
   // A row block is pruned when the whole filter expression proves it
@@ -550,136 +723,204 @@ void Scanner::Job::Plan() {
     profile_->SetZonePruneNanos(static_cast<u64>(prune_timer.ElapsedNanos()));
   }
 
-  // Block-major so one row block's column parts are fetched adjacently and
-  // bundles complete close to their emission order.
-  for (u32 b = 0; b < resolved_.row_blocks; b++) {
+  // No row block can be read before every needed column's header is.
+  // Strict mode fails the scan on the first failure; degraded mode reports
+  // the next surviving row block unreadable and tries again for the rest,
+  // so a transient failure costs only the blocks it outlasted.
+  u32 first = 0;
+  for (;; first++) {
+    while (first < resolved_.row_blocks && pruned_[first]) first++;
+    if (first == resolved_.row_blocks) return;
+    Status headers = ReadHeaders();
+    if (headers.ok()) break;
+    if (!config_.skip_unreadable_blocks) {
+      Fail(std::move(headers));
+      return;
+    }
+    BlockResult result;
+    result.outcome = BlockOutcome::kUnreadable;
+    result.error = std::move(headers);
+    std::lock_guard<std::mutex> lock(mutex_);
+    ready_.emplace(first, std::move(result));
+  }
+  first_fetched_ = first;
+
+  // Run length: as long as the window allows, since every GET pays a
+  // first-byte wait, but one group of runs across all needed columns must
+  // fit the window, and so must one run per fetch executor, so that a
+  // narrow projection still keeps every fetch connection busy.
+  const u32 fetch_threads = service_.fetch_threads();
+  const u64 run_blocks = std::max<u64>(
+      1, window_tokens_ / std::max({needed_count_, fetch_threads, 1u}));
+  for (u32 b = first; b < resolved_.row_blocks; b++) {
     if (pruned_[b]) continue;
-    for (u32 pos = 0; pos < needed_count_; pos++) {
-      const u32 column = resolved_.needed[pos];
-      const ColumnFileHeader& file = scanner_.column_files_[column];
-      exec::FetchRequest request;
-      request.key = ColumnFileKey(scanner_.prefix_, scanner_.resolved_name_,
-                                  column);
-      request.offset = file.block_offsets[b];
-      request.length = file.block_size(b);
-      request.tag = static_cast<u64>(b) * needed_count_ + pos;
-      request.expected_crc = file.block_crcs[b];
-      requests_.push_back(std::move(request));
+    if (groups_.empty() || groups_.back().first + groups_.back().blocks != b ||
+        groups_.back().blocks == run_blocks) {
+      groups_.push_back(Group{b, 0});
+    }
+    groups_.back().blocks++;
+  }
+}
+
+// Reads the header of every needed column the scanner has not read yet,
+// all at once, each GET a fetch item of this scan. Returns the first
+// failure; the headers that did arrive are kept for later scans.
+Status Scanner::Job::ReadHeaders() {
+  std::vector<u32> columns;
+  std::vector<ServiceLane::Request> requests;
+  for (u32 pos = 0; pos < needed_count_; pos++) {
+    const u32 column = resolved_.needed[pos];
+    if (scanner_.has_header_[column]) continue;
+    ServiceLane::Request request;
+    request.key = keys_[pos];
+    request.length = ColumnFileHeaderBytes(resolved_.row_blocks);
+    columns.push_back(column);
+    requests.push_back(std::move(request));
+  }
+  lane_.GetAll(&requests);
+  Status first_error;
+  for (size_t i = 0; i < requests.size(); i++) {
+    const ServiceLane::Request& request = requests[i];
+    ColumnFileHeader header;
+    Status status = request.status;
+    if (status.ok()) {
+      status = ParseColumnFileHeader(request.bytes.data(),
+                                     request.bytes.size(), &header);
+    }
+    if (status.ok() && header.block_count() != resolved_.row_blocks) {
+      status = Status::Corruption("metadata/column block count mismatch: " +
+                                  request.key);
+    }
+    if (status.ok()) {
+      scanner_.column_files_[columns[i]] = std::move(header);
+      scanner_.has_header_[columns[i]] = 1;
+    } else if (first_error.ok()) {
+      first_error = std::move(status);
     }
   }
+  return first_error;
 }
 
 // --- fetch: window-limited items on the service's fetch executors ----------------
 
-// Backpressure is window tokens, not a bounded queue: at most
-// window_tokens_ parts are in flight (submitted but not yet decoded); a
-// bundle's decode returns its parts' tokens and pumps the next
-// submissions. Tokens are consumed only before submitting, never while
-// holding an executor thread, so executors never block on another scan's
-// progress (no cross-tenant head-of-line blocking).
+// Backpressure is window tokens, not a bounded queue: a block part holds
+// one token from the moment its GET (or cache hit) is submitted until its
+// row block is emitted, so the window bounds both the parts in flight and
+// the decoded blocks waiting in the reorder buffer. Tokens are taken and
+// returned on the calling thread only, never while holding an executor
+// thread, so executors never block on another scan's progress (no
+// cross-tenant head-of-line blocking). Groups expand in block order and a
+// group fits the window, so the lowest unemitted row block can always be
+// fetched.
 void Scanner::Job::Pump() {
-  std::vector<size_t> to_submit;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    while (!failed_ && window_tokens_ > 0 &&
-           next_request_ < requests_.size()) {
-      window_tokens_--;
-      outstanding_++;
-      to_submit.push_back(next_request_++);
+  while (!Failed()) {
+    if (items_.empty()) {
+      if (next_group_ == groups_.size()) return;
+      Expand(groups_[next_group_++]);
+      continue;
     }
-  }
-  for (size_t i : to_submit) {
-    Submit(/*decode=*/false, requests_[i].length, [this, i] { Fetch(i); });
-  }
-}
-
-void Scanner::Job::Submit(bool decode, u64 cost_bytes,
-                          std::function<void()> run) {
-  if (profile_ != nullptr) {
-    // ScanActivity::kPrefetchWait: the item's wait in the fair queue.
-    run = [this, queued = Timer(), run = std::move(run)] {
-      profile_->AddActivity(obs::ScanActivity::kPrefetchWait,
-                            static_cast<u64>(queued.ElapsedNanos()));
-      run();
-    };
-  }
-  if (decode) {
-    service_.SubmitDecode(tenant_, cost_bytes, std::move(run));
-  } else {
-    service_.SubmitFetch(tenant_, cost_bytes, std::move(run));
+    Item& next = items_.front();
+    if (next.blocks > window_tokens_) return;
+    window_tokens_ -= next.blocks;
+    if (next.hit.owner != nullptr) {
+      Deliver(next.first, next.pos, std::move(next.hit), Status::Ok());
+    } else {
+      {
+        std::lock_guard<std::mutex> lock(mutex_);
+        outstanding_++;
+      }
+      const ColumnFileHeader& file = File(next.pos);
+      const u64 length = file.block_offsets[next.first + next.blocks] -
+                         file.block_offsets[next.first];
+      lane_.Submit(/*decode=*/false, length, [this, run = next] {
+        FetchRun(run);
+      });
+    }
+    items_.pop_front();
   }
 }
 
-// One block part: the cache, else HedgedGet under RunWithRetries (with
-// the breaker and interruptible backoff). The part that completes its row
-// block's bundle submits the decode item.
-void Scanner::Job::Fetch(size_t i) {
-  if (Failed()) return ItemDone();
-  const exec::FetchRequest& request = requests_[i];
-  obs::FetchRecord record;
-  record.key = &request.key;
-  record.offset = request.offset;
-  record.length = request.length;
-  record.cacheable = cache_ != nullptr;
-  exec::BlockCache::Payload payload;
+// Looks up every block of `group` in the cache and queues, per needed
+// column, each hit and one run per stretch of adjacent misses: a hit
+// splits a run.
+void Scanner::Job::Expand(const Group& group) {
+  u64 hits = 0;
+  u64 misses = 0;
+  for (u32 pos = 0; pos < needed_count_; pos++) {
+    const ColumnFileHeader& file = File(pos);
+    Item run{pos, group.first, 0, {}};
+    for (u32 b = group.first; b < group.first + group.blocks; b++) {
+      exec::BlockCache::Payload payload;
+      if (cache_ != nullptr) {
+        payload = cache_->LookupShared(keys_[pos], file.block_offsets[b],
+                                       file.block_size(b));
+      }
+      if (payload == nullptr) {
+        if (run.blocks == 0) run.first = b;
+        run.blocks++;
+        misses++;
+        continue;
+      }
+      // Cache hit: the bundle shares the cached buffer — no copy, no GET.
+      hits++;
+      if (run.blocks > 0) items_.push_back(run);
+      run.blocks = 0;
+      if (profile_ != nullptr) {
+        obs::FetchRecord record;
+        record.key = &keys_[pos];
+        record.offset = file.block_offsets[b];
+        record.length = file.block_size(b);
+        record.blocks = 1;
+        record.cacheable = true;
+        record.cache_hit = true;
+        profile_->RecordFetch(record);
+      }
+      const u8* data = payload->data();
+      const size_t size = payload->size();
+      items_.push_back(
+          Item{pos, b, 1, BlockPart{std::move(payload), data, size}});
+    }
+    if (run.blocks > 0) items_.push_back(run);
+  }
   if (cache_ != nullptr) {
-    payload = cache_->LookupShared(request.key, request.offset,
-                                   request.length);
+    cache_hits_ += hits;
+    cache_misses_ += misses;
   }
-  Status status;
-  if (payload != nullptr) {
-    // Cache hit: the bundle shares the cached buffer — no copy, no GET.
-    record.cache_hit = true;
-    cache_hits_.fetch_add(1, std::memory_order_relaxed);
-    service_.RecordFetchOutcome(tenant_, /*cache_hit=*/true, /*bytes=*/0,
-                                /*gets=*/0, /*hedged=*/false);
-  } else {
-    if (cache_ != nullptr) {
-      cache_misses_.fetch_add(1, std::memory_order_relaxed);
-    }
-    std::vector<u8> chunk;
-    u64 gets = 0;  // GETs that reached the store (a breaker rejection is none)
-    exec::RetryOutcome outcome;
-    Timer get_timer;
-    {
-      BTR_TRACE_SPAN("scan.fetch");
-      status = exec::RunWithRetries(
-          &retry_,
-          [&] {
-            bool duplicate = false;
-            Status attempt = exec::HedgedGet(
-                scanner_.store_, request.key, request.offset, request.length,
-                &hedge_, &stragglers_, &chunk, &duplicate, &record.hedge_won,
-                [this] { return service_.TryAcquireTenantHedge(tenant_); });
-            gets += duplicate ? 2 : 1;
-            record.hedged = record.hedged || duplicate;
-            return attempt;
-          },
-          [this](u64 backoff_ns) { return Sleep(backoff_ns); }, breaker_,
-          &outcome);
-    }
-    record.duration_ns = static_cast<u64>(get_timer.ElapsedNanos());
-    record.attempts = outcome.attempts;
-    record.retries = outcome.retries;
-    record.breaker_rejected = outcome.breaker_rejected;
-    record.ok = status.ok();
-    gets_.fetch_add(gets, std::memory_order_relaxed);
-    const u64 bytes = status.ok() ? chunk.size() : 0;
-    bytes_fetched_.fetch_add(bytes, std::memory_order_relaxed);
-    service_.RecordFetchOutcome(tenant_, /*cache_hit=*/false, bytes, gets,
-                                record.hedged);
-    if (status.ok()) {
-      CacheInsert(request.key, request.offset, chunk.data(), chunk.size(),
-                  request.expected_crc);
-      auto buffer = std::make_shared<ByteBuffer>();
-      buffer->Append(chunk.data(), chunk.size());
-      payload = std::move(buffer);
-    }
-  }
-  if (profile_ != nullptr) profile_->RecordFetch(record);
+  service_.RecordBlockLookups(tenant_, hits, misses);
+}
 
-  const u32 b = static_cast<u32>(request.tag / needed_count_);
-  const u32 pos = static_cast<u32>(request.tag % needed_count_);
+// One run: a single GET for adjacent blocks of one column, sliced into a
+// part per block without a copy. A failed GET fails every block of the
+// run; a short response leaves the blocks past its end short, for the
+// decode stage's CRC check to catch.
+void Scanner::Job::FetchRun(const Item& run) {
+  if (Failed()) return ItemDone();
+  const ColumnFileHeader& file = File(run.pos);
+  const u64 offset = file.block_offsets[run.first];
+  const u64 length = file.block_offsets[run.first + run.blocks] - offset;
+  std::vector<u8> bytes;
+  Status status = lane_.Get(keys_[run.pos], offset, length, run.blocks, &bytes);
+  const u64 got = bytes.size();
+  std::shared_ptr<const std::vector<u8>> buffer;
+  if (status.ok()) buffer = Padded(std::move(bytes));
+  for (u32 b = run.first; b < run.first + run.blocks; b++) {
+    BlockPart part;
+    if (status.ok()) {
+      const u64 begin = std::min(file.block_offsets[b] - offset, got);
+      part.owner = buffer;
+      part.data = buffer->data() + begin;
+      part.size = std::min(file.block_size(b), got - begin);
+      CacheInsert(run.pos, b, part.data, part.size);
+    }
+    Deliver(b, run.pos, std::move(part), status);
+  }
+  ItemDone();
+}
+
+// Hands one part to its row block's bundle; the part that completes the
+// bundle submits the block's decode item.
+void Scanner::Job::Deliver(u32 b, u32 pos, BlockPart part,
+                           const Status& status) {
   Bundle complete;
   bool is_complete = false;
   {
@@ -688,7 +929,7 @@ void Scanner::Job::Fetch(size_t i) {
       Bundle& bundle = assembling_[b];
       if (bundle.parts.empty()) bundle.parts.resize(needed_count_);
       if (!status.ok() && bundle.error.ok()) bundle.error = status;
-      bundle.parts[pos] = std::move(payload);
+      bundle.parts[pos] = std::move(part);
       if (++bundle.filled == needed_count_) {
         complete = std::move(bundle);
         assembling_.erase(b);
@@ -699,23 +940,20 @@ void Scanner::Job::Fetch(size_t i) {
   }
   if (is_complete) {
     u64 cost = 0;
-    for (const exec::BlockCache::Payload& part : complete.parts) {
-      if (part != nullptr) cost += part->size();
-    }
-    Submit(/*decode=*/true, cost,
-           [this, b, bundle = std::move(complete)]() mutable {
-             Decode(b, bundle);
-           });
+    for (const BlockPart& p : complete.parts) cost += p.size;
+    lane_.Submit(/*decode=*/true, cost,
+                 [this, b, bundle = std::move(complete)]() mutable {
+                   Decode(b, bundle);
+                 });
   }
-  ItemDone();
 }
 
 // Verified admission into the cache, under the tenant's cache-byte quota.
-void Scanner::Job::CacheInsert(const std::string& key, u64 offset,
-                               const u8* data, size_t size, u32 expected_crc) {
+void Scanner::Job::CacheInsert(u32 pos, u32 b, const u8* data, size_t size) {
   if (cache_ == nullptr) return;
-  service_.TryCacheInsert(tenant_, key, offset, size, data, size,
-                          expected_crc);
+  const ColumnFileHeader& file = File(pos);
+  service_.TryCacheInsert(tenant_, keys_[pos], file.block_offsets[b], size,
+                          data, size, file.block_crcs[b]);
 }
 
 // --- decode: one complete row block on the service's decode executors ------------
@@ -748,11 +986,6 @@ void Scanner::Job::Decode(u32 b, Bundle& bundle) {
       // exception into the scan's Status instead of rethrowing.
       Fail(Status::Internal("scan worker threw"));
     }
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      window_tokens_ += needed_count_;
-    }
-    Pump();
   }
   ItemDone();
 }
@@ -764,45 +997,42 @@ Status Scanner::Job::DecodeBundle(u32 b, Bundle& bundle, BlockResult* result) {
   const u32 expected_rows = resolved_.block_rows[b];
   Timer validate_timer;
   for (u32 pos = 0; pos < needed_count_; pos++) {
-    if (bundle.parts[pos] == nullptr) {
+    BlockPart& part = bundle.parts[pos];
+    if (part.owner == nullptr) {
       return Status::Internal("block " + std::to_string(b) +
                               " arrived without part " + std::to_string(pos));
     }
-    const ByteBuffer* part = bundle.parts[pos].get();
     const u32 column = resolved_.needed[pos];
-    const ColumnFileHeader& file = scanner_.column_files_[column];
+    const ColumnFileHeader& file = File(pos);
     // Integrity first: the payload must be exactly the bytes the column
     // header promised. Catches truncated ranges (size) and flipped bits
     // (CRC32C) before any parsing logic sees the data.
-    if (!file.Intact(b, part->data(), part->size())) {
+    if (!file.Intact(b, part.data, part.size)) {
       metrics.crc_failures.Add();
       // The mismatch may be transient wire corruption rather than
-      // at-rest damage: re-fetch the range once, straight from the store
-      // (a direct GET cannot be served by the cache), and re-verify
+      // at-rest damage: re-fetch this block alone, straight from the
+      // store (a direct GET cannot be served by the cache), and re-verify
       // before giving up on the block.
       bool rescued = false;
       if (config_.refetch_on_crc_failure) {
         metrics.crc_refetches.Add();
         crc_refetches_.fetch_add(1, std::memory_order_relaxed);
-        const std::string key = ColumnFileKey(
-            scanner_.prefix_, scanner_.resolved_name_, column);
         std::vector<u8> fresh;
+        fresh.reserve(file.block_size(b) + kSimdPadding);
         Status refetch = scanner_.store_->GetChunk(
-            key, file.block_offsets[b], file.block_size(b), &fresh);
-        gets_.fetch_add(1, std::memory_order_relaxed);
-        if (refetch.ok() && file.Intact(b, fresh.data(), fresh.size())) {
-          bytes_fetched_.fetch_add(fresh.size(), std::memory_order_relaxed);
-          auto repaired = std::make_shared<ByteBuffer>();
-          repaired->Append(fresh.data(), fresh.size());
-          bundle.parts[pos] = std::move(repaired);
-          part = bundle.parts[pos].get();
+            keys_[pos], file.block_offsets[b], file.block_size(b), &fresh);
+        rescued = refetch.ok() && file.Intact(b, fresh.data(), fresh.size());
+        lane_.Account(1, rescued ? fresh.size() : 0, /*hedged=*/false);
+        if (rescued) {
           // The verified bytes are exactly what the cache wants; the
           // corrupt ones were already refused at admission.
-          CacheInsert(key, file.block_offsets[b], fresh.data(), fresh.size(),
-                      file.block_crcs[b]);
+          CacheInsert(pos, b, fresh.data(), fresh.size());
+          const size_t size = fresh.size();
+          std::shared_ptr<const std::vector<u8>> buffer =
+              Padded(std::move(fresh));
+          part = BlockPart{buffer, buffer->data(), size};
           metrics.crc_rescues.Add();
           crc_rescues_.fetch_add(1, std::memory_order_relaxed);
-          rescued = true;
         }
         if (profile_ != nullptr) profile_->AddCrcRefetch(rescued);
       }
@@ -812,7 +1042,7 @@ Status Scanner::Job::DecodeBundle(u32 b, Bundle& bundle, BlockResult* result) {
             scanner_.meta_.columns[column].name + " failed CRC verification");
       }
     }
-    BTR_RETURN_IF_ERROR(ValidateBlock(part->data(), part->size(),
+    BTR_RETURN_IF_ERROR(ValidateBlock(part.data, part.size,
                                       scanner_.meta_.columns[column].type,
                                       expected_rows));
   }
@@ -833,7 +1063,7 @@ Status Scanner::Job::DecodeBundle(u32 b, Bundle& bundle, BlockResult* result) {
         auto it = resolved_.filter_pos.find(name);
         return it == resolved_.filter_pos.end()
                    ? nullptr
-                   : bundle.parts[it->second]->data();
+                   : bundle.parts[it->second].data;
       };
       EvalResult evaluated = EvaluateExpr(resolved_.filter, expected_rows,
                                           block_of, scanner_.config_,
@@ -850,7 +1080,7 @@ Status Scanner::Job::DecodeBundle(u32 b, Bundle& bundle, BlockResult* result) {
       // then run the reference row-at-a-time evaluation.
       std::unordered_map<std::string, DecodedBlock> decoded_filter;
       for (const auto& [name, pos] : resolved_.filter_pos) {
-        DecompressBlock(bundle.parts[pos]->data(), &decoded_filter[name],
+        DecompressBlock(bundle.parts[pos].data, &decoded_filter[name],
                         scanner_.config_);
       }
       EvalResult evaluated = EvaluateExprDecoded(
@@ -878,23 +1108,23 @@ Status Scanner::Job::DecodeBundle(u32 b, Bundle& bundle, BlockResult* result) {
   BTR_TRACE_SPAN("scan.decode");
   result->decoded.resize(resolved_.projection.size());
   for (size_t p = 0; p < resolved_.projection.size(); p++) {
-    const ByteBuffer& part = *bundle.parts[resolved_.projection_pos[p]];
+    const BlockPart& part = bundle.parts[resolved_.projection_pos[p]];
     const u32 column = resolved_.projection[p];
     if (profile_ != nullptr) {
       Timer decode_timer;
-      DecompressBlock(part.data(), &result->decoded[p], scanner_.config_);
+      DecompressBlock(part.data, &result->decoded[p], scanner_.config_);
       obs::DecodeRecord record;
       record.column = &scanner_.meta_.columns[column].name;
       record.offset = scanner_.column_files_[column].block_offsets[b];
-      record.length = part.size();
+      record.length = part.size;
       record.duration_ns = static_cast<u64>(decode_timer.ElapsedNanos());
       record.bytes_decoded = result->decoded[p].ValueBytes();
       record.block = b;
-      record.scheme = PeekBlockScheme(part.data());
+      record.scheme = PeekBlockScheme(part.data);
       record.type = static_cast<u8>(scanner_.meta_.columns[column].type);
       profile_->RecordDecode(record);
     } else {
-      DecompressBlock(part.data(), &result->decoded[p], scanner_.config_);
+      DecompressBlock(part.data, &result->decoded[p], scanner_.config_);
     }
     bytes_decoded_.fetch_add(result->decoded[p].ValueBytes(),
                              std::memory_order_relaxed);
@@ -943,6 +1173,11 @@ void Scanner::Job::Emit(const ChunkCallback& emit,
       metrics.rows_matched.Add(matches);
     }
     EmitBlock(emit, b, &result);
+    if (b >= first_fetched_) {
+      // The block has left the window: its parts' tokens come back.
+      window_tokens_ += needed_count_;
+      Pump();
+    }
   }
 }
 
@@ -975,19 +1210,19 @@ Status Scanner::Job::Finish(ScanStats* stats) {
     if (failed_) status = first_error_;
     cv_.wait(lock, [&] { return outstanding_ == 0; });
   }
-  stragglers_.Reap();
+  lane_.Reap();
 
-  stats->requests = gets_.load(std::memory_order_relaxed);
-  stats->bytes_fetched = bytes_fetched_.load(std::memory_order_relaxed);
-  stats->retries = retry_.retries_granted();
-  stats->cache_hits = cache_hits_.load(std::memory_order_relaxed);
-  stats->cache_misses = cache_misses_.load(std::memory_order_relaxed);
-  stats->hedges = hedge_.hedges_issued();
-  stats->hedge_wins = hedge_.hedge_wins();
-  if (breaker_ != nullptr) {
-    stats->breaker_trips = breaker_->trips() - base_breaker_trips_;
+  stats->requests = lane_.gets();
+  stats->bytes_fetched = lane_.bytes();
+  stats->retries = lane_.retry().retries_granted();
+  stats->cache_hits = cache_hits_;
+  stats->cache_misses = cache_misses_;
+  stats->hedges = lane_.hedge().hedges_issued();
+  stats->hedge_wins = lane_.hedge().hedge_wins();
+  if (lane_.breaker() != nullptr) {
+    stats->breaker_trips = lane_.breaker()->trips() - base_breaker_trips_;
     stats->breaker_fast_failures =
-        breaker_->fast_failures() - base_breaker_fast_;
+        lane_.breaker()->fast_failures() - base_breaker_fast_;
   }
   stats->crc_refetches = crc_refetches_.load(std::memory_order_relaxed);
   stats->crc_rescues = crc_rescues_.load(std::memory_order_relaxed);

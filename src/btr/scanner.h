@@ -8,10 +8,13 @@
 // stages:
 //
 //   plan ────► zone maps prune row blocks that cannot match (never
-//              fetched); the rest become a block-major fetch plan
-//   fetch ───► items on the service's fetch executors: block cache, else
-//              one exec::HedgedGet under exec::RunWithRetries; at most
-//              prefetch_depth + one bundle per decode thread in flight
+//              fetched); missing column headers are read, all at once;
+//              the rest become groups of adjacent row blocks
+//   fetch ───► items on the service's fetch executors: each block is
+//              looked up in the block cache, and every run of adjacent
+//              uncached blocks of one column is one exec::HedgedGet under
+//              exec::RunWithRetries; at most prefetch_depth + one bundle
+//              per decode thread in flight, counted until emitted
 //   decode ──► items on the service's decode executors: CRC + structural
 //              validation, predicates on the *compressed* form (selection
 //              vectors), decompression only where the selection is
@@ -122,10 +125,11 @@ struct ScanStats {
   u32 blocks_unreadable = 0;   // degraded mode: blocks skipped as unreadable
   u64 rows_matched = 0;        // rows passing every predicate
   u64 bytes_fetched = 0;       // compressed bytes GET'd (headers included)
-  u64 requests = 0;            // GET requests issued
+  u64 requests = 0;            // GETs issued: column headers, block runs,
+                               // CRC re-fetches, retries and hedges
   u64 retries = 0;             // transient-failure retries granted
-  u64 cache_hits = 0;          // block fetches served from the block cache
-  u64 cache_misses = 0;        // cacheable fetches that had to GET
+  u64 cache_hits = 0;          // blocks served from the block cache
+  u64 cache_misses = 0;        // blocks a cache lookup missed
   u64 hedges = 0;              // duplicate GETs issued against tail latency
   u64 hedge_wins = 0;          // hedges whose duplicate response won
   u64 breaker_trips = 0;       // circuit-breaker open transitions
@@ -183,7 +187,7 @@ Status UploadCompressedRelation(const CompressedRelation& relation,
 class Scanner {
  public:
   // Standalone scanner: runs on a private single-tenant ScanService built
-  // from the first Scan()'s ScanConfig — fetch_threads GET executors,
+  // at Open() from its ScanConfig — fetch_threads GET executors,
   // scan_threads decode executors, and the config's block cache and
   // circuit breaker — and rebuilt only when a later scan asks for other
   // values. The cache and the breaker therefore live as long as the
@@ -197,19 +201,22 @@ class Scanner {
   // per-backend circuit breaker are the service's shared ones, and
   // admission control can reject — a saturated service or an over-quota
   // tenant surfaces as typed Status::Throttled (transient, so callers can
-  // wrap Scan in exec::RunWithRetries). The ScanConfig thread, cache and
-  // breaker knobs are ignored in this mode; retry and hedging policy stay
-  // per-scan. `service` must outlive the Scanner.
+  // wrap Scan in exec::RunWithRetries). Open's GETs ride the tenant's
+  // lane too. The ScanConfig thread, cache and breaker knobs are ignored
+  // in this mode; retry and hedging policy stay per call. `service` must
+  // outlive the Scanner.
   Scanner(service::ScanService& service, const std::string& tenant_id,
           s3sim::ObjectStore* store, std::string table_name,
           std::string prefix = "",
           const CompressionConfig& config = CompressionConfig());
   ~Scanner();
 
-  // Fetches and parses table metadata, per-column file headers (block byte
-  // offsets and payload CRCs for ranged GETs) and the zone-map sidecar
-  // when present. Metadata GETs use the config's retry knobs; every parsed
-  // structure is CRC-verified.
+  // Reads the table's manifest, then its metadata and zone-map sidecar
+  // (when present) concurrently. Every GET is a fetch item on the
+  // scanner's service under the config's retry, hedging and breaker
+  // policy, and every parsed structure is CRC-verified. A column's file
+  // header (block byte offsets and payload CRCs) is read later, by the
+  // first Scan() that needs the column.
   Status Open(const ScanConfig& config = ScanConfig());
 
   const TableMeta& meta() const { return meta_; }
@@ -253,13 +260,15 @@ class Scanner {
   bool has_zones_ = false;
   TableZoneMap zones_;
   // Per column: the column object's header (block payload offsets and
-  // CRC32Cs).
+  // CRC32Cs), valid where has_header_ is set — read by the first Scan()
+  // that needs the column.
   std::vector<ColumnFileHeader> column_files_;
+  std::vector<u8> has_header_;
   // Wall nanoseconds the last successful Open() spent fetching/parsing
   // metadata — stamped into ScanProfile::open_ns when profiling.
   u64 open_ns_ = 0;
   // The service scans run on: the shared one a serviced Scanner was built
-  // with, or own_service_ (null until a standalone Scanner's first Scan).
+  // with, or own_service_ (null until a standalone Scanner's Open).
   service::ScanService* service_ = nullptr;
   std::unique_ptr<service::ScanService> own_service_;
   u32 tenant_slot_ = 0;

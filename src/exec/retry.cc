@@ -8,6 +8,7 @@
 
 #include "obs/metrics.h"
 #include "s3sim/object_store.h"
+#include "util/buffer.h"
 #include "util/timer.h"
 
 namespace btr::exec {
@@ -304,6 +305,7 @@ Status HedgedGet(s3sim::ObjectStore* store, const std::string& key,
     // Hedging not armed (disabled, warming up, or budget spent): plain GET
     // on this thread. Successful latencies still feed the quantile so the
     // threshold can arm.
+    out->reserve(length + kSimdPadding);
     Timer timer;
     Status status = store->GetChunk(key, offset, length, out);
     if (hedge->policy().enabled && status.ok()) {
@@ -325,19 +327,21 @@ Status HedgedGet(s3sim::ObjectStore* store, const std::string& key,
     u64 latency_ns = 0;
   };
   auto call = std::make_shared<HedgedCall>();
+  // Allocated here, not on the short-lived primary thread, so the buffer
+  // lives in this thread's malloc arena. The primary fills it before
+  // `done` is set; this thread reads it only after joining the primary.
+  call->data.reserve(length + kSimdPadding);
   // Owned copies: the primary thread may outlive this call's scope when
   // it loses the race and gets parked as a straggler.
   const std::string owned_key = key;
   std::thread primary([store, owned_key, offset, length, call] {
-    std::vector<u8> data;
     Timer timer;
-    Status status = store->GetChunk(owned_key, offset, length, &data);
+    Status status = store->GetChunk(owned_key, offset, length, &call->data);
     u64 latency_ns = static_cast<u64>(timer.ElapsedNanos());
     {
       std::lock_guard<std::mutex> lock(call->mutex);
       call->done = true;
       call->status = std::move(status);
-      call->data = std::move(data);
       call->latency_ns = latency_ns;
     }
     call->cv.notify_all();
@@ -355,6 +359,7 @@ Status HedgedGet(s3sim::ObjectStore* store, const std::string& key,
     HedgeMetrics::Get().hedges.Add();
     *hedged = true;
     std::vector<u8> hedge_data;
+    hedge_data.reserve(length + kSimdPadding);
     Timer hedge_timer;
     Status hedge_status = store->GetChunk(key, offset, length, &hedge_data);
     u64 hedge_latency_ns = static_cast<u64>(hedge_timer.ElapsedNanos());

@@ -1,7 +1,7 @@
 // Resilience policies for the object-store read path: retry/backoff for
 // transient failures, hedged requests against tail latency, and a circuit
 // breaker against a dying backend — plus HedgedGet, the one primitive that
-// issues a scan's block GETs (run under RunWithRetries).
+// issues a Scanner's GETs (run under RunWithRetries).
 //
 // --- retry (RetryPolicy / RetryState) ---------------------------------------
 // Transient failures (Status::Throttled / Status::Unavailable) retry with
@@ -228,19 +228,7 @@ Status RunWithRetries(RetryState* state, const std::function<Status()>& op,
                       CircuitBreaker* breaker = nullptr,
                       RetryOutcome* outcome = nullptr);
 
-// --- the block GET ----------------------------------------------------------
-
-// One ranged GET a scan issues, tagged with the scan's (block, column)
-// sequence number. `expected_crc` is the payload's CRC32C from the column
-// header: it arms the block cache (a fetched payload is admitted only when
-// it verifies) and the scanner's integrity check.
-struct FetchRequest {
-  std::string key;
-  u64 offset = 0;
-  u64 length = 0;
-  u64 tag = 0;
-  u32 expected_crc = 0;
-};
+// --- the GET ----------------------------------------------------------------
 
 // Holds hedge-loser threads whose GET result was discarded until someone
 // reaps them. A hedged GET that wins the race abandons the straggling
@@ -286,8 +274,10 @@ class StragglerSink {
 // across attempts. `hedge_gate`, when set, is consulted before the
 // duplicate is issued (after the overdue check, before the hedge budget
 // is consumed) — ScanService uses it for per-tenant hedge quotas; a
-// denial silently degrades to waiting out the primary. Metrics:
-// `scan.hedges`, `scan.hedge_wins`.
+// denial silently degrades to waiting out the primary. Whichever response
+// lands in `out` has capacity for kSimdPadding bytes past `length`, so a
+// caller can pad it for decoders that over-read (util/buffer.h) without a
+// copy. Metrics: `scan.hedges`, `scan.hedge_wins`.
 Status HedgedGet(s3sim::ObjectStore* store, const std::string& key,
                  u64 offset, u64 length, HedgeState* hedge,
                  StragglerSink* stragglers, std::vector<u8>* out, bool* hedged,

@@ -71,9 +71,9 @@ void ScanProfileCollector::RecordFetch(const FetchRecord& record) {
     latency_sum_ += ns;
     latency_min_ = std::min(latency_min_, ns);
     latency_max_ = std::max(latency_max_, ns);
-    // Mirrors the scanner's accounting: only cacheable requests count as
+    // Mirrors the scanner's accounting: only looked-up blocks count as
     // misses, so profile tallies agree with ScanStats exactly.
-    if (record.cacheable) cache_misses_++;
+    if (record.cacheable) cache_misses_ += record.blocks;
   }
   if (record.retries > 0) {
     retried_requests_++;

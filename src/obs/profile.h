@@ -12,9 +12,9 @@
 //     validation, predicate evaluation, decode) — these overlap each
 //     other and the stages, so they are reported as aggregate
 //     nanoseconds with sample counts, not as a partition of wall time;
-//   - a log2 latency histogram of every ranged GET, plus per-request
-//     outcome tallies (cache hit/miss, retried, hedged, hedge-won,
-//     breaker-rejected);
+//   - a log2 latency histogram of every ranged GET (column headers and
+//     block runs), plus per-request outcome tallies (cache hit/miss,
+//     retried, hedged, hedge-won, breaker-rejected);
 //   - per-(type, scheme) decode time and decoded bytes, keyed by each
 //     block's root scheme code;
 //   - a bounded ring of slow-op exemplars: the N slowest GETs and
@@ -130,10 +130,11 @@ struct ScanProfile {
 
   HistogramSnapshot get_latency;  // per-GET nanoseconds, log2 buckets
 
-  // Per-request outcome tallies (one GET request = one unit).
-  u64 requests = 0;        // block-part fetches resolved (cache hits incl.)
-  u64 cache_hits = 0;
-  u64 cache_misses = 0;
+  // Per-request outcome tallies: one unit per GET (a column header or a
+  // run of blocks) or per block served from the cache.
+  u64 requests = 0;        // GETs and cache hits resolved
+  u64 cache_hits = 0;      // blocks served from the cache
+  u64 cache_misses = 0;    // blocks a cache lookup missed (fetched by GET)
   u64 retried_requests = 0;  // requests that needed more than one attempt
   u64 retries = 0;           // total extra attempts across the scan
   u64 hedged_requests = 0;
@@ -161,7 +162,8 @@ struct ScanProfile {
   std::string ToJson() const;
 };
 
-// What a fetch worker reports for one resolved block-part request.
+// What a fetch worker reports for one resolved request: a GET, or one
+// block served from the cache.
 struct FetchRecord {
   const std::string* key = nullptr;  // not owned; copied if it makes the ring
   u64 offset = 0;
@@ -170,7 +172,8 @@ struct FetchRecord {
   u32 attempts = 1;
   u32 retries = 0;  // committed retries (may differ from attempts - 1
                     // when the breaker rejected the call mid-retry)
-  bool cacheable = false;  // the request consulted the block cache
+  u32 blocks = 0;   // block payloads the request carries (0: a header)
+  bool cacheable = false;  // the blocks were looked up in the block cache
   bool cache_hit = false;
   bool hedged = false;
   bool hedge_won = false;

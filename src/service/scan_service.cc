@@ -324,15 +324,16 @@ bool ScanService::TryCacheInsert(u32 tenant_slot, const std::string& key,
   return inserted;
 }
 
-void ScanService::RecordFetchOutcome(u32 tenant_slot, bool cache_hit,
-                                     u64 bytes, u64 gets, bool hedged) {
+void ScanService::RecordBlockLookups(u32 tenant_slot, u64 hits, u64 misses) {
   TenantState& tenant = Tenant(tenant_slot);
-  if (cache_hit) {
-    tenant.cache_hits.fetch_add(1, std::memory_order_relaxed);
-    tenant.obs_hits->Add();
-    return;
-  }
-  tenant.cache_misses.fetch_add(1, std::memory_order_relaxed);
+  tenant.cache_hits.fetch_add(hits, std::memory_order_relaxed);
+  tenant.cache_misses.fetch_add(misses, std::memory_order_relaxed);
+  tenant.obs_hits->Add(hits);
+}
+
+void ScanService::RecordGets(u32 tenant_slot, u64 gets, u64 bytes,
+                             bool hedged) {
+  TenantState& tenant = Tenant(tenant_slot);
   tenant.gets.fetch_add(gets, std::memory_order_relaxed);
   tenant.bytes_fetched.fetch_add(bytes, std::memory_order_relaxed);
   tenant.obs_gets->Add(gets);

@@ -21,10 +21,11 @@
 //     budget, cache bytes) and per-tenant obs counters:
 //       service.tenant.<id>.gets / .hits / .queued_ns / .rejected
 //
-// Scanners attach via Scanner(service, tenant_id, ...). A standalone
-// Scanner(store, ...) runs on a private single-tenant ScanService of its
-// own (tenant "standalone"), built from its ScanConfig — one execution
-// path for both (docs/SCAN_PIPELINE.md).
+// Scanners attach via Scanner(service, tenant_id, ...); every GET they
+// issue, Open's included, is a fetch item on the tenant's lane. A
+// standalone Scanner(store, ...) runs on a private single-tenant
+// ScanService of its own (tenant "standalone"), built at Open from its
+// ScanConfig — one execution path for both (docs/SCAN_PIPELINE.md).
 //
 // Threading: all methods are thread-safe. Destroy the service only after
 // every serviced Scan() call has returned (checked).
@@ -77,9 +78,10 @@ struct TenantStats {
   u64 scans_completed = 0;
   u64 admission_wait_ns = 0;  // total time spent in the waiting room
 
-  u64 gets = 0;           // GET attempts issued against the store
-  u64 cache_hits = 0;
-  u64 cache_misses = 0;
+  u64 gets = 0;           // GET attempts issued against the store, Open's
+                          // included
+  u64 cache_hits = 0;     // blocks the shared cache served
+  u64 cache_misses = 0;   // blocks fetched from the store
   u64 bytes_fetched = 0;
   u64 hedges = 0;         // duplicate GETs issued
   u64 hedges_denied = 0;  // hedges suppressed by the tenant budget
@@ -179,13 +181,17 @@ class ScanService {
   bool TryCacheInsert(u32 tenant_slot, const std::string& key, u64 offset,
                       u64 length, const u8* data, size_t size,
                       u32 expected_crc);
-  // Accounts one resolved fetch: a cache hit, or `gets` GET attempts that
-  // moved `bytes` payload bytes (hedged when a duplicate was issued).
-  void RecordFetchOutcome(u32 tenant_slot, bool cache_hit, u64 bytes,
-                          u64 gets, bool hedged);
+  // Accounts `gets` GET attempts that moved `bytes` payload bytes (hedged
+  // when a duplicate was issued). Every GET a Scanner issues lands here:
+  // Open's metadata, column headers, block runs and CRC re-fetches.
+  void RecordGets(u32 tenant_slot, u64 gets, u64 bytes, bool hedged);
+  // Accounts a scan's block lookups: `hits` blocks the shared cache
+  // served, `misses` blocks fetched from the store.
+  void RecordBlockLookups(u32 tenant_slot, u64 hits, u64 misses);
 
   const ScanServiceConfig& config() const { return config_; }
-  // Decode executor threads (config().decode_threads, 0 resolved).
+  // Fetch and decode executor threads (config() values, 0 resolved).
+  u32 fetch_threads() const { return static_cast<u32>(fetch_threads_.size()); }
   u32 decode_threads() const {
     return static_cast<u32>(decode_threads_.size());
   }

@@ -115,12 +115,34 @@ TEST(RelationTest, DecompressReportsBytes) {
   EXPECT_EQ(bytes, relation.UncompressedBytes());
 }
 
+// Column tasks of a parallel CompressRelation each record into their own
+// Telemetry; the attached sink must end up with the serial run's scheme
+// counts (and real timings), with no data race on the way (TSan job).
 TEST(RelationTest, ParallelCompressionMatchesSerial) {
   Relation relation = MakeMixedRelation(3, 100000);
   CompressionConfig config;
+  Telemetry serial_telemetry;
+  config.telemetry = &serial_telemetry;
   CompressedRelation serial = CompressRelation(relation, config);
   exec::ThreadPool pool(4);
+  Telemetry parallel_telemetry;
+  config.telemetry = &parallel_telemetry;
   CompressedRelation parallel = CompressRelation(relation, config, &pool);
+  EXPECT_EQ(0, std::memcmp(serial_telemetry.scheme_uses_by_depth,
+                           parallel_telemetry.scheme_uses_by_depth,
+                           sizeof(serial_telemetry.scheme_uses_by_depth)));
+  u64 roots = 0;  // depth 0 counts one root scheme per block
+  for (const auto& type : parallel_telemetry.scheme_uses_by_depth[0]) {
+    for (u64 uses : type) roots += uses;
+  }
+  u64 blocks = 0;
+  for (const CompressedColumn& column : parallel.columns) {
+    blocks += column.blocks.size();
+  }
+  EXPECT_EQ(roots, blocks);
+  EXPECT_GT(parallel_telemetry.stats_ns, 0u);
+  EXPECT_GT(parallel_telemetry.estimate_ns, 0u);
+  EXPECT_GT(parallel_telemetry.compress_ns, 0u);
   ASSERT_EQ(serial.columns.size(), parallel.columns.size());
   for (size_t c = 0; c < serial.columns.size(); c++) {
     ASSERT_EQ(serial.columns[c].blocks.size(), parallel.columns[c].blocks.size());

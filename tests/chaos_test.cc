@@ -27,6 +27,9 @@ namespace {
 // 1 full block + a short one: enough for per-block faults to matter while
 // keeping a few hundred scans fast.
 constexpr u32 kRows = kBlockCapacity + 500;
+// Where block 0 starts in every column object: a fault rule with this
+// offset_min hits block GETs, never the column header GET at offset 0.
+const u64 kFirstBlockOffset = ColumnFileHeaderBytes(2);
 
 Relation MakeTable() {
   Relation table("chaos_table");
@@ -306,9 +309,11 @@ TEST(ChaosTest, OpenUnderChaosIsTypedOrSucceeds) {
   f.store.ClearFaultPlan();
 }
 
-// Targeted schedule: "the 2nd GET of column 0" throttles once. Fail-fast
-// config turns that into Status::Throttled; the default retrying config
-// absorbs it. Single fetch thread keeps the GET order deterministic.
+// Targeted schedule: the GET that carries block 1 of column 0 — the run
+// of both its blocks, the first GET of column 0 past its header — throttles
+// once. Fail-fast config turns that into Status::Throttled; the default
+// retrying config absorbs it. Single fetch thread keeps the GET order
+// deterministic.
 TEST(ChaosTest, TargetedThrottleFailsFastOrRetries) {
   Fixture f;
   Scanner scanner(&f.store, "chaos_table", "lake/");
@@ -316,7 +321,8 @@ TEST(ChaosTest, TargetedThrottleFailsFastOrRetries) {
 
   s3sim::FaultPlan plan;
   plan.seed = 5;
-  plan.rules.push_back(s3sim::FaultRule::Throttle(".0.btr", 2));
+  plan.rules.push_back(s3sim::FaultRule::Throttle(".0.btr", 1));
+  plan.rules.back().offset_min = kFirstBlockOffset;
 
   ScanSpec fail_fast = ChaosSpec();
   fail_fast.config.fetch_threads = 1;
@@ -396,7 +402,8 @@ TEST(ChaosTest, WarmCacheScanIsBitIdenticalAndGetFreeUnderChaos) {
   ExpectOutputsBitIdentical(f.reference, cold, 0);
   EXPECT_EQ(cold.stats.cache_hits, 0u);
   EXPECT_EQ(cold.stats.cache_misses, 6u) << "2 blocks x 3 columns";
-  EXPECT_EQ(cold.stats.requests, 6u);
+  EXPECT_EQ(cold.stats.requests, 6u)
+      << "3 column headers, then one run of both blocks per column";
 
   for (u64 seed = 1; seed <= 25; seed++) {
     f.store.InstallFaultPlan(s3sim::MakeChaosPlan(seed, 0.25, true));
@@ -469,12 +476,14 @@ TEST(ChaosTest, SingleFlipWireCorruptionRescuedByRefetch) {
   Scanner scanner(&f.store, "chaos_table", "lake/");
   ASSERT_TRUE(scanner.Open().ok());
 
-  // Targeted: the first block GET of column 0 after Open arrives corrupt,
-  // exactly once (targeted rules disarm after firing) — so the re-fetch of
-  // the same range gets clean bytes.
+  // Targeted: the first block GET of column 0 — the run of both its
+  // blocks — arrives with block 0's first byte flipped, exactly once
+  // (targeted rules disarm after firing), so the re-fetch of that block
+  // gets clean bytes.
   s3sim::FaultPlan plan;
   plan.seed = 7;
-  plan.rules.push_back(s3sim::FaultRule::Corrupt(".0.btr", 1));
+  plan.rules.push_back(s3sim::FaultRule::Corrupt(".0.btr", 1, 0));
+  plan.rules.back().offset_min = kFirstBlockOffset;
 
   ScanSpec rescue = ChaosSpec();
   rescue.config.fetch_threads = 1;  // deterministic GET order
@@ -588,6 +597,173 @@ TEST(ChaosTest, HedgedGetsAbsorbLatencySpikes) {
       << "3 ms spikes at 30% over 20 scans must trigger hedges";
   EXPECT_GT(total_wins, 0u)
       << "an instant duplicate should beat a 3 ms straggler sometimes";
+}
+
+// A truncated or bit-flipped run GET damages only the blocks whose bytes
+// it spoiled. Both rules spoil block 1 of column 0 inside the run that
+// carries blocks 0 and 1: the response is cut 10 bytes into block 1, or
+// one of block 1's bytes is flipped. Strict mode fails with Corruption,
+// the CRC re-fetch rescues block 1 on its own, and degraded mode reports
+// only block 1 unreadable.
+TEST(ChaosTest, RunGetFaultsDamageOnlyTheirBlocks) {
+  Fixture f;
+  Scanner scanner(&f.store, "chaos_table", "lake/");
+  ASSERT_TRUE(scanner.Open().ok());
+
+  const u64 into_block1 = f.compressed.columns[0].blocks[0].size() + 10;
+  for (s3sim::FaultRule rule :
+       {s3sim::FaultRule::Truncate(".0.btr", 1, into_block1),
+        s3sim::FaultRule::Corrupt(".0.btr", 1, into_block1)}) {
+    const std::string kind = s3sim::FaultKindName(rule.kind);
+    rule.offset_min = kFirstBlockOffset;
+    s3sim::FaultPlan plan;
+    plan.seed = 9;
+    plan.rules.push_back(rule);
+
+    ScanSpec strict = ChaosSpec();
+    f.store.InstallFaultPlan(plan);
+    ScanOutput output;
+    Status status = scanner.Scan(strict, &output);
+    EXPECT_TRUE(status.IsCorruption()) << kind << ": " << status.ToString();
+
+    ScanSpec rescue = ChaosSpec();
+    rescue.config.refetch_on_crc_failure = true;
+    f.store.InstallFaultPlan(plan);
+    status = scanner.Scan(rescue, &output);
+    ASSERT_TRUE(status.ok()) << kind << ": " << status.ToString();
+    ExpectOutputsBitIdentical(f.reference, output, 9);
+    EXPECT_EQ(output.stats.crc_refetches, 1u) << kind;
+    EXPECT_EQ(output.stats.crc_rescues, 1u) << kind;
+    EXPECT_EQ(output.stats.requests, 4u) << kind << ": 3 runs + 1 re-fetch";
+    EXPECT_EQ(f.store.faults_injected(), 1u) << kind;
+
+    ScanSpec degraded = ChaosSpec();
+    degraded.config.skip_unreadable_blocks = true;
+    f.store.InstallFaultPlan(plan);
+    status = scanner.Scan(degraded, &output);
+    ASSERT_TRUE(status.ok()) << kind << ": " << status.ToString();
+    EXPECT_EQ(output.stats.unreadable_blocks, std::vector<u32>{1}) << kind;
+    ASSERT_EQ(output.stats.unreadable_reasons.size(), 1u) << kind;
+    EXPECT_TRUE(output.stats.unreadable_reasons[0].IsCorruption()) << kind;
+    EXPECT_EQ(output.block_outcomes[0], BlockOutcome::kDecoded) << kind;
+    for (size_t c = 0; c < output.columns.size(); c++) {
+      ExpectBlocksBitIdentical(f.reference.columns[c].blocks[0],
+                               output.columns[c].blocks[0], 9);
+    }
+  }
+  f.store.ClearFaultPlan();
+}
+
+// Column headers are read by the first scan that needs them, as fetch
+// items of that scan with the block GETs' retry and failure path. A rule
+// with offset_max = 0 hits only header GETs.
+TEST(ChaosTest, HeaderGetFaultsRetryOrFailTyped) {
+  Fixture f;
+  auto header_rule = [](s3sim::FaultRule rule) {
+    rule.offset_max = 0;
+    s3sim::FaultPlan plan;
+    plan.seed = 13;
+    plan.rules.push_back(rule);
+    return plan;
+  };
+
+  // A throttled header GET retries; without retries it fails typed.
+  {
+    const s3sim::FaultPlan throttle =
+        header_rule(s3sim::FaultRule::Throttle(".0.btr", 1));
+    Scanner scanner(&f.store, "chaos_table", "lake/");
+    ASSERT_TRUE(scanner.Open().ok());
+    ScanSpec fail_fast = ChaosSpec();
+    fail_fast.config.max_attempts = 1;
+    f.store.InstallFaultPlan(throttle);
+    ScanOutput output;
+    Status status = scanner.Scan(fail_fast, &output);
+    EXPECT_TRUE(status.IsThrottled()) << status.ToString();
+
+    Scanner fresh(&f.store, "chaos_table", "lake/");
+    ASSERT_TRUE(fresh.Open().ok());
+    f.store.InstallFaultPlan(throttle);
+    status = fresh.Scan(ChaosSpec(), &output);
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    ExpectOutputsBitIdentical(f.reference, output, 13);
+    EXPECT_EQ(output.stats.retries, 1u);
+    EXPECT_EQ(output.stats.requests, 7u) << "3 headers + 1 retry + 3 runs";
+    EXPECT_EQ(f.store.faults_injected(), 1u);
+  }
+
+  // A corrupt header is a typed Corruption — in degraded mode each row
+  // block tries it again and is unreadable for that reason — and is not
+  // kept: the next scan reads it again.
+  {
+    Scanner scanner(&f.store, "chaos_table", "lake/");
+    ASSERT_TRUE(scanner.Open().ok());
+    s3sim::FaultRule corrupt;  // every GET of the price header
+    corrupt.kind = s3sim::FaultKind::kCorrupt;
+    corrupt.key_substring = ".1.btr";
+    f.store.InstallFaultPlan(header_rule(corrupt));
+    ScanOutput output;
+    Status status = scanner.Scan(ChaosSpec(), &output);
+    EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+
+    ScanSpec degraded = ChaosSpec();
+    degraded.config.skip_unreadable_blocks = true;
+    status = scanner.Scan(degraded, &output);
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    EXPECT_EQ(output.stats.blocks_unreadable, output.stats.row_blocks);
+    for (const Status& reason : output.stats.unreadable_reasons) {
+      EXPECT_TRUE(reason.IsCorruption()) << reason.ToString();
+    }
+    EXPECT_EQ(output.stats.requests, 2u)
+        << "the unread price header, once per row block";
+
+    f.store.ClearFaultPlan();
+    status = scanner.Scan(ChaosSpec(), &output);
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    ExpectOutputsBitIdentical(f.reference, output, 13);
+    EXPECT_EQ(output.stats.requests, 4u) << "the price header + 3 runs";
+  }
+  f.store.ClearFaultPlan();
+}
+
+// The backend goes down between Open and the first scan, so the header
+// GETs fail: a degraded scan tries them once per row block and completes
+// with every row block unreadable, a strict one fails with a transient
+// Status.
+TEST(ChaosTest, HeaderGetsAgainstADownBackendDegradeEveryBlock) {
+  Fixture f;
+  Scanner scanner(&f.store, "chaos_table", "lake/");
+  ASSERT_TRUE(scanner.Open().ok());
+
+  s3sim::FaultPlan down;
+  down.seed = 17;
+  s3sim::FaultRule unavailable;
+  unavailable.kind = s3sim::FaultKind::kUnavailable;
+  unavailable.probability = 1.0;
+  down.rules.push_back(unavailable);
+
+  ScanSpec spec = ChaosSpec();
+  spec.config.skip_unreadable_blocks = true;
+  spec.config.max_attempts = 2;
+  f.store.InstallFaultPlan(down);
+  ScanOutput output;
+  Status status = scanner.Scan(spec, &output);
+  ASSERT_TRUE(status.ok()) << "degraded scan must complete: "
+                           << status.ToString();
+  EXPECT_EQ(output.stats.blocks_unreadable, output.stats.row_blocks);
+  EXPECT_EQ(output.stats.unreadable_blocks, (std::vector<u32>{0, 1}));
+  for (const Status& reason : output.stats.unreadable_reasons) {
+    EXPECT_TRUE(reason.IsTransient()) << reason.ToString();
+  }
+  EXPECT_EQ(output.stats.requests, 12u)
+      << "3 headers x 2 attempts, once per row block";
+  EXPECT_EQ(f.store.faults_injected(), 12u);
+
+  ScanSpec strict = spec;
+  strict.config.skip_unreadable_blocks = false;
+  f.store.InstallFaultPlan(down);
+  status = scanner.Scan(strict, &output);
+  EXPECT_TRUE(status.IsTransient()) << status.ToString();
+  f.store.ClearFaultPlan();
 }
 
 }  // namespace

@@ -141,7 +141,8 @@ TEST(ProfileTest, FaultFreeTalliesMatchScanStats) {
   const obs::ScanProfile& profile = *output.stats.profile;
   const ScanStats& stats = output.stats;
 
-  // 2 row blocks x 3 columns, nothing cached, nothing retried.
+  // 3 column headers + one run of both row blocks per column, nothing
+  // cached, nothing retried.
   EXPECT_EQ(profile.requests, 6u);
   EXPECT_EQ(profile.requests, stats.requests);
   EXPECT_EQ(profile.get_latency.count, 6u);
@@ -174,7 +175,8 @@ TEST(ProfileTest, FaultFreeTalliesMatchScanStats) {
 
 // prefetch_wait is the time this scan's work items waited in the
 // service's fair queues between submit and run: one sample per item, here
-// 6 fetch items (2 row blocks x 3 columns) plus 2 decode items.
+// 6 fetch items (3 column headers, then one run of both row blocks per
+// column) plus 2 decode items.
 TEST(ProfileTest, PrefetchWaitRecordsEveryQueuedItem) {
   Fixture f;
   Scanner scanner(&f.store, "profile_table", "lake/");
@@ -226,8 +228,10 @@ TEST(ProfileTest, ChaosRetryTalliesMatchInjectedFaults) {
     if (f.store.faults_injected() > 0) {
       EXPECT_GE(profile.retried_requests, 1u) << "seed " << seed;
     }
-    // Logical requests stay 6; store attempts = requests + retries.
-    EXPECT_EQ(profile.requests, 6u);
+    // Logical requests: the first scan reads the 3 column headers, and
+    // every scan GETs one run of both blocks per column; store attempts =
+    // requests + retries.
+    EXPECT_EQ(profile.requests, seed == 1 ? 6u : 3u) << "seed " << seed;
     EXPECT_EQ(output.stats.requests, profile.requests + profile.retries);
     total_faults += f.store.faults_injected();
   }
@@ -282,7 +286,7 @@ TEST(ProfileTest, HedgeTalliesMatchScanStats) {
   spec.config.fetch_threads = 1;
 
   // Column objects are keyed <prefix><table>.<idx>.btr; ".1.btr" is the
-  // "price" column. Spike its first GET by 20 ms.
+  // "price" column. Spike its first GET (its header) by 20 ms.
   s3sim::FaultPlan plan;
   plan.seed = 7;
   plan.rules.push_back(
@@ -311,10 +315,12 @@ TEST(ProfileTest, CrcRefetchTalliesMatchScanStats) {
   ScanSpec spec = ProfileSpec();
   spec.config.refetch_on_crc_failure = true;
 
-  // Flip one byte in the first GET of the "price" column object.
+  // Flip one byte in the first block GET of the "price" column object (the
+  // run of both its blocks; offset_min skips the header GET at offset 0).
   s3sim::FaultPlan plan;
   plan.seed = 3;
   plan.rules.push_back(s3sim::FaultRule::Corrupt(".1.btr", 1));
+  plan.rules.back().offset_min = ColumnFileHeaderBytes(2);
   f.store.InstallFaultPlan(plan);
 
   ScanOutput output;
@@ -344,7 +350,7 @@ TEST(ProfileTest, SlowOpRingIsBoundedAndSorted) {
   ASSERT_NE(output.stats.profile, nullptr);
   const obs::ScanProfile& profile = *output.stats.profile;
 
-  // 6 GETs + 6 decodes competed for 2 slots.
+  // 6 GETs (3 headers, 3 runs) + 6 decodes competed for 2 slots.
   ASSERT_EQ(profile.slow_ops.size(), 2u);
   EXPECT_GE(profile.slow_ops[0].duration_ns, profile.slow_ops[1].duration_ns);
   for (const obs::SlowOp& op : profile.slow_ops) {

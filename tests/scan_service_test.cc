@@ -222,7 +222,12 @@ TEST(ScanServiceTest, ServicedScanIsBitIdenticalToStandalone) {
   Fixture f;
   service::ScanService service(SmallServiceConfig());
   Scanner scanner(service, "tenant-a", &f.store, "svc_table", "lake/");
+  const u64 gets_before_open = f.store.total_requests();
+  const u64 bytes_before_open = f.store.total_bytes_fetched();
   ASSERT_TRUE(scanner.Open().ok());
+  const u64 open_gets = f.store.total_requests() - gets_before_open;
+  const u64 open_bytes = f.store.total_bytes_fetched() - bytes_before_open;
+  EXPECT_EQ(open_gets, 3u) << "the manifest, then metadata and zone map";
   ScanOutput output;
   Status status = scanner.Scan(FastSpec(), &output);
   ASSERT_TRUE(status.ok()) << status.ToString();
@@ -233,8 +238,8 @@ TEST(ScanServiceTest, ServicedScanIsBitIdenticalToStandalone) {
   service::TenantStats stats = service.GetTenantStats("tenant-a");
   EXPECT_EQ(stats.scans_admitted, 1u);
   EXPECT_EQ(stats.scans_completed, 1u);
-  EXPECT_EQ(stats.gets, output.stats.requests);
-  EXPECT_EQ(stats.bytes_fetched, output.stats.bytes_fetched);
+  EXPECT_EQ(stats.gets, open_gets + output.stats.requests);
+  EXPECT_EQ(stats.bytes_fetched, open_bytes + output.stats.bytes_fetched);
   EXPECT_GT(stats.queue_items, 0u);  // work flowed through both lanes
 }
 
@@ -293,10 +298,11 @@ TEST(ScanServiceTest, SharedCacheIsWarmAcrossTenants) {
     ScanOutput output;
     ASSERT_TRUE(scanner.Scan(FastSpec(), &output).ok());
     ExpectOutputsBitIdentical(f.reference, output, 1);
-    EXPECT_EQ(output.stats.requests, 0u);  // all parts from the shared cache
+    // Only the 3 column headers: every block part from the shared cache.
+    EXPECT_EQ(output.stats.requests, 3u);
     EXPECT_GT(output.stats.cache_hits, 0u);
     service::TenantStats stats = service.GetTenantStats("warm-tenant");
-    EXPECT_EQ(stats.gets, 0u);
+    EXPECT_EQ(stats.gets, 6u) << "Open's 3 GETs + the 3 column headers";
     EXPECT_GT(stats.cache_hits, 0u);
   }
 }
@@ -313,7 +319,9 @@ TEST(ScanServiceTest, BreakerRejectedFetchesCountNoGets) {
   config.breaker.cooldown_ns = 10ull * 1000 * 1000 * 1000;  // outlives the scan
   service::ScanService service(config);
   Scanner scanner(service, "down", &f.store, "svc_table", "lake/");
+  const u64 before_open = f.store.total_requests();
   ASSERT_TRUE(scanner.Open().ok());
+  const u64 open_gets = f.store.total_requests() - before_open;
 
   s3sim::FaultPlan down;
   down.seed = 11;
@@ -334,7 +342,26 @@ TEST(ScanServiceTest, BreakerRejectedFetchesCountNoGets) {
   EXPECT_EQ(output.stats.blocks_unreadable, output.stats.row_blocks);
   EXPECT_GE(output.stats.breaker_fast_failures, 1u);
   EXPECT_EQ(output.stats.requests, issued);
-  EXPECT_EQ(service.GetTenantStats("down").gets, issued);
+  EXPECT_EQ(service.GetTenantStats("down").gets, open_gets + issued);
+}
+
+// Every GET a serviced Scanner issues rides its tenant's lane and counts in
+// its tenant: Open's manifest, metadata and zone map, the first scan's
+// column headers and its block runs.
+TEST(ScanServiceTest, TenantCountsEveryGetOfOpenAndScan) {
+  Fixture f;
+  service::ScanService service(SmallServiceConfig());
+  Scanner scanner(service, "counted", &f.store, "svc_table", "lake/");
+  const u64 before = f.store.total_requests();
+  const u64 bytes_before = f.store.total_bytes_fetched();
+  ASSERT_TRUE(scanner.Open().ok());
+  ScanOutput output;
+  ASSERT_TRUE(scanner.Scan(FastSpec(), &output).ok());
+  ExpectOutputsBitIdentical(f.reference, output, 4);
+  service::TenantStats stats = service.GetTenantStats("counted");
+  EXPECT_EQ(stats.gets, f.store.total_requests() - before);
+  EXPECT_EQ(stats.bytes_fetched, f.store.total_bytes_fetched() - bytes_before);
+  EXPECT_EQ(output.stats.requests, 6u) << "3 headers + one run per column";
 }
 
 // --- admission control ------------------------------------------------------

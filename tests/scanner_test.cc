@@ -352,16 +352,20 @@ TEST(ScannerTest, EmittedRowBeginMatchesBlockTimesCapacity) {
 
 // Per-scan GET and byte counts are the scan's own, not deltas of the
 // shared store's counters: four standalone Scanners scanning one store
-// at once must each report exactly their own fetch plan.
+// at once must each report exactly their own fetch plan — one run GET
+// per column (all 3 row blocks fit one run), plus the 3 column headers on
+// a Scanner's first scan.
 TEST(ScannerTest, ConcurrentScannersCountOnlyTheirOwnTraffic) {
   Fixture f;
   u64 plan_requests = 0;
   u64 plan_bytes = 0;
+  u64 header_requests = 0;
+  u64 header_bytes = 0;
   for (const CompressedColumn& column : f.compressed.columns) {
-    for (const ByteBuffer& block : column.blocks) {
-      plan_requests++;
-      plan_bytes += block.size();
-    }
+    plan_requests++;
+    header_requests++;
+    header_bytes += ColumnFileHeaderBytes(column.blocks.size());
+    for (const ByteBuffer& block : column.blocks) plan_bytes += block.size();
   }
   constexpr int kScanners = 4;
   constexpr int kRounds = 20;
@@ -383,8 +387,9 @@ TEST(ScannerTest, ConcurrentScannersCountOnlyTheirOwnTraffic) {
           failures.fetch_add(1);
           return;
         }
-        if (stats.requests != plan_requests ||
-            stats.bytes_fetched != plan_bytes) {
+        const bool first = round == 0;
+        if (stats.requests != plan_requests + (first ? header_requests : 0) ||
+            stats.bytes_fetched != plan_bytes + (first ? header_bytes : 0)) {
           miscounts.fetch_add(1);
         }
       }
@@ -394,6 +399,94 @@ TEST(ScannerTest, ConcurrentScannersCountOnlyTheirOwnTraffic) {
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(miscounts.load(), 0)
       << "scans counted GETs or bytes of their neighbours";
+}
+
+// A run is a GET of adjacent needed blocks of one column that the cache
+// does not hold: a zone-pruned block and a cache hit each split it. Both
+// scans return the sequential decode bit for bit with an exact GET count.
+TEST(ScannerTest, PrunedBlocksAndCacheHitsSplitRuns) {
+  Fixture f;
+  auto expect_block = [&](const ScanOutput& output, u32 b) {
+    DecodedBlock reference;
+    for (size_t c = 0; c < output.columns.size(); c++) {
+      DecompressBlock(f.compressed.columns[c].blocks[b].data(), &reference,
+                      f.config);
+      ExpectBlocksBitIdentical(reference, output.columns[c].blocks[b]);
+    }
+  };
+  u64 header_bytes = 0;
+  for (size_t c = 0; c < 2; c++) {
+    header_bytes +=
+        ColumnFileHeaderBytes(f.compressed.columns[c].blocks.size());
+  }
+
+  // Zone maps prune block 1 (ids 1000..1999), so blocks 0 and 2 are two
+  // runs per column: 2 headers + 4 runs.
+  {
+    Scanner scanner(&f.store, "scan_table", "lake/");
+    ASSERT_TRUE(scanner.Open().ok());
+    ScanSpec spec = PipelinedSpec();
+    spec.columns = {"id", "price"};
+    spec.filter = PredicateExpr::Or(Predicate::BetweenInt("id", 0, 999),
+                                    Predicate::BetweenInt("id", 2000, 2999));
+    ScanOutput output;
+    Status status = scanner.Scan(spec, &output);
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    EXPECT_EQ(output.block_outcomes[1], BlockOutcome::kPruned);
+    EXPECT_EQ(output.stats.requests, 6u);
+    u64 block_bytes = 0;
+    for (size_t c = 0; c < 2; c++) {
+      for (u32 b : {0u, 2u}) {
+        block_bytes += f.compressed.columns[c].blocks[b].size();
+      }
+    }
+    EXPECT_EQ(output.stats.bytes_fetched, header_bytes + block_bytes);
+    expect_block(output, 0);
+    expect_block(output, 2);
+  }
+
+  // A partly warm cache: block 1 of both columns is cached, so the full
+  // scan GETs blocks 0 and 2 as two runs per column.
+  {
+    Scanner scanner(&f.store, "scan_table", "lake/");
+    ASSERT_TRUE(scanner.Open().ok());
+    ScanSpec warm = PipelinedSpec();
+    warm.config.enable_block_cache = true;
+    warm.columns = {"id", "price"};
+    warm.filter = Predicate::BetweenInt("id", 1000, 1999);
+    ScanOutput output;
+    ASSERT_TRUE(scanner.Scan(warm, &output).ok());
+    EXPECT_EQ(output.stats.requests, 4u) << "2 headers + block 1 of each";
+
+    ScanSpec full = warm;
+    full.filter = PredicateExpr();
+    Status status = scanner.Scan(full, &output);
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    EXPECT_EQ(output.stats.requests, 4u);
+    EXPECT_EQ(output.stats.cache_hits, 2u);
+    EXPECT_EQ(output.stats.cache_misses, 4u);
+    for (u32 b = 0; b < 3; b++) expect_block(output, b);
+  }
+}
+
+// Each column's 3 blocks arrive in one run GET, so the short final block
+// ends exactly at the run buffer's last byte. Decoders over-read their
+// compressed input; the buffer's kSimdPadding slack must absorb that,
+// which the ASan job checks on this scan.
+TEST(ScannerTest, LastBlockOfARunDecodesInsideTheSlack) {
+  Fixture f;
+  Scanner scanner(&f.store, "scan_table", "lake/");
+  ASSERT_TRUE(scanner.Open().ok());
+  ScanOutput output;
+  Status status = scanner.Scan(PipelinedSpec(), &output);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(output.stats.requests, 6u) << "3 headers + one run per column";
+  DecodedBlock reference;
+  for (size_t c = 0; c < output.columns.size(); c++) {
+    DecompressBlock(f.compressed.columns[c].blocks[2].data(), &reference,
+                    f.config);
+    ExpectBlocksBitIdentical(reference, output.columns[c].blocks[2]);
+  }
 }
 
 }  // namespace
