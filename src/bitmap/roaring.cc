@@ -1,7 +1,10 @@
 #include "bitmap/roaring.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
+
+#include "util/bits.h"
 
 namespace btr {
 
@@ -119,10 +122,6 @@ void RoaringBitmap::Add(u32 value) {
                  static_cast<u16>(value & 0xFFFF));
 }
 
-void RoaringBitmap::AddRange(u32 begin, u32 end) {
-  for (u32 v = begin; v < end; v++) Add(v);
-}
-
 void RoaringBitmap::RunOptimize() {
   for (Container& c : containers_) {
     // Collect runs from the current representation.
@@ -196,45 +195,129 @@ u64 RoaringBitmap::Cardinality() const {
   return total;
 }
 
-bool RoaringBitmap::IntersectsRange(u32 begin, u32 end) const {
-  // Ranges used by decompression are tiny (4-8 values); per-value Contains
-  // within one container is fast enough and avoids container-range logic.
-  for (u32 v = begin; v < end; v++) {
-    if (Contains(v)) return true;
+// One sweep counts the chunk's set bits and runs, which fixes the smallest
+// representation, and finds the span of nonzero words. Only the winner is
+// built: the bitset as a copy of the words, the array or the runs by
+// extracting them from the span (at most 8 KiB, still in cache). Building
+// every candidate during the sweep costs far more on dense chunks, whose
+// thousands of values and runs would all be dropped for the bitset.
+bool RoaringBitmap::ContainerFromWords(const u64* words, u32 word_count,
+                                       Container* c) {
+  u32 cardinality = 0;
+  u32 run_count = 0;
+  u32 first = word_count;  // nonzero words lie in [first, end)
+  u32 end = 0;
+  u64 carry = 0;  // top bit of the previous word
+  auto count = [&](u64 bits) {
+    cardinality += PopCount64(bits);
+    run_count += PopCount64(bits & ~((bits << 1) | carry));  // run starts
+    carry = bits >> 63;
+  };
+  // Sparse selections are mostly zero words: skip eight at a time.
+  constexpr u32 kGroup = 8;
+  u32 i = 0;
+  for (; i + kGroup <= word_count; i += kGroup) {
+    u64 any = 0;
+    for (u32 k = 0; k < kGroup; k++) any |= words[i + k];
+    if (any == 0) {
+      carry = 0;
+      continue;
+    }
+    first = std::min(first, i);
+    end = i + kGroup;
+    for (u32 k = 0; k < kGroup; k++) count(words[i + k]);
   }
-  return false;
+  for (; i < word_count; i++) {
+    if (words[i] != 0) {
+      first = std::min(first, i);
+      end = i + 1;
+    }
+    count(words[i]);
+  }
+  if (cardinality == 0) return false;
+  c->cardinality = cardinality;
+  const size_t current_bytes = cardinality <= kArrayMaxCardinality
+                                   ? cardinality * sizeof(u16)
+                                   : kBitsetWords * sizeof(u64);
+  if (run_count * sizeof(Run) < current_bytes) {
+    c->type = ContainerType::kRun;
+    c->runs.reserve(run_count);
+    for (u32 w = first; w < end; w++) {
+      const u32 base = w * 64;
+      for (u64 rest = words[w]; rest != 0;) {
+        const u32 start = static_cast<u32>(std::countr_zero(rest));
+        const u64 above = ~(rest >> start);  // zero along the run
+        const u32 length =
+            above == 0 ? 64 : static_cast<u32>(std::countr_zero(above));
+        if (!c->runs.empty() && static_cast<u32>(c->runs.back().start) +
+                                        c->runs.back().length + 1 ==
+                                    base + start) {
+          c->runs.back().length =
+              static_cast<u16>(c->runs.back().length + length);
+        } else {
+          c->runs.push_back(Run{static_cast<u16>(base + start),
+                                static_cast<u16>(length - 1)});
+        }
+        rest = start + length == 64 ? 0 : rest & (~u64{0} << (start + length));
+      }
+    }
+  } else if (cardinality <= kArrayMaxCardinality) {
+    c->type = ContainerType::kArray;
+    c->array.resize(cardinality);
+    u16* out = c->array.data();
+    for (u32 w = first; w < end; w++) {
+      for (u64 rest = words[w]; rest != 0; rest &= rest - 1) {
+        *out++ = static_cast<u16>(w * 64 + std::countr_zero(rest));
+      }
+    }
+  } else {
+    c->type = ContainerType::kBitset;
+    c->bitset.assign(kBitsetWords, 0);
+    std::memcpy(c->bitset.data(), words, word_count * sizeof(u64));
+  }
+  return true;
 }
 
-// Set algebra via ordered iteration + probing. Selection vectors cover one
-// 64k block, so containers are few; container-specialized kernels (as in
-// CRoaring) would be the next optimization if these ever show in profiles.
-RoaringBitmap RoaringBitmap::And(const RoaringBitmap& a, const RoaringBitmap& b) {
+RoaringBitmap RoaringBitmap::FromWords(const u64* words, u32 word_count) {
   RoaringBitmap result;
-  const RoaringBitmap& iterate = a.Cardinality() <= b.Cardinality() ? a : b;
-  const RoaringBitmap& probe = a.Cardinality() <= b.Cardinality() ? b : a;
-  iterate.ForEach([&](u32 v) {
-    if (probe.Contains(v)) result.Add(v);
-  });
-  result.RunOptimize();
+  for (u32 first = 0; first < word_count; first += kBitsetWords) {
+    Container c;
+    c.key = static_cast<u16>(first / kBitsetWords);
+    if (ContainerFromWords(words + first,
+                           std::min(kBitsetWords, word_count - first), &c)) {
+      result.containers_.push_back(std::move(c));
+    }
+  }
   return result;
 }
 
-RoaringBitmap RoaringBitmap::Or(const RoaringBitmap& a, const RoaringBitmap& b) {
-  RoaringBitmap result;
-  a.ForEach([&](u32 v) { result.Add(v); });
-  b.ForEach([&](u32 v) { result.Add(v); });
-  result.RunOptimize();
-  return result;
-}
-
-RoaringBitmap RoaringBitmap::AndNot(const RoaringBitmap& a,
-                                    const RoaringBitmap& b) {
-  RoaringBitmap result;
-  a.ForEach([&](u32 v) {
-    if (!b.Contains(v)) result.Add(v);
-  });
-  result.RunOptimize();
-  return result;
+void RoaringBitmap::OrInto(u64* words, u32 word_count) const {
+  for (const Container& c : containers_) {
+    const u32 first = static_cast<u32>(c.key) * kBitsetWords;
+    if (first >= word_count) break;
+    u64* chunk = words + first;
+    const u32 chunk_words = std::min(kBitsetWords, word_count - first);
+    const u32 chunk_bits = chunk_words * 64;
+    switch (c.type) {
+      case ContainerType::kArray:
+        for (u16 v : c.array) {
+          if (v >= chunk_bits) break;
+          SetBit(chunk, v);
+        }
+        break;
+      case ContainerType::kBitset:
+        for (u32 w = 0; w < chunk_words; w++) chunk[w] |= c.bitset[w];
+        break;
+      case ContainerType::kRun:
+        for (const Run& run : c.runs) {
+          if (run.start >= chunk_bits) break;
+          SetBits(chunk, run.start,
+                  std::min(static_cast<u32>(run.start) + run.length + 1,
+                           chunk_bits));
+        }
+        break;
+    }
+  }
 }
 
 std::vector<u32> RoaringBitmap::ToVector() const {

@@ -1,13 +1,19 @@
 // From-scratch Roaring bitmap (Lemire et al., "Roaring Bitmaps:
 // Implementation of an Optimized Software Library"). BtrBlocks uses Roaring
 // bitmaps for NULL tracking and for exception positions inside encodings
-// (Frequency, Pseudodecimal) — paper Section 2.2.
+// (Frequency, Pseudodecimal) — paper Section 2.2 — and as the selection
+// vector a row block's predicate evaluation hands to its caller.
 //
 // A bitmap over u32 keys is split into 2^16-value chunks addressed by the
 // high 16 bits. Each chunk is stored in whichever container is smallest:
 //   - ArrayContainer:  sorted u16 list (cardinality <= 4096)
 //   - BitsetContainer: 8 KiB bitset   (cardinality  > 4096)
 //   - RunContainer:    sorted (start, length) runs, chosen by RunOptimize()
+//                      or FromWords()
+//
+// The predicate engine evaluates a row block into dense words (bit i of
+// words[i / 64], util/bits.h) and crosses to and from this type only
+// through FromWords and OrInto; there is no set algebra here.
 #ifndef BTR_BITMAP_ROARING_H_
 #define BTR_BITMAP_ROARING_H_
 
@@ -26,27 +32,26 @@ class RoaringBitmap {
   // --- Construction -------------------------------------------------------
   // Values may be added in any order; ascending order is the fast path.
   void Add(u32 value);
-  void AddRange(u32 begin, u32 end);  // [begin, end)
 
   // Converts containers to run containers where that representation is
   // smaller. Call once after construction, before Serialize().
   void RunOptimize();
+
+  // The set bits of words[0, word_count): value v is bit v % 64 of
+  // words[v / 64]. One counting sweep over each 1024-word chunk picks the
+  // smallest of an array, bitset or run container (ties go to array /
+  // bitset, as in RunOptimize) and only that one is built; all-zero
+  // chunks get none.
+  static RoaringBitmap FromWords(const u64* words, u32 word_count);
 
   // --- Queries -------------------------------------------------------------
   bool Contains(u32 value) const;
   u64 Cardinality() const;
   bool Empty() const { return containers_.empty(); }
 
-  // True iff any value in [begin, end) is present. Used by vectorized
-  // decompression to test a SIMD lane block for exceptions.
-  bool IntersectsRange(u32 begin, u32 end) const;
-
-  // --- Set algebra -----------------------------------------------------------
-  // Used to combine per-predicate selection vectors (WHERE a = x AND b = y).
-  static RoaringBitmap And(const RoaringBitmap& a, const RoaringBitmap& b);
-  static RoaringBitmap Or(const RoaringBitmap& a, const RoaringBitmap& b);
-  // Values in a but not in b.
-  static RoaringBitmap AndNot(const RoaringBitmap& a, const RoaringBitmap& b);
+  // ORs every value below word_count * 64 into words (same bit layout as
+  // FromWords), a container at a time; larger values are ignored.
+  void OrInto(u64* words, u32 word_count) const;
 
   // Calls fn(value) for every set value in ascending order.
   template <typename Fn>
@@ -110,6 +115,8 @@ class RoaringBitmap {
 
   Container* FindOrCreate(u16 key);
   const Container* Find(u16 key) const;
+  static bool ContainerFromWords(const u64* words, u32 word_count,
+                                 Container* c);
   static void AddToContainer(Container* c, u16 low);
   static bool ContainerContains(const Container& c, u16 low);
   static void ToBitset(Container* c);

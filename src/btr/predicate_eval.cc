@@ -1,19 +1,23 @@
 // Block-level PredicateExpr evaluation on the compressed form.
 //
-// Leaves are evaluated per root scheme:
+// A row block evaluates into two dense block-local word arrays, `pass`
+// and `unknown`: bit i of words[i / 64] is row i (util/bits.h). Leaves
+// write their raw matches per root scheme:
 //
-//   OneValue    O(1): compare the single stored value
-//   RLE         O(runs): run arithmetic emits whole ranges
-//   Dictionary  evaluate the comparison over the (small) dictionary, then
-//               select rows whose code is in the matching-code set — run
-//               arithmetic when the code vector is RLE, SIMD IN-scan
-//               otherwise
-//   Frequency   decide the dominant value once, scan only the exceptions
+//   OneValue    O(1): compare the single stored value, fill the block
+//   RLE         O(runs): run arithmetic sets whole bit ranges
+//   Dictionary  evaluate the comparison once per dictionary entry into a
+//               match table (one byte per entry), then select the rows
+//               whose code matches — per run when the code vector is RLE,
+//               the SIMD IN-scan of the decoded codes when at most 8
+//               entries match, one table lookup per row otherwise
+//   Frequency   fill the block when the dominant value matches, then clear
+//               and re-set only the exception positions
 //   FastBP128   (ints, range ops) simd::SelectBp128Range — per-miniblock
 //               frame envelopes prune or whole-accept 128 values at a
 //               time, survivors are compared 32 lanes per instruction
 //   otherwise   decode the value vector into scratch (no DecodedBlock /
-//               null materialization) and run the SIMD compare kernels;
+//               null materialization) and run the SIMD word kernels;
 //               strings without a dictionary compare row by row
 //
 // Payloads are read through the layout readers the decoders use
@@ -21,11 +25,16 @@
 // evaluation and HasFastPath.
 //
 // NULL semantics: rows under the block's null bitmap store default values
-// inside the encodings, so every leaf result is corrected with one
-// AndNot(raw, nulls) — no per-scheme special-casing — and the null rows
-// become the leaf's UNKNOWN set for Kleene AND/OR/NOT combination.
+// inside the encodings, so every leaf result is corrected with one word
+// loop — the null bitmap is ORed into `unknown` and cleared from `pass` —
+// with no per-scheme special-casing. A leaf over a block without NULLs
+// carries no `unknown` words. AND/OR/NOT combine the word pairs by Kleene
+// logic, and the block's selection becomes a RoaringBitmap once, when it
+// leaves EvaluateExpr.
 #include <algorithm>
 #include <cstring>
+#include <memory>
+#include <optional>
 #include <type_traits>
 
 #include "btr/layout.h"
@@ -34,23 +43,26 @@
 #include "btr/simd_scan.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/bits.h"
 
 namespace btr {
 
 namespace {
-
-RoaringBitmap AllRows(u32 count) {
-  RoaringBitmap out;
-  out.AddRange(0, count);
-  out.RunOptimize();
-  return out;
-}
 
 u64 BitsOf(double d) {
   u64 b;
   std::memcpy(&b, &d, sizeof(u64));
   return b;
 }
+
+// One row block's Kleene result: bit i of pass[i / 64] is set when row i
+// is TRUE, of unknown[i / 64] when it is UNKNOWN; rows in neither are
+// FALSE, and bits at or past the row count are zero. `unknown` is empty
+// when no row is UNKNOWN.
+struct Words {
+  std::vector<u64> pass;
+  std::vector<u64> unknown;
+};
 
 // --- root-scheme shapes ------------------------------------------------------
 
@@ -193,11 +205,12 @@ struct IntLeafCtx {
     return !range.empty && v >= range.lo && v <= range.hi;
   }
 
-  void SelectDecoded(const i32* values, u32 count, RoaringBitmap* out) const {
+  // `words` arrive zeroed, so an empty range writes nothing.
+  void SelectDecoded(const i32* values, u32 count, u64* words) const {
     if (is_set) {
-      simd::SelectI32Set(values, count, 0, *set, out);
+      simd::SelectI32Set(values, count, *set, words);
     } else if (!range.empty) {
-      simd::SelectI32Range(values, count, 0, range.lo, range.hi, out);
+      simd::SelectI32Range(values, count, range.lo, range.hi, words);
     }
   }
 };
@@ -227,13 +240,12 @@ struct DoubleLeafCtx {
     return F64RangeMatch(v, range);
   }
 
-  void SelectDecoded(const double* values, u32 count,
-                     RoaringBitmap* out) const {
+  void SelectDecoded(const double* values, u32 count, u64* words) const {
     if (is_bits) {
-      simd::SelectF64BitsSet(values, count, 0, bits, out);
+      simd::SelectF64BitsSet(values, count, bits, words);
     } else {
-      simd::SelectF64Range(values, count, 0, range.lo, range.hi,
-                           range.lo_strict, range.hi_strict, out);
+      simd::SelectF64Range(values, count, range.lo, range.hi, range.lo_strict,
+                           range.hi_strict, words);
     }
   }
 };
@@ -260,132 +272,149 @@ bool MatchString(std::string_view v, const PredicateExpr& leaf) {
 }
 
 // --- compressed-form selection ----------------------------------------------
+// Every kernel below sets the bits of its matching rows in `words`, which
+// hold WordCount(count) zeroed words on entry.
 
-// Rows of the runs whose value satisfies `match`, as whole ranges.
+// Rows of the runs whose value satisfies `match`, as whole ranges. Runs
+// reaching past `count` are cut at `count`.
 template <typename T, typename MatchFn>
-void SelectRuns(const layout::Runs<T>& runs, const MatchFn& match,
-                RoaringBitmap* out) {
-  u32 position = 0;
+void SelectRuns(const layout::Runs<T>& runs, u32 count, const MatchFn& match,
+                u64* words) {
+  u64 position = 0;  // 64-bit: the sum of u32 lengths cannot wrap
   for (u32 r = 0; r < runs.count; r++) {
-    u32 length = static_cast<u32>(runs.lengths[r]);
-    if (match(runs.values[r])) out->AddRange(position, position + length);
-    position += length;
+    const u64 end = position + static_cast<u32>(runs.lengths[r]);
+    if (match(runs.values[r]) && position < count) {
+      SetBits(words, static_cast<u32>(position),
+              static_cast<u32>(std::min<u64>(end, count)));
+    }
+    position = end;
   }
 }
 
-// Codes of the dictionary entries that satisfy `matches(code)`, ascending.
+// One byte per dictionary entry: 1 when entry `d` satisfies `matches(d)`.
 template <typename MatchFn>
-std::vector<i32> MatchingCodes(size_t dict_count, const MatchFn& matches) {
-  std::vector<i32> codes;
-  for (u32 d = 0; d < dict_count; d++) {
-    if (matches(d)) codes.push_back(static_cast<i32>(d));
-  }
-  return codes;
+std::vector<u8> MatchTable(size_t dict_count, const MatchFn& matches) {
+  std::vector<u8> table(dict_count);
+  for (u32 d = 0; d < dict_count; d++) table[d] = matches(d) ? 1 : 0;
+  return table;
 }
 
-// Rows whose dictionary code is in `codes` (sorted ascending): run
-// arithmetic when the code vector is RLE-compressed, SIMD IN-scan of the
-// decoded codes otherwise.
-void SelectCodesIn(const u8* codes_vec, u32 count,
-                   const std::vector<i32>& codes, RoaringBitmap* out) {
-  if (codes.empty()) return;
+// Rows whose dictionary code's table entry is set: run arithmetic when the
+// code vector is RLE-compressed; over the decoded codes, the SIMD IN-scan
+// when at most 8 entries match and a table lookup per row beyond. A code
+// at or past the table's size never matches, so the table is never read
+// out of bounds.
+void SelectCodes(const u8* codes_vec, u32 count, const std::vector<u8>& table,
+                 u64* words) {
+  std::vector<i32> matching;
+  for (u32 d = 0; d < table.size(); d++) {
+    if (table[d] != 0) matching.push_back(static_cast<i32>(d));
+  }
+  if (matching.empty()) return;
+  auto code_matches = [&](i32 code) {
+    return static_cast<u32>(code) < table.size() && table[code] != 0;
+  };
   if (PeekIntScheme(codes_vec) == IntSchemeCode::kRle) {
-    SelectRuns(layout::DecodeRuns<i32>(layout::ReadRle(codes_vec + 1)),
-               [&](i32 code) {
-                 return std::binary_search(codes.begin(), codes.end(), code);
-               },
-               out);
+    SelectRuns(layout::DecodeRuns<i32>(layout::ReadRle(codes_vec + 1)), count,
+               code_matches, words);
     return;
   }
-  std::vector<i32> scratch(count + kDecodeSlack);
-  DecompressInts(codes_vec, count, scratch.data());
-  simd::SelectI32Set(scratch.data(), count, 0, codes, out);
+  auto scratch = std::make_unique_for_overwrite<i32[]>(count + kDecodeSlack);
+  DecompressInts(codes_vec, count, scratch.get());
+  if (matching.size() <= 8) {
+    simd::SelectI32Set(scratch.get(), count, matching, words);
+    return;
+  }
+  WriteBits(0, count, words, [&](u32 i) { return code_matches(scratch[i]); });
 }
 
 // --- per-type leaf kernels ---------------------------------------------------
-// Both return raw matches over stored values; null correction happens once
+// Both write raw matches over stored values; null correction happens once
 // in the caller.
 
 // T is i32 (Ctx = IntLeafCtx) or double (Ctx = DoubleLeafCtx).
 template <typename T, typename Ctx>
-RoaringBitmap SelectNumericLeafRaw(const layout::Block& b, Shape shape,
-                                   const Ctx& ctx) {
+void SelectNumericLeafRaw(const layout::Block& b, Shape shape, const Ctx& ctx,
+                          u64* words) {
   auto match = [&](T v) { return ctx.Match(v); };
   const u8* payload = b.payload();
-  RoaringBitmap out;
   switch (shape) {
     case Shape::kOneValue:
-      if (match(layout::ReadOneValue<T>(payload))) out = AllRows(b.count);
-      return out;
+      if (match(layout::ReadOneValue<T>(payload))) SetBits(words, 0, b.count);
+      return;
     case Shape::kRle:
-      SelectRuns(layout::DecodeRuns<T>(layout::ReadRle(payload)), match, &out);
-      return out;
+      SelectRuns(layout::DecodeRuns<T>(layout::ReadRle(payload)), b.count,
+                 match, words);
+      return;
     case Shape::kDict: {
       layout::Dict<T> dict = layout::ReadDict<T>(payload);
       auto entry_matches = [&](u32 d) { return match(dict.entries[d]); };
-      SelectCodesIn(dict.codes, b.count,
-                    MatchingCodes(dict.entries.size(), entry_matches), &out);
-      return out;
+      SelectCodes(dict.codes, b.count,
+                  MatchTable(dict.entries.size(), entry_matches), words);
+      return;
     }
     case Shape::kFrequency: {
       layout::Frequency<T> f = layout::DecodeFrequency<T>(payload);
-      if (match(f.top)) {
-        out = RoaringBitmap::AndNot(AllRows(b.count), f.positions);
+      const u32 word_count = WordCount(b.count);
+      if (match(f.top) && word_count > 0) {
+        // Every row but the exceptions holds the dominant value.
+        f.positions.OrInto(words, word_count);
+        for (u32 w = 0; w < word_count; w++) words[w] = ~words[w];
+        words[word_count - 1] &= LastWordMask(b.count);
       }
       u32 e = 0;
       f.positions.ForEach([&](u32 position) {
-        if (match(f.exceptions[e++])) out.Add(position);
+        if (match(f.exceptions[e++]) && position < b.count) {
+          SetBit(words, position);
+        }
       });
-      return out;
+      return;
     }
     case Shape::kBp128:
       if constexpr (std::is_same_v<T, i32>) {
         if (!ctx.is_set) {
           if (!ctx.range.empty) {
-            simd::SelectBp128Range(payload, b.count, 0, ctx.range.lo,
-                                   ctx.range.hi, &out);
+            simd::SelectBp128Range(payload, b.count, ctx.range.lo,
+                                   ctx.range.hi, words);
           }
-          return out;
+          return;
         }
       }
       break;  // IN over bit-packed data: scratch decode
     case Shape::kDecode:
       break;
   }
-  std::vector<T> scratch(b.count + kDecodeSlack);
-  DecompressValues(b.vector, b.count, scratch.data());
-  ctx.SelectDecoded(scratch.data(), b.count, &out);
-  return out;
+  // Every value is decoded before it is read: no need to zero 256-512 KiB.
+  auto scratch = std::make_unique_for_overwrite<T[]>(b.count + kDecodeSlack);
+  DecompressValues(b.vector, b.count, scratch.get());
+  ctx.SelectDecoded(scratch.get(), b.count, words);
 }
 
-RoaringBitmap SelectStringLeafRaw(const layout::Block& b, Shape shape,
-                                  const PredicateExpr& leaf,
-                                  const CompressionConfig& config) {
-  RoaringBitmap out;
+void SelectStringLeafRaw(const layout::Block& b, Shape shape,
+                         const PredicateExpr& leaf,
+                         const CompressionConfig& config, u64* words) {
   switch (shape) {
     case Shape::kOneValue:
       if (MatchString(layout::ReadOneString(b.payload()), leaf)) {
-        out = AllRows(b.count);
+        SetBits(words, 0, b.count);
       }
-      return out;
+      return;
     case Shape::kDict: {
       layout::StringDict dict = layout::ReadStringDict(b.payload());
       auto entry_matches = [&](u32 d) {
         return MatchString(dict.Entry(d), leaf);
       };
-      SelectCodesIn(dict.codes, b.count,
-                    MatchingCodes(dict.entries.size(), entry_matches), &out);
-      return out;
+      SelectCodes(dict.codes, b.count,
+                  MatchTable(dict.entries.size(), entry_matches), words);
+      return;
     }
     default:
       break;
   }
   DecodedStrings strings;
   DecompressStrings(b.vector, b.count, &strings, config);
-  for (u32 i = 0; i < b.count; i++) {
-    if (MatchString(strings.Get(i), leaf)) out.Add(i);
-  }
-  return out;
+  WriteBits(0, b.count, words,
+            [&](u32 i) { return MatchString(strings.Get(i), leaf); });
 }
 
 // --- Kleene recursion --------------------------------------------------------
@@ -396,70 +425,141 @@ u32 CountLeaves(const PredicateExpr& expr) {
   return count;
 }
 
+Words AllTrue(u32 row_count) {
+  Words all;
+  all.pass.resize(WordCount(row_count));
+  SetBits(all.pass.data(), 0, row_count);
+  return all;
+}
+
+bool IsAllFalse(const Words& s) {
+  auto zero = [](u64 w) { return w == 0; };
+  return std::all_of(s.pass.begin(), s.pass.end(), zero) &&
+         std::all_of(s.unknown.begin(), s.unknown.end(), zero);
+}
+
+bool IsAllTrue(const Words& s, u32 row_count) {
+  for (size_t w = 0; w + 1 < s.pass.size(); w++) {
+    if (s.pass[w] != ~u64{0}) return false;
+  }
+  return s.pass.empty() || s.pass.back() == LastWordMask(row_count);
+}
+
+// NOT TRUE = FALSE, NOT FALSE = TRUE, NOT UNKNOWN = UNKNOWN.
+void KleeneNot(Words* s, u32 row_count) {
+  const size_t n = s->pass.size();
+  if (n == 0) return;
+  if (s->unknown.empty()) {
+    for (size_t w = 0; w < n; w++) s->pass[w] = ~s->pass[w];
+  } else {
+    for (size_t w = 0; w < n; w++) {
+      s->pass[w] = ~(s->pass[w] | s->unknown[w]);
+    }
+  }
+  s->pass[n - 1] &= LastWordMask(row_count);
+}
+
+// acc AND r. UNKNOWN where both sides are at least UNKNOWN but not both
+// TRUE; since pass and unknown are disjoint that is
+// (acc.unknown & (r.pass | r.unknown)) | (acc.pass & r.unknown).
+void KleeneAnd(Words* acc, Words&& r) {
+  const size_t n = acc->pass.size();
+  if (r.unknown.empty()) {
+    for (size_t w = 0; w < acc->unknown.size(); w++) {
+      acc->unknown[w] &= r.pass[w];
+    }
+  } else if (acc->unknown.empty()) {
+    acc->unknown = std::move(r.unknown);
+    for (size_t w = 0; w < n; w++) acc->unknown[w] &= acc->pass[w];
+  } else {
+    for (size_t w = 0; w < n; w++) {
+      acc->unknown[w] = (acc->unknown[w] & (r.pass[w] | r.unknown[w])) |
+                        (acc->pass[w] & r.unknown[w]);
+    }
+  }
+  for (size_t w = 0; w < n; w++) acc->pass[w] &= r.pass[w];
+}
+
+// acc OR r: TRUE where either side is TRUE, UNKNOWN where either side is
+// UNKNOWN and neither is TRUE.
+void KleeneOr(Words* acc, Words&& r) {
+  const size_t n = acc->pass.size();
+  for (size_t w = 0; w < n; w++) acc->pass[w] |= r.pass[w];
+  if (!r.unknown.empty()) {
+    if (acc->unknown.empty()) {
+      acc->unknown = std::move(r.unknown);
+    } else {
+      for (size_t w = 0; w < n; w++) acc->unknown[w] |= r.unknown[w];
+    }
+  }
+  for (size_t w = 0; w < acc->unknown.size(); w++) {
+    acc->unknown[w] &= ~acc->pass[w];
+  }
+}
+
 // Generic over how a leaf is evaluated, so the compressed-form engine and
 // the decoded-reference engine share one Kleene combinator.
 template <typename LeafFn>
-EvalResult EvalNode(const PredicateExpr& expr, u32 row_count,
-                    const LeafFn& eval_leaf, u32* leaf_index) {
+Words EvalNode(const PredicateExpr& expr, u32 row_count,
+               const LeafFn& eval_leaf, u32* leaf_index) {
   switch (expr.kind) {
-    case PredicateExpr::Kind::kNone: {
-      EvalResult all;
-      all.pass = AllRows(row_count);
-      return all;
-    }
+    case PredicateExpr::Kind::kNone:
+      return AllTrue(row_count);
     case PredicateExpr::Kind::kLeaf: {
-      EvalResult r = eval_leaf(expr, *leaf_index);
+      Words r = eval_leaf(expr, *leaf_index);
       (*leaf_index)++;
       return r;
     }
     case PredicateExpr::Kind::kNot: {
-      EvalResult child = EvalNode(expr.children[0], row_count, eval_leaf,
-                                  leaf_index);
-      EvalResult out;
-      out.unknown = child.unknown;
-      out.pass = RoaringBitmap::AndNot(
-          RoaringBitmap::AndNot(AllRows(row_count), child.pass),
-          child.unknown);
-      return out;
+      Words r = EvalNode(expr.children[0], row_count, eval_leaf, leaf_index);
+      KleeneNot(&r, row_count);
+      return r;
     }
     case PredicateExpr::Kind::kAnd: {
-      EvalResult acc;
-      acc.pass = AllRows(row_count);
-      for (size_t i = 0; i < expr.children.size(); i++) {
-        if (acc.pass.Empty() && acc.unknown.Empty()) {
+      std::optional<Words> acc;  // no child yet: TRUE on every row
+      for (const PredicateExpr& child : expr.children) {
+        if (acc ? IsAllFalse(*acc) : row_count == 0) {
           // FALSE absorbs: skip the rest, keeping leaf numbering aligned.
-          *leaf_index += CountLeaves(expr.children[i]);
+          *leaf_index += CountLeaves(child);
           continue;
         }
-        EvalResult r = EvalNode(expr.children[i], row_count, eval_leaf,
-                                leaf_index);
-        RoaringBitmap pass = RoaringBitmap::And(acc.pass, r.pass);
-        // UNKNOWN where both sides are at least UNKNOWN but not both TRUE.
-        RoaringBitmap a = RoaringBitmap::Or(acc.pass, acc.unknown);
-        RoaringBitmap b = RoaringBitmap::Or(r.pass, r.unknown);
-        acc.unknown = RoaringBitmap::AndNot(RoaringBitmap::And(a, b), pass);
-        acc.pass = std::move(pass);
+        Words r = EvalNode(child, row_count, eval_leaf, leaf_index);
+        if (acc) {
+          KleeneAnd(&*acc, std::move(r));
+        } else {
+          acc = std::move(r);
+        }
       }
-      return acc;
+      return acc ? std::move(*acc) : AllTrue(row_count);
     }
     case PredicateExpr::Kind::kOr: {
-      EvalResult acc;
-      for (size_t i = 0; i < expr.children.size(); i++) {
-        if (acc.pass.Cardinality() == row_count) {
-          *leaf_index += CountLeaves(expr.children[i]);  // TRUE absorbs
+      std::optional<Words> acc;  // no child yet: FALSE on every row
+      for (const PredicateExpr& child : expr.children) {
+        if (acc ? IsAllTrue(*acc, row_count) : row_count == 0) {
+          *leaf_index += CountLeaves(child);  // TRUE absorbs
           continue;
         }
-        EvalResult r = EvalNode(expr.children[i], row_count, eval_leaf,
-                                leaf_index);
-        RoaringBitmap pass = RoaringBitmap::Or(acc.pass, r.pass);
-        acc.unknown = RoaringBitmap::AndNot(
-            RoaringBitmap::Or(acc.unknown, r.unknown), pass);
-        acc.pass = std::move(pass);
+        Words r = EvalNode(child, row_count, eval_leaf, leaf_index);
+        if (acc) {
+          KleeneOr(&*acc, std::move(r));
+        } else {
+          acc = std::move(r);
+        }
       }
-      return acc;
+      return acc ? std::move(*acc) : Words();
     }
   }
-  return EvalResult();
+  return Words();
+}
+
+// The block's selection leaves the word form here, once.
+EvalResult ToEvalResult(const Words& s) {
+  EvalResult out;
+  out.pass = RoaringBitmap::FromWords(s.pass.data(),
+                                      static_cast<u32>(s.pass.size()));
+  out.unknown = RoaringBitmap::FromWords(s.unknown.data(),
+                                         static_cast<u32>(s.unknown.size()));
+  return out;
 }
 
 void CountLeafMetric(bool fast) {
@@ -477,45 +577,45 @@ EvalResult EvaluateExpr(
     const std::function<const u8*(const std::string&)>& block_of,
     const CompressionConfig& config, std::vector<LeafEvalStats>* leaf_stats) {
   BTR_TRACE_SPAN("btr.pred.eval");
+  const u32 word_count = WordCount(row_count);
   auto eval_leaf = [&](const PredicateExpr& leaf, u32 index) {
     const u8* block = block_of(leaf.column);
     BTR_CHECK(block != nullptr);
     layout::Block b = layout::ReadBlock(block);
     BTR_CHECK(b.type == leaf.type);
+    BTR_CHECK(b.count == row_count);
     Shape shape = ShapeOf(b.type, b.scheme());
-    RoaringBitmap raw;
+    Words out;
+    out.pass.resize(word_count);
     switch (leaf.type) {
       case ColumnType::kInteger:
-        raw = SelectNumericLeafRaw<i32>(b, shape, IntLeafCtx(leaf));
+        SelectNumericLeafRaw<i32>(b, shape, IntLeafCtx(leaf), out.pass.data());
         break;
       case ColumnType::kDouble:
-        raw = SelectNumericLeafRaw<double>(b, shape, DoubleLeafCtx(leaf));
+        SelectNumericLeafRaw<double>(b, shape, DoubleLeafCtx(leaf),
+                                     out.pass.data());
         break;
       case ColumnType::kString:
-        raw = SelectStringLeafRaw(b, shape, leaf, config);
+        SelectStringLeafRaw(b, shape, leaf, config, out.pass.data());
         break;
     }
-    raw.RunOptimize();
     bool fast = IsFastPath(shape, leaf.op);
     CountLeafMetric(fast);
     if (leaf_stats != nullptr && index < leaf_stats->size()) {
       ((*leaf_stats)[index].*(fast ? &LeafEvalStats::fast_path
                                    : &LeafEvalStats::materialized))++;
     }
-    EvalResult out;
     if (b.null_bytes > 0) {
       // NULL rows store default values inside the encodings; pull them
       // back out of the raw matches and report them as UNKNOWN.
-      RoaringBitmap nulls = b.NullRows();
-      out.pass = RoaringBitmap::AndNot(raw, nulls);
-      out.unknown = std::move(nulls);
-    } else {
-      out.pass = std::move(raw);
+      out.unknown.resize(word_count);
+      b.NullRows().OrInto(out.unknown.data(), word_count);
+      for (u32 w = 0; w < word_count; w++) out.pass[w] &= ~out.unknown[w];
     }
     return out;
   };
   u32 leaf_index = 0;
-  return EvalNode(expr, row_count, eval_leaf, &leaf_index);
+  return ToEvalResult(EvalNode(expr, row_count, eval_leaf, &leaf_index));
 }
 
 EvalResult EvaluateExprDecoded(
@@ -525,7 +625,10 @@ EvalResult EvaluateExprDecoded(
     const DecodedBlock* d = decoded_of(leaf.column);
     BTR_CHECK(d != nullptr);
     BTR_CHECK(d->type == leaf.type);
-    EvalResult out;
+    BTR_CHECK(d->count == row_count);
+    Words out;
+    out.pass.resize(WordCount(row_count));
+    if (!d->null_flags.empty()) out.unknown.resize(WordCount(row_count));
     // Both ternary operands must be lvalues: IntLeafCtx keeps a pointer
     // into the chosen leaf's int_set, so a prvalue operand would make the
     // ternary copy `leaf` into a temporary and leave the ctx dangling.
@@ -537,7 +640,7 @@ EvalResult EvaluateExprDecoded(
                                                               : kDoubleDummy);
     for (u32 i = 0; i < d->count; i++) {
       if (d->IsNull(i)) {
-        out.unknown.Add(i);
+        SetBit(out.unknown.data(), i);
         continue;
       }
       bool match = false;
@@ -552,14 +655,12 @@ EvalResult EvaluateExprDecoded(
           match = MatchString(d->strings.Get(i), leaf);
           break;
       }
-      if (match) out.pass.Add(i);
+      if (match) SetBit(out.pass.data(), i);
     }
-    out.pass.RunOptimize();
-    out.unknown.RunOptimize();
     return out;
   };
   u32 leaf_index = 0;
-  return EvalNode(expr, row_count, eval_leaf, &leaf_index);
+  return ToEvalResult(EvalNode(expr, row_count, eval_leaf, &leaf_index));
 }
 
 RoaringBitmap SelectMatches(const u8* block, const PredicateExpr& expr,

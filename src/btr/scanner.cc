@@ -1194,7 +1194,11 @@ void Scanner::Job::EmitBlock(const ChunkCallback& emit, u32 b,
     chunk.outcome = result != nullptr ? result->outcome : BlockOutcome::kPruned;
     if (chunk.outcome == BlockOutcome::kDecoded) {
       chunk.values = std::move(result->decoded[p]);
-      chunk.selection = result->selection;
+      if (p + 1 == resolved_.projection.size()) {
+        chunk.selection = std::move(result->selection);
+      } else {
+        chunk.selection = result->selection;
+      }
     }
     emit(std::move(chunk));
   }

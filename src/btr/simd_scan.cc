@@ -10,15 +10,6 @@ namespace btr::simd {
 
 namespace {
 
-// Shared scalar reference for the i32 closed-range kernel; also the tail
-// loop of the AVX2 body so both paths agree on every position.
-inline void SelectI32RangeScalar(const i32* values, u32 count, u32 base,
-                                 i32 lo, i32 hi, RoaringBitmap* out) {
-  for (u32 i = 0; i < count; i++) {
-    if (values[i] >= lo && values[i] <= hi) out->Add(base + i);
-  }
-}
-
 inline bool F64InRange(double v, double lo, double hi, bool lo_strict,
                        bool hi_strict) {
   // IEEE ordered comparisons: NaN fails every clause.
@@ -33,147 +24,149 @@ inline u64 BitsOf(double d) {
   return b;
 }
 
-}  // namespace
-
-void SelectI32Range(const i32* values, u32 count, u32 base, i32 lo, i32 hi,
-                    RoaringBitmap* out) {
-  if (lo > hi) return;
-  u32 i = 0;
 #if BTR_HAS_AVX2
-  if (SimdPolicy::Enabled()) {
-    const __m256i vlo = _mm256_set1_epi32(lo);
-    const __m256i vhi = _mm256_set1_epi32(hi);
-    for (; i + 8 <= count; i += 8) {
-      __m256i v = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(values + i));
-      __m256i lt = _mm256_cmpgt_epi32(vlo, v);  // v < lo
-      __m256i gt = _mm256_cmpgt_epi32(v, vhi);  // v > hi
-      u32 bad = static_cast<u32>(
-          _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_or_si256(lt, gt))));
-      u32 good = ~bad & 0xFFu;
-      while (good != 0) {
-        u32 bit = static_cast<u32>(__builtin_ctz(good));
-        out->Add(base + i + bit);
-        good &= good - 1;
-      }
-    }
-  }
-#endif
-  SelectI32RangeScalar(values + i, count - i, base + i, lo, hi, out);
+// The 32 row bits of four consecutive 8-lane i32 compare masks: one
+// signed-saturating narrowing to bytes and one movemask instead of four.
+inline u32 MoveMask32(__m256i a, __m256i b, __m256i c, __m256i d) {
+  const __m256i lane_fix = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
+  __m256i bytes = _mm256_packs_epi16(_mm256_packs_epi32(a, b),
+                                     _mm256_packs_epi32(c, d));
+  return static_cast<u32>(
+      _mm256_movemask_epi8(_mm256_permutevar8x32_epi32(bytes, lane_fix)));
 }
 
-void SelectI32Set(const i32* values, u32 count, u32 base,
-                  const std::vector<i32>& set, RoaringBitmap* out) {
-  if (set.empty()) return;
+// One word from 64 consecutive i32 rows; lanes(p) compares rows p..p+7.
+template <typename LanesFn>
+inline u64 I32Word(const i32* p, const LanesFn& lanes) {
+  const u64 low = MoveMask32(lanes(p), lanes(p + 8), lanes(p + 16),
+                             lanes(p + 24));
+  const u64 high = MoveMask32(lanes(p + 32), lanes(p + 40), lanes(p + 48),
+                              lanes(p + 56));
+  return low | high << 32;
+}
+#endif
+
+}  // namespace
+
+void SelectI32Range(const i32* values, u32 count, i32 lo, i32 hi,
+                    u64* words) {
+  u32 i = 0;
+#if BTR_HAS_AVX2
+  if (SimdPolicy::Enabled() && lo <= hi) {
+    // lo <= v <= hi  <=>  u32(v - lo) <= u32(hi - lo): one unsigned test.
+    const __m256i vlo = _mm256_set1_epi32(lo);
+    const __m256i span = _mm256_set1_epi32(
+        static_cast<i32>(static_cast<u32>(hi) - static_cast<u32>(lo)));
+    auto lanes = [&](const i32* p) {
+      __m256i offset = _mm256_sub_epi32(
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p)), vlo);
+      return _mm256_cmpeq_epi32(_mm256_max_epu32(offset, span), span);
+    };
+    for (; i + 64 <= count; i += 64) words[i / 64] = I32Word(values + i, lanes);
+  }
+#endif
+  // The scalar twin, and the rows after the last full AVX2 group.
+  WriteBits(i, count, words,
+            [&](u32 j) { return values[j] >= lo && values[j] <= hi; });
+}
+
+void SelectI32Set(const i32* values, u32 count, const std::vector<i32>& set,
+                  u64* words) {
   if (set.size() == 1) {
-    SelectI32Range(values, count, base, set[0], set[0], out);
+    SelectI32Range(values, count, set[0], set[0], words);
     return;
   }
   u32 i = 0;
 #if BTR_HAS_AVX2
-  if (SimdPolicy::Enabled() && set.size() <= 8) {
+  if (SimdPolicy::Enabled() && !set.empty() && set.size() <= 8) {
     __m256i needles[8];
     for (size_t s = 0; s < set.size(); s++) {
       needles[s] = _mm256_set1_epi32(set[s]);
     }
-    for (; i + 8 <= count; i += 8) {
-      __m256i v = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(values + i));
+    auto lanes = [&](const i32* p) {
+      __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
       __m256i eq = _mm256_cmpeq_epi32(v, needles[0]);
       for (size_t s = 1; s < set.size(); s++) {
         eq = _mm256_or_si256(eq, _mm256_cmpeq_epi32(v, needles[s]));
       }
-      u32 good =
-          static_cast<u32>(_mm256_movemask_ps(_mm256_castsi256_ps(eq)));
-      while (good != 0) {
-        u32 bit = static_cast<u32>(__builtin_ctz(good));
-        out->Add(base + i + bit);
-        good &= good - 1;
-      }
-    }
+      return eq;
+    };
+    for (; i + 64 <= count; i += 64) words[i / 64] = I32Word(values + i, lanes);
   }
 #endif
-  for (; i < count; i++) {
-    if (std::binary_search(set.begin(), set.end(), values[i])) {
-      out->Add(base + i);
-    }
-  }
+  WriteBits(i, count, words, [&](u32 j) {
+    return std::binary_search(set.begin(), set.end(), values[j]);
+  });
 }
 
-void SelectF64Range(const double* values, u32 count, u32 base, double lo,
-                    double hi, bool lo_strict, bool hi_strict,
-                    RoaringBitmap* out) {
+void SelectF64Range(const double* values, u32 count, double lo, double hi,
+                    bool lo_strict, bool hi_strict, u64* words) {
   u32 i = 0;
 #if BTR_HAS_AVX2
   if (SimdPolicy::Enabled()) {
     const __m256d vlo = _mm256_set1_pd(lo);
     const __m256d vhi = _mm256_set1_pd(hi);
-    for (; i + 4 <= count; i += 4) {
-      __m256d v = _mm256_loadu_pd(values + i);
-      __m256d ge = lo_strict ? _mm256_cmp_pd(v, vlo, _CMP_GT_OQ)
-                             : _mm256_cmp_pd(v, vlo, _CMP_GE_OQ);
-      __m256d le = hi_strict ? _mm256_cmp_pd(v, vhi, _CMP_LT_OQ)
-                             : _mm256_cmp_pd(v, vhi, _CMP_LE_OQ);
-      u32 good =
-          static_cast<u32>(_mm256_movemask_pd(_mm256_and_pd(ge, le)));
-      while (good != 0) {
-        u32 bit = static_cast<u32>(__builtin_ctz(good));
-        out->Add(base + i + bit);
-        good &= good - 1;
+    for (; i + 64 <= count; i += 64) {
+      u64 word = 0;
+      for (u32 g = 0; g < 64; g += 4) {
+        __m256d v = _mm256_loadu_pd(values + i + g);
+        __m256d ge = lo_strict ? _mm256_cmp_pd(v, vlo, _CMP_GT_OQ)
+                               : _mm256_cmp_pd(v, vlo, _CMP_GE_OQ);
+        __m256d le = hi_strict ? _mm256_cmp_pd(v, vhi, _CMP_LT_OQ)
+                               : _mm256_cmp_pd(v, vhi, _CMP_LE_OQ);
+        word |= static_cast<u64>(static_cast<u32>(
+                    _mm256_movemask_pd(_mm256_and_pd(ge, le))))
+                << g;
       }
+      words[i / 64] = word;
     }
   }
 #endif
-  for (; i < count; i++) {
-    if (F64InRange(values[i], lo, hi, lo_strict, hi_strict)) {
-      out->Add(base + i);
-    }
-  }
+  WriteBits(i, count, words, [&](u32 j) {
+    return F64InRange(values[j], lo, hi, lo_strict, hi_strict);
+  });
 }
 
-void SelectF64BitsSet(const double* values, u32 count, u32 base,
-                      const std::vector<u64>& bit_set, RoaringBitmap* out) {
-  if (bit_set.empty()) return;
+void SelectF64BitsSet(const double* values, u32 count,
+                      const std::vector<u64>& bit_set, u64* words) {
   u32 i = 0;
 #if BTR_HAS_AVX2
-  if (SimdPolicy::Enabled() && bit_set.size() <= 8) {
+  if (SimdPolicy::Enabled() && !bit_set.empty() && bit_set.size() <= 8) {
     __m256i needles[8];
     for (size_t s = 0; s < bit_set.size(); s++) {
       needles[s] = _mm256_set1_epi64x(static_cast<long long>(bit_set[s]));
     }
-    for (; i + 4 <= count; i += 4) {
-      __m256i v = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(values + i));
-      __m256i eq = _mm256_cmpeq_epi64(v, needles[0]);
-      for (size_t s = 1; s < bit_set.size(); s++) {
-        eq = _mm256_or_si256(eq, _mm256_cmpeq_epi64(v, needles[s]));
+    for (; i + 64 <= count; i += 64) {
+      u64 word = 0;
+      for (u32 g = 0; g < 64; g += 4) {
+        __m256i v = _mm256_loadu_si256(
+            reinterpret_cast<const __m256i*>(values + i + g));
+        __m256i eq = _mm256_cmpeq_epi64(v, needles[0]);
+        for (size_t s = 1; s < bit_set.size(); s++) {
+          eq = _mm256_or_si256(eq, _mm256_cmpeq_epi64(v, needles[s]));
+        }
+        word |= static_cast<u64>(static_cast<u32>(
+                    _mm256_movemask_pd(_mm256_castsi256_pd(eq))))
+                << g;
       }
-      u32 good =
-          static_cast<u32>(_mm256_movemask_pd(_mm256_castsi256_pd(eq)));
-      while (good != 0) {
-        u32 bit = static_cast<u32>(__builtin_ctz(good));
-        out->Add(base + i + bit);
-        good &= good - 1;
-      }
+      words[i / 64] = word;
     }
   }
 #endif
-  for (; i < count; i++) {
-    if (std::binary_search(bit_set.begin(), bit_set.end(),
-                           BitsOf(values[i]))) {
-      out->Add(base + i);
-    }
-  }
+  WriteBits(i, count, words, [&](u32 j) {
+    return std::binary_search(bit_set.begin(), bit_set.end(),
+                              BitsOf(values[j]));
+  });
 }
 
 // --- FastBP128 stream range scan ---------------------------------------------
 
 namespace {
 
-// Compares 128 unpacked deltas against the closed unsigned interval
-// [dlo, dhi], adding matches at base..base+127.
-void CompareDeltas128(const u32* deltas, u32 base, u32 dlo, u32 dhi, u32 bits,
-                      RoaringBitmap* out) {
+// Compares one frame's 128 unpacked deltas against the closed unsigned
+// interval [dlo, dhi] and writes the frame's two words.
+void CompareDeltas128(const u32* deltas, u32 dlo, u32 dhi, u32 bits,
+                      u64* out) {
 #if BTR_HAS_AVX2
   if (SimdPolicy::Enabled()) {
     if (bits <= 8) {
@@ -185,6 +178,7 @@ void CompareDeltas128(const u32* deltas, u32 base, u32 dlo, u32 dhi, u32 bits,
       const __m256i vdhi = _mm256_set1_epi8(static_cast<char>(dhi));
       const __m256i zero = _mm256_setzero_si256();
       const __m256i lane_fix = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
+      u64 masks[4];
       for (u32 g = 0; g < 128; g += 32) {
         const __m256i* p = reinterpret_cast<const __m256i*>(deltas + g);
         __m256i ab = _mm256_packus_epi32(_mm256_loadu_si256(p),
@@ -195,23 +189,21 @@ void CompareDeltas128(const u32* deltas, u32 base, u32 dlo, u32 dhi, u32 bits,
             _mm256_packus_epi16(ab, cd), lane_fix);
         __m256i bad = _mm256_or_si256(_mm256_subs_epu8(bytes, vdhi),
                                       _mm256_subs_epu8(vdlo, bytes));
-        u32 good = static_cast<u32>(
+        masks[g / 32] = static_cast<u32>(
             _mm256_movemask_epi8(_mm256_cmpeq_epi8(bad, zero)));
-        while (good != 0) {  // early exit: all-miss groups fall through
-          u32 bit = static_cast<u32>(__builtin_ctz(good));
-          out->Add(base + g + bit);
-          good &= good - 1;
-        }
       }
+      out[0] = masks[0] | masks[1] << 32;
+      out[1] = masks[2] | masks[3] << 32;
       return;
     }
-    // Word kernel: unsigned 32-bit interval test via sign-bias + signed
+    // Dword kernel: unsigned 32-bit interval test via sign-bias + signed
     // compare, 8 lanes per instruction.
     const __m256i bias = _mm256_set1_epi32(static_cast<i32>(0x80000000u));
     const __m256i vdlo =
         _mm256_xor_si256(_mm256_set1_epi32(static_cast<i32>(dlo)), bias);
     const __m256i vdhi =
         _mm256_xor_si256(_mm256_set1_epi32(static_cast<i32>(dhi)), bias);
+    out[0] = out[1] = 0;
     for (u32 g = 0; g < 128; g += 8) {
       __m256i v = _mm256_xor_si256(
           _mm256_loadu_si256(reinterpret_cast<const __m256i*>(deltas + g)),
@@ -220,64 +212,59 @@ void CompareDeltas128(const u32* deltas, u32 base, u32 dlo, u32 dhi, u32 bits,
       __m256i gt = _mm256_cmpgt_epi32(v, vdhi);
       u32 bad = static_cast<u32>(
           _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_or_si256(lt, gt))));
-      u32 good = ~bad & 0xFFu;
-      while (good != 0) {
-        u32 bit = static_cast<u32>(__builtin_ctz(good));
-        out->Add(base + g + bit);
-        good &= good - 1;
-      }
+      out[g / 64] |= static_cast<u64>(~bad & 0xFFu) << (g % 64);
     }
     return;
   }
 #endif
   (void)bits;
-  for (u32 j = 0; j < 128; j++) {
-    if (deltas[j] >= dlo && deltas[j] <= dhi) out->Add(base + j);
-  }
+  WriteBits(0, bitpack::kBlockSize, out,
+            [&](u32 j) { return deltas[j] >= dlo && deltas[j] <= dhi; });
 }
 
 }  // namespace
 
-void SelectBp128Range(const u8* stream, u32 count, u32 base, i32 lo, i32 hi,
-                      RoaringBitmap* out, Bp128ScanStats* stats) {
-  if (lo > hi) return;
+void SelectBp128Range(const u8* stream, u32 count, i32 lo, i32 hi,
+                      u64* words) {
+  if (lo > hi) {
+    std::fill_n(words, WordCount(count), u64{0});
+    return;
+  }
   alignas(32) u32 deltas[bitpack::kBlockSize];
   bitpack::Bp128Reader reader(stream, count);
   for (bitpack::Bp128Frame frame; reader.Next(&frame);) {
-    u32 first = base + frame.first;
     i64 bmin = static_cast<i32>(frame.reference);
     if (frame.count < bitpack::kBlockSize) {
       // Contiguously packed tail: always scalar (both policies take the
       // same path, trivially preserving SIMD/scalar parity on the last
       // values).
       bitpack::UnpackFrame(frame, deltas);
-      for (u32 j = 0; j < frame.count; j++) {
-        i64 v = bmin + deltas[j];
-        if (v >= lo && v <= hi) out->Add(first + j);
-      }
+      WriteBits(frame.first, frame.first + frame.count, words, [&](u32 row) {
+        i64 v = bmin + deltas[row - frame.first];
+        return v >= lo && v <= hi;
+      });
       continue;
     }
-    if (stats != nullptr) stats->miniblocks++;
+    // Frames start at multiples of 128: a full frame's rows are two words.
+    u64* frame_words = words + frame.first / 64;
 
     // Frame-of-reference envelope: every value lies in [bmin, bmin+mask].
     // i64 math sidesteps overflow at the i32 extremes.
     u64 mask = frame.bits == 32 ? 0xFFFFFFFFull : ((u64{1} << frame.bits) - 1);
     i64 bmax = bmin + static_cast<i64>(mask);
-    if (bmin > hi || bmax < lo) {  // byte-prune: skip the packed payload
-      if (stats != nullptr) stats->pruned++;
+    if (bmin > hi || bmax < lo) {  // byte-prune: skip the payload
+      frame_words[0] = frame_words[1] = 0;
       continue;
     }
     if (bmin >= lo && bmax <= hi) {  // whole-accept without unpacking
-      if (stats != nullptr) stats->accepted++;
-      out->AddRange(first, first + bitpack::kBlockSize);
+      frame_words[0] = frame_words[1] = ~u64{0};
       continue;
     }
-    if (stats != nullptr) stats->scanned++;
     bitpack::UnpackFrame(frame, deltas);
     u32 dlo = static_cast<u32>(std::max<i64>(0, static_cast<i64>(lo) - bmin));
     u32 dhi = static_cast<u32>(
         std::min<i64>(static_cast<i64>(mask), static_cast<i64>(hi) - bmin));
-    CompareDeltas128(deltas, first, dlo, dhi, frame.bits, out);
+    CompareDeltas128(deltas, dlo, dhi, frame.bits, frame_words);
   }
 }
 

@@ -1,10 +1,18 @@
 // SIMD comparison kernels for predicate evaluation (docs/PREDICATES.md).
 //
-// Every kernel appends matching positions into a RoaringBitmap selection
-// vector and has two twins — an AVX2 body and a scalar reference — chosen
-// at runtime by SimdPolicy (util/simd.h), so a BTR_DISABLE_AVX2 build or
-// a ScopedSimd(false) scope produces bit-identical selections through the
-// scalar path. The property tests enforce that equivalence per scheme.
+// Every kernel writes a dense selection: bit i of words[i / 64] is set iff
+// row i matches (util/bits.h). It overwrites all WordCount(count) words,
+// and the bits at or past `count` are zero. Each kernel has two twins — an
+// AVX2 body and a scalar reference — chosen at runtime by SimdPolicy
+// (util/simd.h), so a BTR_DISABLE_AVX2 build or a ScopedSimd(false) scope
+// writes bit-identical words through the scalar path. The property tests
+// enforce that equivalence per kernel and per scheme.
+//
+// The AVX2 bodies compare 8 i32 or 4 f64 lanes per instruction and store
+// one word per 64 rows: the i32 kernels narrow four compare masks into one
+// 32-bit movemask (two per word), the f64 kernels OR sixteen 4-bit
+// movemasks. The rows after the last full 64-row group go through the
+// scalar twin.
 //
 // The range kernels work on closed intervals. Integer predicates are
 // canonicalized to closed [lo, hi] intervals by the expression builder
@@ -16,52 +24,39 @@
 // [min, min + mask] envelope to skip (byte-prune) or whole-accept blocks
 // without unpacking, and compares the survivors' unpacked deltas 32 lanes
 // per instruction at byte width when the frame's bit width allows
-// (<= 8 bits), 8 lanes at word width otherwise, with movemask early-exit.
+// (<= 8 bits), 8 lanes at word width otherwise. Frames start at multiples
+// of 128 rows, so each full frame owns exactly two words.
 #ifndef BTR_BTR_SIMD_SCAN_H_
 #define BTR_BTR_SIMD_SCAN_H_
 
 #include <vector>
 
-#include "bitmap/roaring.h"
+#include "util/bits.h"
 #include "util/types.h"
 
 namespace btr::simd {
 
-// Positions i in [0, count) with lo <= values[i] <= hi, offset by `base`.
-void SelectI32Range(const i32* values, u32 count, u32 base, i32 lo, i32 hi,
-                    RoaringBitmap* out);
+// Rows i in [0, count) with lo <= values[i] <= hi.
+void SelectI32Range(const i32* values, u32 count, i32 lo, i32 hi, u64* words);
 
-// Positions whose value is in `set` (must be sorted ascending). Small sets
+// Rows whose value is in `set` (must be sorted ascending). Small sets
 // (<= 8) compare against broadcast constants; larger sets binary-search.
-void SelectI32Set(const i32* values, u32 count, u32 base,
-                  const std::vector<i32>& set, RoaringBitmap* out);
+void SelectI32Set(const i32* values, u32 count, const std::vector<i32>& set,
+                  u64* words);
 
 // IEEE-ordered range with per-bound strictness; NaN never matches.
-void SelectF64Range(const double* values, u32 count, u32 base, double lo,
-                    double hi, bool lo_strict, bool hi_strict,
-                    RoaringBitmap* out);
+void SelectF64Range(const double* values, u32 count, double lo, double hi,
+                    bool lo_strict, bool hi_strict, u64* words);
 
 // Bit-pattern equality against any of `bit_set` (sorted u64 bit patterns).
 // This is the double kEq/kIn kernel: lossless down to NaN payloads and
 // signed zeros, matching the storage format's own equality.
-void SelectF64BitsSet(const double* values, u32 count, u32 base,
-                      const std::vector<u64>& bit_set, RoaringBitmap* out);
-
-// Per-call telemetry of one SelectBp128Range walk, for ScanStats and the
-// bench: how many 128-value miniblocks were skipped / whole-accepted from
-// their frame envelope alone vs actually unpacked and compared.
-struct Bp128ScanStats {
-  u32 miniblocks = 0;
-  u32 pruned = 0;    // envelope disjoint from [lo, hi]: payload skipped
-  u32 accepted = 0;  // envelope inside [lo, hi]: AddRange, payload skipped
-  u32 scanned = 0;   // unpacked and compared
-};
+void SelectF64BitsSet(const double* values, u32 count,
+                      const std::vector<u64>& bit_set, u64* words);
 
 // Range scan directly over a FastBP128 payload (the stream that follows
-// the IntSchemeCode::kBp128 byte) holding `count` values. Matching
-// positions land in *out offset by `base`.
-void SelectBp128Range(const u8* stream, u32 count, u32 base, i32 lo, i32 hi,
-                      RoaringBitmap* out, Bp128ScanStats* stats = nullptr);
+// the IntSchemeCode::kBp128 byte) holding `count` values.
+void SelectBp128Range(const u8* stream, u32 count, i32 lo, i32 hi, u64* words);
 
 }  // namespace btr::simd
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
@@ -12,6 +13,7 @@
 #include "btr/btrblocks.h"
 #include "btr/predicate.h"
 #include "btr/predicate_parser.h"
+#include "util/random.h"
 
 namespace btr {
 namespace {
@@ -379,6 +381,226 @@ TEST(PredicateEvalTest, StringRangeAndInOnDictionary) {
                 block, Predicate::CompareString("s", CompareOp::kLt, "bonn"),
                 config),
             500u);
+}
+
+// --- randomized Kleene logic against a row-at-a-time evaluator ---------------
+
+enum class Truth { kFalse, kTrue, kUnknown };
+
+// One nullable column of each type; `style` varies the value shapes so the
+// cascade picks different root schemes (runs, dictionaries, a dominant
+// value, a constant, or free values).
+struct RandomTable {
+  Column ints{"i", ColumnType::kInteger};
+  Column doubles{"d", ColumnType::kDouble};
+  Column strings{"s", ColumnType::kString};
+
+  RandomTable(u32 rows, u32 style, Random* rng) {
+    const double palette[] = {0.5, 1.5, 2.5, -1.0, 0.0, -0.0,
+                              std::numeric_limits<double>::quiet_NaN()};
+    const char* words[] = {"", "a", "berlin", "bonn", "munich", "zz"};
+    auto null = [&] { return rng->NextBounded(8) == 0; };
+    for (u32 i = 0; i < rows; i++) {
+      // Style 0: runs of 50 rows, 1: one dominant value, 2: a constant,
+      // 3: free values.
+      u32 pick = static_cast<u32>(rng->NextBounded(7));
+      if (style == 0) pick = (i / 50) % 7;
+      if (style == 1 && rng->NextBounded(8) != 0) pick = 2;
+      if (style == 2) pick = 3;
+      if (null()) {
+        ints.AppendNull();
+      } else {
+        ints.AppendInt(style == 3 ? static_cast<i32>(rng->NextRange(-40, 40))
+                                  : static_cast<i32>(pick) * 3 - 5);
+      }
+      if (null()) {
+        doubles.AppendNull();
+      } else {
+        doubles.AppendDouble(palette[pick]);
+      }
+      if (null()) {
+        strings.AppendNull();
+      } else {
+        strings.AppendString(words[pick % 6]);
+      }
+    }
+  }
+
+  const Column& Of(ColumnType type) const {
+    return type == ColumnType::kInteger  ? ints
+           : type == ColumnType::kDouble ? doubles
+                                         : strings;
+  }
+};
+
+PredicateExpr RandomLeaf(Random* rng) {
+  const CompareOp ops[] = {CompareOp::kEq, CompareOp::kLt, CompareOp::kLe,
+                           CompareOp::kGt, CompareOp::kGe};
+  const double doubles[] = {0.5, 1.5, -1.0, 0.0, -0.0, 9.0,
+                            std::numeric_limits<double>::quiet_NaN()};
+  const char* strings[] = {"", "a", "b", "bonn", "munich", "zzz"};
+  const u32 shape = static_cast<u32>(rng->NextBounded(7));  // 5: BETWEEN, 6: IN
+  const CompareOp op = ops[shape % 5];
+  switch (rng->NextBounded(3)) {
+    case 0: {
+      const i32 a = static_cast<i32>(rng->NextRange(-8, 16));
+      const i32 b = static_cast<i32>(rng->NextRange(-8, 16));
+      if (shape == 5) return PredicateExpr::BetweenInt("i", a, b);
+      if (shape == 6) return PredicateExpr::InInt("i", {a, b, a + 3});
+      return PredicateExpr::CompareInt("i", op, a);
+    }
+    case 1: {
+      const double a = doubles[rng->NextBounded(7)];
+      const double b = doubles[rng->NextBounded(7)];
+      if (shape == 5) return PredicateExpr::BetweenDouble("d", a, b);
+      if (shape == 6) return PredicateExpr::InDouble("d", {a, b});
+      return PredicateExpr::CompareDouble("d", op, a);
+    }
+    default: {
+      const std::string a = strings[rng->NextBounded(6)];
+      const std::string b = strings[rng->NextBounded(6)];
+      if (shape == 5) return PredicateExpr::BetweenString("s", a, b);
+      if (shape == 6) return PredicateExpr::InString("s", {a, b});
+      return PredicateExpr::CompareString("s", op, a);
+    }
+  }
+}
+
+PredicateExpr RandomExpr(Random* rng, int depth) {
+  if (depth == 0 || rng->NextBounded(4) == 0) return RandomLeaf(rng);
+  const u64 kind = rng->NextBounded(3);
+  if (kind == 0) return PredicateExpr::Not(RandomExpr(rng, depth - 1));
+  std::vector<PredicateExpr> operands;
+  const u64 n = 2 + rng->NextBounded(2);
+  for (u64 i = 0; i < n; i++) operands.push_back(RandomExpr(rng, depth - 1));
+  return kind == 1 ? PredicateExpr::And(std::move(operands))
+                   : PredicateExpr::Or(std::move(operands));
+}
+
+u64 BitPattern(double d) {
+  u64 bits;
+  std::memcpy(&bits, &d, sizeof(bits));
+  return bits;
+}
+
+// SQL semantics written out per row: a NULL operand is UNKNOWN, double
+// equality compares bit patterns, ordered comparisons are IEEE-ordered.
+Truth LeafTruth(const PredicateExpr& leaf, const RandomTable& table, u32 row) {
+  const Column& column = table.Of(leaf.type);
+  if (column.IsNull(row)) return Truth::kUnknown;
+  auto compare = [&](const auto& v, const auto& lo, const auto& hi,
+                     const auto& set, const auto& equal) {
+    switch (leaf.op) {
+      case CompareOp::kEq: return equal(v, lo);
+      case CompareOp::kLt: return v < lo;
+      case CompareOp::kLe: return v <= lo;
+      case CompareOp::kGt: return v > lo;
+      case CompareOp::kGe: return v >= lo;
+      case CompareOp::kBetween: return v >= lo && v <= hi;
+      case CompareOp::kIn:
+        for (const auto& candidate : set) {
+          if (equal(v, candidate)) return true;
+        }
+        return false;
+    }
+    return false;
+  };
+  bool match = false;
+  switch (leaf.type) {
+    case ColumnType::kInteger:
+      match = compare(column.ints()[row], leaf.int_lo, leaf.int_hi,
+                      leaf.int_set, [](i32 a, i32 b) { return a == b; });
+      break;
+    case ColumnType::kDouble:
+      match = compare(column.doubles()[row], leaf.double_lo, leaf.double_hi,
+                      leaf.double_set, [](double a, double b) {
+                        return BitPattern(a) == BitPattern(b);
+                      });
+      break;
+    case ColumnType::kString:
+      match = compare(std::string(column.GetString(row)), leaf.string_lo,
+                      leaf.string_hi, leaf.string_set,
+                      [](const std::string& a, const std::string& b) {
+                        return a == b;
+                      });
+      break;
+  }
+  return match ? Truth::kTrue : Truth::kFalse;
+}
+
+Truth RowTruth(const PredicateExpr& expr, const RandomTable& table, u32 row) {
+  switch (expr.kind) {
+    case PredicateExpr::Kind::kNone:
+      return Truth::kTrue;
+    case PredicateExpr::Kind::kLeaf:
+      return LeafTruth(expr, table, row);
+    case PredicateExpr::Kind::kNot: {
+      Truth child = RowTruth(expr.children[0], table, row);
+      if (child == Truth::kUnknown) return Truth::kUnknown;
+      return child == Truth::kTrue ? Truth::kFalse : Truth::kTrue;
+    }
+    case PredicateExpr::Kind::kAnd: {
+      Truth acc = Truth::kTrue;
+      for (const PredicateExpr& child : expr.children) {
+        Truth t = RowTruth(child, table, row);
+        if (t == Truth::kFalse) return Truth::kFalse;
+        if (t == Truth::kUnknown) acc = Truth::kUnknown;
+      }
+      return acc;
+    }
+    case PredicateExpr::Kind::kOr: {
+      Truth acc = Truth::kFalse;
+      for (const PredicateExpr& child : expr.children) {
+        Truth t = RowTruth(child, table, row);
+        if (t == Truth::kTrue) return Truth::kTrue;
+        if (t == Truth::kUnknown) acc = Truth::kUnknown;
+      }
+      return acc;
+    }
+  }
+  return Truth::kFalse;
+}
+
+// Random AND/OR/NOT trees of depth <= 3 over nullable int, double and
+// string columns. Row counts end mid-word (1, 63, 65, 4097), on a word
+// (64) and at a full block (64000), so NOT and OR must keep the bits past
+// the row count clear.
+TEST(PredicateEvalTest, RandomKleeneTreesMatchRowAtATimeEvaluation) {
+  CompressionConfig config;
+  Random rng(1606);
+  u32 style = 0;
+  for (u32 rows : {1u, 63u, 64u, 65u, 4097u, 64000u}) {
+    for (int table_trial = 0; table_trial < 2; table_trial++, style++) {
+      RandomTable table(rows, style % 4, &rng);
+      CompressedColumn ints = CompressColumn(table.ints, config);
+      CompressedColumn doubles = CompressColumn(table.doubles, config);
+      CompressedColumn strings = CompressColumn(table.strings, config);
+      auto block_of = [&](const std::string& name) -> const u8* {
+        if (name == "i") return ints.blocks[0].data();
+        if (name == "d") return doubles.blocks[0].data();
+        return strings.blocks[0].data();
+      };
+      const int trees = rows > 10000 ? 12 : 40;
+      for (int t = 0; t < trees; t++) {
+        PredicateExpr expr = RandomExpr(&rng, 3);
+        EvalResult got = EvaluateExpr(expr, rows, block_of, config, nullptr);
+        std::vector<u32> want_pass, want_unknown;
+        for (u32 row = 0; row < rows; row++) {
+          Truth truth = RowTruth(expr, table, row);
+          if (truth == Truth::kTrue) want_pass.push_back(row);
+          if (truth == Truth::kUnknown) want_unknown.push_back(row);
+        }
+        std::vector<u32> pass = got.pass.ToVector();
+        std::vector<u32> unknown = got.unknown.ToVector();
+        EXPECT_EQ(pass, want_pass) << expr.ToString() << ", rows " << rows;
+        EXPECT_EQ(unknown, want_unknown)
+            << expr.ToString() << ", rows " << rows;
+        EXPECT_TRUE(pass.empty() || pass.back() < rows) << expr.ToString();
+        EXPECT_TRUE(unknown.empty() || unknown.back() < rows)
+            << expr.ToString();
+      }
+    }
+  }
 }
 
 }  // namespace

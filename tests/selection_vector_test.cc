@@ -1,8 +1,7 @@
-// Tests for Roaring set algebra and PredicateExpr selection vectors,
-// including multi-column expression combination over one table.
+// Tests for PredicateExpr selection vectors, including multi-column
+// expression combination over one table.
 #include <gtest/gtest.h>
 
-#include <set>
 #include <string>
 
 #include "btr/predicate.h"
@@ -12,47 +11,6 @@
 
 namespace btr {
 namespace {
-
-TEST(RoaringAlgebraTest, AndOrAndNotAgainstReference) {
-  Random rng(1);
-  RoaringBitmap a, b;
-  std::set<u32> ra, rb;
-  for (int i = 0; i < 8000; i++) {
-    u32 v = static_cast<u32>(rng.NextBounded(1u << 17));
-    a.Add(v);
-    ra.insert(v);
-    v = static_cast<u32>(rng.NextBounded(1u << 17));
-    b.Add(v);
-    rb.insert(v);
-  }
-  // Reference results.
-  std::set<u32> r_and, r_or, r_andnot;
-  for (u32 v : ra) {
-    if (rb.count(v)) r_and.insert(v);
-    if (!rb.count(v)) r_andnot.insert(v);
-  }
-  r_or = ra;
-  r_or.insert(rb.begin(), rb.end());
-
-  auto check = [](const RoaringBitmap& got, const std::set<u32>& want) {
-    std::vector<u32> got_values = got.ToVector();
-    std::vector<u32> want_values(want.begin(), want.end());
-    EXPECT_EQ(got_values, want_values);
-  };
-  check(RoaringBitmap::And(a, b), r_and);
-  check(RoaringBitmap::Or(a, b), r_or);
-  check(RoaringBitmap::AndNot(a, b), r_andnot);
-}
-
-TEST(RoaringAlgebraTest, EmptyOperands) {
-  RoaringBitmap empty, some;
-  some.Add(3);
-  some.Add(99999);
-  EXPECT_EQ(RoaringBitmap::And(empty, some).Cardinality(), 0u);
-  EXPECT_EQ(RoaringBitmap::Or(empty, some).Cardinality(), 2u);
-  EXPECT_EQ(RoaringBitmap::AndNot(some, empty).Cardinality(), 2u);
-  EXPECT_EQ(RoaringBitmap::AndNot(empty, some).Cardinality(), 0u);
-}
 
 RoaringBitmap ReferenceSelectInt(const ByteBuffer& block, i32 value,
                                  const CompressionConfig& config) {
@@ -85,7 +43,7 @@ TEST(SelectEqualsTest, IntSchemesMatchReference) {
 }
 
 TEST(SelectEqualsTest, FrequencyComplementPath) {
-  // Dominant-value probes exercise the AndNot(all, exceptions) path.
+  // Dominant-value probes exercise the fill-then-clear-exceptions path.
   std::vector<i32> data(64000, 7);
   Random rng(2);
   for (int i = 0; i < 500; i++) {

@@ -373,6 +373,26 @@ TEST(SimdKernelPropertyTest, AllNullBlocksAreAllUnknown) {
 // adversarial buffers: unaligned counts, values at the extremes, sets of
 // every size class (broadcast-compare vs binary-search).
 TEST(SimdKernelPropertyTest, RawKernelsMatchScalarTwins) {
+  // Kernels overwrite every word they cover: the buffers start all ones.
+  auto fresh_words = [](u32 count) {
+    return std::vector<u64>(WordCount(count), ~u64{0});
+  };
+  auto expect_no_bits_past = [](const std::vector<u64>& words, u32 count,
+                                const char* what) {
+    for (u32 bit = count; bit < words.size() * 64; bit++) {
+      EXPECT_EQ((words[bit / 64] >> (bit % 64)) & 1, 0u)
+          << what << ": bit " << bit << " set past count " << count;
+    }
+  };
+  // Row-at-a-time reference words.
+  auto reference_words = [](u32 count, const auto& match) {
+    std::vector<u64> words(WordCount(count), 0);
+    for (u32 i = 0; i < count; i++) {
+      if (match(i)) words[i / 64] |= u64{1} << (i % 64);
+    }
+    return words;
+  };
+
   Random rng(404);
   for (int trial = 0; trial < 40; trial++) {
     u32 count = 1 + static_cast<u32>(rng.NextBounded(3000));
@@ -388,17 +408,22 @@ TEST(SimdKernelPropertyTest, RawKernelsMatchScalarTwins) {
     i32 b = static_cast<i32>(rng.NextRange(-600, 600));
     i32 lo = std::min(a, b), hi = std::max(a, b);
 
-    RoaringBitmap vec, scalar;
+    std::vector<u64> vec = fresh_words(count), scalar = fresh_words(count);
     {
       ScopedSimd on(true);
-      simd::SelectI32Range(values.data(), count, 0, lo, hi, &vec);
+      simd::SelectI32Range(values.data(), count, lo, hi, vec.data());
     }
     {
       ScopedSimd off(false);
-      simd::SelectI32Range(values.data(), count, 0, lo, hi, &scalar);
+      simd::SelectI32Range(values.data(), count, lo, hi, scalar.data());
     }
-    EXPECT_EQ(vec.ToVector(), scalar.ToVector())
+    EXPECT_EQ(vec, scalar)
         << "range [" << lo << ", " << hi << "], count " << count;
+    expect_no_bits_past(vec, count, "i32 range");
+    EXPECT_EQ(vec, reference_words(count, [&](u32 i) {
+                return values[i] >= lo && values[i] <= hi;
+              }))
+        << "range [" << lo << ", " << hi << "] vs reference, count " << count;
 
     // Set kernel across the small-set / binary-search boundary.
     u32 set_size = 1 + static_cast<u32>(rng.NextBounded(24));
@@ -407,17 +432,19 @@ TEST(SimdKernelPropertyTest, RawKernelsMatchScalarTwins) {
       set.push_back(static_cast<i32>(rng.NextRange(-600, 600)));
     }
     PredicateExpr in = Predicate::InInt("c", set);  // sorts + dedupes
-    RoaringBitmap vec_set, scalar_set;
+    std::vector<u64> vec_set = fresh_words(count);
+    std::vector<u64> scalar_set = fresh_words(count);
     {
       ScopedSimd on(true);
-      simd::SelectI32Set(values.data(), count, 0, in.int_set, &vec_set);
+      simd::SelectI32Set(values.data(), count, in.int_set, vec_set.data());
     }
     {
       ScopedSimd off(false);
-      simd::SelectI32Set(values.data(), count, 0, in.int_set, &scalar_set);
+      simd::SelectI32Set(values.data(), count, in.int_set, scalar_set.data());
     }
-    EXPECT_EQ(vec_set.ToVector(), scalar_set.ToVector())
+    EXPECT_EQ(vec_set, scalar_set)
         << "set size " << in.int_set.size() << ", count " << count;
+    expect_no_bits_past(vec_set, count, "i32 set");
   }
 
   // Double range kernel with strictness flags and NaN traffic.
@@ -437,19 +464,25 @@ TEST(SimdKernelPropertyTest, RawKernelsMatchScalarTwins) {
     double hi = lo + rng.NextDouble() * 50;
     bool lo_strict = rng.NextBounded(2) == 0;
     bool hi_strict = rng.NextBounded(2) == 0;
-    RoaringBitmap vec, scalar;
+    std::vector<u64> vec = fresh_words(count), scalar = fresh_words(count);
     {
       ScopedSimd on(true);
-      simd::SelectF64Range(values.data(), count, 0, lo, hi, lo_strict,
-                           hi_strict, &vec);
+      simd::SelectF64Range(values.data(), count, lo, hi, lo_strict, hi_strict,
+                           vec.data());
     }
     {
       ScopedSimd off(false);
-      simd::SelectF64Range(values.data(), count, 0, lo, hi, lo_strict,
-                           hi_strict, &scalar);
+      simd::SelectF64Range(values.data(), count, lo, hi, lo_strict, hi_strict,
+                           scalar.data());
     }
-    EXPECT_EQ(vec.ToVector(), scalar.ToVector())
-        << "f64 range trial " << trial;
+    EXPECT_EQ(vec, scalar) << "f64 range trial " << trial;
+    expect_no_bits_past(vec, count, "f64 range");
+    EXPECT_EQ(vec, reference_words(count, [&](u32 i) {
+                bool ge = lo_strict ? values[i] > lo : values[i] >= lo;
+                bool le = hi_strict ? values[i] < hi : values[i] <= hi;
+                return ge && le;
+              }))
+        << "f64 range trial " << trial << " vs reference";
   }
 }
 
