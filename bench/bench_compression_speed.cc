@@ -11,6 +11,7 @@ namespace {
 
 struct SpeedRow {
   const char* name;
+  const char* metric;  // sidecar prefix
   double from_csv_mbps;
   double from_binary_mbps;
   double factor;
@@ -29,7 +30,7 @@ void Run() {
     binary_bytes += table.UncompressedBytes();
   }
 
-  auto measure = [&](const char* name, auto compress_fn) {
+  auto measure = [&](const char* name, const char* metric, auto compress_fn) {
     // From binary: compress the already-parsed relations.
     Timer binary_timer;
     u64 compressed_bytes = 0;
@@ -44,25 +45,25 @@ void Run() {
       compress_fn(parsed);
     }
     double csv_seconds = csv_timer.ElapsedSeconds();
-    return SpeedRow{name, csv_bytes / csv_seconds / 1e6,
+    return SpeedRow{name, metric, csv_bytes / csv_seconds / 1e6,
                     binary_bytes / binary_seconds / 1e6,
                     static_cast<double>(binary_bytes) / compressed_bytes};
   };
 
   SpeedRow rows[3] = {
-      measure("BtrBlocks",
+      measure("BtrBlocks", "btrblocks",
               [](const Relation& r) {
                 CompressionConfig config;
                 return CompressRelation(r, config).CompressedBytes();
               }),
-      measure("Parquet+Snappy-class",
+      measure("Parquet+Snappy-class", "parquet_snappy",
               [](const Relation& r) {
                 lakeformat::ParquetOptions options;
                 options.codec = gpc::CodecKind::kLz77;
                 return static_cast<u64>(
                     lakeformat::WriteParquetLike(r, options).size());
               }),
-      measure("Parquet+Zstd-class",
+      measure("Parquet+Zstd-class", "parquet_zstd",
               [](const Relation& r) {
                 lakeformat::ParquetOptions options;
                 options.codec = gpc::CodecKind::kEntropyLz;
@@ -75,13 +76,13 @@ void Run() {
   for (const SpeedRow& row : rows) {
     std::printf("%-22s  %14.1f  %16.1f  %13.2fx\n", row.name, row.from_csv_mbps,
                 row.from_binary_mbps, row.factor);
+    std::string metric = row.metric;
+    Report(metric + ".from_csv_mbps", row.from_csv_mbps, "MB/s",
+           MetricKind::kThroughput);
+    Report(metric + ".from_binary_mbps", row.from_binary_mbps, "MB/s",
+           MetricKind::kThroughput);
+    Report(metric + ".compression_factor", row.factor, "x", MetricKind::kRatio);
   }
-  Report("btrblocks.from_csv_mbps", rows[0].from_csv_mbps, "MB/s",
-         MetricKind::kThroughput);
-  Report("btrblocks.from_binary_mbps", rows[0].from_binary_mbps, "MB/s",
-         MetricKind::kThroughput);
-  Report("btrblocks.compression_factor", rows[0].factor, "x",
-         MetricKind::kRatio);
 }
 
 }  // namespace

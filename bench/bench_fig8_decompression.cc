@@ -7,6 +7,7 @@
 // Throughput here is single-threaded (the paper's figure is on 36 cores;
 // relative ordering is the reproduced result).
 #include <cstdio>
+#include <tuple>
 
 #include "common.h"
 #include "util/simd.h"
@@ -35,21 +36,27 @@ void RunCorpus(const char* name, const char* tag,
            scalar_btr.DecompressGBps(), "GB/s", MetricKind::kThroughput,
            kDecompressRepeats);
   }
-  for (auto [label, codec] :
-       {std::pair{"Parquet", gpc::CodecKind::kNone},
-        std::pair{"Parquet+Snappy-class", gpc::CodecKind::kLz77},
-        std::pair{"Parquet+Zstd-class", gpc::CodecKind::kEntropyLz}}) {
+  for (auto [label, metric, codec] :
+       {std::tuple{"Parquet", "parquet", gpc::CodecKind::kNone},
+        std::tuple{"Parquet+Snappy-class", "parquet_snappy",
+                   gpc::CodecKind::kLz77},
+        std::tuple{"Parquet+Zstd-class", "parquet_zstd",
+                   gpc::CodecKind::kEntropyLz}}) {
     lakeformat::ParquetOptions options;
     options.codec = codec;
-    print(label, MeasureParquetLike(corpus, options));
+    FormatResult r = MeasureParquetLike(corpus, options);
+    print(label, r);
+    Reporter::Get().ReportFormatResult(std::string(tag) + "." + metric, r);
   }
-  for (auto [label, codec] :
-       {std::pair{"ORC", gpc::CodecKind::kNone},
-        std::pair{"ORC+Snappy-class", gpc::CodecKind::kLz77},
-        std::pair{"ORC+Zstd-class", gpc::CodecKind::kEntropyLz}}) {
+  for (auto [label, metric, codec] :
+       {std::tuple{"ORC", "orc", gpc::CodecKind::kNone},
+        std::tuple{"ORC+Snappy-class", "orc_snappy", gpc::CodecKind::kLz77},
+        std::tuple{"ORC+Zstd-class", "orc_zstd", gpc::CodecKind::kEntropyLz}}) {
     lakeformat::OrcOptions options;
     options.codec = codec;
-    print(label, MeasureOrcLike(corpus, options));
+    FormatResult r = MeasureOrcLike(corpus, options);
+    print(label, r);
+    Reporter::Get().ReportFormatResult(std::string(tag) + "." + metric, r);
   }
 }
 

@@ -94,14 +94,17 @@ inline FormatResult MeasureBtr(const std::vector<Relation>& corpus,
   return result;
 }
 
-inline FormatResult MeasureParquetLike(const std::vector<Relation>& corpus,
-                                       const lakeformat::ParquetOptions& options) {
+// The Parquet-like and ORC-like baselines: `write` every table, then the
+// best of kDecompressRepeats passes of `decode` over the files.
+template <typename Options>
+inline FormatResult MeasureLakeFormat(
+    const std::vector<Relation>& corpus, const Options& options,
+    ByteBuffer (*write)(const Relation&, const Options&),
+    Status (*decode)(const u8*, size_t, u64*)) {
   FormatResult result;
   std::vector<ByteBuffer> files;
   Timer compress_timer;
-  for (const Relation& table : corpus) {
-    files.push_back(lakeformat::WriteParquetLike(table, options));
-  }
+  for (const Relation& table : corpus) files.push_back(write(table, options));
   result.compress_seconds = compress_timer.ElapsedSeconds();
   for (const Relation& table : corpus) {
     result.uncompressed_bytes += table.UncompressedBytes();
@@ -112,8 +115,8 @@ inline FormatResult MeasureParquetLike(const std::vector<Relation>& corpus,
     Timer timer;
     for (const ByteBuffer& f : files) {
       u64 bytes = 0;
-      Status status = lakeformat::DecodeParquetLikeBytes(f.data(), f.size(), &bytes);
-      BTR_CHECK_MSG(status.ok(), "parquet-like bench file failed to decode");
+      Status status = decode(f.data(), f.size(), &bytes);
+      BTR_CHECK_MSG(status.ok(), "baseline bench file failed to decode");
     }
     best = std::min(best, timer.ElapsedSeconds());
   }
@@ -121,31 +124,17 @@ inline FormatResult MeasureParquetLike(const std::vector<Relation>& corpus,
   return result;
 }
 
+inline FormatResult MeasureParquetLike(
+    const std::vector<Relation>& corpus,
+    const lakeformat::ParquetOptions& options) {
+  return MeasureLakeFormat(corpus, options, lakeformat::WriteParquetLike,
+                           lakeformat::DecodeParquetLikeBytes);
+}
+
 inline FormatResult MeasureOrcLike(const std::vector<Relation>& corpus,
                                    const lakeformat::OrcOptions& options) {
-  FormatResult result;
-  std::vector<ByteBuffer> files;
-  Timer compress_timer;
-  for (const Relation& table : corpus) {
-    files.push_back(lakeformat::WriteOrcLike(table, options));
-  }
-  result.compress_seconds = compress_timer.ElapsedSeconds();
-  for (const Relation& table : corpus) {
-    result.uncompressed_bytes += table.UncompressedBytes();
-  }
-  for (const ByteBuffer& f : files) result.compressed_bytes += f.size();
-  double best = 1e300;
-  for (int repeat = 0; repeat < kDecompressRepeats; repeat++) {
-    Timer timer;
-    for (const ByteBuffer& f : files) {
-      u64 bytes = 0;
-      Status status = lakeformat::DecodeOrcLikeBytes(f.data(), f.size(), &bytes);
-      BTR_CHECK_MSG(status.ok(), "orc-like bench file failed to decode");
-    }
-    best = std::min(best, timer.ElapsedSeconds());
-  }
-  result.decompress_seconds = best;
-  return result;
+  return MeasureLakeFormat(corpus, options, lakeformat::WriteOrcLike,
+                           lakeformat::DecodeOrcLikeBytes);
 }
 
 // Single-column corpus view helper.

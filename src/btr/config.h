@@ -187,9 +187,7 @@ struct ScanConfig {
   u32 max_attempts = 4;              // GET tries per request; 1 = fail fast
   u64 initial_backoff_ns = 1000 * 1000;    // 1 ms before the first retry
   u64 max_backoff_ns = 64 * 1000 * 1000;   // backoff cap
-  u64 request_deadline_ns = 0;       // per-request wall budget; 0 = none
   u64 retry_budget = 256;            // total retries across the scan
-  u64 retry_jitter_seed = 0xB10C5EEDull;   // deterministic backoff jitter
 
   // --- degraded mode -------------------------------------------------------
   // When true, a row block whose fetch failed permanently or whose bytes
@@ -208,8 +206,7 @@ struct ScanConfig {
   // breaker ones below: the service's shared cache and per-backend
   // breakers are used instead (docs/SCAN_SERVICE.md).
   bool enable_block_cache = false;
-  u64 block_cache_bytes = 64ull << 20;  // total cache capacity
-  u32 block_cache_shards = 8;           // independent LRU partitions
+  u64 block_cache_bytes = 64ull << 20;  // total capacity, in 8 LRU shards
 
   // --- hedged GETs ("The Tail at Scale") -----------------------------------
   // A GET that outlives the running `hedge_quantile` of recent GET
@@ -221,20 +218,18 @@ struct ScanConfig {
   u32 hedge_min_samples = 16;
   u64 hedge_min_threshold_ns = 200 * 1000;  // threshold floor, 200 us
   u64 hedge_budget = 64;                    // duplicate GETs per scan
-  u32 hedge_latency_window = 128;           // quantile ring size
 
   // --- circuit breaker -----------------------------------------------------
   // Past `breaker_failure_threshold` transient failures over a sliding
   // window of `breaker_window` outcomes the breaker trips: GETs fail fast
   // as Status::Unavailable (no retry budget burned) until a cooldown
-  // elapses, then a few half-open probes decide whether to close again.
+  // elapses, then two half-open probes decide whether to close again.
   // One breaker per standalone Scanner, shared by its scans.
   bool enable_circuit_breaker = false;
   u32 breaker_window = 32;
   u32 breaker_min_samples = 8;
   double breaker_failure_threshold = 0.5;
   u64 breaker_cooldown_ns = 10 * 1000 * 1000;  // 10 ms open before probing
-  u32 breaker_half_open_probes = 2;
 
   // --- CRC refetch ---------------------------------------------------------
   // When a block's payload fails its header CRC32C, re-fetch it once

@@ -62,9 +62,7 @@ exec::RetryPolicy MakeRetryPolicy(const ScanConfig& config) {
   policy.max_attempts = config.max_attempts == 0 ? 1 : config.max_attempts;
   policy.initial_backoff_ns = config.initial_backoff_ns;
   policy.max_backoff_ns = config.max_backoff_ns;
-  policy.request_deadline_ns = config.request_deadline_ns;
   policy.retry_budget = config.retry_budget;
-  policy.jitter_seed = config.retry_jitter_seed;
   return policy;
 }
 
@@ -75,7 +73,6 @@ exec::HedgePolicy MakeHedgePolicy(const ScanConfig& config) {
   policy.min_samples = config.hedge_min_samples;
   policy.min_threshold_ns = config.hedge_min_threshold_ns;
   policy.hedge_budget = config.hedge_budget;
-  policy.latency_window = config.hedge_latency_window;
   return policy;
 }
 
@@ -85,7 +82,6 @@ exec::CircuitBreakerPolicy MakeBreakerPolicy(const ScanConfig& config) {
   policy.min_samples = config.breaker_min_samples;
   policy.failure_threshold = config.breaker_failure_threshold;
   policy.cooldown_ns = config.breaker_cooldown_ns;
-  policy.half_open_probes = config.breaker_half_open_probes;
   return policy;
 }
 
@@ -102,7 +98,6 @@ service::ScanServiceConfig PrivateServiceConfig(const ScanConfig& config) {
   service.cache.capacity_bytes = 0;
   if (config.enable_block_cache) {
     service.cache.capacity_bytes = config.block_cache_bytes;
-    service.cache.shards = config.block_cache_shards;
   }
   service.enable_breaker = config.enable_circuit_breaker;
   if (config.enable_circuit_breaker) {
@@ -119,7 +114,7 @@ bool SameResources(const service::ScanServiceConfig& a,
     return std::tie(c.fetch_threads, c.decode_threads, c.cache.capacity_bytes,
                     c.cache.shards, c.enable_breaker, c.breaker.window,
                     c.breaker.min_samples, c.breaker.failure_threshold,
-                    c.breaker.cooldown_ns, c.breaker.half_open_probes);
+                    c.breaker.cooldown_ns);
   };
   return fields(a) == fields(b);
 }

@@ -15,6 +15,11 @@ namespace btr::exec {
 
 namespace {
 
+constexpr double kBackoffMultiplier = 2.0;  // exponential growth per retry
+constexpr u64 kJitterSeed = 0xB10C5EEDull;  // deterministic jitter stream
+constexpr u32 kHedgeLatencyWindow = 128;    // ring of the running quantile
+constexpr u32 kHalfOpenProbes = 2;  // probe successes required to close
+
 struct RetryMetrics {
   obs::Counter& retries;
   obs::Histogram& backoff_ns;
@@ -62,28 +67,23 @@ struct HedgeMetrics {
 }  // namespace
 
 RetryState::RetryState(const RetryPolicy& policy)
-    : policy_(policy), jitter_rng_(policy.jitter_seed) {}
+    : policy_(policy), jitter_rng_(kJitterSeed) {}
 
-bool RetryState::NextBackoff(u32 attempts, u64 elapsed_ns, u64* backoff_ns) {
+bool RetryState::NextBackoff(u32 attempts, u64* backoff_ns) {
   if (attempts >= policy_.max_attempts) return false;
 
   // Exponential target for this retry (attempts is >= 1: the count of
   // tries already made), capped, then jittered into [1/2, 1] of the
   // target so synchronized fetch threads desynchronize.
   double target = static_cast<double>(policy_.initial_backoff_ns);
-  for (u32 i = 1; i < attempts; i++) target *= policy_.backoff_multiplier;
+  for (u32 i = 1; i < attempts; i++) target *= kBackoffMultiplier;
   target = std::min(target, static_cast<double>(policy_.max_backoff_ns));
 
   std::lock_guard<std::mutex> lock(mutex_);
   if (budget_used_ >= policy_.retry_budget) return false;
-  u64 backoff =
-      static_cast<u64>(target * (0.5 + 0.5 * jitter_rng_.NextDouble()));
-  if (policy_.request_deadline_ns != 0 &&
-      elapsed_ns + backoff > policy_.request_deadline_ns) {
-    return false;
-  }
   budget_used_++;  // reserved; committed or refunded after the sleep
-  *backoff_ns = backoff;
+  *backoff_ns =
+      static_cast<u64>(target * (0.5 + 0.5 * jitter_rng_.NextDouble()));
   return true;
 }
 
@@ -115,7 +115,7 @@ bool SleepUninterruptible(u64 backoff_ns) {
 // --- hedging ----------------------------------------------------------------
 
 HedgeState::HedgeState(const HedgePolicy& policy)
-    : policy_(policy), window_(std::max<u32>(1, policy.latency_window), 0) {}
+    : policy_(policy), window_(kHedgeLatencyWindow, 0) {}
 
 void HedgeState::RecordLatency(u64 ns) {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -201,7 +201,7 @@ bool CircuitBreaker::Allow() {
     probe_successes_ = 0;
     BreakerMetrics::Get().state.Set(static_cast<i64>(State::kHalfOpen));
   }
-  if (probes_granted_ < policy_.half_open_probes) {
+  if (probes_granted_ < kHalfOpenProbes) {
     probes_granted_++;
     return true;
   }
@@ -218,7 +218,7 @@ void CircuitBreaker::Record(bool success) {
       return;
     }
     probe_successes_++;
-    if (probe_successes_ >= policy_.half_open_probes) CloseLocked();
+    if (probe_successes_ >= kHalfOpenProbes) CloseLocked();
     return;
   }
   if (state_ == State::kOpen) return;  // stale outcome from before the trip
@@ -254,7 +254,6 @@ u64 CircuitBreaker::fast_failures() const {
 Status RunWithRetries(RetryState* state, const std::function<Status()>& op,
                       const SleepFn& sleep, CircuitBreaker* breaker,
                       RetryOutcome* outcome) {
-  Timer timer;
   u32 attempts = 0;
   u32 retries = 0;
   auto record = [&](bool breaker_rejected) {
@@ -278,10 +277,9 @@ Status RunWithRetries(RetryState* state, const std::function<Status()>& op,
       return status;
     }
     u64 backoff_ns = 0;
-    if (!state->NextBackoff(attempts, static_cast<u64>(timer.ElapsedNanos()),
-                            &backoff_ns)) {
+    if (!state->NextBackoff(attempts, &backoff_ns)) {
       record(false);
-      return status;  // attempts, budget, or deadline exhausted
+      return status;  // attempts or budget exhausted
     }
     if (!sleep(backoff_ns)) {
       // Interrupted mid-backoff: the retry never happens, so it must not

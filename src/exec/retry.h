@@ -35,8 +35,8 @@
 // Past an error-rate threshold over a sliding outcome window the breaker
 // trips open: requests fail fast with Status::Unavailable instead of
 // burning attempts and retry budget against a backend that is down. After
-// cooldown_ns it half-opens and lets a few probe requests through;
-// enough successes close it, any probe failure re-opens it.
+// cooldown_ns it half-opens and lets two probe requests through; two
+// successes close it, any probe failure re-opens it.
 #ifndef BTR_EXEC_RETRY_H_
 #define BTR_EXEC_RETRY_H_
 
@@ -57,14 +57,13 @@ class ObjectStore;  // s3sim/object_store.h
 
 namespace btr::exec {
 
+// Backoff doubles per retry up to max_backoff_ns, jittered from a fixed
+// seed so runs are reproducible.
 struct RetryPolicy {
   u32 max_attempts = 4;             // tries per request; 1 = never retry
   u64 initial_backoff_ns = 1000 * 1000;      // 1 ms before the first retry
-  double backoff_multiplier = 2.0;           // exponential growth per retry
   u64 max_backoff_ns = 64 * 1000 * 1000;     // backoff cap, 64 ms
-  u64 request_deadline_ns = 0;      // wall budget per request, 0 = none
   u64 retry_budget = 256;           // total retries across the policy's user
-  u64 jitter_seed = 0xB10C5EEDull;  // deterministic jitter stream
 };
 
 // Shared mutable retry state: the scan-wide budget and the jitter PRNG.
@@ -75,13 +74,12 @@ class RetryState {
 
   const RetryPolicy& policy() const { return policy_; }
 
-  // Decides whether a request that has completed `attempts` tries (>= 1),
-  // spending `elapsed_ns` so far, may retry. On true, one unit of budget
-  // is *reserved* and *backoff_ns holds the jittered backoff to sleep
-  // before the next try. The caller must then either CommitRetry (the
+  // Decides whether a request that has completed `attempts` tries (>= 1)
+  // may retry. On true, one unit of budget is *reserved* and *backoff_ns
+  // holds the jittered backoff to sleep before the next try. The caller must then either CommitRetry (the
   // sleep completed, the retry happens) or CancelRetry (the sleep was
   // interrupted, the reservation is refunded). Nothing is recorded yet.
-  bool NextBackoff(u32 attempts, u64 elapsed_ns, u64* backoff_ns);
+  bool NextBackoff(u32 attempts, u64* backoff_ns);
 
   // The backoff slept to completion: count the retry (`scan.retries`) and
   // record its backoff (`scan.backoff_ns`).
@@ -117,11 +115,10 @@ struct HedgePolicy {
   u32 min_samples = 16;          // latencies required before hedging arms
   u64 min_threshold_ns = 200 * 1000;  // floor under the quantile threshold
   u64 hedge_budget = 64;         // duplicate GETs allowed per scan
-  u32 latency_window = 128;      // ring size of the running quantile
 };
 
-// Shared per-scan hedging state: the latency ring the threshold derives
-// from, and the hedge budget. Thread-safe.
+// Shared per-scan hedging state: the ring of the last 128 latencies the
+// threshold derives from, and the hedge budget. Thread-safe.
 class HedgeState {
  public:
   explicit HedgeState(const HedgePolicy& policy);
@@ -162,7 +159,6 @@ struct CircuitBreakerPolicy {
   u32 min_samples = 8;             // outcomes required before tripping
   double failure_threshold = 0.5;  // trip at >= this failure fraction
   u64 cooldown_ns = 10 * 1000 * 1000;  // open -> half-open after 10 ms
-  u32 half_open_probes = 2;        // probe successes required to close
 };
 
 // Per-backend breaker shared by every fetch thread of a scan. Thread-safe.

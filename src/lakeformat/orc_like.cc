@@ -5,38 +5,16 @@
 #include <unordered_map>
 #include <vector>
 
-#include "bitmap/roaring.h"
+#include "lakeformat/container.h"
 #include "util/bits.h"
 
 namespace btr::lakeformat {
 
 namespace {
 
-constexpr char kMagic[4] = {'O', 'R', 'C', 'L'};
 constexpr u32 kDirectWindow = 512;
 
 enum class IntMode : u8 { kRepeat = 0, kDelta = 1, kDirect = 2 };
-enum class StringEncoding : u8 { kDirect = 0, kDictionary = 1 };
-
-void PutVarint(u64 v, ByteBuffer* out) {
-  while (v >= 0x80) {
-    out->AppendValue<u8>(static_cast<u8>(v) | 0x80);
-    v >>= 7;
-  }
-  out->AppendValue<u8>(static_cast<u8>(v));
-}
-
-u64 GetVarint(const u8*& p) {
-  u64 v = 0;
-  u32 shift = 0;
-  while (true) {
-    u8 byte = *p++;
-    v |= static_cast<u64>(byte & 0x7F) << shift;
-    if ((byte & 0x80) == 0) break;
-    shift += 7;
-  }
-  return v;
-}
 
 }  // namespace
 
@@ -51,58 +29,29 @@ void OrcIntEncode(const i64* values, u32 count, ByteBuffer* out) {
     out->AppendValue<u8>(static_cast<u8>(IntMode::kDirect));
     PutVarint(pending.size(), out);
     out->AppendValue<u8>(static_cast<u8>(bit_width));
-    size_t offset = out->size();
-    size_t packed = CeilDiv(pending.size() * bit_width, 8);
-    out->Resize(offset + packed);
-    std::memset(out->data() + offset, 0, packed);
-    u64 bit_pos = 0;
-    for (u64 v : pending) {
-      u64 byte = bit_pos >> 3;
-      u32 shift = static_cast<u32>(bit_pos & 7);
-      // 64-bit value may straddle a 9th byte when shifted; write in two
-      // 64-bit windows.
-      u64 window;
-      std::memcpy(&window, out->data() + offset + byte, sizeof(u64));
-      window |= v << shift;
-      std::memcpy(out->data() + offset + byte, &window, sizeof(u64));
-      if (shift != 0 && bit_width > 64 - shift) {
-        u8 spill = static_cast<u8>(v >> (64 - shift));
-        out->data()[offset + byte + 8] |= spill;
-      }
-      bit_pos += bit_width;
-    }
+    AppendBitPacked(pending.data(), pending.size(), bit_width, out);
     pending.clear();
   };
 
+  // Difference of values[j] and its predecessor, computed mod 2^64:
+  // adjacent random 64-bit values would overflow signed subtraction.
+  auto delta_at = [&](u32 j) {
+    return static_cast<i64>(static_cast<u64>(values[j]) -
+                            static_cast<u64>(values[j - 1]));
+  };
   while (i < count) {
-    // Repeat run?
-    u32 repeat = 1;
-    while (i + repeat < count && values[i + repeat] == values[i]) repeat++;
-    if (repeat >= 8) {
-      flush_direct();
-      out->AppendValue<u8>(static_cast<u8>(IntMode::kRepeat));
-      PutVarint(repeat, out);
-      PutVarint(ZigzagEncode64(values[i]), out);
-      i += repeat;
-      continue;
-    }
-    // Constant-delta run? (differences computed mod 2^64: adjacent random
-    // 64-bit values would overflow signed subtraction)
-    if (i + 2 < count) {
-      i64 delta = static_cast<i64>(static_cast<u64>(values[i + 1]) -
-                                   static_cast<u64>(values[i]));
+    // A run of 8+ values with one delta: REPEAT when the delta is 0.
+    if (i + 1 < count) {
+      i64 delta = delta_at(i + 1);
       u32 run = 2;
-      while (i + run < count &&
-             static_cast<i64>(static_cast<u64>(values[i + run]) -
-                              static_cast<u64>(values[i + run - 1])) == delta) {
-        run++;
-      }
-      if (run >= 8 && delta != 0) {
+      while (i + run < count && delta_at(i + run) == delta) run++;
+      if (run >= 8) {
         flush_direct();
-        out->AppendValue<u8>(static_cast<u8>(IntMode::kDelta));
+        out->AppendValue<u8>(
+            static_cast<u8>(delta == 0 ? IntMode::kRepeat : IntMode::kDelta));
         PutVarint(run, out);
         PutVarint(ZigzagEncode64(values[i]), out);
-        PutVarint(ZigzagEncode64(delta), out);
+        if (delta != 0) PutVarint(ZigzagEncode64(delta), out);
         i += run;
         continue;
       }
@@ -165,367 +114,156 @@ void OrcIntDecode(const u8* data, u32 count, i64* out) {
   }
 }
 
-// --- stripes ---------------------------------------------------------------------
-
 namespace {
 
-struct ChunkMeta {
-  u64 offset = 0;
-  u32 stored_bytes = 0;
-  u32 raw_bytes = 0;
-  u32 value_count = 0;
-  u8 encoding = 0;  // StringEncoding for strings, unused otherwise
-  u8 codec = 0;
-};
+// Hive's default dictionary_key_size_threshold: a string chunk is
+// dictionary-encoded only when its distinct keys are at most 0.8x its rows.
+constexpr double kDictionaryKeySizeThreshold = 0.8;
 
-struct FileMeta {
-  u32 row_count = 0;
-  u32 stripe_rows = 0;
-  std::vector<std::pair<std::string, ColumnType>> columns;
-  std::vector<std::vector<ChunkMeta>> stripes;
-};
+enum class StringEncoding : u8 { kDirect = 0, kDictionary = 1 };
 
-void EncodeStripeColumn(const Column& column, u32 begin, u32 count,
-                        const OrcOptions& options, ByteBuffer* out,
-                        u8* encoding) {
-  RoaringBitmap nulls;
+// An integer stream prefixed by its u32 byte length.
+void AppendIntStream(const i64* values, u32 count, ByteBuffer* out) {
+  size_t length_at = out->size();
+  out->AppendValue<u32>(0);
+  OrcIntEncode(values, count, out);
+  u32 length = static_cast<u32>(out->size() - length_at - 4);
+  std::memcpy(out->data() + length_at, &length, 4);
+}
+
+const u8* ReadIntStream(const u8* p, u32 count, std::vector<i64>* out) {
+  u32 length = 0;
+  std::memcpy(&length, p, 4);
+  out->resize(count);
+  OrcIntDecode(p + 4, count, out->data());
+  return p + 4 + length;
+}
+
+// Both string encodings store strings as "lengths stream + blob": their
+// lengths as an integer stream, u32 blob bytes, then the bytes back to
+// back. at(i) is the i-th of `count` strings.
+template <typename At>
+void AppendLengthsAndBlob(u32 count, At at, ByteBuffer* out) {
+  std::vector<i64> lengths(count);
+  u32 blob_bytes = 0;
   for (u32 i = 0; i < count; i++) {
-    if (column.IsNull(begin + i)) nulls.Add(i);
+    lengths[i] = static_cast<i64>(at(i).size());
+    blob_bytes += static_cast<u32>(lengths[i]);
   }
-  nulls.RunOptimize();
-  if (nulls.Empty()) {
-    out->AppendValue<u32>(0);
-  } else {
-    out->AppendValue<u32>(static_cast<u32>(nulls.SerializedSizeBytes()));
-    nulls.SerializeTo(out);
-  }
+  AppendIntStream(lengths.data(), count, out);
+  out->AppendValue<u32>(blob_bytes);
+  for (u32 i = 0; i < count; i++) out->Append(at(i).data(), at(i).size());
+}
 
+// Reads "lengths stream + blob": the lengths land in scratch->wide. Returns
+// the blob and moves *p past it.
+const u8* ReadLengthsAndBlob(const u8** p, u32 count, u32* blob_bytes,
+                             ChunkScratch* scratch) {
+  const u8* blob_header = ReadIntStream(*p, count, &scratch->wide);
+  std::memcpy(blob_bytes, blob_header, 4);
+  *p = blob_header + 4 + *blob_bytes;
+  return blob_header + 4;
+}
+
+u8 EncodeStrings(const Column& column, u32 begin, u32 count, ByteBuffer* out) {
+  std::unordered_map<std::string_view, u32> code_of;
+  std::vector<std::string_view> dict;
+  std::vector<i64> codes(count);
+  for (u32 i = 0; i < count; i++) {
+    auto [it, inserted] = code_of.try_emplace(column.GetString(begin + i),
+                                              static_cast<u32>(dict.size()));
+    if (inserted) dict.push_back(it->first);
+    codes[i] = it->second;
+  }
+  if (static_cast<double>(dict.size()) > kDictionaryKeySizeThreshold * count) {
+    AppendLengthsAndBlob(
+        count, [&](u32 i) { return column.GetString(begin + i); }, out);
+    return static_cast<u8>(StringEncoding::kDirect);
+  }
+  out->AppendValue<u32>(static_cast<u32>(dict.size()));
+  AppendLengthsAndBlob(
+      static_cast<u32>(dict.size()), [&](u32 e) { return dict[e]; }, out);
+  AppendIntStream(codes.data(), count, out);
+  return static_cast<u8>(StringEncoding::kDictionary);
+}
+
+u8 EncodeValues(const Column& column, u32 begin, u32 count, ByteBuffer* out) {
   switch (column.type()) {
     case ColumnType::kInteger: {
-      std::vector<i64> wide(count);
-      for (u32 i = 0; i < count; i++) wide[i] = column.ints()[begin + i];
+      std::vector<i64> wide(column.ints().begin() + begin,
+                            column.ints().begin() + begin + count);
       OrcIntEncode(wide.data(), count, out);
-      break;
+      return 0;
     }
     case ColumnType::kDouble:
       // ORC stores doubles as plain little-endian IEEE 754.
       out->Append(column.doubles().data() + begin, count * sizeof(double));
-      break;
-    case ColumnType::kString: {
-      std::unordered_map<std::string_view, u32> code_of;
-      std::vector<std::string_view> dict;
-      std::vector<i64> codes(count);
-      for (u32 i = 0; i < count; i++) {
-        std::string_view s = column.GetString(begin + i);
-        auto [it, inserted] =
-            code_of.try_emplace(s, static_cast<u32>(dict.size()));
-        if (inserted) dict.push_back(s);
-        codes[i] = it->second;
-      }
-      bool use_dict = static_cast<double>(dict.size()) <=
-                      options.dictionary_key_size_threshold * count;
-      if (use_dict) {
-        *encoding = static_cast<u8>(StringEncoding::kDictionary);
-        out->AppendValue<u32>(static_cast<u32>(dict.size()));
-        // Dict lengths stream + blob.
-        std::vector<i64> lengths(dict.size());
-        size_t blob_bytes = 0;
-        for (size_t e = 0; e < dict.size(); e++) {
-          lengths[e] = static_cast<i64>(dict[e].size());
-          blob_bytes += dict[e].size();
-        }
-        ByteBuffer lengths_stream;
-        OrcIntEncode(lengths.data(), static_cast<u32>(lengths.size()),
-                     &lengths_stream);
-        out->AppendValue<u32>(static_cast<u32>(lengths_stream.size()));
-        out->Append(lengths_stream.data(), lengths_stream.size());
-        out->AppendValue<u32>(static_cast<u32>(blob_bytes));
-        for (std::string_view s : dict) out->Append(s.data(), s.size());
-        // Codes stream.
-        ByteBuffer codes_stream;
-        OrcIntEncode(codes.data(), count, &codes_stream);
-        out->AppendValue<u32>(static_cast<u32>(codes_stream.size()));
-        out->Append(codes_stream.data(), codes_stream.size());
-      } else {
-        *encoding = static_cast<u8>(StringEncoding::kDirect);
-        std::vector<i64> lengths(count);
-        size_t blob_bytes = 0;
-        for (u32 i = 0; i < count; i++) {
-          std::string_view s = column.GetString(begin + i);
-          lengths[i] = static_cast<i64>(s.size());
-          blob_bytes += s.size();
-        }
-        ByteBuffer lengths_stream;
-        OrcIntEncode(lengths.data(), count, &lengths_stream);
-        out->AppendValue<u32>(static_cast<u32>(lengths_stream.size()));
-        out->Append(lengths_stream.data(), lengths_stream.size());
-        out->AppendValue<u32>(static_cast<u32>(blob_bytes));
-        for (u32 i = 0; i < count; i++) {
-          std::string_view s = column.GetString(begin + i);
-          out->Append(s.data(), s.size());
-        }
-      }
-      break;
-    }
-  }
-}
-
-struct StripeScratch {
-  std::vector<i64> wide;
-  std::vector<i32> ints;
-  std::vector<double> doubles;
-  std::vector<u32> string_offsets;
-  std::vector<u8> string_pool;
-  std::vector<u8> null_flags;
-  std::vector<i64> codes;
-  std::vector<i64> lengths;
-  ByteBuffer raw;
-};
-
-u64 DecodeStripeColumn(const u8* file, const ChunkMeta& meta, ColumnType type,
-                       StripeScratch* scratch) {
-  const u8* stored = file + meta.offset;
-  const u8* payload;
-  if (static_cast<gpc::CodecKind>(meta.codec) == gpc::CodecKind::kNone) {
-    payload = stored;
-  } else {
-    scratch->raw.Resize(meta.raw_bytes);
-    gpc::GetCodec(static_cast<gpc::CodecKind>(meta.codec))
-        .Decompress(stored, meta.stored_bytes, scratch->raw.data(),
-                    meta.raw_bytes);
-    payload = scratch->raw.data();
-  }
-  u32 count = meta.value_count;
-  const u8* p = payload;
-  u32 null_bytes;
-  std::memcpy(&null_bytes, p, sizeof(u32));
-  p += 4;
-  scratch->null_flags.assign(count, 0);
-  if (null_bytes > 0) {
-    RoaringBitmap nulls = RoaringBitmap::Deserialize(p, nullptr);
-    nulls.ForEach([&](u32 i) { scratch->null_flags[i] = 1; });
-    p += null_bytes;
-  }
-
-  switch (type) {
-    case ColumnType::kInteger: {
-      scratch->wide.resize(count);
-      OrcIntDecode(p, count, scratch->wide.data());
-      scratch->ints.resize(count);
-      for (u32 i = 0; i < count; i++) {
-        scratch->ints[i] = static_cast<i32>(scratch->wide[i]);
-      }
-      return static_cast<u64>(count) * sizeof(i32);
-    }
-    case ColumnType::kDouble: {
-      scratch->doubles.resize(count);
-      std::memcpy(scratch->doubles.data(), p, count * sizeof(double));
-      return static_cast<u64>(count) * sizeof(double);
-    }
-    case ColumnType::kString: {
-      scratch->string_offsets.assign(1, 0);
-      scratch->string_pool.clear();
-      StringEncoding encoding = static_cast<StringEncoding>(meta.encoding);
-      if (encoding == StringEncoding::kDictionary) {
-        u32 dict_count;
-        std::memcpy(&dict_count, p, 4);
-        p += 4;
-        u32 lengths_bytes;
-        std::memcpy(&lengths_bytes, p, 4);
-        p += 4;
-        scratch->lengths.resize(dict_count);
-        OrcIntDecode(p, dict_count, scratch->lengths.data());
-        p += lengths_bytes;
-        u32 blob_bytes;
-        std::memcpy(&blob_bytes, p, 4);
-        p += 4;
-        const u8* blob = p;
-        p += blob_bytes;
-        std::vector<std::pair<u32, u32>> entries(dict_count);
-        u32 offset = 0;
-        for (u32 e = 0; e < dict_count; e++) {
-          entries[e] = {offset, static_cast<u32>(scratch->lengths[e])};
-          offset += static_cast<u32>(scratch->lengths[e]);
-        }
-        u32 codes_bytes;
-        std::memcpy(&codes_bytes, p, 4);
-        p += 4;
-        scratch->codes.resize(count);
-        OrcIntDecode(p, count, scratch->codes.data());
-        for (u32 i = 0; i < count; i++) {
-          auto [off, len] = entries[scratch->codes[i]];
-          scratch->string_pool.insert(scratch->string_pool.end(), blob + off,
-                                      blob + off + len);
-          scratch->string_offsets.push_back(
-              static_cast<u32>(scratch->string_pool.size()));
-        }
-      } else {
-        u32 lengths_bytes;
-        std::memcpy(&lengths_bytes, p, 4);
-        p += 4;
-        scratch->lengths.resize(count);
-        OrcIntDecode(p, count, scratch->lengths.data());
-        p += lengths_bytes;
-        u32 blob_bytes;
-        std::memcpy(&blob_bytes, p, 4);
-        p += 4;
-        scratch->string_pool.assign(p, p + blob_bytes);
-        u32 offset = 0;
-        for (u32 i = 0; i < count; i++) {
-          offset += static_cast<u32>(scratch->lengths[i]);
-          scratch->string_offsets.push_back(offset);
-        }
-      }
-      return scratch->string_pool.size() + static_cast<u64>(count) * sizeof(u32);
-    }
+      return 0;
+    case ColumnType::kString: return EncodeStrings(column, begin, count, out);
   }
   return 0;
 }
 
-void SerializeFooter(const FileMeta& meta, ByteBuffer* out) {
-  size_t footer_start = out->size();
-  out->AppendValue<u32>(static_cast<u32>(meta.columns.size()));
-  out->AppendValue<u32>(meta.row_count);
-  out->AppendValue<u32>(meta.stripe_rows);
-  for (const auto& [name, type] : meta.columns) {
-    out->AppendValue<u16>(static_cast<u16>(name.size()));
-    out->Append(name.data(), name.size());
-    out->AppendValue<u8>(static_cast<u8>(type));
-  }
-  out->AppendValue<u32>(static_cast<u32>(meta.stripes.size()));
-  for (const auto& stripe : meta.stripes) {
-    for (const ChunkMeta& chunk : stripe) {
-      out->AppendValue<ChunkMeta>(chunk);
+void DecodeStrings(const u8* p, u32 count, StringEncoding encoding,
+                   ChunkScratch* scratch) {
+  u32 blob_bytes = 0;
+  if (encoding == StringEncoding::kDirect) {
+    const u8* blob = ReadLengthsAndBlob(&p, count, &blob_bytes, scratch);
+    scratch->string_pool.assign(blob, blob + blob_bytes);
+    for (u32 i = 0, offset = 0; i < count; i++) {
+      offset += static_cast<u32>(scratch->wide[i]);
+      scratch->string_offsets.push_back(offset);
     }
+    return;
   }
-  u32 footer_bytes = static_cast<u32>(out->size() - footer_start);
-  out->AppendValue<u32>(footer_bytes);
-  out->Append(kMagic, 4);
+  u32 dict_count = 0;
+  std::memcpy(&dict_count, p, 4);
+  p += 4;
+  const u8* blob = ReadLengthsAndBlob(&p, dict_count, &blob_bytes, scratch);
+  scratch->entries.resize(dict_count);
+  for (u32 e = 0, offset = 0; e < dict_count; e++) {
+    scratch->entries[e] = {offset, static_cast<u32>(scratch->wide[e])};
+    offset += scratch->entries[e].second;
+  }
+  ReadIntStream(p, count, &scratch->wide);
+  GatherStrings(blob, scratch->wide.data(), count, scratch);
 }
 
-Status ParseFooter(const u8* data, size_t size, FileMeta* meta) {
-  if (size < 8 || std::memcmp(data + size - 4, kMagic, 4) != 0) {
-    return Status::Corruption("bad orc-like magic");
+void DecodeValues(const u8* p, u32 count, ColumnType type, u8 encoding,
+                  ChunkScratch* scratch) {
+  switch (type) {
+    case ColumnType::kInteger:
+      scratch->wide.resize(count);
+      OrcIntDecode(p, count, scratch->wide.data());
+      scratch->ints.assign(scratch->wide.begin(), scratch->wide.end());
+      return;
+    case ColumnType::kDouble:
+      scratch->doubles.resize(count);
+      std::memcpy(scratch->doubles.data(), p, count * sizeof(double));
+      return;
+    case ColumnType::kString:
+      return DecodeStrings(p, count, static_cast<StringEncoding>(encoding),
+                           scratch);
   }
-  u32 footer_bytes;
-  std::memcpy(&footer_bytes, data + size - 8, 4);
-  const u8* p = data + size - 8 - footer_bytes;
-  u32 column_count;
-  std::memcpy(&column_count, p, 4);
-  std::memcpy(&meta->row_count, p + 4, 4);
-  std::memcpy(&meta->stripe_rows, p + 8, 4);
-  p += 12;
-  meta->columns.resize(column_count);
-  for (auto& [name, type] : meta->columns) {
-    u16 name_len;
-    std::memcpy(&name_len, p, 2);
-    p += 2;
-    name.assign(reinterpret_cast<const char*>(p), name_len);
-    p += name_len;
-    type = static_cast<ColumnType>(*p++);
-  }
-  u32 stripe_count;
-  std::memcpy(&stripe_count, p, 4);
-  p += 4;
-  meta->stripes.assign(stripe_count, std::vector<ChunkMeta>(column_count));
-  for (auto& stripe : meta->stripes) {
-    for (ChunkMeta& chunk : stripe) {
-      std::memcpy(&chunk, p, sizeof(ChunkMeta));
-      p += sizeof(ChunkMeta);
-    }
-  }
-  return Status::Ok();
 }
+
+constexpr ValueCodec kOrcLike = {{'O', 'R', 'C', 'L'}, "orc-like",
+                                 EncodeValues, DecodeValues};
 
 }  // namespace
 
 ByteBuffer WriteOrcLike(const Relation& relation, const OrcOptions& options) {
-  ByteBuffer file;
-  FileMeta meta;
-  meta.row_count = relation.row_count();
-  meta.stripe_rows = options.stripe_rows;
-  for (const Column& column : relation.columns()) {
-    meta.columns.emplace_back(column.name(), column.type());
-  }
-  const gpc::Codec& codec = gpc::GetCodec(options.codec);
-  ByteBuffer chunk;
-  for (u32 begin = 0; begin < relation.row_count(); begin += options.stripe_rows) {
-    u32 rows = std::min(options.stripe_rows, relation.row_count() - begin);
-    std::vector<ChunkMeta> stripe;
-    for (const Column& column : relation.columns()) {
-      ChunkMeta cm;
-      cm.offset = file.size();
-      cm.value_count = rows;
-      cm.codec = static_cast<u8>(options.codec);
-      chunk.Clear();
-      EncodeStripeColumn(column, begin, rows, options, &chunk, &cm.encoding);
-      cm.raw_bytes = static_cast<u32>(chunk.size());
-      if (options.codec == gpc::CodecKind::kNone) {
-        file.Append(chunk.data(), chunk.size());
-        cm.stored_bytes = cm.raw_bytes;
-      } else {
-        cm.stored_bytes =
-            static_cast<u32>(codec.Compress(chunk.data(), chunk.size(), &file));
-      }
-      stripe.push_back(cm);
-    }
-    meta.stripes.push_back(std::move(stripe));
-  }
-  SerializeFooter(meta, &file);
-  return file;
+  return WriteContainer(relation, options.stripe_rows, options.codec,
+                        kOrcLike);
 }
 
 Status DecodeOrcLikeBytes(const u8* data, size_t size, u64* bytes) {
-  FileMeta meta;
-  BTR_RETURN_IF_ERROR(ParseFooter(data, size, &meta));
-  *bytes = 0;
-  StripeScratch scratch;
-  for (const auto& stripe : meta.stripes) {
-    for (size_t c = 0; c < stripe.size(); c++) {
-      *bytes += DecodeStripeColumn(data, stripe[c], meta.columns[c].second,
-                                   &scratch);
-    }
-  }
-  return Status::Ok();
+  return DecodeContainer(data, size, kOrcLike, bytes, nullptr);
 }
 
 Status ReadOrcLike(const u8* data, size_t size, Relation* out) {
-  FileMeta meta;
-  BTR_RETURN_IF_ERROR(ParseFooter(data, size, &meta));
-  for (const auto& [name, type] : meta.columns) {
-    out->AddColumn(name, type);
-  }
-  StripeScratch scratch;
-  for (const auto& stripe : meta.stripes) {
-    for (size_t c = 0; c < stripe.size(); c++) {
-      DecodeStripeColumn(data, stripe[c], meta.columns[c].second, &scratch);
-      Column& column = out->columns()[c];
-      for (u32 i = 0; i < stripe[c].value_count; i++) {
-        if (scratch.null_flags[i] != 0) {
-          column.AppendNull();
-          continue;
-        }
-        switch (column.type()) {
-          case ColumnType::kInteger:
-            column.AppendInt(scratch.ints[i]);
-            break;
-          case ColumnType::kDouble:
-            column.AppendDouble(scratch.doubles[i]);
-            break;
-          case ColumnType::kString: {
-            u32 str_begin = scratch.string_offsets[i];
-            u32 str_end = scratch.string_offsets[i + 1];
-            column.AppendString(std::string_view(
-                reinterpret_cast<const char*>(scratch.string_pool.data()) +
-                    str_begin,
-                str_end - str_begin));
-            break;
-          }
-        }
-      }
-    }
-  }
-  return Status::Ok();
+  u64 bytes = 0;
+  return DecodeContainer(data, size, kOrcLike, &bytes, out);
 }
 
 }  // namespace btr::lakeformat

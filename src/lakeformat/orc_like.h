@@ -7,8 +7,10 @@
 //   - string dictionary encoding gated by dictionary_key_size_threshold
 //     (the paper sets Hive's default 0.8: dictionary only when the number
 //     of distinct keys is at most 0.8x the number of values),
-//   - per-stream general-purpose compression,
+//   - general-purpose compression per column chunk,
 //   - metadata footer at the end of the file.
+// The stripes, chunk framing and footer are the container shared with the
+// Parquet-like format (lakeformat/container.h); this file adds the values.
 #ifndef BTR_LAKEFORMAT_ORC_LIKE_H_
 #define BTR_LAKEFORMAT_ORC_LIKE_H_
 
@@ -21,14 +23,14 @@ namespace btr::lakeformat {
 struct OrcOptions {
   u32 stripe_rows = 1u << 16;
   gpc::CodecKind codec = gpc::CodecKind::kNone;
-  double dictionary_key_size_threshold = 0.8;
 };
 
 ByteBuffer WriteOrcLike(const Relation& relation, const OrcOptions& options);
 
 // Decode-everything scan path. On success stores the logical value bytes
-// produced in *bytes; a corrupt file yields Status::Corruption instead of
-// aborting.
+// produced in *bytes; a corrupt footer or chunk frame yields
+// Status::Corruption (the values inside a chunk are trusted,
+// docs/ROBUSTNESS.md).
 Status DecodeOrcLikeBytes(const u8* data, size_t size, u64* bytes);
 
 // Full materialization (round-trip tests).

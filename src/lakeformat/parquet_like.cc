@@ -1,70 +1,28 @@
 #include "lakeformat/parquet_like.h"
 
 #include <cstring>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
-#include "bitmap/roaring.h"
+#include "lakeformat/container.h"
 #include "util/bits.h"
 
 namespace btr::lakeformat {
-
-namespace {
-
-constexpr char kMagic[4] = {'P', 'Q', 'L', '1'};
-
-enum class Encoding : u8 { kPlain = 0, kDictionary = 1 };
-
-// --- varint ----------------------------------------------------------------
-void PutVarint(u64 v, ByteBuffer* out) {
-  while (v >= 0x80) {
-    out->AppendValue<u8>(static_cast<u8>(v) | 0x80);
-    v >>= 7;
-  }
-  out->AppendValue<u8>(static_cast<u8>(v));
-}
-
-u64 GetVarint(const u8*& p) {
-  u64 v = 0;
-  u32 shift = 0;
-  while (true) {
-    u8 byte = *p++;
-    v |= static_cast<u64>(byte & 0x7F) << shift;
-    if ((byte & 0x80) == 0) break;
-    shift += 7;
-  }
-  return v;
-}
-
-}  // namespace
 
 // --- RLE / bit-packed hybrid --------------------------------------------------
 
 void HybridEncode(const u32* values, u32 count, u32 bit_width, ByteBuffer* out) {
   if (bit_width == 0) return;  // single dict entry: nothing stored
   u32 value_bytes = (bit_width + 7) / 8;
-  std::vector<u32> pending;
+  std::vector<u64> pending;
 
   auto flush_pending = [&]() {
     if (pending.empty()) return;
     u32 groups = static_cast<u32>(CeilDiv(pending.size(), 8));
     pending.resize(groups * 8, 0);  // final-group padding
     PutVarint((static_cast<u64>(groups) << 1) | 1, out);
-    // Bit-pack LSB-first.
-    size_t offset = out->size();
-    size_t packed = CeilDiv(static_cast<u64>(groups) * 8 * bit_width, 8);
-    out->Resize(offset + packed);
-    std::memset(out->data() + offset, 0, packed);
-    u64 bit_pos = 0;
-    for (u32 v : pending) {
-      u64 byte = bit_pos >> 3;
-      u32 shift = static_cast<u32>(bit_pos & 7);
-      u64 window;
-      std::memcpy(&window, out->data() + offset + byte, sizeof(u64));
-      window |= static_cast<u64>(v) << shift;
-      std::memcpy(out->data() + offset + byte, &window, sizeof(u64));
-      bit_pos += bit_width;
-    }
+    AppendBitPacked(pending.data(), pending.size(), bit_width, out);
     pending.clear();
   };
 
@@ -76,9 +34,7 @@ void HybridEncode(const u32* values, u32 count, u32 bit_width, ByteBuffer* out) 
     if (run >= 8 && pending.size() % 8 == 0) {
       flush_pending();
       PutVarint(static_cast<u64>(run) << 1, out);
-      size_t offset = out->size();
-      out->Resize(offset + value_bytes);
-      std::memcpy(out->data() + offset, &values[i], value_bytes);
+      out->Append(&values[i], value_bytes);
       i += run;
     } else {
       pending.push_back(values[i]);
@@ -126,435 +82,188 @@ void HybridDecode(const u8* data, u32 count, u32 bit_width, u32* out) {
   }
 }
 
-// --- chunk encoding ---------------------------------------------------------------
-
 namespace {
 
-struct ChunkMeta {
-  u64 offset = 0;
-  u32 stored_bytes = 0;  // after codec
-  u32 raw_bytes = 0;     // before codec
-  u32 value_count = 0;
-  u8 encoding = 0;
-  u8 codec = 0;
+enum class Encoding : u8 { kPlain = 0, kDictionary = 1 };
+
+// Dictionary fallback threshold (Arrow: dictionary_pagesize_limit).
+constexpr size_t kDictByteLimit = 1u << 20;
+
+// A numeric chunk keys its dictionary on the value's bits: a double on its
+// bit pattern, so NaN payloads and -0.0 stay distinct entries.
+template <typename T, typename Key>
+struct NumericValues {
+  using KeyType = Key;
+  const T* values;
+
+  Key At(u32 i) const {
+    Key key{};
+    std::memcpy(&key, &values[i], sizeof(Key));
+    return key;
+  }
+  static size_t EntryBytes(Key) { return sizeof(Key); }
+  static void AppendEntries(const std::vector<Key>& keys, ByteBuffer* out) {
+    out->Append(keys.data(), keys.size() * sizeof(Key));
+  }
+  void AppendPlain(u32 count, ByteBuffer* out) const {
+    out->Append(values, count * sizeof(T));
+  }
 };
 
-struct FileMeta {
-  u32 row_count = 0;
-  u32 rowgroup_rows = 0;
-  std::vector<std::pair<std::string, ColumnType>> columns;
-  std::vector<std::vector<ChunkMeta>> rowgroups;  // [rowgroup][column]
+// A string, PLAIN or as a dictionary entry, is a u32 length + its bytes.
+struct StringValues {
+  using KeyType = std::string_view;
+  const Column* column;
+  u32 begin;
+
+  std::string_view At(u32 i) const { return column->GetString(begin + i); }
+  static size_t EntryBytes(std::string_view s) { return sizeof(u32) + s.size(); }
+  static void Append(std::string_view s, ByteBuffer* out) {
+    out->AppendValue<u32>(static_cast<u32>(s.size()));
+    out->Append(s.data(), s.size());
+  }
+  static void AppendEntries(const std::vector<std::string_view>& keys,
+                            ByteBuffer* out) {
+    for (std::string_view s : keys) Append(s, out);
+  }
+  void AppendPlain(u32 count, ByteBuffer* out) const {
+    for (u32 i = 0; i < count; i++) Append(At(i), out);
+  }
 };
 
-// Encodes one column chunk (without codec) into *out. Values for NULL rows
-// are present as defaults; the null bitmap prefixes the payload.
-void EncodeChunk(const Column& column, u32 begin, u32 count,
-                 const ParquetOptions& options, ByteBuffer* out, u8* encoding) {
-  // Null bitmap.
-  RoaringBitmap nulls;
-  for (u32 i = 0; i < count; i++) {
-    if (column.IsNull(begin + i)) nulls.Add(i);
-  }
-  nulls.RunOptimize();
-  if (nulls.Empty()) {
-    out->AppendValue<u32>(0);
-  } else {
-    out->AppendValue<u32>(static_cast<u32>(nulls.SerializedSizeBytes()));
-    nulls.SerializeTo(out);
-  }
-
-  switch (column.type()) {
-    case ColumnType::kInteger: {
-      const i32* values = column.ints().data() + begin;
-      // Try dictionary (Parquet's default), fall back to PLAIN.
-      std::unordered_map<i32, u32> code_of;
-      std::vector<i32> dict;
-      std::vector<u32> codes(count);
-      bool fallback = false;
-      for (u32 i = 0; i < count; i++) {
-        auto [it, inserted] =
-            code_of.try_emplace(values[i], static_cast<u32>(dict.size()));
-        if (inserted) {
-          dict.push_back(values[i]);
-          if (dict.size() * sizeof(i32) > options.dict_byte_limit) {
-            fallback = true;
-            break;
-          }
-        }
-        codes[i] = it->second;
-      }
-      if (!fallback && dict.size() < count) {
-        *encoding = static_cast<u8>(Encoding::kDictionary);
-        out->AppendValue<u32>(static_cast<u32>(dict.size()));
-        out->AppendValue<u32>(static_cast<u32>(dict.size() * sizeof(i32)));
-        out->Append(dict.data(), dict.size() * sizeof(i32));
-        u32 bit_width = BitWidth(static_cast<u32>(dict.size() - 1));
-        out->AppendValue<u8>(static_cast<u8>(bit_width));
-        HybridEncode(codes.data(), count, bit_width, out);
-      } else {
-        *encoding = static_cast<u8>(Encoding::kPlain);
-        out->Append(values, count * sizeof(i32));
-      }
-      break;
+// Parquet's default: try a dictionary, fall back to PLAIN once its entries
+// pass kDictByteLimit or when every value is distinct. A dictionary chunk
+// is u32 entry count, u32 entry bytes, the entries, u8 code bit width and
+// the codes in the RLE/bit-packed hybrid.
+template <typename Values>
+u8 EncodeDictionaryOrPlain(const Values& values, u32 count, ByteBuffer* out) {
+  using Key = typename Values::KeyType;
+  std::unordered_map<Key, u32> code_of;
+  std::vector<Key> dict;
+  std::vector<u32> codes(count);
+  size_t dict_bytes = 0;
+  for (u32 i = 0; i < count && dict_bytes <= kDictByteLimit; i++) {
+    auto [it, inserted] =
+        code_of.try_emplace(values.At(i), static_cast<u32>(dict.size()));
+    if (inserted) {
+      dict.push_back(it->first);
+      dict_bytes += Values::EntryBytes(it->first);
     }
-    case ColumnType::kDouble: {
-      const double* values = column.doubles().data() + begin;
-      std::unordered_map<u64, u32> code_of;
-      std::vector<double> dict;
-      std::vector<u32> codes(count);
-      bool fallback = false;
-      for (u32 i = 0; i < count; i++) {
-        u64 bits;
-        std::memcpy(&bits, &values[i], 8);
-        auto [it, inserted] =
-            code_of.try_emplace(bits, static_cast<u32>(dict.size()));
-        if (inserted) {
-          dict.push_back(values[i]);
-          if (dict.size() * sizeof(double) > options.dict_byte_limit) {
-            fallback = true;
-            break;
-          }
-        }
-        codes[i] = it->second;
-      }
-      if (!fallback && dict.size() < count) {
-        *encoding = static_cast<u8>(Encoding::kDictionary);
-        out->AppendValue<u32>(static_cast<u32>(dict.size()));
-        out->AppendValue<u32>(static_cast<u32>(dict.size() * sizeof(double)));
-        out->Append(dict.data(), dict.size() * sizeof(double));
-        u32 bit_width = BitWidth(static_cast<u32>(dict.size() - 1));
-        out->AppendValue<u8>(static_cast<u8>(bit_width));
-        HybridEncode(codes.data(), count, bit_width, out);
-      } else {
-        *encoding = static_cast<u8>(Encoding::kPlain);
-        out->Append(values, count * sizeof(double));
-      }
-      break;
-    }
-    case ColumnType::kString: {
-      std::unordered_map<std::string_view, u32> code_of;
-      std::vector<std::string_view> dict;
-      std::vector<u32> codes(count);
-      size_t dict_bytes = 0;
-      bool fallback = false;
-      for (u32 i = 0; i < count; i++) {
-        std::string_view s = column.GetString(begin + i);
-        auto [it, inserted] =
-            code_of.try_emplace(s, static_cast<u32>(dict.size()));
-        if (inserted) {
-          dict.push_back(s);
-          dict_bytes += s.size() + sizeof(u32);
-          if (dict_bytes > options.dict_byte_limit) {
-            fallback = true;
-            break;
-          }
-        }
-        codes[i] = it->second;
-      }
-      if (!fallback && dict.size() < count) {
-        *encoding = static_cast<u8>(Encoding::kDictionary);
-        out->AppendValue<u32>(static_cast<u32>(dict.size()));
-        // Dict payload: PLAIN string encoding (u32 length + bytes).
-        ByteBuffer dict_payload;
-        for (std::string_view s : dict) {
-          dict_payload.AppendValue<u32>(static_cast<u32>(s.size()));
-          dict_payload.Append(s.data(), s.size());
-        }
-        out->AppendValue<u32>(static_cast<u32>(dict_payload.size()));
-        out->Append(dict_payload.data(), dict_payload.size());
-        u32 bit_width = BitWidth(static_cast<u32>(dict.size() - 1));
-        out->AppendValue<u8>(static_cast<u8>(bit_width));
-        HybridEncode(codes.data(), count, bit_width, out);
-      } else {
-        *encoding = static_cast<u8>(Encoding::kPlain);
-        for (u32 i = 0; i < count; i++) {
-          std::string_view s = column.GetString(begin + i);
-          out->AppendValue<u32>(static_cast<u32>(s.size()));
-          out->Append(s.data(), s.size());
-        }
-      }
-      break;
-    }
+    codes[i] = it->second;
   }
+  if (dict_bytes > kDictByteLimit || dict.size() == count) {
+    values.AppendPlain(count, out);
+    return static_cast<u8>(Encoding::kPlain);
+  }
+  out->AppendValue<u32>(static_cast<u32>(dict.size()));
+  out->AppendValue<u32>(static_cast<u32>(dict_bytes));
+  Values::AppendEntries(dict, out);
+  u32 bit_width = BitWidth(static_cast<u32>(dict.size() - 1));
+  out->AppendValue<u8>(static_cast<u8>(bit_width));
+  HybridEncode(codes.data(), count, bit_width, out);
+  return static_cast<u8>(Encoding::kDictionary);
 }
 
-// Decoded chunk scratch (reused across chunks by the scan path).
-struct ChunkScratch {
-  std::vector<i32> ints;
-  std::vector<i32> dict_ints;
-  std::vector<double> doubles;
-  std::vector<u32> string_offsets;
-  std::vector<u8> string_pool;
-  std::vector<u8> null_flags;
-  std::vector<u32> codes;
-  ByteBuffer raw;  // codec output
-};
-
-// Decodes one chunk; returns logical value bytes.
-u64 DecodeChunk(const u8* file, const ChunkMeta& meta, ColumnType type,
-                ChunkScratch* scratch) {
-  const u8* stored = file + meta.offset;
-  const u8* payload;
-  if (static_cast<gpc::CodecKind>(meta.codec) == gpc::CodecKind::kNone) {
-    payload = stored;
-  } else {
-    scratch->raw.Resize(meta.raw_bytes);
-    gpc::GetCodec(static_cast<gpc::CodecKind>(meta.codec))
-        .Decompress(stored, meta.stored_bytes, scratch->raw.data(),
-                    meta.raw_bytes);
-    payload = scratch->raw.data();
-  }
-  u32 count = meta.value_count;
-
-  const u8* p = payload;
-  u32 null_bytes;
-  std::memcpy(&null_bytes, p, sizeof(u32));
-  p += 4;
-  scratch->null_flags.assign(count, 0);
-  if (null_bytes > 0) {
-    RoaringBitmap nulls = RoaringBitmap::Deserialize(p, nullptr);
-    nulls.ForEach([&](u32 i) { scratch->null_flags[i] = 1; });
-    p += null_bytes;
-  }
-
-  Encoding encoding = static_cast<Encoding>(meta.encoding);
-  switch (type) {
-    case ColumnType::kInteger: {
-      scratch->ints.resize(count);
-      if (encoding == Encoding::kPlain) {
-        std::memcpy(scratch->ints.data(), p, count * sizeof(i32));
-      } else {
-        u32 dict_count, dict_bytes;
-        std::memcpy(&dict_count, p, 4);
-        std::memcpy(&dict_bytes, p + 4, 4);
-        // Dictionary lives at an arbitrary byte offset; copy to aligned
-        // scratch before the lookup loop.
-        scratch->dict_ints.resize(dict_count);
-        std::memcpy(scratch->dict_ints.data(), p + 8, dict_bytes);
-        const u8* codes_blob = p + 8 + dict_bytes;
-        u32 bit_width = *codes_blob++;
-        scratch->codes.resize(count);
-        HybridDecode(codes_blob, count, bit_width, scratch->codes.data());
-        for (u32 i = 0; i < count; i++) {
-          scratch->ints[i] = scratch->dict_ints[scratch->codes[i]];
-        }
-      }
-      return static_cast<u64>(count) * sizeof(i32);
-    }
-    case ColumnType::kDouble: {
-      scratch->doubles.resize(count);
-      if (encoding == Encoding::kPlain) {
-        std::memcpy(scratch->doubles.data(), p, count * sizeof(double));
-      } else {
-        u32 dict_count, dict_bytes;
-        std::memcpy(&dict_count, p, 4);
-        std::memcpy(&dict_bytes, p + 4, 4);
-        const u8* dict_blob = p + 8;
-        const u8* codes_blob = p + 8 + dict_bytes;
-        u32 bit_width = *codes_blob++;
-        scratch->codes.resize(count);
-        HybridDecode(codes_blob, count, bit_width, scratch->codes.data());
-        for (u32 i = 0; i < count; i++) {
-          std::memcpy(&scratch->doubles[i],
-                      dict_blob + scratch->codes[i] * sizeof(double),
-                      sizeof(double));
-        }
-      }
-      return static_cast<u64>(count) * sizeof(double);
-    }
-    case ColumnType::kString: {
-      scratch->string_offsets.assign(1, 0);
-      scratch->string_offsets.reserve(count + 1);
-      scratch->string_pool.clear();
-      if (encoding == Encoding::kPlain) {
-        for (u32 i = 0; i < count; i++) {
-          u32 len;
-          std::memcpy(&len, p, 4);
-          p += 4;
-          scratch->string_pool.insert(scratch->string_pool.end(), p, p + len);
-          p += len;
-          scratch->string_offsets.push_back(
-              static_cast<u32>(scratch->string_pool.size()));
-        }
-      } else {
-        u32 dict_count, dict_bytes;
-        std::memcpy(&dict_count, p, 4);
-        std::memcpy(&dict_bytes, p + 4, 4);
-        const u8* dict_blob = p + 8;
-        const u8* codes_blob = p + 8 + dict_bytes;
-        u32 bit_width = *codes_blob++;
-        // Parse the dictionary into (offset, len) entries once.
-        std::vector<std::pair<u32, u32>> entries(dict_count);
-        const u8* d = dict_blob;
-        for (u32 e = 0; e < dict_count; e++) {
-          u32 len;
-          std::memcpy(&len, d, 4);
-          d += 4;
-          entries[e] = {static_cast<u32>(d - dict_blob), len};
-          d += len;
-        }
-        scratch->codes.resize(count);
-        HybridDecode(codes_blob, count, bit_width, scratch->codes.data());
-        // Arrow-style materialization: copy the bytes per value.
-        for (u32 i = 0; i < count; i++) {
-          auto [off, len] = entries[scratch->codes[i]];
-          scratch->string_pool.insert(scratch->string_pool.end(),
-                                      dict_blob + off, dict_blob + off + len);
-          scratch->string_offsets.push_back(
-              static_cast<u32>(scratch->string_pool.size()));
-        }
-      }
-      return scratch->string_pool.size() + static_cast<u64>(count) * sizeof(u32);
-    }
+u8 EncodeValues(const Column& column, u32 begin, u32 count, ByteBuffer* out) {
+  switch (column.type()) {
+    case ColumnType::kInteger:
+      return EncodeDictionaryOrPlain(
+          NumericValues<i32, i32>{column.ints().data() + begin}, count, out);
+    case ColumnType::kDouble:
+      return EncodeDictionaryOrPlain(
+          NumericValues<double, u64>{column.doubles().data() + begin}, count,
+          out);
+    case ColumnType::kString:
+      return EncodeDictionaryOrPlain(StringValues{&column, begin}, count, out);
   }
   return 0;
 }
 
-void SerializeFooter(const FileMeta& meta, ByteBuffer* out) {
-  size_t footer_start = out->size();
-  out->AppendValue<u32>(static_cast<u32>(meta.columns.size()));
-  out->AppendValue<u32>(meta.row_count);
-  out->AppendValue<u32>(meta.rowgroup_rows);
-  for (const auto& [name, type] : meta.columns) {
-    out->AppendValue<u16>(static_cast<u16>(name.size()));
-    out->Append(name.data(), name.size());
-    out->AppendValue<u8>(static_cast<u8>(type));
-  }
-  out->AppendValue<u32>(static_cast<u32>(meta.rowgroups.size()));
-  for (const auto& rowgroup : meta.rowgroups) {
-    for (const ChunkMeta& chunk : rowgroup) {
-      out->AppendValue<ChunkMeta>(chunk);
-    }
-  }
-  u32 footer_bytes = static_cast<u32>(out->size() - footer_start);
-  out->AppendValue<u32>(footer_bytes);
-  out->Append(kMagic, 4);
+// Decodes a dictionary chunk's codes into scratch->codes; returns its
+// entries.
+const u8* DecodeCodes(const u8* p, u32 count, ChunkScratch* scratch) {
+  u32 entry_bytes = 0;
+  std::memcpy(&entry_bytes, p + 4, 4);
+  const u8* codes = p + 8 + entry_bytes;
+  scratch->codes.resize(count);
+  HybridDecode(codes + 1, count, *codes, scratch->codes.data());
+  return p + 8;
 }
 
-Status ParseFooter(const u8* data, size_t size, FileMeta* meta) {
-  if (size < 8 || std::memcmp(data + size - 4, kMagic, 4) != 0) {
-    return Status::Corruption("bad parquet-like magic");
+template <typename T>
+void DecodeNumeric(const u8* p, u32 count, Encoding encoding,
+                   ChunkScratch* scratch, std::vector<T>* out) {
+  out->resize(count);
+  T* values = out->data();
+  if (encoding == Encoding::kPlain) {
+    std::memcpy(values, p, count * sizeof(T));
+    return;
   }
-  u32 footer_bytes;
-  std::memcpy(&footer_bytes, data + size - 8, 4);
-  const u8* p = data + size - 8 - footer_bytes;
-  u32 column_count;
-  std::memcpy(&column_count, p, 4);
-  std::memcpy(&meta->row_count, p + 4, 4);
-  std::memcpy(&meta->rowgroup_rows, p + 8, 4);
-  p += 12;
-  meta->columns.resize(column_count);
-  for (auto& [name, type] : meta->columns) {
-    u16 name_len;
-    std::memcpy(&name_len, p, 2);
-    p += 2;
-    name.assign(reinterpret_cast<const char*>(p), name_len);
-    p += name_len;
-    type = static_cast<ColumnType>(*p++);
+  const u8* dict = DecodeCodes(p, count, scratch);
+  const u32* codes = scratch->codes.data();
+  for (u32 i = 0; i < count; i++) {
+    std::memcpy(&values[i], dict + codes[i] * sizeof(T), sizeof(T));
   }
-  u32 rowgroup_count;
-  std::memcpy(&rowgroup_count, p, 4);
-  p += 4;
-  meta->rowgroups.assign(rowgroup_count, std::vector<ChunkMeta>(column_count));
-  for (auto& rowgroup : meta->rowgroups) {
-    for (ChunkMeta& chunk : rowgroup) {
-      std::memcpy(&chunk, p, sizeof(ChunkMeta));
-      p += sizeof(ChunkMeta);
-    }
-  }
-  return Status::Ok();
 }
+
+void DecodeStrings(const u8* p, u32 count, Encoding encoding,
+                   ChunkScratch* scratch) {
+  if (encoding == Encoding::kPlain) {
+    for (u32 i = 0; i < count; i++) {
+      u32 length = 0;
+      std::memcpy(&length, p, 4);
+      scratch->string_pool.insert(scratch->string_pool.end(), p + 4,
+                                  p + 4 + length);
+      scratch->string_offsets.push_back(
+          static_cast<u32>(scratch->string_pool.size()));
+      p += 4 + length;
+    }
+    return;
+  }
+  u32 dict_count = 0;
+  std::memcpy(&dict_count, p, 4);
+  const u8* dict = DecodeCodes(p, count, scratch);
+  scratch->entries.resize(dict_count);
+  for (u32 e = 0, offset = 0; e < dict_count; e++) {
+    u32 length = 0;
+    std::memcpy(&length, dict + offset, 4);
+    scratch->entries[e] = {offset + 4, length};
+    offset += 4 + length;
+  }
+  // Arrow-style materialization: copy the bytes per value.
+  GatherStrings(dict, scratch->codes.data(), count, scratch);
+}
+
+void DecodeValues(const u8* p, u32 count, ColumnType type, u8 encoding,
+                  ChunkScratch* scratch) {
+  auto e = static_cast<Encoding>(encoding);
+  switch (type) {
+    case ColumnType::kInteger:
+      return DecodeNumeric(p, count, e, scratch, &scratch->ints);
+    case ColumnType::kDouble:
+      return DecodeNumeric(p, count, e, scratch, &scratch->doubles);
+    case ColumnType::kString: return DecodeStrings(p, count, e, scratch);
+  }
+}
+
+constexpr ValueCodec kParquetLike = {{'P', 'Q', 'L', '1'}, "parquet-like",
+                                     EncodeValues, DecodeValues};
 
 }  // namespace
 
 ByteBuffer WriteParquetLike(const Relation& relation,
                             const ParquetOptions& options) {
-  ByteBuffer file;
-  FileMeta meta;
-  meta.row_count = relation.row_count();
-  meta.rowgroup_rows = options.rowgroup_rows;
-  for (const Column& column : relation.columns()) {
-    meta.columns.emplace_back(column.name(), column.type());
-  }
-  const gpc::Codec& codec = gpc::GetCodec(options.codec);
-  ByteBuffer chunk;
-  for (u32 begin = 0; begin < relation.row_count();
-       begin += options.rowgroup_rows) {
-    u32 rows = std::min(options.rowgroup_rows, relation.row_count() - begin);
-    std::vector<ChunkMeta> rowgroup;
-    for (const Column& column : relation.columns()) {
-      ChunkMeta cm;
-      cm.offset = file.size();
-      cm.value_count = rows;
-      cm.codec = static_cast<u8>(options.codec);
-      chunk.Clear();
-      EncodeChunk(column, begin, rows, options, &chunk, &cm.encoding);
-      cm.raw_bytes = static_cast<u32>(chunk.size());
-      if (options.codec == gpc::CodecKind::kNone) {
-        file.Append(chunk.data(), chunk.size());
-        cm.stored_bytes = cm.raw_bytes;
-      } else {
-        cm.stored_bytes =
-            static_cast<u32>(codec.Compress(chunk.data(), chunk.size(), &file));
-      }
-      rowgroup.push_back(cm);
-    }
-    meta.rowgroups.push_back(std::move(rowgroup));
-  }
-  SerializeFooter(meta, &file);
-  return file;
+  return WriteContainer(relation, options.rowgroup_rows, options.codec,
+                        kParquetLike);
 }
 
 Status DecodeParquetLikeBytes(const u8* data, size_t size, u64* bytes) {
-  FileMeta meta;
-  BTR_RETURN_IF_ERROR(ParseFooter(data, size, &meta));
-  *bytes = 0;
-  ChunkScratch scratch;
-  for (const auto& rowgroup : meta.rowgroups) {
-    for (size_t c = 0; c < rowgroup.size(); c++) {
-      *bytes +=
-          DecodeChunk(data, rowgroup[c], meta.columns[c].second, &scratch);
-    }
-  }
-  return Status::Ok();
+  return DecodeContainer(data, size, kParquetLike, bytes, nullptr);
 }
 
 Status ReadParquetLike(const u8* data, size_t size, Relation* out) {
-  FileMeta meta;
-  BTR_RETURN_IF_ERROR(ParseFooter(data, size, &meta));
-  for (const auto& [name, type] : meta.columns) {
-    out->AddColumn(name, type);
-  }
-  ChunkScratch scratch;
-  for (const auto& rowgroup : meta.rowgroups) {
-    for (size_t c = 0; c < rowgroup.size(); c++) {
-      DecodeChunk(data, rowgroup[c], meta.columns[c].second, &scratch);
-      Column& column = out->columns()[c];
-      for (u32 i = 0; i < rowgroup[c].value_count; i++) {
-        if (scratch.null_flags[i] != 0) {
-          column.AppendNull();
-          continue;
-        }
-        switch (column.type()) {
-          case ColumnType::kInteger:
-            column.AppendInt(scratch.ints[i]);
-            break;
-          case ColumnType::kDouble:
-            column.AppendDouble(scratch.doubles[i]);
-            break;
-          case ColumnType::kString: {
-            u32 begin = scratch.string_offsets[i];
-            u32 end = scratch.string_offsets[i + 1];
-            column.AppendString(std::string_view(
-                reinterpret_cast<const char*>(scratch.string_pool.data()) + begin,
-                end - begin));
-            break;
-          }
-        }
-      }
-    }
-  }
-  return Status::Ok();
+  u64 bytes = 0;
+  return DecodeContainer(data, size, kParquetLike, &bytes, out);
 }
 
 }  // namespace btr::lakeformat

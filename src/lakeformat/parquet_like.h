@@ -5,13 +5,15 @@
 //   - per-column chunks with PLAIN or DICTIONARY encoding,
 //   - dictionary codes in the RLE/bit-packed hybrid,
 //   - Parquet's fallback heuristic: try dictionary, fall back to PLAIN
-//     when the dictionary grows past a byte limit (paper Section 2.1:
+//     when the dictionary grows past 1 MiB (paper Section 2.1:
 //     "the default C++ implementation simply tries dictionary compression
 //     and leaves the data uncompressed if the dictionary grows too
 //     large"),
 //   - optional general-purpose compression applied per column chunk
 //     (Snappy/Zstd in the paper; gpc codecs here),
 //   - metadata footer at the end of the file.
+// The row groups, chunk framing and footer are the container shared with
+// the ORC-like format (lakeformat/container.h); this file adds the values.
 #ifndef BTR_LAKEFORMAT_PARQUET_LIKE_H_
 #define BTR_LAKEFORMAT_PARQUET_LIKE_H_
 
@@ -24,8 +26,6 @@ namespace btr::lakeformat {
 struct ParquetOptions {
   u32 rowgroup_rows = 1u << 17;
   gpc::CodecKind codec = gpc::CodecKind::kNone;
-  // Dictionary fallback threshold (Arrow: dictionary_pagesize_limit).
-  size_t dict_byte_limit = 1u << 20;
 };
 
 // Serializes the whole relation into one in-memory "file".
@@ -35,7 +35,8 @@ ByteBuffer WriteParquetLike(const Relation& relation,
 // Decodes every column chunk (decompress + decode), without materializing
 // a Relation: the in-memory scan path used by the decompression benches.
 // On success stores the total logical value bytes produced in *bytes; a
-// corrupt file yields Status::Corruption instead of aborting.
+// corrupt footer or chunk frame yields Status::Corruption (the values
+// inside a chunk are trusted, docs/ROBUSTNESS.md).
 Status DecodeParquetLikeBytes(const u8* data, size_t size, u64* bytes);
 
 // Full materialization (round-trip tests).

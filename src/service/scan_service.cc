@@ -9,6 +9,12 @@
 
 namespace btr::service {
 
+namespace {
+
+constexpr u32 kWaitRingSize = 4096;  // recent queue waits per tenant
+
+}  // namespace
+
 // All hot counters are atomics so fetch/decode closures on different
 // executor threads update them without a tenant-wide lock; the wait ring
 // (exact p95) takes a small mutex only when a queue wait is recorded.
@@ -55,8 +61,8 @@ struct ScanService::TenantState {
 ScanService::ScanService(const ScanServiceConfig& config)
     : config_(config),
       cache_(config.cache),
-      fetch_queue_(FairQueueConfig{config.fair_quantum_bytes}),
-      decode_queue_(FairQueueConfig{config.fair_quantum_bytes}) {
+      fetch_queue_(FairQueueConfig{}),
+      decode_queue_(FairQueueConfig{}) {
   // Owned cache entries credit their tenant's byte count back on any exit
   // from the cache (eviction or replacement). Owner 0 = unowned.
   cache_.SetEvictionCallback([this](u32 owner, u64 bytes) {
@@ -111,7 +117,7 @@ u32 ScanService::RegisterTenantLocked(const TenantId& id,
   auto tenant = std::make_unique<TenantState>();
   tenant->id = id;
   tenant->quota = quota;
-  tenant->wait_ring.resize(std::max<u32>(1, config_.wait_ring_size), 0);
+  tenant->wait_ring.resize(kWaitRingSize, 0);
   obs::Registry& registry = obs::Registry::Get();
   std::string prefix = "service.tenant." + id + ".";
   tenant->obs_gets = &registry.GetCounter(prefix + "gets");
@@ -141,7 +147,7 @@ u32 ScanService::EnsureTenant(const TenantId& id) {
   std::lock_guard<std::mutex> lock(tenants_mutex_);
   auto it = tenant_index_.find(id);
   if (it != tenant_index_.end()) return it->second;
-  return RegisterTenantLocked(id, config_.default_quota);
+  return RegisterTenantLocked(id, TenantQuota{});
 }
 
 u64 ScanService::EligibleFrontLocked() const {

@@ -97,7 +97,6 @@ struct TenantStats {
 struct ScanServiceConfig {
   u32 fetch_threads = 8;   // global GET executor threads
   u32 decode_threads = 0;  // global decode executor threads; 0 = hw conc.
-  u64 fair_quantum_bytes = 1ull << 20;  // DRR quantum per serving pass
 
   // Admission control: max_concurrent_scans run; up to max_queued_scans
   // wait at most admission_timeout_ns; the rest reject with Throttled.
@@ -114,12 +113,6 @@ struct ScanServiceConfig {
   // Shared per-backend breakers (one per ObjectStore seen).
   bool enable_breaker = true;
   exec::CircuitBreakerPolicy breaker;
-
-  // Quota applied to tenants first seen through EnsureTenant.
-  TenantQuota default_quota;
-
-  // Recent queue-wait samples kept per tenant for the exact p95.
-  u32 wait_ring_size = 4096;
 };
 
 class ScanService {
@@ -134,8 +127,8 @@ class ScanService {
   // tenant already exists) and returns its slot. Slots are stable for the
   // service lifetime.
   u32 RegisterTenant(const TenantId& id, const TenantQuota& quota);
-  // Returns the slot for `id`, registering it with the default quota on
-  // first sight.
+  // Returns the slot for `id`, registering it with an unlimited quota
+  // (TenantQuota{}) on first sight.
   u32 EnsureTenant(const TenantId& id);
 
   TenantStats GetTenantStats(const TenantId& id) const;

@@ -380,31 +380,30 @@ Status StreamingWriter::Commit() {
 
   // 6. Trust nothing: a PUT that tore or corrupted bytes while *reporting
   // success* (FaultKind::kTruncate/kCorrupt) must not get published. The
-  // read-back compares byte counts and CRCs against what the writer sent.
-  if (config_.verify_before_commit) {
-    IntentRecord staged;  // rebuild the entry list the intent recorded
-    for (ColumnState& column : columns_) {
-      ByteBuffer header;
-      SerializeColumnFileHeader(column.block_sizes, column.block_crcs, &header);
-      IntentEntry entry;
-      entry.key = column.key;
-      entry.size = header.size() + column.payload_bytes;
-      entry.crc32c = Crc32cCombine(Crc32c(header.data(), header.size()),
-                                   column.payload_crc, column.payload_bytes);
-      staged.entries.push_back(std::move(entry));
-    }
-    if (config_.write_zone_map) {
-      staged.entries.push_back(
-          {ZoneMapKey(prefix_, versioned), "", zones_size_, zones_crc_});
-    }
-    staged.entries.push_back(
-        {TableMetaKey(prefix_, versioned), "", meta_size_, meta_crc_});
-    for (const IntentEntry& entry : staged.entries) {
-      status = VerifyStagedObject(entry);
-      if (!status.ok()) return Fail(status);
-    }
-    if (CrashAt("commit:after-verify")) return failed_status_;
+  // read-back compares byte counts and CRCs against what the writer sent,
+  // at the cost of re-reading the version once.
+  IntentRecord staged;  // rebuild the entry list the intent recorded
+  for (ColumnState& column : columns_) {
+    ByteBuffer header;
+    SerializeColumnFileHeader(column.block_sizes, column.block_crcs, &header);
+    IntentEntry entry;
+    entry.key = column.key;
+    entry.size = header.size() + column.payload_bytes;
+    entry.crc32c = Crc32cCombine(Crc32c(header.data(), header.size()),
+                                 column.payload_crc, column.payload_bytes);
+    staged.entries.push_back(std::move(entry));
   }
+  if (config_.write_zone_map) {
+    staged.entries.push_back(
+        {ZoneMapKey(prefix_, versioned), "", zones_size_, zones_crc_});
+  }
+  staged.entries.push_back(
+      {TableMetaKey(prefix_, versioned), "", meta_size_, meta_crc_});
+  for (const IntentEntry& entry : staged.entries) {
+    status = VerifyStagedObject(entry);
+    if (!status.ok()) return Fail(status);
+  }
+  if (CrashAt("commit:after-verify")) return failed_status_;
 
   // 7. The atomic commit point: one Put of the tiny manifest publishes
   // the version to every future Scanner::Open.

@@ -74,12 +74,6 @@ struct WriterConfig {
   // Small values exercise many parts; production-shaped values amortize
   // per-request cost. Parts may exceed this by one block's size.
   u64 part_target_bytes = 256 * 1024;
-  // Before the manifest swap, read back every staged object and check its
-  // size and CRC32C against what the writer sent. Catches silently torn
-  // or corrupted PUTs (FaultKind::kTruncate/kCorrupt on the PUT side) at
-  // the cost of re-reading the version once. Commit fails with
-  // Status::Corruption instead of publishing damaged data.
-  bool verify_before_commit = true;
   // Retry discipline for every PUT-class request the writer issues.
   exec::RetryPolicy retry;
   // Test-only failpoint. When set, the writer invokes it at every step

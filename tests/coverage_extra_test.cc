@@ -72,16 +72,14 @@ TEST(MultiBlockTest, PartialTailBlock) {
 }
 
 TEST(OrcDirectStringTest, HighCardinalityUsesDirectEncoding) {
-  // Above dictionary_key_size_threshold ORC must switch to direct
+  // Above the 0.8 dictionary key-size threshold ORC must switch to direct
   // encoding and still round-trip.
   Relation table("t");
   Column& c = table.AddColumn("s", ColumnType::kString);
   for (int i = 0; i < 20000; i++) {
     c.AppendString("unique-" + std::to_string(i));
   }
-  lakeformat::OrcOptions options;
-  options.dictionary_key_size_threshold = 0.5;  // 100% distinct > 50%
-  ByteBuffer file = lakeformat::WriteOrcLike(table, options);
+  ByteBuffer file = lakeformat::WriteOrcLike(table, lakeformat::OrcOptions{});
   Relation back("t");
   ASSERT_TRUE(lakeformat::ReadOrcLike(file.data(), file.size(), &back).ok());
   ASSERT_EQ(back.row_count(), 20000u);

@@ -2,6 +2,7 @@
 // building blocks, round trips across codecs, dictionary fallback.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
 #include "datagen/public_bi.h"
@@ -193,21 +194,153 @@ INSTANTIATE_TEST_SUITE_P(Codecs, FormatRoundTripTest,
                                            gpc::CodecKind::kEntropyLz));
 
 TEST(ParquetLikeTest, DictionaryFallbackOnHighCardinality) {
-  // Every value distinct and large dictionary: Parquet's heuristic must
-  // fall back to PLAIN (paper Section 2.1) and the file stays ~input size.
+  // Every value distinct and a dictionary past 1 MiB: Parquet's heuristic
+  // must fall back to PLAIN (paper Section 2.1) and the file stays ~input
+  // size.
   Relation table("t");
   Column& c = table.AddColumn("s", ColumnType::kString);
   for (int i = 0; i < 50000; i++) {
     c.AppendString("unique_value_with_padding_" + std::to_string(i) +
                    std::string(32, 'x'));
   }
-  ParquetOptions options;
-  options.dict_byte_limit = 1 << 16;  // small limit to trigger fallback
-  ByteBuffer file = WriteParquetLike(table, options);
+  ByteBuffer file = WriteParquetLike(table, ParquetOptions{});
   EXPECT_GT(file.size(), table.UncompressedBytes() * 9 / 10);
   Relation back("t");
   ASSERT_TRUE(ReadParquetLike(file.data(), file.size(), &back).ok());
   ExpectRelationsEqual(table, back);
+}
+
+// Fills 64 KiB of the stack below the caller with `byte`, so a writer that
+// copies uninitialized stack bytes into its file writes a different file
+// after each call.
+__attribute__((noinline)) void DirtyStack(u8 byte) {
+  volatile u8 scratch[64 * 1024];
+  for (size_t i = 0; i < sizeof(scratch); i++) scratch[i] = byte;
+}
+
+void ExpectSameBytes(const ByteBuffer& a, const ByteBuffer& b) {
+  ASSERT_EQ(a.size(), b.size());
+  size_t differing = 0;
+  for (size_t i = 0; i < a.size(); i++) differing += a.data()[i] != b.data()[i];
+  EXPECT_EQ(differing, 0u) << "of " << a.size() << " bytes";
+}
+
+TEST(LakeFormatTest, FilesDoNotDependOnStackContents) {
+  Relation table = datagen::MakePublicBiTable("t", 5000, 80);
+  ParquetOptions popts;
+  popts.rowgroup_rows = 1000;
+  DirtyStack(0x00);
+  ByteBuffer parquet_a = WriteParquetLike(table, popts);
+  DirtyStack(0xFF);
+  ByteBuffer parquet_b = WriteParquetLike(table, popts);
+  ExpectSameBytes(parquet_a, parquet_b);
+
+  OrcOptions oopts;
+  oopts.stripe_rows = 1000;
+  DirtyStack(0x5A);
+  ByteBuffer orc_a = WriteOrcLike(table, oopts);
+  DirtyStack(0xA5);
+  ByteBuffer orc_b = WriteOrcLike(table, oopts);
+  ExpectSameBytes(orc_a, orc_b);
+}
+
+// --- corrupt containers ----------------------------------------------------
+
+struct Format {
+  const char* name;
+  ByteBuffer (*write)(const Relation&, gpc::CodecKind);
+  Status (*decode)(const u8*, size_t, u64*);
+  Status (*read)(const u8*, size_t, Relation*);
+};
+
+const Format kFormats[] = {
+    {"parquet-like",
+     [](const Relation& r, gpc::CodecKind codec) {
+       ParquetOptions options;
+       options.codec = codec;
+       options.rowgroup_rows = 1000;
+       return WriteParquetLike(r, options);
+     },
+     DecodeParquetLikeBytes, ReadParquetLike},
+    {"orc-like",
+     [](const Relation& r, gpc::CodecKind codec) {
+       OrcOptions options;
+       options.codec = codec;
+       options.stripe_rows = 1000;
+       return WriteOrcLike(r, options);
+     },
+     DecodeOrcLikeBytes, ReadOrcLike},
+};
+
+size_t FooterStart(const ByteBuffer& file) {
+  u32 footer_bytes = 0;
+  std::memcpy(&footer_bytes, file.data() + file.size() - 8, 4);
+  return file.size() - 8 - footer_bytes;
+}
+
+// Footer layout: u32 columns, rows, group rows; per column a u16 name
+// length, the name and a type byte; u32 groups; then the 24-byte chunk
+// records (u64 offset, u32 stored bytes, u32 raw bytes, ...).
+size_t FirstChunkRecord(const ByteBuffer& file) {
+  size_t p = FooterStart(file);
+  u32 columns = 0;
+  std::memcpy(&columns, file.data() + p, 4);
+  p += 12;
+  for (u32 c = 0; c < columns; c++) {
+    u16 name_length = 0;
+    std::memcpy(&name_length, file.data() + p, 2);
+    p += 2 + name_length + 1;
+  }
+  return p + 4;
+}
+
+template <typename T>
+ByteBuffer Mutate(const ByteBuffer& file, size_t at, T value) {
+  ByteBuffer copy;
+  copy.Append(file.data(), file.size());
+  std::memcpy(copy.data() + at, &value, sizeof(T));
+  return copy;
+}
+
+void ExpectCorruption(const Format& format, const ByteBuffer& file,
+                      const char* mutation) {
+  u64 bytes = 0;
+  Status decoded = format.decode(file.data(), file.size(), &bytes);
+  EXPECT_TRUE(decoded.IsCorruption())
+      << format.name << ", " << mutation << ": " << decoded.ToString();
+  Relation back("t");
+  Status read = format.read(file.data(), file.size(), &back);
+  EXPECT_TRUE(read.IsCorruption())
+      << format.name << ", " << mutation << ": " << read.ToString();
+}
+
+TEST(LakeFormatTest, CorruptFooterAndChunkFramingAreAStatus) {
+  Relation table = datagen::MakePublicBiTable("t", 3000, 82);
+  for (const Format& format : kFormats) {
+    ByteBuffer plain = format.write(table, gpc::CodecKind::kNone);
+    ByteBuffer packed = format.write(table, gpc::CodecKind::kLz77);
+    size_t record = FirstChunkRecord(plain);
+    for (u32 footer_bytes : {static_cast<u32>(plain.size()), 0xFFFFFFF0u}) {
+      ExpectCorruption(format, Mutate(plain, plain.size() - 8, footer_bytes),
+                       "footer length > file size");
+    }
+    ExpectCorruption(format, Mutate(plain, record, u64{1} << 40),
+                     "chunk offset 2^40");
+    // The first chunk starts at offset 0; with a codec its stored bytes
+    // differ from its raw bytes, so only the extent check can catch this.
+    ExpectCorruption(format,
+                     Mutate(packed, FirstChunkRecord(packed) + 8,
+                            static_cast<u32>(FooterStart(packed) + 1)),
+                     "chunk ends past the footer start");
+    u32 raw_bytes = 0;
+    std::memcpy(&raw_bytes, plain.data() + record + 12, 4);
+    ExpectCorruption(format, Mutate(plain, 0, raw_bytes),
+                     "null prefix longer than its chunk");
+    // The unmutated files decode.
+    u64 bytes = 0;
+    EXPECT_TRUE(format.decode(plain.data(), plain.size(), &bytes).ok());
+    EXPECT_TRUE(format.decode(packed.data(), packed.size(), &bytes).ok());
+  }
 }
 
 TEST(LakeFormatTest, CompressionRatioOrderingOnPbi) {

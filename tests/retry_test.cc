@@ -152,7 +152,6 @@ CircuitBreakerPolicy FastBreakerPolicy() {
   policy.min_samples = 4;
   policy.failure_threshold = 0.5;
   policy.cooldown_ns = 2 * 1000 * 1000;  // 2 ms
-  policy.half_open_probes = 2;
   return policy;
 }
 
