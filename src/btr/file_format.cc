@@ -1,10 +1,10 @@
 #include "btr/file_format.h"
 
 #include <cstdio>
-#include <cstring>
 #include <memory>
 
 #include "util/crc32c.h"
+#include "util/framing.h"
 
 namespace btr {
 
@@ -12,6 +12,8 @@ namespace {
 
 constexpr char kColumnMagic[4] = {'B', 'T', 'R', 'C'};
 constexpr char kMetaMagic[4] = {'B', 'T', 'R', 'M'};
+// The smallest column: an empty name, the type, byte count and block count.
+constexpr size_t kMinColumnBytes = 2 + 1 + 8 + 4;
 
 struct FileCloser {
   void operator()(std::FILE* f) const {
@@ -45,20 +47,6 @@ Status ReadFileToBuffer(const std::string& path, ByteBuffer* out) {
   return Status::Ok();
 }
 
-// Bounds-checked cursor over a parse buffer.
-struct Reader {
-  const u8* p;
-  size_t remaining;
-
-  bool Read(void* dst, size_t n) {
-    if (n > remaining) return false;
-    std::memcpy(dst, p, n);
-    p += n;
-    remaining -= n;
-    return true;
-  }
-};
-
 std::string ColumnPath(const std::string& directory, const std::string& table,
                        size_t column_index) {
   return directory + "/" + table + "." + std::to_string(column_index) + ".btr";
@@ -84,8 +72,7 @@ std::string ZoneMapKey(const std::string& prefix, const std::string& table) {
 }
 
 void SerializeTableMeta(const CompressedRelation& relation, ByteBuffer* out) {
-  size_t start = out->size();
-  out->Append(kMetaMagic, 4);
+  size_t start = BeginFrame(kMetaMagic, out);
   out->AppendValue<u32>(static_cast<u32>(relation.columns.size()));
   out->AppendValue<u32>(relation.row_count);
   for (const CompressedColumn& column : relation.columns) {
@@ -97,46 +84,31 @@ void SerializeTableMeta(const CompressedRelation& relation, ByteBuffer* out) {
     out->Append(column.block_value_counts.data(),
                 column.block_value_counts.size() * sizeof(u32));
   }
-  out->AppendValue<u32>(Crc32c(out->data() + start, out->size() - start));
+  EndFrame(start, out);
 }
 
 Status ParseTableMeta(const u8* data, size_t size, TableMeta* out) {
-  // Trailing footer CRC over everything before it: a flipped bit anywhere
-  // in the metadata is caught here, before any field is trusted.
-  if (size < 4) return Status::Corruption("metadata too small for CRC");
-  u32 stored_crc;
-  std::memcpy(&stored_crc, data + size - 4, 4);
-  if (Crc32c(data, size - 4) != stored_crc) {
-    return Status::Corruption("table metadata CRC mismatch");
-  }
-  size -= 4;
-  Reader r{data, size};
-  char magic[4];
-  if (!r.Read(magic, 4) || std::memcmp(magic, kMetaMagic, 4) != 0) {
-    return Status::Corruption("bad metadata magic");
-  }
-  u32 column_count;
-  if (!r.Read(&column_count, 4) || !r.Read(&out->row_count, 4)) {
+  ByteReader r;
+  BTR_RETURN_IF_ERROR(OpenFrame(data, size, kMetaMagic, "table metadata", &r));
+  u32 column_count = 0;
+  if (!r.ReadCount(&column_count, kMinColumnBytes) ||
+      !r.Read(&out->row_count)) {
     return Status::Corruption("truncated metadata header");
   }
-  out->columns.clear();
-  out->columns.resize(column_count);
+  out->columns.assign(column_count, {});
   for (TableMeta::ColumnMeta& column : out->columns) {
-    u16 name_len;
-    if (!r.Read(&name_len, 2)) return Status::Corruption("truncated metadata");
-    column.name.resize(name_len);
-    u8 type;
-    if (!r.Read(column.name.data(), name_len) || !r.Read(&type, 1)) {
+    u8 type = 0;
+    u32 block_count = 0;
+    if (!r.ReadString(&column.name) || !r.Read(&type) ||
+        !r.Read(&column.uncompressed_bytes) ||
+        !r.ReadCount(&block_count, sizeof(u32))) {
       return Status::Corruption("truncated metadata");
     }
     if (type > 2) return Status::Corruption("bad column type");
     column.type = static_cast<ColumnType>(type);
-    u32 block_count;
-    if (!r.Read(&column.uncompressed_bytes, 8) || !r.Read(&block_count, 4)) {
-      return Status::Corruption("truncated metadata");
-    }
     column.block_value_counts.resize(block_count);
-    if (!r.Read(column.block_value_counts.data(), block_count * sizeof(u32))) {
+    if (!r.ReadBytes(column.block_value_counts.data(),
+                     block_count * sizeof(u32))) {
       return Status::Corruption("truncated metadata");
     }
   }
@@ -146,12 +118,11 @@ Status ParseTableMeta(const u8* data, size_t size, TableMeta* out) {
 void SerializeColumnFileHeader(const std::vector<u32>& block_sizes,
                                const std::vector<u32>& block_crcs,
                                ByteBuffer* out) {
-  size_t start = out->size();
-  out->Append(kColumnMagic, 4);
+  size_t start = BeginFrame(kColumnMagic, out);
   out->AppendValue<u32>(static_cast<u32>(block_sizes.size()));
   out->Append(block_sizes.data(), block_sizes.size() * sizeof(u32));
   out->Append(block_crcs.data(), block_crcs.size() * sizeof(u32));
-  out->AppendValue<u32>(Crc32c(out->data() + start, out->size() - start));
+  EndFrame(start, out);
 }
 
 void SerializeColumnFile(const CompressedColumn& column, ByteBuffer* out) {
@@ -189,30 +160,22 @@ Status ColumnFileHeader::Locate(const u8* object, size_t object_size,
 
 Status ParseColumnFileHeader(const u8* data, size_t size,
                              ColumnFileHeader* out) {
-  Reader r{data, size};
-  char magic[4];
-  if (!r.Read(magic, 4) || std::memcmp(magic, kColumnMagic, 4) != 0) {
-    return Status::Corruption("bad column magic");
-  }
-  u32 block_count;
-  if (!r.Read(&block_count, 4)) {
+  // The block count sets the header's length, so it is bounded by the
+  // bytes present before the CRC is checked, and trusted only after.
+  ByteReader prefix(data, size);
+  u32 block_count = 0;
+  if (!prefix.Skip(4) || !prefix.Read(&block_count) ||
+      ColumnFileHeaderBytes(block_count) > size) {
     return Status::Corruption("truncated column header");
   }
+  ByteReader r;
+  BTR_RETURN_IF_ERROR(OpenFrame(data, ColumnFileHeaderBytes(block_count),
+                                kColumnMagic, "column header", &r));
   std::vector<u32> sizes(block_count);
-  if (!r.Read(sizes.data(), block_count * sizeof(u32))) {
-    return Status::Corruption("truncated column block sizes");
-  }
   out->block_crcs.resize(block_count);
-  if (!r.Read(out->block_crcs.data(), block_count * sizeof(u32))) {
-    return Status::Corruption("truncated column block CRCs");
-  }
-  u32 stored_crc;
-  if (!r.Read(&stored_crc, 4)) {
-    return Status::Corruption("truncated column header CRC");
-  }
-  u64 covered = ColumnFileHeaderBytes(block_count) - 4;
-  if (Crc32c(data, covered) != stored_crc) {
-    return Status::Corruption("column header CRC mismatch");
+  if (!r.Skip(4) || !r.ReadBytes(sizes.data(), block_count * sizeof(u32)) ||
+      !r.ReadBytes(out->block_crcs.data(), block_count * sizeof(u32))) {
+    return Status::Corruption("truncated column header");
   }
   out->block_offsets.resize(block_count + 1);
   out->block_offsets[0] = ColumnFileHeaderBytes(block_count);

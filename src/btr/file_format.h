@@ -107,7 +107,9 @@ struct ColumnFileHeader {
 };
 
 // Parses a column file's "BTRC" header prefix and verifies the header's
-// own CRC. `size` is the bytes available; the header prefix suffices.
+// own CRC. `size` is the bytes available; the header prefix suffices. The
+// block count must fit `size` and the CRC must match before anything is
+// sized by the count.
 Status ParseColumnFileHeader(const u8* data, size_t size,
                              ColumnFileHeader* out);
 

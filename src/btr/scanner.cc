@@ -317,30 +317,24 @@ Status Scanner::Open(const ScanConfig& config) {
     return store_->ObjectSize(key, &request->length);
   };
 
-  // Resolve which physical table version to read. A table written through
-  // the crash-safe write path has a versioned manifest; its committed
-  // version pins every key this Open (and later Scans) will touch, so a
-  // writer committing concurrently flips future Opens to the new version
-  // while this scanner keeps reading the old one — either-old-or-new,
-  // never a mix. Tables uploaded before the manifest existed fall back to
-  // the bare table name.
+  // Resolve which physical table version to read. The manifest's
+  // committed version pins every key this Open (and later Scans) will
+  // touch, so a writer committing concurrently flips future Opens to the
+  // new version while this scanner keeps reading the old one —
+  // either-old-or-new, never a mix. A table without a manifest has no
+  // committed version.
   const std::string manifest_key = write::ManifestKey(prefix_, table_name_);
-  if (store_->Contains(manifest_key)) {
-    std::vector<ServiceLane::Request> manifest(1);
-    BTR_RETURN_IF_ERROR(whole_object(manifest_key, &manifest[0]));
-    lane.GetAll(&manifest);
-    BTR_RETURN_IF_ERROR(manifest[0].status);
-    write::Manifest parsed;
-    BTR_RETURN_IF_ERROR(write::ParseManifest(
-        manifest[0].bytes.data(), manifest[0].bytes.size(), &parsed));
-    if (parsed.committed_version == 0) {
-      return Status::NotFound("table has a manifest but no committed version: " +
-                              table_name_);
-    }
-    resolved_name_ = write::VersionedName(table_name_, parsed.committed_version);
-  } else {
-    resolved_name_ = table_name_;
+  if (!store_->Contains(manifest_key)) {
+    return Status::NotFound("table manifest missing: " + manifest_key);
   }
+  std::vector<ServiceLane::Request> manifest(1);
+  BTR_RETURN_IF_ERROR(whole_object(manifest_key, &manifest[0]));
+  lane.GetAll(&manifest);
+  BTR_RETURN_IF_ERROR(manifest[0].status);
+  write::Manifest parsed;
+  BTR_RETURN_IF_ERROR(write::ParseManifest(
+      manifest[0].bytes.data(), manifest[0].bytes.size(), &parsed));
+  resolved_name_ = write::VersionedName(table_name_, parsed.committed_version);
 
   // The metadata and the zone-map sidecar, read concurrently.
   const std::string meta_key = TableMetaKey(prefix_, resolved_name_);

@@ -211,21 +211,20 @@ class Scanner {
           const CompressionConfig& config = CompressionConfig());
   ~Scanner();
 
-  // Reads the table's manifest, then its metadata and zone-map sidecar
-  // (when present) concurrently. Every GET is a fetch item on the
-  // scanner's service under the config's retry, hedging and breaker
-  // policy, and every parsed structure is CRC-verified. A column's file
-  // header (block byte offsets and payload CRCs) is read later, by the
-  // first Scan() that needs the column.
+  // Reads the table's manifest (NotFound without one), then its metadata
+  // and zone-map sidecar (when present) concurrently. Every GET is a
+  // fetch item on the scanner's service under the config's retry,
+  // hedging and breaker policy, and every parsed structure is
+  // CRC-verified. A column's file header (block byte offsets and payload
+  // CRCs) is read later, by the first Scan() that needs the column.
   Status Open(const ScanConfig& config = ScanConfig());
 
   const TableMeta& meta() const { return meta_; }
   bool has_zone_map() const { return has_zones_; }
-  // Physical table name this scanner resolved at Open: "<table>.v<N>" when
-  // the table has a versioned manifest (crash-safe write path), the bare
-  // table name for legacy uploads. Pinned for the scanner's lifetime — a
-  // concurrently committing writer never changes what an open scanner
-  // reads.
+  // Physical table name this scanner resolved at Open: "<table>.v<N>",
+  // the version the table's manifest names. Pinned for the scanner's
+  // lifetime — a concurrently committing writer never changes what an
+  // open scanner reads.
   const std::string& resolved_name() const { return resolved_name_; }
 
   // Streams chunks to `emit` on the calling thread, in ascending

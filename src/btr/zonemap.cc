@@ -1,10 +1,9 @@
 #include "btr/zonemap.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 
-#include "util/crc32c.h"
+#include "util/framing.h"
 
 namespace btr {
 
@@ -172,116 +171,78 @@ bool ZoneMayOverlapStringRange(const BlockZone& zone, std::string_view lo,
 }
 
 namespace {
+
 constexpr char kZoneMagic[4] = {'B', 'T', 'R', 'Z'};
+// A stored BlockZone: the fields in declaration order, all_null as one
+// byte at offset 50, then five zero bytes.
+constexpr size_t kZoneBytes = 56;
 
-std::string ZonePath(const std::string& dir, const std::string& table) {
-  return dir + "/" + table + ".zones";
-}
-}  // namespace
-
-namespace {
-// BlockZone is serialized as its in-memory image, but the struct has
-// padding bytes that carry whatever the stack held when the zone was
-// built. Staging through a memset copy (then member-wise assignment,
-// which never touches padding) makes the sidecar a pure function of the
-// zone *values* — required for the write path's bit-identity guarantee
-// (equal data must produce equal objects regardless of how it was
-// streamed; see tests/writer_test.cc).
 void AppendZone(const BlockZone& zone, ByteBuffer* out) {
-  BlockZone copy;
-  std::memset(&copy, 0, sizeof(copy));
-  copy.row_count = zone.row_count;
-  copy.null_count = zone.null_count;
-  copy.int_min = zone.int_min;
-  copy.int_max = zone.int_max;
-  copy.double_min = zone.double_min;
-  copy.double_max = zone.double_max;
-  std::memcpy(copy.string_min, zone.string_min, sizeof(copy.string_min));
-  std::memcpy(copy.string_max, zone.string_max, sizeof(copy.string_max));
-  copy.string_min_len = zone.string_min_len;
-  copy.string_max_len = zone.string_max_len;
-  copy.all_null = zone.all_null;
-  out->Append(&copy, sizeof(copy));
+  out->AppendValue(zone.row_count);
+  out->AppendValue(zone.null_count);
+  out->AppendValue(zone.int_min);
+  out->AppendValue(zone.int_max);
+  out->AppendValue(zone.double_min);
+  out->AppendValue(zone.double_max);
+  out->Append(zone.string_min, sizeof(zone.string_min));
+  out->Append(zone.string_max, sizeof(zone.string_max));
+  out->AppendValue(zone.string_min_len);
+  out->AppendValue(zone.string_max_len);
+  out->AppendValue<u8>(zone.all_null ? 1 : 0);
+  constexpr u8 kPadding[5] = {};
+  out->Append(kPadding, sizeof(kPadding));
 }
+
+// False for a short record, an all_null byte other than 0 or 1, or a
+// prefix length past the 8 stored bytes.
+bool ReadZone(ByteReader* r, BlockZone* zone) {
+  u8 all_null = 0;
+  bool ok = r->Read(&zone->row_count) && r->Read(&zone->null_count) &&
+            r->Read(&zone->int_min) && r->Read(&zone->int_max) &&
+            r->Read(&zone->double_min) && r->Read(&zone->double_max) &&
+            r->ReadBytes(zone->string_min, sizeof(zone->string_min)) &&
+            r->ReadBytes(zone->string_max, sizeof(zone->string_max)) &&
+            r->Read(&zone->string_min_len) && r->Read(&zone->string_max_len) &&
+            r->Read(&all_null) && r->Skip(5) && all_null <= 1 &&
+            zone->string_min_len <= 8 && zone->string_max_len <= 8;
+  zone->all_null = all_null == 1;
+  return ok;
+}
+
 }  // namespace
 
 void SerializeTableZoneMap(const TableZoneMap& zonemap, ByteBuffer* out) {
-  size_t start = out->size();
-  out->Append(kZoneMagic, 4);
+  size_t start = BeginFrame(kZoneMagic, out);
   out->AppendValue<u32>(static_cast<u32>(zonemap.columns.size()));
   for (const ColumnZoneMap& column : zonemap.columns) {
     out->AppendValue<u8>(static_cast<u8>(column.type));
     out->AppendValue<u32>(static_cast<u32>(column.zones.size()));
     for (const BlockZone& zone : column.zones) AppendZone(zone, out);
   }
-  out->AppendValue<u32>(Crc32c(out->data() + start, out->size() - start));
+  EndFrame(start, out);
 }
 
 Status ParseTableZoneMap(const u8* data, size_t size, TableZoneMap* out) {
-  // Trailing CRC over the whole sidecar (see file_format.h): verify before
-  // trusting any field.
-  if (size < 4) return Status::Corruption("zone map too small for CRC");
-  u32 stored_crc;
-  std::memcpy(&stored_crc, data + size - 4, 4);
-  if (Crc32c(data, size - 4) != stored_crc) {
-    return Status::Corruption("zone map CRC mismatch");
-  }
-  size -= 4;
-  const u8* p = data;
-  size_t remaining = size;
-  auto read = [&](void* dst, size_t n) {
-    if (n > remaining) return false;
-    std::memcpy(dst, p, n);
-    p += n;
-    remaining -= n;
-    return true;
-  };
-  char magic[4];
+  ByteReader r;
+  BTR_RETURN_IF_ERROR(OpenFrame(data, size, kZoneMagic, "zone map", &r));
   u32 column_count = 0;
-  bool ok = read(magic, 4) && std::memcmp(magic, kZoneMagic, 4) == 0 &&
-            read(&column_count, 4);
-  out->columns.clear();
-  for (u32 c = 0; ok && c < column_count; c++) {
-    u8 type;
+  if (!r.ReadCount(&column_count, 1 + 4)) {  // type byte and zone count
+    return Status::Corruption("bad zone map column count");
+  }
+  out->columns.assign(column_count, {});
+  for (ColumnZoneMap& column : out->columns) {
+    u8 type = 0;
     u32 zone_count = 0;
-    ok = read(&type, 1) && type <= 2 && read(&zone_count, 4);
-    if (!ok) break;
-    ColumnZoneMap column;
+    if (!r.Read(&type) || type > 2 || !r.ReadCount(&zone_count, kZoneBytes)) {
+      return Status::Corruption("bad zone map column");
+    }
     column.type = static_cast<ColumnType>(type);
     column.zones.resize(zone_count);
-    ok = read(column.zones.data(), zone_count * sizeof(BlockZone));
-    out->columns.push_back(std::move(column));
+    for (BlockZone& zone : column.zones) {
+      if (!ReadZone(&r, &zone)) return Status::Corruption("bad zone record");
+    }
   }
-  return ok ? Status::Ok() : Status::Corruption("bad zone map data");
-}
-
-Status WriteTableZoneMap(const TableZoneMap& zonemap, const std::string& dir,
-                         const std::string& table_name) {
-  ByteBuffer buffer;
-  SerializeTableZoneMap(zonemap, &buffer);
-  std::FILE* f = std::fopen(ZonePath(dir, table_name).c_str(), "wb");
-  if (f == nullptr) return Status::IoError("cannot open zone map file");
-  bool ok = buffer.empty() ||
-            std::fwrite(buffer.data(), 1, buffer.size(), f) == buffer.size();
-  std::fclose(f);
-  return ok ? Status::Ok() : Status::IoError("short zone map write");
-}
-
-Status ReadTableZoneMap(const std::string& dir, const std::string& table_name,
-                        TableZoneMap* out) {
-  std::FILE* f = std::fopen(ZonePath(dir, table_name).c_str(), "rb");
-  if (f == nullptr) return Status::NotFound("zone map file missing");
-  std::fseek(f, 0, SEEK_END);
-  long file_size = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  ByteBuffer buffer;
-  buffer.Resize(file_size < 0 ? 0 : static_cast<size_t>(file_size));
-  bool ok = file_size >= 0 &&
-            (buffer.empty() ||
-             std::fread(buffer.data(), 1, buffer.size(), f) == buffer.size());
-  std::fclose(f);
-  if (!ok) return Status::IoError("cannot read zone map file");
-  return ParseTableZoneMap(buffer.data(), buffer.size(), out);
+  return Status::Ok();
 }
 
 }  // namespace btr

@@ -75,16 +75,10 @@ bool ZoneMayOverlapStringRange(const BlockZone& zone, std::string_view lo,
                                bool lo_open, std::string_view hi,
                                bool hi_open);
 
-// --- sidecar persistence ----------------------------------------------------
-// <dir>/<table>.zones
-Status WriteTableZoneMap(const TableZoneMap& zonemap, const std::string& dir,
-                         const std::string& table_name);
-Status ReadTableZoneMap(const std::string& dir, const std::string& table_name,
-                        TableZoneMap* out);
-
-// Buffer-to-buffer variants of the same framing, used when the sidecar
-// lives as an object-store object next to the column files (btr::Scanner
-// fetches it before deciding which blocks to GET at all).
+// --- sidecar framing --------------------------------------------------------
+// The "BTRZ" sidecar (docs/FORMAT.md §1.3) lives as an object-store object
+// next to the column files; btr::Scanner fetches it before deciding which
+// blocks to GET at all.
 void SerializeTableZoneMap(const TableZoneMap& zonemap, ByteBuffer* out);
 Status ParseTableZoneMap(const u8* data, size_t size, TableZoneMap* out);
 

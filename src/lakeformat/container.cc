@@ -6,6 +6,7 @@
 
 #include "bitmap/roaring.h"
 #include "util/bits.h"
+#include "util/framing.h"
 
 namespace btr::lakeformat {
 
@@ -85,15 +86,10 @@ void AppendChunkRecord(const ChunkMeta& chunk, ByteBuffer* out) {
   out->Append(record, sizeof(record));
 }
 
-ChunkMeta ParseChunkRecord(const u8* record) {
-  ChunkMeta chunk;
-  std::memcpy(&chunk.offset, record, 8);
-  std::memcpy(&chunk.stored_bytes, record + 8, 4);
-  std::memcpy(&chunk.raw_bytes, record + 12, 4);
-  std::memcpy(&chunk.value_count, record + 16, 4);
-  chunk.encoding = record[20];
-  chunk.codec = record[21];
-  return chunk;
+bool ReadChunkRecord(ByteReader* r, ChunkMeta* chunk) {
+  return r->Read(&chunk->offset) && r->Read(&chunk->stored_bytes) &&
+         r->Read(&chunk->raw_bytes) && r->Read(&chunk->value_count) &&
+         r->Read(&chunk->encoding) && r->Read(&chunk->codec) && r->Skip(2);
 }
 
 void AppendNullPrefix(const Column& column, u32 begin, u32 count,
@@ -146,26 +142,17 @@ Status ParseFooter(const u8* data, size_t size, const ValueCodec& format,
     return corrupt("footer length exceeds the file");
   }
   const u64 footer_start = size - kTrailerBytes - footer_bytes;
-  const u8* p = data + footer_start;
-  const u8* end = data + size - kTrailerBytes;
-  auto read = [&](void* dst, size_t n) {
-    if (n > static_cast<size_t>(end - p)) return false;
-    std::memcpy(dst, p, n);
-    p += n;
-    return true;
-  };
+  ByteReader r(data + footer_start, footer_bytes);
   u32 column_count = 0;
-  if (!read(&column_count, 4) || !read(&meta->row_count, 4) ||
-      !read(&meta->group_rows, 4) ||
-      column_count > static_cast<size_t>(end - p) / 3) {  // 3+ bytes each
+  if (!r.Read(&column_count) || !r.Read(&meta->row_count) ||
+      !r.Read(&meta->group_rows) ||
+      column_count > r.remaining() / 3) {  // 3+ bytes each
     return corrupt("column count exceeds the footer");
   }
   meta->columns.resize(column_count);
   for (auto& [name, type] : meta->columns) {
-    u16 length = 0;
     u8 type_byte = 0;
-    if (!read(&length, 2) || !read(name.assign(length, '\0').data(), length) ||
-        !read(&type_byte, 1) ||
+    if (!r.ReadString(&name) || !r.Read(&type_byte) ||
         type_byte > static_cast<u8>(ColumnType::kString)) {
       return corrupt("column name or type exceeds the footer");
     }
@@ -173,14 +160,13 @@ Status ParseFooter(const u8* data, size_t size, const ValueCodec& format,
   }
   // The writer emits ceil(rows / group_rows) groups, none for no rows.
   u32 group_count = 0;
-  if (!read(&group_count, 4) ||
+  if (!r.Read(&group_count) ||
       (meta->row_count == 0
            ? group_count != 0
            : column_count == 0 || meta->group_rows == 0 ||
                  group_count != CeilDiv(meta->row_count, meta->group_rows)) ||
-      static_cast<size_t>(end - p) % kChunkRecordBytes != 0 ||
-      u64{group_count} * column_count !=
-          static_cast<size_t>(end - p) / kChunkRecordBytes) {
+      r.remaining() % kChunkRecordBytes != 0 ||
+      u64{group_count} * column_count != r.remaining() / kChunkRecordBytes) {
     return corrupt("group count does not match the rows and the footer");
   }
   meta->groups.assign(group_count, std::vector<ChunkMeta>(column_count));
@@ -188,8 +174,9 @@ Status ParseFooter(const u8* data, size_t size, const ValueCodec& format,
     u32 rows =
         std::min(meta->group_rows, meta->row_count - g * meta->group_rows);
     for (ChunkMeta& chunk : meta->groups[g]) {
-      chunk = ParseChunkRecord(p);
-      p += kChunkRecordBytes;
+      if (!ReadChunkRecord(&r, &chunk)) {
+        return corrupt("chunk record exceeds the footer");
+      }
       if (chunk.offset > footer_start ||
           chunk.stored_bytes > footer_start - chunk.offset) {
         return corrupt("chunk extends past the footer start");

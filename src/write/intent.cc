@@ -1,13 +1,14 @@
 #include "write/intent.h"
 
-#include <cstring>
-
 #include "util/crc32c.h"
+#include "util/framing.h"
 
 namespace btr::write {
 
 namespace {
 constexpr char kIntentMagic[4] = {'B', 'T', 'R', 'I'};
+// The smallest entry: two empty strings, the size and the CRC.
+constexpr size_t kMinEntryBytes = 2 + 2 + 8 + 4;
 }  // namespace
 
 const char* IntentPhaseName(IntentPhase phase) {
@@ -19,8 +20,7 @@ const char* IntentPhaseName(IntentPhase phase) {
 }
 
 void SerializeIntent(const IntentRecord& intent, ByteBuffer* out) {
-  size_t start = out->size();
-  out->Append(kIntentMagic, 4);
+  size_t start = BeginFrame(kIntentMagic, out);
   out->AppendValue<u32>(kIntentFormatVersion);
   out->AppendValue<u64>(intent.version);
   out->AppendValue<u8>(static_cast<u8>(intent.phase));
@@ -35,60 +35,47 @@ void SerializeIntent(const IntentRecord& intent, ByteBuffer* out) {
     out->AppendValue<u64>(entry.size);
     out->AppendValue<u32>(entry.crc32c);
   }
-  out->AppendValue<u32>(Crc32c(out->data() + start, out->size() - start));
+  EndFrame(start, out);
 }
 
 Status ParseIntent(const u8* data, size_t size, IntentRecord* out) {
-  if (size < 4) return Status::Corruption("intent too small for CRC");
-  u32 stored_crc;
-  std::memcpy(&stored_crc, data + size - 4, 4);
-  if (Crc32c(data, size - 4) != stored_crc) {
-    return Status::Corruption("intent CRC mismatch");
-  }
-  const u8* p = data;
-  size_t remaining = size - 4;
-  auto read = [&](void* dst, size_t n) {
-    if (n > remaining) return false;
-    std::memcpy(dst, p, n);
-    p += n;
-    remaining -= n;
-    return true;
-  };
-  auto read_string = [&](std::string* dst) {
-    u16 len;
-    if (!read(&len, 2)) return false;
-    dst->resize(len);
-    return read(dst->data(), len);
-  };
-  char magic[4];
-  if (!read(magic, 4) || std::memcmp(magic, kIntentMagic, 4) != 0) {
-    return Status::Corruption("bad intent magic");
-  }
-  u32 format;
-  if (!read(&format, 4)) return Status::Corruption("truncated intent");
+  ByteReader r;
+  BTR_RETURN_IF_ERROR(OpenFrame(data, size, kIntentMagic, "intent", &r));
+  u32 format = 0;
+  if (!r.Read(&format)) return Status::Corruption("truncated intent");
   if (format != kIntentFormatVersion) {
     return Status::Corruption("unsupported intent format " +
                               std::to_string(format));
   }
-  u8 phase;
-  if (!read(&out->version, 8) || !read(&phase, 1)) {
+  u8 phase = 0;
+  u32 entry_count = 0;
+  if (!r.Read(&out->version) || !r.Read(&phase) || !r.ReadString(&out->table) ||
+      !r.ReadCount(&entry_count, kMinEntryBytes)) {
     return Status::Corruption("truncated intent");
   }
   if (phase > static_cast<u8>(IntentPhase::kStaged)) {
     return Status::Corruption("bad intent phase");
   }
   out->phase = static_cast<IntentPhase>(phase);
-  u32 entry_count;
-  if (!read_string(&out->table) || !read(&entry_count, 4)) {
-    return Status::Corruption("truncated intent");
-  }
-  out->entries.clear();
-  out->entries.resize(entry_count);
+  out->entries.assign(entry_count, {});
   for (IntentEntry& entry : out->entries) {
-    if (!read_string(&entry.key) || !read_string(&entry.upload_id) ||
-        !read(&entry.size, 8) || !read(&entry.crc32c, 4)) {
+    if (!r.ReadString(&entry.key) || !r.ReadString(&entry.upload_id) ||
+        !r.Read(&entry.size) || !r.Read(&entry.crc32c)) {
       return Status::Corruption("truncated intent entry");
     }
+  }
+  return Status::Ok();
+}
+
+Status VerifyStagedObject(s3sim::ObjectStore* store, exec::RetryState* retry,
+                          const IntentEntry& entry) {
+  std::vector<u8> blob;
+  BTR_RETURN_IF_ERROR(exec::RunWithRetries(
+      retry, [&] { return store->GetObject(entry.key, &blob); }));
+  if (blob.size() != entry.size ||
+      Crc32c(blob.data(), blob.size()) != entry.crc32c) {
+    return Status::Corruption("staged object failed verification: " +
+                              entry.key);
   }
   return Status::Ok();
 }

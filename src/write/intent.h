@@ -32,6 +32,8 @@
 #include <string>
 #include <vector>
 
+#include "exec/retry.h"
+#include "s3sim/object_store.h"
 #include "util/buffer.h"
 #include "util/status.h"
 #include "util/types.h"
@@ -68,6 +70,13 @@ struct IntentRecord {
 
 void SerializeIntent(const IntentRecord& intent, ByteBuffer* out);
 Status ParseIntent(const u8* data, size_t size, IntentRecord* out);
+
+// Reads back the object `entry` names, with GETs retried under `retry`,
+// and checks it against the size and CRC32C the entry records. Returns
+// Ok, Corruption on a mismatch, NotFound when the object is missing, or
+// the store's error; the writer and recovery each decide what that means.
+Status VerifyStagedObject(s3sim::ObjectStore* store, exec::RetryState* retry,
+                          const IntentEntry& entry);
 
 }  // namespace btr::write
 

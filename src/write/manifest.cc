@@ -1,8 +1,6 @@
 #include "write/manifest.h"
 
-#include <cstring>
-
-#include "util/crc32c.h"
+#include "util/framing.h"
 
 namespace btr::write {
 
@@ -43,47 +41,24 @@ bool ParseVersionedKey(const std::string& key, const std::string& prefix,
 }
 
 void SerializeManifest(const Manifest& manifest, ByteBuffer* out) {
-  size_t start = out->size();
-  out->Append(kManifestMagic, 4);
+  size_t start = BeginFrame(kManifestMagic, out);
   out->AppendValue<u32>(kManifestFormatVersion);
   out->AppendValue<u64>(manifest.committed_version);
   out->AppendValue<u16>(static_cast<u16>(manifest.table.size()));
   out->Append(manifest.table.data(), manifest.table.size());
-  out->AppendValue<u32>(Crc32c(out->data() + start, out->size() - start));
+  EndFrame(start, out);
 }
 
 Status ParseManifest(const u8* data, size_t size, Manifest* out) {
-  if (size < 4) return Status::Corruption("manifest too small for CRC");
-  u32 stored_crc;
-  std::memcpy(&stored_crc, data + size - 4, 4);
-  if (Crc32c(data, size - 4) != stored_crc) {
-    return Status::Corruption("manifest CRC mismatch");
-  }
-  const u8* p = data;
-  size_t remaining = size - 4;
-  auto read = [&](void* dst, size_t n) {
-    if (n > remaining) return false;
-    std::memcpy(dst, p, n);
-    p += n;
-    remaining -= n;
-    return true;
-  };
-  char magic[4];
-  if (!read(magic, 4) || std::memcmp(magic, kManifestMagic, 4) != 0) {
-    return Status::Corruption("bad manifest magic");
-  }
-  u32 format;
-  if (!read(&format, 4)) return Status::Corruption("truncated manifest");
+  ByteReader r;
+  BTR_RETURN_IF_ERROR(OpenFrame(data, size, kManifestMagic, "manifest", &r));
+  u32 format = 0;
+  if (!r.Read(&format)) return Status::Corruption("truncated manifest");
   if (format != kManifestFormatVersion) {
     return Status::Corruption("unsupported manifest format " +
                               std::to_string(format));
   }
-  u16 name_len;
-  if (!read(&out->committed_version, 8) || !read(&name_len, 2)) {
-    return Status::Corruption("truncated manifest");
-  }
-  out->table.resize(name_len);
-  if (!read(out->table.data(), name_len)) {
+  if (!r.Read(&out->committed_version) || !r.ReadString(&out->table)) {
     return Status::Corruption("truncated manifest");
   }
   if (out->committed_version == 0) {
@@ -108,9 +83,10 @@ Status ResolveCommittedName(s3sim::ObjectStore* store,
                             const std::string& table, std::string* name) {
   Manifest manifest;
   BTR_RETURN_IF_ERROR(ReadManifest(store, prefix, table, &manifest));
-  *name = manifest.committed_version == 0
-              ? table
-              : VersionedName(table, manifest.committed_version);
+  if (manifest.committed_version == 0) {
+    return Status::NotFound("no committed version of " + prefix + table);
+  }
+  *name = VersionedName(table, manifest.committed_version);
   return Status::Ok();
 }
 

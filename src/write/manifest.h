@@ -13,8 +13,7 @@
 // A reader (btr::Scanner::Open) resolves the manifest first and then only
 // ever touches that version's objects, so a commit racing a scan is
 // invisible: the reader sees version N-1 or version N, bit-identical,
-// never a mix. Stores without a manifest fall back to the unversioned
-// legacy keys, so hand-placed tables keep working.
+// never a mix. A table without a manifest has no committed version.
 //
 // Versions are never reused: an interrupted write leaves its versioned
 // objects (and a write-ahead intent record, src/write/intent.h) behind for
@@ -68,16 +67,16 @@ void SerializeManifest(const Manifest& manifest, ByteBuffer* out);
 Status ParseManifest(const u8* data, size_t size, Manifest* out);
 
 // Reads and parses <prefix><table>.manifest. A missing manifest is not an
-// error: Ok with committed_version == 0 (legacy store or never-committed
-// table). GETs are *not* retried here — callers wrap this in their own
-// retry discipline (the scanner's Open already has one).
+// error: Ok with committed_version == 0 (a table never committed). GETs
+// are *not* retried here — callers wrap this in their own retry
+// discipline (the scanner's Open already has one).
 Status ReadManifest(s3sim::ObjectStore* store, const std::string& prefix,
                     const std::string& table, Manifest* out);
 
 // The name scan-side key construction should use for `table`: the
-// committed VersionedName when a manifest exists, the plain table name
-// otherwise. Tests and benches that address column objects directly go
-// through this instead of hard-coding a layout.
+// committed VersionedName, or NotFound when the table has no manifest.
+// Tests and benches that address column objects directly go through this
+// instead of hard-coding a layout.
 Status ResolveCommittedName(s3sim::ObjectStore* store,
                             const std::string& prefix,
                             const std::string& table, std::string* name);

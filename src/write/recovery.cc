@@ -6,7 +6,6 @@
 
 #include "btr/file_format.h"
 #include "btr/zonemap.h"
-#include "util/crc32c.h"
 #include "write/intent.h"
 #include "write/manifest.h"
 
@@ -76,21 +75,6 @@ Status RollBack(FsckContext& ctx, const IntentRecord& intent,
   return Status::Ok();
 }
 
-// Checks one staged entry against the size/CRC the intent recorded.
-// Returns Ok(true-ish) via `ok_out`; non-OK only for store-level failure.
-Status VerifyEntry(FsckContext& ctx, const IntentEntry& entry, bool* ok_out) {
-  std::vector<u8> blob;
-  Status status = ctx.Get(entry.key, &blob);
-  if (status.IsNotFound()) {
-    *ok_out = false;
-    return Status::Ok();
-  }
-  BTR_RETURN_IF_ERROR(status);
-  *ok_out = blob.size() == entry.size &&
-            Crc32c(blob.data(), blob.size()) == entry.crc32c;
-  return Status::Ok();
-}
-
 // Completes what the writer started: finish interrupted uploads, verify
 // every object against the intent, publish the manifest. On verification
 // failure the version is damaged and rolls back instead.
@@ -124,12 +108,13 @@ Status RollForward(FsckContext& ctx, const IntentRecord& intent,
   bool all_ok = true;
   if (!pending_uploads) {
     for (const IntentEntry& entry : intent.entries) {
-      bool entry_ok = false;
-      BTR_RETURN_IF_ERROR(VerifyEntry(ctx, entry, &entry_ok));
-      if (!entry_ok) {
+      Status status = VerifyStagedObject(ctx.store, &ctx.retry, entry);
+      if (status.IsCorruption() || status.IsNotFound()) {
         all_ok = false;
         ctx.report->verify_failures++;
         ctx.Note("verify failed: " + entry.key);
+      } else {
+        BTR_RETURN_IF_ERROR(status);
       }
     }
   }

@@ -70,45 +70,7 @@ Status StreamingWriter::PutWithRetries(const std::string& key, const u8* data,
                               [&] { return store_->Put(key, data, size); });
 }
 
-Status StreamingWriter::WriteIntent(IntentPhase phase) {
-  IntentRecord intent;
-  intent.table = table_;
-  intent.version = version_;
-  intent.phase = phase;
-  for (const ColumnState& column : columns_) {
-    IntentEntry entry;
-    entry.key = column.key;
-    entry.upload_id = column.upload_id;
-    if (phase == IntentPhase::kStaged) {
-      // Final object = header (part 1) + payload parts, so the expected
-      // CRC stitches the header's CRC to the running payload CRC.
-      ByteBuffer header;
-      SerializeColumnFileHeader(column.block_sizes, column.block_crcs, &header);
-      entry.size = header.size() + column.payload_bytes;
-      entry.crc32c = Crc32cCombine(Crc32c(header.data(), header.size()),
-                                   column.payload_crc, column.payload_bytes);
-    }
-    intent.entries.push_back(std::move(entry));
-  }
-  const std::string versioned = VersionedName(table_, version_);
-  if (config_.write_zone_map) {
-    IntentEntry entry;
-    entry.key = ZoneMapKey(prefix_, versioned);
-    if (phase == IntentPhase::kStaged) {
-      entry.size = zones_size_;
-      entry.crc32c = zones_crc_;
-    }
-    intent.entries.push_back(std::move(entry));
-  }
-  {
-    IntentEntry entry;
-    entry.key = TableMetaKey(prefix_, versioned);
-    if (phase == IntentPhase::kStaged) {
-      entry.size = meta_size_;
-      entry.crc32c = meta_crc_;
-    }
-    intent.entries.push_back(std::move(entry));
-  }
+Status StreamingWriter::WriteIntent(const IntentRecord& intent) {
   ByteBuffer buffer;
   SerializeIntent(intent, &buffer);
   return PutWithRetries(IntentKey(prefix_, table_, version_), buffer.data(),
@@ -147,7 +109,10 @@ Status StreamingWriter::Begin(const std::vector<ColumnSpec>& schema) {
   }
   version_ = burned + 1;
 
+  // The kStaging intent names every object the version will hold; sizes
+  // and CRCs are not known yet.
   const std::string versioned = VersionedName(table_, version_);
+  IntentRecord staging{table_, version_, IntentPhase::kStaging, {}};
   columns_.clear();
   columns_.resize(schema.size());
   for (size_t c = 0; c < schema.size(); c++) {
@@ -158,10 +123,15 @@ Status StreamingWriter::Begin(const std::vector<ColumnSpec>& schema) {
     column.key = ColumnFileKey(prefix_, versioned, c);
     status = store_->CreateMultipartUpload(column.key, &column.upload_id);
     if (!status.ok()) return Fail(status);
+    staging.entries.push_back({column.key, column.upload_id});
     if (CrashAt("begin:after-create-upload")) return failed_status_;
   }
+  if (config_.write_zone_map) {
+    staging.entries.push_back({ZoneMapKey(prefix_, versioned), ""});
+  }
+  staging.entries.push_back({TableMetaKey(prefix_, versioned), ""});
 
-  status = WriteIntent(IntentPhase::kStaging);
+  status = WriteIntent(staging);
   if (!status.ok()) return Fail(status);
   if (CrashAt("begin:after-intent")) return failed_status_;
 
@@ -267,20 +237,6 @@ Status StreamingWriter::Append(const Relation& chunk) {
   return Status::Ok();
 }
 
-Status StreamingWriter::VerifyStagedObject(const IntentEntry& entry) {
-  std::vector<u8> blob;
-  Status status = exec::RunWithRetries(
-      retry_.get(), [&] { return store_->GetObject(entry.key, &blob); });
-  if (!status.ok()) return status;
-  if (blob.size() != entry.size ||
-      Crc32c(blob.data(), blob.size()) != entry.crc32c) {
-    WriteMetrics::Get().verify_failures.Add();
-    return Status::Corruption("staged object failed verification: " +
-                              entry.key);
-  }
-  return Status::Ok();
-}
-
 Status StreamingWriter::Commit() {
   BTR_TRACE_SPAN("write.commit");
   if (state_ == State::kDead) return failed_status_;
@@ -300,7 +256,10 @@ Status StreamingWriter::Commit() {
   // 2. Now that all block sizes/CRCs are known, frame each column's
   // header and upload it as the reserved part 1 — the store assembles
   // parts in part-number order, so the object comes out byte-identical
-  // to SerializeColumnFile.
+  // to SerializeColumnFile. Each staged object goes into the kStaged
+  // intent with the size and CRC32C it must have once assembled.
+  const std::string versioned = VersionedName(table_, version_);
+  IntentRecord staged{table_, version_, IntentPhase::kStaged, {}};
   for (ColumnState& column : columns_) {
     ByteBuffer header;
     SerializeColumnFileHeader(column.block_sizes, column.block_crcs, &header);
@@ -309,10 +268,19 @@ Status StreamingWriter::Commit() {
                                 header.size());
     });
     if (!status.ok()) return Fail(status);
+    // Header + payload parts: the expected CRC stitches the header's CRC
+    // to the running payload CRC.
+    staged.entries.push_back(
+        {column.key, column.upload_id, header.size() + column.payload_bytes,
+         Crc32cCombine(Crc32c(header.data(), header.size()),
+                       column.payload_crc, column.payload_bytes)});
     if (CrashAt("commit:after-header-part")) return failed_status_;
   }
-
-  const std::string versioned = VersionedName(table_, version_);
+  auto put_staged = [&](const std::string& key, const ByteBuffer& buffer) {
+    staged.entries.push_back(
+        {key, "", buffer.size(), Crc32c(buffer.data(), buffer.size())});
+    return PutWithRetries(key, buffer.data(), buffer.size());
+  };
 
   // 3. Zone-map sidecar and table metadata stage as plain versioned
   // objects (they are small; multipart buys nothing).
@@ -326,11 +294,7 @@ Status StreamingWriter::Commit() {
     }
     ByteBuffer buffer;
     SerializeTableZoneMap(zones, &buffer);
-    zones_size_ = buffer.size();
-    zones_crc_ = Crc32c(buffer.data(), buffer.size());
-    Status status =
-        PutWithRetries(ZoneMapKey(prefix_, versioned), buffer.data(),
-                       buffer.size());
+    Status status = put_staged(ZoneMapKey(prefix_, versioned), buffer);
     if (!status.ok()) return Fail(status);
     if (CrashAt("commit:after-zones")) return failed_status_;
   }
@@ -353,10 +317,7 @@ Status StreamingWriter::Commit() {
     }
     ByteBuffer buffer;
     SerializeTableMeta(skeleton, &buffer);
-    meta_size_ = buffer.size();
-    meta_crc_ = Crc32c(buffer.data(), buffer.size());
-    Status status = PutWithRetries(TableMetaKey(prefix_, versioned),
-                                   buffer.data(), buffer.size());
+    Status status = put_staged(TableMetaKey(prefix_, versioned), buffer);
     if (!status.ok()) return Fail(status);
     if (CrashAt("commit:after-meta")) return failed_status_;
   }
@@ -365,7 +326,7 @@ Status StreamingWriter::Commit() {
   // intent records every object with its expected size and CRC. From here
   // a crash rolls forward — recovery finishes the uploads and swaps the
   // manifest itself (write/recovery.h).
-  Status status = WriteIntent(IntentPhase::kStaged);
+  Status status = WriteIntent(staged);
   if (!status.ok()) return Fail(status);
   if (CrashAt("commit:after-staged-intent")) return failed_status_;
 
@@ -380,27 +341,11 @@ Status StreamingWriter::Commit() {
 
   // 6. Trust nothing: a PUT that tore or corrupted bytes while *reporting
   // success* (FaultKind::kTruncate/kCorrupt) must not get published. The
-  // read-back compares byte counts and CRCs against what the writer sent,
+  // read-back compares byte counts and CRCs against the journaled intent,
   // at the cost of re-reading the version once.
-  IntentRecord staged;  // rebuild the entry list the intent recorded
-  for (ColumnState& column : columns_) {
-    ByteBuffer header;
-    SerializeColumnFileHeader(column.block_sizes, column.block_crcs, &header);
-    IntentEntry entry;
-    entry.key = column.key;
-    entry.size = header.size() + column.payload_bytes;
-    entry.crc32c = Crc32cCombine(Crc32c(header.data(), header.size()),
-                                 column.payload_crc, column.payload_bytes);
-    staged.entries.push_back(std::move(entry));
-  }
-  if (config_.write_zone_map) {
-    staged.entries.push_back(
-        {ZoneMapKey(prefix_, versioned), "", zones_size_, zones_crc_});
-  }
-  staged.entries.push_back(
-      {TableMetaKey(prefix_, versioned), "", meta_size_, meta_crc_});
   for (const IntentEntry& entry : staged.entries) {
-    status = VerifyStagedObject(entry);
+    status = VerifyStagedObject(store_, retry_.get(), entry);
+    if (status.IsCorruption()) WriteMetrics::Get().verify_failures.Add();
     if (!status.ok()) return Fail(status);
   }
   if (CrashAt("commit:after-verify")) return failed_status_;

@@ -151,7 +151,7 @@ class StreamingWriter {
   bool CrashAt(const char* label);
   Status Fail(Status status);  // marks kDead and returns the status
   Status PutWithRetries(const std::string& key, const u8* data, size_t size);
-  Status WriteIntent(IntentPhase phase);
+  Status WriteIntent(const IntentRecord& intent);
   // Records one serialized block (size/CRC/count/scheme bookkeeping) and
   // appends its bytes to column `c`'s pending part buffer.
   void StageBlockBytes(size_t c, const u8* data, u32 size, u32 value_count,
@@ -162,7 +162,6 @@ class StreamingWriter {
   Status FlushBlock(size_t c);
   // Uploads the pending payload bytes of column `c` as the next part.
   Status UploadPending(size_t c);
-  Status VerifyStagedObject(const IntentEntry& entry);
 
   s3sim::ObjectStore* store_;
   std::string table_;
@@ -176,12 +175,6 @@ class StreamingWriter {
   u64 rows_appended_ = 0;
   u64 blocks_flushed_ = 0;
   std::vector<ColumnState> columns_;
-  // Size/CRC of the staged sidecar objects, recorded for the kStaged
-  // intent and the verification pass.
-  u64 zones_size_ = 0;
-  u32 zones_crc_ = 0;
-  u64 meta_size_ = 0;
-  u32 meta_crc_ = 0;
 
   friend Status CommitCompressedRelation(const CompressedRelation&,
                                          const TableZoneMap*,

@@ -1,11 +1,13 @@
 // Integration tests: block compression with NULLs, relation round trips,
-// file format persistence, telemetry.
+// file format persistence and hostile metadata, telemetry.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "btr/btrblocks.h"
+#include "hostile_bytes.h"
 #include "util/random.h"
 
 namespace btr {
@@ -179,6 +181,68 @@ TEST(FileFormatTest, MissingFileReportsNotFound) {
   Status status = ReadCompressedRelation("/nonexistent_dir_xyz", "nope", &out);
   EXPECT_FALSE(status.ok());
   EXPECT_EQ(status.code(), Status::Code::kNotFound);
+}
+
+// --- hostile metadata -------------------------------------------------------
+
+Status ParseMeta(const u8* data, size_t size) {
+  TableMeta meta;
+  return ParseTableMeta(data, size, &meta);
+}
+
+Status ParseHeader(const u8* data, size_t size) {
+  ColumnFileHeader header;
+  return ParseColumnFileHeader(data, size, &header);
+}
+
+TEST(FileFormatTest, HostileTableMetaIsCorruption) {
+  CompressedRelation compressed =
+      CompressRelation(MakeMixedRelation(6, 70000), CompressionConfig());
+  ByteBuffer buffer;
+  SerializeTableMeta(compressed, &buffer);
+  const Bytes meta = ToBytes(buffer);
+  ASSERT_TRUE(ParseMeta(meta.data(), meta.size()).ok());
+  ExpectTruncationsAndMagicCorrupt(ParseMeta, meta);
+
+  // "BTRM" | u32 column_count | u32 row_count | u16 name_len | "id" |
+  // u8 type | u64 uncompressed_bytes | u32 block_count | ...
+  const size_t type_offset = 12 + 2 + compressed.columns[0].name.size();
+  const size_t block_count_offset = type_offset + 1 + 8;
+  ExpectCorruption(ParseMeta, Restamped<u32>(meta, 4, 0xFFFFFFFFu),
+                   "column count 0xFFFFFFFF");
+  ExpectCorruption(ParseMeta,
+                   Restamped<u32>(meta, block_count_offset, 0xFFFFFFFFu),
+                   "block count 0xFFFFFFFF");
+  ExpectCorruption(ParseMeta, Restamped<u16>(meta, 12, 0xFFFF),
+                   "name length 0xFFFF");
+  ExpectCorruption(ParseMeta, Restamped<u8>(meta, type_offset, 3),
+                   "column type 3");
+}
+
+TEST(FileFormatTest, HostileColumnHeaderIsCorruption) {
+  const std::vector<u32> sizes = {100, 200, 300};
+  const std::vector<u32> crcs = {11, 22, 33};
+  ByteBuffer buffer;
+  SerializeColumnFileHeader(sizes, crcs, &buffer);
+  const Bytes header = ToBytes(buffer);
+  ASSERT_EQ(header.size(), ColumnFileHeaderBytes(3));
+  ASSERT_TRUE(ParseHeader(header.data(), header.size()).ok());
+  ExpectTruncationsAndMagicCorrupt(ParseHeader, header);
+
+  // Each flipped count bit, on the header alone (a Scanner's ranged GET)
+  // and followed by its 600 payload bytes (Fsck's whole object), where a
+  // smaller wrong count still fits the bytes and only the CRC catches it.
+  Bytes object = header;
+  object.resize(header.size() + 600, 0xAB);
+  for (const Bytes& input : {header, object}) {
+    for (u32 bit = 0; bit < 32; bit++) {
+      Bytes bad = input;
+      bad[4 + bit / 8] ^= static_cast<u8>(1u << (bit % 8));
+      ExpectCorruption(ParseHeader, bad,
+                       "count bit " + std::to_string(bit) + " of " +
+                           std::to_string(bad.size()) + " bytes");
+    }
+  }
 }
 
 TEST(TelemetryTest, EstimationShareIsSmall) {

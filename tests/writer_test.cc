@@ -12,6 +12,7 @@
 
 #include "btr/btrblocks.h"
 #include "btr/scanner.h"
+#include "hostile_bytes.h"
 #include "s3sim/fault.h"
 #include "write/intent.h"
 #include "write/manifest.h"
@@ -635,6 +636,102 @@ TEST(FsckTest, VerifyCommittedDetectsBitRot) {
   ASSERT_TRUE(write::Fsck(&store, "lake/", "t", deep, &report).ok());
   EXPECT_GE(report.verify_failures, 1u);
   EXPECT_FALSE(report.clean);
+}
+
+// --- hostile metadata -------------------------------------------------------
+
+Status ParseIntentBytes(const u8* data, size_t size) {
+  write::IntentRecord intent;
+  return write::ParseIntent(data, size, &intent);
+}
+
+Status ParseManifestBytes(const u8* data, size_t size) {
+  write::Manifest manifest;
+  return write::ParseManifest(data, size, &manifest);
+}
+
+Bytes StagedIntent() {
+  write::IntentRecord intent;
+  intent.table = "t";
+  intent.version = 2;
+  intent.phase = write::IntentPhase::kStaged;
+  intent.entries.push_back({"lake/t.v2.0.btr", "mpu-7", 1234, 0xDEADBEEFu});
+  intent.entries.push_back({"lake/t.v2.btrmeta", "", 99, 0x12345678u});
+  ByteBuffer buffer;
+  write::SerializeIntent(intent, &buffer);
+  return ToBytes(buffer);
+}
+
+TEST(WriterMetadataTest, HostileIntentIsCorruption) {
+  const Bytes intent = StagedIntent();
+  ASSERT_TRUE(ParseIntentBytes(intent.data(), intent.size()).ok());
+  ExpectTruncationsAndMagicCorrupt(ParseIntentBytes, intent);
+  // "BTRI" | u32 format | u64 version | u8 phase | u16 name_len | "t" |
+  // u32 entry_count | u16 key_len | key ...
+  ExpectCorruption(ParseIntentBytes, Restamped<u32>(intent, 4, 2),
+                   "format 2");
+  ExpectCorruption(ParseIntentBytes, Restamped<u8>(intent, 16, 2), "phase 2");
+  ExpectCorruption(ParseIntentBytes, Restamped<u32>(intent, 20, 0xFFFFFFFFu),
+                   "entry count 0xFFFFFFFF");
+  ExpectCorruption(ParseIntentBytes, Restamped<u16>(intent, 24, 0xFFFF),
+                   "key length 0xFFFF");
+}
+
+TEST(WriterMetadataTest, HostileManifestIsCorruption) {
+  write::Manifest manifest{"t", 3};
+  ByteBuffer buffer;
+  write::SerializeManifest(manifest, &buffer);
+  const Bytes bytes = ToBytes(buffer);
+  ASSERT_TRUE(ParseManifestBytes(bytes.data(), bytes.size()).ok());
+  ExpectTruncationsAndMagicCorrupt(ParseManifestBytes, bytes);
+  // "BTRV" | u32 format | u64 committed_version | u16 name_len | "t"
+  ExpectCorruption(ParseManifestBytes, Restamped<u32>(bytes, 4, 2),
+                   "format 2");
+  ExpectCorruption(ParseManifestBytes, Restamped<u64>(bytes, 8, 0),
+                   "version 0");
+  ExpectCorruption(ParseManifestBytes, Restamped<u16>(bytes, 16, 0xFFFF),
+                   "name length 0xFFFF");
+}
+
+// The Status contract holds above the parsers: a CRC-valid intent or
+// table metadata with a hostile count is an unreadable object to Fsck and
+// a Corruption to Scanner::Open, never an escaping exception.
+TEST(WriterMetadataTest, HostileCountsStayStatuses) {
+  Relation table = MakeTable("t", 40000);
+  s3sim::ObjectStore store;
+  ASSERT_TRUE(StreamTable(&store, table, 9000, write::WriterConfig()).ok());
+
+  const Bytes intent = Restamped<u32>(StagedIntent(), 20, 0xFFFFFFFFu);
+  const std::string intent_key = write::IntentKey("lake/", "t", 2);
+  ASSERT_TRUE(store.Put(intent_key, intent.data(), intent.size()).ok());
+  write::FsckOptions repair;
+  repair.repair = true;
+  write::FsckReport report;
+  Status status;
+  EXPECT_NO_THROW(status = write::Fsck(&store, "lake/", "t", repair, &report));
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(report.intents_deleted, 1u);
+  EXPECT_EQ(report.committed_version_after, 1u);
+  EXPECT_FALSE(store.Contains(intent_key));
+
+  const std::string meta_key = TableMetaKey("lake/", "t.v1");
+  const Bytes meta = Restamped<u32>(MustGet(store, meta_key), 4, 0xFFFFFFFFu);
+  ASSERT_TRUE(store.Put(meta_key, meta.data(), meta.size()).ok());
+  Scanner scanner(&store, "t", "lake/");
+  EXPECT_NO_THROW(status = scanner.Open());
+  EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+}
+
+TEST(WriterMetadataTest, TableWithoutManifestIsNotFound) {
+  Relation table = MakeTable("t", 1000);
+  s3sim::ObjectStore store;
+  ASSERT_TRUE(StreamTable(&store, table, 1000, write::WriterConfig()).ok());
+  ASSERT_TRUE(store.Delete(write::ManifestKey("lake/", "t")).ok());
+  std::string name;
+  EXPECT_TRUE(
+      write::ResolveCommittedName(&store, "lake/", "t", &name).IsNotFound());
+  Scanner scanner(&store, "t", "lake/");
+  EXPECT_TRUE(scanner.Open().IsNotFound());
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include "btr/btrblocks.h"
 #include "btr/predicate.h"
 #include "btr/zonemap.h"
+#include "hostile_bytes.h"
 #include "util/random.h"
 
 namespace btr {
@@ -250,7 +251,8 @@ TEST(ZoneMapTest, ExpressionPruningOverZones) {
       zone, Predicate::CompareInt("x", CompareOp::kLt, 100)));
 }
 
-TEST(ZoneMapTest, SidecarRoundTrip) {
+// An int and a string column of 70,000 random rows: two zones each.
+TableZoneMap SampleZoneMap() {
   Relation relation("ztable");
   Column& ints = relation.AddColumn("i", ColumnType::kInteger);
   Column& strs = relation.AddColumn("s", ColumnType::kString);
@@ -263,16 +265,19 @@ TEST(ZoneMapTest, SidecarRoundTrip) {
   for (const Column& c : relation.columns()) {
     zonemap.columns.push_back(ComputeColumnZoneMap(c));
   }
-  std::string dir = ::testing::TempDir();
-  ASSERT_TRUE(WriteTableZoneMap(zonemap, dir, "ztable").ok());
+  return zonemap;
+}
+
+TEST(ZoneMapTest, SidecarRoundTrip) {
+  TableZoneMap zonemap = SampleZoneMap();
+  ByteBuffer sidecar;
+  SerializeTableZoneMap(zonemap, &sidecar);
   TableZoneMap loaded;
-  ASSERT_TRUE(ReadTableZoneMap(dir, "ztable", &loaded).ok());
+  ASSERT_TRUE(ParseTableZoneMap(sidecar.data(), sidecar.size(), &loaded).ok());
   ASSERT_EQ(loaded.columns.size(), 2u);
   ASSERT_EQ(loaded.columns[0].zones.size(), zonemap.columns[0].zones.size());
-  // Compare field-by-field: BlockZone has padding bytes, and the
-  // serializer deliberately zeroes them (bit-identity for the write
-  // path), so a whole-struct memcmp against the in-memory original
-  // would compare indeterminate padding.
+  // Compare field-by-field: a whole-struct memcmp against the in-memory
+  // original would compare indeterminate padding.
   for (size_t c = 0; c < 2; c++) {
     for (size_t z = 0; z < zonemap.columns[c].zones.size(); z++) {
       const BlockZone& got = loaded.columns[c].zones[z];
@@ -290,8 +295,32 @@ TEST(ZoneMapTest, SidecarRoundTrip) {
       EXPECT_EQ(got.all_null, want.all_null);
     }
   }
-  TableZoneMap missing;
-  EXPECT_FALSE(ReadTableZoneMap(dir, "no_such_table", &missing).ok());
+}
+
+Status ParseZones(const u8* data, size_t size) {
+  TableZoneMap zones;
+  return ParseTableZoneMap(data, size, &zones);
+}
+
+TEST(ZoneMapTest, HostileSidecarIsCorruption) {
+  ByteBuffer buffer;
+  SerializeTableZoneMap(SampleZoneMap(), &buffer);
+  const Bytes sidecar = ToBytes(buffer);
+  ASSERT_TRUE(ParseZones(sidecar.data(), sidecar.size()).ok());
+  ExpectTruncationsAndMagicCorrupt(ParseZones, sidecar);
+
+  // "BTRZ" | u32 column_count | u8 type | u32 zone_count | 56-byte zones
+  // (string_min_len at +48, all_null at +50) ...
+  constexpr size_t kZone = 13;
+  ExpectCorruption(ParseZones, Restamped<u32>(sidecar, 4, 0xFFFFFFFFu),
+                   "column count 0xFFFFFFFF");
+  ExpectCorruption(ParseZones, Restamped<u32>(sidecar, 9, 0xFFFFFFFFu),
+                   "zone count 0xFFFFFFFF");
+  ExpectCorruption(ParseZones, Restamped<u8>(sidecar, 8, 3), "column type 3");
+  ExpectCorruption(ParseZones, Restamped<u8>(sidecar, kZone + 50, 2),
+                   "all_null byte 2");
+  ExpectCorruption(ParseZones, Restamped<u8>(sidecar, kZone + 48, 9),
+                   "prefix length 9");
 }
 
 }  // namespace
