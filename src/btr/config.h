@@ -22,8 +22,10 @@
 //
 // btr::ScanSpec (btr/scanner.h) describes *what* to scan — projection
 // columns and a filter expression (btr/predicate.h) — and embeds a ScanConfig
-// for the *how*. btrtool exposes the ScanConfig knobs as --scan-threads
-// and --prefetch-depth; defaults live here so every entry point agrees.
+// for the *how*. `btrtool scan` sets it with --scan-threads,
+// --prefetch-depth, --max-retries, --no-pushdown, --skip-corrupt,
+// --block-cache, --hedge, --breaker, --crc-refetch and --profile; defaults
+// live here so every entry point agrees.
 #ifndef BTR_BTR_CONFIG_H_
 #define BTR_BTR_CONFIG_H_
 
@@ -198,10 +200,10 @@ struct ScanConfig {
   bool skip_unreadable_blocks = false;
 
   // --- block cache (exec/block_cache.h) ------------------------------------
-  // Checksum-verified in-memory cache of compressed block payloads, keyed
-  // by the exact ranged GET (key, offset, length). A warm repeat scan
-  // through the same Scanner issues zero GETs for cached blocks. Entries
-  // are admitted only when their bytes hash to the column header's CRC32C.
+  // In-memory cache of verified compressed block payloads, keyed by block
+  // identity (key, offset, length, header CRC32C). A warm repeat scan
+  // through the same Scanner issues zero GETs for cached blocks. Only
+  // blocks that passed their size + CRC32C check on arrival are cached.
   // Serviced scanners (service/scan_service.h) ignore these knobs and the
   // breaker ones below: the service's shared cache and per-backend
   // breakers are used instead (docs/SCAN_SERVICE.md).
@@ -232,10 +234,10 @@ struct ScanConfig {
   u64 breaker_cooldown_ns = 10 * 1000 * 1000;  // 10 ms open before probing
 
   // --- CRC refetch ---------------------------------------------------------
-  // When a block's payload fails its header CRC32C, re-fetch it once
-  // directly from the store (bypassing any cache) before declaring
-  // Status::Corruption — distinguishes transient wire corruption from
-  // at-rest damage.
+  // When a fetched block fails its size or header CRC32C check, GET it
+  // once more (an ordinary GET of the scan: retried, hedged, counted in
+  // `requests`) before declaring Status::Corruption — distinguishes
+  // transient wire corruption from at-rest damage.
   bool refetch_on_crc_failure = false;
 
   // --- per-scan profile (obs/profile.h) ------------------------------------

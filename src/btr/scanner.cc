@@ -165,17 +165,17 @@ class ServiceLane {
     }
   }
 
-  // One GET on the calling executor thread. `blocks` counts the block
-  // payloads it carries, each already looked up in the cache (0 for
-  // metadata and column headers).
-  Status Get(const std::string& key, u64 offset, u64 length, u32 blocks,
+  // One GET on the calling executor thread, booked in the lane's and the
+  // tenant's counters and in the profile. `misses` counts the block
+  // payloads it carries whose cache lookup missed (0 without a cache, and
+  // for metadata, column headers and CRC re-fetches).
+  Status Get(const std::string& key, u64 offset, u64 length, u32 misses,
              std::vector<u8>* out) {
     obs::FetchRecord record;
     record.key = &key;
     record.offset = offset;
     record.length = length;
-    record.blocks = blocks;
-    record.cacheable = blocks > 0 && service_.cache() != nullptr;
+    record.blocks = misses;
     u64 gets = 0;  // GETs that reached the store (a breaker rejection is none)
     exec::RetryOutcome outcome;
     Timer get_timer;
@@ -201,7 +201,10 @@ class ServiceLane {
     record.retries = outcome.retries;
     record.breaker_rejected = outcome.breaker_rejected;
     record.ok = status.ok();
-    Account(gets, status.ok() ? out->size() : 0, record.hedged);
+    const u64 bytes = status.ok() ? out->size() : 0;
+    gets_.fetch_add(gets, std::memory_order_relaxed);
+    bytes_.fetch_add(bytes, std::memory_order_relaxed);
+    service_.RecordGets(tenant_, gets, bytes, record.hedged);
     if (profile_ != nullptr) profile_->RecordFetch(record);
     return status;
   }
@@ -220,13 +223,6 @@ class ServiceLane {
     }
     std::unique_lock<std::mutex> lock(mutex);
     done.wait(lock, [&] { return left == 0; });
-  }
-
-  // Books `gets` GETs that moved `bytes` (also those issued outside Get).
-  void Account(u64 gets, u64 bytes, bool hedged) {
-    gets_.fetch_add(gets, std::memory_order_relaxed);
-    bytes_.fetch_add(bytes, std::memory_order_relaxed);
-    service_.RecordGets(tenant_, gets, bytes, hedged);
   }
 
   // Joins hedge stragglers; call once no item can issue a GET any more.
@@ -519,8 +515,9 @@ struct BlockResult {
 };
 
 // One block payload as the decode stage reads it: a slice of a run's GET
-// buffer, a cached payload, or a CRC re-fetch. `owner` keeps the bytes
-// alive, and kSimdPadding readable bytes follow data + size.
+// buffer, a cached payload, or a CRC re-fetch, each verified against its
+// column header. `owner` keeps the bytes alive, and kSimdPadding readable
+// bytes follow data + size.
 struct BlockPart {
   std::shared_ptr<const void> owner;  // null = the part did not arrive
   const u8* data = nullptr;
@@ -620,11 +617,11 @@ class Scanner::Job {
   Status ReadHeaders();
   void Expand(const Group& group);
   void FetchRun(const Item& run);
+  Status Arrive(u32 pos, u32 b, BlockPart* part);
   void Deliver(u32 b, u32 pos, BlockPart part, const Status& status);
-  void Decode(u32 b, Bundle& bundle);
-  Status DecodeBundle(u32 b, Bundle& bundle, BlockResult* result);
+  void Decode(u32 b, const Bundle& bundle);
+  Status DecodeBundle(u32 b, const Bundle& bundle, BlockResult* result);
   void EmitBlock(const ChunkCallback& emit, u32 b, BlockResult* result);
-  void CacheInsert(u32 pos, u32 b, const u8* data, size_t size);
   void Fail(Status status);
   bool Failed();
   bool Sleep(u64 backoff_ns);
@@ -842,7 +839,7 @@ void Scanner::Job::Expand(const Group& group) {
       exec::BlockCache::Payload payload;
       if (cache_ != nullptr) {
         payload = cache_->LookupShared(keys_[pos], file.block_offsets[b],
-                                       file.block_size(b));
+                                       file.block_size(b), file.block_crcs[b]);
       }
       if (payload == nullptr) {
         if (run.blocks == 0) run.first = b;
@@ -850,7 +847,8 @@ void Scanner::Job::Expand(const Group& group) {
         misses++;
         continue;
       }
-      // Cache hit: the bundle shares the cached buffer — no copy, no GET.
+      // Cache hit: the bundle shares the cached buffer — no copy, no GET,
+      // and no CRC32C: the entry is this block's verified bytes.
       hits++;
       if (run.blocks > 0) items_.push_back(run);
       run.blocks = 0;
@@ -859,8 +857,6 @@ void Scanner::Job::Expand(const Group& group) {
         record.key = &keys_[pos];
         record.offset = file.block_offsets[b];
         record.length = file.block_size(b);
-        record.blocks = 1;
-        record.cacheable = true;
         record.cache_hit = true;
         profile_->RecordFetch(record);
       }
@@ -879,31 +875,84 @@ void Scanner::Job::Expand(const Group& group) {
 }
 
 // One run: a single GET for adjacent blocks of one column, sliced into a
-// part per block without a copy. A failed GET fails every block of the
-// run; a short response leaves the blocks past its end short, for the
-// decode stage's CRC check to catch.
+// part per block without a copy, and each part checked where it arrives
+// (Arrive). A failed GET fails every block of the run; a short response
+// leaves the blocks past its end short, and they fail the check.
 void Scanner::Job::FetchRun(const Item& run) {
   if (Failed()) return ItemDone();
   const ColumnFileHeader& file = File(run.pos);
   const u64 offset = file.block_offsets[run.first];
   const u64 length = file.block_offsets[run.first + run.blocks] - offset;
   std::vector<u8> bytes;
-  Status status = lane_.Get(keys_[run.pos], offset, length, run.blocks, &bytes);
+  Status status = lane_.Get(keys_[run.pos], offset, length,
+                            cache_ != nullptr ? run.blocks : 0, &bytes);
   const u64 got = bytes.size();
   std::shared_ptr<const std::vector<u8>> buffer;
   if (status.ok()) buffer = Padded(std::move(bytes));
   for (u32 b = run.first; b < run.first + run.blocks; b++) {
     BlockPart part;
+    Status block_status = status;
     if (status.ok()) {
       const u64 begin = std::min(file.block_offsets[b] - offset, got);
-      part.owner = buffer;
-      part.data = buffer->data() + begin;
-      part.size = std::min(file.block_size(b), got - begin);
-      CacheInsert(run.pos, b, part.data, part.size);
+      part = BlockPart{buffer, buffer->data() + begin,
+                       std::min(file.block_size(b), got - begin)};
+      block_status = Arrive(run.pos, b, &part);
     }
-    Deliver(b, run.pos, std::move(part), status);
+    Deliver(b, run.pos, std::move(part), block_status);
   }
   ItemDone();
+}
+
+// The scan's one integrity check of fetched bytes: `part` must be exactly
+// block b of needed column `pos`, the size and CRC32C its column header
+// promised. With refetch_on_crc_failure a failing block is read again,
+// once, by an ordinary lane GET (retried, hedged, breaker-guarded). Only
+// a verified part is cached and delivered; a part that stays bad is
+// Corruption.
+Status Scanner::Job::Arrive(u32 pos, u32 b, BlockPart* part) {
+  ScanMetrics& metrics = ScanMetrics::Get();
+  const ColumnFileHeader& file = File(pos);
+  Timer check_timer;
+  const bool intact = file.Intact(b, part->data, part->size);
+  if (profile_ != nullptr) {
+    profile_->AddActivity(obs::ScanActivity::kValidate,
+                          static_cast<u64>(check_timer.ElapsedNanos()));
+  }
+  if (!intact) {
+    metrics.crc_failures.Add();
+    bool rescued = false;
+    if (config_.refetch_on_crc_failure) {
+      metrics.crc_refetches.Add();
+      crc_refetches_.fetch_add(1, std::memory_order_relaxed);
+      std::vector<u8> fresh;
+      Status refetch = lane_.Get(keys_[pos], file.block_offsets[b],
+                                 file.block_size(b), /*misses=*/0, &fresh);
+      rescued = refetch.ok() && file.Intact(b, fresh.data(), fresh.size());
+      if (rescued) {
+        const size_t size = fresh.size();
+        std::shared_ptr<const std::vector<u8>> buffer =
+            Padded(std::move(fresh));
+        *part = BlockPart{buffer, buffer->data(), size};
+        metrics.crc_rescues.Add();
+        crc_rescues_.fetch_add(1, std::memory_order_relaxed);
+      }
+      if (profile_ != nullptr) profile_->AddCrcRefetch(rescued);
+    }
+    if (!rescued) {
+      *part = BlockPart();  // only the Status reaches the bundle
+      return Status::Corruption(
+          "block " + std::to_string(b) + " of column " +
+          scanner_.meta_.columns[resolved_.needed[pos]].name +
+          " failed CRC verification");
+    }
+  }
+  if (cache_ != nullptr) {
+    // Verified: cached under the tenant's cache-byte quota.
+    service_.TryCacheInsert(tenant_, keys_[pos], file.block_offsets[b],
+                            file.block_size(b), file.block_crcs[b],
+                            part->data);
+  }
+  return Status::Ok();
 }
 
 // Hands one part to its row block's bundle; the part that completes the
@@ -931,18 +980,10 @@ void Scanner::Job::Deliver(u32 b, u32 pos, BlockPart part,
     u64 cost = 0;
     for (const BlockPart& p : complete.parts) cost += p.size;
     lane_.Submit(/*decode=*/true, cost,
-                 [this, b, bundle = std::move(complete)]() mutable {
+                 [this, b, bundle = std::move(complete)] {
                    Decode(b, bundle);
                  });
   }
-}
-
-// Verified admission into the cache, under the tenant's cache-byte quota.
-void Scanner::Job::CacheInsert(u32 pos, u32 b, const u8* data, size_t size) {
-  if (cache_ == nullptr) return;
-  const ColumnFileHeader& file = File(pos);
-  service_.TryCacheInsert(tenant_, keys_[pos], file.block_offsets[b], size,
-                          data, size, file.block_crcs[b]);
 }
 
 // --- decode: one complete row block on the service's decode executors ------------
@@ -950,7 +991,7 @@ void Scanner::Job::CacheInsert(u32 pos, u32 b, const u8* data, size_t size) {
 // Every non-pruned block reaches the reorder buffer exactly once:
 // kDecoded, kSkipped, and — in degraded mode — kUnreadable, so the
 // emitter always sees block b eventually and never waits forever.
-void Scanner::Job::Decode(u32 b, Bundle& bundle) {
+void Scanner::Job::Decode(u32 b, const Bundle& bundle) {
   if (!Failed()) {
     try {
       BlockResult result;
@@ -979,61 +1020,19 @@ void Scanner::Job::Decode(u32 b, Bundle& bundle) {
   ItemDone();
 }
 
-// Integrity, then the filter on the compressed form, then decompression
-// of the projected columns of row block `b`.
-Status Scanner::Job::DecodeBundle(u32 b, Bundle& bundle, BlockResult* result) {
-  ScanMetrics& metrics = ScanMetrics::Get();
+// Structure, then the filter on the compressed form, then decompression
+// of the projected columns of row block `b`. Every part arrived verified
+// (a fetched part passed Arrive, a cached one is a verified copy), so
+// only the structure is checked here, against this scan's metadata.
+Status Scanner::Job::DecodeBundle(u32 b, const Bundle& bundle,
+                                  BlockResult* result) {
   const u32 expected_rows = resolved_.block_rows[b];
   Timer validate_timer;
   for (u32 pos = 0; pos < needed_count_; pos++) {
-    BlockPart& part = bundle.parts[pos];
-    if (part.owner == nullptr) {
-      return Status::Internal("block " + std::to_string(b) +
-                              " arrived without part " + std::to_string(pos));
-    }
-    const u32 column = resolved_.needed[pos];
-    const ColumnFileHeader& file = File(pos);
-    // Integrity first: the payload must be exactly the bytes the column
-    // header promised. Catches truncated ranges (size) and flipped bits
-    // (CRC32C) before any parsing logic sees the data.
-    if (!file.Intact(b, part.data, part.size)) {
-      metrics.crc_failures.Add();
-      // The mismatch may be transient wire corruption rather than
-      // at-rest damage: re-fetch this block alone, straight from the
-      // store (a direct GET cannot be served by the cache), and re-verify
-      // before giving up on the block.
-      bool rescued = false;
-      if (config_.refetch_on_crc_failure) {
-        metrics.crc_refetches.Add();
-        crc_refetches_.fetch_add(1, std::memory_order_relaxed);
-        std::vector<u8> fresh;
-        fresh.reserve(file.block_size(b) + kSimdPadding);
-        Status refetch = scanner_.store_->GetChunk(
-            keys_[pos], file.block_offsets[b], file.block_size(b), &fresh);
-        rescued = refetch.ok() && file.Intact(b, fresh.data(), fresh.size());
-        lane_.Account(1, rescued ? fresh.size() : 0, /*hedged=*/false);
-        if (rescued) {
-          // The verified bytes are exactly what the cache wants; the
-          // corrupt ones were already refused at admission.
-          CacheInsert(pos, b, fresh.data(), fresh.size());
-          const size_t size = fresh.size();
-          std::shared_ptr<const std::vector<u8>> buffer =
-              Padded(std::move(fresh));
-          part = BlockPart{buffer, buffer->data(), size};
-          metrics.crc_rescues.Add();
-          crc_rescues_.fetch_add(1, std::memory_order_relaxed);
-        }
-        if (profile_ != nullptr) profile_->AddCrcRefetch(rescued);
-      }
-      if (!rescued) {
-        return Status::Corruption(
-            "block " + std::to_string(b) + " of column " +
-            scanner_.meta_.columns[column].name + " failed CRC verification");
-      }
-    }
-    BTR_RETURN_IF_ERROR(ValidateBlock(part.data, part.size,
-                                      scanner_.meta_.columns[column].type,
-                                      expected_rows));
+    const BlockPart& part = bundle.parts[pos];
+    BTR_RETURN_IF_ERROR(ValidateBlock(
+        part.data, part.size,
+        scanner_.meta_.columns[resolved_.needed[pos]].type, expected_rows));
   }
   if (profile_ != nullptr) {
     profile_->AddActivity(obs::ScanActivity::kValidate,

@@ -13,9 +13,11 @@
 //   fetch ───► items on the service's fetch executors: each block is
 //              looked up in the block cache, and every run of adjacent
 //              uncached blocks of one column is one exec::HedgedGet under
-//              exec::RunWithRetries; at most prefetch_depth + one bundle
-//              per decode thread in flight, counted until emitted
-//   decode ──► items on the service's decode executors: CRC + structural
+//              exec::RunWithRetries; each arrived block is checked (size +
+//              CRC32C, one optional re-fetch) and only then cached; at
+//              most prefetch_depth + one bundle per decode thread in
+//              flight, counted until emitted
+//   decode ──► items on the service's decode executors: structural
 //              validation, predicates on the *compressed* form (selection
 //              vectors), decompression only where the selection is
 //              non-empty
@@ -30,9 +32,10 @@
 //     Status or, with skip_unreadable_blocks, degrades it (the block is
 //     emitted as kUnreadable and reported in ScanStats).
 //   - Every fetched block payload is verified against its header CRC32C
-//     before validation/decoding; a structurally corrupt ("poisoned") or
-//     bit-flipped block yields Status::Corruption, not a crash and never
-//     silently wrong data.
+//     once, by the fetch item that received it; a cache hit is a verified
+//     copy keyed by that CRC32C (docs/ROBUSTNESS.md). A bit-flipped or
+//     truncated block, or a structurally corrupt ("poisoned") one, yields
+//     Status::Corruption, not a crash and never silently wrong data.
 //   - Chunks arrive in ascending (block, column) order regardless of how
 //     fetch and decode interleave.
 //

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "obs/metrics.h"
-#include "util/crc32c.h"
 
 namespace btr::exec {
 
@@ -17,7 +16,6 @@ struct CacheMetrics {
   obs::Counter& inserts;
   obs::Counter& evictions;
   obs::Counter& bytes_evicted;
-  obs::Counter& crc_rejects;
   obs::Gauge& bytes;
 
   static CacheMetrics& Get() {
@@ -28,23 +26,23 @@ struct CacheMetrics {
                               r.GetCounter("cache.block.inserts"),
                               r.GetCounter("cache.block.evictions"),
                               r.GetCounter("cache.block.bytes_evicted"),
-                              r.GetCounter("cache.block.crc_rejects"),
                               r.GetGauge("cache.block.bytes")};
     }();
     return *m;
   }
 };
 
-// (key, offset, length) folded into one map key. Object keys are
-// path-like and never contain NUL, so the separator is unambiguous.
-std::string CompositeKey(const std::string& key, u64 offset, u64 length) {
+// The block identity (key, offset, length, crc) folded into one map key:
+// the object key, then the three numbers as fixed-width bytes, so the
+// split is unambiguous.
+std::string CompositeKey(const std::string& key, u64 offset, u64 length,
+                         u32 crc) {
   std::string composite;
-  composite.reserve(key.size() + 24);
+  composite.reserve(key.size() + 2 * sizeof(u64) + sizeof(u32));
   composite.append(key);
-  composite.push_back('\0');
-  composite.append(std::to_string(offset));
-  composite.push_back('\0');
-  composite.append(std::to_string(length));
+  composite.append(reinterpret_cast<const char*>(&offset), sizeof(offset));
+  composite.append(reinterpret_cast<const char*>(&length), sizeof(length));
+  composite.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
   return composite;
 }
 
@@ -61,9 +59,10 @@ BlockCache::Shard& BlockCache::ShardFor(const std::string& composite_key) {
 }
 
 BlockCache::Payload BlockCache::LookupShared(const std::string& key,
-                                             u64 offset, u64 length) {
+                                             u64 offset, u64 length,
+                                             u32 crc) {
   CacheMetrics& metrics = CacheMetrics::Get();
-  std::string composite = CompositeKey(key, offset, length);
+  std::string composite = CompositeKey(key, offset, length, crc);
   Shard& shard = ShardFor(composite);
   Payload payload;
   {
@@ -84,19 +83,12 @@ BlockCache::Payload BlockCache::LookupShared(const std::string& key,
 }
 
 bool BlockCache::Insert(const std::string& key, u64 offset, u64 length,
-                        const u8* data, size_t size, u32 expected_crc,
-                        u32 owner) {
+                        u32 crc, const u8* data, u32 owner) {
   CacheMetrics& metrics = CacheMetrics::Get();
-  if (size == 0 || size > shard_capacity_) return false;
-  // Admission gate: only bytes that match the column header's checksum
-  // may be cached — a wire-corrupt GET must never become a "hit".
-  if (Crc32c(data, size) != expected_crc) {
-    metrics.crc_rejects.Add();
-    return false;
-  }
+  if (length == 0 || length > shard_capacity_) return false;
   auto owned = std::make_shared<ByteBuffer>();
-  owned->Append(data, size);
-  std::string composite = CompositeKey(key, offset, length);
+  owned->Append(data, length);
+  std::string composite = CompositeKey(key, offset, length, crc);
   Shard& shard = ShardFor(composite);
   std::vector<Dropped> dropped;
   {
@@ -114,8 +106,8 @@ bool BlockCache::Insert(const std::string& key, u64 offset, u64 length,
     }
     shard.lru.push_front(Entry{composite, std::move(owned), owner});
     shard.index[composite] = shard.lru.begin();
-    shard.bytes += size;
-    metrics.bytes.Add(static_cast<i64>(size));
+    shard.bytes += length;
+    metrics.bytes.Add(static_cast<i64>(length));
     metrics.inserts.Add();
     EvictLocked(&shard, &dropped);
   }
@@ -162,7 +154,6 @@ BlockCache::Stats BlockCache::GetStats() const {
   stats.inserts = metrics.inserts.Value();
   stats.evictions = metrics.evictions.Value();
   stats.bytes_evicted = metrics.bytes_evicted.Value();
-  stats.crc_rejects = metrics.crc_rejects.Value();
   return stats;
 }
 

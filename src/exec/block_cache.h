@@ -1,25 +1,27 @@
-// Checksum-verified in-memory block cache for the scan read path.
+// In-memory cache of verified block payloads for the scan read path.
 //
 // Repeated scans of the same table re-GET the same compressed block
 // payloads; since decompression is cheap (the paper's premise), those GETs
-// *are* the scan cost. The cache keys entries by the exact ranged-GET
-// identity (object key, offset, length), so a warm scan skips the object
-// store entirely for every cached block.
+// *are* the scan cost. An entry is keyed by its block's identity: (object
+// key, offset, length, CRC32C), the CRC32C being the one the column header
+// that located the block promises. A warm scan skips the object store for
+// every cached block.
 //
-// Integrity contract: an entry is admitted only when its bytes hash to the
-// CRC32C the column header promised (the same checksum the scanner
-// verifies before decoding). A GET that arrived corrupt is therefore
-// *rejected at insert* — the cache can serve stale-but-verified bytes,
-// never corrupt ones. Entries are immutable refcounted payloads:
-// `LookupShared` hands out a `std::shared_ptr<const ByteBuffer>` without
-// copying, so the shard mutex covers only LRU bookkeeping.
+// Trust contract (docs/ROBUSTNESS.md, "What a cache hit is trusted
+// with"): the cache computes no checksum. Its caller inserts only bytes it
+// verified against that CRC32C when they arrived, so a hit is as good as
+// a verified GET. A block rewritten under the same key, offset and length
+// carries a new CRC32C in its new header, so a reader of that header
+// misses instead of being served the old bytes. Entries are immutable
+// refcounted payloads: `LookupShared` hands out a
+// `std::shared_ptr<const ByteBuffer>` without copying, so the shard mutex
+// covers only LRU bookkeeping.
 //
 // Concurrency: the cache is sharded by key hash. Each shard owns a mutex,
 // an LRU list and a byte budget (capacity_bytes / shards), so concurrent
 // fetch threads mostly touch different locks. Metrics (process-wide):
 //   cache.block.hits / cache.block.misses      lookup outcomes
 //   cache.block.inserts / cache.block.evictions admissions and LRU victims
-//   cache.block.crc_rejects                    corrupt payloads refused
 //   cache.block.bytes                          gauge, bytes currently held
 //   cache.block.bytes_evicted                  payload bytes LRU-evicted
 //
@@ -69,18 +71,20 @@ class BlockCache {
     eviction_callback_ = std::move(callback);
   }
 
-  // Returns the refcounted immutable payload cached for this exact (key,
-  // offset, length) GET, or nullptr on miss. The payload stays valid for
+  // Returns the refcounted immutable payload cached for block (key,
+  // offset, length, crc), or nullptr on miss. The payload stays valid for
   // as long as the caller holds the pointer, even across eviction.
-  Payload LookupShared(const std::string& key, u64 offset, u64 length);
+  Payload LookupShared(const std::string& key, u64 offset, u64 length,
+                       u32 crc);
 
-  // Admits the payload after verifying Crc32c(data, size) == expected_crc.
-  // Returns false without caching when the CRC does not match (the bytes
-  // are wire-corrupt), when the payload alone exceeds a shard's budget, or
-  // on size 0. An existing entry under the same key is replaced. `owner`
-  // tags the entry for eviction accounting (0 = unowned).
-  bool Insert(const std::string& key, u64 offset, u64 length, const u8* data,
-              size_t size, u32 expected_crc, u32 owner = 0);
+  // Admits the `length` bytes at `data` as block (key, offset, length,
+  // crc). The caller must have verified that they hash to `crc`; the cache
+  // does not check. Returns false without caching when the payload alone
+  // exceeds a shard's budget, or on length 0. An existing entry of the
+  // same block is replaced. `owner` tags the entry for eviction accounting
+  // (0 = unowned).
+  bool Insert(const std::string& key, u64 offset, u64 length, u32 crc,
+              const u8* data, u32 owner = 0);
 
   struct Stats {
     u64 hits = 0;
@@ -88,7 +92,6 @@ class BlockCache {
     u64 inserts = 0;
     u64 evictions = 0;
     u64 bytes_evicted = 0;  // payload bytes dropped by LRU eviction
-    u64 crc_rejects = 0;
     u64 bytes = 0;     // payload bytes currently cached
     u64 entries = 0;   // entries currently cached
   };

@@ -126,7 +126,10 @@ void HedgeState::RecordLatency(u64 ns) {
 
 u64 HedgeState::ThresholdNs() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (!policy_.enabled || samples_ < policy_.min_samples) return 0;
+  // A quantile needs at least one latency, whatever min_samples says.
+  if (!policy_.enabled || samples_ == 0 || samples_ < policy_.min_samples) {
+    return 0;
+  }
   if (hedges_ >= policy_.hedge_budget) return 0;
   size_t filled = static_cast<size_t>(
       std::min<u64>(samples_, static_cast<u64>(window_.size())));

@@ -28,8 +28,8 @@
 // "The Tail at Scale" discipline: when a GET outlives the running latency
 // quantile of its peers, issue one duplicate GET and take whichever
 // response arrives first. HedgeState tracks recent `s3.get` latencies in a
-// ring, arms once min_samples are in, and caps total hedges per scan with
-// hedge_budget. HedgedGet below owns the mechanics.
+// ring, arms once min_samples (and at least one) are in, and caps total
+// hedges per scan with hedge_budget. HedgedGet below owns the mechanics.
 //
 // --- circuit breaker (CircuitBreakerPolicy / CircuitBreaker) ----------------
 // Past an error-rate threshold over a sliding outcome window the breaker

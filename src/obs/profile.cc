@@ -10,7 +10,6 @@
 #endif
 
 #include "obs/json.h"
-#include "obs/metrics.h"
 
 namespace btr::obs {
 
@@ -65,15 +64,10 @@ void ScanProfileCollector::RecordFetch(const FetchRecord& record) {
   } else {
     // Latency histogram covers requests that actually went to the store
     // (a cache hit's sub-microsecond lookup would drown the signal).
-    u64 ns = record.duration_ns;
-    latency_buckets_[Histogram::BucketIndex(ns)]++;
-    latency_count_++;
-    latency_sum_ += ns;
-    latency_min_ = std::min(latency_min_, ns);
-    latency_max_ = std::max(latency_max_, ns);
+    get_latency_.Record(record.duration_ns);
     // Mirrors the scanner's accounting: only looked-up blocks count as
     // misses, so profile tallies agree with ScanStats exactly.
-    if (record.cacheable) cache_misses_ += record.blocks;
+    cache_misses_ += record.blocks;
   }
   if (record.retries > 0) {
     retried_requests_++;
@@ -179,14 +173,13 @@ ScanProfile ScanProfileCollector::Snapshot() const {
   p.zone_prune_ns = zone_prune_ns_;
   for (u32 s = 0; s < kScanStageCount; s++) p.stages[s] = stages_[s];
   for (u32 a = 0; a < kScanActivityCount; a++) p.activities[a] = activities_[a];
-  p.get_latency.count = latency_count_;
-  p.get_latency.sum = latency_sum_;
-  p.get_latency.min = latency_count_ == 0 ? 0 : latency_min_;
-  p.get_latency.max = latency_max_;
-  for (u32 b = 0; b < 65; b++) {
-    if (latency_buckets_[b] != 0) {
-      p.get_latency.buckets.emplace_back(Histogram::BucketLowerBound(b),
-                                         latency_buckets_[b]);
+  p.get_latency.count = get_latency_.Count();
+  p.get_latency.sum = get_latency_.Sum();
+  p.get_latency.min = get_latency_.Min();
+  p.get_latency.max = get_latency_.Max();
+  for (u32 b = 0; b < Histogram::kBuckets; b++) {
+    if (const u64 n = get_latency_.BucketCount(b); n != 0) {
+      p.get_latency.buckets.emplace_back(Histogram::BucketLowerBound(b), n);
     }
   }
   p.requests = requests_;

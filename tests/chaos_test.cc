@@ -506,6 +506,71 @@ TEST(ChaosTest, SingleFlipWireCorruptionRescuedByRefetch) {
   f.store.ClearFaultPlan();
 }
 
+// The CRC re-fetch is an ordinary GET of the scan: a throttled re-fetch
+// is retried like any GET, so the block is still rescued. The run GET of
+// column 0 arrives with block 0 flipped, and its re-fetch (the next GET
+// of column 0's blocks) is throttled once.
+TEST(ChaosTest, ThrottledRefetchIsRetriedAndRescues) {
+  Fixture f;
+  Scanner scanner(&f.store, "chaos_table", "lake/");
+  ASSERT_TRUE(scanner.Open().ok());
+
+  s3sim::FaultPlan plan;
+  plan.seed = 17;
+  plan.rules.push_back(s3sim::FaultRule::Corrupt(".0.btr", 1, 0));
+  plan.rules.push_back(s3sim::FaultRule::Throttle(".0.btr", 2));
+  for (s3sim::FaultRule& rule : plan.rules) rule.offset_min = kFirstBlockOffset;
+
+  ScanSpec rescue = ChaosSpec();
+  rescue.config.refetch_on_crc_failure = true;
+  f.store.InstallFaultPlan(plan);
+  ScanOutput output;
+  Status status = scanner.Scan(rescue, &output);
+  EXPECT_EQ(f.store.faults_injected(), 2u);
+  f.store.ClearFaultPlan();
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  ExpectOutputsBitIdentical(f.reference, output, 17);
+  EXPECT_EQ(output.stats.crc_refetches, 1u);
+  EXPECT_EQ(output.stats.crc_rescues, 1u);
+  EXPECT_GE(output.stats.retries, 1u);
+}
+
+// A block that fails its arrival check is never cached. A strict scan
+// through a cached Scanner fails on block 0 of column 0, then a
+// fault-free scan through the same Scanner misses that block in the cache
+// (a corrupt entry would be served unchecked) and is bit-identical.
+TEST(ChaosTest, CorruptBlockIsNotCached) {
+  Fixture f;
+  Scanner scanner(&f.store, "chaos_table", "lake/");
+  ASSERT_TRUE(scanner.Open().ok());
+
+  s3sim::FaultPlan plan;
+  plan.seed = 19;
+  plan.rules.push_back(s3sim::FaultRule::Corrupt(".0.btr", 1, 0));
+  plan.rules.back().offset_min = kFirstBlockOffset;
+
+  ScanSpec spec = ChaosSpec();
+  spec.config.enable_block_cache = true;
+  f.store.InstallFaultPlan(plan);
+  ScanOutput output;
+  Status status = scanner.Scan(spec, &output);
+  EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+  EXPECT_EQ(f.store.faults_injected(), 1u);
+  f.store.ClearFaultPlan();
+
+  status = scanner.Scan(spec, &output);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  ExpectOutputsBitIdentical(f.reference, output, 19);
+  EXPECT_GE(output.stats.cache_misses, 1u) << "block 0 of column 0";
+
+  // Every block is cached now, each a verified copy.
+  status = scanner.Scan(spec, &output);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  ExpectOutputsBitIdentical(f.reference, output, 19);
+  EXPECT_EQ(output.stats.cache_misses, 0u);
+  EXPECT_EQ(output.stats.requests, 0u);
+}
+
 // A backend that is fully down trips the breaker: later GETs fail fast
 // (Status::Unavailable, no retry budget burned waiting out backoffs). In
 // degraded mode the scan itself completes with every block reported

@@ -304,9 +304,11 @@ TEST(ProfileTest, HedgeTalliesMatchScanStats) {
   EXPECT_EQ(profile.hedge_wins, output.stats.hedge_wins);
 }
 
-// CRC refetch: a targeted single-byte corruption fails block validation;
-// with refetch_on_crc_failure the re-GET rescues the block, and both the
-// refetch and the rescue must appear in the profile.
+// CRC refetch: a targeted single-byte corruption fails the block's
+// arrival check; with refetch_on_crc_failure the re-GET rescues the block,
+// and both the refetch and the rescue must appear in the profile. The
+// re-fetch is an ordinary GET: one request and one latency sample, like
+// the 3 header and 3 run GETs.
 TEST(ProfileTest, CrcRefetchTalliesMatchScanStats) {
   Fixture f;
   Scanner scanner(&f.store, "profile_table", "lake/");
@@ -333,6 +335,9 @@ TEST(ProfileTest, CrcRefetchTalliesMatchScanStats) {
   EXPECT_EQ(output.stats.crc_rescues, 1u);
   EXPECT_EQ(profile.crc_refetched_blocks, output.stats.crc_refetches);
   EXPECT_EQ(profile.crc_rescued_blocks, output.stats.crc_rescues);
+  EXPECT_EQ(output.stats.requests, 7u);
+  EXPECT_EQ(profile.requests, output.stats.requests);
+  EXPECT_EQ(profile.get_latency.count, output.stats.requests);
 }
 
 // The slow-op exemplar ring is bounded by ScanConfig::profile_slow_ops

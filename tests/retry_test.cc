@@ -106,6 +106,20 @@ TEST(HedgeTest, ThresholdArmsOnlyAfterMinSamples) {
   EXPECT_LE(threshold, 400u);
 }
 
+// min_samples = 0 still needs one latency: a quantile of an empty window
+// has no rank to read.
+TEST(HedgeTest, ZeroMinSamplesArmsAfterTheFirstLatency) {
+  HedgePolicy policy;
+  policy.enabled = true;
+  policy.min_samples = 0;
+  policy.min_threshold_ns = 10;
+  HedgeState state(policy);
+
+  EXPECT_EQ(state.ThresholdNs(), 0u) << "no latency recorded yet";
+  state.RecordLatency(500);
+  EXPECT_EQ(state.ThresholdNs(), 500u);
+}
+
 TEST(HedgeTest, ThresholdIsFlooredAndDisabledStateNeverArms) {
   HedgePolicy policy;
   policy.enabled = true;

@@ -118,7 +118,9 @@ TEST(FairQueueTest, OutstandingCapGatesALane) {
 
 constexpr u32 kRows = kBlockCapacity + 500;  // 2 row blocks, 3 columns
 
-Relation MakeTable() {
+// `id_mask` is XORed into every id: 1 rewrites the id column's values
+// without changing any block's size.
+Relation MakeTable(i32 id_mask = 0) {
   Relation table("svc_table");
   Column& ints = table.AddColumn("id", ColumnType::kInteger);
   Column& doubles = table.AddColumn("price", ColumnType::kDouble);
@@ -128,7 +130,7 @@ Relation MakeTable() {
     if (i % 97 == 13) {
       ints.AppendNull();
     } else {
-      ints.AppendInt(static_cast<i32>(i % 1000));
+      ints.AppendInt(static_cast<i32>(i % 1000) ^ id_mask);
     }
     doubles.AppendDouble(static_cast<double>(i % 512) * 0.5);
     strings.AppendString(cities[i % 4]);
@@ -518,6 +520,63 @@ TEST(ScanServiceTest, CacheByteQuotaSkipsInsertsButScanStaysCorrect) {
   ScanOutput again;
   ASSERT_TRUE(scanner.Scan(FastSpec(), &again).ok());
   EXPECT_GT(again.stats.requests, 0u);
+}
+
+// Two writers of one version can rewrite a column object in place: same
+// key and block sizes, new bytes and a re-stamped header. The shared cache
+// keys blocks by their header CRC32C, so a scanner that reads the new
+// header misses the old entries and returns the new rows, in strict mode
+// without a re-fetch.
+TEST(ScanServiceTest, RewrittenObjectMissesTheSharedCache) {
+  Fixture f;
+  service::ScanService service(SmallServiceConfig());
+  std::string resolved;
+  {
+    Scanner scanner(service, "reader-a", &f.store, "svc_table", "lake/");
+    ASSERT_TRUE(scanner.Open().ok());
+    ScanOutput output;
+    ASSERT_TRUE(scanner.Scan(FastSpec(), &output).ok());
+    resolved = scanner.resolved_name();
+  }
+  ASSERT_EQ(service.cache()->GetStats().entries, 6u) << "3 columns x 2 blocks";
+
+  // The rewritten table, and its rows from a store of its own.
+  const Relation rewritten_table = MakeTable(/*id_mask=*/1);
+  const CompressedRelation rewritten =
+      CompressRelation(rewritten_table, f.config);
+  ASSERT_EQ(rewritten.columns[0].blocks.size(), 2u);
+  for (size_t b = 0; b < 2; b++) {
+    ASSERT_EQ(rewritten.columns[0].blocks[b].size(),
+              f.compressed.columns[0].blocks[b].size());
+    ASSERT_NE(0, std::memcmp(rewritten.columns[0].blocks[b].data(),
+                             f.compressed.columns[0].blocks[b].data(),
+                             rewritten.columns[0].blocks[b].size()));
+  }
+  ScanOutput expected;
+  {
+    s3sim::ObjectStore store;
+    ASSERT_TRUE(
+        UploadCompressedRelation(rewritten, nullptr, "lake/", &store).ok());
+    Scanner scanner(&store, "svc_table", "lake/");
+    ASSERT_TRUE(scanner.Open().ok());
+    ASSERT_TRUE(scanner.Scan(FastSpec(), &expected).ok());
+  }
+
+  ByteBuffer object;
+  SerializeColumnFile(rewritten.columns[0], &object);
+  ASSERT_TRUE(f.store
+                  .Put(ColumnFileKey("lake/", resolved, 0), object.data(),
+                       object.size())
+                  .ok());
+
+  Scanner scanner(service, "reader-b", &f.store, "svc_table", "lake/");
+  ASSERT_TRUE(scanner.Open().ok());
+  ScanOutput output;
+  Status status = scanner.Scan(FastSpec(), &output);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  ExpectOutputsBitIdentical(expected, output, 4);
+  EXPECT_EQ(output.stats.cache_misses, 2u) << "the rewritten id blocks";
+  EXPECT_EQ(output.stats.cache_hits, 4u);
 }
 
 // --- fairness ---------------------------------------------------------------
