@@ -28,8 +28,16 @@
 //                           evaluation; the baseline the pushdown engine
 //                           is benched against)
 //   --max-retries=<n>       `scan`: retries per GET on transient failures
+//                           (ScanConfig::retry.max_attempts = n + 1)
 //   --skip-corrupt          `scan`: degrade instead of failing — skip
 //                           unreadable row blocks and report them
+//   --block-cache=<MiB>     `scan`: cache verified blocks in memory (0 = off)
+//   --hedge                 `scan`: hedge GETs that outlive the running
+//                           latency quantile (ScanConfig::hedge)
+//   --breaker               `scan`: fail fast while the backend is down
+//                           (ScanConfig::breaker)
+//   --crc-refetch           `scan`: GET a block that fails its CRC32C check
+//                           once more before reporting Corruption
 //   --profile[=<path.json>] `scan`: collect a per-scan ScanProfile (stage
 //                           breakdown, GET latency histogram, per-scheme
 //                           decode cost, slow-op exemplars); prints the
@@ -700,7 +708,7 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--max-retries=", 0) == 0) {
       int retries = std::atoi(arg.c_str() + std::strlen("--max-retries="));
       // N retries = N+1 attempts; --max-retries=0 means fail fast.
-      scan_config.max_attempts =
+      scan_config.retry.max_attempts =
           retries < 0 ? 1 : static_cast<btr::u32>(retries) + 1;
     } else if (arg.rfind("--where=", 0) == 0) {
       where_clause = arg.substr(std::strlen("--where="));

@@ -13,7 +13,8 @@
 //   ScanConfig        (this header)    how btr::Scanner executes a scan:
 //                                      decode and fetch threads, the
 //                                      window of block parts in flight,
-//                                      retries, cache, hedging, breaker.
+//                                      cache, and the retry, hedge and
+//                                      breaker policies (exec/policy.h).
 //   s3sim::S3Config   (s3sim/object_store.h)
 //                                      the modeled cloud: NIC bandwidth,
 //                                      GET billing, chunk size, and the
@@ -23,12 +24,15 @@
 // btr::ScanSpec (btr/scanner.h) describes *what* to scan — projection
 // columns and a filter expression (btr/predicate.h) — and embeds a ScanConfig
 // for the *how*. `btrtool scan` sets it with --scan-threads,
-// --prefetch-depth, --max-retries, --no-pushdown, --skip-corrupt,
-// --block-cache, --hedge, --breaker, --crc-refetch and --profile; defaults
-// live here so every entry point agrees.
+// --prefetch-depth, --max-retries (retry.max_attempts), --no-pushdown,
+// --skip-corrupt, --block-cache, --hedge, --breaker, --crc-refetch and
+// --profile. Each default is written once: the scan's own knobs here, the
+// retry, hedge and breaker knobs in their exec/policy.h structs, so every
+// entry point agrees.
 #ifndef BTR_BTR_CONFIG_H_
 #define BTR_BTR_CONFIG_H_
 
+#include "exec/policy.h"
 #include "util/types.h"
 
 namespace btr::obs {
@@ -162,12 +166,6 @@ struct CompressionConfig {
 // shared service's. Defaults favor a laptop-class box: enough fetch
 // concurrency to hide object-store latency, a window deep enough to keep
 // decoders busy.
-//
-// The robustness knobs mirror exec::RetryPolicy (the scanner builds one
-// from them; this header stays free of exec dependencies). Transient GET
-// failures (Status::Throttled/Unavailable) retry with capped exponential
-// backoff and deterministic jitter; permanent ones either fail the scan
-// or — in degraded mode — skip the affected row block and report it.
 struct ScanConfig {
   u32 scan_threads = 0;    // decode executors; 0 = hardware concurrency
   u32 fetch_threads = 4;   // fetch executors: concurrent ranged GETs
@@ -186,10 +184,11 @@ struct ScanConfig {
   bool enable_predicate_pushdown = true;
 
   // --- retry/backoff (docs/ROBUSTNESS.md) ----------------------------------
-  u32 max_attempts = 4;              // GET tries per request; 1 = fail fast
-  u64 initial_backoff_ns = 1000 * 1000;    // 1 ms before the first retry
-  u64 max_backoff_ns = 64 * 1000 * 1000;   // backoff cap
-  u64 retry_budget = 256;            // total retries across the scan
+  // Transient GET failures (Status::Throttled/Unavailable) retry with
+  // capped exponential backoff and deterministic jitter, up to
+  // retry.max_attempts tries per request (1 = fail fast) and
+  // retry.retry_budget retries per scan.
+  exec::RetryPolicy retry;
 
   // --- degraded mode -------------------------------------------------------
   // When true, a row block whose fetch failed permanently or whose bytes
@@ -211,27 +210,20 @@ struct ScanConfig {
   u64 block_cache_bytes = 64ull << 20;  // total capacity, in 8 LRU shards
 
   // --- hedged GETs ("The Tail at Scale") -----------------------------------
-  // A GET that outlives the running `hedge_quantile` of recent GET
-  // latencies gets one duplicate request; the first response wins. Hedges
-  // arm only after `hedge_min_samples` latencies and are capped per scan
-  // by `hedge_budget` so a degraded backend cannot double its own load.
+  // The only hedging switch: when set, a GET that outlives the running
+  // hedge.quantile of recent GET latencies gets one duplicate request and
+  // the first response wins, within hedge.hedge_budget duplicates per scan.
   bool enable_hedged_gets = false;
-  double hedge_quantile = 0.95;
-  u32 hedge_min_samples = 16;
-  u64 hedge_min_threshold_ns = 200 * 1000;  // threshold floor, 200 us
-  u64 hedge_budget = 64;                    // duplicate GETs per scan
+  exec::HedgePolicy hedge;
 
   // --- circuit breaker -----------------------------------------------------
-  // Past `breaker_failure_threshold` transient failures over a sliding
-  // window of `breaker_window` outcomes the breaker trips: GETs fail fast
-  // as Status::Unavailable (no retry budget burned) until a cooldown
-  // elapses, then two half-open probes decide whether to close again.
-  // One breaker per standalone Scanner, shared by its scans.
+  // Past breaker.failure_threshold transient failures over a sliding
+  // window of breaker.window outcomes the breaker trips: GETs fail fast
+  // as Status::Unavailable (no retry budget burned) until
+  // breaker.cooldown_ns elapses, then two half-open probes decide whether
+  // to close again. One breaker per standalone Scanner, shared by its scans.
   bool enable_circuit_breaker = false;
-  u32 breaker_window = 32;
-  u32 breaker_min_samples = 8;
-  double breaker_failure_threshold = 0.5;
-  u64 breaker_cooldown_ns = 10 * 1000 * 1000;  // 10 ms open before probing
+  exec::CircuitBreakerPolicy breaker;
 
   // --- CRC refetch ---------------------------------------------------------
   // When a fetched block fails its size or header CRC32C check, GET it
@@ -242,11 +234,11 @@ struct ScanConfig {
 
   // --- per-scan profile (obs/profile.h) ------------------------------------
   // When true, the scan records a ScanProfile — per-stage wall/CPU
-  // breakdown, GET latency histogram, per-scheme decode cost, outcome
-  // tallies, and the `profile_slow_ops` slowest GETs/decodes — exposed
-  // on ScanStats::profile and via `btrtool scan --profile`. When false
-  // (default) the instrumentation path is a null-pointer test: no locks,
-  // no allocation.
+  // breakdown, GET latency histogram, per-scheme decode cost, the
+  // ScanStats totals, and the `profile_slow_ops` slowest GETs/decodes —
+  // exposed on ScanStats::profile and via `btrtool scan --profile`. When
+  // false (default) the instrumentation path is a null-pointer test: no
+  // locks, no allocation.
   bool collect_profile = false;
   u32 profile_slow_ops = 8;  // exemplar ring capacity (0 = no exemplars)
 };

@@ -8,7 +8,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <tuple>
 #include <unordered_map>
 
 #include "btr/datablock.h"
@@ -57,34 +56,6 @@ struct ScanMetrics {
   }
 };
 
-exec::RetryPolicy MakeRetryPolicy(const ScanConfig& config) {
-  exec::RetryPolicy policy;
-  policy.max_attempts = config.max_attempts == 0 ? 1 : config.max_attempts;
-  policy.initial_backoff_ns = config.initial_backoff_ns;
-  policy.max_backoff_ns = config.max_backoff_ns;
-  policy.retry_budget = config.retry_budget;
-  return policy;
-}
-
-exec::HedgePolicy MakeHedgePolicy(const ScanConfig& config) {
-  exec::HedgePolicy policy;
-  policy.enabled = config.enable_hedged_gets;
-  policy.quantile = config.hedge_quantile;
-  policy.min_samples = config.hedge_min_samples;
-  policy.min_threshold_ns = config.hedge_min_threshold_ns;
-  policy.hedge_budget = config.hedge_budget;
-  return policy;
-}
-
-exec::CircuitBreakerPolicy MakeBreakerPolicy(const ScanConfig& config) {
-  exec::CircuitBreakerPolicy policy;
-  policy.window = config.breaker_window;
-  policy.min_samples = config.breaker_min_samples;
-  policy.failure_threshold = config.breaker_failure_threshold;
-  policy.cooldown_ns = config.breaker_cooldown_ns;
-  return policy;
-}
-
 // Tenant id of a standalone Scanner inside its private service.
 const char* const kStandaloneTenant = "standalone";
 
@@ -100,30 +71,15 @@ service::ScanServiceConfig PrivateServiceConfig(const ScanConfig& config) {
     service.cache.capacity_bytes = config.block_cache_bytes;
   }
   service.enable_breaker = config.enable_circuit_breaker;
-  if (config.enable_circuit_breaker) {
-    service.breaker = MakeBreakerPolicy(config);
-  }
+  if (config.enable_circuit_breaker) service.breaker = config.breaker;
   return service;
-}
-
-// Whether two PrivateServiceConfig results build the same executors,
-// cache and breaker.
-bool SameResources(const service::ScanServiceConfig& a,
-                   const service::ScanServiceConfig& b) {
-  auto fields = [](const service::ScanServiceConfig& c) {
-    return std::tie(c.fetch_threads, c.decode_threads, c.cache.capacity_bytes,
-                    c.cache.shards, c.enable_breaker, c.breaker.window,
-                    c.breaker.min_samples, c.breaker.failure_threshold,
-                    c.breaker.cooldown_ns);
-  };
-  return fields(a) == fields(b);
 }
 
 // What one Open() or one Scan() runs its work through: the tenant's fetch
 // and decode lanes on the scanner's service, and the one GET primitive,
 // exec::HedgedGet under exec::RunWithRetries with the service's breaker
-// for the store and the tenant's hedge quota. Every GET is booked in the
-// lane's own counters and in the tenant's.
+// for the store and, when the config hedges, the tenant's hedge quota.
+// Every GET is booked in the lane's own counters and in the tenant's.
 class ServiceLane {
  public:
   // One GET issued as its own fetch item by GetAll.
@@ -144,8 +100,10 @@ class ServiceLane {
         profile_(profile),
         sleep_(std::move(sleep)),
         breaker_(service.BreakerFor(store)),
-        retry_(MakeRetryPolicy(config)),
-        hedge_(MakeHedgePolicy(config)) {}
+        retry_(config.retry),
+        hedge_(config.enable_hedged_gets
+                   ? std::make_unique<exec::HedgeState>(config.hedge)
+                   : nullptr) {}
 
   // Queues `run` on the tenant's fetch or decode lane; `cost_bytes` is its
   // fair-queue charge. With a profile, the item's wait in the queue is
@@ -166,16 +124,13 @@ class ServiceLane {
   }
 
   // One GET on the calling executor thread, booked in the lane's and the
-  // tenant's counters and in the profile. `misses` counts the block
-  // payloads it carries whose cache lookup missed (0 without a cache, and
-  // for metadata, column headers and CRC re-fetches).
-  Status Get(const std::string& key, u64 offset, u64 length, u32 misses,
+  // tenant's counters and in the profile.
+  Status Get(const std::string& key, u64 offset, u64 length,
              std::vector<u8>* out) {
     obs::FetchRecord record;
     record.key = &key;
     record.offset = offset;
     record.length = length;
-    record.blocks = misses;
     u64 gets = 0;  // GETs that reached the store (a breaker rejection is none)
     exec::RetryOutcome outcome;
     Timer get_timer;
@@ -187,7 +142,7 @@ class ServiceLane {
           [&] {
             bool duplicate = false;
             Status attempt = exec::HedgedGet(
-                store_, key, offset, length, &hedge_, &stragglers_, out,
+                store_, key, offset, length, hedge_.get(), &stragglers_, out,
                 &duplicate, &record.hedge_won,
                 [this] { return service_.TryAcquireTenantHedge(tenant_); });
             gets += duplicate ? 2 : 1;
@@ -216,7 +171,7 @@ class ServiceLane {
     size_t left = requests->size();
     for (Request& request : *requests) {
       Submit(/*decode=*/false, request.length, [&, r = &request] {
-        r->status = Get(r->key, r->offset, r->length, /*blocks=*/0, &r->bytes);
+        r->status = Get(r->key, r->offset, r->length, &r->bytes);
         std::lock_guard<std::mutex> lock(mutex);
         if (--left == 0) done.notify_all();
       });
@@ -230,7 +185,8 @@ class ServiceLane {
 
   exec::CircuitBreaker* breaker() const { return breaker_; }
   const exec::RetryState& retry() const { return retry_; }
-  const exec::HedgeState& hedge() const { return hedge_; }
+  u64 hedges() const { return hedge_ ? hedge_->hedges_issued() : 0; }
+  u64 hedge_wins() const { return hedge_ ? hedge_->hedge_wins() : 0; }
   u64 gets() const { return gets_.load(std::memory_order_relaxed); }
   u64 bytes() const { return bytes_.load(std::memory_order_relaxed); }
 
@@ -242,7 +198,7 @@ class ServiceLane {
   const exec::SleepFn sleep_;
   exec::CircuitBreaker* const breaker_;  // null = no breaker
   exec::RetryState retry_;
-  exec::HedgeState hedge_;
+  const std::unique_ptr<exec::HedgeState> hedge_;  // null = no hedging
   exec::StragglerSink stragglers_;  // hedge losers
   std::atomic<u64> gets_{0};
   std::atomic<u64> bytes_{0};
@@ -288,7 +244,7 @@ service::ScanService& Scanner::ServiceFor(const ScanConfig& config) {
   if (service_ != nullptr && service_ != own_service_.get()) return *service_;
   service::ScanServiceConfig wanted = PrivateServiceConfig(config);
   if (own_service_ == nullptr ||
-      !SameResources(own_service_->config(), wanted)) {
+      own_service_->config() != wanted) {
     own_service_.reset();  // joins the old executors first
     own_service_ = std::make_unique<service::ScanService>(wanted);
     tenant_slot_ = own_service_->EnsureTenant(kStandaloneTenant);
@@ -852,14 +808,6 @@ void Scanner::Job::Expand(const Group& group) {
       hits++;
       if (run.blocks > 0) items_.push_back(run);
       run.blocks = 0;
-      if (profile_ != nullptr) {
-        obs::FetchRecord record;
-        record.key = &keys_[pos];
-        record.offset = file.block_offsets[b];
-        record.length = file.block_size(b);
-        record.cache_hit = true;
-        profile_->RecordFetch(record);
-      }
       const u8* data = payload->data();
       const size_t size = payload->size();
       items_.push_back(
@@ -884,8 +832,7 @@ void Scanner::Job::FetchRun(const Item& run) {
   const u64 offset = file.block_offsets[run.first];
   const u64 length = file.block_offsets[run.first + run.blocks] - offset;
   std::vector<u8> bytes;
-  Status status = lane_.Get(keys_[run.pos], offset, length,
-                            cache_ != nullptr ? run.blocks : 0, &bytes);
+  Status status = lane_.Get(keys_[run.pos], offset, length, &bytes);
   const u64 got = bytes.size();
   std::shared_ptr<const std::vector<u8>> buffer;
   if (status.ok()) buffer = Padded(std::move(bytes));
@@ -926,7 +873,7 @@ Status Scanner::Job::Arrive(u32 pos, u32 b, BlockPart* part) {
       crc_refetches_.fetch_add(1, std::memory_order_relaxed);
       std::vector<u8> fresh;
       Status refetch = lane_.Get(keys_[pos], file.block_offsets[b],
-                                 file.block_size(b), /*misses=*/0, &fresh);
+                                 file.block_size(b), &fresh);
       rescued = refetch.ok() && file.Intact(b, fresh.data(), fresh.size());
       if (rescued) {
         const size_t size = fresh.size();
@@ -936,7 +883,6 @@ Status Scanner::Job::Arrive(u32 pos, u32 b, BlockPart* part) {
         metrics.crc_rescues.Add();
         crc_rescues_.fetch_add(1, std::memory_order_relaxed);
       }
-      if (profile_ != nullptr) profile_->AddCrcRefetch(rescued);
     }
     if (!rescued) {
       *part = BlockPart();  // only the Status reaches the bundle
@@ -1209,8 +1155,8 @@ Status Scanner::Job::Finish(ScanStats* stats) {
   stats->retries = lane_.retry().retries_granted();
   stats->cache_hits = cache_hits_;
   stats->cache_misses = cache_misses_;
-  stats->hedges = lane_.hedge().hedges_issued();
-  stats->hedge_wins = lane_.hedge().hedge_wins();
+  stats->hedges = lane_.hedges();
+  stats->hedge_wins = lane_.hedge_wins();
   if (lane_.breaker() != nullptr) {
     stats->breaker_trips = lane_.breaker()->trips() - base_breaker_trips_;
     stats->breaker_fast_failures =
@@ -1317,13 +1263,26 @@ Status Scanner::Scan(const ScanSpec& spec, const ChunkCallback& emit,
   metrics.bytes_fetched.Add(stats.bytes_fetched);
   metrics.bytes_decoded.Add(stats.bytes_decoded);
   if (collector != nullptr) {
-    collector->AddBlockTallies(stats.blocks_pruned, stats.blocks_skipped,
-                               stats.blocks_decoded, stats.blocks_unreadable);
-    collector->SetBytesFetched(stats.bytes_fetched);
-    collector->SetWallSeconds(stats.seconds);
     stage_timer.Finish(collector.get());  // flush the tail stage
-    stats.profile =
-        std::make_shared<const obs::ScanProfile>(collector->Snapshot());
+    auto profile = std::make_shared<obs::ScanProfile>(collector->Snapshot());
+    // The totals ScanStats counts, copied here and counted nowhere else. A
+    // cache hit is a request served without a GET.
+    profile->wall_seconds = stats.seconds;
+    profile->requests += stats.cache_hits;
+    profile->cache_hits = stats.cache_hits;
+    profile->cache_misses = stats.cache_misses;
+    profile->retries = stats.retries;
+    profile->hedged_requests = stats.hedges;
+    profile->hedge_wins = stats.hedge_wins;
+    profile->blocks_pruned = stats.blocks_pruned;
+    profile->blocks_skipped = stats.blocks_skipped;
+    profile->blocks_decoded = stats.blocks_decoded;
+    profile->blocks_unreadable = stats.blocks_unreadable;
+    profile->crc_refetched_blocks = stats.crc_refetches;
+    profile->crc_rescued_blocks = stats.crc_rescues;
+    profile->bytes_fetched = stats.bytes_fetched;
+    profile->bytes_decoded = stats.bytes_decoded;
+    stats.profile = std::move(profile);
   }
   if (stats_out != nullptr) *stats_out = stats;
   return status;

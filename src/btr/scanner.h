@@ -27,7 +27,7 @@
 //   - Scan() never throws; failures on executor threads, including
 //     exceptions thrown while decoding, surface as a Status.
 //   - Transient object-store failures (Status::Throttled/Unavailable) are
-//     retried per the ScanConfig retry knobs with interruptible backoff;
+//     retried per ScanConfig::retry with interruptible backoff;
 //     a permanently unreadable block either fails the scan with a typed
 //     Status or, with skip_unreadable_blocks, degrades it (the block is
 //     emitted as kUnreadable and reported in ScanStats).

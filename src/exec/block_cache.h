@@ -49,6 +49,8 @@ namespace btr::exec {
 struct BlockCacheConfig {
   u64 capacity_bytes = 64ull << 20;  // total payload bytes across shards
   u32 shards = 8;                    // independent LRU partitions
+
+  bool operator==(const BlockCacheConfig&) const = default;
 };
 
 class BlockCache {

@@ -127,9 +127,7 @@ void HedgeState::RecordLatency(u64 ns) {
 u64 HedgeState::ThresholdNs() const {
   std::lock_guard<std::mutex> lock(mutex_);
   // A quantile needs at least one latency, whatever min_samples says.
-  if (!policy_.enabled || samples_ == 0 || samples_ < policy_.min_samples) {
-    return 0;
-  }
+  if (samples_ == 0 || samples_ < policy_.min_samples) return 0;
   if (hedges_ >= policy_.hedge_budget) return 0;
   size_t filled = static_cast<size_t>(
       std::min<u64>(samples_, static_cast<u64>(window_.size())));
@@ -142,7 +140,7 @@ u64 HedgeState::ThresholdNs() const {
 
 bool HedgeState::TryAcquireHedge() {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (!policy_.enabled || hedges_ >= policy_.hedge_budget) return false;
+  if (hedges_ >= policy_.hedge_budget) return false;
   hedges_++;
   return true;
 }
@@ -301,15 +299,15 @@ Status HedgedGet(s3sim::ObjectStore* store, const std::string& key,
                  StragglerSink* stragglers, std::vector<u8>* out, bool* hedged,
                  bool* hedge_won, const std::function<bool()>& hedge_gate) {
   out->clear();
-  const u64 threshold_ns = hedge->ThresholdNs();
+  const u64 threshold_ns = hedge == nullptr ? 0 : hedge->ThresholdNs();
   if (threshold_ns == 0) {
-    // Hedging not armed (disabled, warming up, or budget spent): plain GET
-    // on this thread. Successful latencies still feed the quantile so the
-    // threshold can arm.
+    // No hedging, or not armed yet (warming up, or budget spent): plain GET
+    // on this thread. With a HedgeState, successful latencies still feed
+    // the quantile so the threshold can arm.
     out->reserve(length + kSimdPadding);
     Timer timer;
     Status status = store->GetChunk(key, offset, length, out);
-    if (hedge->policy().enabled && status.ok()) {
+    if (hedge != nullptr && status.ok()) {
       hedge->RecordLatency(static_cast<u64>(timer.ElapsedNanos()));
     }
     return status;

@@ -1,7 +1,9 @@
 // Resilience policies for the object-store read path: retry/backoff for
 // transient failures, hedged requests against tail latency, and a circuit
 // breaker against a dying backend — plus HedgedGet, the one primitive that
-// issues a Scanner's GETs (run under RunWithRetries).
+// issues a Scanner's GETs (run under RunWithRetries). The policies are the
+// plain structs of exec/policy.h; this header holds the state that runs
+// them.
 //
 // --- retry (RetryPolicy / RetryState) ---------------------------------------
 // Transient failures (Status::Throttled / Status::Unavailable) retry with
@@ -29,7 +31,8 @@
 // quantile of its peers, issue one duplicate GET and take whichever
 // response arrives first. HedgeState tracks recent `s3.get` latencies in a
 // ring, arms once min_samples (and at least one) are in, and caps total
-// hedges per scan with hedge_budget. HedgedGet below owns the mechanics.
+// hedges per scan with hedge_budget. A caller that does not hedge has no
+// HedgeState. HedgedGet below owns the mechanics.
 //
 // --- circuit breaker (CircuitBreakerPolicy / CircuitBreaker) ----------------
 // Past an error-rate threshold over a sliding outcome window the breaker
@@ -47,6 +50,7 @@
 #include <thread>
 #include <vector>
 
+#include "exec/policy.h"
 #include "util/random.h"
 #include "util/status.h"
 #include "util/types.h"
@@ -56,15 +60,6 @@ class ObjectStore;  // s3sim/object_store.h
 }  // namespace btr::s3sim
 
 namespace btr::exec {
-
-// Backoff doubles per retry up to max_backoff_ns, jittered from a fixed
-// seed so runs are reproducible.
-struct RetryPolicy {
-  u32 max_attempts = 4;             // tries per request; 1 = never retry
-  u64 initial_backoff_ns = 1000 * 1000;      // 1 ms before the first retry
-  u64 max_backoff_ns = 64 * 1000 * 1000;     // backoff cap, 64 ms
-  u64 retry_budget = 256;           // total retries across the policy's user
-};
 
 // Shared mutable retry state: the scan-wide budget and the jitter PRNG.
 // Thread-safe.
@@ -109,28 +104,18 @@ bool SleepUninterruptible(u64 backoff_ns);
 
 // --- hedged requests --------------------------------------------------------
 
-struct HedgePolicy {
-  bool enabled = false;
-  double quantile = 0.95;        // hedge when a GET outlives this quantile
-  u32 min_samples = 16;          // latencies required before hedging arms
-  u64 min_threshold_ns = 200 * 1000;  // floor under the quantile threshold
-  u64 hedge_budget = 64;         // duplicate GETs allowed per scan
-};
-
 // Shared per-scan hedging state: the ring of the last 128 latencies the
 // threshold derives from, and the hedge budget. Thread-safe.
 class HedgeState {
  public:
   explicit HedgeState(const HedgePolicy& policy);
 
-  const HedgePolicy& policy() const { return policy_; }
-
   // Records one completed GET's latency into the quantile window.
   void RecordLatency(u64 ns);
 
   // Nanoseconds a GET may run before a hedge should be issued, from the
   // running quantile (floored at min_threshold_ns). 0 = hedging not armed
-  // (disabled, too few samples, or budget exhausted).
+  // (too few samples, or budget exhausted).
   u64 ThresholdNs() const;
 
   // Consumes one unit of hedge budget; false once the budget is gone.
@@ -153,13 +138,6 @@ class HedgeState {
 };
 
 // --- circuit breaker --------------------------------------------------------
-
-struct CircuitBreakerPolicy {
-  u32 window = 32;                 // sliding window of request outcomes
-  u32 min_samples = 8;             // outcomes required before tripping
-  double failure_threshold = 0.5;  // trip at >= this failure fraction
-  u64 cooldown_ns = 10 * 1000 * 1000;  // open -> half-open after 10 ms
-};
 
 // Per-backend breaker shared by every fetch thread of a scan. Thread-safe.
 // Transient failures count against the backend; successes and permanent,
@@ -264,13 +242,14 @@ class StragglerSink {
 // One GET, hedged when `hedge`'s latency tracker says the primary is
 // overdue: the primary runs on its own thread, and if it outlives the
 // quantile threshold one duplicate is issued on the calling thread; the
-// first response wins. A losing primary's thread is parked in
-// `stragglers` (the caller reaps it after the scan quiesces). `hedged` /
-// `hedge_won` are OR-accumulated so retry wrappers can reuse the flags
-// across attempts. `hedge_gate`, when set, is consulted before the
-// duplicate is issued (after the overdue check, before the hedge budget
-// is consumed) — ScanService uses it for per-tenant hedge quotas; a
-// denial silently degrades to waiting out the primary. Whichever response
+// first response wins; a null `hedge` issues one plain GET and never
+// hedges. A losing primary's thread is parked in `stragglers` (the caller
+// reaps it after the scan quiesces). `hedged` / `hedge_won` are
+// OR-accumulated so retry wrappers can reuse the flags across attempts.
+// `hedge_gate`, when set, is consulted before the duplicate is issued
+// (after the overdue check, before the hedge budget is consumed) —
+// ScanService uses it for per-tenant hedge quotas; a denial silently
+// degrades to waiting out the primary. Whichever response
 // lands in `out` has capacity for kSimdPadding bytes past `length`, so a
 // caller can pad it for decoders that over-read (util/buffer.h) without a
 // copy. Metrics: `scan.hedges`, `scan.hedge_wins`.

@@ -59,25 +59,13 @@ void ScanProfileCollector::MaybeKeepSlowOp(SlowOp&& op) {
 void ScanProfileCollector::RecordFetch(const FetchRecord& record) {
   std::lock_guard<std::mutex> lock(mutex_);
   requests_++;
-  if (record.cache_hit) {
-    cache_hits_++;
-  } else {
-    // Latency histogram covers requests that actually went to the store
-    // (a cache hit's sub-microsecond lookup would drown the signal).
-    get_latency_.Record(record.duration_ns);
-    // Mirrors the scanner's accounting: only looked-up blocks count as
-    // misses, so profile tallies agree with ScanStats exactly.
-    cache_misses_ += record.blocks;
-  }
-  if (record.retries > 0) {
-    retried_requests_++;
-    retries_ += record.retries;
-  }
-  if (record.hedged) hedged_requests_++;
-  if (record.hedge_won) hedge_wins_++;
+  if (record.retries > 0) retried_requests_++;
   if (record.breaker_rejected) breaker_rejected_requests_++;
   if (!record.ok) failed_requests_++;
-  if (!record.cache_hit) {
+  // A GET sample needs a GET: the breaker may reject a request before any
+  // attempt reaches the store.
+  if (record.attempts > 0) {
+    get_latency_.Record(record.duration_ns);
     activities_[static_cast<u32>(ScanActivity::kGet)].ns += record.duration_ns;
     activities_[static_cast<u32>(ScanActivity::kGet)].count++;
   }
@@ -87,7 +75,6 @@ void ScanProfileCollector::RecordFetch(const FetchRecord& record) {
   op.length = record.length;
   op.duration_ns = record.duration_ns;
   op.attempts = record.attempts;
-  op.cache_hit = record.cache_hit;
   op.hedged = record.hedged;
   op.hedge_won = record.hedge_won;
   op.breaker_rejected = record.breaker_rejected;
@@ -103,7 +90,6 @@ void ScanProfileCollector::RecordFetch(const FetchRecord& record) {
 
 void ScanProfileCollector::RecordDecode(const DecodeRecord& record) {
   std::lock_guard<std::mutex> lock(mutex_);
-  bytes_decoded_ += record.bytes_decoded;
   activities_[static_cast<u32>(ScanActivity::kDecode)].ns += record.duration_ns;
   activities_[static_cast<u32>(ScanActivity::kDecode)].count++;
   bool found = false;
@@ -150,25 +136,9 @@ void ScanProfileCollector::SetStage(ScanStage stage, u64 wall_ns, u64 cpu_ns) {
   stages_[static_cast<u32>(stage)].cpu_ns = cpu_ns;
 }
 
-void ScanProfileCollector::AddBlockTallies(u64 pruned, u64 skipped,
-                                           u64 decoded, u64 unreadable) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  blocks_pruned_ += pruned;
-  blocks_skipped_ += skipped;
-  blocks_decoded_ += decoded;
-  blocks_unreadable_ += unreadable;
-}
-
-void ScanProfileCollector::AddCrcRefetch(bool rescued) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  crc_refetched_blocks_++;
-  if (rescued) crc_rescued_blocks_++;
-}
-
 ScanProfile ScanProfileCollector::Snapshot() const {
   std::lock_guard<std::mutex> lock(mutex_);
   ScanProfile p;
-  p.wall_seconds = wall_seconds_;
   p.open_ns = open_ns_;
   p.zone_prune_ns = zone_prune_ns_;
   for (u32 s = 0; s < kScanStageCount; s++) p.stages[s] = stages_[s];
@@ -183,22 +153,9 @@ ScanProfile ScanProfileCollector::Snapshot() const {
     }
   }
   p.requests = requests_;
-  p.cache_hits = cache_hits_;
-  p.cache_misses = cache_misses_;
   p.retried_requests = retried_requests_;
-  p.retries = retries_;
-  p.hedged_requests = hedged_requests_;
-  p.hedge_wins = hedge_wins_;
   p.breaker_rejected_requests = breaker_rejected_requests_;
   p.failed_requests = failed_requests_;
-  p.blocks_pruned = blocks_pruned_;
-  p.blocks_skipped = blocks_skipped_;
-  p.blocks_decoded = blocks_decoded_;
-  p.blocks_unreadable = blocks_unreadable_;
-  p.crc_refetched_blocks = crc_refetched_blocks_;
-  p.crc_rescued_blocks = crc_rescued_blocks_;
-  p.bytes_fetched = bytes_fetched_;
-  p.bytes_decoded = bytes_decoded_;
   p.decode_by_scheme = decode_by_scheme_;
   std::sort(p.decode_by_scheme.begin(), p.decode_by_scheme.end(),
             [](const SchemeDecodeStats& a, const SchemeDecodeStats& b) {
@@ -305,7 +262,7 @@ std::string ScanProfile::ToText() const {
       buf, sizeof(buf),
       "  requests: %" PRIu64 " (%" PRIu64 " cache hits, %" PRIu64
       " misses, %" PRIu64 " retried / %" PRIu64 " retries, %" PRIu64
-      " hedged / %" PRIu64 " hedge wins, %" PRIu64 " breaker-rejected, %" PRIu64
+      " hedges / %" PRIu64 " hedge wins, %" PRIu64 " breaker-rejected, %" PRIu64
       " failed)\n",
       requests, cache_hits, cache_misses, retried_requests, retries,
       hedged_requests, hedge_wins, breaker_rejected_requests, failed_requests);
@@ -357,11 +314,10 @@ std::string ScanProfile::ToText() const {
       if (op.kind == SlowOp::Kind::kGet) {
         std::snprintf(buf, sizeof(buf),
                       "    GET %s [%" PRIu64 "+%" PRIu64 "] %.3f ms, %u "
-                      "attempt%s%s%s%s\n",
+                      "attempt%s%s%s\n",
                       op.key.c_str(), op.offset, op.length,
                       static_cast<double>(op.duration_ns) / 1e6, op.attempts,
                       op.attempts == 1 ? "" : "s",
-                      op.cache_hit ? ", cache hit" : "",
                       op.hedged ? (op.hedge_won ? ", hedged (dup won)"
                                                 : ", hedged") : "",
                       op.breaker_rejected ? ", breaker-rejected" : "");
@@ -466,8 +422,6 @@ std::string ScanProfile::ToJson() const {
     AppendKeyU64("block", op.block, true, &out);
     AppendKeyU64("scheme", op.scheme, true, &out);
     AppendKeyU64("type", op.type, true, &out);
-    out += ",\"cache_hit\":";
-    out += op.cache_hit ? "true" : "false";
     out += ",\"hedged\":";
     out += op.hedged ? "true" : "false";
     out += ",\"hedge_won\":";

@@ -14,14 +14,20 @@
 //     evaluation, decode) — these overlap each other and the stages, so
 //     they are reported as aggregate nanoseconds with sample counts, not
 //     as a partition of wall time;
-//   - an obs::Histogram of every ranged GET's latency (column headers,
-//     block runs and CRC re-fetches), plus per-request outcome tallies
-//     (cache hit/miss, retried, hedged, hedge-won, breaker-rejected);
+//   - an obs::Histogram of the latency of every ranged GET that reached
+//     the store (column headers, block runs and CRC re-fetches), plus the
+//     per-request counts only it can take (requests, retried,
+//     breaker-rejected, failed);
 //   - per-(type, scheme) decode time and decoded bytes, keyed by each
 //     block's root scheme code;
 //   - a bounded ring of slow-op exemplars: the N slowest GETs and
-//     decodes with key, offset, attempt count, and cache/hedge/breaker
-//     state — the rows you grep for when one block dragged the scan.
+//     decodes with key, offset, attempt count, and hedge/breaker state —
+//     the rows you grep for when one block dragged the scan.
+//
+// Everything else the profile reports — cache hits and misses, retries,
+// hedges, block outcomes, CRC re-fetches, bytes — is a ScanStats total:
+// the collector does not count it a second time, and Scanner::Scan copies
+// it into the snapshot when the scan finishes.
 //
 // Cost model: everything funnels through a ScanProfileCollector pointer
 // that is null when ScanConfig::collect_profile is off — the disabled
@@ -85,7 +91,6 @@ struct SlowOp {
   u32 block = 0;        // row block (decode only)
   u8 scheme = 0;        // root scheme code (decode only)
   u8 type = 0;          // ColumnType as u8 (decode only)
-  bool cache_hit = false;
   bool hedged = false;
   bool hedge_won = false;
   bool breaker_rejected = false;  // breaker fast-failed at least one attempt
@@ -123,62 +128,60 @@ struct ActivityTime {
 // Value-type snapshot of one scan's profile. Field layout is the JSON
 // schema; bump kSchemaVersion when it changes shape.
 struct ScanProfile {
-  static constexpr u32 kSchemaVersion = 1;
+  static constexpr u32 kSchemaVersion = 2;
 
-  double wall_seconds = 0;  // Scan() wall clock
+  double wall_seconds = 0;  // Scan() wall clock (ScanStats::seconds)
   u64 open_ns = 0;          // Scanner::Open metadata fetch/parse time
   u64 zone_prune_ns = 0;    // zone-map pruning (inside the kPlan stage)
 
   StageTime stages[kScanStageCount];
   ActivityTime activities[kScanActivityCount];
 
-  HistogramSnapshot get_latency;  // per-GET nanoseconds, log2 buckets
+  // Nanoseconds of each request that reached the store, log2 buckets. A
+  // request the breaker rejected before its first attempt is no sample.
+  HistogramSnapshot get_latency;
 
-  // Per-request outcome tallies: one unit per GET (a column header, a run
-  // of blocks or a CRC re-fetch) or per block served from the cache.
-  u64 requests = 0;        // GETs and cache hits resolved
-  u64 cache_hits = 0;      // blocks served from the cache
-  u64 cache_misses = 0;    // blocks a cache lookup missed (fetched by GET)
+  // Per-request counts: one unit per GET request (a column header, a run
+  // of blocks or a CRC re-fetch, whatever its attempts and hedges) or per
+  // block served from the cache.
+  u64 requests = 0;          // GET requests, plus cache_hits
   u64 retried_requests = 0;  // requests that needed more than one attempt
-  u64 retries = 0;           // total extra attempts across the scan
-  u64 hedged_requests = 0;
-  u64 hedge_wins = 0;
   u64 breaker_rejected_requests = 0;
   u64 failed_requests = 0;   // resolved with a non-OK status
 
-  // Block outcome tallies (one row block = one unit).
-  u64 blocks_pruned = 0;
+  // The scan's totals, copied from ScanStats when the scan finishes.
+  u64 cache_hits = 0;        // blocks served from the cache
+  u64 cache_misses = 0;      // blocks a cache lookup missed (fetched by GET)
+  u64 retries = 0;           // total extra attempts across the scan
+  u64 hedged_requests = 0;   // duplicate GETs issued (ScanStats::hedges)
+  u64 hedge_wins = 0;
+  u64 blocks_pruned = 0;     // block outcomes: one row block = one unit
   u64 blocks_skipped = 0;
   u64 blocks_decoded = 0;
   u64 blocks_unreadable = 0;
   u64 crc_refetched_blocks = 0;
   u64 crc_rescued_blocks = 0;
-
-  u64 bytes_fetched = 0;  // compressed bytes that crossed the wire
-  u64 bytes_decoded = 0;  // logical uncompressed bytes produced
+  u64 bytes_fetched = 0;     // compressed bytes that crossed the wire
+  u64 bytes_decoded = 0;     // logical uncompressed bytes produced
 
   std::vector<SchemeDecodeStats> decode_by_scheme;  // sorted by (type, scheme)
   std::vector<SlowOp> slow_ops;                     // slowest first
 
   // Aligned human-readable report.
   std::string ToText() const;
-  // Stable JSON: {"schema_version":1,"wall_seconds":...,...}.
+  // Stable JSON: {"schema_version":2,"wall_seconds":...,...}.
   std::string ToJson() const;
 };
 
-// What a fetch worker reports for one resolved request: a GET, or one
-// block served from the cache.
+// What a fetch worker reports for one resolved GET request.
 struct FetchRecord {
   const std::string* key = nullptr;  // not owned; copied if it makes the ring
   u64 offset = 0;
   u64 length = 0;
   u64 duration_ns = 0;
-  u32 attempts = 1;
+  u32 attempts = 1;  // 0: the breaker rejected it before any attempt
   u32 retries = 0;  // committed retries (may differ from attempts - 1
                     // when the breaker rejected the call mid-retry)
-  u32 blocks = 0;   // block payloads this GET carries whose cache lookup
-                    // missed (0: no cache, a header or a CRC re-fetch)
-  bool cache_hit = false;
   bool hedged = false;
   bool hedge_won = false;
   bool breaker_rejected = false;
@@ -208,15 +211,12 @@ class ScanProfileCollector {
   void RecordDecode(const DecodeRecord& record);
   void AddActivity(ScanActivity activity, u64 ns, u64 count = 1);
   void SetStage(ScanStage stage, u64 wall_ns, u64 cpu_ns);
-  void AddBlockTallies(u64 pruned, u64 skipped, u64 decoded, u64 unreadable);
-  void AddCrcRefetch(bool rescued);
 
   // Finalization inputs recorded once by the scanner.
-  void SetWallSeconds(double seconds) { wall_seconds_ = seconds; }
   void SetOpenNanos(u64 ns) { open_ns_ = ns; }
   void SetZonePruneNanos(u64 ns) { zone_prune_ns_ = ns; }
-  void SetBytesFetched(u64 bytes) { bytes_fetched_ = bytes; }
 
+  // What the collector measured; the ScanStats totals are left zero.
   ScanProfile Snapshot() const;
 
  private:
@@ -225,34 +225,18 @@ class ScanProfileCollector {
   mutable std::mutex mutex_;
   const u32 slow_op_capacity_;
 
-  double wall_seconds_ = 0;
   u64 open_ns_ = 0;
   u64 zone_prune_ns_ = 0;
-  u64 bytes_fetched_ = 0;
 
   StageTime stages_[kScanStageCount] = {};
   ActivityTime activities_[kScanActivityCount] = {};
 
   Histogram get_latency_;  // nanoseconds of every GET that reached the store
 
-  u64 requests_ = 0;
-  u64 cache_hits_ = 0;
-  u64 cache_misses_ = 0;
+  u64 requests_ = 0;  // GET requests
   u64 retried_requests_ = 0;
-  u64 retries_ = 0;
-  u64 hedged_requests_ = 0;
-  u64 hedge_wins_ = 0;
   u64 breaker_rejected_requests_ = 0;
   u64 failed_requests_ = 0;
-
-  u64 blocks_pruned_ = 0;
-  u64 blocks_skipped_ = 0;
-  u64 blocks_decoded_ = 0;
-  u64 blocks_unreadable_ = 0;
-  u64 crc_refetched_blocks_ = 0;
-  u64 crc_rescued_blocks_ = 0;
-
-  u64 bytes_decoded_ = 0;
 
   std::vector<SchemeDecodeStats> decode_by_scheme_;  // small, linear scan
   std::vector<SlowOp> slow_ops_;  // kept sorted, slowest first

@@ -114,6 +114,10 @@ struct ScanServiceConfig {
   // Shared per-backend breakers (one per ObjectStore seen).
   bool enable_breaker = true;
   exec::CircuitBreakerPolicy breaker;
+
+  // Equal configs build the same executors, cache and breakers: a
+  // standalone Scanner keeps its private service while this holds.
+  bool operator==(const ScanServiceConfig&) const = default;
 };
 
 class ScanService {

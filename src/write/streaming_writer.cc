@@ -126,7 +126,7 @@ Status StreamingWriter::Begin(const std::vector<ColumnSpec>& schema) {
     staging.entries.push_back({column.key, column.upload_id});
     if (CrashAt("begin:after-create-upload")) return failed_status_;
   }
-  if (config_.write_zone_map) {
+  if (write_zone_map_) {
     staging.entries.push_back({ZoneMapKey(prefix_, versioned), ""});
   }
   staging.entries.push_back({TableMetaKey(prefix_, versioned), ""});
@@ -284,7 +284,7 @@ Status StreamingWriter::Commit() {
 
   // 3. Zone-map sidecar and table metadata stage as plain versioned
   // objects (they are small; multipart buys nothing).
-  if (config_.write_zone_map) {
+  if (write_zone_map_) {
     TableZoneMap zones;
     for (ColumnState& column : columns_) {
       ColumnZoneMap zone_map;
@@ -391,9 +391,8 @@ Status CommitCompressedRelation(const CompressedRelation& relation,
   if (zones != nullptr && zones->columns.size() != relation.columns.size()) {
     return Status::InvalidArgument("zone map does not match relation");
   }
-  WriterConfig writer_config = config;
-  writer_config.write_zone_map = zones != nullptr;
-  StreamingWriter writer(store, relation.name, prefix, writer_config);
+  StreamingWriter writer(store, relation.name, prefix, config);
+  writer.write_zone_map_ = zones != nullptr;
   std::vector<StreamingWriter::ColumnSpec> schema;
   schema.reserve(relation.columns.size());
   for (const CompressedColumn& column : relation.columns) {
@@ -415,7 +414,7 @@ Status CommitCompressedRelation(const CompressedRelation& relation,
           column.block_value_counts[b],
           b < column.block_root_schemes.size() ? column.block_root_schemes[b]
                                                : 0);
-      if (state.pending.size() >= writer_config.part_target_bytes) {
+      if (state.pending.size() >= config.part_target_bytes) {
         BTR_RETURN_IF_ERROR(writer.UploadPending(c));
       }
     }

@@ -67,9 +67,6 @@ namespace btr::write {
 struct WriterConfig {
   // How blocks are compressed (same knobs as CompressRelation).
   CompressionConfig compression;
-  // Write the <table>.v<N>.zones pruning sidecar (zones are computed from
-  // the uncompressed accumulator as each block flushes).
-  bool write_zone_map = true;
   // A column's pending part uploads once it reaches this many bytes.
   // Small values exercise many parts; production-shaped values amortize
   // per-request cost. Parts may exceed this by one block's size.
@@ -168,6 +165,10 @@ class StreamingWriter {
   std::string prefix_;
   WriterConfig config_;
   std::unique_ptr<exec::RetryState> retry_;
+  // Write the <table>.v<N>.zones pruning sidecar (zones are computed from
+  // the uncompressed accumulator as each block flushes). Always, except
+  // when CommitCompressedRelation is given no zone map.
+  bool write_zone_map_ = true;
 
   State state_ = State::kIdle;
   Status failed_status_;  // first failure, sticky

@@ -56,10 +56,10 @@ ScanSpec ChaosSpec() {
   spec.config.scan_threads = 4;
   spec.config.fetch_threads = 3;
   spec.config.prefetch_depth = 4;
-  spec.config.max_attempts = 8;
-  spec.config.initial_backoff_ns = 1000;   // 1 us
-  spec.config.max_backoff_ns = 8000;       // 8 us
-  spec.config.retry_budget = 1024;
+  spec.config.retry.max_attempts = 8;
+  spec.config.retry.initial_backoff_ns = 1000;  // 1 us
+  spec.config.retry.max_backoff_ns = 8000;      // 8 us
+  spec.config.retry.retry_budget = 1024;
   return spec;
 }
 
@@ -191,7 +191,7 @@ TEST(ChaosTest, DegradedModeSkipsAndReportsUnreadableBlocks) {
     f.store.InstallFaultPlan(s3sim::MakeChaosPlan(seed, 0.25, true));
     ScanSpec spec = ChaosSpec();
     spec.config.skip_unreadable_blocks = true;
-    spec.config.max_attempts = 2;  // force some permanent failures
+    spec.config.retry.max_attempts = 2;  // force some permanent failures
     ScanOutput output;
     Status status = scanner.Scan(spec, &output);
     ASSERT_TRUE(status.ok())
@@ -326,14 +326,14 @@ TEST(ChaosTest, TargetedThrottleFailsFastOrRetries) {
 
   ScanSpec fail_fast = ChaosSpec();
   fail_fast.config.fetch_threads = 1;
-  fail_fast.config.max_attempts = 1;
+  fail_fast.config.retry.max_attempts = 1;
   f.store.InstallFaultPlan(plan);
   ScanOutput output;
   Status status = scanner.Scan(fail_fast, &output);
   EXPECT_TRUE(status.IsThrottled()) << status.ToString();
 
   ScanSpec retrying = fail_fast;
-  retrying.config.max_attempts = 4;
+  retrying.config.retry.max_attempts = 4;
   f.store.InstallFaultPlan(plan);
   status = scanner.Scan(retrying, &output);
   ASSERT_TRUE(status.ok()) << status.ToString();
@@ -436,15 +436,15 @@ TEST(ChaosTest, FullChaosWithCacheHedgingBreakerKeepsContract) {
     ScanSpec spec = ChaosSpec();
     spec.config.enable_block_cache = true;
     spec.config.enable_hedged_gets = true;
-    spec.config.hedge_quantile = 0.9;
-    spec.config.hedge_min_samples = 4;
-    spec.config.hedge_min_threshold_ns = 1000;  // 1 us
-    spec.config.hedge_budget = 8;
+    spec.config.hedge.quantile = 0.9;
+    spec.config.hedge.min_samples = 4;
+    spec.config.hedge.min_threshold_ns = 1000;  // 1 us
+    spec.config.hedge.hedge_budget = 8;
     spec.config.enable_circuit_breaker = true;
-    spec.config.breaker_window = 16;
-    spec.config.breaker_min_samples = 8;
-    spec.config.breaker_failure_threshold = 0.8;
-    spec.config.breaker_cooldown_ns = 100 * 1000;  // 100 us
+    spec.config.breaker.window = 16;
+    spec.config.breaker.min_samples = 8;
+    spec.config.breaker.failure_threshold = 0.8;
+    spec.config.breaker.cooldown_ns = 100 * 1000;  // 100 us
     spec.config.refetch_on_crc_failure = true;
 
     ScanOutput output;
@@ -458,7 +458,8 @@ TEST(ChaosTest, FullChaosWithCacheHedgingBreakerKeepsContract) {
           << status.ToString();
     }
     EXPECT_LE(output.stats.hedge_wins, output.stats.hedges) << "seed " << seed;
-    EXPECT_LE(output.stats.hedges, spec.config.hedge_budget) << "seed " << seed;
+    EXPECT_LE(output.stats.hedges, spec.config.hedge.hedge_budget)
+        << "seed " << seed;
     EXPECT_LE(output.stats.crc_rescues, output.stats.crc_refetches)
         << "seed " << seed;
     f.store.ClearFaultPlan();
@@ -589,12 +590,12 @@ TEST(ChaosTest, BreakerTripsAndFailsFastWhenBackendIsDown) {
 
   ScanSpec spec = ChaosSpec();
   spec.config.skip_unreadable_blocks = true;
-  spec.config.max_attempts = 2;
+  spec.config.retry.max_attempts = 2;
   spec.config.enable_circuit_breaker = true;
-  spec.config.breaker_window = 8;
-  spec.config.breaker_min_samples = 4;
-  spec.config.breaker_failure_threshold = 0.5;
-  spec.config.breaker_cooldown_ns = 50ull * 1000 * 1000;  // outlives the scan
+  spec.config.breaker.window = 8;
+  spec.config.breaker.min_samples = 4;
+  spec.config.breaker.failure_threshold = 0.5;
+  spec.config.breaker.cooldown_ns = 50ull * 1000 * 1000;  // outlives the scan
 
   f.store.InstallFaultPlan(down);
   ScanOutput output;
@@ -641,10 +642,10 @@ TEST(ChaosTest, HedgedGetsAbsorbLatencySpikes) {
 
     ScanSpec spec = ChaosSpec();
     spec.config.enable_hedged_gets = true;
-    spec.config.hedge_quantile = 0.5;
-    spec.config.hedge_min_samples = 2;
-    spec.config.hedge_min_threshold_ns = 1000;  // 1 us
-    spec.config.hedge_budget = 16;
+    spec.config.hedge.quantile = 0.5;
+    spec.config.hedge.min_samples = 2;
+    spec.config.hedge.min_threshold_ns = 1000;  // 1 us
+    spec.config.hedge.hedge_budget = 16;
 
     ScanOutput output;
     Status status = scanner.Scan(spec, &output);
@@ -652,7 +653,8 @@ TEST(ChaosTest, HedgedGetsAbsorbLatencySpikes) {
         << "latency never fails a GET, seed " << seed << ": "
         << status.ToString();
     ExpectOutputsBitIdentical(f.reference, output, seed);
-    EXPECT_LE(output.stats.hedges, spec.config.hedge_budget) << "seed " << seed;
+    EXPECT_LE(output.stats.hedges, spec.config.hedge.hedge_budget)
+        << "seed " << seed;
     EXPECT_LE(output.stats.hedge_wins, output.stats.hedges) << "seed " << seed;
     total_hedges += output.stats.hedges;
     total_wins += output.stats.hedge_wins;
@@ -739,7 +741,7 @@ TEST(ChaosTest, HeaderGetFaultsRetryOrFailTyped) {
     Scanner scanner(&f.store, "chaos_table", "lake/");
     ASSERT_TRUE(scanner.Open().ok());
     ScanSpec fail_fast = ChaosSpec();
-    fail_fast.config.max_attempts = 1;
+    fail_fast.config.retry.max_attempts = 1;
     f.store.InstallFaultPlan(throttle);
     ScanOutput output;
     Status status = scanner.Scan(fail_fast, &output);
@@ -808,7 +810,7 @@ TEST(ChaosTest, HeaderGetsAgainstADownBackendDegradeEveryBlock) {
 
   ScanSpec spec = ChaosSpec();
   spec.config.skip_unreadable_blocks = true;
-  spec.config.max_attempts = 2;
+  spec.config.retry.max_attempts = 2;
   f.store.InstallFaultPlan(down);
   ScanOutput output;
   Status status = scanner.Scan(spec, &output);

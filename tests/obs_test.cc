@@ -293,9 +293,9 @@ TEST(TracerTest, FailedScanLeavesBalancedSpansAndErrorInstant) {
   tracer.Reset();
   tracer.Enable();
   ScanSpec spec;
-  spec.config.max_attempts = 1;
-  spec.config.initial_backoff_ns = 1000;
-  spec.config.max_backoff_ns = 2000;
+  spec.config.retry.max_attempts = 1;
+  spec.config.retry.initial_backoff_ns = 1000;
+  spec.config.retry.max_backoff_ns = 2000;
   ScanOutput output;
   Status status = scanner.Scan(spec, &output);
   tracer.Disable();

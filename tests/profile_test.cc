@@ -19,6 +19,7 @@
 #include "obs/profile.h"
 #include "s3sim/fault.h"
 #include "s3sim/object_store.h"
+#include "service/scan_service.h"
 
 // Global allocation counter for the zero-cost-when-disabled test. This
 // test binary replaces global new/delete (malloc-backed, so new/free
@@ -71,10 +72,10 @@ ScanSpec ProfileSpec() {
   spec.config.scan_threads = 4;
   spec.config.fetch_threads = 3;
   spec.config.prefetch_depth = 4;
-  spec.config.max_attempts = 8;
-  spec.config.initial_backoff_ns = 1000;  // 1 us
-  spec.config.max_backoff_ns = 8000;      // 8 us
-  spec.config.retry_budget = 1024;
+  spec.config.retry.max_attempts = 8;
+  spec.config.retry.initial_backoff_ns = 1000;  // 1 us
+  spec.config.retry.max_backoff_ns = 8000;      // 8 us
+  spec.config.retry.retry_budget = 1024;
   spec.config.collect_profile = true;
   return spec;
 }
@@ -279,8 +280,8 @@ TEST(ProfileTest, HedgeTalliesMatchScanStats) {
 
   ScanSpec spec = ProfileSpec();
   spec.config.enable_hedged_gets = true;
-  spec.config.hedge_min_samples = 1;
-  spec.config.hedge_min_threshold_ns = 100 * 1000;  // 100 us floor
+  spec.config.hedge.min_samples = 1;
+  spec.config.hedge.min_threshold_ns = 100 * 1000;  // 100 us floor
   // Sequential GETs so the first one seeds the latency quantile before
   // the spiked request arrives.
   spec.config.fetch_threads = 1;
@@ -340,6 +341,103 @@ TEST(ProfileTest, CrcRefetchTalliesMatchScanStats) {
   EXPECT_EQ(profile.get_latency.count, output.stats.requests);
 }
 
+// A request the breaker rejects before its first attempt never reaches the
+// store, so it is no GET sample. Every .btr GET fails, one attempt each,
+// one at a time: the first header round's 2 GETs trip the breaker, which
+// then rejects both header requests of each later round (degraded mode
+// tries again for every row block left).
+TEST(ProfileTest, BreakerRejectedRequestsAreNotGetSamples) {
+  Relation table("breaker_table");
+  Column& ints = table.AddColumn("id", ColumnType::kInteger);
+  Column& doubles = table.AddColumn("price", ColumnType::kDouble);
+  for (u32 i = 0; i < 4 * kBlockCapacity; i++) {
+    ints.AppendInt(static_cast<i32>(i % 1000));
+    doubles.AppendDouble(static_cast<double>(i % 512) * 0.5);
+  }
+  s3sim::ObjectStore store;
+  ASSERT_TRUE(UploadCompressedRelation(CompressRelation(table, {}), nullptr,
+                                       "lake/", &store)
+                  .ok());
+
+  ScanSpec spec = ProfileSpec();
+  spec.config.fetch_threads = 1;
+  spec.config.retry.max_attempts = 1;
+  spec.config.skip_unreadable_blocks = true;
+  spec.config.enable_circuit_breaker = true;
+  spec.config.breaker.window = 4;
+  spec.config.breaker.min_samples = 2;
+  spec.config.breaker.cooldown_ns = 10ull * 1000 * 1000 * 1000;  // 10 s
+  Scanner scanner(&store, "breaker_table", "lake/");
+  ASSERT_TRUE(scanner.Open(spec.config).ok());
+
+  s3sim::FaultPlan down;
+  s3sim::FaultRule unavailable;
+  unavailable.kind = s3sim::FaultKind::kUnavailable;
+  unavailable.key_substring = ".btr";
+  down.rules.push_back(unavailable);
+  store.InstallFaultPlan(down);
+  ScanOutput output;
+  Status status = scanner.Scan(spec, &output);
+  store.ClearFaultPlan();
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  ASSERT_NE(output.stats.profile, nullptr);
+  const obs::ScanProfile& profile = *output.stats.profile;
+
+  EXPECT_EQ(output.stats.blocks_unreadable, 4u);
+  EXPECT_EQ(output.stats.requests, 2u);
+  EXPECT_EQ(profile.breaker_rejected_requests, 6u);
+  EXPECT_EQ(profile.get_latency.count, output.stats.requests);
+  EXPECT_EQ(
+      profile.activities[static_cast<u32>(obs::ScanActivity::kGet)].count,
+      output.stats.requests);
+}
+
+// A scan on a shared ScanService takes the same totals from ScanStats.
+// Tenant A warms the shared cache with the id column; tenant B's profiled
+// scan of {id, price} then hits both id blocks and misses both price
+// blocks.
+TEST(ProfileTest, ServicedScanProfileMatchesScanStats) {
+  Fixture f;
+  service::ScanServiceConfig config;
+  config.fetch_threads = 2;
+  config.decode_threads = 2;
+  service::ScanService service(config);
+  {
+    Scanner warm(service, "tenant-a", &f.store, "profile_table", "lake/");
+    ASSERT_TRUE(warm.Open().ok());
+    ScanSpec ids = ProfileSpec();
+    ids.columns = {"id"};
+    ScanOutput output;
+    ASSERT_TRUE(warm.Scan(ids, &output).ok());
+    ASSERT_EQ(output.stats.cache_misses, 2u);
+  }
+
+  Scanner scanner(service, "tenant-b", &f.store, "profile_table", "lake/");
+  ASSERT_TRUE(scanner.Open().ok());
+  const service::TenantStats before = service.GetTenantStats("tenant-b");
+  ScanSpec spec = ProfileSpec();
+  spec.columns = {"id", "price"};
+  ScanOutput output;
+  ASSERT_TRUE(scanner.Scan(spec, &output).ok());
+  const service::TenantStats after = service.GetTenantStats("tenant-b");
+  ASSERT_NE(output.stats.profile, nullptr);
+  const obs::ScanProfile& profile = *output.stats.profile;
+  const ScanStats& stats = output.stats;
+
+  EXPECT_EQ(stats.cache_hits, 2u) << "both id blocks";
+  EXPECT_EQ(stats.cache_misses, 2u) << "both price blocks";
+  EXPECT_EQ(profile.cache_hits, stats.cache_hits);
+  EXPECT_EQ(profile.cache_misses, stats.cache_misses);
+  // 2 column headers + one run of both price blocks, none retried or
+  // hedged: one GET per GET request, and a cache hit is a request too.
+  EXPECT_EQ(stats.requests, 3u);
+  EXPECT_EQ(profile.requests, stats.requests + stats.cache_hits);
+  EXPECT_EQ(profile.get_latency.count, stats.requests);
+  EXPECT_EQ(profile.bytes_fetched, stats.bytes_fetched);
+  EXPECT_EQ(after.cache_hits - before.cache_hits, stats.cache_hits);
+  EXPECT_EQ(after.cache_misses - before.cache_misses, stats.cache_misses);
+}
+
 // The slow-op exemplar ring is bounded by ScanConfig::profile_slow_ops
 // and sorted slowest-first.
 TEST(ProfileTest, SlowOpRingIsBoundedAndSorted) {
@@ -377,9 +475,9 @@ TEST(ProfileTest, JsonSchemaIsStable) {
   ASSERT_NE(output.stats.profile, nullptr);
   const std::string json = output.stats.profile->ToJson();
 
-  EXPECT_EQ(obs::ScanProfile::kSchemaVersion, 1u);
+  EXPECT_EQ(obs::ScanProfile::kSchemaVersion, 2u);
   const char* required[] = {
-      "\"schema_version\":1", "\"wall_seconds\":",     "\"open_ns\":",
+      "\"schema_version\":2", "\"wall_seconds\":",     "\"open_ns\":",
       "\"zone_prune_ns\":",   "\"stages\":",           "\"activities\":",
       "\"get_latency\":",     "\"tallies\":",          "\"requests\":",
       "\"cache_hits\":",      "\"retries\":",          "\"hedged_requests\":",

@@ -8,11 +8,14 @@
 // budget.
 #include <chrono>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "exec/retry.h"
 #include "obs/metrics.h"
+#include "s3sim/fault.h"
+#include "s3sim/object_store.h"
 #include "util/status.h"
 
 namespace btr::exec {
@@ -89,7 +92,6 @@ TEST(RetryTest, BudgetExhaustionStopsRetrying) {
 
 TEST(HedgeTest, ThresholdArmsOnlyAfterMinSamples) {
   HedgePolicy policy;
-  policy.enabled = true;
   policy.quantile = 0.5;
   policy.min_samples = 4;
   policy.min_threshold_ns = 10;
@@ -110,7 +112,6 @@ TEST(HedgeTest, ThresholdArmsOnlyAfterMinSamples) {
 // has no rank to read.
 TEST(HedgeTest, ZeroMinSamplesArmsAfterTheFirstLatency) {
   HedgePolicy policy;
-  policy.enabled = true;
   policy.min_samples = 0;
   policy.min_threshold_ns = 10;
   HedgeState state(policy);
@@ -120,9 +121,8 @@ TEST(HedgeTest, ZeroMinSamplesArmsAfterTheFirstLatency) {
   EXPECT_EQ(state.ThresholdNs(), 500u);
 }
 
-TEST(HedgeTest, ThresholdIsFlooredAndDisabledStateNeverArms) {
+TEST(HedgeTest, ThresholdIsFloored) {
   HedgePolicy policy;
-  policy.enabled = true;
   policy.quantile = 0.5;
   policy.min_samples = 2;
   policy.min_threshold_ns = 1000000;  // floor far above the samples
@@ -130,18 +130,38 @@ TEST(HedgeTest, ThresholdIsFlooredAndDisabledStateNeverArms) {
   state.RecordLatency(10);
   state.RecordLatency(20);
   EXPECT_EQ(state.ThresholdNs(), 1000000u);
+}
 
-  HedgePolicy disabled;  // enabled defaults to false
-  HedgeState off(disabled);
-  off.RecordLatency(10);
-  off.RecordLatency(20);
-  off.RecordLatency(30);
-  EXPECT_EQ(off.ThresholdNs(), 0u);
+// A caller that does not hedge passes no HedgeState: HedgedGet issues one
+// plain GET, even when that GET is slow, and never reports a hedge.
+TEST(HedgeTest, HedgedGetWithoutStateIssuesOneGetAndNeverHedges) {
+  s3sim::ObjectStore store;
+  const std::vector<u8> object(4096, 7);
+  ASSERT_TRUE(store.Put("obj", object.data(), object.size()).ok());
+  s3sim::FaultPlan plan;
+  plan.rules.push_back(s3sim::FaultRule::Latency("obj", 1, 2 * 1000 * 1000));
+  store.InstallFaultPlan(plan);
+  const u64 hedges_before =
+      obs::Registry::Get().GetCounter("scan.hedges").Value();
+
+  StragglerSink stragglers;
+  std::vector<u8> out;
+  bool hedged = false;
+  bool hedge_won = false;
+  Status status = HedgedGet(&store, "obj", 100, 1000, /*hedge=*/nullptr,
+                            &stragglers, &out, &hedged, &hedge_won,
+                            [] { return true; });
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(out, std::vector<u8>(1000, 7));
+  EXPECT_EQ(store.total_requests(), 1u);
+  EXPECT_FALSE(hedged);
+  EXPECT_FALSE(hedge_won);
+  EXPECT_EQ(obs::Registry::Get().GetCounter("scan.hedges").Value(),
+            hedges_before);
 }
 
 TEST(HedgeTest, BudgetCapsHedgesAndDisarmsThreshold) {
   HedgePolicy policy;
-  policy.enabled = true;
   policy.min_samples = 1;
   policy.min_threshold_ns = 1;
   policy.hedge_budget = 2;

@@ -143,10 +143,10 @@ ScanSpec FastSpec() {
   spec.config.scan_threads = 2;
   spec.config.fetch_threads = 2;
   spec.config.prefetch_depth = 4;
-  spec.config.max_attempts = 8;
-  spec.config.initial_backoff_ns = 1000;  // 1 us
-  spec.config.max_backoff_ns = 8000;      // 8 us
-  spec.config.retry_budget = 1024;
+  spec.config.retry.max_attempts = 8;
+  spec.config.retry.initial_backoff_ns = 1000;  // 1 us
+  spec.config.retry.max_backoff_ns = 8000;      // 8 us
+  spec.config.retry.retry_budget = 1024;
   return spec;
 }
 
