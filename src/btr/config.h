@@ -169,9 +169,11 @@ struct CompressionConfig {
 struct ScanConfig {
   u32 scan_threads = 0;    // decode executors; 0 = hardware concurrency
   u32 fetch_threads = 4;   // fetch executors: concurrent ranged GETs
-  // Block parts in flight beyond one row-block bundle per decode thread:
-  // the window is prefetch_depth + needed columns x decode threads, and a
-  // part counts until its row block is emitted. The window and the fetch
+  // Block parts beyond one row-block bundle per decode thread: the window
+  // is prefetch_depth + needed columns x decode threads. Its whole row
+  // blocks past the next emit are the decode window, the only row blocks
+  // decoded; the fetch window adds one run per fetch executor, and a part
+  // counts until its row block is emitted. The window and the fetch
   // executors also set how many adjacent blocks one GET reads.
   u32 prefetch_depth = 8;
 

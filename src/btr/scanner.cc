@@ -488,10 +488,11 @@ std::shared_ptr<const std::vector<u8>> Padded(std::vector<u8>&& bytes) {
   return std::make_shared<const std::vector<u8>>(std::move(bytes));
 }
 
-// Fetched column blocks of one row block, awaiting completion. A part
-// whose fetch failed permanently still counts toward `filled` (its status
-// lands in `error`) so the bundle always completes and the emitter never
-// waits on a block that cannot arrive.
+// Fetched column blocks of one row block, awaiting completion and then,
+// beyond the decode window, their decode item. A part whose fetch failed
+// permanently still counts toward `filled` (its status lands in `error`)
+// so the bundle always completes and the emitter never waits on a block
+// that cannot arrive.
 struct Bundle {
   std::vector<BlockPart> parts;  // by needed-column position
   u32 filled = 0;
@@ -504,9 +505,10 @@ struct Bundle {
 // thread) prunes row blocks, reads missing column headers and groups the
 // rest; Fetch items run on the service's fetch executors and Decode items
 // on its decode executors, both behind the tenant's fair-queue lanes;
-// Emit hands chunks to the caller in block order and pumps the next
-// fetches. Every submitted item captures `this`, so the Job must Finish()
-// — quiesce — before it leaves scope.
+// Emit hands chunks to the caller in block order, slides the decode window
+// and pumps the next fetches. Every submitted item captures `this`, so the
+// Job must Finish() — quiesce — before it leaves scope; bundles waiting
+// for the decode window are not items and are dropped with the Job.
 class Scanner::Job {
  public:
   Job(Scanner& scanner, service::ScanService& service,
@@ -523,14 +525,13 @@ class Scanner::Job {
         cache_(service.cache()),
         lane_(service, scanner.tenant_slot_, scanner.store_, config, profile,
               [this](u64 backoff_ns) { return Sleep(backoff_ns); }),
-        pruned_(resolved.row_blocks, 0),
-        leaf_zone_prunes_(resolved.leaf_count, 0),
-        // One bundle in flight per decode thread keeps every decoder busy;
+        // One bundle per decode thread keeps every decoder busy;
         // prefetch_depth parts on top hide fetch latency. Never below one
         // bundle, so the first incomplete bundle can always complete.
-        window_tokens_(config.prefetch_depth +
-                       static_cast<u64>(needed_count_) *
-                           service.decode_threads()),
+        window_(config.prefetch_depth +
+                static_cast<u64>(needed_count_) * service.decode_threads()),
+        pruned_(resolved.row_blocks, 0),
+        leaf_zone_prunes_(resolved.leaf_count, 0),
         leaf_fast_(resolved.leaf_count),
         leaf_materialized_(resolved.leaf_count) {
     for (u32 column : resolved.needed) {
@@ -553,7 +554,7 @@ class Scanner::Job {
 
  private:
   // Adjacent surviving row blocks [first, first + blocks), expanded into
-  // fetch items when the window reaches them.
+  // fetch items when the fetch window reaches them.
   struct Group {
     u32 first = 0;
     u32 blocks = 0;
@@ -570,11 +571,14 @@ class Scanner::Job {
   const ColumnFileHeader& File(u32 pos) const {
     return scanner_.column_files_[resolved_.needed[pos]];
   }
+  u32 NextFetched(u32 b) const;
   Status ReadHeaders();
   void Expand(const Group& group);
   void FetchRun(const Item& run);
   Status Arrive(u32 pos, u32 b, BlockPart* part);
   void Deliver(u32 b, u32 pos, BlockPart part, const Status& status);
+  void SlideDecodeWindow();
+  void SubmitDecode(u32 b, Bundle bundle);
   void Decode(u32 b, const Bundle& bundle);
   Status DecodeBundle(u32 b, const Bundle& bundle, BlockResult* result);
   void EmitBlock(const ChunkCallback& emit, u32 b, BlockResult* result);
@@ -598,13 +602,14 @@ class Scanner::Job {
   u64 base_breaker_fast_ = 0;
 
   // Plan output, then the pump's state. Calling thread only.
+  const u64 window_;  // in block parts; sizes the decode and fetch windows
   std::vector<u8> pruned_;
   std::vector<u64> leaf_zone_prunes_;
   std::vector<Group> groups_;
-  u32 first_fetched_ = ~0u;  // row blocks before it never entered the window
+  u32 first_fetched_ = ~0u;  // row blocks before it enter neither window
   size_t next_group_ = 0;
   std::deque<Item> items_;  // the expanded groups' items not yet submitted
-  u64 window_tokens_;       // block parts that may still be submitted
+  u64 fetch_tokens_ = 0;    // block parts that may still be submitted
   u64 cache_hits_ = 0;
   u64 cache_misses_ = 0;
 
@@ -613,8 +618,11 @@ class Scanner::Job {
   std::mutex mutex_;
   std::condition_variable cv_;
   u64 outstanding_ = 0;  // submitted items not yet finished
-  std::unordered_map<u32, Bundle> assembling_;  // incomplete bundles
-  std::map<u32, BlockResult> ready_;            // reorder buffer
+  // Bundles without a decode item: incomplete, or complete at or past
+  // decode_end_, waiting compressed until the decode window reaches them.
+  std::unordered_map<u32, Bundle> bundles_;
+  u32 decode_end_ = 0;  // blocks below it are inside the decode window
+  std::map<u32, BlockResult> ready_;  // reorder buffer
   bool failed_ = false;
   Status first_error_;
 
@@ -689,11 +697,23 @@ void Scanner::Job::Plan() {
 
   // Run length: as long as the window allows, since every GET pays a
   // first-byte wait, but one group of runs across all needed columns must
-  // fit the window, and so must one run per fetch executor, so that a
-  // narrow projection still keeps every fetch connection busy.
+  // fit the window, and so must one run per fetch executor.
   const u32 fetch_threads = service_.fetch_threads();
   const u64 run_blocks = std::max<u64>(
-      1, window_tokens_ / std::max({needed_count_, fetch_threads, 1u}));
+      1, window_ / std::max({needed_count_, fetch_threads, 1u}));
+  // The fetch window is the window plus one run per fetch executor, so the
+  // next runs' GETs are in flight while the window's row blocks decode. The
+  // decode window is the window's whole row blocks past the next emit.
+  fetch_tokens_ = window_ + fetch_threads * run_blocks;
+  const u64 decode_blocks = std::max<u64>(1, window_ / needed_count_);
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    decode_end_ = first;
+    for (u64 i = 0; i < decode_blocks && decode_end_ < resolved_.row_blocks;
+         i++) {
+      decode_end_ = NextFetched(decode_end_);
+    }
+  }
   for (u32 b = first; b < resolved_.row_blocks; b++) {
     if (pruned_[b]) continue;
     if (groups_.empty() || groups_.back().first + groups_.back().blocks != b ||
@@ -702,6 +722,15 @@ void Scanner::Job::Plan() {
     }
     groups_.back().blocks++;
   }
+}
+
+// The first row block after `b` that is fetched (not pruned), or
+// row_blocks when none is left.
+u32 Scanner::Job::NextFetched(u32 b) const {
+  do {
+    b++;
+  } while (b < resolved_.row_blocks && pruned_[b]);
+  return b;
 }
 
 // Reads the header of every needed column the scanner has not read yet,
@@ -745,15 +774,17 @@ Status Scanner::Job::ReadHeaders() {
 
 // --- fetch: window-limited items on the service's fetch executors ----------------
 
-// Backpressure is window tokens, not a bounded queue: a block part holds
-// one token from the moment its GET (or cache hit) is submitted until its
-// row block is emitted, so the window bounds both the parts in flight and
-// the decoded blocks waiting in the reorder buffer. Tokens are taken and
-// returned on the calling thread only, never while holding an executor
+// Backpressure is two windows, not a bounded queue. A block part holds one
+// fetch token from the moment its GET (or cache hit) is submitted until its
+// row block is emitted, so the fetch window bounds the parts in flight.
+// Only the decode window's row blocks (decode_end_) get decode items; a
+// complete bundle past it waits compressed, so the decode window bounds the
+// decoded blocks. Tokens are taken and returned, and the decode window
+// slides, on the calling thread only, never while holding an executor
 // thread, so executors never block on another scan's progress (no
 // cross-tenant head-of-line blocking). Groups expand in block order and a
-// group fits the window, so the lowest unemitted row block can always be
-// fetched.
+// group fits the fetch window, so the lowest unemitted row block can always
+// be fetched, and it is always inside the decode window.
 void Scanner::Job::Pump() {
   while (!Failed()) {
     if (items_.empty()) {
@@ -762,8 +793,8 @@ void Scanner::Job::Pump() {
       continue;
     }
     Item& next = items_.front();
-    if (next.blocks > window_tokens_) return;
-    window_tokens_ -= next.blocks;
+    if (next.blocks > fetch_tokens_) return;
+    fetch_tokens_ -= next.blocks;
     if (next.hit.owner != nullptr) {
       Deliver(next.first, next.pos, std::move(next.hit), Status::Ok());
     } else {
@@ -901,35 +932,52 @@ Status Scanner::Job::Arrive(u32 pos, u32 b, BlockPart* part) {
   return Status::Ok();
 }
 
-// Hands one part to its row block's bundle; the part that completes the
-// bundle submits the block's decode item.
+// Hands one part to its row block's bundle. The part that completes the
+// bundle submits the block's decode item when the block is inside the
+// decode window; otherwise the bundle waits for SlideDecodeWindow.
 void Scanner::Job::Deliver(u32 b, u32 pos, BlockPart part,
                            const Status& status) {
   Bundle complete;
-  bool is_complete = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (!failed_) {
-      Bundle& bundle = assembling_[b];
-      if (bundle.parts.empty()) bundle.parts.resize(needed_count_);
-      if (!status.ok() && bundle.error.ok()) bundle.error = status;
-      bundle.parts[pos] = std::move(part);
-      if (++bundle.filled == needed_count_) {
-        complete = std::move(bundle);
-        assembling_.erase(b);
-        is_complete = true;
-        outstanding_++;  // the decode item submitted below
-      }
-    }
+    if (failed_) return;
+    Bundle& bundle = bundles_[b];
+    if (bundle.parts.empty()) bundle.parts.resize(needed_count_);
+    if (!status.ok() && bundle.error.ok()) bundle.error = status;
+    bundle.parts[pos] = std::move(part);
+    if (++bundle.filled < needed_count_ || b >= decode_end_) return;
+    complete = std::move(bundle);
+    bundles_.erase(b);
+    outstanding_++;  // the decode item submitted below
   }
-  if (is_complete) {
-    u64 cost = 0;
-    for (const BlockPart& p : complete.parts) cost += p.size;
-    lane_.Submit(/*decode=*/true, cost,
-                 [this, b, bundle = std::move(complete)] {
-                   Decode(b, bundle);
-                 });
+  SubmitDecode(b, std::move(complete));
+}
+
+// Called by the emitter once a fetched row block has been emitted: the
+// decode window takes in the next fetched block and submits its decode
+// item if that block's bundle has already completed.
+void Scanner::Job::SlideDecodeWindow() {
+  Bundle complete;
+  u32 entered = 0;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (failed_ || decode_end_ >= resolved_.row_blocks) return;
+    entered = decode_end_;
+    decode_end_ = NextFetched(entered);
+    auto it = bundles_.find(entered);
+    if (it == bundles_.end() || it->second.filled < needed_count_) return;
+    complete = std::move(it->second);
+    bundles_.erase(it);
+    outstanding_++;  // the decode item submitted below
   }
+  SubmitDecode(entered, std::move(complete));
+}
+
+void Scanner::Job::SubmitDecode(u32 b, Bundle bundle) {
+  u64 cost = 0;
+  for (const BlockPart& p : bundle.parts) cost += p.size;
+  lane_.Submit(/*decode=*/true, cost,
+               [this, b, bundle = std::move(bundle)] { Decode(b, bundle); });
 }
 
 // --- decode: one complete row block on the service's decode executors ------------
@@ -1108,8 +1156,10 @@ void Scanner::Job::Emit(const ChunkCallback& emit,
     }
     EmitBlock(emit, b, &result);
     if (b >= first_fetched_) {
-      // The block has left the window: its parts' tokens come back.
-      window_tokens_ += needed_count_;
+      // The block has left both windows: the decode window takes in the
+      // next block, and its parts' fetch tokens come back.
+      SlideDecodeWindow();
+      fetch_tokens_ += needed_count_;
       Pump();
     }
   }

@@ -14,10 +14,13 @@
 //              looked up in the block cache, and every run of adjacent
 //              uncached blocks of one column is one exec::HedgedGet under
 //              exec::RunWithRetries; each arrived block is checked (size +
-//              CRC32C, one optional re-fetch) and only then cached; at
-//              most prefetch_depth + one bundle per decode thread in
-//              flight, counted until emitted
-//   decode ──► items on the service's decode executors: structural
+//              CRC32C, one optional re-fetch) and only then cached; the
+//              fetch window runs one run per fetch executor ahead of the
+//              decode window, each part counted until emitted
+//   decode ──► items on the service's decode executors for the row blocks
+//              of the decode window (prefetch_depth + one bundle per
+//              decode thread, in whole row blocks past the next emit; a
+//              row block past it waits compressed): structural
 //              validation, predicates on the *compressed* form (selection
 //              vectors), decompression only where the selection is
 //              non-empty

@@ -22,9 +22,9 @@ struct RetryPolicy {
 };
 
 // A GET that outlives the running `quantile` of recent GET latencies gets
-// one duplicate request; the first response wins. Hedges arm only after
-// `min_samples` latencies (and at least one) and are capped per scan by
-// `hedge_budget`, so a degraded backend cannot double its own load.
+// one duplicate request; the first successful response wins. Hedges arm
+// only after `min_samples` latencies (and at least one) and are capped per
+// scan by `hedge_budget`, so a degraded backend cannot double its own load.
 struct HedgePolicy {
   double quantile = 0.95;        // hedge when a GET outlives this quantile
   u32 min_samples = 16;          // latencies required before hedging arms

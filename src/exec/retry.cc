@@ -313,92 +313,89 @@ Status HedgedGet(s3sim::ObjectStore* store, const std::string& key,
     return status;
   }
 
-  // Hedged path: primary GET on its own thread; if it outlives the
-  // threshold, issue one duplicate on this thread and take the first
-  // response. The loser's bytes are discarded — both responses verify
-  // against the same header CRC downstream, so either is acceptable.
-  struct HedgedCall {
-    std::mutex mutex;
-    std::condition_variable cv;
+  // Hedged path: the primary GET runs on its own thread; if it outlives
+  // the threshold, one duplicate runs on another, and this thread takes
+  // the first successful response, or the primary's failure once both
+  // have failed. The other request's thread is parked in `stragglers`:
+  // both responses verify against the same header CRC downstream, so
+  // either is acceptable.
+  struct Request {
     bool done = false;
     Status status;
     std::vector<u8> data;
     u64 latency_ns = 0;
   };
+  struct HedgedCall {
+    std::mutex mutex;
+    std::condition_variable cv;
+    Request requests[2];  // the primary, then the duplicate
+    int first_ok = -1;    // the request whose success landed first
+    int finished = 0;
+  };
   auto call = std::make_shared<HedgedCall>();
-  // Allocated here, not on the short-lived primary thread, so the buffer
-  // lives in this thread's malloc arena. The primary fills it before
-  // `done` is set; this thread reads it only after joining the primary.
-  call->data.reserve(length + kSimdPadding);
-  // Owned copies: the primary thread may outlive this call's scope when
-  // it loses the race and gets parked as a straggler.
+  // Owned copies: a request's thread outlives this call when it loses the
+  // race and gets parked as a straggler.
   const std::string owned_key = key;
-  std::thread primary([store, owned_key, offset, length, call] {
-    Timer timer;
-    Status status = store->GetChunk(owned_key, offset, length, &call->data);
-    u64 latency_ns = static_cast<u64>(timer.ElapsedNanos());
-    {
-      std::lock_guard<std::mutex> lock(call->mutex);
-      call->done = true;
-      call->status = std::move(status);
-      call->latency_ns = latency_ns;
-    }
-    call->cv.notify_all();
-  });
+  auto launch = [&](int r) {
+    // Allocated here, not on the short-lived request thread, so the buffer
+    // lives in this thread's malloc arena. The request fills it before
+    // `done` is set, and this thread reads it only after seeing `done`.
+    call->requests[r].data.reserve(length + kSimdPadding);
+    return std::thread([store, owned_key, offset, length, call, r] {
+      Request& request = call->requests[r];
+      Timer timer;
+      Status status = store->GetChunk(owned_key, offset, length, &request.data);
+      const u64 latency_ns = static_cast<u64>(timer.ElapsedNanos());
+      {
+        std::lock_guard<std::mutex> lock(call->mutex);
+        request.done = true;
+        request.latency_ns = latency_ns;
+        if (status.ok() && call->first_ok < 0) call->first_ok = r;
+        request.status = std::move(status);
+        call->finished++;
+      }
+      call->cv.notify_all();
+    });
+  };
 
-  bool primary_done;
+  std::thread primary = launch(0);
+  bool primary_done = false;
   {
     std::unique_lock<std::mutex> lock(call->mutex);
     primary_done = call->cv.wait_for(
         lock, std::chrono::nanoseconds(threshold_ns),
-        [&] { return call->done; });
+        [&] { return call->requests[0].done; });
   }
+  int winner = 0;
   if (!primary_done && (hedge_gate == nullptr || hedge_gate()) &&
       hedge->TryAcquireHedge()) {
     HedgeMetrics::Get().hedges.Add();
     *hedged = true;
-    std::vector<u8> hedge_data;
-    hedge_data.reserve(length + kSimdPadding);
-    Timer hedge_timer;
-    Status hedge_status = store->GetChunk(key, offset, length, &hedge_data);
-    u64 hedge_latency_ns = static_cast<u64>(hedge_timer.ElapsedNanos());
-    bool primary_finished;
+    std::thread duplicate = launch(1);
     {
-      std::lock_guard<std::mutex> lock(call->mutex);
-      primary_finished = call->done;
+      std::unique_lock<std::mutex> lock(call->mutex);
+      call->cv.wait(lock,
+                    [&] { return call->first_ok >= 0 || call->finished == 2; });
+      winner = std::max(call->first_ok, 0);
     }
-    if (hedge_status.ok() && !primary_finished) {
-      // The duplicate beat the straggling primary: park the primary's
-      // thread for the caller to reap and return the hedge's bytes.
+    if (winner == 1) {
       stragglers->Park(std::move(primary));
-      hedge->RecordHedgeOutcome(true);
-      hedge->RecordLatency(hedge_latency_ns);
+      primary = std::move(duplicate);
       HedgeMetrics::Get().hedge_wins.Add();
       *hedge_won = true;
-      *out = std::move(hedge_data);
-      return hedge_status;
+    } else {
+      stragglers->Park(std::move(duplicate));
     }
-    primary.join();
-    if (!call->status.ok() && hedge_status.ok()) {
-      // Primary finished first but failed; the duplicate rescued it.
-      hedge->RecordHedgeOutcome(true);
-      hedge->RecordLatency(hedge_latency_ns);
-      HedgeMetrics::Get().hedge_wins.Add();
-      *hedge_won = true;
-      *out = std::move(hedge_data);
-      return hedge_status;
-    }
-    hedge->RecordHedgeOutcome(false);
-    if (call->status.ok()) hedge->RecordLatency(call->latency_ns);
-    *out = std::move(call->data);
-    return call->status;
+    hedge->RecordHedgeOutcome(winner == 1);
   }
 
-  // Primary answered in time, or the hedge budget is spent: wait it out.
+  // The winner, or the primary when it answered in time or the hedge was
+  // denied: its thread has finished, or is about to.
   primary.join();
-  if (call->status.ok()) hedge->RecordLatency(call->latency_ns);
-  *out = std::move(call->data);
-  return call->status;
+  Request& result = call->requests[winner];
+  if (result.status.ok()) hedge->RecordLatency(result.latency_ns);
+  *out = std::move(result.data);
+  return result.status;
 }
 
 }  // namespace btr::exec

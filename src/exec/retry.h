@@ -28,8 +28,8 @@
 //
 // --- hedging (HedgePolicy / HedgeState) -------------------------------------
 // "The Tail at Scale" discipline: when a GET outlives the running latency
-// quantile of its peers, issue one duplicate GET and take whichever
-// response arrives first. HedgeState tracks recent `s3.get` latencies in a
+// quantile of its peers, issue one duplicate GET and take the first
+// successful response. HedgeState tracks recent `s3.get` latencies in a
 // ring, arms once min_samples (and at least one) are in, and caps total
 // hedges per scan with hedge_budget. A caller that does not hedge has no
 // HedgeState. HedgedGet below owns the mechanics.
@@ -205,9 +205,9 @@ Status RunWithRetries(RetryState* state, const std::function<Status()>& op,
 // --- the GET ----------------------------------------------------------------
 
 // Holds hedge-loser threads whose GET result was discarded until someone
-// reaps them. A hedged GET that wins the race abandons the straggling
-// primary's thread; it must still be joined before the object store goes
-// away. Thread-safe; the destructor reaps anything left.
+// reaps them. A hedged GET returns at the first success and abandons the
+// other request's thread; it must still be joined before the object store
+// goes away. Thread-safe; the destructor reaps anything left.
 class StragglerSink {
  public:
   StragglerSink() = default;
@@ -241,10 +241,12 @@ class StragglerSink {
 
 // One GET, hedged when `hedge`'s latency tracker says the primary is
 // overdue: the primary runs on its own thread, and if it outlives the
-// quantile threshold one duplicate is issued on the calling thread; the
-// first response wins; a null `hedge` issues one plain GET and never
-// hedges. A losing primary's thread is parked in `stragglers` (the caller
-// reaps it after the scan quiesces). `hedged` / `hedge_won` are
+// quantile threshold one duplicate runs on a thread of its own. The first
+// successful response wins and frees the calling thread at once; when both
+// requests fail, the primary's status is returned. A null `hedge` issues
+// one plain GET and never hedges. The other request's thread is parked in
+// `stragglers` (the caller reaps it after the scan quiesces); the latency
+// sample is the winner's. `hedged` / `hedge_won` are
 // OR-accumulated so retry wrappers can reuse the flags across attempts.
 // `hedge_gate`, when set, is consulted before the duplicate is issued
 // (after the overdue check, before the hedge budget is consumed) —

@@ -9,8 +9,11 @@
 //
 // Schedules are deterministic per seed (s3sim/fault.h), so any failure
 // here reproduces bit-for-bit from the seed in the assertion message.
+#include <chrono>
 #include <cstring>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -31,13 +34,13 @@ constexpr u32 kRows = kBlockCapacity + 500;
 // offset_min hits block GETs, never the column header GET at offset 0.
 const u64 kFirstBlockOffset = ColumnFileHeaderBytes(2);
 
-Relation MakeTable() {
+Relation MakeTable(u32 rows = kRows) {
   Relation table("chaos_table");
   Column& ints = table.AddColumn("id", ColumnType::kInteger);
   Column& doubles = table.AddColumn("price", ColumnType::kDouble);
   Column& strings = table.AddColumn("city", ColumnType::kString);
   const char* cities[4] = {"berlin", "munich", "bonn", "hamburg"};
-  for (u32 i = 0; i < kRows; i++) {
+  for (u32 i = 0; i < rows; i++) {
     if (i % 97 == 13) {
       ints.AppendNull();
     } else {
@@ -831,6 +834,95 @@ TEST(ChaosTest, HeaderGetsAgainstADownBackendDegradeEveryBlock) {
   status = scanner.Scan(strict, &output);
   EXPECT_TRUE(status.IsTransient()) << status.ToString();
   f.store.ClearFaultPlan();
+}
+
+// One decode thread and no prefetch depth make the decode window one row
+// block and every run one block, while the fetch window runs one run per
+// fetch executor ahead: a slow consumer lets the next row block arrive
+// before it enters the decode window and wait there compressed. Block 3 of
+// column 0 arrives corrupt. A degraded scan emits it kUnreadable in order
+// and every other block bit-identical; a strict scan fails with
+// Corruption, drops its waiting bundles and quiesces.
+TEST(ChaosTest, CorruptBlockWaitingForTheDecodeWindow) {
+  constexpr u32 kBlocks = 8;
+  const CompressionConfig config;
+  const CompressedRelation compressed =
+      CompressRelation(MakeTable(kBlocks * kBlockCapacity), config);
+  s3sim::ObjectStore store;
+  ASSERT_TRUE(
+      UploadCompressedRelation(compressed, nullptr, "lake/", &store).ok());
+  ScanSpec spec = ChaosSpec();
+  spec.config.scan_threads = 1;
+  spec.config.prefetch_depth = 0;
+  Scanner scanner(&store, "chaos_table", "lake/");
+  ASSERT_TRUE(scanner.Open(spec.config).ok());
+  ScanOutput reference;
+  ASSERT_TRUE(scanner.Scan(spec, &reference).ok());
+
+  u64 block3_offset = ColumnFileHeaderBytes(kBlocks);
+  for (u32 b = 0; b < 3; b++) {
+    block3_offset += compressed.columns[0].blocks[b].size();
+  }
+  s3sim::FaultRule corrupt = s3sim::FaultRule::Corrupt(".0.btr", 1, 0);
+  corrupt.offset_min = block3_offset;
+  corrupt.offset_max = block3_offset;
+  s3sim::FaultPlan plan;
+  plan.seed = 23;
+  plan.rules.push_back(corrupt);
+
+  // Every chunk, in emit order.
+  struct Emitted {
+    u32 block = 0;
+    u32 column = 0;
+    BlockOutcome outcome = BlockOutcome::kDecoded;
+    DecodedBlock values;
+  };
+  auto scan = [&](bool degraded, std::vector<Emitted>* emitted) {
+    ScanSpec chaos = spec;
+    chaos.config.skip_unreadable_blocks = degraded;
+    store.InstallFaultPlan(plan);
+    return scanner.Scan(chaos, [&](ColumnChunk&& chunk) {
+      if (chunk.column == 0) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      }
+      emitted->push_back(Emitted{chunk.block, chunk.column, chunk.outcome,
+                                 std::move(chunk.values)});
+    });
+  };
+
+  std::vector<Emitted> emitted;
+  Status status = scan(/*degraded=*/true, &emitted);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(store.faults_injected(), 1u);
+  ASSERT_EQ(emitted.size(), kBlocks * 3u);
+  for (size_t i = 0; i < emitted.size(); i++) {
+    const Emitted& chunk = emitted[i];
+    EXPECT_EQ(chunk.block, i / 3) << "chunk " << i;
+    EXPECT_EQ(chunk.column, i % 3) << "chunk " << i;
+    if (chunk.block == 3) {
+      EXPECT_EQ(chunk.outcome, BlockOutcome::kUnreadable);
+      continue;
+    }
+    EXPECT_EQ(chunk.outcome, BlockOutcome::kDecoded) << "chunk " << i;
+    ExpectBlocksBitIdentical(
+        reference.columns[chunk.column].blocks[chunk.block], chunk.values,
+        23);
+  }
+
+  emitted.clear();
+  status = scan(/*degraded=*/false, &emitted);
+  EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+  EXPECT_EQ(emitted.size(), 3u * 3u) << "blocks 0-2, then the failure";
+  // Quiesced: no item of the failed scan issues a GET after it returned,
+  // and the scanner's service runs the next scan.
+  const u64 requests = store.total_requests();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(store.total_requests(), requests);
+  store.ClearFaultPlan();
+  ScanOutput output;
+  status = scanner.Scan(spec, &output);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  ExpectOutputsBitIdentical(reference, output, 23);
 }
 
 }  // namespace

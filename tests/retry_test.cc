@@ -160,6 +160,44 @@ TEST(HedgeTest, HedgedGetWithoutStateIssuesOneGetAndNeverHedges) {
             hedges_before);
 }
 
+// The primary answers 50 ms in; the duplicate, issued at the 20 ms
+// threshold, takes 300 ms. HedgedGet returns the primary's bytes as soon
+// as they land and leaves the duplicate to the straggler sink. (The
+// threshold leaves the primary's thread 20 ms to reach the store first,
+// so the fault ordinals tell the two requests apart on a loaded machine.)
+TEST(HedgeTest, LosingDuplicateDoesNotDelayTheResult) {
+  constexpr u64 kMs = 1000 * 1000;
+  s3sim::ObjectStore store;
+  const std::vector<u8> object(4096, 7);
+  ASSERT_TRUE(store.Put("obj", object.data(), object.size()).ok());
+  s3sim::FaultPlan plan;
+  plan.rules.push_back(s3sim::FaultRule::Latency("obj", 1, 50 * kMs));
+  plan.rules.push_back(s3sim::FaultRule::Latency("obj", 2, 300 * kMs));
+  store.InstallFaultPlan(plan);
+  HedgePolicy policy;
+  policy.min_samples = 1;
+  HedgeState state(policy);
+  state.RecordLatency(20 * kMs);
+  ASSERT_EQ(state.ThresholdNs(), 20 * kMs);
+
+  StragglerSink stragglers;
+  std::vector<u8> out;
+  bool hedged = false;
+  bool hedge_won = false;
+  const auto start = std::chrono::steady_clock::now();
+  Status status = HedgedGet(&store, "obj", 100, 1000, &state, &stragglers,
+                            &out, &hedged, &hedge_won);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(out, std::vector<u8>(1000, 7));
+  EXPECT_LT(elapsed, std::chrono::milliseconds(150))
+      << "the losing duplicate delayed the primary's response";
+  EXPECT_TRUE(hedged);
+  EXPECT_FALSE(hedge_won);
+  stragglers.Reap();
+  EXPECT_EQ(store.total_requests(), 2u);
+}
+
 TEST(HedgeTest, BudgetCapsHedgesAndDisarmsThreshold) {
   HedgePolicy policy;
   policy.min_samples = 1;

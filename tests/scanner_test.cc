@@ -5,6 +5,7 @@
 #include "btr/scanner.h"
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -15,6 +16,7 @@
 
 #include "btr/btrblocks.h"
 #include "btr/predicate.h"
+#include "obs/metrics.h"
 #include "write/manifest.h"
 
 namespace btr {
@@ -486,6 +488,73 @@ TEST(ScannerTest, LastBlockOfARunDecodesInsideTheSlack) {
     DecompressBlock(f.compressed.columns[c].blocks[2].data(), &reference,
                     f.config);
     ExpectBlocksBitIdentical(reference, output.columns[c].blocks[2]);
+  }
+}
+
+// One decode thread, two fetch executors and no prefetch depth: the decode
+// window is one row block and every run is one block. While the consumer
+// holds row block 0's first chunk, the fetch window GETs row block 1 (one
+// run per fetch executor ahead), but block 1 waits compressed: only block
+// 0's two column blocks are decoded.
+TEST(ScannerTest, FetchRunsAheadWhileDecodeStaysBounded) {
+  constexpr u32 kBlocks = 6;
+  Relation table("run_ahead");
+  Column& ids = table.AddColumn("id", ColumnType::kInteger);
+  Column& groups = table.AddColumn("group", ColumnType::kInteger);
+  for (u32 i = 0; i < kBlocks * kBlockCapacity; i++) {
+    ids.AppendInt(static_cast<i32>(i));
+    groups.AppendInt(static_cast<i32>(i % 1000));
+  }
+  CompressionConfig config;
+  const CompressedRelation compressed = CompressRelation(table, config);
+  s3sim::ObjectStore store;
+  ASSERT_TRUE(
+      UploadCompressedRelation(compressed, nullptr, "lake/", &store).ok());
+
+  ScanSpec spec;
+  spec.config.scan_threads = 1;
+  spec.config.fetch_threads = 2;
+  spec.config.prefetch_depth = 0;
+  Scanner scanner(&store, "run_ahead", "lake/");
+  ASSERT_TRUE(scanner.Open(spec.config).ok());
+  const u64 requests_after_open = store.total_requests();
+  const u64 block1_fetched = 2 + 4;  // 2 headers + block 0's and 1's runs
+  obs::Counter& decompressed =
+      obs::Registry::Get().GetCounter("btr.decompress.blocks");
+  const u64 decompressed_before = decompressed.Value();
+
+  u64 fetched_while_held = 0;
+  u64 decompressed_while_held = 0;
+  std::vector<std::vector<DecodedBlock>> values(2);
+  for (std::vector<DecodedBlock>& column : values) column.resize(kBlocks);
+  Status status = scanner.Scan(spec, [&](ColumnChunk&& chunk) {
+    if (chunk.block == 0 && chunk.column == 0) {
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (store.total_requests() - requests_after_open < block1_fetched &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      // Time for a decode of block 1 to run, were one submitted.
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      fetched_while_held = store.total_requests() - requests_after_open;
+      decompressed_while_held = decompressed.Value() - decompressed_before;
+    }
+    values[chunk.column][chunk.block] = std::move(chunk.values);
+  });
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_GE(fetched_while_held, block1_fetched)
+      << "no GET of row block 1 while block 0 was held";
+  EXPECT_LE(decompressed_while_held, 2u)
+      << "decoded past the one-block decode window";
+
+  DecodedBlock reference;
+  for (u32 c = 0; c < 2; c++) {
+    for (u32 b = 0; b < kBlocks; b++) {
+      DecompressBlock(compressed.columns[c].blocks[b].data(), &reference,
+                      config);
+      ExpectBlocksBitIdentical(reference, values[c][b]);
+    }
   }
 }
 
