@@ -107,7 +107,8 @@ int main() {
       i32 candidate_probe = candidate.ints()[candidate.size() - 1];
       size_t pruned = 0;
       for (const BlockZone& zone : candidate_zones.zones) {
-        pruned += !ZoneMayContainInt(zone, candidate_probe);
+        pruned +=
+            !ZoneMayOverlapIntRange(zone, candidate_probe, candidate_probe);
       }
       if (int_column == nullptr || pruned > best_pruned) {
         int_column = &candidate;

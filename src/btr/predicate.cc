@@ -1,9 +1,9 @@
-// PredicateExpr construction, introspection and zone-map pruning. The
-// block-level evaluation engine lives in predicate_eval.cc.
+// PredicateExpr construction, integer-to-double leaf coercion and
+// introspection. What a leaf admits — for zone pruning and for block
+// evaluation — is decided once, by the leaf contexts in predicate_eval.cc.
 #include "btr/predicate.h"
 
 #include <algorithm>
-#include <cstdint>
 #include <cstring>
 
 namespace btr {
@@ -136,6 +136,22 @@ PredicateExpr PredicateExpr::InString(std::string column,
   values.erase(std::unique(values.begin(), values.end()), values.end());
   e.string_set = std::move(values);
   return e;
+}
+
+PredicateExpr CoerceIntLeafToDouble(const PredicateExpr& leaf) {
+  switch (leaf.op) {
+    case CompareOp::kEq:
+      return PredicateExpr::EqualsDouble(leaf.column, leaf.int_lo);
+    case CompareOp::kBetween:
+      return PredicateExpr::BetweenDouble(leaf.column, leaf.int_lo,
+                                          leaf.int_hi);
+    case CompareOp::kIn: {
+      std::vector<double> values(leaf.int_set.begin(), leaf.int_set.end());
+      return PredicateExpr::InDouble(leaf.column, std::move(values));
+    }
+    default:
+      return PredicateExpr::CompareDouble(leaf.column, leaf.op, leaf.int_lo);
+  }
 }
 
 // --- combinators -------------------------------------------------------------
@@ -294,124 +310,6 @@ std::string PredicateExpr::ToString() const {
   std::string out;
   AppendExpr(*this, &out, false);
   return out;
-}
-
-// --- zone-map pruning --------------------------------------------------------
-
-bool ZoneMayMatchLeaf(const BlockZone& zone, const PredicateExpr& leaf) {
-  if (zone.all_null) return false;  // no row can compare TRUE
-  switch (leaf.type) {
-    case ColumnType::kInteger:
-      switch (leaf.op) {
-        case CompareOp::kEq:
-          return ZoneMayContainInt(zone, leaf.int_lo);
-        case CompareOp::kLt:
-          return leaf.int_lo != INT32_MIN &&
-                 ZoneMayOverlapIntRange(zone, INT32_MIN, leaf.int_lo - 1);
-        case CompareOp::kLe:
-          return ZoneMayOverlapIntRange(zone, INT32_MIN, leaf.int_lo);
-        case CompareOp::kGt:
-          return leaf.int_lo != INT32_MAX &&
-                 ZoneMayOverlapIntRange(zone, leaf.int_lo + 1, INT32_MAX);
-        case CompareOp::kGe:
-          return ZoneMayOverlapIntRange(zone, leaf.int_lo, INT32_MAX);
-        case CompareOp::kBetween:
-          return leaf.int_lo <= leaf.int_hi &&
-                 ZoneMayOverlapIntRange(zone, leaf.int_lo, leaf.int_hi);
-        case CompareOp::kIn:
-          for (i32 v : leaf.int_set) {
-            if (ZoneMayContainInt(zone, v)) return true;
-          }
-          return false;
-      }
-      return true;
-    case ColumnType::kDouble:
-      switch (leaf.op) {
-        case CompareOp::kEq:
-          return ZoneMayContainDouble(zone, leaf.double_lo);
-        case CompareOp::kLt:
-          return ZoneMayOverlapDoubleRange(zone, -kDoubleInf, leaf.double_lo,
-                                           false, true);
-        case CompareOp::kLe:
-          return ZoneMayOverlapDoubleRange(zone, -kDoubleInf, leaf.double_lo,
-                                           false, false);
-        case CompareOp::kGt:
-          return ZoneMayOverlapDoubleRange(zone, leaf.double_lo, kDoubleInf,
-                                           true, false);
-        case CompareOp::kGe:
-          return ZoneMayOverlapDoubleRange(zone, leaf.double_lo, kDoubleInf,
-                                           false, false);
-        case CompareOp::kBetween:
-          return ZoneMayOverlapDoubleRange(zone, leaf.double_lo,
-                                           leaf.double_hi, false, false);
-        case CompareOp::kIn:
-          for (double v : leaf.double_set) {
-            if (ZoneMayContainDouble(zone, v)) return true;
-          }
-          return false;
-      }
-      return true;
-    case ColumnType::kString:
-      switch (leaf.op) {
-        case CompareOp::kEq:
-          return ZoneMayContainString(zone, leaf.string_lo);
-        case CompareOp::kLt:
-        case CompareOp::kLe:
-          return ZoneMayOverlapStringRange(zone, "", true, leaf.string_lo,
-                                           false);
-        case CompareOp::kGt:
-        case CompareOp::kGe:
-          return ZoneMayOverlapStringRange(zone, leaf.string_lo, false, "",
-                                           true);
-        case CompareOp::kBetween:
-          return leaf.string_lo <= leaf.string_hi &&
-                 ZoneMayOverlapStringRange(zone, leaf.string_lo, false,
-                                           leaf.string_hi, false);
-        case CompareOp::kIn:
-          for (const std::string& v : leaf.string_set) {
-            if (ZoneMayContainString(zone, v)) return true;
-          }
-          return false;
-      }
-      return true;
-  }
-  return true;
-}
-
-bool ZoneMayMatch(
-    const PredicateExpr& expr,
-    const std::function<const BlockZone*(const std::string&)>& zone_of) {
-  switch (expr.kind) {
-    case PredicateExpr::Kind::kNone:
-      return true;
-    case PredicateExpr::Kind::kLeaf: {
-      const BlockZone* zone = zone_of(expr.column);
-      return zone == nullptr || ZoneMayMatchLeaf(*zone, expr);
-    }
-    case PredicateExpr::Kind::kAnd:
-      for (const PredicateExpr& child : expr.children) {
-        if (!ZoneMayMatch(child, zone_of)) return false;
-      }
-      return true;
-    case PredicateExpr::Kind::kOr:
-      for (const PredicateExpr& child : expr.children) {
-        if (ZoneMayMatch(child, zone_of)) return true;
-      }
-      return false;
-    case PredicateExpr::Kind::kNot:
-      // A zone proves absence, never presence: NOT (nothing here) would
-      // need "every row matches the child" to prune, which min/max alone
-      // cannot establish. Stay conservative.
-      return true;
-  }
-  return true;
-}
-
-bool ZoneMayMatch(const BlockZone& zone, const PredicateExpr& expr) {
-  return ZoneMayMatch(expr,
-                      [&](const std::string&) -> const BlockZone* {
-                        return &zone;
-                      });
 }
 
 }  // namespace btr

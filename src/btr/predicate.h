@@ -73,7 +73,8 @@ struct PredicateExpr {
   // carry their value in *_lo (mirrored into *_hi), kBetween carries both
   // bounds, kIn carries the set (sorted + deduplicated by the factory;
   // double sets are ordered by bit pattern to match kEq bit-equality).
-  // The evaluation engine derives closed ranges from (op, operands).
+  // What the leaf admits is derived from (op, operands) in one place, the
+  // per-type leaf contexts of predicate_eval.cc.
   std::string column;
   ColumnType type = ColumnType::kInteger;
   CompareOp op = CompareOp::kEq;
@@ -132,6 +133,12 @@ struct PredicateExpr {
   std::string ToString() const;
 };
 
+// The double leaf an integer leaf means on a double column: the same
+// column, op and operands as doubles, so `x < 5` becomes `x < 5.0`
+// losslessly (IN sets are re-sorted into bit-pattern order). The Scanner
+// applies it while resolving a spec against the table's column types.
+PredicateExpr CoerceIntLeafToDouble(const PredicateExpr& leaf);
+
 // Legacy name: the old struct Predicate was a single equality leaf. The
 // existing call sites (Predicate::EqualsInt, ...) keep working against the
 // leaf subset of PredicateExpr.
@@ -141,6 +148,10 @@ using Predicate = PredicateExpr;
 
 // Conservative pruning of one leaf against one block zone: false means no
 // row of the block can satisfy the comparison, true means some row may.
+// The leaf's type context (predicate_eval.cc) tests the values the leaf
+// admits against the zone, the same context that evaluates the leaf's
+// rows: an all-NULL zone never matches, a NaN equality probe always may,
+// and a strict string bound prunes like a closed one.
 bool ZoneMayMatchLeaf(const BlockZone& zone, const PredicateExpr& leaf);
 
 // Whole-expression pruning. `zone_of` maps a column name to that column's

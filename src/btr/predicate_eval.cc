@@ -1,8 +1,15 @@
-// Block-level PredicateExpr evaluation on the compressed form.
+// Block-level PredicateExpr evaluation and zone pruning.
 //
-// A row block evaluates into two dense block-local word arrays, `pass`
-// and `unknown`: bit i of words[i / 64] is row i (util/bits.h). Leaves
-// write their raw matches per root scheme:
+// Each leaf is interpreted once, by its type's leaf context (IntLeafCtx,
+// DoubleLeafCtx, StringLeafCtx): the only code that turns a leaf's (op,
+// operands) into the values it admits. A context answers Match(v) for one
+// stored value and MayMatch(zone) for one block's zone, so zone pruning
+// (ZoneMayMatchLeaf), the compressed-form engine (EvaluateExpr) and the
+// decode-then-filter reference (EvaluateExprDecoded) read one derivation.
+//
+// On the compressed form a row block evaluates into two dense block-local
+// word arrays, `pass` and `unknown`: bit i of words[i / 64] is row i
+// (util/bits.h). Leaves write their raw matches per root scheme:
 //
 //   OneValue    O(1): compare the single stored value, fill the block
 //   RLE         O(runs): run arithmetic sets whole bit ranges
@@ -32,9 +39,11 @@
 // logic, and the block's selection becomes a RoaringBitmap once, when it
 // leaves EvaluateExpr.
 #include <algorithm>
-#include <cstring>
+#include <bit>
 #include <memory>
 #include <optional>
+#include <string>
+#include <string_view>
 #include <type_traits>
 
 #include "btr/layout.h"
@@ -48,12 +57,6 @@
 namespace btr {
 
 namespace {
-
-u64 BitsOf(double d) {
-  u64 b;
-  std::memcpy(&b, &d, sizeof(u64));
-  return b;
-}
 
 // One row block's Kleene result: bit i of pass[i / 64] is set when row i
 // is TRUE, of unknown[i / 64] when it is UNKNOWN; rows in neither are
@@ -106,170 +109,189 @@ bool IsFastPath(Shape shape, CompareOp op) {
   return shape != Shape::kDecode;
 }
 
-// --- derived leaf comparison contexts ---------------------------------------
+// --- leaf contexts -----------------------------------------------------------
+// Built once per (leaf, block) evaluation or zone test. Every MayMatch is
+// conservative: false means no value inside the zone is admitted.
 
-struct IntRange {
-  i32 lo = 0;
-  i32 hi = 0;
-  bool empty = false;
-};
-
-IntRange DeriveIntRange(const PredicateExpr& leaf) {
-  IntRange r;
-  switch (leaf.op) {
-    case CompareOp::kEq:
-      r.lo = r.hi = leaf.int_lo;
-      break;
-    case CompareOp::kLt:
-      r.empty = leaf.int_lo == INT32_MIN;
-      r.lo = INT32_MIN;
-      r.hi = r.empty ? INT32_MIN : leaf.int_lo - 1;
-      break;
-    case CompareOp::kLe:
-      r.lo = INT32_MIN;
-      r.hi = leaf.int_lo;
-      break;
-    case CompareOp::kGt:
-      r.empty = leaf.int_lo == INT32_MAX;
-      r.lo = r.empty ? INT32_MAX : leaf.int_lo + 1;
-      r.hi = INT32_MAX;
-      break;
-    case CompareOp::kGe:
-      r.lo = leaf.int_lo;
-      r.hi = INT32_MAX;
-      break;
-    case CompareOp::kBetween:
-      r.lo = leaf.int_lo;
-      r.hi = leaf.int_hi;
-      r.empty = r.lo > r.hi;
-      break;
-    case CompareOp::kIn:
-      break;  // handled through the set, not a range
-  }
-  return r;
-}
-
-struct F64Range {
-  double lo = -kDoubleInf;
-  double hi = kDoubleInf;
-  bool lo_strict = false;
-  bool hi_strict = false;
-};
-
-F64Range DeriveF64Range(const PredicateExpr& leaf) {
-  F64Range r;
-  switch (leaf.op) {
-    case CompareOp::kLt:
-      r.hi = leaf.double_lo;
-      r.hi_strict = true;
-      break;
-    case CompareOp::kLe:
-      r.hi = leaf.double_lo;
-      break;
-    case CompareOp::kGt:
-      r.lo = leaf.double_lo;
-      r.lo_strict = true;
-      break;
-    case CompareOp::kGe:
-      r.lo = leaf.double_lo;
-      break;
-    case CompareOp::kBetween:
-      r.lo = leaf.double_lo;
-      r.hi = leaf.double_hi;
-      break;
-    default:
-      break;
-  }
-  return r;
-}
-
-bool F64RangeMatch(double v, const F64Range& r) {
-  bool ge = r.lo_strict ? (v > r.lo) : (v >= r.lo);
-  bool le = r.hi_strict ? (v < r.hi) : (v <= r.hi);
-  return ge && le;
-}
-
-// Precomputed per (leaf, block) evaluation.
+// An integer leaf admits one closed interval [lo, hi] — strict bounds
+// move by one, and `x < INT32_MIN` / `x > INT32_MAX` admit nothing — or,
+// for kIn, the members of its sorted set.
 struct IntLeafCtx {
   bool is_set;
-  IntRange range;
+  bool empty = false;
+  i32 lo = INT32_MIN;
+  i32 hi = INT32_MAX;
   const std::vector<i32>* set;
 
   explicit IntLeafCtx(const PredicateExpr& leaf)
-      : is_set(leaf.op == CompareOp::kIn),
-        range(DeriveIntRange(leaf)),
-        set(&leaf.int_set) {}
+      : is_set(leaf.op == CompareOp::kIn), set(&leaf.int_set) {
+    const i32 v = leaf.int_lo;
+    switch (leaf.op) {
+      case CompareOp::kEq: lo = hi = v; break;
+      case CompareOp::kLt:
+        empty = v == INT32_MIN;
+        if (!empty) hi = v - 1;
+        break;
+      case CompareOp::kLe: hi = v; break;
+      case CompareOp::kGt:
+        empty = v == INT32_MAX;
+        if (!empty) lo = v + 1;
+        break;
+      case CompareOp::kGe: lo = v; break;
+      case CompareOp::kBetween:
+        lo = v;
+        hi = leaf.int_hi;
+        empty = lo > hi;
+        break;
+      case CompareOp::kIn: break;
+    }
+  }
 
   bool Match(i32 v) const {
     if (is_set) return std::binary_search(set->begin(), set->end(), v);
-    return !range.empty && v >= range.lo && v <= range.hi;
+    return !empty && v >= lo && v <= hi;
+  }
+
+  bool MayMatch(const BlockZone& zone) const {
+    if (is_set) {
+      return std::any_of(set->begin(), set->end(), [&](i32 v) {
+        return ZoneMayOverlapIntRange(zone, v, v);
+      });
+    }
+    return !empty && ZoneMayOverlapIntRange(zone, lo, hi);
   }
 
   // `words` arrive zeroed, so an empty range writes nothing.
   void SelectDecoded(const i32* values, u32 count, u64* words) const {
     if (is_set) {
       simd::SelectI32Set(values, count, *set, words);
-    } else if (!range.empty) {
-      simd::SelectI32Range(values, count, range.lo, range.hi, words);
+    } else if (!empty) {
+      simd::SelectI32Range(values, count, lo, hi, words);
     }
   }
 };
 
+// A double leaf's kEq / kIn admit the bit patterns of its operands (NaN
+// payloads included); the ordered ops admit an IEEE-ordered range whose
+// bounds are each strict or not (+-inf for a missing bound), which no NaN
+// satisfies.
 struct DoubleLeafCtx {
-  bool is_bits;  // kEq / kIn: bit-pattern equality
-  F64Range range;
+  bool is_bits;
   std::vector<u64> bits;  // sorted bit patterns
+  double lo = -kDoubleInf;
+  double hi = kDoubleInf;
+  bool lo_strict = false;
+  bool hi_strict = false;
 
   explicit DoubleLeafCtx(const PredicateExpr& leaf)
       : is_bits(leaf.op == CompareOp::kEq || leaf.op == CompareOp::kIn) {
-    if (leaf.op == CompareOp::kEq) {
-      bits.push_back(BitsOf(leaf.double_lo));
-    } else if (leaf.op == CompareOp::kIn) {
-      bits.reserve(leaf.double_set.size());
-      for (double v : leaf.double_set) bits.push_back(BitsOf(v));
-      std::sort(bits.begin(), bits.end());
-    } else {
-      range = DeriveF64Range(leaf);
+    const double v = leaf.double_lo;
+    switch (leaf.op) {
+      case CompareOp::kEq: bits.push_back(std::bit_cast<u64>(v)); break;
+      case CompareOp::kLt: hi = v; hi_strict = true; break;
+      case CompareOp::kLe: hi = v; break;
+      case CompareOp::kGt: lo = v; lo_strict = true; break;
+      case CompareOp::kGe: lo = v; break;
+      case CompareOp::kBetween:
+        lo = v;
+        hi = leaf.double_hi;
+        break;
+      case CompareOp::kIn:
+        bits.reserve(leaf.double_set.size());
+        for (double d : leaf.double_set) bits.push_back(std::bit_cast<u64>(d));
+        std::sort(bits.begin(), bits.end());
+        break;
     }
   }
 
   bool Match(double v) const {
     if (is_bits) {
-      return std::binary_search(bits.begin(), bits.end(), BitsOf(v));
+      return std::binary_search(bits.begin(), bits.end(),
+                                std::bit_cast<u64>(v));
     }
-    return F64RangeMatch(v, range);
+    return (lo_strict ? v > lo : v >= lo) && (hi_strict ? v < hi : v <= hi);
+  }
+
+  // A NaN pattern is kept by any zone that is not all NULL: min/max hold
+  // no NaN.
+  bool MayMatch(const BlockZone& zone) const {
+    if (is_bits) {
+      return std::any_of(bits.begin(), bits.end(), [&](u64 b) {
+        return ZoneMayContainDouble(zone, std::bit_cast<double>(b));
+      });
+    }
+    return ZoneMayOverlapDoubleRange(zone, lo, hi, lo_strict, hi_strict);
   }
 
   void SelectDecoded(const double* values, u32 count, u64* words) const {
     if (is_bits) {
       simd::SelectF64BitsSet(values, count, bits, words);
     } else {
-      simd::SelectF64Range(values, count, range.lo, range.hi, range.lo_strict,
-                           range.hi_strict, words);
+      simd::SelectF64Range(values, count, lo, hi, lo_strict, hi_strict, words);
     }
   }
 };
 
-bool MatchString(std::string_view v, const PredicateExpr& leaf) {
-  switch (leaf.op) {
-    case CompareOp::kEq:
-      return v == leaf.string_lo;
-    case CompareOp::kLt:
-      return v < leaf.string_lo;
-    case CompareOp::kLe:
-      return v <= leaf.string_lo;
-    case CompareOp::kGt:
-      return v > leaf.string_lo;
-    case CompareOp::kGe:
-      return v >= leaf.string_lo;
-    case CompareOp::kBetween:
-      return v >= leaf.string_lo && v <= leaf.string_hi;
-    case CompareOp::kIn:
-      return std::binary_search(leaf.string_set.begin(),
-                                leaf.string_set.end(), v);
+// A string leaf admits a lexicographic range whose sides are each open,
+// closed or strict (kEq is [v, v]), or, for kIn, the members of its
+// sorted set. The views point into the leaf.
+struct StringLeafCtx {
+  enum class Bound : u8 { kOpen, kClosed, kStrict };
+
+  const std::vector<std::string>* set = nullptr;  // kIn only
+  std::string_view lo;
+  std::string_view hi;
+  Bound lo_bound = Bound::kOpen;
+  Bound hi_bound = Bound::kOpen;
+
+  explicit StringLeafCtx(const PredicateExpr& leaf) {
+    const std::string_view v = leaf.string_lo;
+    switch (leaf.op) {
+      case CompareOp::kEq:
+        lo = hi = v;
+        lo_bound = hi_bound = Bound::kClosed;
+        break;
+      case CompareOp::kLt: hi = v; hi_bound = Bound::kStrict; break;
+      case CompareOp::kLe: hi = v; hi_bound = Bound::kClosed; break;
+      case CompareOp::kGt: lo = v; lo_bound = Bound::kStrict; break;
+      case CompareOp::kGe: lo = v; lo_bound = Bound::kClosed; break;
+      case CompareOp::kBetween:
+        lo = v;
+        hi = leaf.string_hi;
+        lo_bound = hi_bound = Bound::kClosed;
+        break;
+      case CompareOp::kIn: set = &leaf.string_set; break;
+    }
   }
-  return false;
-}
+
+  bool Match(std::string_view v) const {
+    if (set != nullptr) return std::binary_search(set->begin(), set->end(), v);
+    if (lo_bound != Bound::kOpen) {
+      const int c = v.compare(lo);
+      if (c < 0 || (c == 0 && lo_bound == Bound::kStrict)) return false;
+    }
+    if (hi_bound != Bound::kOpen) {
+      const int c = v.compare(hi);
+      if (c > 0 || (c == 0 && hi_bound == Bound::kStrict)) return false;
+    }
+    return true;
+  }
+
+  // The zone's 8-byte prefixes cannot tell a value equal to a bound from
+  // one that runs past it, so a strict bound prunes like a closed one.
+  bool MayMatch(const BlockZone& zone) const {
+    if (set != nullptr) {
+      return std::any_of(set->begin(), set->end(), [&](const std::string& v) {
+        return ZoneMayOverlapStringRange(zone, v, false, v, false);
+      });
+    }
+    if (lo_bound != Bound::kOpen && hi_bound != Bound::kOpen && lo > hi) {
+      return false;  // BETWEEN with crossed bounds
+    }
+    return ZoneMayOverlapStringRange(zone, lo, lo_bound == Bound::kOpen, hi,
+                                     hi_bound == Bound::kOpen);
+  }
+};
 
 // --- compressed-form selection ----------------------------------------------
 // Every kernel below sets the bits of its matching rows in `words`, which
@@ -373,9 +395,8 @@ void SelectNumericLeafRaw(const layout::Block& b, Shape shape, const Ctx& ctx,
     case Shape::kBp128:
       if constexpr (std::is_same_v<T, i32>) {
         if (!ctx.is_set) {
-          if (!ctx.range.empty) {
-            simd::SelectBp128Range(payload, b.count, ctx.range.lo,
-                                   ctx.range.hi, words);
+          if (!ctx.empty) {
+            simd::SelectBp128Range(payload, b.count, ctx.lo, ctx.hi, words);
           }
           return;
         }
@@ -391,19 +412,17 @@ void SelectNumericLeafRaw(const layout::Block& b, Shape shape, const Ctx& ctx,
 }
 
 void SelectStringLeafRaw(const layout::Block& b, Shape shape,
-                         const PredicateExpr& leaf,
+                         const StringLeafCtx& ctx,
                          const CompressionConfig& config, u64* words) {
   switch (shape) {
     case Shape::kOneValue:
-      if (MatchString(layout::ReadOneString(b.payload()), leaf)) {
+      if (ctx.Match(layout::ReadOneString(b.payload()))) {
         SetBits(words, 0, b.count);
       }
       return;
     case Shape::kDict: {
       layout::StringDict dict = layout::ReadStringDict(b.payload());
-      auto entry_matches = [&](u32 d) {
-        return MatchString(dict.Entry(d), leaf);
-      };
+      auto entry_matches = [&](u32 d) { return ctx.Match(dict.Entry(d)); };
       SelectCodes(dict.codes, b.count,
                   MatchTable(dict.entries.size(), entry_matches), words);
       return;
@@ -414,7 +433,23 @@ void SelectStringLeafRaw(const layout::Block& b, Shape shape,
   DecodedStrings strings;
   DecompressStrings(b.vector, b.count, &strings, config);
   WriteBits(0, b.count, words,
-            [&](u32 i) { return MatchString(strings.Get(i), leaf); });
+            [&](u32 i) { return ctx.Match(strings.Get(i)); });
+}
+
+// A decoded block's rows where `match(i)` holds; NULL rows are UNKNOWN.
+template <typename MatchFn>
+Words SelectDecodedRows(const DecodedBlock& d, const MatchFn& match) {
+  Words out;
+  out.pass.resize(WordCount(d.count));
+  if (!d.null_flags.empty()) out.unknown.resize(WordCount(d.count));
+  for (u32 i = 0; i < d.count; i++) {
+    if (d.IsNull(i)) {
+      SetBit(out.unknown.data(), i);
+    } else if (match(i)) {
+      SetBit(out.pass.data(), i);
+    }
+  }
+  return out;
 }
 
 // --- Kleene recursion --------------------------------------------------------
@@ -572,6 +607,56 @@ void CountLeafMetric(bool fast) {
 
 }  // namespace
 
+// --- zone-map pruning --------------------------------------------------------
+
+bool ZoneMayMatchLeaf(const BlockZone& zone, const PredicateExpr& leaf) {
+  if (zone.all_null) return false;  // no row can compare TRUE
+  switch (leaf.type) {
+    case ColumnType::kInteger: return IntLeafCtx(leaf).MayMatch(zone);
+    case ColumnType::kDouble: return DoubleLeafCtx(leaf).MayMatch(zone);
+    case ColumnType::kString: return StringLeafCtx(leaf).MayMatch(zone);
+  }
+  return true;
+}
+
+bool ZoneMayMatch(
+    const PredicateExpr& expr,
+    const std::function<const BlockZone*(const std::string&)>& zone_of) {
+  switch (expr.kind) {
+    case PredicateExpr::Kind::kNone:
+      return true;
+    case PredicateExpr::Kind::kLeaf: {
+      const BlockZone* zone = zone_of(expr.column);
+      return zone == nullptr || ZoneMayMatchLeaf(*zone, expr);
+    }
+    case PredicateExpr::Kind::kAnd:
+      for (const PredicateExpr& child : expr.children) {
+        if (!ZoneMayMatch(child, zone_of)) return false;
+      }
+      return true;
+    case PredicateExpr::Kind::kOr:
+      for (const PredicateExpr& child : expr.children) {
+        if (ZoneMayMatch(child, zone_of)) return true;
+      }
+      return false;
+    case PredicateExpr::Kind::kNot:
+      // A zone proves absence, never presence: NOT (nothing here) would
+      // need "every row matches the child" to prune, which min/max alone
+      // cannot establish. Stay conservative.
+      return true;
+  }
+  return true;
+}
+
+bool ZoneMayMatch(const BlockZone& zone, const PredicateExpr& expr) {
+  return ZoneMayMatch(expr,
+                      [&](const std::string&) -> const BlockZone* {
+                        return &zone;
+                      });
+}
+
+// --- block-level evaluation --------------------------------------------------
+
 EvalResult EvaluateExpr(
     const PredicateExpr& expr, u32 row_count,
     const std::function<const u8*(const std::string&)>& block_of,
@@ -596,7 +681,8 @@ EvalResult EvaluateExpr(
                                      out.pass.data());
         break;
       case ColumnType::kString:
-        SelectStringLeafRaw(b, shape, leaf, config, out.pass.data());
+        SelectStringLeafRaw(b, shape, StringLeafCtx(leaf), config,
+                            out.pass.data());
         break;
     }
     bool fast = IsFastPath(shape, leaf.op);
@@ -626,38 +712,24 @@ EvalResult EvaluateExprDecoded(
     BTR_CHECK(d != nullptr);
     BTR_CHECK(d->type == leaf.type);
     BTR_CHECK(d->count == row_count);
-    Words out;
-    out.pass.resize(WordCount(row_count));
-    if (!d->null_flags.empty()) out.unknown.resize(WordCount(row_count));
-    // Both ternary operands must be lvalues: IntLeafCtx keeps a pointer
-    // into the chosen leaf's int_set, so a prvalue operand would make the
-    // ternary copy `leaf` into a temporary and leave the ctx dangling.
-    static const PredicateExpr kIntDummy = PredicateExpr::EqualsInt("", 0);
-    static const PredicateExpr kDoubleDummy =
-        PredicateExpr::EqualsDouble("", 0);
-    IntLeafCtx int_ctx(leaf.type == ColumnType::kInteger ? leaf : kIntDummy);
-    DoubleLeafCtx double_ctx(leaf.type == ColumnType::kDouble ? leaf
-                                                              : kDoubleDummy);
-    for (u32 i = 0; i < d->count; i++) {
-      if (d->IsNull(i)) {
-        SetBit(out.unknown.data(), i);
-        continue;
+    switch (leaf.type) {
+      case ColumnType::kInteger: {
+        IntLeafCtx ctx(leaf);
+        return SelectDecodedRows(
+            *d, [&](u32 i) { return ctx.Match(d->ints[i]); });
       }
-      bool match = false;
-      switch (leaf.type) {
-        case ColumnType::kInteger:
-          match = int_ctx.Match(d->ints[i]);
-          break;
-        case ColumnType::kDouble:
-          match = double_ctx.Match(d->doubles[i]);
-          break;
-        case ColumnType::kString:
-          match = MatchString(d->strings.Get(i), leaf);
-          break;
+      case ColumnType::kDouble: {
+        DoubleLeafCtx ctx(leaf);
+        return SelectDecodedRows(
+            *d, [&](u32 i) { return ctx.Match(d->doubles[i]); });
       }
-      if (match) SetBit(out.pass.data(), i);
+      case ColumnType::kString: {
+        StringLeafCtx ctx(leaf);
+        return SelectDecodedRows(
+            *d, [&](u32 i) { return ctx.Match(d->strings.Get(i)); });
+      }
     }
-    return out;
+    return Words();
   };
   u32 leaf_index = 0;
   return ToEvalResult(EvalNode(expr, row_count, eval_leaf, &leaf_index));

@@ -343,30 +343,6 @@ struct Scanner::ResolvedSpec {
   std::vector<u32> block_rows;  // values per row block
 };
 
-namespace {
-
-// Rebuilds an integer leaf as the equivalent double leaf (the raw operands
-// survive in the expression, so `x < 5` on a double column becomes
-// `x < 5.0` losslessly; IN sets are re-sorted into bit-pattern order by
-// the factory).
-PredicateExpr CoerceIntLeafToDouble(const PredicateExpr& leaf) {
-  switch (leaf.op) {
-    case CompareOp::kEq:
-      return PredicateExpr::EqualsDouble(leaf.column, leaf.int_lo);
-    case CompareOp::kBetween:
-      return PredicateExpr::BetweenDouble(leaf.column, leaf.int_lo,
-                                          leaf.int_hi);
-    case CompareOp::kIn: {
-      std::vector<double> values(leaf.int_set.begin(), leaf.int_set.end());
-      return PredicateExpr::InDouble(leaf.column, std::move(values));
-    }
-    default:
-      return PredicateExpr::CompareDouble(leaf.column, leaf.op, leaf.int_lo);
-  }
-}
-
-}  // namespace
-
 Status Scanner::ResolveSpec(const ScanSpec& spec, ResolvedSpec* out) const {
   if (!opened_) return Status::InvalidArgument("Scanner::Open() not called");
 

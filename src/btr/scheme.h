@@ -33,10 +33,11 @@ namespace btr {
 inline constexpr u32 kDecodeSlack = 16;
 
 // What differs between the column types the picker serves: the scheme
-// code enum and pool size, the equality/hash key of a value, and QuickPick,
-// the statistics-only choice of cascade children while a sample is being
-// compressed for estimation (scheme_picker.cc). T is the value type:
-// i32, double or std::string_view.
+// code enum and pool size, the equality/hash key of a value, and, for the
+// numeric types, QuickPick, the statistics-only choice of cascade children
+// while a sample is being compressed for estimation (scheme_picker.cc).
+// Strings need none: no scheme cascades into a string vector. T is the
+// value type: i32, double or std::string_view.
 template <typename T>
 struct SchemeTraits;
 
@@ -69,8 +70,6 @@ struct SchemeTraits<std::string_view> {
   using Code = StringSchemeCode;
   static constexpr ColumnType kType = ColumnType::kString;
   static constexpr u32 kSchemeCount = kStringSchemeCount;
-  static Code QuickPick(const StringsView& in, const StringStats& stats,
-                        const CompressionConfig& config);
 };
 
 // Value count and uncompressed footprint of an input vector: numbers are

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <string>
+#include <type_traits>
 
 #include "bitpack/bitpack.h"
 #include "obs/cascade_trace.h"
@@ -84,39 +85,6 @@ DoubleSchemeCode SchemeTraits<double>::QuickPick(
   return best;
 }
 
-StringSchemeCode SchemeTraits<std::string_view>::QuickPick(
-    const StringsView&, const StringStats& stats,
-    const CompressionConfig& config) {
-  if (stats.unique_count == 1 &&
-      config.SchemeEnabled(StringSchemeCode::kOneValue)) {
-    return StringSchemeCode::kOneValue;
-  }
-  double input_bytes =
-      static_cast<double>(stats.total_bytes) + stats.count * sizeof(u32);
-  double best_size = input_bytes;
-  StringSchemeCode best = StringSchemeCode::kUncompressed;
-  auto consider = [&](StringSchemeCode code, double size) {
-    if (config.SchemeEnabled(code) && size < best_size) {
-      best_size = size;
-      best = code;
-    }
-  };
-  if (stats.unique_count < stats.count) {
-    u32 code_bits = std::max(1u, BitWidth(stats.unique_count - 1));
-    double dict_size = stats.count * code_bits / 8.0 +
-                       static_cast<double>(stats.unique_bytes) +
-                       stats.unique_count * 8.0;
-    consider(StringSchemeCode::kDict, dict_size);
-    // FSST on the dictionary pool: assume the paper's ~2x on text.
-    consider(StringSchemeCode::kDictFsst, stats.count * code_bits / 8.0 +
-                                              stats.unique_bytes * 0.55 +
-                                              stats.unique_count * 4.0 + 800.0);
-  }
-  consider(StringSchemeCode::kFsst, stats.total_bytes * 0.55 +
-                                        stats.count * 1.2 + 800.0);
-  return best;
-}
-
 // --- observability ---------------------------------------------------------
 
 obs::Histogram& SchemeHistogram(SchemePhase phase, ColumnType type, u8 code) {
@@ -193,8 +161,13 @@ typename SchemeTraits<T>::Code PickStep(const CompressionContext& ctx,
   if (ctx.remaining_cascades == 0 || ValueCount(in...) == 0) {
     return Code::kUncompressed;
   }
-  if (ctx.estimating) {
-    return SchemeTraits<T>::QuickPick(in..., ComputeStats(in...), *ctx.config);
+  // String schemes cascade only their codes and lengths, so a string
+  // vector is never a cascade child of a sample being estimated.
+  if constexpr (!std::is_same_v<T, std::string_view>) {
+    if (ctx.estimating) {
+      return SchemeTraits<T>::QuickPick(in..., ComputeStats(in...),
+                                        *ctx.config);
+    }
   }
   BTR_TRACE_SPAN(kPickSpans[static_cast<u8>(kType)]);
   Telemetry* telemetry = ctx.config->telemetry;

@@ -14,10 +14,11 @@
 // movemasks. The rows after the last full 64-row group go through the
 // scalar twin.
 //
-// The range kernels work on closed intervals. Integer predicates are
-// canonicalized to closed [lo, hi] intervals by the expression builder
-// (x < 5 becomes [INT32_MIN, 4]); doubles carry explicit strictness flags
-// because +-inf endpoints cannot absorb open bounds losslessly.
+// The range kernels work on closed intervals. An integer leaf's context
+// (IntLeafCtx, predicate_eval.cc) turns its comparison into a closed
+// [lo, hi] interval (x < 5 becomes [INT32_MIN, 4]); doubles carry explicit
+// strictness flags because +-inf endpoints cannot absorb open bounds
+// losslessly.
 //
 // SelectBp128Range is the ByteSlice-flavored centerpiece: it walks the
 // FastBP128 stream miniblock by miniblock, using each 128-value frame's

@@ -12,7 +12,9 @@ namespace {
 void FillPrefix(std::string_view s, u8 prefix[8], u8* len) {
   *len = static_cast<u8>(std::min<size_t>(s.size(), 8));
   std::memset(prefix, 0, 8);
-  std::memcpy(prefix, s.data(), *len);
+  // An empty value may have no storage behind it: memcpy from a null
+  // pointer is undefined even for zero bytes.
+  if (*len > 0) std::memcpy(prefix, s.data(), *len);
 }
 
 // Compares a full value against a stored 8-byte prefix; returns -1/0/+1
@@ -101,28 +103,10 @@ ColumnZoneMap ComputeColumnZoneMap(const Column& column) {
   return map;
 }
 
-bool ZoneMayContainInt(const BlockZone& zone, i32 value) {
-  if (zone.all_null) return false;
-  return value >= zone.int_min && value <= zone.int_max;
-}
-
 bool ZoneMayContainDouble(const BlockZone& zone, double value) {
   if (zone.all_null) return false;
   if (value != value) return true;  // NaN probe: stay conservative
   return value >= zone.double_min && value <= zone.double_max;
-}
-
-bool ZoneMayContainString(const BlockZone& zone, std::string_view value) {
-  if (zone.all_null) return false;
-  // value < min  => cannot match; value > max => cannot match. Prefix
-  // comparisons with len == 8 are treated as truncated (conservative).
-  int vs_min = ComparePrefix(value, zone.string_min, zone.string_min_len,
-                             zone.string_min_len == 8);
-  if (vs_min < 0) return false;
-  int vs_max = ComparePrefix(value, zone.string_max, zone.string_max_len,
-                             zone.string_max_len == 8);
-  if (vs_max > 0) return false;
-  return true;
 }
 
 bool ZoneMayOverlapIntRange(const BlockZone& zone, i32 lo, i32 hi) {

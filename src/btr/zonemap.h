@@ -52,14 +52,17 @@ struct TableZoneMap {
 // Computes zones from the uncompressed column (at compression time).
 ColumnZoneMap ComputeColumnZoneMap(const Column& column);
 
-// --- pruning predicates ---------------------------------------------------
-// Conservative: false means the block certainly has no equal value;
-// true means it may.
-bool ZoneMayContainInt(const BlockZone& zone, i32 value);
-bool ZoneMayContainDouble(const BlockZone& zone, double value);
-bool ZoneMayContainString(const BlockZone& zone, std::string_view value);
-// Range overlap [lo, hi] for integers (range scans / BETWEEN).
+// --- pruning probes ---------------------------------------------------------
+// Conservative: false means no value of the block lies in the probed set;
+// true means some may. An all-NULL zone holds no value. The leaf contexts
+// of predicate_eval.cc (via ZoneMayMatchLeaf) turn a predicate leaf into
+// these probes; a point probe is a range with lo == hi.
+//
+// Closed integer range [lo, hi].
 bool ZoneMayOverlapIntRange(const BlockZone& zone, i32 lo, i32 hi);
+// One double bit pattern (= and IN compare bit patterns). A NaN probe is
+// always kept: min/max hold no NaN, so they cannot rule one out.
+bool ZoneMayContainDouble(const BlockZone& zone, double value);
 // Double range with per-bound strictness (lo_strict: x > lo, else
 // x >= lo). NaN-safe on both sides: a NaN bound never matches ordered
 // comparisons (the predicate is unsatisfiable, so the zone prunes), and
@@ -68,9 +71,10 @@ bool ZoneMayOverlapIntRange(const BlockZone& zone, i32 lo, i32 hi);
 // bound.
 bool ZoneMayOverlapDoubleRange(const BlockZone& zone, double lo, double hi,
                                bool lo_strict, bool hi_strict);
-// String range against the zone's 8-byte min/max prefixes. lo_open /
-// hi_open mark absent bounds. Conservative: prefix comparisons that
-// cannot decide keep the block.
+// Closed string range against the zone's 8-byte min/max prefixes.
+// lo_open / hi_open mark absent bounds. Conservative: prefix comparisons
+// that cannot decide keep the block, so a strict bound is probed as the
+// closed one.
 bool ZoneMayOverlapStringRange(const BlockZone& zone, std::string_view lo,
                                bool lo_open, std::string_view hi,
                                bool hi_open);

@@ -112,7 +112,7 @@ Status ReadCsv(const std::string& text, Relation* out) {
     if (colon == std::string_view::npos) {
       return Status::InvalidArgument("header field without type tag");
     }
-    ColumnType type;
+    ColumnType type = ColumnType::kInteger;
     BTR_RETURN_IF_ERROR(ParseTypeTag(field.substr(colon + 1), &type));
     columns.push_back(
         &out->AddColumn(std::string(field.substr(0, colon)), type));

@@ -105,7 +105,7 @@ size_t Lz77Codec::Compress(const u8* in, size_t len, ByteBuffer* out) const {
 size_t Lz77Codec::Decompress(const u8* in, size_t compressed_len, u8* out,
                              size_t decompressed_len) const {
   const u8* src = in;
-  const u8* src_end = in + compressed_len;
+  [[maybe_unused]] const u8* src_end = in + compressed_len;  // DCHECK only
   u8* dst = out;
   u8* dst_end = out + decompressed_len;
 

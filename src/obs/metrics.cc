@@ -165,40 +165,6 @@ std::string Registry::ExportJson() const {
   return out;
 }
 
-std::string Registry::ExportText() const {
-  const Impl* i = impl();
-  std::lock_guard<std::mutex> lock(i->mutex);
-  std::string out;
-  char buf[256];
-  if (!i->counters.empty()) {
-    out += "counters:\n";
-    for (const auto& [name, c] : i->counters) {
-      std::snprintf(buf, sizeof(buf), "  %-40s %20" PRIu64 "\n", name.c_str(),
-                    c->Value());
-      out += buf;
-    }
-  }
-  if (!i->gauges.empty()) {
-    out += "gauges:\n";
-    for (const auto& [name, g] : i->gauges) {
-      std::snprintf(buf, sizeof(buf), "  %-40s %20" PRId64 "\n", name.c_str(),
-                    g->Value());
-      out += buf;
-    }
-  }
-  if (!i->histograms.empty()) {
-    out += "histograms:\n";
-    for (const auto& [name, h] : i->histograms) {
-      std::snprintf(buf, sizeof(buf),
-                    "  %-40s count=%" PRIu64 " mean=%.1f min=%" PRIu64
-                    " max=%" PRIu64 "\n",
-                    name.c_str(), h->Count(), h->Mean(), h->Min(), h->Max());
-      out += buf;
-    }
-  }
-  return out;
-}
-
 void Registry::ResetAll() {
   Impl* i = impl();
   std::lock_guard<std::mutex> lock(i->mutex);

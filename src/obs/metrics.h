@@ -119,8 +119,6 @@ class Registry {
   // {"counters":{...},"gauges":{...},"histograms":{...}} — histogram
   // buckets are emitted sparsely as [lo, count] pairs.
   std::string ExportJson() const;
-  // Aligned table for terminals.
-  std::string ExportText() const;
 
   // Zeroes every registered metric (tests and bench repeats).
   void ResetAll();

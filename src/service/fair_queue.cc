@@ -18,8 +18,6 @@ u64 NowNanos() {
 
 }  // namespace
 
-FairQueue::FairQueue(const FairQueueConfig& config) : config_(config) {}
-
 u32 FairQueue::AddLane(u32 max_outstanding) {
   std::lock_guard<std::mutex> lock(mutex_);
   Lane lane;
@@ -91,7 +89,7 @@ bool FairQueue::Pop(std::function<void()>* run, u64* queued_ns,
       bool granted = false;
       for (Lane& lane : lanes_) {
         if (ServableLocked(lane)) {
-          lane.deficit += config_.quantum_bytes;
+          lane.deficit += kFairQueueQuantumBytes;
           granted = true;
         }
       }

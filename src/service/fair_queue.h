@@ -4,7 +4,7 @@
 // shared executor pool (docs/SCAN_SERVICE.md). Each lane owns a FIFO of
 // closures tagged with a byte cost; Pop serves lanes deficit-round-robin
 // (Shreedhar & Varghese): every serving pass grants each backlogged lane
-// `quantum_bytes` of deficit, and a lane may dequeue items while its
+// kFairQueueQuantumBytes of deficit, and a lane may dequeue items while its
 // accumulated deficit covers their cost. A lane that goes idle forfeits
 // its deficit, so a tenant cannot bank credit while absent and then burst
 // past everyone. The result: over any busy interval, each backlogged
@@ -30,16 +30,14 @@
 
 namespace btr::service {
 
-struct FairQueueConfig {
-  // Deficit granted to each backlogged lane per serving pass. Items
-  // larger than the quantum still run (the deficit accumulates across
-  // passes); the quantum only sets the interleaving granularity.
-  u64 quantum_bytes = 1ull << 20;
-};
+// Deficit granted to each backlogged lane per serving pass. Items larger
+// than the quantum still run (the deficit accumulates across passes); the
+// quantum only sets the interleaving granularity.
+inline constexpr u64 kFairQueueQuantumBytes = u64{1} << 20;
 
 class FairQueue {
  public:
-  explicit FairQueue(const FairQueueConfig& config = FairQueueConfig());
+  FairQueue() = default;
 
   FairQueue(const FairQueue&) = delete;
   FairQueue& operator=(const FairQueue&) = delete;
@@ -98,7 +96,6 @@ class FairQueue {
   }
   bool AnyServableLocked() const;
 
-  const FairQueueConfig config_;
   mutable std::mutex mutex_;
   std::condition_variable servable_cv_;
   std::vector<Lane> lanes_;

@@ -60,9 +60,7 @@ struct ScanService::TenantState {
 
 ScanService::ScanService(const ScanServiceConfig& config)
     : config_(config),
-      cache_(config.cache),
-      fetch_queue_(FairQueueConfig{}),
-      decode_queue_(FairQueueConfig{}) {
+      cache_(config.cache) {
   // Owned cache entries credit their tenant's byte count back on any exit
   // from the cache (eviction or replacement). Owner 0 = unowned.
   cache_.SetEvictionCallback([this](u32 owner, u64 bytes) {
@@ -411,11 +409,6 @@ std::vector<std::pair<TenantId, TenantStats>> ScanService::AllTenantStats()
 u32 ScanService::running_scans() const {
   std::lock_guard<std::mutex> lock(admission_mutex_);
   return running_scans_;
-}
-
-u32 ScanService::queued_scans() const {
-  std::lock_guard<std::mutex> lock(admission_mutex_);
-  return static_cast<u32>(waiters_.size());
 }
 
 }  // namespace btr::service

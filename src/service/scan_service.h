@@ -194,9 +194,8 @@ class ScanService {
   u32 decode_threads() const {
     return static_cast<u32>(decode_threads_.size());
   }
-  // Scans currently admitted (running), and waiting for admission.
+  // Scans currently admitted (running).
   u32 running_scans() const;
-  u32 queued_scans() const;
 
  private:
   struct TenantState;

@@ -626,7 +626,9 @@ TEST(ChaosTest, BreakerTripsAndFailsFastWhenBackendIsDown) {
 
 // Hedged GETs absorb latency spikes: with a spiky (but never failing)
 // plan, scans stay bit-identical and the duplicate requests show up in the
-// stats once the latency quantile arms.
+// stats once the latency quantile arms. The 1 ms threshold floor sits far
+// below the 30 ms spike, so a duplicate whose thread starts late on a
+// loaded machine still beats a spiked primary.
 TEST(ChaosTest, HedgedGetsAbsorbLatencySpikes) {
   Fixture f;
   Scanner scanner(&f.store, "chaos_table", "lake/");
@@ -639,7 +641,7 @@ TEST(ChaosTest, HedgedGetsAbsorbLatencySpikes) {
     s3sim::FaultRule spike;
     spike.kind = s3sim::FaultKind::kLatency;
     spike.probability = 0.3;
-    spike.latency_ns = 3 * 1000 * 1000;  // 3 ms against ~us base latency
+    spike.latency_ns = 30 * 1000 * 1000;  // 30 ms against ~us base latency
     spiky.rules.push_back(spike);
     f.store.InstallFaultPlan(spiky);
 
@@ -647,7 +649,7 @@ TEST(ChaosTest, HedgedGetsAbsorbLatencySpikes) {
     spec.config.enable_hedged_gets = true;
     spec.config.hedge.quantile = 0.5;
     spec.config.hedge.min_samples = 2;
-    spec.config.hedge.min_threshold_ns = 1000;  // 1 us
+    spec.config.hedge.min_threshold_ns = 1000 * 1000;  // 1 ms
     spec.config.hedge.hedge_budget = 16;
 
     ScanOutput output;
@@ -664,9 +666,9 @@ TEST(ChaosTest, HedgedGetsAbsorbLatencySpikes) {
   }
   f.store.ClearFaultPlan();
   EXPECT_GT(total_hedges, 0u)
-      << "3 ms spikes at 30% over 20 scans must trigger hedges";
+      << "30 ms spikes at 30% over 20 scans must trigger hedges";
   EXPECT_GT(total_wins, 0u)
-      << "an instant duplicate should beat a 3 ms straggler sometimes";
+      << "an instant duplicate should beat a 30 ms straggler sometimes";
 }
 
 // A truncated or bit-flipped run GET damages only the blocks whose bytes

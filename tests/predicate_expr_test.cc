@@ -564,11 +564,13 @@ Truth RowTruth(const PredicateExpr& expr, const RandomTable& table, u32 row) {
 // Random AND/OR/NOT trees of depth <= 3 over nullable int, double and
 // string columns. Row counts end mid-word (1, 63, 65, 4097), on a word
 // (64) and at a full block (64000), so NOT and OR must keep the bits past
-// the row count clear.
+// the row count clear. Zone pruning is checked on the same trees: a tree
+// or leaf the columns' zones prune has no TRUE row under the oracle.
 TEST(PredicateEvalTest, RandomKleeneTreesMatchRowAtATimeEvaluation) {
   CompressionConfig config;
   Random rng(1606);
   u32 style = 0;
+  u32 trees_seen = 0, trees_pruned = 0, leaves_seen = 0, leaves_pruned = 0;
   for (u32 rows : {1u, 63u, 64u, 65u, 4097u, 64000u}) {
     for (int table_trial = 0; table_trial < 2; table_trial++, style++) {
       RandomTable table(rows, style % 4, &rng);
@@ -580,6 +582,16 @@ TEST(PredicateEvalTest, RandomKleeneTreesMatchRowAtATimeEvaluation) {
         if (name == "d") return doubles.blocks[0].data();
         return strings.blocks[0].data();
       };
+      const BlockZone int_zone = ComputeColumnZoneMap(table.ints).zones[0];
+      const BlockZone double_zone =
+          ComputeColumnZoneMap(table.doubles).zones[0];
+      const BlockZone string_zone =
+          ComputeColumnZoneMap(table.strings).zones[0];
+      auto zone_of = [&](const std::string& name) -> const BlockZone* {
+        if (name == "i") return &int_zone;
+        if (name == "d") return &double_zone;
+        return &string_zone;
+      };
       const int trees = rows > 10000 ? 12 : 40;
       for (int t = 0; t < trees; t++) {
         PredicateExpr expr = RandomExpr(&rng, 3);
@@ -590,6 +602,23 @@ TEST(PredicateEvalTest, RandomKleeneTreesMatchRowAtATimeEvaluation) {
           if (truth == Truth::kTrue) want_pass.push_back(row);
           if (truth == Truth::kUnknown) want_unknown.push_back(row);
         }
+        trees_seen++;
+        if (!ZoneMayMatch(expr, zone_of)) {
+          trees_pruned++;
+          EXPECT_TRUE(want_pass.empty())
+              << "zones pruned " << expr.ToString() << ", rows " << rows;
+        }
+        expr.ForEachLeaf([&](const PredicateExpr& leaf) {
+          leaves_seen++;
+          if (ZoneMayMatchLeaf(*zone_of(leaf.column), leaf)) return;
+          leaves_pruned++;
+          u32 true_rows = 0;
+          for (u32 row = 0; row < rows; row++) {
+            true_rows += LeafTruth(leaf, table, row) == Truth::kTrue;
+          }
+          EXPECT_EQ(true_rows, 0u)
+              << "zone pruned " << leaf.ToString() << ", rows " << rows;
+        });
         std::vector<u32> pass = got.pass.ToVector();
         std::vector<u32> unknown = got.unknown.ToVector();
         EXPECT_EQ(pass, want_pass) << expr.ToString() << ", rows " << rows;
@@ -601,6 +630,12 @@ TEST(PredicateEvalTest, RandomKleeneTreesMatchRowAtATimeEvaluation) {
       }
     }
   }
+  // Pins how much the zones prune, beyond pruning soundly (checked
+  // above): a lower count means scans skip fewer row blocks.
+  EXPECT_EQ(trees_seen, 424u);
+  EXPECT_EQ(trees_pruned, 92u);
+  EXPECT_EQ(leaves_seen, 1833u);
+  EXPECT_EQ(leaves_pruned, 686u);
 }
 
 }  // namespace

@@ -198,6 +198,44 @@ TEST(HedgeTest, LosingDuplicateDoesNotDelayTheResult) {
   EXPECT_EQ(store.total_requests(), 2u);
 }
 
+// The mirror of the test above: only the primary is spiked, by 300 ms.
+// The duplicate, issued at the 20 ms threshold floor, answers at once and
+// wins, so HedgedGet returns long before the spike ends however late
+// either request's thread starts.
+TEST(HedgeTest, DuplicateWinsAgainstSpikedPrimary) {
+  constexpr u64 kMs = 1000 * 1000;
+  s3sim::ObjectStore store;
+  const std::vector<u8> object(4096, 7);
+  ASSERT_TRUE(store.Put("obj", object.data(), object.size()).ok());
+  s3sim::FaultPlan plan;
+  plan.rules.push_back(s3sim::FaultRule::Latency("obj", 1, 300 * kMs));
+  store.InstallFaultPlan(plan);
+  HedgePolicy policy;
+  policy.min_samples = 1;
+  policy.min_threshold_ns = 20 * kMs;
+  HedgeState state(policy);
+  state.RecordLatency(1000);
+  ASSERT_EQ(state.ThresholdNs(), 20 * kMs);
+
+  StragglerSink stragglers;
+  std::vector<u8> out;
+  bool hedged = false;
+  bool hedge_won = false;
+  const auto start = std::chrono::steady_clock::now();
+  Status status = HedgedGet(&store, "obj", 100, 1000, &state, &stragglers,
+                            &out, &hedged, &hedge_won);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(out, std::vector<u8>(1000, 7));
+  EXPECT_LT(elapsed, std::chrono::milliseconds(150))
+      << "the spiked primary delayed the duplicate's response";
+  EXPECT_TRUE(hedged);
+  EXPECT_TRUE(hedge_won);
+  EXPECT_EQ(state.hedge_wins(), 1u);
+  stragglers.Reap();
+  EXPECT_EQ(store.total_requests(), 2u);
+}
+
 TEST(HedgeTest, BudgetCapsHedgesAndDisarmsThreshold) {
   HedgePolicy policy;
   policy.min_samples = 1;

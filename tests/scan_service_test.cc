@@ -66,14 +66,12 @@ TEST(FairQueueTest, SingleLanePopsInFifoOrder) {
 // Two lanes pushing quantum-sized items: DRR must interleave them so no
 // prefix of the pop sequence is more than one item apart between lanes.
 TEST(FairQueueTest, DeficitRoundRobinInterleavesEqualCostLanes) {
-  service::FairQueueConfig config;
-  config.quantum_bytes = 1 << 20;
-  service::FairQueue queue(config);
+  service::FairQueue queue;
   u32 lane_a = queue.AddLane();
   u32 lane_b = queue.AddLane();
   for (int i = 0; i < 4; i++) {
-    ASSERT_TRUE(queue.Push(lane_a, config.quantum_bytes, [] {}));
-    ASSERT_TRUE(queue.Push(lane_b, config.quantum_bytes, [] {}));
+    ASSERT_TRUE(queue.Push(lane_a, service::kFairQueueQuantumBytes, [] {}));
+    ASSERT_TRUE(queue.Push(lane_b, service::kFairQueueQuantumBytes, [] {}));
   }
   int served_a = 0;
   int served_b = 0;

@@ -289,6 +289,43 @@ TEST(ScannerTest, SpecErrorsAreStatuses) {
   EXPECT_EQ(missing.Open().code(), Status::Code::kNotFound);
 }
 
+// An integer leaf on a double column is rebuilt as the same leaf with
+// double literals: every operator selects the same rows either way.
+TEST(ScannerTest, IntegerLiteralsOnDoubleColumnsMatchDoubleLiterals) {
+  Fixture f;
+  Scanner scanner(&f.store, "scan_table", "lake/");
+  ASSERT_TRUE(scanner.Open().ok());
+
+  const std::pair<PredicateExpr, PredicateExpr> cases[] = {
+      {Predicate::EqualsInt("price", 3), Predicate::EqualsDouble("price", 3)},
+      {Predicate::CompareInt("price", CompareOp::kLt, 10),
+       Predicate::CompareDouble("price", CompareOp::kLt, 10)},
+      {Predicate::BetweenInt("price", 5, 7),
+       Predicate::BetweenDouble("price", 5, 7)},
+      {Predicate::InInt("price", {1000, 2, 1}),
+       Predicate::InDouble("price", {1000, 2, 1})},
+  };
+  for (const auto& [int_leaf, double_leaf] : cases) {
+    ScanSpec int_spec = PipelinedSpec();
+    int_spec.filter = int_leaf;
+    ScanSpec double_spec = PipelinedSpec();
+    double_spec.filter = double_leaf;
+    ScanOutput int_out, double_out;
+    ASSERT_TRUE(scanner.Scan(int_spec, &int_out).ok()) << int_leaf.ToString();
+    ASSERT_TRUE(scanner.Scan(double_spec, &double_out).ok());
+    EXPECT_GT(int_out.stats.rows_matched, 0u) << int_leaf.ToString();
+    EXPECT_EQ(int_out.stats.rows_matched, double_out.stats.rows_matched)
+        << int_leaf.ToString();
+    ASSERT_EQ(int_out.block_selections.size(),
+              double_out.block_selections.size());
+    for (size_t b = 0; b < int_out.block_selections.size(); b++) {
+      EXPECT_EQ(int_out.block_selections[b].ToVector(),
+                double_out.block_selections[b].ToVector())
+          << int_leaf.ToString() << ", block " << b;
+    }
+  }
+}
+
 TEST(ScannerTest, StreamingChunksArriveInOrder) {
   Fixture f;
   Scanner scanner(&f.store, "scan_table", "lake/");

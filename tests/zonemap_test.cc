@@ -2,6 +2,7 @@
 // (soundness) and must skip most blocks on clustered data (effectiveness).
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 
 #include "btr/btrblocks.h"
@@ -28,13 +29,14 @@ TEST(ZoneMapTest, IntZonesSoundAndEffective) {
   i32 probe = 3 * static_cast<i32>(kBlockCapacity) + 17;
   u32 candidate_blocks = 0;
   for (const BlockZone& zone : map.zones) {
-    candidate_blocks += ZoneMayContainInt(zone, probe);
+    candidate_blocks += ZoneMayOverlapIntRange(zone, probe, probe);
   }
   EXPECT_EQ(candidate_blocks, 1u);
   // Out-of-domain probes match no zone.
   for (const BlockZone& zone : map.zones) {
-    EXPECT_FALSE(ZoneMayContainInt(zone, -5));
-    EXPECT_FALSE(ZoneMayContainInt(zone, static_cast<i32>(kRows) + 1));
+    EXPECT_FALSE(ZoneMayOverlapIntRange(zone, -5, -5));
+    const i32 past_end = static_cast<i32>(kRows) + 1;
+    EXPECT_FALSE(ZoneMayOverlapIntRange(zone, past_end, past_end));
   }
   // Range overlap.
   EXPECT_TRUE(ZoneMayOverlapIntRange(map.zones[1],
@@ -66,11 +68,10 @@ TEST(ZoneMapTest, SoundnessPropertyAgainstCompressedScan) {
     for (int p = 0; p < 20; p++) {
       i32 probe = base + static_cast<i32>(rng.NextBounded(140)) - 20;
       for (size_t b = 0; b < compressed.blocks.size(); b++) {
-        u32 matches =
-            CountMatches(compressed.blocks[b].data(),
-                         Predicate::EqualsInt("c", probe), config);
+        const PredicateExpr leaf = Predicate::EqualsInt("c", probe);
+        u32 matches = CountMatches(compressed.blocks[b].data(), leaf, config);
         if (matches > 0) {
-          EXPECT_TRUE(ZoneMayContainInt(map.zones[b], probe))
+          EXPECT_TRUE(ZoneMayMatchLeaf(map.zones[b], leaf))
               << "pruned a matching block, probe " << probe;
         }
       }
@@ -86,13 +87,17 @@ TEST(ZoneMapTest, StringPrefixPruning) {
   ColumnZoneMap map = ComputeColumnZoneMap(column);
   ASSERT_EQ(map.zones.size(), 1u);
   const BlockZone& zone = map.zones[0];
-  EXPECT_TRUE(ZoneMayContainString(zone, "chicago"));
-  EXPECT_TRUE(ZoneMayContainString(zone, "berlin"));
-  EXPECT_FALSE(ZoneMayContainString(zone, "aachen"));   // < min
-  EXPECT_FALSE(ZoneMayContainString(zone, "zurich"));   // > max
+  // A point probe is the closed range [v, v].
+  auto point = [&](const char* v) {
+    return ZoneMayOverlapStringRange(zone, v, false, v, false);
+  };
+  EXPECT_TRUE(point("chicago"));
+  EXPECT_TRUE(point("berlin"));
+  EXPECT_FALSE(point("aachen"));   // < min
+  EXPECT_FALSE(point("zurich"));   // > max
   // Inside the range but absent: may-contain must still be true
   // (zone maps are conservative, not exact).
-  EXPECT_TRUE(ZoneMayContainString(zone, "dresden"));
+  EXPECT_TRUE(point("dresden"));
 }
 
 TEST(ZoneMapTest, LongStringsTruncateConservatively) {
@@ -102,12 +107,15 @@ TEST(ZoneMapTest, LongStringsTruncateConservatively) {
   column.AppendString("aaaaaaaazzzzzzzz");
   ColumnZoneMap map = ComputeColumnZoneMap(column);
   const BlockZone& zone = map.zones[0];
+  auto point = [&](const char* v) {
+    return ZoneMayOverlapStringRange(zone, v, false, v, false);
+  };
   // Both share the 8-byte prefix "aaaaaaaa": probes with that prefix must
   // stay candidates regardless of their tails.
-  EXPECT_TRUE(ZoneMayContainString(zone, "aaaaaaaammmm"));
-  EXPECT_TRUE(ZoneMayContainString(zone, "aaaaaaaa"));
-  EXPECT_FALSE(ZoneMayContainString(zone, "ab"));
-  EXPECT_FALSE(ZoneMayContainString(zone, "a"));  // < both
+  EXPECT_TRUE(point("aaaaaaaammmm"));
+  EXPECT_TRUE(point("aaaaaaaa"));
+  EXPECT_FALSE(point("ab"));
+  EXPECT_FALSE(point("a"));  // < both
 }
 
 TEST(ZoneMapTest, DoubleZonesAndNulls) {
@@ -249,6 +257,114 @@ TEST(ZoneMapTest, ExpressionPruningOverZones) {
       zone, Predicate::CompareInt("x", CompareOp::kLe, 100)));
   EXPECT_FALSE(ZoneMayMatch(
       zone, Predicate::CompareInt("x", CompareOp::kLt, 100)));
+}
+
+// One leaf against one column's single zone.
+bool LeafMayMatch(const Column& column, const PredicateExpr& leaf) {
+  return ZoneMayMatchLeaf(ComputeColumnZoneMap(column).zones[0], leaf);
+}
+
+// Leaf pruning at literals the randomized Kleene test never draws: the
+// ends of the i32 domain, infinities and NaN, and strings that reach past
+// the zone's 8-byte prefixes.
+TEST(ZoneMapTest, LeafPruningAtExtremeLiterals) {
+  constexpr i32 kMin = std::numeric_limits<i32>::min();
+  constexpr i32 kMax = std::numeric_limits<i32>::max();
+  const double inf = kDoubleInf;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  auto i = [](CompareOp op, i32 v) {
+    return Predicate::CompareInt("i", op, v);
+  };
+  auto d = [](CompareOp op, double v) {
+    return Predicate::CompareDouble("d", op, v);
+  };
+  auto s = [](CompareOp op, const char* v) {
+    return Predicate::CompareString("s", op, v);
+  };
+  using enum CompareOp;
+
+  Column small("i", ColumnType::kInteger);  // zone [-10, 10]
+  small.AppendInt(-10);
+  small.AppendInt(10);
+  EXPECT_FALSE(LeafMayMatch(small, i(kLt, kMin)));
+  EXPECT_FALSE(LeafMayMatch(small, i(kLe, kMin)));
+  EXPECT_TRUE(LeafMayMatch(small, i(kGt, kMin)));
+  EXPECT_FALSE(LeafMayMatch(small, i(kGt, kMax)));
+  EXPECT_FALSE(LeafMayMatch(small, i(kGe, kMax)));
+  EXPECT_TRUE(LeafMayMatch(small, i(kLt, kMax)));
+  EXPECT_FALSE(LeafMayMatch(small, i(kEq, kMin)));
+  EXPECT_TRUE(LeafMayMatch(small, Predicate::BetweenInt("i", kMin, kMax)));
+  EXPECT_FALSE(LeafMayMatch(small, Predicate::BetweenInt("i", kMax, kMin)));
+  EXPECT_FALSE(LeafMayMatch(small, Predicate::InInt("i", {kMin, kMax})));
+  EXPECT_TRUE(LeafMayMatch(small, Predicate::InInt("i", {kMin, 0, kMax})));
+
+  Column wide("i", ColumnType::kInteger);  // zone [INT32_MIN, INT32_MAX]
+  wide.AppendInt(kMin);
+  wide.AppendInt(kMax);
+  EXPECT_FALSE(LeafMayMatch(wide, i(kLt, kMin)));
+  EXPECT_TRUE(LeafMayMatch(wide, i(kLe, kMin)));
+  EXPECT_FALSE(LeafMayMatch(wide, i(kGt, kMax)));
+  EXPECT_TRUE(LeafMayMatch(wide, i(kGe, kMax)));
+  EXPECT_TRUE(LeafMayMatch(wide, i(kEq, kMax)));
+  EXPECT_TRUE(LeafMayMatch(wide, Predicate::InInt("i", {kMin})));
+
+  Column finite("d", ColumnType::kDouble);  // zone [-1.5, 2.5]
+  finite.AppendDouble(-1.5);
+  finite.AppendDouble(2.5);
+  EXPECT_FALSE(LeafMayMatch(finite, d(kLt, -inf)));
+  EXPECT_FALSE(LeafMayMatch(finite, d(kLe, -inf)));
+  EXPECT_TRUE(LeafMayMatch(finite, d(kGt, -inf)));
+  EXPECT_FALSE(LeafMayMatch(finite, d(kGt, inf)));
+  EXPECT_FALSE(LeafMayMatch(finite, d(kGe, inf)));
+  EXPECT_TRUE(LeafMayMatch(finite, d(kLt, inf)));
+  EXPECT_FALSE(LeafMayMatch(finite, d(kEq, inf)));
+  EXPECT_TRUE(LeafMayMatch(finite, Predicate::BetweenDouble("d", -inf, inf)));
+  EXPECT_FALSE(LeafMayMatch(finite, Predicate::BetweenDouble("d", inf, -inf)));
+  EXPECT_FALSE(LeafMayMatch(finite, Predicate::InDouble("d", {-inf, inf})));
+  // A NaN probe compares bit patterns, which min/max cannot rule out; a
+  // NaN bound of an ordered comparison admits nothing.
+  EXPECT_TRUE(LeafMayMatch(finite, d(kEq, nan)));
+  EXPECT_TRUE(LeafMayMatch(finite, Predicate::InDouble("d", {inf, nan})));
+  EXPECT_FALSE(LeafMayMatch(finite, d(kLt, nan)));
+  EXPECT_FALSE(LeafMayMatch(finite, Predicate::BetweenDouble("d", nan, 1.0)));
+
+  Column infinite("d", ColumnType::kDouble);  // zone [-inf, +inf]
+  infinite.AppendDouble(-inf);
+  infinite.AppendDouble(inf);
+  EXPECT_FALSE(LeafMayMatch(infinite, d(kLt, -inf)));
+  EXPECT_TRUE(LeafMayMatch(infinite, d(kLe, -inf)));
+  EXPECT_FALSE(LeafMayMatch(infinite, d(kGt, inf)));
+  EXPECT_TRUE(LeafMayMatch(infinite, d(kGe, inf)));
+  EXPECT_TRUE(LeafMayMatch(infinite, d(kEq, -inf)));
+  EXPECT_TRUE(LeafMayMatch(infinite, Predicate::InDouble("d", {inf})));
+
+  Column all_nan("d", ColumnType::kDouble);  // inverted [+inf, -inf]
+  all_nan.AppendDouble(nan);
+  EXPECT_TRUE(LeafMayMatch(all_nan, d(kEq, nan)));
+  EXPECT_FALSE(LeafMayMatch(all_nan, d(kEq, inf)));
+  EXPECT_FALSE(
+      LeafMayMatch(all_nan, Predicate::BetweenDouble("d", -inf, inf)));
+
+  // Both values share the 8-byte prefix "aaaaaaaa", so both stored
+  // prefixes are that and count as truncated: a longer literal that shares
+  // them cannot be decided and keeps the block, strict bound or not.
+  Column strings("s", ColumnType::kString);
+  strings.AppendString("aaaaaaaabbbb");
+  strings.AppendString("aaaaaaaaffff");
+  EXPECT_TRUE(LeafMayMatch(strings, s(kEq, "aaaaaaaazzzz")));
+  EXPECT_TRUE(
+      LeafMayMatch(strings, Predicate::InString("s", {"aaaaaaaazzzz"})));
+  EXPECT_TRUE(LeafMayMatch(strings, s(kGt, "aaaaaaaazzzz")));
+  EXPECT_TRUE(LeafMayMatch(strings, s(kLt, "aaaaaaaa0000")));
+  EXPECT_TRUE(LeafMayMatch(strings, s(kLt, "aaaaaaaa")));
+  EXPECT_TRUE(LeafMayMatch(
+      strings, Predicate::BetweenString("s", "aaaaaaaazz", "aaaaaaaazzz")));
+  EXPECT_FALSE(LeafMayMatch(
+      strings, Predicate::BetweenString("s", "aaaaaaaazzz", "aaaaaaaazz")));
+  // A literal that differs inside the prefix is decided by it.
+  EXPECT_FALSE(LeafMayMatch(strings, s(kLe, "aaaaaaa")));
+  EXPECT_FALSE(LeafMayMatch(strings, s(kGe, "aaaaaaab")));
+  EXPECT_FALSE(LeafMayMatch(strings, s(kEq, "aaaaaaabzzzz")));
 }
 
 // An int and a string column of 70,000 random rows: two zones each.
