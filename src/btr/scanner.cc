@@ -78,8 +78,8 @@ service::ScanServiceConfig PrivateServiceConfig(const ScanConfig& config) {
 // What one Open() or one Scan() runs its work through: the tenant's fetch
 // and decode lanes on the scanner's service, and the one GET primitive,
 // exec::HedgedGet under exec::RunWithRetries with the service's breaker
-// for the store and, when the config hedges, the tenant's hedge quota.
-// Every GET is booked in the lane's own counters and in the tenant's.
+// for the store. Every GET is booked in the lane's own counters and in the
+// tenant's.
 class ServiceLane {
  public:
   // One GET issued as its own fetch item by GetAll.
@@ -143,8 +143,7 @@ class ServiceLane {
             bool duplicate = false;
             Status attempt = exec::HedgedGet(
                 store_, key, offset, length, hedge_.get(), &stragglers_, out,
-                &duplicate, &record.hedge_won,
-                [this] { return service_.TryAcquireTenantHedge(tenant_); });
+                &duplicate, &record.hedge_won);
             gets += duplicate ? 2 : 1;
             record.hedged = record.hedged || duplicate;
             return attempt;
@@ -900,10 +899,8 @@ Status Scanner::Job::Arrive(u32 pos, u32 b, BlockPart* part) {
     }
   }
   if (cache_ != nullptr) {
-    // Verified: cached under the tenant's cache-byte quota.
-    service_.TryCacheInsert(tenant_, keys_[pos], file.block_offsets[b],
-                            file.block_size(b), file.block_crcs[b],
-                            part->data);
+    cache_->Insert(keys_[pos], file.block_offsets[b], file.block_size(b),
+                   file.block_crcs[b], part->data);
   }
   return Status::Ok();
 }
@@ -1247,10 +1244,10 @@ Status Scanner::Scan(const ScanSpec& spec, const ChunkCallback& emit,
   BTR_RETURN_IF_ERROR(ResolveSpec(spec, &resolved));
   service::ScanService& service = ServiceFor(spec.config);
 
-  // Admission control before any other work: a saturated service or an
-  // over-quota tenant surfaces here as typed Status::Throttled (transient
-  // — callers may wrap Scan in exec::RunWithRetries and back off). A
-  // private service admits its one tenant at once.
+  // Admission control before any other work: a saturated service
+  // surfaces here as typed Status::Throttled (transient — callers may wrap
+  // Scan in exec::RunWithRetries and back off). A private service admits
+  // its one tenant at once.
   service::ScanService::Ticket ticket;
   u64 admission_wait_ns = 0;
   BTR_RETURN_IF_ERROR(service.Admit(tenant_slot_, &ticket, &admission_wait_ns));

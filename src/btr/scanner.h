@@ -203,14 +203,13 @@ class Scanner {
           std::string prefix = "",
           const CompressionConfig& config = CompressionConfig());
   // Serviced scanner: the same stages run on `service`'s shared executors
-  // under `tenant_id`'s fair-queue lane and quotas, the block cache and
-  // per-backend circuit breaker are the service's shared ones, and
-  // admission control can reject — a saturated service or an over-quota
-  // tenant surfaces as typed Status::Throttled (transient, so callers can
-  // wrap Scan in exec::RunWithRetries). Open's GETs ride the tenant's
-  // lane too. The ScanConfig thread, cache and breaker knobs are ignored
-  // in this mode; retry and hedging policy stay per call. `service` must
-  // outlive the Scanner.
+  // under `tenant_id`'s fair-queue lanes, the block cache and per-backend
+  // circuit breaker are the service's shared ones, and admission control
+  // can reject — a saturated service surfaces as typed Status::Throttled
+  // (transient, so callers can wrap Scan in exec::RunWithRetries). Open's
+  // GETs ride the tenant's lane too. The ScanConfig thread, cache and
+  // breaker knobs are ignored in this mode; retry and hedging policy stay
+  // per call. `service` must outlive the Scanner.
   Scanner(service::ScanService& service, const std::string& tenant_id,
           s3sim::ObjectStore* store, std::string table_name,
           std::string prefix = "",

@@ -49,8 +49,8 @@ std::string CompositeKey(const std::string& key, u64 offset, u64 length,
 }  // namespace
 
 BlockCache::BlockCache(const BlockCacheConfig& config)
-    : config_(config), shards_(std::max<u32>(1, config.shards)) {
-  shard_capacity_ = std::max<u64>(1, config_.capacity_bytes / shards_.size());
+    : shards_(std::max<u32>(1, config.shards)) {
+  shard_capacity_ = std::max<u64>(1, config.capacity_bytes / shards_.size());
 }
 
 BlockCache::Shard& BlockCache::ShardFor(const std::string& composite_key) {
@@ -83,39 +83,32 @@ BlockCache::Payload BlockCache::LookupShared(const std::string& key,
 }
 
 bool BlockCache::Insert(const std::string& key, u64 offset, u64 length,
-                        u32 crc, const u8* data, u32 owner) {
+                        u32 crc, const u8* data) {
   CacheMetrics& metrics = CacheMetrics::Get();
   if (length == 0 || length > shard_capacity_) return false;
   auto owned = std::make_shared<ByteBuffer>();
   owned->Append(data, length);
   std::string composite = CompositeKey(key, offset, length, crc);
   Shard& shard = ShardFor(composite);
-  std::vector<Dropped> dropped;
-  {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto it = shard.index.find(composite);
-    if (it != shard.index.end()) {
-      u64 old_size = it->second->payload->size();
-      shard.bytes -= old_size;
-      metrics.bytes.Add(-static_cast<i64>(old_size));
-      if (it->second->owner != 0) {
-        dropped.push_back(Dropped{it->second->owner, old_size});
-      }
-      shard.lru.erase(it->second);
-      shard.index.erase(it);
-    }
-    shard.lru.push_front(Entry{composite, std::move(owned), owner});
-    shard.index[composite] = shard.lru.begin();
-    shard.bytes += length;
-    metrics.bytes.Add(static_cast<i64>(length));
-    metrics.inserts.Add();
-    EvictLocked(&shard, &dropped);
+  std::lock_guard<std::mutex> lock(shard.mutex);
+  auto it = shard.index.find(composite);
+  if (it != shard.index.end()) {
+    u64 old_size = it->second->payload->size();
+    shard.bytes -= old_size;
+    metrics.bytes.Add(-static_cast<i64>(old_size));
+    shard.lru.erase(it->second);
+    shard.index.erase(it);
   }
-  NotifyDropped(dropped);
+  shard.lru.push_front(Entry{composite, std::move(owned)});
+  shard.index[composite] = shard.lru.begin();
+  shard.bytes += length;
+  metrics.bytes.Add(static_cast<i64>(length));
+  metrics.inserts.Add();
+  EvictLocked(&shard);
   return true;
 }
 
-void BlockCache::EvictLocked(Shard* shard, std::vector<Dropped>* dropped) {
+void BlockCache::EvictLocked(Shard* shard) {
   CacheMetrics& metrics = CacheMetrics::Get();
   while (shard->bytes > shard_capacity_ && !shard->lru.empty()) {
     Entry& victim = shard->lru.back();
@@ -123,19 +116,9 @@ void BlockCache::EvictLocked(Shard* shard, std::vector<Dropped>* dropped) {
     shard->bytes -= victim_size;
     metrics.bytes.Add(-static_cast<i64>(victim_size));
     metrics.bytes_evicted.Add(victim_size);
-    if (victim.owner != 0) {
-      dropped->push_back(Dropped{victim.owner, victim_size});
-    }
     shard->index.erase(victim.composite_key);
     shard->lru.pop_back();
     metrics.evictions.Add();
-  }
-}
-
-void BlockCache::NotifyDropped(const std::vector<Dropped>& dropped) {
-  if (!eviction_callback_ || dropped.empty()) return;
-  for (const Dropped& d : dropped) {
-    eviction_callback_(d.owner, d.bytes);
   }
 }
 

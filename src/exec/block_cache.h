@@ -24,16 +24,9 @@
 //   cache.block.inserts / cache.block.evictions admissions and LRU victims
 //   cache.block.bytes                          gauge, bytes currently held
 //   cache.block.bytes_evicted                  payload bytes LRU-evicted
-//
-// Ownership attribution: `Insert` takes an optional 32-bit `owner` tag
-// (0 = unowned). When an owned entry leaves the cache — LRU eviction or
-// replacement — the eviction callback fires with the owner and the
-// payload size, outside the shard mutex. btr::service::ScanService
-// uses this to keep per-tenant cached-byte counts honest.
 #ifndef BTR_EXEC_BLOCK_CACHE_H_
 #define BTR_EXEC_BLOCK_CACHE_H_
 
-#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -56,22 +49,11 @@ struct BlockCacheConfig {
 class BlockCache {
  public:
   using Payload = std::shared_ptr<const ByteBuffer>;
-  // Fired when an owned (owner != 0) entry leaves the cache, with the
-  // owner tag and the payload size. Invoked outside the shard mutex, so
-  // the callback may call back into the cache; it must still be cheap
-  // and thread-safe (concurrent shards fire concurrently).
-  using EvictionCallback = std::function<void(u32 owner, u64 bytes)>;
 
   explicit BlockCache(const BlockCacheConfig& config = BlockCacheConfig());
 
   BlockCache(const BlockCache&) = delete;
   BlockCache& operator=(const BlockCache&) = delete;
-
-  // Installs the owned-entry eviction callback. Not synchronized against
-  // concurrent cache operations: call once, before the cache is shared.
-  void SetEvictionCallback(EvictionCallback callback) {
-    eviction_callback_ = std::move(callback);
-  }
 
   // Returns the refcounted immutable payload cached for block (key,
   // offset, length, crc), or nullptr on miss. The payload stays valid for
@@ -83,10 +65,9 @@ class BlockCache {
   // crc). The caller must have verified that they hash to `crc`; the cache
   // does not check. Returns false without caching when the payload alone
   // exceeds a shard's budget, or on length 0. An existing entry of the
-  // same block is replaced. `owner` tags the entry for eviction accounting
-  // (0 = unowned).
+  // same block is replaced.
   bool Insert(const std::string& key, u64 offset, u64 length, u32 crc,
-              const u8* data, u32 owner = 0);
+              const u8* data);
 
   struct Stats {
     u64 hits = 0;
@@ -99,13 +80,10 @@ class BlockCache {
   };
   Stats GetStats() const;
 
-  u64 capacity_bytes() const { return config_.capacity_bytes; }
-
  private:
   struct Entry {
     std::string composite_key;
     Payload payload;
-    u32 owner = 0;
   };
   struct Shard {
     mutable std::mutex mutex;
@@ -113,23 +91,13 @@ class BlockCache {
     std::unordered_map<std::string, std::list<Entry>::iterator> index;
     u64 bytes = 0;
   };
-  // An owned entry dropped while the shard mutex was held; the callback
-  // fires after the lock is released.
-  struct Dropped {
-    u32 owner;
-    u64 bytes;
-  };
 
   Shard& ShardFor(const std::string& composite_key);
-  // Evicts LRU entries of `shard` (mutex held) until it fits its budget,
-  // recording owned victims into `dropped`.
-  void EvictLocked(Shard* shard, std::vector<Dropped>* dropped);
-  void NotifyDropped(const std::vector<Dropped>& dropped);
+  // Evicts LRU entries of `shard` (mutex held) until it fits its budget.
+  void EvictLocked(Shard* shard);
 
-  const BlockCacheConfig config_;
   u64 shard_capacity_;
   std::vector<Shard> shards_;
-  EvictionCallback eviction_callback_;
 };
 
 }  // namespace btr::exec

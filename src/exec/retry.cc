@@ -297,7 +297,7 @@ Status RunWithRetries(RetryState* state, const std::function<Status()>& op,
 Status HedgedGet(s3sim::ObjectStore* store, const std::string& key,
                  u64 offset, u64 length, HedgeState* hedge,
                  StragglerSink* stragglers, std::vector<u8>* out, bool* hedged,
-                 bool* hedge_won, const std::function<bool()>& hedge_gate) {
+                 bool* hedge_won) {
   out->clear();
   const u64 threshold_ns = hedge == nullptr ? 0 : hedge->ThresholdNs();
   if (threshold_ns == 0) {
@@ -367,8 +367,7 @@ Status HedgedGet(s3sim::ObjectStore* store, const std::string& key,
         [&] { return call->requests[0].done; });
   }
   int winner = 0;
-  if (!primary_done && (hedge_gate == nullptr || hedge_gate()) &&
-      hedge->TryAcquireHedge()) {
+  if (!primary_done && hedge->TryAcquireHedge()) {
     HedgeMetrics::Get().hedges.Add();
     *hedged = true;
     std::thread duplicate = launch(1);

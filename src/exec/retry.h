@@ -67,8 +67,6 @@ class RetryState {
  public:
   explicit RetryState(const RetryPolicy& policy);
 
-  const RetryPolicy& policy() const { return policy_; }
-
   // Decides whether a request that has completed `attempts` tries (>= 1)
   // may retry. On true, one unit of budget is *reserved* and *backoff_ns
   // holds the jittered backoff to sleep before the next try. The caller must then either CommitRetry (the
@@ -248,18 +246,14 @@ class StragglerSink {
 // `stragglers` (the caller reaps it after the scan quiesces); the latency
 // sample is the winner's. `hedged` / `hedge_won` are
 // OR-accumulated so retry wrappers can reuse the flags across attempts.
-// `hedge_gate`, when set, is consulted before the duplicate is issued
-// (after the overdue check, before the hedge budget is consumed) —
-// ScanService uses it for per-tenant hedge quotas; a denial silently
-// degrades to waiting out the primary. Whichever response
-// lands in `out` has capacity for kSimdPadding bytes past `length`, so a
-// caller can pad it for decoders that over-read (util/buffer.h) without a
-// copy. Metrics: `scan.hedges`, `scan.hedge_wins`.
+// Whichever response lands in `out` has capacity for kSimdPadding bytes
+// past `length`, so a caller can pad it for decoders that over-read
+// (util/buffer.h) without a copy. Metrics: `scan.hedges`,
+// `scan.hedge_wins`.
 Status HedgedGet(s3sim::ObjectStore* store, const std::string& key,
                  u64 offset, u64 length, HedgeState* hedge,
                  StragglerSink* stragglers, std::vector<u8>* out, bool* hedged,
-                 bool* hedge_won,
-                 const std::function<bool()>& hedge_gate = nullptr);
+                 bool* hedge_won);
 
 }  // namespace btr::exec
 

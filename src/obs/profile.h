@@ -257,11 +257,6 @@ class StageTimer {
   // writes every stage into `collector` (no-op when null).
   void Finish(ScanProfileCollector* collector);
 
-  // Accumulated wall nanoseconds of one stage (after Finish).
-  u64 StageWallNanos(ScanStage stage) const {
-    return totals_[static_cast<u32>(stage)].wall_ns;
-  }
-
  private:
   u64 NowWall() const;
   u64 NowCpu() const;

@@ -150,7 +150,6 @@ class ObjectStore {
   void ResetAccounting();
 
   const S3Config& config() const { return config_; }
-  S3Config& mutable_config() { return config_; }
 
  private:
   struct FaultDecision {

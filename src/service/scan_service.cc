@@ -20,10 +20,6 @@ constexpr u32 kWaitRingSize = 4096;  // recent queue waits per tenant
 // (exact p95) takes a small mutex only when a queue wait is recorded.
 struct ScanService::TenantState {
   TenantId id;
-  TenantQuota quota;
-
-  // Guarded by admission_mutex_.
-  u32 running_scans = 0;
 
   std::atomic<u64> scans_admitted{0};
   std::atomic<u64> scans_queued{0};
@@ -36,11 +32,6 @@ struct ScanService::TenantState {
   std::atomic<u64> cache_misses{0};
   std::atomic<u64> bytes_fetched{0};
   std::atomic<u64> hedges{0};
-  std::atomic<u64> hedges_denied{0};
-  std::atomic<u64> hedges_used{0};  // against quota.hedge_budget
-
-  std::atomic<u64> cache_bytes{0};
-  std::atomic<u64> cache_quota_skips{0};
 
   std::atomic<u64> queue_items{0};
   std::atomic<u64> queue_wait_ns{0};
@@ -61,14 +52,6 @@ struct ScanService::TenantState {
 ScanService::ScanService(const ScanServiceConfig& config)
     : config_(config),
       cache_(config.cache) {
-  // Owned cache entries credit their tenant's byte count back on any exit
-  // from the cache (eviction or replacement). Owner 0 = unowned.
-  cache_.SetEvictionCallback([this](u32 owner, u64 bytes) {
-    std::lock_guard<std::mutex> lock(tenants_mutex_);
-    if (owner == 0 || owner > tenants_.size()) return;
-    tenants_[owner - 1]->cache_bytes.fetch_sub(bytes,
-                                               std::memory_order_relaxed);
-  });
   u32 fetchers = std::max(1u, config_.fetch_threads);
   u32 decoders = config_.decode_threads != 0
                      ? config_.decode_threads
@@ -105,16 +88,12 @@ ScanService::TenantState& ScanService::Tenant(u32 slot) const {
   return *tenants_[slot];
 }
 
-u32 ScanService::RegisterTenantLocked(const TenantId& id,
-                                      const TenantQuota& quota) {
+u32 ScanService::EnsureTenant(const TenantId& id) {
+  std::lock_guard<std::mutex> lock(tenants_mutex_);
   auto it = tenant_index_.find(id);
-  if (it != tenant_index_.end()) {
-    tenants_[it->second]->quota = quota;
-    return it->second;
-  }
+  if (it != tenant_index_.end()) return it->second;
   auto tenant = std::make_unique<TenantState>();
   tenant->id = id;
-  tenant->quota = quota;
   tenant->wait_ring.resize(kWaitRingSize, 0);
   obs::Registry& registry = obs::Registry::Get();
   std::string prefix = "service.tenant." + id + ".";
@@ -125,38 +104,12 @@ u32 ScanService::RegisterTenantLocked(const TenantId& id,
   u32 slot = static_cast<u32>(tenants_.size());
   tenants_.push_back(std::move(tenant));
   tenant_index_[id] = slot;
-  // One lane per tenant in each queue, same index as the slot. The fetch
-  // lane is capped at the tenant's outstanding-GET quota; decode items
-  // finish on their own, so their lane never gates.
-  u32 fetch_lane = fetch_queue_.AddLane(tenants_.back()->quota
-                                            .max_outstanding_gets);
-  u32 decode_lane = decode_queue_.AddLane(0);
+  // One lane per tenant in each queue, same index as the slot.
+  u32 fetch_lane = fetch_queue_.AddLane();
+  u32 decode_lane = decode_queue_.AddLane();
   BTR_CHECK_MSG(fetch_lane == slot && decode_lane == slot,
                 "ScanService: lane/slot mismatch");
   return slot;
-}
-
-u32 ScanService::RegisterTenant(const TenantId& id, const TenantQuota& quota) {
-  std::lock_guard<std::mutex> lock(tenants_mutex_);
-  return RegisterTenantLocked(id, quota);
-}
-
-u32 ScanService::EnsureTenant(const TenantId& id) {
-  std::lock_guard<std::mutex> lock(tenants_mutex_);
-  auto it = tenant_index_.find(id);
-  if (it != tenant_index_.end()) return it->second;
-  return RegisterTenantLocked(id, TenantQuota{});
-}
-
-u64 ScanService::EligibleFrontLocked() const {
-  for (const Waiter& waiter : waiters_) {
-    const TenantState& tenant = *waiter.tenant;
-    if (tenant.quota.max_concurrent_scans == 0 ||
-        tenant.running_scans < tenant.quota.max_concurrent_scans) {
-      return waiter.seq;
-    }
-  }
-  return ~0ull;
 }
 
 Status ScanService::Admit(u32 tenant_slot, Ticket* ticket, u64* wait_ns) {
@@ -165,22 +118,8 @@ Status ScanService::Admit(u32 tenant_slot, Ticket* ticket, u64* wait_ns) {
   ticket->admitted = false;
   if (wait_ns != nullptr) *wait_ns = 0;
   std::unique_lock<std::mutex> lock(admission_mutex_);
-  // A tenant over its own concurrency quota is rejected immediately —
-  // its own flood, not service pressure, and waiting would let one
-  // tenant occupy the whole waiting room.
-  auto tenant_has_capacity = [&] {
-    return tenant.quota.max_concurrent_scans == 0 ||
-           tenant.running_scans < tenant.quota.max_concurrent_scans;
-  };
-  if (!tenant_has_capacity()) {
-    tenant.scans_rejected.fetch_add(1, std::memory_order_relaxed);
-    tenant.obs_rejected->Add();
-    return Status::Throttled("tenant '" + tenant.id +
-                             "' is at its concurrent-scan quota");
-  }
   if (running_scans_ < config_.max_concurrent_scans) {
     running_scans_++;
-    tenant.running_scans++;
     tenant.scans_admitted.fetch_add(1, std::memory_order_relaxed);
     ticket->admitted = true;
     return Status::Ok();
@@ -193,38 +132,31 @@ Status ScanService::Admit(u32 tenant_slot, Ticket* ticket, u64* wait_ns) {
                              std::to_string(running_scans_) + " running, " +
                              std::to_string(waiters_.size()) + " queued)");
   }
-  // Bounded FIFO waiting room: the earliest waiter whose tenant has scan
-  // capacity is granted on each Release.
+  // Bounded FIFO waiting room: the earliest arrival is granted on each
+  // Release.
   u64 seq = next_waiter_seq_++;
-  waiters_.push_back(Waiter{seq, &tenant});
+  waiters_.push_back(seq);
   tenant.scans_queued.fetch_add(1, std::memory_order_relaxed);
   Timer wait_timer;
   bool granted = admission_cv_.wait_for(
       lock, std::chrono::nanoseconds(config_.admission_timeout_ns), [&] {
         return running_scans_ < config_.max_concurrent_scans &&
-               EligibleFrontLocked() == seq;
+               waiters_.front() == seq;
       });
   u64 waited = static_cast<u64>(wait_timer.ElapsedNanos());
   tenant.admission_wait_ns.fetch_add(waited, std::memory_order_relaxed);
-  tenant.obs_queued_ns->Add(waited);
   if (wait_ns != nullptr) *wait_ns = waited;
-  for (auto it = waiters_.begin(); it != waiters_.end(); ++it) {
-    if (it->seq == seq) {
-      waiters_.erase(it);
-      break;
-    }
-  }
+  waiters_.erase(std::find(waiters_.begin(), waiters_.end(), seq));
   if (!granted) {
     tenant.scans_rejected.fetch_add(1, std::memory_order_relaxed);
     tenant.obs_rejected->Add();
-    // Our slot in the room freed up; someone behind us may now be
-    // eligible.
+    // Our place in the room freed up; the waiter behind us may now be
+    // at the front.
     admission_cv_.notify_all();
     return Status::Throttled("scan admission timed out after " +
                              std::to_string(waited / 1000000) + " ms");
   }
   running_scans_++;
-  tenant.running_scans++;
   tenant.scans_admitted.fetch_add(1, std::memory_order_relaxed);
   ticket->admitted = true;
   // Another waiter may also fit (capacity can free in bursts).
@@ -239,9 +171,6 @@ void ScanService::Release(Ticket* ticket) {
     std::lock_guard<std::mutex> lock(admission_mutex_);
     BTR_CHECK_MSG(running_scans_ > 0, "ScanService: Release without Admit");
     running_scans_--;
-    BTR_CHECK_MSG(tenant.running_scans > 0,
-                  "ScanService: tenant Release without Admit");
-    tenant.running_scans--;
   }
   tenant.scans_completed.fetch_add(1, std::memory_order_relaxed);
   ticket->admitted = false;
@@ -267,7 +196,6 @@ void ScanService::ExecutorLoop(FairQueue* queue) {
     RecordQueueWait(lane, queued_ns);
     run();
     run = nullptr;  // release captures before blocking in Pop again
-    queue->OnComplete(lane);
   }
 }
 
@@ -292,40 +220,6 @@ void ScanService::SubmitDecode(u32 tenant_slot, u64 cost_bytes,
                                std::function<void()> run) {
   bool pushed = decode_queue_.Push(tenant_slot, cost_bytes, std::move(run));
   BTR_CHECK_MSG(pushed, "ScanService: decode submitted after shutdown");
-}
-
-bool ScanService::TryAcquireTenantHedge(u32 tenant_slot) {
-  TenantState& tenant = Tenant(tenant_slot);
-  if (tenant.quota.hedge_budget == 0) return true;
-  u64 prev = tenant.hedges_used.fetch_add(1, std::memory_order_relaxed);
-  if (prev >= tenant.quota.hedge_budget) {
-    tenant.hedges_used.fetch_sub(1, std::memory_order_relaxed);
-    tenant.hedges_denied.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  return true;
-}
-
-bool ScanService::TryCacheInsert(u32 tenant_slot, const std::string& key,
-                                 u64 offset, u64 length, u32 crc,
-                                 const u8* data) {
-  TenantState& tenant = Tenant(tenant_slot);
-  if (tenant.quota.max_cache_bytes != 0 &&
-      tenant.cache_bytes.load(std::memory_order_relaxed) + length >
-          tenant.quota.max_cache_bytes) {
-    tenant.cache_quota_skips.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  // Credit before the insert: once the entry is in the cache it can be
-  // evicted (and debited) concurrently, so the debit must never be able
-  // to run before the matching credit.
-  tenant.cache_bytes.fetch_add(length, std::memory_order_relaxed);
-  bool inserted =
-      cache_.Insert(key, offset, length, crc, data, tenant_slot + 1);
-  if (!inserted) {
-    tenant.cache_bytes.fetch_sub(length, std::memory_order_relaxed);
-  }
-  return inserted;
 }
 
 void ScanService::RecordBlockLookups(u32 tenant_slot, u64 hits, u64 misses) {
@@ -368,10 +262,6 @@ TenantStats ScanService::GetTenantStats(const TenantId& id) const {
   stats.cache_misses = tenant.cache_misses.load(std::memory_order_relaxed);
   stats.bytes_fetched = tenant.bytes_fetched.load(std::memory_order_relaxed);
   stats.hedges = tenant.hedges.load(std::memory_order_relaxed);
-  stats.hedges_denied = tenant.hedges_denied.load(std::memory_order_relaxed);
-  stats.cache_bytes = tenant.cache_bytes.load(std::memory_order_relaxed);
-  stats.cache_quota_skips =
-      tenant.cache_quota_skips.load(std::memory_order_relaxed);
   stats.queue_items = tenant.queue_items.load(std::memory_order_relaxed);
   stats.queue_wait_ns = tenant.queue_wait_ns.load(std::memory_order_relaxed);
   {

@@ -4,22 +4,21 @@
 // the scan cost, so a multi-tenant deployment wins by sharing exactly
 // those. One ScanService per process owns (docs/SCAN_SERVICE.md):
 //
-//   - one sharded exec::BlockCache shared by all scanners, with per-tenant
-//     cached-byte attribution. Scanners insert only blocks they verified
-//     on arrival, under the block's header CRC32C, so one tenant's hit is
-//     as good as another tenant's verified GET;
+//   - one sharded exec::BlockCache shared by all scanners. Scanners
+//     insert only blocks they verified on arrival, under the block's
+//     header CRC32C, so one tenant's hit is as good as another tenant's
+//     verified GET;
 //   - one exec::CircuitBreaker per backend (keyed by ObjectStore*), so
 //     tenant A's dead backend fails fast for tenant B too;
 //   - a global fetch/decode thread-pool pair fed by two deficit-round-
 //     robin FairQueues with one lane per tenant — a hog tenant's backlog
 //     cannot starve a light tenant's items;
 //   - admission control: at most `max_concurrent_scans` scans run; the
-//     next `max_queued_scans` wait (FIFO among eligible tenants, bounded
-//     by `admission_timeout_ns`); everything else is rejected with typed
+//     next `max_queued_scans` wait (FIFO by arrival, bounded by
+//     `admission_timeout_ns`); everything else is rejected with typed
 //     Status::Throttled. Throttled is transient, so callers can wrap
 //     Scan() in exec::RunWithRetries and degrade gracefully;
-//   - per-tenant quotas (concurrent scans, outstanding GETs, hedge
-//     budget, cache bytes) and per-tenant obs counters:
+//   - per-tenant stats (GetTenantStats) and obs counters:
 //       service.tenant.<id>.gets / .hits / .queued_ns / .rejected
 //
 // Scanners attach via Scanner(service, tenant_id, ...); every GET they
@@ -63,14 +62,6 @@ namespace btr::service {
 
 using TenantId = std::string;
 
-// Per-tenant resource limits. 0 always means "unlimited".
-struct TenantQuota {
-  u32 max_concurrent_scans = 0;  // scans running at once (excess: Throttled)
-  u32 max_outstanding_gets = 0;  // fetch items in flight (excess: queued)
-  u64 hedge_budget = 0;          // duplicate GETs over the service lifetime
-  u64 max_cache_bytes = 0;       // shared-cache bytes attributed to inserts
-};
-
 // Snapshot of one tenant's accounting (GetTenantStats).
 struct TenantStats {
   u64 scans_admitted = 0;
@@ -85,10 +76,6 @@ struct TenantStats {
   u64 cache_misses = 0;   // blocks fetched from the store
   u64 bytes_fetched = 0;
   u64 hedges = 0;         // duplicate GETs issued
-  u64 hedges_denied = 0;  // hedges suppressed by the tenant budget
-
-  u64 cache_bytes = 0;        // shared-cache bytes currently attributed
-  u64 cache_quota_skips = 0;  // inserts skipped at the cache-byte quota
 
   u64 queue_items = 0;       // work items that passed through the queues
   u64 queue_wait_ns = 0;     // total fair-queue wait across those items
@@ -128,12 +115,9 @@ class ScanService {
   ScanService(const ScanService&) = delete;
   ScanService& operator=(const ScanService&) = delete;
 
-  // Registers `id` with an explicit quota (replacing the quota if the
-  // tenant already exists) and returns its slot. Slots are stable for the
+  // Returns the slot for `id`, registering the tenant (its stats and one
+  // lane in each fair queue) on first sight. Slots are stable for the
   // service lifetime.
-  u32 RegisterTenant(const TenantId& id, const TenantQuota& quota);
-  // Returns the slot for `id`, registering it with an unlimited quota
-  // (TenantQuota{}) on first sight.
   u32 EnsureTenant(const TenantId& id);
 
   TenantStats GetTenantStats(const TenantId& id) const;
@@ -145,10 +129,9 @@ class ScanService {
     bool admitted = false;
   };
   // Admits one scan for the tenant, waiting in the bounded FIFO room if
-  // the service is saturated. Returns Status::Throttled when the tenant
-  // is at its concurrent-scan quota, the waiting room is full, or the
-  // admission timeout elapsed. `wait_ns`, when set, receives the time
-  // spent waiting.
+  // the service is saturated. Returns Status::Throttled when the waiting
+  // room is full or the admission timeout elapsed. `wait_ns`, when set,
+  // receives the time spent waiting.
   Status Admit(u32 tenant_slot, Ticket* ticket, u64* wait_ns = nullptr);
   // Releases an admitted ticket (idempotent; no-op on a rejected one).
   void Release(Ticket* ticket);
@@ -171,15 +154,7 @@ class ScanService {
   void SubmitDecode(u32 tenant_slot, u64 cost_bytes,
                     std::function<void()> run);
 
-  // --- per-tenant quota hooks (called from fetch closures) ------------------
-  // Consumes one unit of the tenant's hedge budget; false once spent.
-  bool TryAcquireTenantHedge(u32 tenant_slot);
-  // Inserts block (key, offset, length, crc) into the shared cache with
-  // tenant attribution unless the tenant's cache-byte quota would be
-  // exceeded. The caller must have verified the bytes against `crc`
-  // (exec::BlockCache::Insert).
-  bool TryCacheInsert(u32 tenant_slot, const std::string& key, u64 offset,
-                      u64 length, u32 crc, const u8* data);
+  // --- per-tenant accounting (called by Scanners) ---------------------------
   // Accounts `gets` GET attempts that moved `bytes` payload bytes (hedged
   // when a duplicate was issued). Every GET a Scanner issues lands here:
   // Open's metadata, column headers, block runs and CRC re-fetches.
@@ -201,12 +176,8 @@ class ScanService {
   struct TenantState;
 
   TenantState& Tenant(u32 slot) const;
-  u32 RegisterTenantLocked(const TenantId& id, const TenantQuota& quota);
   void ExecutorLoop(FairQueue* queue);
   void RecordQueueWait(u32 slot, u64 wait_ns);
-  // Seq of the first waiter whose tenant has scan capacity (admission
-  // mutex held); ~0ull when none.
-  u64 EligibleFrontLocked() const;
 
   const ScanServiceConfig config_;
   exec::BlockCache cache_;
@@ -219,15 +190,10 @@ class ScanService {
   std::map<const s3sim::ObjectStore*, std::unique_ptr<exec::CircuitBreaker>>
       breakers_;
 
-  // Admission state. Waiters carry a stable TenantState pointer so the
-  // eligibility scan never touches the (tenants_mutex_-guarded) registry.
-  struct Waiter {
-    u64 seq;
-    TenantState* tenant;
-  };
+  // Admission state: the waiting room holds arrival numbers, oldest first.
   mutable std::mutex admission_mutex_;
   std::condition_variable admission_cv_;
-  std::deque<Waiter> waiters_;
+  std::deque<u64> waiters_;
   u64 next_waiter_seq_ = 0;
   u32 running_scans_ = 0;
 

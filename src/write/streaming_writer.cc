@@ -149,7 +149,6 @@ void StreamingWriter::StageBlockBytes(size_t c, const u8* data, u32 size,
   column.block_root_schemes.push_back(root_scheme);
   column.payload_crc = Crc32cExtend(column.payload_crc, data, size);
   column.payload_bytes += size;
-  blocks_flushed_++;
   WriteMetrics::Get().blocks_flushed.Add();
 }
 

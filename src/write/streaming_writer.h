@@ -120,8 +120,6 @@ class StreamingWriter {
   // Version this writer is staging (valid after Begin).
   u64 version() const { return version_; }
   u64 rows_appended() const { return rows_appended_; }
-  // Blocks cut and staged so far (across all columns).
-  u64 blocks_flushed() const { return blocks_flushed_; }
 
  private:
   enum class State : u8 { kIdle, kOpen, kCommitted, kDead };
@@ -174,7 +172,6 @@ class StreamingWriter {
   Status failed_status_;  // first failure, sticky
   u64 version_ = 0;
   u64 rows_appended_ = 0;
-  u64 blocks_flushed_ = 0;
   std::vector<ColumnState> columns_;
 
   friend Status CommitCompressedRelation(const CompressedRelation&,

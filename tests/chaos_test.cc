@@ -628,11 +628,25 @@ TEST(ChaosTest, BreakerTripsAndFailsFastWhenBackendIsDown) {
 // plan, scans stay bit-identical and the duplicate requests show up in the
 // stats once the latency quantile arms. The 1 ms threshold floor sits far
 // below the 30 ms spike, so a duplicate whose thread starts late on a
-// loaded machine still beats a spiked primary.
+// loaded machine still beats a spiked primary. The threshold arms only
+// after two GETs of a scan completed, so each scan needs many GETs that
+// start later: 8 row blocks with a one-block window (scan_threads = 1,
+// prefetch_depth = 0) make every block its own run, 24 block GETs a scan.
 TEST(ChaosTest, HedgedGetsAbsorbLatencySpikes) {
-  Fixture f;
-  Scanner scanner(&f.store, "chaos_table", "lake/");
-  ASSERT_TRUE(scanner.Open().ok());
+  constexpr u32 kBlocks = 8;
+  const CompressionConfig config;
+  const CompressedRelation compressed =
+      CompressRelation(MakeTable(kBlocks * kBlockCapacity), config);
+  s3sim::ObjectStore store;
+  ASSERT_TRUE(
+      UploadCompressedRelation(compressed, nullptr, "lake/", &store).ok());
+  ScanSpec base = ChaosSpec();
+  base.config.scan_threads = 1;
+  base.config.prefetch_depth = 0;
+  Scanner scanner(&store, "chaos_table", "lake/");
+  ASSERT_TRUE(scanner.Open(base.config).ok());
+  ScanOutput reference;
+  ASSERT_TRUE(scanner.Scan(base, &reference).ok());
 
   u64 total_hedges = 0, total_wins = 0;
   for (u64 seed = 1; seed <= 20; seed++) {
@@ -643,9 +657,9 @@ TEST(ChaosTest, HedgedGetsAbsorbLatencySpikes) {
     spike.probability = 0.3;
     spike.latency_ns = 30 * 1000 * 1000;  // 30 ms against ~us base latency
     spiky.rules.push_back(spike);
-    f.store.InstallFaultPlan(spiky);
+    store.InstallFaultPlan(spiky);
 
-    ScanSpec spec = ChaosSpec();
+    ScanSpec spec = base;
     spec.config.enable_hedged_gets = true;
     spec.config.hedge.quantile = 0.5;
     spec.config.hedge.min_samples = 2;
@@ -657,14 +671,14 @@ TEST(ChaosTest, HedgedGetsAbsorbLatencySpikes) {
     ASSERT_TRUE(status.ok())
         << "latency never fails a GET, seed " << seed << ": "
         << status.ToString();
-    ExpectOutputsBitIdentical(f.reference, output, seed);
+    ExpectOutputsBitIdentical(reference, output, seed);
     EXPECT_LE(output.stats.hedges, spec.config.hedge.hedge_budget)
         << "seed " << seed;
     EXPECT_LE(output.stats.hedge_wins, output.stats.hedges) << "seed " << seed;
     total_hedges += output.stats.hedges;
     total_wins += output.stats.hedge_wins;
   }
-  f.store.ClearFaultPlan();
+  store.ClearFaultPlan();
   EXPECT_GT(total_hedges, 0u)
       << "30 ms spikes at 30% over 20 scans must trigger hedges";
   EXPECT_GT(total_wins, 0u)

@@ -20,7 +20,8 @@ Relation RandomRelation(u64 seed) {
   u32 rows = 1 + static_cast<u32>(rng.NextBounded(150000));
   for (u32 c = 0; c < column_count; c++) {
     ColumnType type = static_cast<ColumnType>(rng.NextBounded(3));
-    Column& column = relation.AddColumn("c" + std::to_string(c), type);
+    Column& column =
+        relation.AddColumn(std::string("c").append(std::to_string(c)), type);
     u32 distribution = static_cast<u32>(rng.NextBounded(5));
     double null_rate = rng.NextBounded(3) == 0 ? 0.1 : 0.0;
     for (u32 r = 0; r < rows; r++) {

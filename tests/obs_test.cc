@@ -71,7 +71,9 @@ TEST(HistogramTest, BucketBoundaries) {
     u64 hi = Histogram::BucketUpperBound(b);
     EXPECT_EQ(Histogram::BucketIndex(lo), b) << "lower bound of bucket " << b;
     EXPECT_EQ(Histogram::BucketIndex(hi), b) << "upper bound of bucket " << b;
-    if (b > 1) EXPECT_EQ(lo, Histogram::BucketUpperBound(b - 1) + 1);
+    if (b > 1) {
+      EXPECT_EQ(lo, Histogram::BucketUpperBound(b - 1) + 1);
+    }
   }
 }
 

@@ -149,8 +149,7 @@ TEST(HedgeTest, HedgedGetWithoutStateIssuesOneGetAndNeverHedges) {
   bool hedged = false;
   bool hedge_won = false;
   Status status = HedgedGet(&store, "obj", 100, 1000, /*hedge=*/nullptr,
-                            &stragglers, &out, &hedged, &hedge_won,
-                            [] { return true; });
+                            &stragglers, &out, &hedged, &hedge_won);
   ASSERT_TRUE(status.ok()) << status.ToString();
   EXPECT_EQ(out, std::vector<u8>(1000, 7));
   EXPECT_EQ(store.total_requests(), 1u);

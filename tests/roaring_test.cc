@@ -36,7 +36,9 @@ TEST(RoaringTest, ArrayToBitsetPromotion) {
   EXPECT_EQ(bitmap.Cardinality(), 10000u);
   for (u32 i = 0; i < 10000; i++) {
     EXPECT_TRUE(bitmap.Contains(i * 3));
-    if (i * 3 + 1 < 29999) EXPECT_FALSE(bitmap.Contains(i * 3 + 1));
+    if (i * 3 + 1 < 29999) {
+      EXPECT_FALSE(bitmap.Contains(i * 3 + 1));
+    }
   }
 }
 

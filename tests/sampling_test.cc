@@ -74,7 +74,7 @@ TEST(SamplingTest, StringSampleMatchesRanges) {
   std::vector<u8> bytes;
   offsets.push_back(0);
   for (int i = 0; i < 64000; i++) {
-    std::string s = "v" + std::to_string(i % 100);
+    std::string s = std::string("v").append(std::to_string(i % 100));
     bytes.insert(bytes.end(), s.begin(), s.end());
     offsets.push_back(static_cast<u32>(bytes.size()));
   }

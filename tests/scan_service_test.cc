@@ -6,16 +6,19 @@
 //     under heavy cross-tenant concurrency;
 //   - admission control rejects with *typed* Status::Throttled (transient,
 //     so RunWithRetries can wrap a serviced Scan), and the bounded waiting
-//     room admits FIFO when capacity frees;
-//   - per-tenant quotas bite: concurrent scans, hedge budget, cache bytes;
+//     room admits in arrival order when capacity frees;
 //   - the shared cache is warm across tenants (tenant B pays zero GETs for
-//     a table tenant A already scanned);
+//     a table tenant A already scanned), and a block it refuses only costs
+//     a re-fetch;
+//   - `service.tenant.<id>.queued_ns` counts fair-queue waits only;
 //   - deficit-round-robin keeps a light tenant's queue waits bounded while
 //     a hog floods the service;
 //   - chaos: under seeded fault schedules every serviced scan is either
 //     bit-identical or a well-typed error — never wrong, never hung.
 #include <atomic>
+#include <chrono>
 #include <cstring>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,6 +28,7 @@
 #include "btr/btrblocks.h"
 #include "btr/scanner.h"
 #include "exec/retry.h"
+#include "obs/metrics.h"
 #include "s3sim/fault.h"
 #include "s3sim/object_store.h"
 #include "service/fair_queue.h"
@@ -42,7 +46,6 @@ TEST(FairQueueTest, SingleLanePopsInFifoOrder) {
   for (int i = 0; i < 4; i++) {
     ASSERT_TRUE(queue.Push(lane, 100, [&order, i] { order.push_back(i); }));
   }
-  EXPECT_EQ(queue.Depth(), 4u);
   for (int i = 0; i < 4; i++) {
     std::function<void()> run;
     u64 queued_ns = 0;
@@ -50,12 +53,8 @@ TEST(FairQueueTest, SingleLanePopsInFifoOrder) {
     ASSERT_TRUE(queue.Pop(&run, &queued_ns, &lane_out));
     EXPECT_EQ(lane_out, lane);
     run();
-    queue.OnComplete(lane_out);
   }
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
-  service::FairQueue::LaneStats stats = queue.GetLaneStats(lane);
-  EXPECT_EQ(stats.pushed, 4u);
-  EXPECT_EQ(stats.popped, 4u);
   queue.Close();
   std::function<void()> run;
   u64 queued_ns = 0;
@@ -80,36 +79,10 @@ TEST(FairQueueTest, DeficitRoundRobinInterleavesEqualCostLanes) {
     u64 queued_ns = 0;
     u32 lane_out = 0;
     ASSERT_TRUE(queue.Pop(&run, &queued_ns, &lane_out));
-    queue.OnComplete(lane_out);
     (lane_out == lane_a ? served_a : served_b)++;
     EXPECT_LE(std::abs(served_a - served_b), 1)
         << "pop " << i << " skewed: " << served_a << " vs " << served_b;
   }
-}
-
-// A lane over its outstanding cap is not servable until OnComplete.
-TEST(FairQueueTest, OutstandingCapGatesALane) {
-  service::FairQueue queue;
-  u32 capped = queue.AddLane(/*max_outstanding=*/1);
-  u32 open = queue.AddLane();
-  ASSERT_TRUE(queue.Push(capped, 1, [] {}));
-  ASSERT_TRUE(queue.Push(capped, 1, [] {}));
-  ASSERT_TRUE(queue.Push(open, 1, [] {}));
-
-  std::function<void()> run;
-  u64 queued_ns = 0;
-  u32 lane_out = 0;
-  ASSERT_TRUE(queue.Pop(&run, &queued_ns, &lane_out));
-  EXPECT_EQ(lane_out, capped);  // first push, lane under its cap
-  // The capped lane now has 1 outstanding: only `open` may be served.
-  ASSERT_TRUE(queue.Pop(&run, &queued_ns, &lane_out));
-  EXPECT_EQ(lane_out, open);
-  queue.OnComplete(open);
-  // Completing the capped item re-opens the lane.
-  queue.OnComplete(capped);
-  ASSERT_TRUE(queue.Pop(&run, &queued_ns, &lane_out));
-  EXPECT_EQ(lane_out, capped);
-  queue.OnComplete(capped);
 }
 
 // --- scan fixtures ----------------------------------------------------------
@@ -366,27 +339,6 @@ TEST(ScanServiceTest, TenantCountsEveryGetOfOpenAndScan) {
 
 // --- admission control ------------------------------------------------------
 
-TEST(ScanServiceTest, TenantConcurrencyQuotaRejectsTyped) {
-  service::ScanService service(SmallServiceConfig());
-  service::TenantQuota quota;
-  quota.max_concurrent_scans = 1;
-  u32 slot = service.RegisterTenant("capped", quota);
-
-  service::ScanService::Ticket first;
-  ASSERT_TRUE(service.Admit(slot, &first).ok());
-  service::ScanService::Ticket second;
-  Status status = service.Admit(slot, &second);
-  EXPECT_TRUE(status.IsThrottled()) << status.ToString();
-  EXPECT_TRUE(status.IsTransient());  // retryable via exec::RunWithRetries
-  EXPECT_FALSE(second.admitted);
-  service.Release(&first);
-
-  service::TenantStats stats = service.GetTenantStats("capped");
-  EXPECT_EQ(stats.scans_rejected, 1u);
-  EXPECT_EQ(stats.scans_admitted, 1u);
-  EXPECT_EQ(stats.scans_completed, 1u);
-}
-
 TEST(ScanServiceTest, SaturatedServiceRejectsWhenRoomIsFull) {
   service::ScanServiceConfig config = SmallServiceConfig();
   config.max_concurrent_scans = 1;
@@ -399,7 +351,14 @@ TEST(ScanServiceTest, SaturatedServiceRejectsWhenRoomIsFull) {
   service::ScanService::Ticket second;
   Status status = service.Admit(slot, &second);
   EXPECT_TRUE(status.IsThrottled()) << status.ToString();
+  EXPECT_TRUE(status.IsTransient());  // retryable via exec::RunWithRetries
+  EXPECT_FALSE(second.admitted);
   service.Release(&first);
+
+  service::TenantStats stats = service.GetTenantStats("t");
+  EXPECT_EQ(stats.scans_rejected, 1u);
+  EXPECT_EQ(stats.scans_admitted, 1u);
+  EXPECT_EQ(stats.scans_completed, 1u);
 }
 
 TEST(ScanServiceTest, WaitingRoomAdmitsWhenCapacityFrees) {
@@ -428,6 +387,82 @@ TEST(ScanServiceTest, WaitingRoomAdmitsWhenCapacityFrees) {
   service::TenantStats stats = service.GetTenantStats("t");
   EXPECT_EQ(stats.scans_queued, 1u);
   EXPECT_GT(stats.admission_wait_ns, 0u);
+}
+
+// Three tenants arrive one after another behind a single running scan.
+// Each admitted waiter releases its slot at once, so the room must admit
+// them in arrival order, whatever their tenant.
+TEST(ScanServiceTest, WaitingRoomAdmitsInArrivalOrder) {
+  service::ScanServiceConfig config = SmallServiceConfig();
+  config.max_concurrent_scans = 1;
+  config.max_queued_scans = 4;
+  config.admission_timeout_ns = 10ull * 1000 * 1000 * 1000;  // 10 s
+  service::ScanService service(config);
+  service::ScanService::Ticket holder;
+  ASSERT_TRUE(service.Admit(service.EnsureTenant("holder"), &holder).ok());
+
+  const std::vector<std::string> tenants = {"first", "second", "third"};
+  std::mutex order_mutex;
+  std::vector<std::string> order;
+  std::vector<std::thread> waiters;
+  for (const std::string& tenant : tenants) {
+    const u32 slot = service.EnsureTenant(tenant);
+    waiters.emplace_back([&, slot, tenant] {
+      service::ScanService::Ticket ticket;
+      Status status = service.Admit(slot, &ticket);
+      EXPECT_TRUE(status.ok()) << tenant << ": " << status.ToString();
+      {
+        std::lock_guard<std::mutex> lock(order_mutex);
+        order.push_back(tenant);
+      }
+      service.Release(&ticket);
+    });
+    // The next waiter arrives only once this one is in the room.
+    while (service.GetTenantStats(tenant).scans_queued == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  service.Release(&holder);
+  for (std::thread& waiter : waiters) waiter.join();
+  EXPECT_EQ(order, tenants);
+}
+
+// `service.tenant.<id>.queued_ns` is fair-queue wait, like TenantStats'
+// queue_wait_ns; time in the waiting room is admission_wait_ns only. A
+// tenant admitted through the room that runs no scan work has no
+// fair-queue wait at all.
+TEST(ScanServiceTest, QueuedNsCountsOnlyFairQueueWaits) {
+  service::ScanServiceConfig config = SmallServiceConfig();
+  config.max_concurrent_scans = 1;
+  config.max_queued_scans = 4;
+  config.admission_timeout_ns = 10ull * 1000 * 1000 * 1000;  // 10 s
+  service::ScanService service(config);
+  const std::string tenant = "queued-ns-probe";
+  obs::Counter& queued_ns = obs::Registry::Get().GetCounter(
+      "service.tenant." + tenant + ".queued_ns");
+  const u64 before = queued_ns.Value();
+
+  service::ScanService::Ticket holder;
+  ASSERT_TRUE(service.Admit(service.EnsureTenant("holder"), &holder).ok());
+  const u32 slot = service.EnsureTenant(tenant);
+  std::thread waiter([&] {
+    service::ScanService::Ticket ticket;
+    Status status = service.Admit(slot, &ticket);
+    EXPECT_TRUE(status.ok()) << status.ToString();
+    service.Release(&ticket);
+  });
+  while (service.GetTenantStats(tenant).scans_queued == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  service.Release(&holder);
+  waiter.join();
+
+  service::TenantStats stats = service.GetTenantStats(tenant);
+  EXPECT_EQ(stats.scans_admitted, 1u);
+  EXPECT_GT(stats.admission_wait_ns, 0u);
+  EXPECT_EQ(stats.queue_items, 0u);
+  EXPECT_EQ(stats.queue_wait_ns, 0u);
+  EXPECT_EQ(queued_ns.Value() - before, stats.queue_wait_ns);
 }
 
 TEST(ScanServiceTest, AdmissionTimeoutRejectsTyped) {
@@ -484,40 +519,37 @@ TEST(ScanServiceTest, ThrottledScanSucceedsUnderRunWithRetries) {
   ExpectOutputsBitIdentical(f.reference, output, 2);
 }
 
-// --- per-tenant quotas ------------------------------------------------------
+// --- shared cache -----------------------------------------------------------
 
-TEST(ScanServiceTest, HedgeBudgetDeniesOnceSpent) {
-  service::ScanService service(SmallServiceConfig());
-  service::TenantQuota quota;
-  quota.hedge_budget = 2;
-  u32 slot = service.RegisterTenant("hedger", quota);
-  EXPECT_TRUE(service.TryAcquireTenantHedge(slot));
-  EXPECT_TRUE(service.TryAcquireTenantHedge(slot));
-  EXPECT_FALSE(service.TryAcquireTenantHedge(slot));
-  service::TenantStats stats = service.GetTenantStats("hedger");
-  EXPECT_EQ(stats.hedges_denied, 1u);
-}
-
-TEST(ScanServiceTest, CacheByteQuotaSkipsInsertsButScanStaysCorrect) {
+// A shared cache smaller than one block payload refuses every insert: the
+// scan is still bit-identical, and the next scan pays its GETs again.
+TEST(ScanServiceTest, CacheSmallerThanABlockRefusesInsertsButScanIsCorrect) {
   Fixture f;
-  service::ScanService service(SmallServiceConfig());
-  service::TenantQuota quota;
-  quota.max_cache_bytes = 64;  // far below one block payload
-  service.RegisterTenant("tiny-cache", quota);
+  service::ScanServiceConfig config = SmallServiceConfig();
+  config.cache.capacity_bytes = 64;  // far below one block payload
+  for (const CompressedColumn& column : f.compressed.columns) {
+    for (const ByteBuffer& block : column.blocks) {
+      ASSERT_GT(block.size(), config.cache.capacity_bytes);
+    }
+  }
+  service::ScanService service(config);
+  const u64 inserts_before = service.cache()->GetStats().inserts;
 
   Scanner scanner(service, "tiny-cache", &f.store, "svc_table", "lake/");
   ASSERT_TRUE(scanner.Open().ok());
   ScanOutput output;
   ASSERT_TRUE(scanner.Scan(FastSpec(), &output).ok());
   ExpectOutputsBitIdentical(f.reference, output, 3);
-
-  service::TenantStats stats = service.GetTenantStats("tiny-cache");
-  EXPECT_GT(stats.cache_quota_skips, 0u);
-  EXPECT_LE(stats.cache_bytes, quota.max_cache_bytes);
+  EXPECT_GT(output.stats.cache_misses, 0u);
+  const exec::BlockCache::Stats cache = service.cache()->GetStats();
+  EXPECT_EQ(cache.inserts, inserts_before);
+  EXPECT_EQ(cache.entries, 0u);
   // Nothing was cached, so a second scan still pays its GETs.
   ScanOutput again;
   ASSERT_TRUE(scanner.Scan(FastSpec(), &again).ok());
+  ExpectOutputsBitIdentical(f.reference, again, 5);
   EXPECT_GT(again.stats.requests, 0u);
+  EXPECT_EQ(again.stats.cache_hits, 0u);
 }
 
 // Two writers of one version can rewrite a column object in place: same

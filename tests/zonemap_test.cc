@@ -375,7 +375,8 @@ TableZoneMap SampleZoneMap() {
   Random rng(3);
   for (int i = 0; i < 70000; i++) {
     ints.AppendInt(static_cast<i32>(rng.NextBounded(1000)));
-    strs.AppendString("v" + std::to_string(rng.NextBounded(50)));
+    strs.AppendString(
+        std::string("v").append(std::to_string(rng.NextBounded(50))));
   }
   TableZoneMap zonemap;
   for (const Column& c : relation.columns()) {
