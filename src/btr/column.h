@@ -117,8 +117,6 @@ class Column {
   // Uncompressed in-memory footprint in bytes (values + offsets).
   u64 UncompressedBytes() const;
 
-  u32 BlockCount() const { return (row_count_ + kBlockCapacity - 1) / kBlockCapacity; }
-
  private:
   std::string name_;
   ColumnType type_;

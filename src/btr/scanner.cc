@@ -141,9 +141,9 @@ class ServiceLane {
           &retry_,
           [&] {
             bool duplicate = false;
-            Status attempt = exec::HedgedGet(
-                store_, key, offset, length, hedge_.get(), &stragglers_, out,
-                &duplicate, &record.hedge_won);
+            Status attempt =
+                exec::HedgedGet(store_, key, offset, length, hedge_.get(), out,
+                                &duplicate, &record.hedge_won);
             gets += duplicate ? 2 : 1;
             record.hedged = record.hedged || duplicate;
             return attempt;
@@ -179,9 +179,6 @@ class ServiceLane {
     done.wait(lock, [&] { return left == 0; });
   }
 
-  // Joins hedge stragglers; call once no item can issue a GET any more.
-  void Reap() { stragglers_.Reap(); }
-
   exec::CircuitBreaker* breaker() const { return breaker_; }
   const exec::RetryState& retry() const { return retry_; }
   u64 hedges() const { return hedge_ ? hedge_->hedges_issued() : 0; }
@@ -198,7 +195,6 @@ class ServiceLane {
   exec::CircuitBreaker* const breaker_;  // null = no breaker
   exec::RetryState retry_;
   const std::unique_ptr<exec::HedgeState> hedge_;  // null = no hedging
-  exec::StragglerSink stragglers_;  // hedge losers
   std::atomic<u64> gets_{0};
   std::atomic<u64> bytes_{0};
 };
@@ -1171,7 +1167,6 @@ Status Scanner::Job::Finish(ScanStats* stats) {
     if (failed_) status = first_error_;
     cv_.wait(lock, [&] { return outstanding_ == 0; });
   }
-  lane_.Reap();
 
   stats->requests = lane_.gets();
   stats->bytes_fetched = lane_.bytes();

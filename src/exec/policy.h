@@ -3,7 +3,7 @@
 // here and nowhere else; btr::ScanConfig (btr/config.h) embeds all three,
 // service::ScanServiceConfig the breaker, write::WriterConfig the retry.
 // The machinery that runs them (RetryState, HedgeState, CircuitBreaker,
-// HedgedGet) lives in exec/retry.h, which brings in threads and mutexes;
+// HedgedGet) lives in exec/retry.h, which brings in mutexes;
 // this header brings in nothing but integer types.
 #ifndef BTR_EXEC_POLICY_H_
 #define BTR_EXEC_POLICY_H_

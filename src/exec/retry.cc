@@ -2,14 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
-#include <memory>
 #include <thread>
 
 #include "obs/metrics.h"
 #include "s3sim/object_store.h"
 #include "util/buffer.h"
-#include "util/timer.h"
 
 namespace btr::exec {
 
@@ -296,105 +293,52 @@ Status RunWithRetries(RetryState* state, const std::function<Status()>& op,
 
 Status HedgedGet(s3sim::ObjectStore* store, const std::string& key,
                  u64 offset, u64 length, HedgeState* hedge,
-                 StragglerSink* stragglers, std::vector<u8>* out, bool* hedged,
-                 bool* hedge_won) {
-  out->clear();
+                 std::vector<u8>* out, bool* hedged, bool* hedge_won) {
+  using Clock = std::chrono::steady_clock;
+  // 0 = no hedging, or not armed yet (warming up, or budget spent). With a
+  // HedgeState, successful latencies still feed the quantile so the
+  // threshold can arm.
   const u64 threshold_ns = hedge == nullptr ? 0 : hedge->ThresholdNs();
-  if (threshold_ns == 0) {
-    // No hedging, or not armed yet (warming up, or budget spent): plain GET
-    // on this thread. With a HedgeState, successful latencies still feed
-    // the quantile so the threshold can arm.
-    out->reserve(length + kSimdPadding);
-    Timer timer;
-    Status status = store->GetChunk(key, offset, length, out);
-    if (hedge != nullptr && status.ok()) {
-      hedge->RecordLatency(static_cast<u64>(timer.ElapsedNanos()));
-    }
-    return status;
-  }
-
-  // Hedged path: the primary GET runs on its own thread; if it outlives
-  // the threshold, one duplicate runs on another, and this thread takes
-  // the first successful response, or the primary's failure once both
-  // have failed. The other request's thread is parked in `stragglers`:
-  // both responses verify against the same header CRC downstream, so
-  // either is acceptable.
-  struct Request {
-    bool done = false;
-    Status status;
-    std::vector<u8> data;
-    u64 latency_ns = 0;
-  };
-  struct HedgedCall {
-    std::mutex mutex;
-    std::condition_variable cv;
-    Request requests[2];  // the primary, then the duplicate
-    int first_ok = -1;    // the request whose success landed first
-    int finished = 0;
-  };
-  auto call = std::make_shared<HedgedCall>();
-  // Owned copies: a request's thread outlives this call when it loses the
-  // race and gets parked as a straggler.
-  const std::string owned_key = key;
-  auto launch = [&](int r) {
-    // Allocated here, not on the short-lived request thread, so the buffer
-    // lives in this thread's malloc arena. The request fills it before
-    // `done` is set, and this thread reads it only after seeing `done`.
-    call->requests[r].data.reserve(length + kSimdPadding);
-    return std::thread([store, owned_key, offset, length, call, r] {
-      Request& request = call->requests[r];
-      Timer timer;
-      Status status = store->GetChunk(owned_key, offset, length, &request.data);
-      const u64 latency_ns = static_cast<u64>(timer.ElapsedNanos());
-      {
-        std::lock_guard<std::mutex> lock(call->mutex);
-        request.done = true;
-        request.latency_ns = latency_ns;
-        if (status.ok() && call->first_ok < 0) call->first_ok = r;
-        request.status = std::move(status);
-        call->finished++;
+  out->clear();
+  out->reserve(length + kSimdPadding);
+  Clock::time_point issued = Clock::now();
+  Clock::time_point arrival;
+  Status status = store->IssueGet(key, offset, length, out, &arrival);
+  const Clock::time_point deadline =
+      issued + std::chrono::nanoseconds(threshold_ns);
+  if (threshold_ns != 0 && arrival > deadline) {
+    // The primary outlives the threshold: issue the duplicate at the
+    // threshold. Both responses verify against the same header CRC
+    // downstream, so either is acceptable.
+    std::this_thread::sleep_until(deadline);
+    if (hedge->TryAcquireHedge()) {
+      HedgeMetrics::Get().hedges.Add();
+      *hedged = true;
+      std::vector<u8> duplicate;
+      duplicate.reserve(length + kSimdPadding);
+      const Clock::time_point duplicate_issued = Clock::now();
+      Clock::time_point duplicate_arrival;
+      Status duplicate_status = store->IssueGet(key, offset, length,
+                                                &duplicate, &duplicate_arrival);
+      const bool won = duplicate_status.ok() &&
+                       (!status.ok() || duplicate_arrival < arrival);
+      if (won) {
+        HedgeMetrics::Get().hedge_wins.Add();
+        *hedge_won = true;
+        status = std::move(duplicate_status);
+        *out = std::move(duplicate);
+        issued = duplicate_issued;
+        arrival = duplicate_arrival;
       }
-      call->cv.notify_all();
-    });
-  };
-
-  std::thread primary = launch(0);
-  bool primary_done = false;
-  {
-    std::unique_lock<std::mutex> lock(call->mutex);
-    primary_done = call->cv.wait_for(
-        lock, std::chrono::nanoseconds(threshold_ns),
-        [&] { return call->requests[0].done; });
-  }
-  int winner = 0;
-  if (!primary_done && hedge->TryAcquireHedge()) {
-    HedgeMetrics::Get().hedges.Add();
-    *hedged = true;
-    std::thread duplicate = launch(1);
-    {
-      std::unique_lock<std::mutex> lock(call->mutex);
-      call->cv.wait(lock,
-                    [&] { return call->first_ok >= 0 || call->finished == 2; });
-      winner = std::max(call->first_ok, 0);
+      hedge->RecordHedgeOutcome(won);
     }
-    if (winner == 1) {
-      stragglers->Park(std::move(primary));
-      primary = std::move(duplicate);
-      HedgeMetrics::Get().hedge_wins.Add();
-      *hedge_won = true;
-    } else {
-      stragglers->Park(std::move(duplicate));
-    }
-    hedge->RecordHedgeOutcome(winner == 1);
   }
-
-  // The winner, or the primary when it answered in time or the hedge was
-  // denied: its thread has finished, or is about to.
-  primary.join();
-  Request& result = call->requests[winner];
-  if (result.status.ok()) hedge->RecordLatency(result.latency_ns);
-  *out = std::move(result.data);
-  return result.status;
+  std::this_thread::sleep_until(arrival);
+  if (hedge != nullptr && status.ok()) {
+    hedge->RecordLatency(static_cast<u64>(
+        std::chrono::nanoseconds(Clock::now() - issued).count()));
+  }
+  return status;
 }
 
 }  // namespace btr::exec

@@ -32,7 +32,9 @@
 // successful response. HedgeState tracks recent `s3.get` latencies in a
 // ring, arms once min_samples (and at least one) are in, and caps total
 // hedges per scan with hedge_budget. A caller that does not hedge has no
-// HedgeState. HedgedGet below owns the mechanics.
+// HedgeState. HedgedGet below owns the mechanics: it issues both requests
+// from the calling thread and knows from each response's arrival time
+// which one lands first, so a hedge starts no thread.
 //
 // --- circuit breaker (CircuitBreakerPolicy / CircuitBreaker) ----------------
 // Past an error-rate threshold over a sliding outcome window the breaker
@@ -47,7 +49,6 @@
 #include <functional>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "exec/policy.h"
@@ -202,58 +203,23 @@ Status RunWithRetries(RetryState* state, const std::function<Status()>& op,
 
 // --- the GET ----------------------------------------------------------------
 
-// Holds hedge-loser threads whose GET result was discarded until someone
-// reaps them. A hedged GET returns at the first success and abandons the
-// other request's thread; it must still be joined before the object store
-// goes away. Thread-safe; the destructor reaps anything left.
-class StragglerSink {
- public:
-  StragglerSink() = default;
-  ~StragglerSink() { Reap(); }
-
-  StragglerSink(const StragglerSink&) = delete;
-  StragglerSink& operator=(const StragglerSink&) = delete;
-
-  void Park(std::thread t) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    threads_.push_back(std::move(t));
-  }
-
-  // Joins every parked thread. Safe to call repeatedly and concurrently
-  // with Park (threads parked during a Reap are caught by the next one).
-  void Reap() {
-    std::vector<std::thread> taken;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      taken.swap(threads_);
-    }
-    for (std::thread& t : taken) {
-      if (t.joinable()) t.join();
-    }
-  }
-
- private:
-  std::mutex mutex_;
-  std::vector<std::thread> threads_;
-};
-
-// One GET, hedged when `hedge`'s latency tracker says the primary is
-// overdue: the primary runs on its own thread, and if it outlives the
-// quantile threshold one duplicate runs on a thread of its own. The first
-// successful response wins and frees the calling thread at once; when both
-// requests fail, the primary's status is returned. A null `hedge` issues
-// one plain GET and never hedges. The other request's thread is parked in
-// `stragglers` (the caller reaps it after the scan quiesces); the latency
-// sample is the winner's. `hedged` / `hedge_won` are
-// OR-accumulated so retry wrappers can reuse the flags across attempts.
-// Whichever response lands in `out` has capacity for kSimdPadding bytes
-// past `length`, so a caller can pad it for decoders that over-read
-// (util/buffer.h) without a copy. Metrics: `scan.hedges`,
+// One GET on the calling thread, hedged when `hedge`'s latency tracker
+// says the primary is overdue. The primary is issued as a completion
+// (ObjectStore::IssueGet); if it lands after the quantile threshold, this
+// thread waits until the threshold and issues one duplicate, and the
+// earlier successful arrival wins — the primary on a tie or when the
+// duplicate fails. When both fail, the primary's status is returned. The
+// loser is dropped, never waited for: the call returns when the winner
+// lands. A null `hedge` issues one plain GET and never hedges. The latency
+// sample is the winner's, measured once it has landed. `hedged` /
+// `hedge_won` are OR-accumulated so retry wrappers can reuse the flags
+// across attempts. Whichever response lands in `out` has capacity for
+// kSimdPadding bytes past `length`, so a caller can pad it for decoders
+// that over-read (util/buffer.h) without a copy. Metrics: `scan.hedges`,
 // `scan.hedge_wins`.
 Status HedgedGet(s3sim::ObjectStore* store, const std::string& key,
                  u64 offset, u64 length, HedgeState* hedge,
-                 StragglerSink* stragglers, std::vector<u8>* out, bool* hedged,
-                 bool* hedge_won);
+                 std::vector<u8>* out, bool* hedged, bool* hedge_won);
 
 }  // namespace btr::exec
 

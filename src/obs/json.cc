@@ -25,11 +25,4 @@ void AppendJsonEscaped(std::string_view s, std::string* out) {
   }
 }
 
-std::string JsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  AppendJsonEscaped(s, &out);
-  return out;
-}
-
 }  // namespace btr::obs

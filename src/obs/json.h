@@ -15,9 +15,6 @@ namespace btr::obs {
 // Appends `s` to `*out` with JSON string escaping (no surrounding quotes).
 void AppendJsonEscaped(std::string_view s, std::string* out);
 
-// Convenience: returns the escaped form of `s` (no surrounding quotes).
-std::string JsonEscape(std::string_view s);
-
 }  // namespace btr::obs
 
 #endif  // BTR_OBS_JSON_H_

@@ -369,8 +369,18 @@ ObjectStore::FaultDecision ObjectStore::EvaluateFaults(const std::string& key,
 
 Status ObjectStore::GetChunk(const std::string& key, u64 offset, u64 length,
                              std::vector<u8>* out) {
+  std::chrono::steady_clock::time_point arrival;
+  Status status = IssueGet(key, offset, length, out, &arrival);
+  std::this_thread::sleep_until(arrival);
+  return status;
+}
+
+Status ObjectStore::IssueGet(const std::string& key, u64 offset, u64 length,
+                             std::vector<u8>* out,
+                             std::chrono::steady_clock::time_point* arrival) {
   BTR_TRACE_SPAN("s3.get_chunk");
   Timer timer;
+  *arrival = std::chrono::steady_clock::now();
   GetMetrics& metrics = GetMetrics::Get();
 
   Blob blob;
@@ -404,7 +414,7 @@ Status ObjectStore::GetChunk(const std::string& key, u64 offset, u64 length,
         return Status::Unavailable("injected unavailability on " + key);
       case FaultKind::kLatency:
         metrics.faults_transient.Add();
-        std::this_thread::sleep_for(std::chrono::nanoseconds(fault.latency_ns));
+        *arrival += std::chrono::nanoseconds(fault.latency_ns);
         break;
       case FaultKind::kTruncate:
         metrics.faults_data.Add();
@@ -436,10 +446,11 @@ Status ObjectStore::GetChunk(const std::string& key, u64 offset, u64 length,
     network_seconds_ += modeled_seconds;
   }
   if (config_.simulate_wall_clock) {
-    double sleep_seconds =
+    double wire_seconds =
         config_.wall_clock_request_latency_s +
         static_cast<double>(length) * 8.0 / (config_.wall_clock_gbps * 1e9);
-    std::this_thread::sleep_for(std::chrono::duration<double>(sleep_seconds));
+    *arrival += std::chrono::duration_cast<std::chrono::nanoseconds>(
+        std::chrono::duration<double>(wire_seconds));
   }
   metrics.bytes_total.Add(length);
   metrics.bytes.Record(length);

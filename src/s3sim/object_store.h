@@ -25,6 +25,7 @@
 #ifndef BTR_S3SIM_OBJECT_STORE_H_
 #define BTR_S3SIM_OBJECT_STORE_H_
 
+#include <chrono>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -49,12 +50,13 @@ struct S3Config {
   u32 cores = 36;                         // modeled decompression cores
 
   // --- wall-clock simulation (pipelined scan engine) -----------------------
-  // When true, GetChunk additionally *sleeps* for a per-request first-byte
-  // latency plus the per-connection transfer time, so the scan engine
-  // (btr::Scanner) has real network time to hide:
-  // concurrent fetch threads overlap their latencies with each other and
-  // with decompression, exactly what the analytic SimulateScan model cannot
-  // capture. Accounting (requests/bytes/network_seconds) is unaffected.
+  // When true, a GET's response lands a per-request first-byte latency
+  // plus the per-connection transfer time after the call (IssueGet's
+  // arrival; GetChunk waits for it), so the scan engine (btr::Scanner) has
+  // real network time to hide: concurrent fetch threads overlap their
+  // latencies with each other and with decompression, exactly what the
+  // analytic SimulateScan model cannot capture. Accounting
+  // (requests/bytes/network_seconds) is unaffected.
   bool simulate_wall_clock = false;
   double wall_clock_request_latency_s = 0.002;  // per-GET first-byte latency
   double wall_clock_gbps = 2.0;                 // per-connection bandwidth
@@ -121,9 +123,20 @@ class ObjectStore {
   // the end is clipped). Accounts one GET request and the modeled transfer
   // time. Fails with NotFound (unknown key), InvalidArgument (offset past
   // the object end), or an injected fault's status — transient ones
-  // (Throttled/Unavailable) are safe to retry.
+  // (Throttled/Unavailable) are safe to retry. Returns once the response
+  // has landed: IssueGet, then a wait until its arrival.
   Status GetChunk(const std::string& key, u64 offset, u64 length,
                   std::vector<u8>* out);
+
+  // GetChunk as a completion: does all of the request's work (lookup,
+  // billing, faults, copy, metrics) and returns at once, with *arrival set
+  // to when the response lands — the call time plus any injected latency
+  // spike and, under simulate_wall_clock, the first-byte latency and the
+  // transfer time; the call time for an error. A caller that models the
+  // network uses `out` and the status no earlier than *arrival.
+  Status IssueGet(const std::string& key, u64 offset, u64 length,
+                  std::vector<u8>* out,
+                  std::chrono::steady_clock::time_point* arrival);
 
   // Fetches a whole object as a sequence of chunk_bytes GETs.
   Status GetObject(const std::string& key, std::vector<u8>* out);

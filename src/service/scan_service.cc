@@ -118,7 +118,8 @@ Status ScanService::Admit(u32 tenant_slot, Ticket* ticket, u64* wait_ns) {
   ticket->admitted = false;
   if (wait_ns != nullptr) *wait_ns = 0;
   std::unique_lock<std::mutex> lock(admission_mutex_);
-  if (running_scans_ < config_.max_concurrent_scans) {
+  // A free slot goes to a new arrival only when no one is waiting for it.
+  if (waiters_.empty() && running_scans_ < config_.max_concurrent_scans) {
     running_scans_++;
     tenant.scans_admitted.fetch_add(1, std::memory_order_relaxed);
     ticket->admitted = true;

@@ -129,7 +129,8 @@ class ScanService {
     bool admitted = false;
   };
   // Admits one scan for the tenant, waiting in the bounded FIFO room if
-  // the service is saturated. Returns Status::Throttled when the waiting
+  // the service is saturated or the room is not empty (a freed slot goes
+  // to the earliest waiter). Returns Status::Throttled when the waiting
   // room is full or the admission timeout elapsed. `wait_ns`, when set,
   // receives the time spent waiting.
   Status Admit(u32 tenant_slot, Ticket* ticket, u64* wait_ns = nullptr);

@@ -15,7 +15,6 @@ inline u32 BitWidth64(u64 v) { return v == 0 ? 0 : 64 - std::countl_zero(v); }
 
 inline u32 CountLeadingZeros64(u64 v) { return v == 0 ? 64 : std::countl_zero(v); }
 inline u32 CountTrailingZeros64(u64 v) { return v == 0 ? 64 : std::countr_zero(v); }
-inline u32 CountLeadingZeros32(u32 v) { return v == 0 ? 32 : std::countl_zero(v); }
 inline u32 PopCount64(u64 v) { return std::popcount(v); }
 
 // Zigzag maps signed to unsigned so small-magnitude values stay small.
@@ -24,7 +23,6 @@ inline i32 ZigzagDecode(u32 v) { return static_cast<i32>(v >> 1) ^ -static_cast<
 inline u64 ZigzagEncode64(i64 v) { return (static_cast<u64>(v) << 1) ^ static_cast<u64>(v >> 63); }
 inline i64 ZigzagDecode64(u64 v) { return static_cast<i64>(v >> 1) ^ -static_cast<i64>(v & 1); }
 
-inline u64 RoundUp(u64 v, u64 multiple) { return (v + multiple - 1) / multiple * multiple; }
 inline u64 CeilDiv(u64 a, u64 b) { return (a + b - 1) / b; }
 
 // --- dense bit words ---------------------------------------------------------

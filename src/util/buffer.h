@@ -48,13 +48,6 @@ class ByteBuffer {
     size_ = new_size;
   }
 
-  // Ensures at least `extra` writable bytes past the current size.
-  void Reserve(size_t total) {
-    size_t old_size = size_;
-    if (total + kSimdPadding > capacity_) Resize(total);
-    size_ = old_size;
-  }
-
   void Clear() { size_ = 0; }
 
   // Appends raw bytes. src may be null when n == 0.

@@ -142,8 +142,6 @@ u32 Crc32cCombine(u32 crc_a, u32 crc_b, u64 len_b) {
   return crc_a ^ crc_b;
 }
 
-bool Crc32cHardwareEnabled() { return BTR_HAS_HW_CRC32C != 0; }
-
 namespace internal {
 // Exposed for the cross-check test only (declared locally there).
 u32 Crc32cSoftwareForTest(const void* data, size_t n) {

@@ -31,9 +31,6 @@ u32 Crc32cExtend(u32 crc, const void* data, size_t n);
 // (src/write/streaming_writer.h).
 u32 Crc32cCombine(u32 crc_a, u32 crc_b, u64 len_b);
 
-// True when the SSE4.2 instruction path is compiled in.
-bool Crc32cHardwareEnabled();
-
 }  // namespace btr
 
 #endif  // BTR_UTIL_CRC32C_H_

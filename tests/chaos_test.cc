@@ -627,11 +627,11 @@ TEST(ChaosTest, BreakerTripsAndFailsFastWhenBackendIsDown) {
 // Hedged GETs absorb latency spikes: with a spiky (but never failing)
 // plan, scans stay bit-identical and the duplicate requests show up in the
 // stats once the latency quantile arms. The 1 ms threshold floor sits far
-// below the 30 ms spike, so a duplicate whose thread starts late on a
-// loaded machine still beats a spiked primary. The threshold arms only
-// after two GETs of a scan completed, so each scan needs many GETs that
-// start later: 8 row blocks with a one-block window (scan_threads = 1,
-// prefetch_depth = 0) make every block its own run, 24 block GETs a scan.
+// below the 30 ms spike, so a duplicate issued late on a loaded machine
+// still beats a spiked primary. The threshold arms only after two GETs of
+// a scan completed, so each scan needs many GETs that start later: 8 row
+// blocks with a one-block window (scan_threads = 1, prefetch_depth = 0)
+// make every block its own run, 24 block GETs a scan.
 TEST(ChaosTest, HedgedGetsAbsorbLatencySpikes) {
   constexpr u32 kBlocks = 8;
   const CompressionConfig config;
@@ -683,6 +683,48 @@ TEST(ChaosTest, HedgedGetsAbsorbLatencySpikes) {
       << "30 ms spikes at 30% over 20 scans must trigger hedges";
   EXPECT_GT(total_wins, 0u)
       << "an instant duplicate should beat a 30 ms straggler sometimes";
+}
+
+// A hedge that wins frees the scan at once: Scan() does not wait for the
+// losing request. Column 0's second block GET of the second scan is
+// spiked by 300 ms; its duplicate, issued at the 20 ms threshold floor,
+// answers at once. One fetch thread and a one-block window (scan_threads
+// = 1, prefetch_depth = 0) make each block its own GET, and the first
+// scan reads the column header, so the second scan issues block GETs only
+// and its first one arms the threshold.
+TEST(ChaosTest, HedgeWinDoesNotWaitForItsLoser) {
+  constexpr u32 kBlocks = 4;
+  const CompressedRelation compressed =
+      CompressRelation(MakeTable(kBlocks * kBlockCapacity), CompressionConfig());
+  s3sim::ObjectStore store;
+  ASSERT_TRUE(
+      UploadCompressedRelation(compressed, nullptr, "lake/", &store).ok());
+  ScanSpec spec = ChaosSpec();
+  spec.columns = {"id"};
+  spec.config.scan_threads = 1;
+  spec.config.fetch_threads = 1;
+  spec.config.prefetch_depth = 0;
+  Scanner scanner(&store, "chaos_table", "lake/");
+  ASSERT_TRUE(scanner.Open(spec.config).ok());
+  ScanOutput reference;
+  ASSERT_TRUE(scanner.Scan(spec, &reference).ok());
+
+  s3sim::FaultPlan plan;
+  plan.rules.push_back(
+      s3sim::FaultRule::Latency(".0.btr", 2, 300ull * 1000 * 1000));
+  store.InstallFaultPlan(plan);
+  spec.config.enable_hedged_gets = true;
+  spec.config.hedge.min_samples = 1;
+  spec.config.hedge.min_threshold_ns = 20ull * 1000 * 1000;  // 20 ms
+  ScanOutput output;
+  Status status = scanner.Scan(spec, &output);
+  store.ClearFaultPlan();
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  ExpectOutputsBitIdentical(reference, output, 0);
+  EXPECT_EQ(output.stats.hedges, 1u);
+  EXPECT_EQ(output.stats.hedge_wins, 1u);
+  EXPECT_LT(output.stats.seconds, 0.15)
+      << "the scan waited for the 300 ms request its hedge beat";
 }
 
 // A truncated or bit-flipped run GET damages only the blocks whose bytes

@@ -144,12 +144,11 @@ TEST(HedgeTest, HedgedGetWithoutStateIssuesOneGetAndNeverHedges) {
   const u64 hedges_before =
       obs::Registry::Get().GetCounter("scan.hedges").Value();
 
-  StragglerSink stragglers;
   std::vector<u8> out;
   bool hedged = false;
   bool hedge_won = false;
-  Status status = HedgedGet(&store, "obj", 100, 1000, /*hedge=*/nullptr,
-                            &stragglers, &out, &hedged, &hedge_won);
+  Status status = HedgedGet(&store, "obj", 100, 1000, /*hedge=*/nullptr, &out,
+                            &hedged, &hedge_won);
   ASSERT_TRUE(status.ok()) << status.ToString();
   EXPECT_EQ(out, std::vector<u8>(1000, 7));
   EXPECT_EQ(store.total_requests(), 1u);
@@ -161,9 +160,8 @@ TEST(HedgeTest, HedgedGetWithoutStateIssuesOneGetAndNeverHedges) {
 
 // The primary answers 50 ms in; the duplicate, issued at the 20 ms
 // threshold, takes 300 ms. HedgedGet returns the primary's bytes as soon
-// as they land and leaves the duplicate to the straggler sink. (The
-// threshold leaves the primary's thread 20 ms to reach the store first,
-// so the fault ordinals tell the two requests apart on a loaded machine.)
+// as they land and drops the duplicate without waiting for it. (The
+// primary is issued first, so it takes fault ordinal 1.)
 TEST(HedgeTest, LosingDuplicateDoesNotDelayTheResult) {
   constexpr u64 kMs = 1000 * 1000;
   s3sim::ObjectStore store;
@@ -179,13 +177,12 @@ TEST(HedgeTest, LosingDuplicateDoesNotDelayTheResult) {
   state.RecordLatency(20 * kMs);
   ASSERT_EQ(state.ThresholdNs(), 20 * kMs);
 
-  StragglerSink stragglers;
   std::vector<u8> out;
   bool hedged = false;
   bool hedge_won = false;
   const auto start = std::chrono::steady_clock::now();
-  Status status = HedgedGet(&store, "obj", 100, 1000, &state, &stragglers,
-                            &out, &hedged, &hedge_won);
+  Status status =
+      HedgedGet(&store, "obj", 100, 1000, &state, &out, &hedged, &hedge_won);
   const auto elapsed = std::chrono::steady_clock::now() - start;
   ASSERT_TRUE(status.ok()) << status.ToString();
   EXPECT_EQ(out, std::vector<u8>(1000, 7));
@@ -193,14 +190,12 @@ TEST(HedgeTest, LosingDuplicateDoesNotDelayTheResult) {
       << "the losing duplicate delayed the primary's response";
   EXPECT_TRUE(hedged);
   EXPECT_FALSE(hedge_won);
-  stragglers.Reap();
   EXPECT_EQ(store.total_requests(), 2u);
 }
 
 // The mirror of the test above: only the primary is spiked, by 300 ms.
 // The duplicate, issued at the 20 ms threshold floor, answers at once and
-// wins, so HedgedGet returns long before the spike ends however late
-// either request's thread starts.
+// wins, so HedgedGet returns long before the spike ends.
 TEST(HedgeTest, DuplicateWinsAgainstSpikedPrimary) {
   constexpr u64 kMs = 1000 * 1000;
   s3sim::ObjectStore store;
@@ -216,13 +211,12 @@ TEST(HedgeTest, DuplicateWinsAgainstSpikedPrimary) {
   state.RecordLatency(1000);
   ASSERT_EQ(state.ThresholdNs(), 20 * kMs);
 
-  StragglerSink stragglers;
   std::vector<u8> out;
   bool hedged = false;
   bool hedge_won = false;
   const auto start = std::chrono::steady_clock::now();
-  Status status = HedgedGet(&store, "obj", 100, 1000, &state, &stragglers,
-                            &out, &hedged, &hedge_won);
+  Status status =
+      HedgedGet(&store, "obj", 100, 1000, &state, &out, &hedged, &hedge_won);
   const auto elapsed = std::chrono::steady_clock::now() - start;
   ASSERT_TRUE(status.ok()) << status.ToString();
   EXPECT_EQ(out, std::vector<u8>(1000, 7));
@@ -231,8 +225,45 @@ TEST(HedgeTest, DuplicateWinsAgainstSpikedPrimary) {
   EXPECT_TRUE(hedged);
   EXPECT_TRUE(hedge_won);
   EXPECT_EQ(state.hedge_wins(), 1u);
-  stragglers.Reap();
   EXPECT_EQ(store.total_requests(), 2u);
+}
+
+// Each round's primary is spiked by 5 ms and its duplicate, issued at the
+// 1 ms threshold floor, by 300 ms: the primary is issued first on the
+// calling thread, so it always takes fault ordinal 1 and always wins, and
+// the call returns when it lands, without waiting for the duplicate.
+TEST(HedgeTest, PrimaryAlwaysTakesTheFirstFaultOrdinal) {
+  constexpr u64 kMs = 1000 * 1000;
+  const std::vector<u8> object(4096, 7);
+  for (int round = 0; round < 50; round++) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    s3sim::ObjectStore store;
+    ASSERT_TRUE(store.Put("obj", object.data(), object.size()).ok());
+    s3sim::FaultPlan plan;
+    plan.rules.push_back(s3sim::FaultRule::Latency("obj", 1, 5 * kMs));
+    plan.rules.push_back(s3sim::FaultRule::Latency("obj", 2, 300 * kMs));
+    store.InstallFaultPlan(plan);
+    HedgePolicy policy;
+    policy.min_samples = 1;
+    policy.min_threshold_ns = 1 * kMs;
+    HedgeState state(policy);
+    state.RecordLatency(1000);
+    ASSERT_EQ(state.ThresholdNs(), 1 * kMs);
+
+    std::vector<u8> out;
+    bool hedged = false;
+    bool hedge_won = false;
+    const auto start = std::chrono::steady_clock::now();
+    Status status =
+        HedgedGet(&store, "obj", 100, 1000, &state, &out, &hedged, &hedge_won);
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    EXPECT_EQ(out, std::vector<u8>(1000, 7));
+    EXPECT_TRUE(hedged);
+    EXPECT_FALSE(hedge_won);
+    EXPECT_LT(elapsed, std::chrono::milliseconds(150));
+    EXPECT_EQ(store.total_requests(), 2u);
+  }
 }
 
 TEST(HedgeTest, BudgetCapsHedgesAndDisarmsThreshold) {

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "s3sim/fault.h"
 #include "s3sim/object_store.h"
 #include "util/crc32c.h"
@@ -113,6 +115,52 @@ TEST(ObjectStoreTest, ConcurrentPutAndGetAreSafe) {
   EXPECT_EQ(torn_reads.load(), 0u);
   // Accounting stayed coherent under concurrency.
   EXPECT_EQ(store.total_bytes_fetched(), store.total_requests() * kSize);
+}
+
+// On a wall-clock store a GET is a completion: IssueGet does the store's
+// work and returns at once with the time its response lands, which
+// GetChunk waits for. s3.get.serve_ns is the in-memory serve time only.
+TEST(ObjectStoreTest, IssueGetReturnsBeforeItsArrival) {
+  using Clock = std::chrono::steady_clock;
+  using std::chrono::milliseconds;
+  obs::Registry::Get().ResetAll();
+  S3Config config;
+  config.simulate_wall_clock = true;
+  config.wall_clock_request_latency_s = 0.050;
+  ObjectStore store(config);
+  const std::vector<u8> object(1 << 20, 3);
+  ASSERT_TRUE(store.Put("obj", object.data(), object.size()).ok());
+  // 1 MiB at 2 Gbit/s, rounded down to whole microseconds.
+  const std::chrono::microseconds transfer(static_cast<i64>(
+      static_cast<double>(object.size()) * 8.0 / (config.wall_clock_gbps * 1e3)));
+
+  std::vector<u8> out;
+  Clock::time_point arrival;
+  Clock::time_point issued = Clock::now();
+  ASSERT_TRUE(store.IssueGet("obj", 0, object.size(), &out, &arrival).ok());
+  EXPECT_LT(Clock::now(), arrival);
+  EXPECT_GE(arrival, issued + milliseconds(50) + transfer);
+  EXPECT_EQ(out, object);
+
+  FaultPlan plan;
+  plan.rules.push_back(FaultRule::Latency("obj", 1, 100 * 1000 * 1000));
+  store.InstallFaultPlan(plan);
+  issued = Clock::now();
+  ASSERT_TRUE(store.IssueGet("obj", 0, object.size(), &out, &arrival).ok());
+  EXPECT_GE(arrival, issued + milliseconds(150) + transfer)
+      << "the 100 ms spike must add to the arrival";
+  store.ClearFaultPlan();
+
+  issued = Clock::now();
+  ASSERT_TRUE(store.GetChunk("obj", 0, object.size(), &out).ok());
+  EXPECT_GE(Clock::now(), issued + milliseconds(50) + transfer);
+  EXPECT_EQ(out, object);
+
+  const obs::Histogram& serve_ns =
+      obs::Registry::Get().GetHistogram("s3.get.serve_ns");
+  EXPECT_EQ(serve_ns.Count(), 3u);
+  EXPECT_LT(serve_ns.Max(), 50u * 1000 * 1000)
+      << "serve time must not include the modeled network wait";
 }
 
 TEST(FaultInjectionTest, TargetedOrdinalRuleFiresExactlyOnce) {

@@ -391,7 +391,8 @@ TEST(ScanServiceTest, WaitingRoomAdmitsWhenCapacityFrees) {
 
 // Three tenants arrive one after another behind a single running scan.
 // Each admitted waiter releases its slot at once, so the room must admit
-// them in arrival order, whatever their tenant.
+// them in arrival order, whatever their tenant. A fourth that arrives
+// just after the running scan releases its slot is admitted last.
 TEST(ScanServiceTest, WaitingRoomAdmitsInArrivalOrder) {
   service::ScanServiceConfig config = SmallServiceConfig();
   config.max_concurrent_scans = 1;
@@ -422,9 +423,19 @@ TEST(ScanServiceTest, WaitingRoomAdmitsInArrivalOrder) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   }
+  const u32 late_slot = service.EnsureTenant("late");
   service.Release(&holder);
+  service::ScanService::Ticket late;
+  Status status = service.Admit(late_slot, &late);
+  EXPECT_TRUE(status.ok()) << "late: " << status.ToString();
+  {
+    std::lock_guard<std::mutex> lock(order_mutex);
+    order.push_back("late");
+  }
+  service.Release(&late);
   for (std::thread& waiter : waiters) waiter.join();
-  EXPECT_EQ(order, tenants);
+  EXPECT_EQ(order,
+            (std::vector<std::string>{"first", "second", "third", "late"}));
 }
 
 // `service.tenant.<id>.queued_ns` is fair-queue wait, like TenantStats'
