@@ -10,10 +10,13 @@ namespace btr {
 
 namespace {
 
-constexpr char kColumnMagic[4] = {'B', 'T', 'R', 'C'};
-constexpr char kMetaMagic[4] = {'B', 'T', 'R', 'M'};
+// "BTRT": the metadata with every column's block table. A "BTRM" object,
+// whose column files began with their own block headers, is Corruption.
+constexpr char kMetaMagic[4] = {'B', 'T', 'R', 'T'};
 // The smallest column: an empty name, the type, byte count and block count.
 constexpr size_t kMinColumnBytes = 2 + 1 + 8 + 4;
+// Per block: its value count, payload size and payload CRC32C.
+constexpr size_t kBlockEntryBytes = 3 * sizeof(u32);
 
 struct FileCloser {
   void operator()(std::FILE* f) const {
@@ -71,20 +74,64 @@ std::string ZoneMapKey(const std::string& prefix, const std::string& table) {
   return prefix + table + ".zones";
 }
 
-void SerializeTableMeta(const CompressedRelation& relation, ByteBuffer* out) {
+void BlockTable::Add(const u8* payload, u32 size) {
+  block_offsets.push_back(object_size() + size);
+  block_crcs.push_back(Crc32c(payload, size));
+}
+
+bool BlockTable::Intact(size_t b, const u8* payload, size_t size) const {
+  return size == block_size(b) && Crc32c(payload, size) == block_crcs[b];
+}
+
+Status BlockTable::Locate(const u8* object, size_t object_size, size_t b,
+                          const u8** payload) const {
+  if (block_offsets[b + 1] > object_size) {
+    return Status::Corruption("column file truncated");
+  }
+  *payload = object + block_offsets[b];
+  if (!Intact(b, *payload, block_size(b))) {
+    return Status::Corruption("block " + std::to_string(b) +
+                              " payload CRC mismatch");
+  }
+  return Status::Ok();
+}
+
+void SerializeTableMeta(const TableMeta& meta, ByteBuffer* out) {
   size_t start = BeginFrame(kMetaMagic, out);
-  out->AppendValue<u32>(static_cast<u32>(relation.columns.size()));
-  out->AppendValue<u32>(relation.row_count);
-  for (const CompressedColumn& column : relation.columns) {
+  out->AppendValue<u32>(static_cast<u32>(meta.columns.size()));
+  out->AppendValue<u32>(meta.row_count);
+  for (const TableMeta::ColumnMeta& column : meta.columns) {
+    const BlockTable& blocks = column.blocks;
     out->AppendValue<u16>(static_cast<u16>(column.name.size()));
     out->Append(column.name.data(), column.name.size());
     out->AppendValue<u8>(static_cast<u8>(column.type));
     out->AppendValue<u64>(column.uncompressed_bytes);
-    out->AppendValue<u32>(static_cast<u32>(column.blocks.size()));
+    out->AppendValue<u32>(static_cast<u32>(blocks.block_count()));
     out->Append(column.block_value_counts.data(),
                 column.block_value_counts.size() * sizeof(u32));
+    for (size_t b = 0; b < blocks.block_count(); b++) {
+      out->AppendValue<u32>(static_cast<u32>(blocks.block_size(b)));
+    }
+    out->Append(blocks.block_crcs.data(),
+                blocks.block_crcs.size() * sizeof(u32));
   }
   EndFrame(start, out);
+}
+
+void SerializeTableMeta(const CompressedRelation& relation, ByteBuffer* out) {
+  TableMeta meta;
+  meta.row_count = relation.row_count;
+  for (const CompressedColumn& column : relation.columns) {
+    TableMeta::ColumnMeta& cm = meta.columns.emplace_back();
+    cm.name = column.name;
+    cm.type = column.type;
+    cm.uncompressed_bytes = column.uncompressed_bytes;
+    cm.block_value_counts = column.block_value_counts;
+    for (const ByteBuffer& block : column.blocks) {
+      cm.blocks.Add(block.data(), static_cast<u32>(block.size()));
+    }
+  }
+  SerializeTableMeta(meta, out);
 }
 
 Status ParseTableMeta(const u8* data, size_t size, TableMeta* out) {
@@ -101,88 +148,34 @@ Status ParseTableMeta(const u8* data, size_t size, TableMeta* out) {
     u32 block_count = 0;
     if (!r.ReadString(&column.name) || !r.Read(&type) ||
         !r.Read(&column.uncompressed_bytes) ||
-        !r.ReadCount(&block_count, sizeof(u32))) {
+        !r.ReadCount(&block_count, kBlockEntryBytes)) {
       return Status::Corruption("truncated metadata");
     }
     if (type > 2) return Status::Corruption("bad column type");
     column.type = static_cast<ColumnType>(type);
     column.block_value_counts.resize(block_count);
+    std::vector<u32> sizes(block_count);
+    BlockTable& blocks = column.blocks;
+    blocks.block_crcs.resize(block_count);
     if (!r.ReadBytes(column.block_value_counts.data(),
-                     block_count * sizeof(u32))) {
+                     block_count * sizeof(u32)) ||
+        !r.ReadBytes(sizes.data(), block_count * sizeof(u32)) ||
+        !r.ReadBytes(blocks.block_crcs.data(), block_count * sizeof(u32))) {
       return Status::Corruption("truncated metadata");
     }
+    blocks.block_offsets.resize(block_count + 1);
+    for (u32 b = 0; b < block_count; b++) {
+      blocks.block_offsets[b + 1] = blocks.block_offsets[b] + sizes[b];
+    }
   }
+  if (r.remaining() != 0) return Status::Corruption("trailing metadata bytes");
   return Status::Ok();
-}
-
-void SerializeColumnFileHeader(const std::vector<u32>& block_sizes,
-                               const std::vector<u32>& block_crcs,
-                               ByteBuffer* out) {
-  size_t start = BeginFrame(kColumnMagic, out);
-  out->AppendValue<u32>(static_cast<u32>(block_sizes.size()));
-  out->Append(block_sizes.data(), block_sizes.size() * sizeof(u32));
-  out->Append(block_crcs.data(), block_crcs.size() * sizeof(u32));
-  EndFrame(start, out);
 }
 
 void SerializeColumnFile(const CompressedColumn& column, ByteBuffer* out) {
-  std::vector<u32> sizes;
-  std::vector<u32> crcs;
-  sizes.reserve(column.blocks.size());
-  crcs.reserve(column.blocks.size());
-  for (const ByteBuffer& block : column.blocks) {
-    sizes.push_back(static_cast<u32>(block.size()));
-    crcs.push_back(Crc32c(block.data(), block.size()));
-  }
-  SerializeColumnFileHeader(sizes, crcs, out);
   for (const ByteBuffer& block : column.blocks) {
     out->Append(block.data(), block.size());
   }
-}
-
-bool ColumnFileHeader::Intact(size_t b, const u8* payload,
-                              size_t size) const {
-  return size == block_size(b) && Crc32c(payload, size) == block_crcs[b];
-}
-
-Status ColumnFileHeader::Locate(const u8* object, size_t object_size,
-                                size_t b, const u8** payload) const {
-  if (block_offsets[b + 1] > object_size) {
-    return Status::Corruption("column file truncated");
-  }
-  *payload = object + block_offsets[b];
-  if (!Intact(b, *payload, block_size(b))) {
-    return Status::Corruption("block " + std::to_string(b) +
-                              " payload CRC mismatch");
-  }
-  return Status::Ok();
-}
-
-Status ParseColumnFileHeader(const u8* data, size_t size,
-                             ColumnFileHeader* out) {
-  // The block count sets the header's length, so it is bounded by the
-  // bytes present before the CRC is checked, and trusted only after.
-  ByteReader prefix(data, size);
-  u32 block_count = 0;
-  if (!prefix.Skip(4) || !prefix.Read(&block_count) ||
-      ColumnFileHeaderBytes(block_count) > size) {
-    return Status::Corruption("truncated column header");
-  }
-  ByteReader r;
-  BTR_RETURN_IF_ERROR(OpenFrame(data, ColumnFileHeaderBytes(block_count),
-                                kColumnMagic, "column header", &r));
-  std::vector<u32> sizes(block_count);
-  out->block_crcs.resize(block_count);
-  if (!r.Skip(4) || !r.ReadBytes(sizes.data(), block_count * sizeof(u32)) ||
-      !r.ReadBytes(out->block_crcs.data(), block_count * sizeof(u32))) {
-    return Status::Corruption("truncated column header");
-  }
-  out->block_offsets.resize(block_count + 1);
-  out->block_offsets[0] = ColumnFileHeaderBytes(block_count);
-  for (u32 b = 0; b < block_count; b++) {
-    out->block_offsets[b + 1] = out->block_offsets[b] + sizes[b];
-  }
-  return Status::Ok();
 }
 
 Status WriteCompressedRelation(const CompressedRelation& relation,
@@ -223,19 +216,18 @@ Status ReadCompressedColumn(const std::string& directory,
   ByteBuffer file;
   BTR_RETURN_IF_ERROR(
       ReadFileToBuffer(ColumnPath(directory, table_name, column_index), &file));
-  ColumnFileHeader header;
-  BTR_RETURN_IF_ERROR(ParseColumnFileHeader(file.data(), file.size(), &header));
-  if (header.block_count() != cm.block_value_counts.size()) {
-    return Status::Corruption("metadata/column block count mismatch");
+  const BlockTable& blocks = cm.blocks;
+  if (file.size() != blocks.object_size()) {
+    return Status::Corruption("column file size does not match its blocks");
   }
   out->blocks.clear();
-  out->blocks.reserve(header.block_count());
-  out->block_root_schemes.resize(header.block_count());
-  for (size_t b = 0; b < header.block_count(); b++) {
+  out->blocks.reserve(blocks.block_count());
+  out->block_root_schemes.resize(blocks.block_count());
+  for (size_t b = 0; b < blocks.block_count(); b++) {
     const u8* payload;
-    BTR_RETURN_IF_ERROR(header.Locate(file.data(), file.size(), b, &payload));
+    BTR_RETURN_IF_ERROR(blocks.Locate(file.data(), file.size(), b, &payload));
     ByteBuffer block;  // copy keeps SIMD read padding per block
-    block.Append(payload, header.block_size(b));
+    block.Append(payload, blocks.block_size(b));
     out->block_root_schemes[b] = PeekBlockScheme(block.data());
     out->blocks.push_back(std::move(block));
   }

@@ -82,10 +82,9 @@ service::ScanServiceConfig PrivateServiceConfig(const ScanConfig& config) {
 // tenant's.
 class ServiceLane {
  public:
-  // One GET issued as its own fetch item by GetAll.
+  // One whole-object GET issued as its own fetch item by GetAll.
   struct Request {
     std::string key;
-    u64 offset = 0;
     u64 length = 0;
     Status status;          // filled by GetAll
     std::vector<u8> bytes;  // filled by GetAll
@@ -170,7 +169,7 @@ class ServiceLane {
     size_t left = requests->size();
     for (Request& request : *requests) {
       Submit(/*decode=*/false, request.length, [&, r = &request] {
-        r->status = Get(r->key, r->offset, r->length, &r->bytes);
+        r->status = Get(r->key, 0, r->length, &r->bytes);
         std::lock_guard<std::mutex> lock(mutex);
         if (--left == 0) done.notify_all();
       });
@@ -269,7 +268,9 @@ Status Scanner::Open(const ScanConfig& config) {
   // touch, so a writer committing concurrently flips future Opens to the
   // new version while this scanner keeps reading the old one —
   // either-old-or-new, never a mix. A table without a manifest has no
-  // committed version.
+  // committed version. Everything is parsed into locals and replaces the
+  // scanner's state only once all of it checked out, so a failed Open
+  // leaves the scanner on the version it had.
   const std::string manifest_key = write::ManifestKey(prefix_, table_name_);
   if (!store_->Contains(manifest_key)) {
     return Status::NotFound("table manifest missing: " + manifest_key);
@@ -281,42 +282,55 @@ Status Scanner::Open(const ScanConfig& config) {
   write::Manifest parsed;
   BTR_RETURN_IF_ERROR(write::ParseManifest(
       manifest[0].bytes.data(), manifest[0].bytes.size(), &parsed));
-  resolved_name_ = write::VersionedName(table_name_, parsed.committed_version);
+  std::string resolved_name =
+      write::VersionedName(table_name_, parsed.committed_version);
 
   // The metadata and the zone-map sidecar, read concurrently.
-  const std::string meta_key = TableMetaKey(prefix_, resolved_name_);
+  const std::string meta_key = TableMetaKey(prefix_, resolved_name);
   if (!store_->Contains(meta_key)) {
     return Status::NotFound("table metadata object missing: " + meta_key);
   }
-  const std::string zone_key = ZoneMapKey(prefix_, resolved_name_);
-  has_zones_ = store_->Contains(zone_key);
-  std::vector<ServiceLane::Request> objects(has_zones_ ? 2 : 1);
+  const std::string zone_key = ZoneMapKey(prefix_, resolved_name);
+  const bool has_zones = store_->Contains(zone_key);
+  std::vector<ServiceLane::Request> objects(has_zones ? 2 : 1);
   BTR_RETURN_IF_ERROR(whole_object(meta_key, &objects[0]));
-  if (has_zones_) BTR_RETURN_IF_ERROR(whole_object(zone_key, &objects[1]));
+  if (has_zones) BTR_RETURN_IF_ERROR(whole_object(zone_key, &objects[1]));
   lane.GetAll(&objects);
   for (const ServiceLane::Request& object : objects) {
     BTR_RETURN_IF_ERROR(object.status);
   }
+  TableMeta meta;
   BTR_RETURN_IF_ERROR(
-      ParseTableMeta(objects[0].bytes.data(), objects[0].bytes.size(), &meta_));
-  if (has_zones_) {
+      ParseTableMeta(objects[0].bytes.data(), objects[0].bytes.size(), &meta));
+  TableZoneMap zones;
+  if (has_zones) {
     BTR_RETURN_IF_ERROR(ParseTableZoneMap(objects[1].bytes.data(),
-                                          objects[1].bytes.size(), &zones_));
-    if (zones_.columns.size() != meta_.columns.size()) {
+                                          objects[1].bytes.size(), &zones));
+    if (zones.columns.size() != meta.columns.size()) {
       return Status::Corruption("zone map column count mismatch");
     }
   }
 
-  // Column headers are read by the first Scan() that needs the column;
-  // only the objects' presence is checked here.
-  for (size_t c = 0; c < meta_.columns.size(); c++) {
-    const std::string key = ColumnFileKey(prefix_, resolved_name_, c);
-    if (!store_->Contains(key)) {
+  // The metadata locates every block, so no column object is read here:
+  // each must exist and be exactly as long as its blocks (metadata-plane,
+  // no GET).
+  for (size_t c = 0; c < meta.columns.size(); c++) {
+    const std::string key = ColumnFileKey(prefix_, resolved_name, c);
+    u64 size = 0;
+    Status status = store_->ObjectSize(key, &size);
+    if (status.IsNotFound()) {
       return Status::NotFound("column object missing: " + key);
     }
+    BTR_RETURN_IF_ERROR(status);
+    if (size != meta.columns[c].blocks.object_size()) {
+      return Status::Corruption("column object size does not match its "
+                                "blocks: " + key);
+    }
   }
-  column_files_.assign(meta_.columns.size(), {});
-  has_header_.assign(meta_.columns.size(), 0);
+  resolved_name_ = std::move(resolved_name);
+  meta_ = std::move(meta);
+  has_zones_ = has_zones;
+  zones_ = std::move(zones);
   opened_ = true;
   open_ns_ = static_cast<u64>(open_timer.ElapsedNanos());
   return Status::Ok();
@@ -443,7 +457,7 @@ struct BlockResult {
 
 // One block payload as the decode stage reads it: a slice of a run's GET
 // buffer, a cached payload, or a CRC re-fetch, each verified against its
-// column header. `owner` keeps the bytes alive, and kSimdPadding readable
+// block table. `owner` keeps the bytes alive, and kSimdPadding readable
 // bytes follow data + size.
 struct BlockPart {
   std::shared_ptr<const void> owner;  // null = the part did not arrive
@@ -473,11 +487,10 @@ struct Bundle {
 }  // namespace
 
 // One Scan() call, run on a ScanService in four stages: Plan (calling
-// thread) prunes row blocks, reads missing column headers and groups the
-// rest; Fetch items run on the service's fetch executors and Decode items
-// on its decode executors, both behind the tenant's fair-queue lanes;
-// Emit hands chunks to the caller in block order, slides the decode window
-// and pumps the next fetches. Every submitted item captures `this`, so the
+// thread) prunes row blocks and groups the rest; Fetch items run on the
+// service's fetch executors and Decode items on its decode executors, both
+// behind the tenant's fair-queue lanes; Emit hands chunks to the caller in
+// block order, slides the decode window and pumps the next fetches. Every submitted item captures `this`, so the
 // Job must Finish() — quiesce — before it leaves scope; bundles waiting
 // for the decode window are not items and are dropped with the Job.
 class Scanner::Job {
@@ -539,11 +552,10 @@ class Scanner::Job {
     BlockPart hit;
   };
 
-  const ColumnFileHeader& File(u32 pos) const {
-    return scanner_.column_files_[resolved_.needed[pos]];
+  const BlockTable& Blocks(u32 pos) const {
+    return scanner_.meta_.columns[resolved_.needed[pos]].blocks;
   }
   u32 NextFetched(u32 b) const;
-  Status ReadHeaders();
   void Expand(const Group& group);
   void FetchRun(const Item& run);
   Status Arrive(u32 pos, u32 b, BlockPart* part);
@@ -607,7 +619,7 @@ class Scanner::Job {
   std::vector<std::atomic<u64>> leaf_materialized_;
 };
 
-// --- plan: zone-map pruning, column headers, then groups --------------------
+// --- plan: zone-map pruning, then groups -------------------------------------
 
 void Scanner::Job::Plan() {
   // A row block is pruned when the whole filter expression proves it
@@ -644,26 +656,9 @@ void Scanner::Job::Plan() {
     profile_->SetZonePruneNanos(static_cast<u64>(prune_timer.ElapsedNanos()));
   }
 
-  // No row block can be read before every needed column's header is.
-  // Strict mode fails the scan on the first failure; degraded mode reports
-  // the next surviving row block unreadable and tries again for the rest,
-  // so a transient failure costs only the blocks it outlasted.
   u32 first = 0;
-  for (;; first++) {
-    while (first < resolved_.row_blocks && pruned_[first]) first++;
-    if (first == resolved_.row_blocks) return;
-    Status headers = ReadHeaders();
-    if (headers.ok()) break;
-    if (!config_.skip_unreadable_blocks) {
-      Fail(std::move(headers));
-      return;
-    }
-    BlockResult result;
-    result.outcome = BlockOutcome::kUnreadable;
-    result.error = std::move(headers);
-    std::lock_guard<std::mutex> lock(mutex_);
-    ready_.emplace(first, std::move(result));
-  }
+  while (first < resolved_.row_blocks && pruned_[first]) first++;
+  if (first == resolved_.row_blocks) return;
   first_fetched_ = first;
 
   // Run length: as long as the window allows, since every GET pays a
@@ -704,45 +699,6 @@ u32 Scanner::Job::NextFetched(u32 b) const {
   return b;
 }
 
-// Reads the header of every needed column the scanner has not read yet,
-// all at once, each GET a fetch item of this scan. Returns the first
-// failure; the headers that did arrive are kept for later scans.
-Status Scanner::Job::ReadHeaders() {
-  std::vector<u32> columns;
-  std::vector<ServiceLane::Request> requests;
-  for (u32 pos = 0; pos < needed_count_; pos++) {
-    const u32 column = resolved_.needed[pos];
-    if (scanner_.has_header_[column]) continue;
-    ServiceLane::Request request;
-    request.key = keys_[pos];
-    request.length = ColumnFileHeaderBytes(resolved_.row_blocks);
-    columns.push_back(column);
-    requests.push_back(std::move(request));
-  }
-  lane_.GetAll(&requests);
-  Status first_error;
-  for (size_t i = 0; i < requests.size(); i++) {
-    const ServiceLane::Request& request = requests[i];
-    ColumnFileHeader header;
-    Status status = request.status;
-    if (status.ok()) {
-      status = ParseColumnFileHeader(request.bytes.data(),
-                                     request.bytes.size(), &header);
-    }
-    if (status.ok() && header.block_count() != resolved_.row_blocks) {
-      status = Status::Corruption("metadata/column block count mismatch: " +
-                                  request.key);
-    }
-    if (status.ok()) {
-      scanner_.column_files_[columns[i]] = std::move(header);
-      scanner_.has_header_[columns[i]] = 1;
-    } else if (first_error.ok()) {
-      first_error = std::move(status);
-    }
-  }
-  return first_error;
-}
-
 // --- fetch: window-limited items on the service's fetch executors ----------------
 
 // Backpressure is two windows, not a bounded queue. A block part holds one
@@ -773,9 +729,9 @@ void Scanner::Job::Pump() {
         std::lock_guard<std::mutex> lock(mutex_);
         outstanding_++;
       }
-      const ColumnFileHeader& file = File(next.pos);
-      const u64 length = file.block_offsets[next.first + next.blocks] -
-                         file.block_offsets[next.first];
+      const BlockTable& blocks = Blocks(next.pos);
+      const u64 length = blocks.block_offsets[next.first + next.blocks] -
+                         blocks.block_offsets[next.first];
       lane_.Submit(/*decode=*/false, length, [this, run = next] {
         FetchRun(run);
       });
@@ -791,13 +747,14 @@ void Scanner::Job::Expand(const Group& group) {
   u64 hits = 0;
   u64 misses = 0;
   for (u32 pos = 0; pos < needed_count_; pos++) {
-    const ColumnFileHeader& file = File(pos);
+    const BlockTable& blocks = Blocks(pos);
     Item run{pos, group.first, 0, {}};
     for (u32 b = group.first; b < group.first + group.blocks; b++) {
       exec::BlockCache::Payload payload;
       if (cache_ != nullptr) {
-        payload = cache_->LookupShared(keys_[pos], file.block_offsets[b],
-                                       file.block_size(b), file.block_crcs[b]);
+        payload =
+            cache_->LookupShared(keys_[pos], blocks.block_offsets[b],
+                                 blocks.block_size(b), blocks.block_crcs[b]);
       }
       if (payload == nullptr) {
         if (run.blocks == 0) run.first = b;
@@ -830,9 +787,9 @@ void Scanner::Job::Expand(const Group& group) {
 // leaves the blocks past its end short, and they fail the check.
 void Scanner::Job::FetchRun(const Item& run) {
   if (Failed()) return ItemDone();
-  const ColumnFileHeader& file = File(run.pos);
-  const u64 offset = file.block_offsets[run.first];
-  const u64 length = file.block_offsets[run.first + run.blocks] - offset;
+  const BlockTable& blocks = Blocks(run.pos);
+  const u64 offset = blocks.block_offsets[run.first];
+  const u64 length = blocks.block_offsets[run.first + run.blocks] - offset;
   std::vector<u8> bytes;
   Status status = lane_.Get(keys_[run.pos], offset, length, &bytes);
   const u64 got = bytes.size();
@@ -842,9 +799,9 @@ void Scanner::Job::FetchRun(const Item& run) {
     BlockPart part;
     Status block_status = status;
     if (status.ok()) {
-      const u64 begin = std::min(file.block_offsets[b] - offset, got);
+      const u64 begin = std::min(blocks.block_offsets[b] - offset, got);
       part = BlockPart{buffer, buffer->data() + begin,
-                       std::min(file.block_size(b), got - begin)};
+                       std::min(blocks.block_size(b), got - begin)};
       block_status = Arrive(run.pos, b, &part);
     }
     Deliver(b, run.pos, std::move(part), block_status);
@@ -853,16 +810,16 @@ void Scanner::Job::FetchRun(const Item& run) {
 }
 
 // The scan's one integrity check of fetched bytes: `part` must be exactly
-// block b of needed column `pos`, the size and CRC32C its column header
+// block b of needed column `pos`, the size and CRC32C its block table
 // promised. With refetch_on_crc_failure a failing block is read again,
 // once, by an ordinary lane GET (retried, hedged, breaker-guarded). Only
 // a verified part is cached and delivered; a part that stays bad is
 // Corruption.
 Status Scanner::Job::Arrive(u32 pos, u32 b, BlockPart* part) {
   ScanMetrics& metrics = ScanMetrics::Get();
-  const ColumnFileHeader& file = File(pos);
+  const BlockTable& blocks = Blocks(pos);
   Timer check_timer;
-  const bool intact = file.Intact(b, part->data, part->size);
+  const bool intact = blocks.Intact(b, part->data, part->size);
   if (profile_ != nullptr) {
     profile_->AddActivity(obs::ScanActivity::kValidate,
                           static_cast<u64>(check_timer.ElapsedNanos()));
@@ -874,9 +831,9 @@ Status Scanner::Job::Arrive(u32 pos, u32 b, BlockPart* part) {
       metrics.crc_refetches.Add();
       crc_refetches_.fetch_add(1, std::memory_order_relaxed);
       std::vector<u8> fresh;
-      Status refetch = lane_.Get(keys_[pos], file.block_offsets[b],
-                                 file.block_size(b), &fresh);
-      rescued = refetch.ok() && file.Intact(b, fresh.data(), fresh.size());
+      Status refetch = lane_.Get(keys_[pos], blocks.block_offsets[b],
+                                 blocks.block_size(b), &fresh);
+      rescued = refetch.ok() && blocks.Intact(b, fresh.data(), fresh.size());
       if (rescued) {
         const size_t size = fresh.size();
         std::shared_ptr<const std::vector<u8>> buffer =
@@ -895,8 +852,8 @@ Status Scanner::Job::Arrive(u32 pos, u32 b, BlockPart* part) {
     }
   }
   if (cache_ != nullptr) {
-    cache_->Insert(keys_[pos], file.block_offsets[b], file.block_size(b),
-                   file.block_crcs[b], part->data);
+    cache_->Insert(keys_[pos], blocks.block_offsets[b], blocks.block_size(b),
+                   blocks.block_crcs[b], part->data);
   }
   return Status::Ok();
 }
@@ -1066,7 +1023,7 @@ Status Scanner::Job::DecodeBundle(u32 b, const Bundle& bundle,
       DecompressBlock(part.data, &result->decoded[p], scanner_.config_);
       obs::DecodeRecord record;
       record.column = &scanner_.meta_.columns[column].name;
-      record.offset = scanner_.column_files_[column].block_offsets[b];
+      record.offset = scanner_.meta_.columns[column].blocks.block_offsets[b];
       record.length = part.size;
       record.duration_ns = static_cast<u64>(decode_timer.ElapsedNanos());
       record.bytes_decoded = result->decoded[p].ValueBytes();

@@ -8,8 +8,9 @@
 // stages:
 //
 //   plan ────► zone maps prune row blocks that cannot match (never
-//              fetched); missing column headers are read, all at once;
-//              the rest become groups of adjacent row blocks
+//              fetched); the rest become groups of adjacent row blocks,
+//              located by the block tables Open read with the metadata —
+//              no GET
 //   fetch ───► items on the service's fetch executors: each block is
 //              looked up in the block cache, and every run of adjacent
 //              uncached blocks of one column is one exec::HedgedGet under
@@ -34,11 +35,12 @@
 //     a permanently unreadable block either fails the scan with a typed
 //     Status or, with skip_unreadable_blocks, degrades it (the block is
 //     emitted as kUnreadable and reported in ScanStats).
-//   - Every fetched block payload is verified against its header CRC32C
-//     once, by the fetch item that received it; a cache hit is a verified
-//     copy keyed by that CRC32C (docs/ROBUSTNESS.md). A bit-flipped or
-//     truncated block, or a structurally corrupt ("poisoned") one, yields
-//     Status::Corruption, not a crash and never silently wrong data.
+//   - Every fetched block payload is verified against the CRC32C its
+//     block table (CRC-checked table metadata) records, once, by the fetch
+//     item that received it; a cache hit is a verified copy keyed by that
+//     CRC32C (docs/ROBUSTNESS.md). A bit-flipped or truncated block, or a
+//     structurally corrupt ("poisoned") one, yields Status::Corruption,
+//     not a crash and never silently wrong data.
 //   - Chunks arrive in ascending (block, column) order regardless of how
 //     fetch and decode interleave.
 //
@@ -130,9 +132,9 @@ struct ScanStats {
   u32 blocks_decoded = 0;      // row blocks that reached decompression
   u32 blocks_unreadable = 0;   // degraded mode: blocks skipped as unreadable
   u64 rows_matched = 0;        // rows passing every predicate
-  u64 bytes_fetched = 0;       // compressed bytes GET'd (headers included)
-  u64 requests = 0;            // GETs issued: column headers, block runs,
-                               // CRC re-fetches, retries and hedges
+  u64 bytes_fetched = 0;       // compressed block bytes GET'd
+  u64 requests = 0;            // GETs issued: block runs, CRC re-fetches,
+                               // retries and hedges
   u64 retries = 0;             // transient-failure retries granted
   u64 cache_hits = 0;          // blocks served from the block cache
   u64 cache_misses = 0;        // blocks a cache lookup missed
@@ -220,8 +222,11 @@ class Scanner {
   // and zone-map sidecar (when present) concurrently. Every GET is a
   // fetch item on the scanner's service under the config's retry,
   // hedging and breaker policy, and every parsed structure is
-  // CRC-verified. A column's file header (block byte offsets and payload
-  // CRCs) is read later, by the first Scan() that needs the column.
+  // CRC-verified. The metadata holds every column's block table (block
+  // byte offsets and payload CRCs), so a Scan() issues block GETs only;
+  // a column object whose size does not match its block table is
+  // Corruption. A failed Open leaves the scanner as it was: on the
+  // version it had pinned, or unopened.
   Status Open(const ScanConfig& config = ScanConfig());
 
   const TableMeta& meta() const { return meta_; }
@@ -263,11 +268,6 @@ class Scanner {
   TableMeta meta_;
   bool has_zones_ = false;
   TableZoneMap zones_;
-  // Per column: the column object's header (block payload offsets and
-  // CRC32Cs), valid where has_header_ is set — read by the first Scan()
-  // that needs the column.
-  std::vector<ColumnFileHeader> column_files_;
-  std::vector<u8> has_header_;
   // Wall nanoseconds the last successful Open() spent fetching/parsing
   // metadata — stamped into ScanProfile::open_ns when profiling.
   u64 open_ns_ = 0;

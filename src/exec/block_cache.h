@@ -3,15 +3,15 @@
 // Repeated scans of the same table re-GET the same compressed block
 // payloads; since decompression is cheap (the paper's premise), those GETs
 // *are* the scan cost. An entry is keyed by its block's identity: (object
-// key, offset, length, CRC32C), the CRC32C being the one the column header
-// that located the block promises. A warm scan skips the object store for
+// key, offset, length, CRC32C), the CRC32C being the one the block table
+// (table metadata) that located the block promises. A warm scan skips the object store for
 // every cached block.
 //
 // Trust contract (docs/ROBUSTNESS.md, "What a cache hit is trusted
 // with"): the cache computes no checksum. Its caller inserts only bytes it
 // verified against that CRC32C when they arrived, so a hit is as good as
 // a verified GET. A block rewritten under the same key, offset and length
-// carries a new CRC32C in its new header, so a reader of that header
+// carries a new CRC32C in its new metadata, so a reader of that metadata
 // misses instead of being served the old bytes. Entries are immutable
 // refcounted payloads: `LookupShared` hands out a
 // `std::shared_ptr<const ByteBuffer>` without copying, so the shard mutex

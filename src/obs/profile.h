@@ -15,9 +15,9 @@
 //     they are reported as aggregate nanoseconds with sample counts, not
 //     as a partition of wall time;
 //   - an obs::Histogram of the latency of every ranged GET that reached
-//     the store (column headers, block runs and CRC re-fetches), plus the
-//     per-request counts only it can take (requests, retried,
-//     breaker-rejected, failed);
+//     the store (block runs and CRC re-fetches), plus the per-request
+//     counts only it can take (requests, retried, breaker-rejected,
+//     failed);
 //   - per-(type, scheme) decode time and decoded bytes, keyed by each
 //     block's root scheme code;
 //   - a bounded ring of slow-op exemplars: the N slowest GETs and
@@ -141,9 +141,9 @@ struct ScanProfile {
   // request the breaker rejected before its first attempt is no sample.
   HistogramSnapshot get_latency;
 
-  // Per-request counts: one unit per GET request (a column header, a run
-  // of blocks or a CRC re-fetch, whatever its attempts and hedges) or per
-  // block served from the cache.
+  // Per-request counts: one unit per GET request (a run of blocks or a CRC
+  // re-fetch, whatever its attempts and hedges) or per block served from
+  // the cache.
   u64 requests = 0;          // GET requests, plus cache_hits
   u64 retried_requests = 0;  // requests that needed more than one attempt
   u64 breaker_rejected_requests = 0;

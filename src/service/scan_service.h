@@ -158,7 +158,7 @@ class ScanService {
   // --- per-tenant accounting (called by Scanners) ---------------------------
   // Accounts `gets` GET attempts that moved `bytes` payload bytes (hedged
   // when a duplicate was issued). Every GET a Scanner issues lands here:
-  // Open's metadata, column headers, block runs and CRC re-fetches.
+  // Open's manifest and metadata, block runs and CRC re-fetches.
   void RecordGets(u32 tenant_slot, u64 gets, u64 bytes, bool hedged);
   // Accounts a scan's block lookups: `hits` blocks the shared cache
   // served, `misses` blocks fetched from the store.

@@ -92,56 +92,6 @@ u32 Crc32cExtend(u32 crc, const void* data, size_t n) {
 
 u32 Crc32c(const void* data, size_t n) { return Crc32cExtend(0, data, n); }
 
-namespace {
-
-// GF(2) linear algebra over 32-bit CRC state vectors: `mat` is a 32x32
-// bit matrix (one u32 per row of the operator), applied to `vec`.
-u32 Gf2MatrixTimes(const u32* mat, u32 vec) {
-  u32 sum = 0;
-  while (vec != 0) {
-    if (vec & 1) sum ^= *mat;
-    vec >>= 1;
-    mat++;
-  }
-  return sum;
-}
-
-void Gf2MatrixSquare(u32* square, const u32* mat) {
-  for (int n = 0; n < 32; n++) square[n] = Gf2MatrixTimes(mat, mat[n]);
-}
-
-}  // namespace
-
-u32 Crc32cCombine(u32 crc_a, u32 crc_b, u64 len_b) {
-  // The zlib crc32_combine construction: advancing a CRC past k zero bytes
-  // is a linear operator; build the one-zero-bit operator from the
-  // reflected Castagnoli polynomial, square it repeatedly, and apply the
-  // squarings selected by the bits of len_b. Works directly on finalized
-  // CRCs because the pre/post inversions cancel through the XOR with
-  // crc_b (which carries its own inversion of the same length).
-  if (len_b == 0) return crc_a;
-  u32 even[32];  // operator for 2^(2n+1) zero bits
-  u32 odd[32];   // operator for 2^(2n) zero bits
-  odd[0] = 0x82F63B78u;  // CRC32C polynomial, reflected
-  u32 row = 1;
-  for (int n = 1; n < 32; n++) {
-    odd[n] = row;
-    row <<= 1;
-  }
-  Gf2MatrixSquare(even, odd);   // 2 zero bits
-  Gf2MatrixSquare(odd, even);   // 4 zero bits
-  do {
-    Gf2MatrixSquare(even, odd);  // advance by another squaring
-    if (len_b & 1) crc_a = Gf2MatrixTimes(even, crc_a);
-    len_b >>= 1;
-    if (len_b == 0) break;
-    Gf2MatrixSquare(odd, even);
-    if (len_b & 1) crc_a = Gf2MatrixTimes(odd, crc_a);
-    len_b >>= 1;
-  } while (len_b != 0);
-  return crc_a ^ crc_b;
-}
-
 namespace internal {
 // Exposed for the cross-check test only (declared locally there).
 u32 Crc32cSoftwareForTest(const void* data, size_t n) {

@@ -22,15 +22,6 @@ u32 Crc32c(const void* data, size_t n);
 // result, not a raw internal state).
 u32 Crc32cExtend(u32 crc, const void* data, size_t n);
 
-// CRC of a concatenation from the CRCs of its halves:
-//   Crc32cCombine(Crc32c(A), Crc32c(B), len_B) == Crc32c(A || B)
-// without touching the bytes (GF(2) matrix shift, the zlib crc32_combine
-// construction on the Castagnoli polynomial). The streaming write path
-// uses this to stamp a whole-object CRC when the object's header is
-// produced *after* its payloads were already uploaded as multipart parts
-// (src/write/streaming_writer.h).
-u32 Crc32cCombine(u32 crc_a, u32 crc_b, u64 len_b);
-
 }  // namespace btr
 
 #endif  // BTR_UTIL_CRC32C_H_

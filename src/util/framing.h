@@ -1,6 +1,6 @@
 // Framing of the small metadata objects stored next to the data: the
-// manifest ("BTRV"), write intents ("BTRI"), table metadata ("BTRM"), zone
-// maps ("BTRZ") and column-file headers ("BTRC"). Each one is
+// manifest ("BTRV"), write intents ("BTRI"), table metadata ("BTRT") and
+// zone maps ("BTRZ"). Each one is
 //
 //   4-byte magic | fields | u32 CRC32C of every byte before it
 //

@@ -149,8 +149,9 @@ Status RollForward(FsckContext& ctx, const IntentRecord& intent,
   return Status::Ok();
 }
 
-// Deep-checks the committed version: metadata, zone map and column files
-// parse, and every block's payload matches its header CRC.
+// Deep-checks the committed version: metadata and zone map parse, every
+// column file is as long as its block table says, and every block's
+// payload matches its CRC in the metadata.
 Status VerifyCommitted(FsckContext& ctx, u64 committed) {
   if (committed == 0) return Status::Ok();
   const std::string name = VersionedName(ctx.table, committed);
@@ -178,10 +179,10 @@ Status VerifyCommitted(FsckContext& ctx, u64 committed) {
     }
   }
   for (size_t c = 0; c < meta.columns.size(); c++) {
+    const BlockTable& blocks = meta.columns[c].blocks;
     status = ctx.Get(ColumnFileKey(ctx.prefix, name, c), &blob);
-    ColumnFileHeader header;
-    if (status.ok()) {
-      status = ParseColumnFileHeader(blob.data(), blob.size(), &header);
+    if (status.ok() && blob.size() != blocks.object_size()) {
+      status = Status::Corruption("size does not match its blocks");
     }
     if (!status.ok()) {
       ctx.report->verify_failures++;
@@ -190,9 +191,9 @@ Status VerifyCommitted(FsckContext& ctx, u64 committed) {
                " unreadable: " + status.ToString());
       continue;
     }
-    for (size_t b = 0; b < header.block_count(); b++) {
+    for (size_t b = 0; b < blocks.block_count(); b++) {
       const u8* payload;
-      if (!header.Locate(blob.data(), blob.size(), b, &payload).ok()) {
+      if (!blocks.Locate(blob.data(), blob.size(), b, &payload).ok()) {
         ctx.report->verify_failures++;
         ctx.report->clean = false;
         ctx.Note("committed column " + std::to_string(c) + " block " +

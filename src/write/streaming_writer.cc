@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "btr/file_format.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/crc32c.h"
@@ -117,7 +116,8 @@ Status StreamingWriter::Begin(const std::vector<ColumnSpec>& schema) {
   columns_.resize(schema.size());
   for (size_t c = 0; c < schema.size(); c++) {
     ColumnState& column = columns_[c];
-    column.spec = schema[c];
+    column.meta.name = schema[c].name;
+    column.meta.type = schema[c].type;
     column.accumulator =
         std::make_unique<Column>(schema[c].name, schema[c].type);
     column.key = ColumnFileKey(prefix_, versioned, c);
@@ -140,15 +140,12 @@ Status StreamingWriter::Begin(const std::vector<ColumnSpec>& schema) {
 }
 
 void StreamingWriter::StageBlockBytes(size_t c, const u8* data, u32 size,
-                                      u32 value_count, u8 root_scheme) {
+                                      u32 value_count) {
   ColumnState& column = columns_[c];
   column.pending.Append(data, size);
-  column.block_sizes.push_back(size);
-  column.block_crcs.push_back(Crc32c(data, size));
-  column.block_value_counts.push_back(value_count);
-  column.block_root_schemes.push_back(root_scheme);
+  column.meta.blocks.Add(data, size);
+  column.meta.block_value_counts.push_back(value_count);
   column.payload_crc = Crc32cExtend(column.payload_crc, data, size);
-  column.payload_bytes += size;
   WriteMetrics::Get().blocks_flushed.Add();
 }
 
@@ -164,18 +161,17 @@ Status StreamingWriter::FlushBlock(size_t c) {
                 "accumulator flushed more than one block");
   StageBlockBytes(c, compressed.blocks[0].data(),
                   static_cast<u32>(compressed.blocks[0].size()),
-                  compressed.block_value_counts[0],
-                  compressed.block_root_schemes[0]);
+                  compressed.block_value_counts[0]);
   column.zones.push_back(ComputeColumnZoneMap(*column.accumulator).zones[0]);
-  column.uncompressed_bytes += column.accumulator->UncompressedBytes();
+  column.meta.uncompressed_bytes += column.accumulator->UncompressedBytes();
   column.accumulator =
-      std::make_unique<Column>(column.spec.name, column.spec.type);
+      std::make_unique<Column>(column.meta.name, column.meta.type);
   return Status::Ok();
 }
 
 Status StreamingWriter::UploadPending(size_t c) {
   ColumnState& column = columns_[c];
-  if (column.pending.empty()) return Status::Ok();
+  if (column.pending.empty() && column.next_part > 1) return Status::Ok();
   Status status = exec::RunWithRetries(retry_.get(), [&] {
     return store_->UploadPart(column.upload_id, column.next_part,
                               column.pending.data(), column.pending.size());
@@ -200,8 +196,8 @@ Status StreamingWriter::Append(const Relation& chunk) {
   const u32 rows = chunk.row_count();
   for (size_t c = 0; c < columns_.size(); c++) {
     const Column& src = chunk.columns()[c];
-    if (src.name() != columns_[c].spec.name ||
-        src.type() != columns_[c].spec.type) {
+    if (src.name() != columns_[c].meta.name ||
+        src.type() != columns_[c].meta.type) {
       return Status::InvalidArgument("chunk column " + std::to_string(c) +
                                      " does not match schema");
     }
@@ -244,50 +240,33 @@ Status StreamingWriter::Commit() {
   }
 
   // 1. Flush trailing blocks and ship every column's remaining payload.
-  for (size_t c = 0; c < columns_.size(); c++) {
-    if (columns_[c].accumulator->size() > 0) {
-      BTR_RETURN_IF_ERROR(FlushBlock(c));
-    }
-    BTR_RETURN_IF_ERROR(UploadPending(c));
-  }
-  if (CrashAt("commit:after-flush")) return failed_status_;
-
-  // 2. Now that all block sizes/CRCs are known, frame each column's
-  // header and upload it as the reserved part 1 — the store assembles
-  // parts in part-number order, so the object comes out byte-identical
-  // to SerializeColumnFile. Each staged object goes into the kStaged
-  // intent with the size and CRC32C it must have once assembled.
+  // Each column object goes into the kStaged intent with the size and
+  // CRC32C it must have once its parts are assembled.
   const std::string versioned = VersionedName(table_, version_);
   IntentRecord staged{table_, version_, IntentPhase::kStaged, {}};
-  for (ColumnState& column : columns_) {
-    ByteBuffer header;
-    SerializeColumnFileHeader(column.block_sizes, column.block_crcs, &header);
-    Status status = exec::RunWithRetries(retry_.get(), [&] {
-      return store_->UploadPart(column.upload_id, 1, header.data(),
-                                header.size());
-    });
-    if (!status.ok()) return Fail(status);
-    // Header + payload parts: the expected CRC stitches the header's CRC
-    // to the running payload CRC.
-    staged.entries.push_back(
-        {column.key, column.upload_id, header.size() + column.payload_bytes,
-         Crc32cCombine(Crc32c(header.data(), header.size()),
-                       column.payload_crc, column.payload_bytes)});
-    if (CrashAt("commit:after-header-part")) return failed_status_;
+  for (size_t c = 0; c < columns_.size(); c++) {
+    ColumnState& column = columns_[c];
+    if (column.accumulator->size() > 0) BTR_RETURN_IF_ERROR(FlushBlock(c));
+    BTR_RETURN_IF_ERROR(UploadPending(c));
+    staged.entries.push_back({column.key, column.upload_id,
+                              column.meta.blocks.object_size(),
+                              column.payload_crc});
   }
+  if (CrashAt("commit:after-flush")) return failed_status_;
   auto put_staged = [&](const std::string& key, const ByteBuffer& buffer) {
     staged.entries.push_back(
         {key, "", buffer.size(), Crc32c(buffer.data(), buffer.size())});
     return PutWithRetries(key, buffer.data(), buffer.size());
   };
 
-  // 3. Zone-map sidecar and table metadata stage as plain versioned
-  // objects (they are small; multipart buys nothing).
+  // 2. Zone-map sidecar and table metadata stage as plain versioned
+  // objects (they are small; multipart buys nothing). The metadata holds
+  // every column's block table.
   if (write_zone_map_) {
     TableZoneMap zones;
     for (ColumnState& column : columns_) {
       ColumnZoneMap zone_map;
-      zone_map.type = column.spec.type;
+      zone_map.type = column.meta.type;
       zone_map.zones = column.zones;
       zones.columns.push_back(std::move(zone_map));
     }
@@ -298,30 +277,19 @@ Status StreamingWriter::Commit() {
     if (CrashAt("commit:after-zones")) return failed_status_;
   }
   {
-    // The meta framing wants a CompressedRelation, but only block *counts*
-    // are serialized — a skeleton with empty block buffers produces the
-    // same bytes without holding any payload in memory.
-    CompressedRelation skeleton;
-    skeleton.name = table_;
-    skeleton.row_count = static_cast<u32>(rows_appended_);
-    for (ColumnState& column : columns_) {
-      CompressedColumn cc;
-      cc.name = column.spec.name;
-      cc.type = column.spec.type;
-      cc.uncompressed_bytes = column.uncompressed_bytes;
-      cc.blocks.resize(column.block_sizes.size());
-      cc.block_value_counts = column.block_value_counts;
-      cc.block_root_schemes = column.block_root_schemes;
-      skeleton.columns.push_back(std::move(cc));
+    TableMeta meta;
+    meta.row_count = static_cast<u32>(rows_appended_);
+    for (const ColumnState& column : columns_) {
+      meta.columns.push_back(column.meta);
     }
     ByteBuffer buffer;
-    SerializeTableMeta(skeleton, &buffer);
+    SerializeTableMeta(meta, &buffer);
     Status status = put_staged(TableMetaKey(prefix_, versioned), buffer);
     if (!status.ok()) return Fail(status);
     if (CrashAt("commit:after-meta")) return failed_status_;
   }
 
-  // 4. Point of no return for the version's *contents*: the kStaged
+  // 3. Point of no return for the version's *contents*: the kStaged
   // intent records every object with its expected size and CRC. From here
   // a crash rolls forward — recovery finishes the uploads and swaps the
   // manifest itself (write/recovery.h).
@@ -329,7 +297,7 @@ Status StreamingWriter::Commit() {
   if (!status.ok()) return Fail(status);
   if (CrashAt("commit:after-staged-intent")) return failed_status_;
 
-  // 5. Assemble the column objects.
+  // 4. Assemble the column objects.
   for (ColumnState& column : columns_) {
     status = exec::RunWithRetries(retry_.get(), [&] {
       return store_->CompleteMultipartUpload(column.upload_id);
@@ -338,7 +306,7 @@ Status StreamingWriter::Commit() {
     if (CrashAt("commit:after-complete")) return failed_status_;
   }
 
-  // 6. Trust nothing: a PUT that tore or corrupted bytes while *reporting
+  // 5. Trust nothing: a PUT that tore or corrupted bytes while *reporting
   // success* (FaultKind::kTruncate/kCorrupt) must not get published. The
   // read-back compares byte counts and CRCs against the journaled intent,
   // at the cost of re-reading the version once.
@@ -349,7 +317,7 @@ Status StreamingWriter::Commit() {
   }
   if (CrashAt("commit:after-verify")) return failed_status_;
 
-  // 7. The atomic commit point: one Put of the tiny manifest publishes
+  // 6. The atomic commit point: one Put of the tiny manifest publishes
   // the version to every future Scanner::Open.
   Manifest manifest;
   manifest.table = table_;
@@ -361,7 +329,7 @@ Status StreamingWriter::Commit() {
   if (!status.ok()) return Fail(status);
   if (CrashAt("commit:after-manifest")) return failed_status_;
 
-  // 8. The intent is now garbage (version <= committed); drop it.
+  // 7. The intent is now garbage (version <= committed); drop it.
   (void)store_->Delete(IntentKey(prefix_, table_, version_));
   if (CrashAt("commit:after-intent-delete")) return failed_status_;
 
@@ -404,15 +372,12 @@ Status CommitCompressedRelation(const CompressedRelation& relation,
   for (size_t c = 0; c < relation.columns.size(); c++) {
     const CompressedColumn& column = relation.columns[c];
     StreamingWriter::ColumnState& state = writer.columns_[c];
-    state.uncompressed_bytes = column.uncompressed_bytes;
+    state.meta.uncompressed_bytes = column.uncompressed_bytes;
     if (zones != nullptr) state.zones = zones->columns[c].zones;
     for (size_t b = 0; b < column.blocks.size(); b++) {
-      writer.StageBlockBytes(
-          c, column.blocks[b].data(),
-          static_cast<u32>(column.blocks[b].size()),
-          column.block_value_counts[b],
-          b < column.block_root_schemes.size() ? column.block_root_schemes[b]
-                                               : 0);
+      writer.StageBlockBytes(c, column.blocks[b].data(),
+                             static_cast<u32>(column.blocks[b].size()),
+                             column.block_value_counts[b]);
       if (state.pending.size() >= config.part_target_bytes) {
         BTR_RETURN_IF_ERROR(writer.UploadPending(c));
       }

@@ -13,13 +13,12 @@
 //                    every 64k-value block exactly as CompressColumn
 //                    would, so a streamed table is bit-identical to the
 //                    one-shot compressed form — same blocks, same bytes.
-//   header last      A column object's "BTRC" header depends on all block
-//                    sizes/CRCs, so part number 1 is *reserved* and
-//                    uploaded at Commit after the payload parts (2..N);
-//                    multipart parts assemble in part-number order, which
-//                    keeps the on-disk format byte-identical to
-//                    SerializeColumnFile. The whole-object CRC recorded in
-//                    the intent is stitched with Crc32cCombine.
+//   blocks only      A column object is its block payloads, uploaded as
+//                    multipart parts 1..N in block order, so it is
+//                    byte-identical to SerializeColumnFile. Each block's
+//                    size and CRC32C go into the table metadata at Commit,
+//                    and the whole-object CRC recorded in the intent is
+//                    the running CRC of the payloads.
 //   atomic commit    All objects stage under the next version's keys
 //                    (write/manifest.h); Commit verifies what actually
 //                    landed, then publishes with a single manifest Put. A
@@ -55,6 +54,7 @@
 #include <vector>
 
 #include "btr/config.h"
+#include "btr/file_format.h"
 #include "btr/relation.h"
 #include "btr/zonemap.h"
 #include "exec/retry.h"
@@ -107,8 +107,9 @@ class StreamingWriter {
   // kBlockCapacity rows regardless of chunk boundaries).
   Status Append(const Relation& chunk);
 
-  // Flushes trailing blocks, uploads headers, journals kStaged, completes
-  // the uploads, verifies, and performs the manifest pointer-swap. After
+  // Flushes trailing blocks, stages zones and metadata, journals kStaged,
+  // completes the uploads, verifies, and performs the manifest
+  // pointer-swap. After
   // Ok the version is durable and visible to new Scanner::Opens.
   Status Commit();
 
@@ -125,20 +126,16 @@ class StreamingWriter {
   enum class State : u8 { kIdle, kOpen, kCommitted, kDead };
 
   struct ColumnState {
-    ColumnSpec spec;
+    // Name, type, byte and value counts, and the block table: this
+    // column's entry of the table metadata.
+    TableMeta::ColumnMeta meta;
     std::unique_ptr<Column> accumulator;  // < kBlockCapacity buffered rows
     std::string upload_id;
     std::string key;           // final versioned object key
-    u32 next_part = 2;         // part 1 is reserved for the header
+    u32 next_part = 1;
     ByteBuffer pending;        // serialized payloads awaiting UploadPart
-    std::vector<u32> block_sizes;
-    std::vector<u32> block_crcs;
-    std::vector<u32> block_value_counts;
-    std::vector<u8> block_root_schemes;
     std::vector<BlockZone> zones;
-    u64 uncompressed_bytes = 0;
-    u64 payload_bytes = 0;  // staged payload bytes (excludes the header)
-    u32 payload_crc = 0;    // running CRC32C over the concatenated payloads
+    u32 payload_crc = 0;  // running CRC32C of the column object
   };
 
   // True => simulated crash: the writer is dead, caller must return
@@ -147,15 +144,16 @@ class StreamingWriter {
   Status Fail(Status status);  // marks kDead and returns the status
   Status PutWithRetries(const std::string& key, const u8* data, size_t size);
   Status WriteIntent(const IntentRecord& intent);
-  // Records one serialized block (size/CRC/count/scheme bookkeeping) and
-  // appends its bytes to column `c`'s pending part buffer.
-  void StageBlockBytes(size_t c, const u8* data, u32 size, u32 value_count,
-                       u8 root_scheme);
+  // Records one serialized block in column `c`'s block table and appends
+  // its bytes to the column's pending part buffer.
+  void StageBlockBytes(size_t c, const u8* data, u32 size, u32 value_count);
   // Compresses the accumulator of column `c` into one block and appends
   // the payload to `pending` (cuts zones too). Accumulator must be
   // non-empty.
   Status FlushBlock(size_t c);
-  // Uploads the pending payload bytes of column `c` as the next part.
+  // Uploads the pending payload bytes of column `c` as the next part. A
+  // column without blocks uploads one empty part, since a multipart upload
+  // completes only with at least one.
   Status UploadPending(size_t c);
 
   s3sim::ObjectStore* store_;

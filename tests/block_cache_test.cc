@@ -44,7 +44,7 @@ TEST(BlockCacheTest, RoundTripReturnsTheExactBytes) {
 }
 
 // A block rewritten under the same key, offset and length has a new
-// CRC32C in its new column header: a lookup under that CRC misses instead
+// CRC32C in its new table metadata: a lookup under that CRC misses instead
 // of returning the old bytes.
 TEST(BlockCacheTest, KeyIdentityIncludesTheCrc) {
   BlockCache cache;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -190,11 +191,6 @@ Status ParseMeta(const u8* data, size_t size) {
   return ParseTableMeta(data, size, &meta);
 }
 
-Status ParseHeader(const u8* data, size_t size) {
-  ColumnFileHeader header;
-  return ParseColumnFileHeader(data, size, &header);
-}
-
 TEST(FileFormatTest, HostileTableMetaIsCorruption) {
   CompressedRelation compressed =
       CompressRelation(MakeMixedRelation(6, 70000), CompressionConfig());
@@ -204,10 +200,18 @@ TEST(FileFormatTest, HostileTableMetaIsCorruption) {
   ASSERT_TRUE(ParseMeta(meta.data(), meta.size()).ok());
   ExpectTruncationsAndMagicCorrupt(ParseMeta, meta);
 
-  // "BTRM" | u32 column_count | u32 row_count | u16 name_len | "id" |
-  // u8 type | u64 uncompressed_bytes | u32 block_count | ...
+  // "BTRT" | u32 column_count | u32 row_count | per column: u16 name_len |
+  // name | u8 type | u64 uncompressed_bytes | u32 block_count |
+  // block_count x (u32 value count, u32 size, u32 CRC32C), array by array.
   const size_t type_offset = 12 + 2 + compressed.columns[0].name.size();
   const size_t block_count_offset = type_offset + 1 + 8;
+  size_t last_count_offset = 0;
+  size_t end = 12;
+  for (const CompressedColumn& column : compressed.columns) {
+    last_count_offset = end + 2 + column.name.size() + 1 + 8;
+    end = last_count_offset + 4 + 12 * column.blocks.size();
+  }
+  ASSERT_EQ(end + 4, meta.size());
   ExpectCorruption(ParseMeta, Restamped<u32>(meta, 4, 0xFFFFFFFFu),
                    "column count 0xFFFFFFFF");
   ExpectCorruption(ParseMeta,
@@ -217,32 +221,26 @@ TEST(FileFormatTest, HostileTableMetaIsCorruption) {
                    "name length 0xFFFF");
   ExpectCorruption(ParseMeta, Restamped<u8>(meta, type_offset, 3),
                    "column type 3");
-}
 
-TEST(FileFormatTest, HostileColumnHeaderIsCorruption) {
-  const std::vector<u32> sizes = {100, 200, 300};
-  const std::vector<u32> crcs = {11, 22, 33};
-  ByteBuffer buffer;
-  SerializeColumnFileHeader(sizes, crcs, &buffer);
-  const Bytes header = ToBytes(buffer);
-  ASSERT_EQ(header.size(), ColumnFileHeaderBytes(3));
-  ASSERT_TRUE(ParseHeader(header.data(), header.size()).ok());
-  ExpectTruncationsAndMagicCorrupt(ParseHeader, header);
-
-  // Each flipped count bit, on the header alone (a Scanner's ranged GET)
-  // and followed by its 600 payload bytes (Fsck's whole object), where a
-  // smaller wrong count still fits the bytes and only the CRC catches it.
-  Bytes object = header;
-  object.resize(header.size() + 600, 0xAB);
-  for (const Bytes& input : {header, object}) {
-    for (u32 bit = 0; bit < 32; bit++) {
-      Bytes bad = input;
-      bad[4 + bit / 8] ^= static_cast<u8>(1u << (bit % 8));
-      ExpectCorruption(ParseHeader, bad,
-                       "count bit " + std::to_string(bit) + " of " +
-                           std::to_string(bad.size()) + " bytes");
-    }
+  // Each flipped bit of the last column's block count: a larger count is
+  // accepted only when the bytes left hold that many entries (they do
+  // not), and a smaller one leaves bytes over.
+  u32 last_count = 0;
+  std::memcpy(&last_count, meta.data() + last_count_offset, 4);
+  ASSERT_EQ(last_count, compressed.columns.back().blocks.size());
+  for (u32 bit = 0; bit < 32; bit++) {
+    ExpectCorruption(
+        ParseMeta,
+        Restamped<u32>(meta, last_count_offset, last_count ^ (1u << bit)),
+        "block count bit " + std::to_string(bit));
   }
+
+  // A frame of the previous layout, whose column objects began with their
+  // own block headers, is no longer metadata.
+  u32 previous_magic = 0;
+  std::memcpy(&previous_magic, "BTRM", 4);
+  ExpectCorruption(ParseMeta, Restamped<u32>(meta, 0, previous_magic),
+                   "previous magic");
 }
 
 TEST(TelemetryTest, EstimationShareIsSmall) {

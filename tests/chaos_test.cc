@@ -30,9 +30,6 @@ namespace {
 // 1 full block + a short one: enough for per-block faults to matter while
 // keeping a few hundred scans fast.
 constexpr u32 kRows = kBlockCapacity + 500;
-// Where block 0 starts in every column object: a fault rule with this
-// offset_min hits block GETs, never the column header GET at offset 0.
-const u64 kFirstBlockOffset = ColumnFileHeaderBytes(2);
 
 Relation MakeTable(u32 rows = kRows) {
   Relation table("chaos_table");
@@ -288,8 +285,8 @@ TEST(ChaosTest, RangePredicateScansSurviveTransientChaos) {
   f.store.ClearFaultPlan();
 }
 
-// Open() under chaos: metadata, header and zone-map GETs retry transients
-// and detect corruption exactly like block GETs.
+// Open() under chaos: manifest, metadata and zone-map GETs retry
+// transients and detect corruption exactly like block GETs.
 TEST(ChaosTest, OpenUnderChaosIsTypedOrSucceeds) {
   Fixture f;
   for (u64 seed = 1; seed <= 20; seed++) {
@@ -302,7 +299,7 @@ TEST(ChaosTest, OpenUnderChaosIsTypedOrSucceeds) {
           << "seed " << seed << ": " << status.ToString();
       continue;
     }
-    // An Open that succeeded parsed CRC-clean headers; the scan must work
+    // An Open that succeeded parsed CRC-clean metadata; the scan must work
     // once faults stop.
     f.store.ClearFaultPlan();
     ScanOutput output;
@@ -313,9 +310,9 @@ TEST(ChaosTest, OpenUnderChaosIsTypedOrSucceeds) {
 }
 
 // Targeted schedule: the GET that carries block 1 of column 0 — the run
-// of both its blocks, the first GET of column 0 past its header — throttles
-// once. Fail-fast config turns that into Status::Throttled; the default
-// retrying config absorbs it. Single fetch thread keeps the GET order
+// of both its blocks, the first GET of column 0 — throttles once.
+// Fail-fast config turns that into Status::Throttled; the default retrying
+// config absorbs it. Single fetch thread keeps the GET order
 // deterministic.
 TEST(ChaosTest, TargetedThrottleFailsFastOrRetries) {
   Fixture f;
@@ -325,7 +322,6 @@ TEST(ChaosTest, TargetedThrottleFailsFastOrRetries) {
   s3sim::FaultPlan plan;
   plan.seed = 5;
   plan.rules.push_back(s3sim::FaultRule::Throttle(".0.btr", 1));
-  plan.rules.back().offset_min = kFirstBlockOffset;
 
   ScanSpec fail_fast = ChaosSpec();
   fail_fast.config.fetch_threads = 1;
@@ -405,8 +401,7 @@ TEST(ChaosTest, WarmCacheScanIsBitIdenticalAndGetFreeUnderChaos) {
   ExpectOutputsBitIdentical(f.reference, cold, 0);
   EXPECT_EQ(cold.stats.cache_hits, 0u);
   EXPECT_EQ(cold.stats.cache_misses, 6u) << "2 blocks x 3 columns";
-  EXPECT_EQ(cold.stats.requests, 6u)
-      << "3 column headers, then one run of both blocks per column";
+  EXPECT_EQ(cold.stats.requests, 3u) << "one run of both blocks per column";
 
   for (u64 seed = 1; seed <= 25; seed++) {
     f.store.InstallFaultPlan(s3sim::MakeChaosPlan(seed, 0.25, true));
@@ -487,7 +482,6 @@ TEST(ChaosTest, SingleFlipWireCorruptionRescuedByRefetch) {
   s3sim::FaultPlan plan;
   plan.seed = 7;
   plan.rules.push_back(s3sim::FaultRule::Corrupt(".0.btr", 1, 0));
-  plan.rules.back().offset_min = kFirstBlockOffset;
 
   ScanSpec rescue = ChaosSpec();
   rescue.config.fetch_threads = 1;  // deterministic GET order
@@ -523,7 +517,6 @@ TEST(ChaosTest, ThrottledRefetchIsRetriedAndRescues) {
   plan.seed = 17;
   plan.rules.push_back(s3sim::FaultRule::Corrupt(".0.btr", 1, 0));
   plan.rules.push_back(s3sim::FaultRule::Throttle(".0.btr", 2));
-  for (s3sim::FaultRule& rule : plan.rules) rule.offset_min = kFirstBlockOffset;
 
   ScanSpec rescue = ChaosSpec();
   rescue.config.refetch_on_crc_failure = true;
@@ -551,7 +544,6 @@ TEST(ChaosTest, CorruptBlockIsNotCached) {
   s3sim::FaultPlan plan;
   plan.seed = 19;
   plan.rules.push_back(s3sim::FaultRule::Corrupt(".0.btr", 1, 0));
-  plan.rules.back().offset_min = kFirstBlockOffset;
 
   ScanSpec spec = ChaosSpec();
   spec.config.enable_block_cache = true;
@@ -591,7 +583,12 @@ TEST(ChaosTest, BreakerTripsAndFailsFastWhenBackendIsDown) {
   unavailable.probability = 1.0;  // every GET fails
   down.rules.push_back(unavailable);
 
+  // One fetch executor makes the GETs sequential, so the trip precedes the
+  // later ones: the scan issues one run GET per column (two attempts
+  // each), and concurrent attempts could all pass the breaker before the
+  // fourth failure trips it.
   ScanSpec spec = ChaosSpec();
+  spec.config.fetch_threads = 1;
   spec.config.skip_unreadable_blocks = true;
   spec.config.retry.max_attempts = 2;
   spec.config.enable_circuit_breaker = true;
@@ -689,9 +686,8 @@ TEST(ChaosTest, HedgedGetsAbsorbLatencySpikes) {
 // losing request. Column 0's second block GET of the second scan is
 // spiked by 300 ms; its duplicate, issued at the 20 ms threshold floor,
 // answers at once. One fetch thread and a one-block window (scan_threads
-// = 1, prefetch_depth = 0) make each block its own GET, and the first
-// scan reads the column header, so the second scan issues block GETs only
-// and its first one arms the threshold.
+// = 1, prefetch_depth = 0) make each block its own GET, and the second
+// scan's first GET arms the threshold.
 TEST(ChaosTest, HedgeWinDoesNotWaitForItsLoser) {
   constexpr u32 kBlocks = 4;
   const CompressedRelation compressed =
@@ -739,11 +735,10 @@ TEST(ChaosTest, RunGetFaultsDamageOnlyTheirBlocks) {
   ASSERT_TRUE(scanner.Open().ok());
 
   const u64 into_block1 = f.compressed.columns[0].blocks[0].size() + 10;
-  for (s3sim::FaultRule rule :
+  for (const s3sim::FaultRule& rule :
        {s3sim::FaultRule::Truncate(".0.btr", 1, into_block1),
         s3sim::FaultRule::Corrupt(".0.btr", 1, into_block1)}) {
     const std::string kind = s3sim::FaultKindName(rule.kind);
-    rule.offset_min = kFirstBlockOffset;
     s3sim::FaultPlan plan;
     plan.seed = 9;
     plan.rules.push_back(rule);
@@ -782,118 +777,6 @@ TEST(ChaosTest, RunGetFaultsDamageOnlyTheirBlocks) {
   f.store.ClearFaultPlan();
 }
 
-// Column headers are read by the first scan that needs them, as fetch
-// items of that scan with the block GETs' retry and failure path. A rule
-// with offset_max = 0 hits only header GETs.
-TEST(ChaosTest, HeaderGetFaultsRetryOrFailTyped) {
-  Fixture f;
-  auto header_rule = [](s3sim::FaultRule rule) {
-    rule.offset_max = 0;
-    s3sim::FaultPlan plan;
-    plan.seed = 13;
-    plan.rules.push_back(rule);
-    return plan;
-  };
-
-  // A throttled header GET retries; without retries it fails typed.
-  {
-    const s3sim::FaultPlan throttle =
-        header_rule(s3sim::FaultRule::Throttle(".0.btr", 1));
-    Scanner scanner(&f.store, "chaos_table", "lake/");
-    ASSERT_TRUE(scanner.Open().ok());
-    ScanSpec fail_fast = ChaosSpec();
-    fail_fast.config.retry.max_attempts = 1;
-    f.store.InstallFaultPlan(throttle);
-    ScanOutput output;
-    Status status = scanner.Scan(fail_fast, &output);
-    EXPECT_TRUE(status.IsThrottled()) << status.ToString();
-
-    Scanner fresh(&f.store, "chaos_table", "lake/");
-    ASSERT_TRUE(fresh.Open().ok());
-    f.store.InstallFaultPlan(throttle);
-    status = fresh.Scan(ChaosSpec(), &output);
-    ASSERT_TRUE(status.ok()) << status.ToString();
-    ExpectOutputsBitIdentical(f.reference, output, 13);
-    EXPECT_EQ(output.stats.retries, 1u);
-    EXPECT_EQ(output.stats.requests, 7u) << "3 headers + 1 retry + 3 runs";
-    EXPECT_EQ(f.store.faults_injected(), 1u);
-  }
-
-  // A corrupt header is a typed Corruption — in degraded mode each row
-  // block tries it again and is unreadable for that reason — and is not
-  // kept: the next scan reads it again.
-  {
-    Scanner scanner(&f.store, "chaos_table", "lake/");
-    ASSERT_TRUE(scanner.Open().ok());
-    s3sim::FaultRule corrupt;  // every GET of the price header
-    corrupt.kind = s3sim::FaultKind::kCorrupt;
-    corrupt.key_substring = ".1.btr";
-    f.store.InstallFaultPlan(header_rule(corrupt));
-    ScanOutput output;
-    Status status = scanner.Scan(ChaosSpec(), &output);
-    EXPECT_TRUE(status.IsCorruption()) << status.ToString();
-
-    ScanSpec degraded = ChaosSpec();
-    degraded.config.skip_unreadable_blocks = true;
-    status = scanner.Scan(degraded, &output);
-    ASSERT_TRUE(status.ok()) << status.ToString();
-    EXPECT_EQ(output.stats.blocks_unreadable, output.stats.row_blocks);
-    for (const Status& reason : output.stats.unreadable_reasons) {
-      EXPECT_TRUE(reason.IsCorruption()) << reason.ToString();
-    }
-    EXPECT_EQ(output.stats.requests, 2u)
-        << "the unread price header, once per row block";
-
-    f.store.ClearFaultPlan();
-    status = scanner.Scan(ChaosSpec(), &output);
-    ASSERT_TRUE(status.ok()) << status.ToString();
-    ExpectOutputsBitIdentical(f.reference, output, 13);
-    EXPECT_EQ(output.stats.requests, 4u) << "the price header + 3 runs";
-  }
-  f.store.ClearFaultPlan();
-}
-
-// The backend goes down between Open and the first scan, so the header
-// GETs fail: a degraded scan tries them once per row block and completes
-// with every row block unreadable, a strict one fails with a transient
-// Status.
-TEST(ChaosTest, HeaderGetsAgainstADownBackendDegradeEveryBlock) {
-  Fixture f;
-  Scanner scanner(&f.store, "chaos_table", "lake/");
-  ASSERT_TRUE(scanner.Open().ok());
-
-  s3sim::FaultPlan down;
-  down.seed = 17;
-  s3sim::FaultRule unavailable;
-  unavailable.kind = s3sim::FaultKind::kUnavailable;
-  unavailable.probability = 1.0;
-  down.rules.push_back(unavailable);
-
-  ScanSpec spec = ChaosSpec();
-  spec.config.skip_unreadable_blocks = true;
-  spec.config.retry.max_attempts = 2;
-  f.store.InstallFaultPlan(down);
-  ScanOutput output;
-  Status status = scanner.Scan(spec, &output);
-  ASSERT_TRUE(status.ok()) << "degraded scan must complete: "
-                           << status.ToString();
-  EXPECT_EQ(output.stats.blocks_unreadable, output.stats.row_blocks);
-  EXPECT_EQ(output.stats.unreadable_blocks, (std::vector<u32>{0, 1}));
-  for (const Status& reason : output.stats.unreadable_reasons) {
-    EXPECT_TRUE(reason.IsTransient()) << reason.ToString();
-  }
-  EXPECT_EQ(output.stats.requests, 12u)
-      << "3 headers x 2 attempts, once per row block";
-  EXPECT_EQ(f.store.faults_injected(), 12u);
-
-  ScanSpec strict = spec;
-  strict.config.skip_unreadable_blocks = false;
-  f.store.InstallFaultPlan(down);
-  status = scanner.Scan(strict, &output);
-  EXPECT_TRUE(status.IsTransient()) << status.ToString();
-  f.store.ClearFaultPlan();
-}
-
 // One decode thread and no prefetch depth make the decode window one row
 // block and every run one block, while the fetch window runs one run per
 // fetch executor ahead: a slow consumer lets the next row block arrive
@@ -917,7 +800,7 @@ TEST(ChaosTest, CorruptBlockWaitingForTheDecodeWindow) {
   ScanOutput reference;
   ASSERT_TRUE(scanner.Scan(spec, &reference).ok());
 
-  u64 block3_offset = ColumnFileHeaderBytes(kBlocks);
+  u64 block3_offset = 0;
   for (u32 b = 0; b < 3; b++) {
     block3_offset += compressed.columns[0].blocks[b].size();
   }

@@ -61,30 +61,6 @@ TEST(Crc32cTest, ExtendComposesLikeOneShot) {
   }
 }
 
-TEST(Crc32cTest, CombineStitchesIndependentCrcs) {
-  // Crc32cCombine(Crc32c(A), Crc32c(B), len_B) == Crc32c(A || B) without
-  // ever touching A's bytes again — the write path uses this to stitch a
-  // column file's header CRC onto the running payload CRC.
-  Random rng(11);
-  std::vector<u8> data(20000);
-  for (u8& b : data) b = static_cast<u8>(rng.Next());
-  u32 whole = Crc32c(data.data(), data.size());
-  for (size_t split : {0ul, 1ul, 7ul, 512ul, 10001ul, 19999ul, 20000ul}) {
-    u32 a = Crc32c(data.data(), split);
-    u32 b = Crc32c(data.data() + split, data.size() - split);
-    EXPECT_EQ(Crc32cCombine(a, b, data.size() - split), whole)
-        << "split=" << split;
-  }
-  // len_b == 0 is the identity on the left operand.
-  EXPECT_EQ(Crc32cCombine(whole, 0, 0), whole);
-  EXPECT_EQ(Crc32cCombine(0xDEADBEEFu, Crc32c("", 0), 0), 0xDEADBEEFu);
-  // Three-way composition associates.
-  u32 ab = Crc32cCombine(Crc32c(data.data(), 5000),
-                         Crc32c(data.data() + 5000, 5000), 5000);
-  u32 abc = Crc32cCombine(ab, Crc32c(data.data() + 10000, 10000), 10000);
-  EXPECT_EQ(abc, whole);
-}
-
 TEST(Crc32cTest, SingleBitFlipAlwaysChangesChecksum) {
   // The property the scan path depends on: any 1-bit corruption in a block
   // payload is detected (CRCs detect all 1-bit errors by construction).

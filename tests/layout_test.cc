@@ -1,5 +1,5 @@
 // Tests for the stored-layout readers (btr/layout.h, bitpack::Bp128Reader,
-// ColumnFileHeader): each reader returns exactly what the matching encoder
+// BlockTable): each reader returns exactly what the matching encoder
 // wrote, and the shared decode kernels built on them decode every root
 // scheme identically with SIMD on and off.
 #include <gtest/gtest.h>
@@ -157,37 +157,46 @@ TEST(LayoutTest, Bp128ReaderWalksEveryFrame) {
   }
 }
 
-TEST(LayoutTest, ColumnFileHeaderLocatesAndVerifiesEveryBlock) {
+TEST(LayoutTest, BlockTableLocatesAndVerifiesEveryBlock) {
   Column column("c", ColumnType::kInteger);
   for (i32 i = 0; i < 150000; i++) column.AppendInt(i % 1000);
-  CompressedColumn compressed = CompressColumn(column, CompressionConfig{});
+  CompressedRelation relation;
+  relation.name = "t";
+  relation.row_count = 150000;
+  relation.columns.push_back(CompressColumn(column, CompressionConfig{}));
+  const CompressedColumn& compressed = relation.columns[0];
   ASSERT_EQ(compressed.blocks.size(), 3u);
   ByteBuffer file;
   SerializeColumnFile(compressed, &file);
 
-  ColumnFileHeader header;
-  ASSERT_TRUE(ParseColumnFileHeader(file.data(), file.size(), &header).ok());
-  ASSERT_EQ(header.block_count(), 3u);
-  EXPECT_EQ(header.block_offsets[0], ColumnFileHeaderBytes(3));
-  EXPECT_EQ(header.block_offsets[3], file.size());
+  // The block table comes from the table metadata; the column file is
+  // the payloads alone, so offsets start at 0.
+  ByteBuffer meta_bytes;
+  SerializeTableMeta(relation, &meta_bytes);
+  TableMeta meta;
+  ASSERT_TRUE(ParseTableMeta(meta_bytes.data(), meta_bytes.size(), &meta).ok());
+  const BlockTable& blocks = meta.columns[0].blocks;
+  ASSERT_EQ(blocks.block_count(), 3u);
+  EXPECT_EQ(blocks.block_offsets[0], 0u);
+  EXPECT_EQ(blocks.object_size(), file.size());
   for (size_t b = 0; b < 3; b++) {
     const u8* payload = nullptr;
-    ASSERT_TRUE(header.Locate(file.data(), file.size(), b, &payload).ok());
-    ASSERT_EQ(header.block_size(b), compressed.blocks[b].size());
+    ASSERT_TRUE(blocks.Locate(file.data(), file.size(), b, &payload).ok());
+    ASSERT_EQ(blocks.block_size(b), compressed.blocks[b].size());
     EXPECT_EQ(std::memcmp(payload, compressed.blocks[b].data(),
                           compressed.blocks[b].size()),
               0);
-    EXPECT_TRUE(header.Intact(b, payload, header.block_size(b)));
-    EXPECT_FALSE(header.Intact(b, payload, header.block_size(b) - 1));
+    EXPECT_TRUE(blocks.Intact(b, payload, blocks.block_size(b)));
+    EXPECT_FALSE(blocks.Intact(b, payload, blocks.block_size(b) - 1));
   }
 
   const u8* payload = nullptr;
-  Status truncated = header.Locate(file.data(), file.size() - 1, 2, &payload);
+  Status truncated = blocks.Locate(file.data(), file.size() - 1, 2, &payload);
   EXPECT_TRUE(truncated.IsCorruption()) << truncated.ToString();
-  file.data()[header.block_offsets[1] + 5] ^= 0x40;
-  Status flipped = header.Locate(file.data(), file.size(), 1, &payload);
+  file.data()[blocks.block_offsets[1] + 5] ^= 0x40;
+  Status flipped = blocks.Locate(file.data(), file.size(), 1, &payload);
   EXPECT_TRUE(flipped.IsCorruption()) << flipped.ToString();
-  EXPECT_TRUE(header.Locate(file.data(), file.size(), 0, &payload).ok());
+  EXPECT_TRUE(blocks.Locate(file.data(), file.size(), 0, &payload).ok());
 }
 
 // Every scheme decodes through the shared kernels (FillValue, ExpandRuns,

@@ -1,9 +1,9 @@
 // Metadata golden test: pins the byte count and CRC32C of every stored
-// object outside the data blocks — the manifest ("BTRV"), both phases of
-// the write-ahead intent ("BTRI"), the table metadata ("BTRM"), the
-// zone-map sidecar ("BTRZ") and the column objects whose "BTRC" header
-// frames the blocks — as the streaming writer, CommitCompressedRelation
-// and the directory writer produce them. A change to any framing that
+// object — the manifest ("BTRV"), both phases of the write-ahead intent
+// ("BTRI"), the table metadata with its block tables ("BTRT"), the
+// zone-map sidecar ("BTRZ") and the column objects, which hold the blocks
+// alone — as the streaming writer, CommitCompressedRelation and the
+// directory writer produce them. A change to any framing that
 // moves a single written byte fails here. Compression has no SIMD path,
 // so the constants hold in every build flavour.
 //
@@ -64,7 +64,7 @@ void ExpectGolden(const std::vector<Actual>& actual,
 // CRC32C of such a frame as a whole is the same constant for every frame.
 // So the table pins the CRC32C of everything but the last four bytes. For
 // a column object that still covers the last block: its CRC sits in the
-// header.
+// table metadata.
 void Record(std::vector<Actual>* out, std::string name,
             const std::vector<u8>& bytes) {
   ASSERT_GE(bytes.size(), 4u) << name;
@@ -193,45 +193,45 @@ std::vector<u8> ReadFile(const std::string& path) {
 
 const std::vector<Golden> kStreamGolden = {
     {"manifest", 23, 0x7a402596u},
-    {"v1.btrmeta", 552, 0xbe819b6fu},
+    {"v1.btrmeta", 776, 0xaac1aa48u},
     {"v1.zones", 1650, 0x93661538u},
-    {"v1.0.btr", 37330, 0xebc63e8fu},
-    {"v1.1.btr", 78, 0xe5e1b603u},
-    {"v1.2.btr", 5903, 0xab4ce708u},
-    {"v1.3.btr", 562028, 0x0ae99b1au},
-    {"v1.4.btr", 360077, 0xa9dda9cbu},
-    {"v1.5.btr", 20050, 0x94aee330u},
-    {"v1.6.btr", 5891, 0xcd621867u},
-    {"v1.7.btr", 37330, 0xbb9c7770u},
-    {"v1.8.btr", 547768, 0xb9b4f590u},
-    {"v1.9.btr", 78329, 0x78aa5b3eu},
-    {"v1.10.btr", 16721, 0xde5d9a4du},
-    {"v1.11.btr", 21943, 0xbf31957eu},
-    {"v1.12.btr", 84102, 0x43f967ebu},
-    {"v1.13.btr", 128154, 0x6c437861u},
+    {"v1.0.btr", 37302, 0x8f292d35u},
+    {"v1.1.btr", 50, 0x175cb41bu},
+    {"v1.2.btr", 5875, 0x7f7b9a41u},
+    {"v1.3.btr", 562000, 0xdfe6c507u},
+    {"v1.4.btr", 360049, 0x2f27c24fu},
+    {"v1.5.btr", 20022, 0x833989feu},
+    {"v1.6.btr", 5863, 0x6f69acfdu},
+    {"v1.7.btr", 37302, 0xdf7364cau},
+    {"v1.8.btr", 547740, 0xce821760u},
+    {"v1.9.btr", 78301, 0x9fb605cdu},
+    {"v1.10.btr", 16693, 0xe9ee791cu},
+    {"v1.11.btr", 21915, 0x0bcc4a6fu},
+    {"v1.12.btr", 84074, 0x70826e1eu},
+    {"v1.13.btr", 128126, 0x63a12ffcu},
 };
 
 const std::vector<Golden> kIntentGolden = {
     {"begin:after-intent", 605, 0x9951989eu},
-    {"commit:after-staged-intent", 605, 0x998bcc6du},
+    {"commit:after-staged-intent", 605, 0x0b9ab636u},
 };
 
 const std::vector<Golden> kCommitGolden = {
     {"manifest", 26, 0x5655abcau},
-    {"v1.btrmeta", 135, 0x07a38c51u},
+    {"v1.btrmeta", 199, 0xb67ee406u},
     {"v1.zones", 480, 0x8194de64u},
-    {"v1.0.btr", 83854, 0xc38f497du},
-    {"v1.1.btr", 43575, 0x44cd7d33u},
-    {"v1.2.btr", 364524, 0x2ffd8dcau},
-    {"v1.3.btr", 94, 0x32cc97b7u},
+    {"v1.0.btr", 83826, 0xbda9d855u},
+    {"v1.1.btr", 43547, 0xbd55cf0bu},
+    {"v1.2.btr", 364496, 0x4c180b0fu},
+    {"v1.3.btr", 66, 0xd499bffeu},
 };
 
 const std::vector<Golden> kFilesGolden = {
-    {"btrmeta", 135, 0x07a38c51u},
-    {"0.btr", 83854, 0xc38f497du},
-    {"1.btr", 43575, 0x44cd7d33u},
-    {"2.btr", 364524, 0x2ffd8dcau},
-    {"3.btr", 94, 0x32cc97b7u},
+    {"btrmeta", 199, 0xb67ee406u},
+    {"0.btr", 83826, 0xbda9d855u},
+    {"1.btr", 43547, 0xbd55cf0bu},
+    {"2.btr", 364496, 0x4c180b0fu},
+    {"3.btr", 66, 0xd499bffeu},
 };
 
 TEST(MetadataGoldenTest, StreamingWriterCommit) {

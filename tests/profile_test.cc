@@ -142,11 +142,11 @@ TEST(ProfileTest, FaultFreeTalliesMatchScanStats) {
   const obs::ScanProfile& profile = *output.stats.profile;
   const ScanStats& stats = output.stats;
 
-  // 3 column headers + one run of both row blocks per column, nothing
-  // cached, nothing retried.
-  EXPECT_EQ(profile.requests, 6u);
+  // One run of both row blocks per column, nothing cached, nothing
+  // retried.
+  EXPECT_EQ(profile.requests, 3u);
   EXPECT_EQ(profile.requests, stats.requests);
-  EXPECT_EQ(profile.get_latency.count, 6u);
+  EXPECT_EQ(profile.get_latency.count, 3u);
   EXPECT_EQ(profile.cache_hits, stats.cache_hits);
   EXPECT_EQ(profile.cache_misses, stats.cache_misses);
   EXPECT_EQ(profile.retries, stats.retries);
@@ -176,8 +176,8 @@ TEST(ProfileTest, FaultFreeTalliesMatchScanStats) {
 
 // prefetch_wait is the time this scan's work items waited in the
 // service's fair queues between submit and run: one sample per item, here
-// 6 fetch items (3 column headers, then one run of both row blocks per
-// column) plus 2 decode items.
+// 3 fetch items (one run of both row blocks per column) plus 2 decode
+// items.
 TEST(ProfileTest, PrefetchWaitRecordsEveryQueuedItem) {
   Fixture f;
   Scanner scanner(&f.store, "profile_table", "lake/");
@@ -190,7 +190,7 @@ TEST(ProfileTest, PrefetchWaitRecordsEveryQueuedItem) {
       output.stats.profile->activities[static_cast<u32>(
           obs::ScanActivity::kPrefetchWait)];
   EXPECT_GT(wait.count, 0u);
-  EXPECT_EQ(wait.count, 8u);
+  EXPECT_EQ(wait.count, 5u);
 }
 
 // Throttle/unavailable-only chaos: every injected fault is one failed GET
@@ -229,10 +229,9 @@ TEST(ProfileTest, ChaosRetryTalliesMatchInjectedFaults) {
     if (f.store.faults_injected() > 0) {
       EXPECT_GE(profile.retried_requests, 1u) << "seed " << seed;
     }
-    // Logical requests: the first scan reads the 3 column headers, and
-    // every scan GETs one run of both blocks per column; store attempts =
-    // requests + retries.
-    EXPECT_EQ(profile.requests, seed == 1 ? 6u : 3u) << "seed " << seed;
+    // Logical requests: every scan GETs one run of both blocks per column;
+    // store attempts = requests + retries.
+    EXPECT_EQ(profile.requests, 3u) << "seed " << seed;
     EXPECT_EQ(output.stats.requests, profile.requests + profile.retries);
     total_faults += f.store.faults_injected();
   }
@@ -287,7 +286,8 @@ TEST(ProfileTest, HedgeTalliesMatchScanStats) {
   spec.config.fetch_threads = 1;
 
   // Column objects are keyed <prefix><table>.<idx>.btr; ".1.btr" is the
-  // "price" column. Spike its first GET (its header) by 20 ms.
+  // "price" column. Spike its first GET (the run of both its blocks, after
+  // the id column's run) by 20 ms.
   s3sim::FaultPlan plan;
   plan.seed = 7;
   plan.rules.push_back(
@@ -309,7 +309,7 @@ TEST(ProfileTest, HedgeTalliesMatchScanStats) {
 // arrival check; with refetch_on_crc_failure the re-GET rescues the block,
 // and both the refetch and the rescue must appear in the profile. The
 // re-fetch is an ordinary GET: one request and one latency sample, like
-// the 3 header and 3 run GETs.
+// the 3 run GETs.
 TEST(ProfileTest, CrcRefetchTalliesMatchScanStats) {
   Fixture f;
   Scanner scanner(&f.store, "profile_table", "lake/");
@@ -319,11 +319,10 @@ TEST(ProfileTest, CrcRefetchTalliesMatchScanStats) {
   spec.config.refetch_on_crc_failure = true;
 
   // Flip one byte in the first block GET of the "price" column object (the
-  // run of both its blocks; offset_min skips the header GET at offset 0).
+  // run of both its blocks).
   s3sim::FaultPlan plan;
   plan.seed = 3;
   plan.rules.push_back(s3sim::FaultRule::Corrupt(".1.btr", 1));
-  plan.rules.back().offset_min = ColumnFileHeaderBytes(2);
   f.store.InstallFaultPlan(plan);
 
   ScanOutput output;
@@ -336,16 +335,17 @@ TEST(ProfileTest, CrcRefetchTalliesMatchScanStats) {
   EXPECT_EQ(output.stats.crc_rescues, 1u);
   EXPECT_EQ(profile.crc_refetched_blocks, output.stats.crc_refetches);
   EXPECT_EQ(profile.crc_rescued_blocks, output.stats.crc_rescues);
-  EXPECT_EQ(output.stats.requests, 7u);
+  EXPECT_EQ(output.stats.requests, 4u);
   EXPECT_EQ(profile.requests, output.stats.requests);
   EXPECT_EQ(profile.get_latency.count, output.stats.requests);
 }
 
 // A request the breaker rejects before its first attempt never reaches the
 // store, so it is no GET sample. Every .btr GET fails, one attempt each,
-// one at a time: the first header round's 2 GETs trip the breaker, which
-// then rejects both header requests of each later round (degraded mode
-// tries again for every row block left).
+// one at a time, and a one-block window (scan_threads = 1, prefetch_depth
+// = 0) makes each block of each column its own run: the first 2 run GETs
+// trip the breaker, which then rejects the other 6 (degraded mode reads
+// every row block left).
 TEST(ProfileTest, BreakerRejectedRequestsAreNotGetSamples) {
   Relation table("breaker_table");
   Column& ints = table.AddColumn("id", ColumnType::kInteger);
@@ -360,7 +360,9 @@ TEST(ProfileTest, BreakerRejectedRequestsAreNotGetSamples) {
                   .ok());
 
   ScanSpec spec = ProfileSpec();
+  spec.config.scan_threads = 1;
   spec.config.fetch_threads = 1;
+  spec.config.prefetch_depth = 0;
   spec.config.retry.max_attempts = 1;
   spec.config.skip_unreadable_blocks = true;
   spec.config.enable_circuit_breaker = true;
@@ -428,9 +430,9 @@ TEST(ProfileTest, ServicedScanProfileMatchesScanStats) {
   EXPECT_EQ(stats.cache_misses, 2u) << "both price blocks";
   EXPECT_EQ(profile.cache_hits, stats.cache_hits);
   EXPECT_EQ(profile.cache_misses, stats.cache_misses);
-  // 2 column headers + one run of both price blocks, none retried or
-  // hedged: one GET per GET request, and a cache hit is a request too.
-  EXPECT_EQ(stats.requests, 3u);
+  // One run of both price blocks, not retried or hedged: one GET per GET
+  // request, and a cache hit is a request too.
+  EXPECT_EQ(stats.requests, 1u);
   EXPECT_EQ(profile.requests, stats.requests + stats.cache_hits);
   EXPECT_EQ(profile.get_latency.count, stats.requests);
   EXPECT_EQ(profile.bytes_fetched, stats.bytes_fetched);
@@ -453,7 +455,7 @@ TEST(ProfileTest, SlowOpRingIsBoundedAndSorted) {
   ASSERT_NE(output.stats.profile, nullptr);
   const obs::ScanProfile& profile = *output.stats.profile;
 
-  // 6 GETs (3 headers, 3 runs) + 6 decodes competed for 2 slots.
+  // 3 run GETs + 6 decodes competed for 2 slots.
   ASSERT_EQ(profile.slow_ops.size(), 2u);
   EXPECT_GE(profile.slow_ops[0].duration_ns, profile.slow_ops[1].duration_ns);
   for (const obs::SlowOp& op : profile.slow_ops) {

@@ -271,11 +271,11 @@ TEST(ScanServiceTest, SharedCacheIsWarmAcrossTenants) {
     ScanOutput output;
     ASSERT_TRUE(scanner.Scan(FastSpec(), &output).ok());
     ExpectOutputsBitIdentical(f.reference, output, 1);
-    // Only the 3 column headers: every block part from the shared cache.
-    EXPECT_EQ(output.stats.requests, 3u);
+    // No GET: every block part from the shared cache.
+    EXPECT_EQ(output.stats.requests, 0u);
     EXPECT_GT(output.stats.cache_hits, 0u);
     service::TenantStats stats = service.GetTenantStats("warm-tenant");
-    EXPECT_EQ(stats.gets, 6u) << "Open's 3 GETs + the 3 column headers";
+    EXPECT_EQ(stats.gets, 3u) << "Open's 3 GETs";
     EXPECT_GT(stats.cache_hits, 0u);
   }
 }
@@ -319,8 +319,8 @@ TEST(ScanServiceTest, BreakerRejectedFetchesCountNoGets) {
 }
 
 // Every GET a serviced Scanner issues rides its tenant's lane and counts in
-// its tenant: Open's manifest, metadata and zone map, the first scan's
-// column headers and its block runs.
+// its tenant: Open's manifest, metadata and zone map, and the scan's block
+// runs.
 TEST(ScanServiceTest, TenantCountsEveryGetOfOpenAndScan) {
   Fixture f;
   service::ScanService service(SmallServiceConfig());
@@ -334,7 +334,7 @@ TEST(ScanServiceTest, TenantCountsEveryGetOfOpenAndScan) {
   service::TenantStats stats = service.GetTenantStats("counted");
   EXPECT_EQ(stats.gets, f.store.total_requests() - before);
   EXPECT_EQ(stats.bytes_fetched, f.store.total_bytes_fetched() - bytes_before);
-  EXPECT_EQ(output.stats.requests, 6u) << "3 headers + one run per column";
+  EXPECT_EQ(output.stats.requests, 3u) << "one run per column";
 }
 
 // --- admission control ------------------------------------------------------
@@ -564,10 +564,10 @@ TEST(ScanServiceTest, CacheSmallerThanABlockRefusesInsertsButScanIsCorrect) {
 }
 
 // Two writers of one version can rewrite a column object in place: same
-// key and block sizes, new bytes and a re-stamped header. The shared cache
-// keys blocks by their header CRC32C, so a scanner that reads the new
-// header misses the old entries and returns the new rows, in strict mode
-// without a re-fetch.
+// key and block sizes, new bytes, and the metadata re-stamped with their
+// CRC32Cs. The shared cache keys blocks by that CRC32C, so a scanner that
+// reads the new metadata misses the old entries and returns the new rows,
+// in strict mode without a re-fetch.
 TEST(ScanServiceTest, RewrittenObjectMissesTheSharedCache) {
   Fixture f;
   service::ScanService service(SmallServiceConfig());
@@ -609,6 +609,11 @@ TEST(ScanServiceTest, RewrittenObjectMissesTheSharedCache) {
                   .Put(ColumnFileKey("lake/", resolved, 0), object.data(),
                        object.size())
                   .ok());
+  ByteBuffer meta;
+  SerializeTableMeta(rewritten, &meta);
+  ASSERT_TRUE(
+      f.store.Put(TableMetaKey("lake/", resolved), meta.data(), meta.size())
+          .ok());
 
   Scanner scanner(service, "reader-b", &f.store, "svc_table", "lake/");
   ASSERT_TRUE(scanner.Open().ok());

@@ -16,6 +16,7 @@
 
 #include "btr/btrblocks.h"
 #include "btr/predicate.h"
+#include "hostile_bytes.h"
 #include "obs/metrics.h"
 #include "write/manifest.h"
 
@@ -247,10 +248,8 @@ TEST(ScannerTest, PoisonedBlockSurfacesStatusNotCrash) {
   std::string key = ColumnFileKey("lake/", resolved, 0);
   std::vector<u8> object;
   ASSERT_TRUE(f.store.GetObject(key, &object).ok());
-  const CompressedColumn& column = f.compressed.columns[0];
-  u64 offset = ColumnFileHeaderBytes(column.blocks.size());
-  offset += column.blocks[0].size();  // start of block 1
-  object[offset] = 0x7F;              // invalid column type byte
+  const u64 offset = f.compressed.columns[0].blocks[0].size();  // block 1
+  object[offset] = 0x7F;  // invalid column type byte
   ASSERT_TRUE(f.store.Put(key, object.data(), object.size()).ok());
 
   Scanner scanner(&f.store, "scan_table", "lake/");
@@ -392,18 +391,13 @@ TEST(ScannerTest, EmittedRowBeginMatchesBlockTimesCapacity) {
 // Per-scan GET and byte counts are the scan's own, not deltas of the
 // shared store's counters: four standalone Scanners scanning one store
 // at once must each report exactly their own fetch plan — one run GET
-// per column (all 3 row blocks fit one run), plus the 3 column headers on
-// a Scanner's first scan.
+// per column (all 3 row blocks fit one run), the first scan included.
 TEST(ScannerTest, ConcurrentScannersCountOnlyTheirOwnTraffic) {
   Fixture f;
   u64 plan_requests = 0;
   u64 plan_bytes = 0;
-  u64 header_requests = 0;
-  u64 header_bytes = 0;
   for (const CompressedColumn& column : f.compressed.columns) {
     plan_requests++;
-    header_requests++;
-    header_bytes += ColumnFileHeaderBytes(column.blocks.size());
     for (const ByteBuffer& block : column.blocks) plan_bytes += block.size();
   }
   constexpr int kScanners = 4;
@@ -426,9 +420,8 @@ TEST(ScannerTest, ConcurrentScannersCountOnlyTheirOwnTraffic) {
           failures.fetch_add(1);
           return;
         }
-        const bool first = round == 0;
-        if (stats.requests != plan_requests + (first ? header_requests : 0) ||
-            stats.bytes_fetched != plan_bytes + (first ? header_bytes : 0)) {
+        if (stats.requests != plan_requests ||
+            stats.bytes_fetched != plan_bytes) {
           miscounts.fetch_add(1);
         }
       }
@@ -453,14 +446,9 @@ TEST(ScannerTest, PrunedBlocksAndCacheHitsSplitRuns) {
       ExpectBlocksBitIdentical(reference, output.columns[c].blocks[b]);
     }
   };
-  u64 header_bytes = 0;
-  for (size_t c = 0; c < 2; c++) {
-    header_bytes +=
-        ColumnFileHeaderBytes(f.compressed.columns[c].blocks.size());
-  }
 
   // Zone maps prune block 1 (ids 1000..1999), so blocks 0 and 2 are two
-  // runs per column: 2 headers + 4 runs.
+  // runs per column: 4 runs.
   {
     Scanner scanner(&f.store, "scan_table", "lake/");
     ASSERT_TRUE(scanner.Open().ok());
@@ -472,14 +460,14 @@ TEST(ScannerTest, PrunedBlocksAndCacheHitsSplitRuns) {
     Status status = scanner.Scan(spec, &output);
     ASSERT_TRUE(status.ok()) << status.ToString();
     EXPECT_EQ(output.block_outcomes[1], BlockOutcome::kPruned);
-    EXPECT_EQ(output.stats.requests, 6u);
+    EXPECT_EQ(output.stats.requests, 4u);
     u64 block_bytes = 0;
     for (size_t c = 0; c < 2; c++) {
       for (u32 b : {0u, 2u}) {
         block_bytes += f.compressed.columns[c].blocks[b].size();
       }
     }
-    EXPECT_EQ(output.stats.bytes_fetched, header_bytes + block_bytes);
+    EXPECT_EQ(output.stats.bytes_fetched, block_bytes);
     expect_block(output, 0);
     expect_block(output, 2);
   }
@@ -495,7 +483,7 @@ TEST(ScannerTest, PrunedBlocksAndCacheHitsSplitRuns) {
     warm.filter = Predicate::BetweenInt("id", 1000, 1999);
     ScanOutput output;
     ASSERT_TRUE(scanner.Scan(warm, &output).ok());
-    EXPECT_EQ(output.stats.requests, 4u) << "2 headers + block 1 of each";
+    EXPECT_EQ(output.stats.requests, 2u) << "block 1 of each";
 
     ScanSpec full = warm;
     full.filter = PredicateExpr();
@@ -511,15 +499,20 @@ TEST(ScannerTest, PrunedBlocksAndCacheHitsSplitRuns) {
 // Each column's 3 blocks arrive in one run GET, so the short final block
 // ends exactly at the run buffer's last byte. Decoders over-read their
 // compressed input; the buffer's kSimdPadding slack must absorb that,
-// which the ASan job checks on this scan.
+// which the ASan job checks on this scan. Open read every block table
+// with the metadata, so the fresh Scanner's first scan issues the 3 runs
+// and no other GET.
 TEST(ScannerTest, LastBlockOfARunDecodesInsideTheSlack) {
   Fixture f;
   Scanner scanner(&f.store, "scan_table", "lake/");
   ASSERT_TRUE(scanner.Open().ok());
+  const u64 requests_after_open = f.store.total_requests();
   ScanOutput output;
   Status status = scanner.Scan(PipelinedSpec(), &output);
   ASSERT_TRUE(status.ok()) << status.ToString();
-  EXPECT_EQ(output.stats.requests, 6u) << "3 headers + one run per column";
+  EXPECT_EQ(output.stats.requests, 3u) << "one run per column";
+  EXPECT_EQ(f.store.total_requests() - requests_after_open, 3u)
+      << "a GET between Open and the block runs";
   DecodedBlock reference;
   for (size_t c = 0; c < output.columns.size(); c++) {
     DecompressBlock(f.compressed.columns[c].blocks[2].data(), &reference,
@@ -555,7 +548,7 @@ TEST(ScannerTest, FetchRunsAheadWhileDecodeStaysBounded) {
   Scanner scanner(&store, "run_ahead", "lake/");
   ASSERT_TRUE(scanner.Open(spec.config).ok());
   const u64 requests_after_open = store.total_requests();
-  const u64 block1_fetched = 2 + 4;  // 2 headers + block 0's and 1's runs
+  const u64 block1_fetched = 4;  // block 0's and block 1's runs
   obs::Counter& decompressed =
       obs::Registry::Get().GetCounter("btr.decompress.blocks");
   const u64 decompressed_before = decompressed.Value();
@@ -593,6 +586,97 @@ TEST(ScannerTest, FetchRunsAheadWhileDecodeStaysBounded) {
       ExpectBlocksBitIdentical(reference, values[c][b]);
     }
   }
+}
+
+// A block table that does not fit its column object is Corruption from
+// Open: block 0 of "id" claims 0xFFFFFFF0 bytes in a .btrmeta whose CRC
+// was re-stamped, so no block GET ever asks for bytes the object lacks.
+TEST(ScannerTest, BlockTableThatDoesNotFitItsObjectIsCorruption) {
+  Fixture f;
+  const std::string key = TableMetaKey("lake/", "scan_table.v1");
+  std::vector<u8> meta;
+  ASSERT_TRUE(f.store.GetObject(key, &meta).ok());
+  // "BTRT" | u32 column_count | u32 row_count | u16 name_len | "id" |
+  // u8 type | u64 uncompressed_bytes | u32 block_count | value counts |
+  // sizes ...
+  const size_t first_size =
+      12 + 2 + 2 + 1 + 8 + 4 + 4 * f.compressed.columns[0].blocks.size();
+  const Bytes inflated = Restamped<u32>(meta, first_size, 0xFFFFFFF0u);
+  ASSERT_TRUE(f.store.Put(key, inflated.data(), inflated.size()).ok());
+
+  const u64 requests_before = f.store.total_requests();
+  Scanner scanner(&f.store, "scan_table", "lake/");
+  Status status = scanner.Open();
+  EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+  EXPECT_EQ(f.store.total_requests() - requests_before, 3u)
+      << "manifest, metadata and zone map; no block GET";
+  ScanOutput output;
+  EXPECT_TRUE(scanner.Scan(PipelinedSpec(), &output).IsInvalidArgument())
+      << "a scanner whose only Open failed stays unopened";
+}
+
+// v2 of scan_table: new ids, and a fourth column.
+Relation MakeWiderTable() {
+  Relation table("scan_table");
+  Column& ints = table.AddColumn("id", ColumnType::kInteger);
+  Column& doubles = table.AddColumn("price", ColumnType::kDouble);
+  Column& strings = table.AddColumn("city", ColumnType::kString);
+  Column& quantities = table.AddColumn("qty", ColumnType::kInteger);
+  for (u32 i = 0; i < kRows; i++) {
+    ints.AppendInt(static_cast<i32>(i * 7));
+    doubles.AppendDouble(static_cast<double>(i % 9));
+    strings.AppendString("v2");
+    quantities.AppendInt(static_cast<i32>(i % 13));
+  }
+  return table;
+}
+
+// A re-Open that fails keeps the scanner on the version it had pinned:
+// v2 (a fourth column) commits with a flipped byte in its zone map, so
+// re-Open fails, and the scanner still reads v1's names, block tables and
+// objects — its {id} scan is bit-identical to before, and v2's column
+// does not exist for it.
+TEST(ScannerTest, FailedReopenKeepsThePinnedVersion) {
+  Fixture f;
+  Scanner scanner(&f.store, "scan_table", "lake/");
+  ASSERT_TRUE(scanner.Open().ok());
+  ASSERT_EQ(scanner.resolved_name(), "scan_table.v1");
+  ScanSpec ids = PipelinedSpec();
+  ids.columns = {"id"};
+  ScanOutput before;
+  ASSERT_TRUE(scanner.Scan(ids, &before).ok());
+
+  const Relation wider = MakeWiderTable();
+  TableZoneMap zones;
+  for (const Column& column : wider.columns()) {
+    zones.columns.push_back(ComputeColumnZoneMap(column));
+  }
+  ASSERT_TRUE(UploadCompressedRelation(CompressRelation(wider, f.config),
+                                       &zones, "lake/", &f.store)
+                  .ok());
+  const std::string zone_key = ZoneMapKey("lake/", "scan_table.v2");
+  std::vector<u8> object;
+  ASSERT_TRUE(f.store.GetObject(zone_key, &object).ok());
+  object[object.size() / 2] ^= 0x10;
+  ASSERT_TRUE(f.store.Put(zone_key, object.data(), object.size()).ok());
+
+  Status status = scanner.Open();
+  EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+  EXPECT_EQ(scanner.resolved_name(), "scan_table.v1");
+  EXPECT_EQ(scanner.meta().columns.size(), 3u);
+
+  ScanOutput after;
+  status = scanner.Scan(ids, &after);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  ASSERT_EQ(after.columns.size(), 1u);
+  ASSERT_EQ(after.columns[0].blocks.size(), before.columns[0].blocks.size());
+  for (size_t b = 0; b < before.columns[0].blocks.size(); b++) {
+    ExpectBlocksBitIdentical(before.columns[0].blocks[b],
+                             after.columns[0].blocks[b]);
+  }
+  ScanSpec added = PipelinedSpec();
+  added.columns = {"qty"};
+  EXPECT_TRUE(scanner.Scan(added, &after).IsNotFound());
 }
 
 }  // namespace

@@ -210,6 +210,45 @@ TEST(StreamingWriterTest, CommitCompressedRelationMatchesStreamedBytes) {
   }
 }
 
+// A table without rows still commits. Its column objects hold no blocks,
+// and a multipart upload completes only with at least one part, so each is
+// staged as one empty part. Both write paths: a streaming writer that
+// never appended, and a zero-row relation committed in one go.
+TEST(StreamingWriterTest, ZeroRowTableCommitsAndScans) {
+  const Relation empty = MakeTable("t", 0);
+  auto expect_empty_table = [](s3sim::ObjectStore& store) {
+    u64 rows = 1;
+    Status status = ScanRows(&store, "t", &rows);
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    EXPECT_EQ(rows, 0u);
+    write::FsckOptions verify;
+    verify.verify_committed = true;
+    write::FsckReport report;
+    ASSERT_TRUE(write::Fsck(&store, "lake/", "t", verify, &report).ok());
+    EXPECT_EQ(report.committed_version_after, 1u);
+    EXPECT_EQ(report.verify_failures, 0u);
+    EXPECT_TRUE(report.clean);
+  };
+  {
+    s3sim::ObjectStore store;
+    write::StreamingWriter writer(&store, "t", "lake/");
+    ASSERT_TRUE(writer.Begin(SchemaOf(empty)).ok());
+    Status status = writer.Commit();
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    expect_empty_table(store);
+  }
+  {
+    s3sim::ObjectStore store;
+    const CompressedRelation compressed =
+        CompressRelation(empty, CompressionConfig());
+    const TableZoneMap zones = ZonesOf(empty);
+    Status status =
+        write::CommitCompressedRelation(compressed, &zones, "lake/", &store);
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    expect_empty_table(store);
+  }
+}
+
 // --- writer API contract ----------------------------------------------------
 
 TEST(StreamingWriterTest, SchemaMismatchAndStateErrorsAreStatuses) {
@@ -636,6 +675,16 @@ TEST(FsckTest, VerifyCommittedDetectsBitRot) {
   ASSERT_TRUE(write::Fsck(&store, "lake/", "t", deep, &report).ok());
   EXPECT_GE(report.verify_failures, 1u);
   EXPECT_FALSE(report.clean);
+
+  // An object shorter than its block table in the metadata says.
+  blob.pop_back();
+  ASSERT_TRUE(store.Put(key, blob.data(), blob.size()).ok());
+  ASSERT_TRUE(write::Fsck(&store, "lake/", "t", deep, &report).ok());
+  EXPECT_EQ(report.verify_failures, 1u);
+  ASSERT_EQ(report.notes.size(), 1u);
+  EXPECT_NE(report.notes[0].find("does not match its blocks"),
+            std::string::npos)
+      << report.notes[0];
 }
 
 // --- hostile metadata -------------------------------------------------------
