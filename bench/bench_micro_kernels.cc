@@ -1,8 +1,9 @@
 // google-benchmark microbenchmarks for the Section 5 decompression
 // kernels: vectorized vs scalar RLE expansion, dictionary gather, fused
-// RLE+Dict, Pseudodecimal decode, FSST block decode, and Unpack128.
-// These back the per-kernel speedup claims; run with --benchmark_filter=
-// to narrow.
+// RLE+Dict, Pseudodecimal decode, FSST block decode, and Unpack128; and
+// for the compression kernels every cascade level runs: block statistics,
+// FSST table builds and FSST encoding. These back the per-kernel speedup
+// claims; run with --benchmark_filter= to narrow.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -10,6 +11,7 @@
 #include "bitpack/bitpack.h"
 #include "btr/btrblocks.h"
 #include "btr/schemes/double_schemes.h"
+#include "btr/stats.h"
 #include "common.h"
 #include "datagen/archetypes.h"
 #include "fsst/fsst.h"
@@ -104,13 +106,19 @@ void BM_PseudodecimalDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_PseudodecimalDecode)->Arg(0)->Arg(1)->ArgName("simd");
 
-void BM_FsstBlockDecode(benchmark::State& state) {
+// 20,000 URL-like strings with a common prefix, concatenated.
+std::string UrlText() {
   Random rng(4);
   std::string text;
   for (int i = 0; i < 20000; i++) {
     text += "https://public.tableau.com/workbooks/";
     text += std::to_string(rng.NextBounded(99999));
   }
+  return text;
+}
+
+void BM_FsstBlockDecode(benchmark::State& state) {
+  std::string text = UrlText();
   fsst::SymbolTable table = fsst::SymbolTable::Build(
       reinterpret_cast<const u8*>(text.data()), text.size());
   ByteBuffer compressed;
@@ -124,6 +132,95 @@ void BM_FsstBlockDecode(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * text.size());
 }
 BENCHMARK(BM_FsstBlockDecode);
+
+void BM_FsstEncode(benchmark::State& state) {
+  std::string text = UrlText();
+  const u8* in = reinterpret_cast<const u8*>(text.data());
+  fsst::SymbolTable table = fsst::SymbolTable::Build(in, text.size());
+  std::vector<u8> out(2 * text.size());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(table.Compress(in, text.size(), out.data()));
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * text.size());
+}
+BENCHMARK(BM_FsstEncode);
+
+// Table builds on a sample of `sample_bytes` lakebench-shaped street
+// addresses: 2 KB is an estimation build, 16 KB a block's (the cap).
+void BM_FsstBuild(benchmark::State& state) {
+  Relation r("t");
+  Column& c = r.AddColumn("s", ColumnType::kString);
+  datagen::FillString(&c, datagen::StringArchetype::kStreetAddresses, 4000, 6);
+  std::vector<u32> scratch;
+  StringsView view = c.StringBlock(0, c.size(), &scratch);
+  const size_t sample_bytes = static_cast<size_t>(state.range(0));
+  BTR_CHECK(view.TotalBytes() >= sample_bytes);
+  for (auto _ : state) {
+    fsst::SymbolTable table = fsst::SymbolTable::Build(view.data, sample_bytes);
+    benchmark::DoNotOptimize(table.symbol_count());
+  }
+  state.SetBytesProcessed(state.iterations() * sample_bytes);
+}
+BENCHMARK(BM_FsstBuild)->Arg(2048)->Arg(16384)->ArgName("bytes");
+
+// Block statistics over one 32,000-value ingest block: lakebench's column
+// shapes, plus doubles in 0.25 steps.
+constexpr u32 kStatsRows = 32000;
+
+template <typename T>
+void ComputeStatsLoop(benchmark::State& state, const std::vector<T>& data) {
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        ComputeStats(data.data(), static_cast<u32>(data.size())));
+  }
+  state.SetBytesProcessed(state.iterations() * data.size() * sizeof(T));
+}
+
+void BM_ComputeStatsInt(benchmark::State& state, datagen::IntArchetype shape) {
+  ComputeStatsLoop(state, datagen::MakeInts(shape, kStatsRows, 7));
+}
+BENCHMARK_CAPTURE(BM_ComputeStatsInt, sequential,
+                  datagen::IntArchetype::kSequential);
+BENCHMARK_CAPTURE(BM_ComputeStatsInt, fk_runs,
+                  datagen::IntArchetype::kForeignKeyRuns);
+BENCHMARK_CAPTURE(BM_ComputeStatsInt, skewed_category,
+                  datagen::IntArchetype::kSkewedCategory);
+
+void BM_ComputeStatsDouble(benchmark::State& state,
+                           datagen::DoubleArchetype shape) {
+  ComputeStatsLoop(state, datagen::MakeDoubles(shape, kStatsRows, 8));
+}
+BENCHMARK_CAPTURE(BM_ComputeStatsDouble, price_2dec,
+                  datagen::DoubleArchetype::kPrice2Decimals);
+BENCHMARK_CAPTURE(BM_ComputeStatsDouble, price_runs,
+                  datagen::DoubleArchetype::kPriceRuns);
+BENCHMARK_CAPTURE(BM_ComputeStatsDouble, mixed_nulls,
+                  datagen::DoubleArchetype::kMixedWithNulls);
+
+void BM_ComputeStatsQuarterSteps(benchmark::State& state) {
+  Random rng(9);
+  std::vector<double> data(kStatsRows);
+  for (double& v : data) v = 0.25 * static_cast<double>(rng.NextBounded(40000));
+  ComputeStatsLoop(state, data);
+}
+BENCHMARK(BM_ComputeStatsQuarterSteps);
+
+void BM_ComputeStatsString(benchmark::State& state,
+                           datagen::StringArchetype shape) {
+  Relation r("t");
+  Column& c = r.AddColumn("s", ColumnType::kString);
+  datagen::FillString(&c, shape, kStatsRows, 10);
+  std::vector<u32> scratch;
+  StringsView view = c.StringBlock(0, kStatsRows, &scratch);
+  for (auto _ : state) benchmark::DoNotOptimize(ComputeStats(view));
+  state.SetBytesProcessed(state.iterations() * view.TotalBytes());
+}
+BENCHMARK_CAPTURE(BM_ComputeStatsString, street_addresses,
+                  datagen::StringArchetype::kStreetAddresses);
+BENCHMARK_CAPTURE(BM_ComputeStatsString, urls, datagen::StringArchetype::kUrls);
+BENCHMARK_CAPTURE(BM_ComputeStatsString, low_cardinality,
+                  datagen::StringArchetype::kLowCardinality);
 
 void BM_FusedRleDictStrings(benchmark::State& state) {
   Relation r("t");

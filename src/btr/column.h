@@ -95,6 +95,8 @@ class Column {
     null_flags_.push_back(1);
     row_count_++;
   }
+  // Appends rows [begin, begin+count) of `src`, a column of this type.
+  void AppendRange(const Column& src, u32 begin, u32 count);
 
   // --- Access -----------------------------------------------------------------
   const std::vector<i32>& ints() const { return ints_; }

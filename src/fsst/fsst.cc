@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
-#include <unordered_map>
+#include <vector>
 
 namespace btr::fsst {
 
@@ -33,22 +33,36 @@ inline u64 HashBytes(u64 bytes) {
 struct SymbolKey {
   u64 bytes;
   u8 length;
-  bool operator==(const SymbolKey& o) const {
-    return bytes == o.bytes && length == o.length;
-  }
-};
-
-struct SymbolKeyHash {
-  size_t operator()(const SymbolKey& k) const {
-    return static_cast<size_t>(HashBytes(k.bytes) ^ (k.length * 0x517CC1B7ULL));
-  }
 };
 
 }  // namespace
 
-SymbolTable::SymbolTable() {
-  std::fill(std::begin(single_code_), std::end(single_code_), i16{-1});
-}
+// The encoder lookup. A position's symbols of >= 2 bytes all start with
+// its first two bytes, so a bucket per 2-byte prefix holds its 2-byte
+// symbol and its longer ones, longest first: the first that matches is
+// the longest match. A table has at most 255 symbols, so bucket ids fit
+// a byte and one table of 65,536 bytes maps every prefix to its bucket.
+struct SymbolTable::Index {
+  struct Bucket {
+    u8 begin = 0;  // symbols of >= 3 bytes: long_*[begin, end)
+    u8 end = 0;
+    u8 two_byte_code = kEscapeCode;  // kEscapeCode: none
+  };
+  i16 single_code[256];  // 1-byte symbol per byte, or -1
+  u8 bucket_of[65536] = {};  // 0: no symbol of >= 2 bytes
+  Bucket buckets[kMaxSymbols + 1];
+  u32 bucket_count = 0;
+  u64 long_bytes[kMaxSymbols];
+  u8 long_length[kMaxSymbols];
+  u8 long_code[kMaxSymbols];
+
+  Index() { std::fill(std::begin(single_code), std::end(single_code), i16{-1}); }
+};
+
+SymbolTable::SymbolTable() = default;
+SymbolTable::~SymbolTable() = default;
+SymbolTable::SymbolTable(SymbolTable&&) noexcept = default;
+SymbolTable& SymbolTable::operator=(SymbolTable&&) noexcept = default;
 
 void SymbolTable::AddSymbol(u64 bytes, u8 length) {
   BTR_DCHECK(count_ < kMaxSymbols);
@@ -58,49 +72,84 @@ void SymbolTable::AddSymbol(u64 bytes, u8 length) {
   count_++;
 }
 
-void SymbolTable::FinalizeLookup() {
-  std::fill(std::begin(single_code_), std::end(single_code_), i16{-1});
-  two_byte_code_.assign(65536, i16{-1});
-  hash_.assign(kHashSlots, HashSlot{});
-  max_length_ = 1;
+void SymbolTable::IndexSymbols() {
+  Index& index = *index_;
+  // Each symbol's bucket, counting its symbols of >= 3 bytes in `end`.
+  // On a duplicate symbol the lowest code wins.
   for (u32 code = 0; code < count_; code++) {
     u64 bytes = symbol_bytes_[code];
     u8 len = symbol_length_[code];
-    max_length_ = std::max(max_length_, len);
     if (len == 1) {
-      single_code_[bytes & 0xFF] = static_cast<i16>(code);
-    } else if (len == 2) {
-      two_byte_code_[bytes & 0xFFFF] = static_cast<i16>(code);
-    } else {
-      u64 slot = HashBytes(bytes ^ len) & (kHashSlots - 1);
-      while (hash_[slot].code >= 0) slot = (slot + 1) & (kHashSlots - 1);
-      hash_[slot] = HashSlot{bytes, static_cast<i16>(code), len};
+      if (index.single_code[bytes & 0xFF] < 0) {
+        index.single_code[bytes & 0xFF] = static_cast<i16>(code);
+      }
+      continue;
+    }
+    u8& id = index.bucket_of[bytes & 0xFFFF];
+    if (id == 0) {
+      id = static_cast<u8>(++index.bucket_count);
+      index.buckets[id] = Index::Bucket{};
+    }
+    Index::Bucket& bucket = index.buckets[id];
+    if (len > 2) {
+      bucket.end++;
+    } else if (bucket.two_byte_code == kEscapeCode) {
+      bucket.two_byte_code = static_cast<u8>(code);
+    }
+  }
+  // Lay the buckets out back to back, then place the long symbols
+  // longest first, lowest code first within a length.
+  u32 next = 0;
+  for (u32 id = 1; id <= index.bucket_count; id++) {
+    Index::Bucket& bucket = index.buckets[id];
+    u32 size = bucket.end;
+    bucket.begin = bucket.end = static_cast<u8>(next);
+    next += size;
+  }
+  for (u32 len = kMaxSymbolLength; len > 2; len--) {
+    for (u32 code = 0; code < count_; code++) {
+      if (symbol_length_[code] != len) continue;
+      u64 bytes = symbol_bytes_[code];
+      u32 slot = index.buckets[index.bucket_of[bytes & 0xFFFF]].end++;
+      index.long_bytes[slot] = bytes;
+      index.long_length[slot] = static_cast<u8>(len);
+      index.long_code[slot] = static_cast<u8>(code);
     }
   }
 }
 
+void SymbolTable::ClearIndex() {
+  Index& index = *index_;
+  for (u32 code = 0; code < count_; code++) {
+    if (symbol_length_[code] == 1) {
+      index.single_code[symbol_bytes_[code] & 0xFF] = -1;
+    } else {
+      index.bucket_of[symbol_bytes_[code] & 0xFFFF] = 0;
+    }
+  }
+  index.bucket_count = 0;
+}
+
 int SymbolTable::FindLongestSymbol(u64 word, u32 remaining, u32* match_len) const {
-  u32 limit = std::min<u32>(remaining, max_length_);
-  for (u32 len = limit; len >= 3; len--) {
-    u64 prefix = word & LengthMask(len);
-    u64 slot = HashBytes(prefix ^ len) & (kHashSlots - 1);
-    while (hash_[slot].code >= 0) {
-      if (hash_[slot].bytes == prefix && hash_[slot].length == len) {
-        *match_len = len;
-        return hash_[slot].code;
-      }
-      slot = (slot + 1) & (kHashSlots - 1);
-    }
-  }
+  const Index& index = *index_;
   if (remaining >= 2) {
-    i16 code = two_byte_code_.empty() ? i16{-1}
-                                      : two_byte_code_[word & 0xFFFF];
-    if (code >= 0) {
-      *match_len = 2;
-      return code;
+    u8 id = index.bucket_of[word & 0xFFFF];
+    if (id != 0) {
+      const Index::Bucket& bucket = index.buckets[id];
+      for (u32 i = bucket.begin; i < bucket.end; i++) {
+        u32 len = index.long_length[i];
+        if (len <= remaining && (word & LengthMask(len)) == index.long_bytes[i]) {
+          *match_len = len;
+          return index.long_code[i];
+        }
+      }
+      if (bucket.two_byte_code != kEscapeCode) {
+        *match_len = 2;
+        return bucket.two_byte_code;
+      }
     }
   }
-  i16 code = single_code_[word & 0xFF];
+  i16 code = index.single_code[word & 0xFF];
   if (code >= 0) {
     *match_len = 1;
     return code;
@@ -109,6 +158,7 @@ int SymbolTable::FindLongestSymbol(u64 word, u32 remaining, u32* match_len) cons
 }
 
 size_t SymbolTable::Compress(const u8* in, size_t len, u8* out) const {
+  BTR_CHECK_MSG(index_ != nullptr, "only a table from Build compresses");
   u8* dst = out;
   size_t pos = 0;
   while (pos < len) {
@@ -166,7 +216,7 @@ SymbolTable SymbolTable::Build(const u8* sample, size_t sample_len) {
 
   constexpr int kIterations = 5;
   SymbolTable table;
-  table.FinalizeLookup();  // empty lookup: everything escapes
+  table.index_ = std::make_unique<Index>();  // no symbols: everything escapes
 
   // Open-addressing candidate counter, reused across iterations: the
   // unordered_map equivalent dominates build time in profiles.
@@ -177,11 +227,11 @@ SymbolTable SymbolTable::Build(const u8* sample, size_t sample_len) {
   };
   constexpr u32 kCountSlots = 1u << 14;
   std::vector<CountSlot> counts(kCountSlots);
+  std::vector<u32> filled;  // the slots of `counts` in use
 
   for (int iter = 0; iter < kIterations; iter++) {
     // Encode the sample with the current table, counting symbol and
     // adjacent-pair frequencies.
-    std::fill(counts.begin(), counts.end(), CountSlot{});
     auto bump = [&](u64 bytes, u8 length) {
       u64 slot = (HashBytes(bytes) ^ (length * 0x517CC1B7ULL)) & (kCountSlots - 1);
       // Bounded probe; a full neighborhood just drops the candidate.
@@ -189,6 +239,7 @@ SymbolTable SymbolTable::Build(const u8* sample, size_t sample_len) {
         CountSlot& s = counts[slot];
         if (s.count == 0) {
           s = CountSlot{bytes, 1, length};
+          filled.push_back(static_cast<u32>(slot));
           return;
         }
         if (s.bytes == bytes && s.length == length) {
@@ -226,20 +277,24 @@ SymbolTable SymbolTable::Build(const u8* sample, size_t sample_len) {
       pos += match_len;
     }
 
-    // Keep the kMaxSymbols candidates with the highest gain.
+    // Keep the kMaxSymbols candidates with the highest gain. The order
+    // below is total (candidates are distinct), so the pick does not
+    // depend on the order of `filled`.
     struct Scored {
       u64 gain;
       SymbolKey key;
     };
     std::vector<Scored> scored;
-    scored.reserve(4096);
-    for (const CountSlot& slot : counts) {
-      if (slot.count == 0) continue;
+    scored.reserve(filled.size());
+    for (u32 i : filled) {
+      CountSlot& slot = counts[i];
       // Gain: bytes covered. Single-byte symbols only pay off vs the
       // escape path, but keeping frequent ones avoids 2x blowup.
       scored.push_back(Scored{static_cast<u64>(slot.count) * slot.length,
                               SymbolKey{slot.bytes, slot.length}});
+      slot = CountSlot{};
     }
+    filled.clear();
     size_t keep = std::min<size_t>(scored.size(), kMaxSymbols);
     std::partial_sort(scored.begin(), scored.begin() + keep, scored.end(),
                       [](const Scored& a, const Scored& b) {
@@ -249,12 +304,12 @@ SymbolTable SymbolTable::Build(const u8* sample, size_t sample_len) {
                         }
                         return a.key.bytes < b.key.bytes;
                       });
-    SymbolTable next;
+    table.ClearIndex();
+    table.count_ = 0;
     for (size_t i = 0; i < keep; i++) {
-      next.AddSymbol(scored[i].key.bytes, scored[i].key.length);
+      table.AddSymbol(scored[i].key.bytes, scored[i].key.length);
     }
-    next.FinalizeLookup();
-    table = std::move(next);
+    table.IndexSymbols();
   }
   return table;
 }
@@ -285,7 +340,6 @@ SymbolTable SymbolTable::Deserialize(const u8* data, size_t* bytes_consumed) {
     cursor += lengths[i];
     table.AddSymbol(bytes, lengths[i]);
   }
-  table.FinalizeLookup();
   if (bytes_consumed != nullptr) {
     *bytes_consumed = static_cast<size_t>(cursor - data);
   }

@@ -12,7 +12,7 @@
 #ifndef BTR_FSST_FSST_H_
 #define BTR_FSST_FSST_H_
 
-#include <vector>
+#include <memory>
 
 #include "util/buffer.h"
 #include "util/types.h"
@@ -26,13 +26,17 @@ inline constexpr u32 kMaxSymbolLength = 8;
 class SymbolTable {
  public:
   SymbolTable();
+  ~SymbolTable();
+  SymbolTable(SymbolTable&&) noexcept;
+  SymbolTable& operator=(SymbolTable&&) noexcept;
 
   // Builds a table from a training sample (typically the block being
   // compressed, or a sample of it). The sample is capped internally.
   static SymbolTable Build(const u8* sample, size_t sample_len);
 
-  // Compresses `len` bytes. Worst case output is 2*len (all escapes);
-  // `out` must have that much room. Returns compressed size.
+  // Compresses `len` bytes with a table from Build. Worst case output is
+  // 2*len (all escapes); `out` must have that much room. Returns
+  // compressed size.
   size_t Compress(const u8* in, size_t len, u8* out) const;
 
   // Decompresses `compressed_len` bytes. `out` must have room for the
@@ -44,6 +48,7 @@ class SymbolTable {
   size_t DecompressedSize(const u8* in, size_t compressed_len) const;
 
   // Serialization: [u8 count][count * u8 lengths][concatenated bytes].
+  // A deserialized table decodes only: it has no encoder lookup.
   void SerializeTo(ByteBuffer* out) const;
   static SymbolTable Deserialize(const u8* data, size_t* bytes_consumed);
   size_t SerializedSizeBytes() const;
@@ -51,13 +56,12 @@ class SymbolTable {
   u32 symbol_count() const { return count_; }
 
  private:
-  struct Candidate {
-    u64 bytes;  // little-endian, zero padded
-    u8 length;
-  };
+  struct Index;
 
   void AddSymbol(u64 bytes, u8 length);
-  void FinalizeLookup();
+  // Fills the encoder lookup from the symbols, or clears what it filled.
+  void IndexSymbols();
+  void ClearIndex();
 
   // Longest-match step: returns the symbol code for the text at `word`
   // (little-endian load of the next min(remaining,8) bytes), or -1 if only
@@ -67,19 +71,8 @@ class SymbolTable {
   u32 count_ = 0;
   u64 symbol_bytes_[kMaxSymbols];
   u8 symbol_length_[kMaxSymbols];
-
-  // Lookup acceleration, built by FinalizeLookup():
-  i16 single_code_[256];             // 1-byte symbols
-  std::vector<i16> two_byte_code_;   // 65536 entries, 2-byte symbols
-  // Open-addressing hash for symbols of length >= 3.
-  struct HashSlot {
-    u64 bytes = 0;
-    i16 code = -1;
-    u8 length = 0;
-  };
-  static constexpr u32 kHashSlots = 2048;  // power of two
-  std::vector<HashSlot> hash_;
-  u8 max_length_ = 1;  // longest symbol in the table
+  // Encoder lookup, made by Build only.
+  std::unique_ptr<Index> index_;
 };
 
 // Convenience helpers for one-shot round trips (tests, small payloads).

@@ -206,22 +206,16 @@ Status StreamingWriter::Append(const Relation& chunk) {
                                      std::to_string(c) + " row count differs");
     }
   }
+  // Each column is copied in ranges that end at the next block cut.
   for (size_t c = 0; c < columns_.size(); c++) {
     const Column& src = chunk.columns()[c];
-    Column* acc = columns_[c].accumulator.get();
-    for (u32 r = 0; r < rows; r++) {
-      if (src.IsNull(r)) {
-        acc->AppendNull();
-      } else {
-        switch (src.type()) {
-          case ColumnType::kInteger: acc->AppendInt(src.ints()[r]); break;
-          case ColumnType::kDouble: acc->AppendDouble(src.doubles()[r]); break;
-          case ColumnType::kString: acc->AppendString(src.GetString(r)); break;
-        }
-      }
+    for (u32 r = 0; r < rows;) {
+      Column* acc = columns_[c].accumulator.get();
+      u32 n = std::min(rows - r, kBlockCapacity - acc->size());
+      acc->AppendRange(src, r, n);
+      r += n;
       if (acc->size() == kBlockCapacity) {
         BTR_RETURN_IF_ERROR(FlushBlock(c));
-        acc = columns_[c].accumulator.get();
         if (columns_[c].pending.size() >= config_.part_target_bytes) {
           BTR_RETURN_IF_ERROR(UploadPending(c));
         }

@@ -137,5 +137,81 @@ TEST_P(FsstPropertyTest, RandomStructuredRoundTrip) {
 INSTANTIATE_TEST_SUITE_P(Seeds, FsstPropertyTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
 
+// Brute-force greedy encoder over a table's serialized symbols: at each
+// position the longest symbol that matches the remaining bytes (the lowest
+// code among equals), or an escape.
+std::vector<u8> GreedyEncode(const SymbolTable& table, const std::string& input) {
+  ByteBuffer serialized;
+  table.SerializeTo(&serialized);
+  const u8* cursor = serialized.data();
+  u32 count = *cursor++;
+  const u8* lengths = cursor;
+  cursor += count;
+  std::vector<std::string> symbols;
+  for (u32 i = 0; i < count; i++) {
+    symbols.emplace_back(reinterpret_cast<const char*>(cursor), lengths[i]);
+    cursor += lengths[i];
+  }
+  std::vector<u8> out;
+  for (size_t pos = 0; pos < input.size();) {
+    int best = -1;
+    for (u32 code = 0; code < count; code++) {
+      const std::string& symbol = symbols[code];
+      if (symbol.size() <= input.size() - pos &&
+          input.compare(pos, symbol.size(), symbol) == 0 &&
+          (best < 0 || symbol.size() > symbols[best].size())) {
+        best = static_cast<int>(code);
+      }
+    }
+    if (best >= 0) {
+      out.push_back(static_cast<u8>(best));
+      pos += symbols[best].size();
+    } else {
+      out.push_back(kEscapeCode);
+      out.push_back(static_cast<u8>(input[pos]));
+      pos++;
+    }
+  }
+  return out;
+}
+
+std::vector<u8> Encode(const SymbolTable& table, const std::string& input) {
+  std::vector<u8> out(2 * input.size());
+  out.resize(table.Compress(reinterpret_cast<const u8*>(input.data()),
+                            input.size(), out.data()));
+  return out;
+}
+
+TEST(FsstTest, CompressMatchesGreedyReference) {
+  Random rng(77);
+  std::string random_bytes, urls, addresses, repeated, zeros_and_ff;
+  const char* streets[] = {"MAIN ST", "E MAYO BLVD", "OAK AVE", "W 42ND ST"};
+  for (int i = 0; i < 600; i++) {
+    random_bytes.push_back(static_cast<char>(rng.Next() & 0xFF));
+    urls += "https://www.example.com/products/item/";
+    urls += std::to_string(rng.NextBounded(100000));
+    addresses += std::to_string(rng.NextBounded(9999)) + " " +
+                 streets[rng.NextBounded(4)] + ",";
+    repeated += "abcab";
+    const char bytes[] = {'\0', '\xff', 'a', '\0', '\0', '\xff', '\xff', 'b'};
+    zeros_and_ff.push_back(bytes[rng.NextBounded(8)]);
+  }
+  for (const std::string* text :
+       {&random_bytes, &urls, &addresses, &repeated, &zeros_and_ff}) {
+    SymbolTable table = SymbolTable::Build(
+        reinterpret_cast<const u8*>(text->data()), text->size());
+    EXPECT_EQ(Encode(table, *text), GreedyEncode(table, *text));
+    // Tails of 1-7 bytes, where fewer than 8 bytes remain to be matched.
+    for (size_t tail = 1; tail <= 7; tail++) {
+      for (size_t begin : {size_t{0}, size_t{5}, text->size() - tail}) {
+        std::string piece = text->substr(begin, tail);
+        EXPECT_EQ(Encode(table, piece), GreedyEncode(table, piece));
+      }
+      std::string cut = text->substr(0, text->size() - tail);
+      EXPECT_EQ(Encode(table, cut), GreedyEncode(table, cut));
+    }
+  }
+}
+
 }  // namespace
 }  // namespace btr::fsst

@@ -1,11 +1,21 @@
-// Tests for the sampling module (paper Section 3.1 / Figure 2) and the
-// exhaustive-estimation oracle mode.
+// Tests for the sampling module (paper Section 3.1 / Figure 2), the
+// exhaustive-estimation oracle mode, and the block statistics the scheme
+// picker filters on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <limits>
+#include <memory>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "btr/sampling.h"
 #include "btr/scheme_picker.h"
+#include "btr/stats.h"
+#include "util/random.h"
 
 namespace btr {
 namespace {
@@ -104,6 +114,132 @@ TEST(SamplingTest, PickerAgreesWithOracleOnEasyShapes) {
   for (i32 i = 0; i < 64000; i++) sequential[i] = i;
   EXPECT_EQ(PickScheme(sequential.data(), 64000, sampled),
             PickScheme(sequential.data(), 64000, oracle));
+}
+
+// ComputeStats against a std::set reference. Uniqueness and runs are over
+// the equality key (a double's bit pattern); min and max are the first
+// minimum and maximum under operator<, as std::min_element finds them.
+template <typename T>
+void ExpectStatsMatchReference(const std::vector<T>& data) {
+  using Key = typename SchemeTraits<T>::Key;
+  NumericStats<T> stats = ComputeStats(data.data(), static_cast<u32>(data.size()));
+  std::set<Key> keys;
+  u32 runs = 0;
+  for (size_t i = 0; i < data.size(); i++) {
+    Key key = SchemeTraits<T>::KeyOf(data[i]);
+    keys.insert(key);
+    if (i == 0 || key != SchemeTraits<T>::KeyOf(data[i - 1])) runs++;
+  }
+  EXPECT_EQ(stats.count, data.size());
+  EXPECT_EQ(stats.unique_count, keys.size());
+  EXPECT_EQ(stats.run_count, runs);
+  if (data.empty()) return;
+  EXPECT_EQ(SchemeTraits<T>::KeyOf(stats.min),
+            SchemeTraits<T>::KeyOf(*std::min_element(data.begin(), data.end())));
+  EXPECT_EQ(SchemeTraits<T>::KeyOf(stats.max),
+            SchemeTraits<T>::KeyOf(*std::max_element(data.begin(), data.end())));
+}
+
+TEST(StatsTest, DoublesMatchReference) {
+  Random rng(11);
+  const u32 n = 32000;
+  std::vector<double> quarter_steps(n), prices(n), integral(n);
+  for (u32 i = 0; i < n; i++) {
+    quarter_steps[i] = 0.25 * static_cast<double>(rng.NextBounded(20000));
+    prices[i] = static_cast<double>(rng.NextBounded(1000000)) / 100.0;
+    integral[i] = static_cast<double>(rng.NextBounded(5000)) - 2500.0;
+  }
+  ExpectStatsMatchReference(quarter_steps);
+  ExpectStatsMatchReference(prices);
+  ExpectStatsMatchReference(integral);
+  ExpectStatsMatchReference(std::vector<double>(n, 19.99));
+
+  // Zeros of both signs, NaNs with distinct payloads and infinities are
+  // distinct values, because equality is on bit patterns.
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> special = {
+      0.0, -0.0, 0.0, std::bit_cast<double>(u64{0x7FF8000000000001}),
+      std::bit_cast<double>(u64{0x7FF8000000000002}), inf, -inf, inf,
+      std::bit_cast<double>(u64{0xFFF8000000000000}), -0.0, 1.5, -0.0};
+  ExpectStatsMatchReference(special);
+  std::vector<double> nan_first = {std::nan(""), 3.0, -inf, 2.0, std::nan("")};
+  ExpectStatsMatchReference(nan_first);
+  std::vector<double> mixed = prices;
+  for (u32 i = 0; i < n; i += 97) mixed[i] = special[i % special.size()];
+  ExpectStatsMatchReference(mixed);
+}
+
+TEST(StatsTest, IntsMatchReference) {
+  const u32 n = 32000;
+  std::vector<i32> sequential(n), extremes(n), runs(n);
+  Random rng(12);
+  for (u32 i = 0; i < n; i++) {
+    sequential[i] = static_cast<i32>(i) - 100;
+    const i32 edge[] = {std::numeric_limits<i32>::min(),
+                        std::numeric_limits<i32>::max(), 0, -1, 1};
+    extremes[i] = edge[rng.NextBounded(5)];
+    runs[i] = static_cast<i32>(i / 37) * 1000;
+  }
+  ExpectStatsMatchReference(sequential);
+  ExpectStatsMatchReference(extremes);
+  ExpectStatsMatchReference(runs);
+  ExpectStatsMatchReference(std::vector<i32>(n, 0));
+  ExpectStatsMatchReference(std::vector<i32>(n, std::numeric_limits<i32>::min()));
+  ExpectStatsMatchReference(std::vector<i32>{});
+}
+
+// Strings of 0-24 bytes, empty strings and embedded zeros among them, in a
+// buffer of exactly their bytes whose last string has `last_length` bytes:
+// a load past the buffer's end fails under AddressSanitizer.
+void ExpectStringStatsMatchReference(u32 last_length) {
+  Random rng(13 + last_length);
+  std::vector<std::string> strings;
+  for (u32 i = 0; i < 3000; i++) {
+    std::string s(rng.NextBounded(25), '\0');
+    for (char& c : s) c = "ab\0z"[rng.NextBounded(4)];
+    if (!s.empty() && s.back() == '\0') s.back() = 'z';
+    strings.push_back(s);
+    if (i % 5 == 0) strings.push_back(s);  // runs
+    if (i % 7 == 0) strings.push_back("");
+  }
+  strings.push_back(std::string(last_length, 'q'));
+  std::vector<u32> offsets = {0};
+  for (const std::string& s : strings) {
+    offsets.push_back(offsets.back() + static_cast<u32>(s.size()));
+  }
+  auto data = std::make_unique<u8[]>(offsets.back());
+  for (size_t i = 0; i < strings.size(); i++) {
+    std::copy(strings[i].begin(), strings[i].end(), data.get() + offsets[i]);
+  }
+  StringsView view{offsets.data(), data.get(), static_cast<u32>(strings.size())};
+  StringStats stats = ComputeStats(view);
+
+  // Distinct strings are counted by a 64-bit hash of the length and the
+  // first 16 and last 8 bytes: all of a string of at most 24 bytes. Words
+  // are zero padded and the length is xored in, so a string that ends in
+  // zero bytes can collide with a shorter one ("a" and "b\0"); no string
+  // here ends in one, and these fixed inputs have no other collision.
+  std::set<std::string> distinct(strings.begin(), strings.end());
+  u64 unique_bytes = 0;
+  for (const std::string& s : distinct) unique_bytes += s.size();
+  u32 runs = 0, max_length = 0;
+  for (size_t i = 0; i < strings.size(); i++) {
+    if (i == 0 || strings[i] != strings[i - 1]) runs++;
+    max_length = std::max(max_length, static_cast<u32>(strings[i].size()));
+  }
+  EXPECT_EQ(stats.count, strings.size());
+  EXPECT_EQ(stats.unique_count, distinct.size());
+  EXPECT_EQ(stats.unique_bytes, unique_bytes);
+  EXPECT_EQ(stats.run_count, runs);
+  EXPECT_EQ(stats.max_length, max_length);
+  EXPECT_EQ(stats.total_bytes, offsets.back());
+}
+
+TEST(StatsTest, StringsMatchReference) {
+  for (u32 last_length = 0; last_length <= 24; last_length++) {
+    SCOPED_TRACE(last_length);
+    ExpectStringStatsMatchReference(last_length);
+  }
 }
 
 }  // namespace
