@@ -275,9 +275,16 @@ struct PforPlan {
 // when a low outlier would inflate every delta, so the k-th smallest
 // values are evaluated as candidates and low outliers become exceptions.
 PforPlan PlanPfor(const i32* in, u32 count) {
+  // Only the 33 smallest values are candidates (sorted[k] and sorted[k - 1]
+  // for k <= 32), so only they are put in order.
   i32 sorted[kBlockSize];
   std::memcpy(sorted, in, count * sizeof(i32));
-  std::sort(sorted, sorted + count);
+  u32 ordered = count;
+  if (count > 33) {
+    std::nth_element(sorted, sorted + 32, sorted + count);
+    ordered = 32;  // sorted[32] is in place, the smaller values before it
+  }
+  std::sort(sorted, sorted + ordered);
 
   PforPlan best{};
   u64 best_cost = ~u64{0};
