@@ -156,8 +156,9 @@ void Run() {
                 compressed.columns[0].blocks.size());
     std::printf("%-42s  %8.3f s\n", "sequential (1 GET in flight, 1 thread)",
                 sequential_seconds);
-    std::printf("%-42s  %8.3f s\n",
-                "pipelined (8 scan threads, 8 fetch threads)", stats.seconds);
+    std::printf("%-42s  %8.3f s  (%llu GETs)\n",
+                "pipelined (8 scan threads, 8 fetch threads)", stats.seconds,
+                static_cast<unsigned long long>(stats.requests));
     std::printf("%-42s  %7.1fx\n", "speedup", sequential_seconds / stats.seconds);
     Report("scan.sequential_seconds", sequential_seconds, "s",
            MetricKind::kTime);
@@ -166,6 +167,10 @@ void Run() {
            MetricKind::kThroughput);
     Report("scan.bytes_fetched", static_cast<double>(stats.bytes_fetched),
            "bytes", MetricKind::kBytes);
+    // The GETs of the fetch plan (docs/SCAN_PIPELINE.md, "Runs"): a plan
+    // change moves this count, and the bench gate compares it exactly.
+    Report("scan.requests", static_cast<double>(stats.requests), "GETs",
+           MetricKind::kCount);
     if (stats.profile != nullptr) {
       std::printf("\n-- Per-scan profile of the pipelined scan "
                   "(docs/OBSERVABILITY.md) --\n%s",

@@ -172,9 +172,11 @@ struct ScanConfig {
   // Block parts beyond one row-block bundle per decode thread: the window
   // is prefetch_depth + needed columns x decode threads. Its whole row
   // blocks past the next emit are the decode window, the only row blocks
-  // decoded; the fetch window adds one run per fetch executor, and a part
-  // counts until its row block is emitted. The window and the fetch
-  // executors also set how many adjacent blocks one GET reads.
+  // decoded. Shared between the needed columns or the fetch executors,
+  // whichever are more, the window is the block count of the widest
+  // column's runs; their bytes cut every column's runs. The fetch window
+  // is one run of every needed column plus one per fetch executor, in
+  // bytes, and a part counts until its row block is emitted.
   u32 prefetch_depth = 8;
 
   // --- predicate pushdown (btr/predicate.h, docs/PREDICATES.md) ------------

@@ -487,12 +487,13 @@ struct Bundle {
 }  // namespace
 
 // One Scan() call, run on a ScanService in four stages: Plan (calling
-// thread) prunes row blocks and groups the rest; Fetch items run on the
-// service's fetch executors and Decode items on its decode executors, both
-// behind the tenant's fair-queue lanes; Emit hands chunks to the caller in
-// block order, slides the decode window and pumps the next fetches. Every submitted item captures `this`, so the
-// Job must Finish() — quiesce — before it leaves scope; bundles waiting
-// for the decode window are not items and are dropped with the Job.
+// thread) prunes row blocks and cuts the rest into fetch runs; Fetch items
+// run on the service's fetch executors and Decode items on its decode
+// executors, both behind the tenant's fair-queue lanes; Emit hands chunks
+// to the caller in block order, slides the decode window and pumps the
+// next fetches. Every submitted item captures `this`, so the Job must
+// Finish() — quiesce — before it leaves scope; bundles waiting for the
+// decode window are not items and are dropped with the Job.
 class Scanner::Job {
  public:
   Job(Scanner& scanner, service::ScanService& service,
@@ -537,14 +538,9 @@ class Scanner::Job {
   Status Finish(ScanStats* stats);
 
  private:
-  // Adjacent surviving row blocks [first, first + blocks), expanded into
-  // fetch items when the fetch window reaches them.
-  struct Group {
-    u32 first = 0;
-    u32 blocks = 0;
-  };
-  // Adjacent blocks [first, first + blocks) of needed column `pos`: one
-  // GET, or — with `hit` set — one block the cache already holds.
+  // Adjacent blocks [first, first + blocks) of needed column `pos`: a fetch
+  // run, and once expanded one GET or — with `hit` set — one block the
+  // cache already holds.
   struct Item {
     u32 pos = 0;
     u32 first = 0;
@@ -555,8 +551,13 @@ class Scanner::Job {
   const BlockTable& Blocks(u32 pos) const {
     return scanner_.meta_.columns[resolved_.needed[pos]].blocks;
   }
+  // Bytes of blocks [first, first + blocks) of needed column `pos`.
+  u64 Bytes(u32 pos, u32 first, u32 blocks) const {
+    const BlockTable& table = Blocks(pos);
+    return table.block_offsets[first + blocks] - table.block_offsets[first];
+  }
   u32 NextFetched(u32 b) const;
-  void Expand(const Group& group);
+  void Expand(const Item& run);
   void FetchRun(const Item& run);
   Status Arrive(u32 pos, u32 b, BlockPart* part);
   void Deliver(u32 b, u32 pos, BlockPart part, const Status& status);
@@ -585,14 +586,14 @@ class Scanner::Job {
   u64 base_breaker_fast_ = 0;
 
   // Plan output, then the pump's state. Calling thread only.
-  const u64 window_;  // in block parts; sizes the decode and fetch windows
+  const u64 window_;  // in block parts; sizes the decode window and runs
   std::vector<u8> pruned_;
   std::vector<u64> leaf_zone_prunes_;
-  std::vector<Group> groups_;
+  std::vector<Item> runs_;   // in (first row block, column) order
   u32 first_fetched_ = ~0u;  // row blocks before it enter neither window
-  size_t next_group_ = 0;
-  std::deque<Item> items_;  // the expanded groups' items not yet submitted
-  u64 fetch_tokens_ = 0;    // block parts that may still be submitted
+  size_t next_run_ = 0;
+  std::deque<Item> items_;  // the expanded run's items not yet submitted
+  u64 fetch_bytes_ = 0;     // block bytes that may still be submitted
   u64 cache_hits_ = 0;
   u64 cache_misses_ = 0;
 
@@ -619,7 +620,7 @@ class Scanner::Job {
   std::vector<std::atomic<u64>> leaf_materialized_;
 };
 
-// --- plan: zone-map pruning, then groups -------------------------------------
+// --- plan: zone-map pruning, then fetch runs ---------------------------------
 
 void Scanner::Job::Plan() {
   // A row block is pruned when the whole filter expression proves it
@@ -661,32 +662,63 @@ void Scanner::Job::Plan() {
   if (first == resolved_.row_blocks) return;
   first_fetched_ = first;
 
-  // Run length: as long as the window allows, since every GET pays a
-  // first-byte wait, but one group of runs across all needed columns must
-  // fit the window, and so must one run per fetch executor.
+  // Runs are cut by bytes, since every GET pays a first-byte wait however
+  // much it carries. The run size R is the largest run of `run_blocks`
+  // adjacent surviving blocks of any needed column, where `run_blocks`
+  // shares the window between the needed columns or the fetch executors,
+  // whichever are more. Each column's runs then extend over its adjacent
+  // surviving blocks up to R bytes (a block larger than R is a run of its
+  // own), so a column smaller than R is one GET, the widest column keeps
+  // `run_blocks` blocks a GET, and no run crosses a pruned block.
   const u32 fetch_threads = service_.fetch_threads();
   const u64 run_blocks = std::max<u64>(
       1, window_ / std::max({needed_count_, fetch_threads, 1u}));
-  // The fetch window is the window plus one run per fetch executor, so the
-  // next runs' GETs are in flight while the window's row blocks decode. The
-  // decode window is the window's whole row blocks past the next emit.
-  fetch_tokens_ = window_ + fetch_threads * run_blocks;
-  const u64 decode_blocks = std::max<u64>(1, window_ / needed_count_);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    decode_end_ = first;
-    for (u64 i = 0; i < decode_blocks && decode_end_ < resolved_.row_blocks;
-         i++) {
-      decode_end_ = NextFetched(decode_end_);
+  u64 run_bytes = 0;
+  std::vector<u64> surviving(needed_count_, 0);  // bytes per needed column
+  for (u32 b = first; b < resolved_.row_blocks;) {
+    if (pruned_[b]) {
+      b++;
+      continue;
+    }
+    u32 end = b + 1;
+    while (end < resolved_.row_blocks && !pruned_[end] &&
+           end - b < run_blocks) {
+      end++;
+    }
+    for (u32 pos = 0; pos < needed_count_; pos++) {
+      const u64 bytes = Bytes(pos, b, end - b);
+      run_bytes = std::max(run_bytes, bytes);
+      surviving[pos] += bytes;
+    }
+    b = end;
+  }
+  for (u32 pos = 0; pos < needed_count_; pos++) {
+    for (u32 b = first; b < resolved_.row_blocks; b++) {
+      if (pruned_[b]) continue;
+      const Item* run = runs_.empty() ? nullptr : &runs_.back();
+      if (run == nullptr || run->pos != pos || run->first + run->blocks != b ||
+          Bytes(pos, run->first, run->blocks + 1) > run_bytes) {
+        runs_.push_back(Item{pos, b, 0, {}});
+      }
+      runs_.back().blocks++;
     }
   }
-  for (u32 b = first; b < resolved_.row_blocks; b++) {
-    if (pruned_[b]) continue;
-    if (groups_.empty() || groups_.back().first + groups_.back().blocks != b ||
-        groups_.back().blocks == run_blocks) {
-      groups_.push_back(Group{b, 0});
-    }
-    groups_.back().blocks++;
+  std::sort(runs_.begin(), runs_.end(), [](const Item& x, const Item& y) {
+    return x.first != y.first ? x.first < y.first : x.pos < y.pos;
+  });
+  // The fetch window holds one run of every needed column, so the lowest
+  // unemitted row block can always be fetched (Pump), plus one run per
+  // fetch executor, so the next runs' GETs are in flight while the window's
+  // row blocks decode. The decode window is the window's whole row blocks
+  // past the next emit.
+  fetch_bytes_ = fetch_threads * run_bytes;
+  for (u64 bytes : surviving) fetch_bytes_ += std::min(bytes, run_bytes);
+  const u64 decode_blocks = std::max<u64>(1, window_ / needed_count_);
+  std::lock_guard<std::mutex> lock(mutex_);
+  decode_end_ = first;
+  for (u64 i = 0; i < decode_blocks && decode_end_ < resolved_.row_blocks;
+       i++) {
+    decode_end_ = NextFetched(decode_end_);
   }
 }
 
@@ -701,27 +733,36 @@ u32 Scanner::Job::NextFetched(u32 b) const {
 
 // --- fetch: window-limited items on the service's fetch executors ----------------
 
-// Backpressure is two windows, not a bounded queue. A block part holds one
-// fetch token from the moment its GET (or cache hit) is submitted until its
-// row block is emitted, so the fetch window bounds the parts in flight.
-// Only the decode window's row blocks (decode_end_) get decode items; a
-// complete bundle past it waits compressed, so the decode window bounds the
-// decoded blocks. Tokens are taken and returned, and the decode window
-// slides, on the calling thread only, never while holding an executor
-// thread, so executors never block on another scan's progress (no
-// cross-tenant head-of-line blocking). Groups expand in block order and a
-// group fits the fetch window, so the lowest unemitted row block can always
-// be fetched, and it is always inside the decode window.
+// Backpressure is two windows, not a bounded queue. A block part holds its
+// bytes of the fetch window from the moment its GET (or cache hit) is
+// submitted until its row block is emitted, so the fetch window bounds the
+// compressed bytes in flight. Only the decode window's row blocks
+// (decode_end_) get decode items; a complete bundle past it waits
+// compressed, so the decode window bounds the decoded blocks. The fetch
+// window is taken and returned, and the decode window slides, on the
+// calling thread only, never while holding an executor thread, so
+// executors never block on another scan's progress (no cross-tenant
+// head-of-line blocking).
+//
+// Progress: let b be the lowest unemitted row block. Runs are expanded in
+// (first row block, column) order, so while a part of b is unsubmitted,
+// every submitted run starts at or before b, and a submitted run that
+// still holds bytes of an unemitted row block contains b. That is at most
+// one run per column, the next item's run included, and a run of a column
+// is at most min(its surviving bytes, R): their sum is the fetch window
+// less its run-ahead. So the next item always fits once every row block
+// before b has been emitted, and b is always inside the decode window.
 void Scanner::Job::Pump() {
   while (!Failed()) {
     if (items_.empty()) {
-      if (next_group_ == groups_.size()) return;
-      Expand(groups_[next_group_++]);
+      if (next_run_ == runs_.size()) return;
+      Expand(runs_[next_run_++]);
       continue;
     }
     Item& next = items_.front();
-    if (next.blocks > fetch_tokens_) return;
-    fetch_tokens_ -= next.blocks;
+    const u64 length = Bytes(next.pos, next.first, next.blocks);
+    if (length > fetch_bytes_) return;
+    fetch_bytes_ -= length;
     if (next.hit.owner != nullptr) {
       Deliver(next.first, next.pos, std::move(next.hit), Status::Ok());
     } else {
@@ -729,9 +770,6 @@ void Scanner::Job::Pump() {
         std::lock_guard<std::mutex> lock(mutex_);
         outstanding_++;
       }
-      const BlockTable& blocks = Blocks(next.pos);
-      const u64 length = blocks.block_offsets[next.first + next.blocks] -
-                         blocks.block_offsets[next.first];
       lane_.Submit(/*decode=*/false, length, [this, run = next] {
         FetchRun(run);
       });
@@ -740,40 +778,36 @@ void Scanner::Job::Pump() {
   }
 }
 
-// Looks up every block of `group` in the cache and queues, per needed
-// column, each hit and one run per stretch of adjacent misses: a hit
-// splits a run.
-void Scanner::Job::Expand(const Group& group) {
+// Looks up every block of `run` in the cache and queues each hit and one
+// GET per stretch of adjacent misses: a hit splits the run.
+void Scanner::Job::Expand(const Item& run) {
+  const BlockTable& blocks = Blocks(run.pos);
   u64 hits = 0;
-  u64 misses = 0;
-  for (u32 pos = 0; pos < needed_count_; pos++) {
-    const BlockTable& blocks = Blocks(pos);
-    Item run{pos, group.first, 0, {}};
-    for (u32 b = group.first; b < group.first + group.blocks; b++) {
-      exec::BlockCache::Payload payload;
-      if (cache_ != nullptr) {
-        payload =
-            cache_->LookupShared(keys_[pos], blocks.block_offsets[b],
-                                 blocks.block_size(b), blocks.block_crcs[b]);
-      }
-      if (payload == nullptr) {
-        if (run.blocks == 0) run.first = b;
-        run.blocks++;
-        misses++;
-        continue;
-      }
-      // Cache hit: the bundle shares the cached buffer — no copy, no GET,
-      // and no CRC32C: the entry is this block's verified bytes.
-      hits++;
-      if (run.blocks > 0) items_.push_back(run);
-      run.blocks = 0;
-      const u8* data = payload->data();
-      const size_t size = payload->size();
-      items_.push_back(
-          Item{pos, b, 1, BlockPart{std::move(payload), data, size}});
+  Item miss{run.pos, run.first, 0, {}};
+  for (u32 b = run.first; b < run.first + run.blocks; b++) {
+    exec::BlockCache::Payload payload;
+    if (cache_ != nullptr) {
+      payload = cache_->LookupShared(keys_[run.pos], blocks.block_offsets[b],
+                                     blocks.block_size(b),
+                                     blocks.block_crcs[b]);
     }
-    if (run.blocks > 0) items_.push_back(run);
+    if (payload == nullptr) {
+      if (miss.blocks == 0) miss.first = b;
+      miss.blocks++;
+      continue;
+    }
+    // Cache hit: the bundle shares the cached buffer — no copy, no GET,
+    // and no CRC32C: the entry is this block's verified bytes.
+    hits++;
+    if (miss.blocks > 0) items_.push_back(miss);
+    miss.blocks = 0;
+    const u8* data = payload->data();
+    const size_t size = payload->size();
+    items_.push_back(
+        Item{run.pos, b, 1, BlockPart{std::move(payload), data, size}});
   }
+  if (miss.blocks > 0) items_.push_back(miss);
+  const u64 misses = run.blocks - hits;
   if (cache_ != nullptr) {
     cache_hits_ += hits;
     cache_misses_ += misses;
@@ -1083,9 +1117,11 @@ void Scanner::Job::Emit(const ChunkCallback& emit,
     EmitBlock(emit, b, &result);
     if (b >= first_fetched_) {
       // The block has left both windows: the decode window takes in the
-      // next block, and its parts' fetch tokens come back.
+      // next block, and its parts' bytes return to the fetch window.
       SlideDecodeWindow();
-      fetch_tokens_ += needed_count_;
+      for (u32 pos = 0; pos < needed_count_; pos++) {
+        fetch_bytes_ += Bytes(pos, b, 1);
+      }
       Pump();
     }
   }

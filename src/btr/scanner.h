@@ -8,16 +8,16 @@
 // stages:
 //
 //   plan ────► zone maps prune row blocks that cannot match (never
-//              fetched); the rest become groups of adjacent row blocks,
-//              located by the block tables Open read with the metadata —
-//              no GET
+//              fetched); each needed column's other blocks are cut into
+//              runs of adjacent blocks up to one size in bytes, located
+//              by the block tables Open read with the metadata — no GET
 //   fetch ───► items on the service's fetch executors: each block is
-//              looked up in the block cache, and every run of adjacent
-//              uncached blocks of one column is one exec::HedgedGet under
+//              looked up in the block cache, and every stretch of a run's
+//              uncached blocks is one exec::HedgedGet under
 //              exec::RunWithRetries; each arrived block is checked (size +
 //              CRC32C, one optional re-fetch) and only then cached; the
-//              fetch window runs one run per fetch executor ahead of the
-//              decode window, each part counted until emitted
+//              fetch window, in bytes, runs one run per fetch executor
+//              ahead of the decode window, each part counted until emitted
 //   decode ──► items on the service's decode executors for the row blocks
 //              of the decode window (prefetch_depth + one bundle per
 //              decode thread, in whole row blocks past the next emit; a

@@ -129,14 +129,17 @@ StringStats ComputeStats(const StringsView& view) {
     // Constant-time content hash: length plus the first 16 and last 8
     // bytes. Stats run on every block; hashing whole long strings shows
     // up in profiles, and a rare collision merely undercounts distinct
-    // values by one — irrelevant for the viability thresholds.
-    u64 h = 0xCBF29CE484222325ULL ^ s.size();
+    // values by one — irrelevant for the viability thresholds. The length
+    // is a step of its own: xored into the seed, it cancels against a
+    // zero-padded word ("a" and "b\0" hashed alike).
+    u64 h = 0xCBF29CE484222325ULL;
     auto mix = [&h](u64 word) {
       h = (h ^ word) * 0x100000001B3ULL;
       h ^= h >> 31;
     };
     const u8* p = reinterpret_cast<const u8*>(s.data());
     size_t len = s.size();
+    mix(len);
     mix(load(p, std::min<size_t>(len, 8)));
     if (len > 8) mix(load(p + 8, std::min<size_t>(len - 8, 8)));
     if (len > 16) {

@@ -149,8 +149,8 @@ class ScanService {
   // --- work submission (called by Scanners) ---------------------------------
   // Enqueues a work item on the tenant's fetch/decode lane. `cost_bytes`
   // is the DRR charge. The closure runs on a service executor thread; it
-  // must not block on other service work (window-token backpressure in
-  // the scanner guarantees this).
+  // must not block on other service work (the scanner's fetch and decode
+  // windows, taken and returned on its calling thread, guarantee this).
   void SubmitFetch(u32 tenant_slot, u64 cost_bytes, std::function<void()> run);
   void SubmitDecode(u32 tenant_slot, u64 cost_bytes,
                     std::function<void()> run);

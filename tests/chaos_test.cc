@@ -628,7 +628,8 @@ TEST(ChaosTest, BreakerTripsAndFailsFastWhenBackendIsDown) {
 // still beats a spiked primary. The threshold arms only after two GETs of
 // a scan completed, so each scan needs many GETs that start later: 8 row
 // blocks with a one-block window (scan_threads = 1, prefetch_depth = 0)
-// make every block its own run, 24 block GETs a scan.
+// make the run size the largest block, so every id and price block is its
+// own run and the small city blocks go three to a run, 19 GETs a scan.
 TEST(ChaosTest, HedgedGetsAbsorbLatencySpikes) {
   constexpr u32 kBlocks = 8;
   const CompressionConfig config;
@@ -686,8 +687,9 @@ TEST(ChaosTest, HedgedGetsAbsorbLatencySpikes) {
 // losing request. Column 0's second block GET of the second scan is
 // spiked by 300 ms; its duplicate, issued at the 20 ms threshold floor,
 // answers at once. One fetch thread and a one-block window (scan_threads
-// = 1, prefetch_depth = 0) make each block its own GET, and the second
-// scan's first GET arms the threshold.
+// = 1, prefetch_depth = 0) make the run size the largest block, which no
+// two id blocks fit, so each block is its own GET, and the second scan's
+// first GET arms the threshold.
 TEST(ChaosTest, HedgeWinDoesNotWaitForItsLoser) {
   constexpr u32 kBlocks = 4;
   const CompressedRelation compressed =
@@ -778,12 +780,13 @@ TEST(ChaosTest, RunGetFaultsDamageOnlyTheirBlocks) {
 }
 
 // One decode thread and no prefetch depth make the decode window one row
-// block and every run one block, while the fetch window runs one run per
-// fetch executor ahead: a slow consumer lets the next row block arrive
-// before it enters the decode window and wait there compressed. Block 3 of
-// column 0 arrives corrupt. A degraded scan emits it kUnreadable in order
-// and every other block bit-identical; a strict scan fails with
-// Corruption, drops its waiting bundles and quiesces.
+// block and the run size the largest block, so every id block is its own
+// run, while the fetch window runs one run per fetch executor ahead: a
+// slow consumer lets the next row block arrive before it enters the
+// decode window and wait there compressed. Block 3 of column 0 arrives
+// corrupt. A degraded scan emits it kUnreadable in order and every other
+// block bit-identical; a strict scan fails with Corruption, drops its
+// waiting bundles and quiesces.
 TEST(ChaosTest, CorruptBlockWaitingForTheDecodeWindow) {
   constexpr u32 kBlocks = 8;
   const CompressionConfig config;

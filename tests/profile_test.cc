@@ -343,7 +343,8 @@ TEST(ProfileTest, CrcRefetchTalliesMatchScanStats) {
 // A request the breaker rejects before its first attempt never reaches the
 // store, so it is no GET sample. Every .btr GET fails, one attempt each,
 // one at a time, and a one-block window (scan_threads = 1, prefetch_depth
-// = 0) makes each block of each column its own run: the first 2 run GETs
+// = 0) makes the run size the largest block, which no two adjacent blocks
+// of a column fit, so each block is its own run: the first 2 run GETs
 // trip the breaker, which then rejects the other 6 (degraded mode reads
 // every row block left).
 TEST(ProfileTest, BreakerRejectedRequestsAreNotGetSamples) {

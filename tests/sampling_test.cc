@@ -190,14 +190,20 @@ TEST(StatsTest, IntsMatchReference) {
 
 // Strings of 0-24 bytes, empty strings and embedded zeros among them, in a
 // buffer of exactly their bytes whose last string has `last_length` bytes:
-// a load past the buffer's end fails under AddressSanitizer.
-void ExpectStringStatsMatchReference(u32 last_length) {
+// a load past the buffer's end fails under AddressSanitizer. With
+// `zero_tails`, strings may also end in zero bytes, "a" and "b\0" among
+// them.
+void ExpectStringStatsMatchReference(u32 last_length, bool zero_tails) {
   Random rng(13 + last_length);
   std::vector<std::string> strings;
+  if (zero_tails) {
+    strings.push_back("a");
+    strings.push_back(std::string("b\0", 2));
+  }
   for (u32 i = 0; i < 3000; i++) {
     std::string s(rng.NextBounded(25), '\0');
     for (char& c : s) c = "ab\0z"[rng.NextBounded(4)];
-    if (!s.empty() && s.back() == '\0') s.back() = 'z';
+    if (!zero_tails && !s.empty() && s.back() == '\0') s.back() = 'z';
     strings.push_back(s);
     if (i % 5 == 0) strings.push_back(s);  // runs
     if (i % 7 == 0) strings.push_back("");
@@ -216,9 +222,9 @@ void ExpectStringStatsMatchReference(u32 last_length) {
 
   // Distinct strings are counted by a 64-bit hash of the length and the
   // first 16 and last 8 bytes: all of a string of at most 24 bytes. Words
-  // are zero padded and the length is xored in, so a string that ends in
-  // zero bytes can collide with a shorter one ("a" and "b\0"); no string
-  // here ends in one, and these fixed inputs have no other collision.
+  // are zero padded, and the length is mixed in as a step of its own, so
+  // a string that ends in zero bytes hashes apart from a shorter one
+  // ("a" and "b\0"); these fixed inputs have no collision.
   std::set<std::string> distinct(strings.begin(), strings.end());
   u64 unique_bytes = 0;
   for (const std::string& s : distinct) unique_bytes += s.size();
@@ -236,9 +242,12 @@ void ExpectStringStatsMatchReference(u32 last_length) {
 }
 
 TEST(StatsTest, StringsMatchReference) {
-  for (u32 last_length = 0; last_length <= 24; last_length++) {
-    SCOPED_TRACE(last_length);
-    ExpectStringStatsMatchReference(last_length);
+  for (bool zero_tails : {false, true}) {
+    for (u32 last_length = 0; last_length <= 24; last_length++) {
+      SCOPED_TRACE(testing::Message() << "zero_tails " << zero_tails
+                                      << " last_length " << last_length);
+      ExpectStringStatsMatchReference(last_length, zero_tails);
+    }
   }
 }
 

@@ -4,6 +4,7 @@
 // block, and surface poisoned blocks as a Status instead of crashing.
 #include "btr/scanner.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -18,6 +19,7 @@
 #include "btr/predicate.h"
 #include "hostile_bytes.h"
 #include "obs/metrics.h"
+#include "util/random.h"
 #include "write/manifest.h"
 
 namespace btr {
@@ -521,20 +523,86 @@ TEST(ScannerTest, LastBlockOfARunDecodesInsideTheSlack) {
   }
 }
 
-// One decode thread, two fetch executors and no prefetch depth: the decode
-// window is one row block and every run is one block. While the consumer
-// holds row block 0's first chunk, the fetch window GETs row block 1 (one
-// run per fetch executor ahead), but block 1 waits compressed: only block
-// 0's two column blocks are decoded.
-TEST(ScannerTest, FetchRunsAheadWhileDecodeStaysBounded) {
-  constexpr u32 kBlocks = 6;
-  Relation table("run_ahead");
-  Column& ids = table.AddColumn("id", ColumnType::kInteger);
-  Column& groups = table.AddColumn("group", ColumnType::kInteger);
-  for (u32 i = 0; i < kBlocks * kBlockCapacity; i++) {
-    ids.AppendInt(static_cast<i32>(i));
-    groups.AppendInt(static_cast<i32>(i % 1000));
+// One wide string column, whose row block b holds random strings of
+// lengths[b] letters, and `narrow` small int columns.
+Relation MakeMixedWidthTable(const std::string& name,
+                             const std::vector<u32>& lengths, u32 narrow) {
+  Relation table(name);
+  Column& wide = table.AddColumn("text", ColumnType::kString);
+  std::vector<Column*> ints;
+  for (u32 k = 0; k < narrow; k++) {
+    ints.push_back(&table.AddColumn(std::string(1, 'n') + std::to_string(k),
+                                    ColumnType::kInteger));
   }
+  Random rng(21);
+  for (u32 i = 0; i < lengths.size() * kBlockCapacity; i++) {
+    std::string text(lengths[i / kBlockCapacity], 'a');
+    for (char& c : text) c = static_cast<char>('a' + rng.NextBounded(26));
+    wide.AppendString(text);
+    for (u32 k = 0; k < narrow; k++) {
+      ints[k]->AppendInt(static_cast<i32>(i % (k + 2)));
+    }
+  }
+  return table;
+}
+
+// The fetch plan docs/SCAN_PIPELINE.md ("Runs") predicts for an unfiltered
+// scan of every column of `compressed` by a standalone Scanner: R is the
+// largest stretch of run_blocks adjacent blocks of any column, and each
+// column is cut into runs of adjacent blocks of at most R bytes (a larger
+// block alone). The fetch window is one run of every column, at most
+// min(column bytes, R), plus R per fetch executor.
+struct RunPlan {
+  std::vector<u64> column_gets;
+  u64 gets = 0;
+  u64 fetch_window = 0;
+};
+
+RunPlan PlanRuns(const CompressedRelation& compressed,
+                 const ScanConfig& config) {
+  const u64 needed = compressed.columns.size();
+  const u64 window = config.prefetch_depth + needed * config.scan_threads;
+  const u64 run_blocks = std::max<u64>(
+      1, window / std::max<u64>(needed, config.fetch_threads));
+  u64 run_bytes = 0;  // R
+  for (const CompressedColumn& column : compressed.columns) {
+    for (size_t b = 0; b < column.blocks.size(); b += run_blocks) {
+      u64 bytes = 0;
+      for (size_t i = b; i < std::min(b + run_blocks, column.blocks.size());
+           i++) {
+        bytes += column.blocks[i].size();
+      }
+      run_bytes = std::max(run_bytes, bytes);
+    }
+  }
+  RunPlan plan;
+  for (const CompressedColumn& column : compressed.columns) {
+    u64 gets = 0, run = 0, total = 0;
+    for (const ByteBuffer& block : column.blocks) {
+      if (gets == 0 || run + block.size() > run_bytes) {
+        gets++;
+        run = 0;
+      }
+      run += block.size();
+      total += block.size();
+    }
+    plan.column_gets.push_back(gets);
+    plan.gets += gets;
+    plan.fetch_window += std::min(total, run_bytes);
+  }
+  plan.fetch_window += config.fetch_threads * run_bytes;
+  return plan;
+}
+
+// Fetch runs are cut by bytes, not block counts. One decode thread, two
+// fetch executors and a prefetch depth of 2 make run_blocks 1 over these
+// four columns, so R is the largest block, a 32-letter row block of the
+// wide column. Each narrow column is smaller than R and is one GET; the
+// wide column's 8-letter blocks 1-3 share GETs. The scan returns the
+// sequential decode bit for bit.
+TEST(ScannerTest, RunsAreCutByBytes) {
+  const std::vector<u32> lengths = {32, 8, 8, 8, 32, 8};
+  const Relation table = MakeMixedWidthTable("mixed_width", lengths, 3);
   CompressionConfig config;
   const CompressedRelation compressed = CompressRelation(table, config);
   s3sim::ObjectStore store;
@@ -544,47 +612,141 @@ TEST(ScannerTest, FetchRunsAheadWhileDecodeStaysBounded) {
   ScanSpec spec;
   spec.config.scan_threads = 1;
   spec.config.fetch_threads = 2;
-  spec.config.prefetch_depth = 0;
-  Scanner scanner(&store, "run_ahead", "lake/");
+  spec.config.prefetch_depth = 2;
+  const RunPlan plan = PlanRuns(compressed, spec.config);
+  EXPECT_GT(plan.column_gets[0], 1u);
+  EXPECT_LT(plan.column_gets[0], lengths.size())
+      << "the short blocks of the wide column share no GET";
+  for (u32 k = 1; k <= 3; k++) {
+    EXPECT_EQ(plan.column_gets[k], 1u) << "narrow column " << k;
+  }
+
+  Scanner scanner(&store, "mixed_width", "lake/");
+  ASSERT_TRUE(scanner.Open(spec.config).ok());
+  ScanOutput output;
+  Status status = scanner.Scan(spec, &output);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(output.stats.requests, plan.gets);
+  DecodedBlock reference;
+  for (size_t c = 0; c < compressed.columns.size(); c++) {
+    ASSERT_EQ(output.columns[c].blocks.size(), lengths.size());
+    for (size_t b = 0; b < lengths.size(); b++) {
+      DecompressBlock(compressed.columns[c].blocks[b].data(), &reference,
+                      config);
+      ExpectBlocksBitIdentical(reference, output.columns[c].blocks[b]);
+    }
+  }
+}
+
+// What a scan of `table` had fetched and decoded while its consumer held
+// row block 0's first chunk: the consumer waits until `wait_requests`
+// GETs were issued after Open, then 50 ms more for a decode of block 1 to
+// run, were one submitted. Every emitted block is checked against the
+// sequential decode.
+struct HeldScan {
+  u64 requests = 0;
+  u64 bytes = 0;
+  u64 decompressed = 0;
+};
+
+void ScanHoldingBlockZero(const CompressedRelation& compressed,
+                          const ScanConfig& config, u64 wait_requests,
+                          HeldScan* held) {
+  s3sim::ObjectStore store;
+  ASSERT_TRUE(
+      UploadCompressedRelation(compressed, nullptr, "lake/", &store).ok());
+  ScanSpec spec;
+  spec.config = config;
+  Scanner scanner(&store, compressed.name, "lake/");
   ASSERT_TRUE(scanner.Open(spec.config).ok());
   const u64 requests_after_open = store.total_requests();
-  const u64 block1_fetched = 4;  // block 0's and block 1's runs
+  const u64 bytes_after_open = store.total_bytes_fetched();
   obs::Counter& decompressed =
       obs::Registry::Get().GetCounter("btr.decompress.blocks");
   const u64 decompressed_before = decompressed.Value();
 
-  u64 fetched_while_held = 0;
-  u64 decompressed_while_held = 0;
-  std::vector<std::vector<DecodedBlock>> values(2);
-  for (std::vector<DecodedBlock>& column : values) column.resize(kBlocks);
+  const size_t columns = compressed.columns.size();
+  const size_t blocks = compressed.columns[0].blocks.size();
+  std::vector<std::vector<DecodedBlock>> values(columns);
+  for (std::vector<DecodedBlock>& column : values) column.resize(blocks);
   Status status = scanner.Scan(spec, [&](ColumnChunk&& chunk) {
     if (chunk.block == 0 && chunk.column == 0) {
       const auto deadline =
           std::chrono::steady_clock::now() + std::chrono::seconds(10);
-      while (store.total_requests() - requests_after_open < block1_fetched &&
+      while (store.total_requests() - requests_after_open < wait_requests &&
              std::chrono::steady_clock::now() < deadline) {
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
       }
-      // Time for a decode of block 1 to run, were one submitted.
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
-      fetched_while_held = store.total_requests() - requests_after_open;
-      decompressed_while_held = decompressed.Value() - decompressed_before;
+      held->requests = store.total_requests() - requests_after_open;
+      held->bytes = store.total_bytes_fetched() - bytes_after_open;
+      held->decompressed = decompressed.Value() - decompressed_before;
     }
     values[chunk.column][chunk.block] = std::move(chunk.values);
   });
   ASSERT_TRUE(status.ok()) << status.ToString();
-  EXPECT_GE(fetched_while_held, block1_fetched)
-      << "no GET of row block 1 while block 0 was held";
-  EXPECT_LE(decompressed_while_held, 2u)
-      << "decoded past the one-block decode window";
 
   DecodedBlock reference;
-  for (u32 c = 0; c < 2; c++) {
-    for (u32 b = 0; b < kBlocks; b++) {
+  for (size_t c = 0; c < columns; c++) {
+    for (size_t b = 0; b < blocks; b++) {
       DecompressBlock(compressed.columns[c].blocks[b].data(), &reference,
-                      config);
+                      CompressionConfig());
       ExpectBlocksBitIdentical(reference, values[c][b]);
     }
+  }
+}
+
+// One decode thread, two fetch executors and no prefetch depth: the decode
+// window is one row block and R is the largest block. While the consumer
+// holds row block 0's first chunk, the fetch window GETs row block 1 (one
+// run per fetch executor ahead), but block 1 waits compressed: only block
+// 0's two column blocks are decoded.
+TEST(ScannerTest, FetchRunsAheadWhileDecodeStaysBounded) {
+  constexpr u32 kBlocks = 6;
+  ScanConfig config;
+  config.scan_threads = 1;
+  config.fetch_threads = 2;
+  config.prefetch_depth = 0;
+
+  // Two int columns of about equal blocks: every run is one block.
+  {
+    Relation table("run_ahead");
+    Column& ids = table.AddColumn("id", ColumnType::kInteger);
+    Column& groups = table.AddColumn("group", ColumnType::kInteger);
+    for (u32 i = 0; i < kBlocks * kBlockCapacity; i++) {
+      ids.AppendInt(static_cast<i32>(i));
+      groups.AppendInt(static_cast<i32>(i % 1000));
+    }
+    const CompressedRelation compressed =
+        CompressRelation(table, CompressionConfig());
+    const u64 block1_fetched = 4;  // block 0's and block 1's runs
+    HeldScan held;
+    ScanHoldingBlockZero(compressed, config, block1_fetched, &held);
+    EXPECT_GE(held.requests, block1_fetched)
+        << "no GET of row block 1 while block 0 was held";
+    EXPECT_LE(held.decompressed, 2u)
+        << "decoded past the one-block decode window";
+  }
+
+  // A wide string column and a narrow int column, which is one GET: while
+  // block 0 is held, the fetch window has run ahead by whole wide blocks,
+  // and the bytes fetched stay inside the window the block table sets.
+  {
+    const CompressedRelation compressed = CompressRelation(
+        MakeMixedWidthTable("mixed_ahead",
+                            std::vector<u32>(kBlocks, 16), 1),
+        CompressionConfig());
+    const RunPlan plan = PlanRuns(compressed, config);
+    ASSERT_EQ(plan.column_gets[1], 1u);
+    const u64 block1_fetched = 3;  // the wide blocks 0 and 1, the narrow run
+    HeldScan held;
+    ScanHoldingBlockZero(compressed, config, block1_fetched, &held);
+    EXPECT_GE(held.requests, block1_fetched)
+        << "no GET of row block 1 while block 0 was held";
+    EXPECT_LE(held.bytes, plan.fetch_window)
+        << "fetched past the fetch window";
+    EXPECT_LE(held.decompressed, 2u)
+        << "decoded past the one-block decode window";
   }
 }
 
